@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicCube, LatticeWindow, distance_term
+from .dyadic import CubeArrays, DyadicCube, LatticeWindow, distance_block
 from .errors import PreconditionError
 from .molecules import MoleculeFamily, mgh_bound
 from .params import ADRegion, SpaceParams
@@ -22,36 +22,69 @@ from .seq import CoeffField, seq_norm_averaged, seq_norm_weighted
 from .weights import MatrixWeight, ReducingFamily
 
 
+# Matrix entries per row block of apply: bounds its temporaries on large windows.
+_BLOCK_ENTRIES = 1 << 18
+# Sampled cube pairs per block of the certificate checks, whose temporaries
+# are _PAIR_CHUNK x (window cubes) at most.
+_PAIR_CHUNK = 128
+
+
+def bdef_block(rows: CubeArrays, cols: CubeArrays, D: float, E: float, F: float) -> np.ndarray:
+    """Model-matrix entries for every (row, column) cube pair, shape
+    ``(len(rows), len(cols))``: distance decay D with scale-gap decay E
+    (finer row) or F (coarser row)."""
+    level_gap = np.subtract.outer(rows.levels, cols.levels)  # j_Q - j_R
+    ratio = np.ldexp(1.0, -np.abs(level_gap))               # smaller over larger side
+    return distance_block(rows, cols) ** -D * ratio ** np.where(level_gap >= 0, E, F)
+
+
 def bdef_entry(q: DyadicCube, r: DyadicCube, D: float, E: float, F: float) -> float:
-    """Model-matrix entry: distance decay D with scale-gap decay E (finer row)
-    or F (coarser row)."""
-    dist = distance_term(q, r)
-    if q.side <= r.side:
-        gap = (q.side / r.side) ** E
-    else:
-        gap = (r.side / q.side) ** F
-    return dist ** -D * gap
+    """Model-matrix entry of one cube pair: the 1x1 case of :func:`bdef_block`."""
+    return float(bdef_block(CubeArrays.of([q]), CubeArrays.of([r]), D, E, F)[0, 0])
+
+
+def _cube_equality(rows: CubeArrays, cols: CubeArrays) -> np.ndarray:
+    eq = np.equal.outer(rows.levels, cols.levels)
+    for axis in range(rows.n):
+        eq &= np.equal.outer(rows.index[:, axis], cols.index[:, axis])
+    return eq.astype(float)
+
+
+def _sample_pairs(rng: np.random.Generator, count: int, samples: int) -> tuple:
+    """Row and column indices of sampled pairs, one scalar draw each, row first."""
+    draws = np.array([rng.integers(count) for _ in range(2 * samples)], dtype=np.intp)
+    return draws[0::2], draws[1::2]
+
+
+def _sampled_entries(block, cubes: CubeArrays, qi: np.ndarray, ri: np.ndarray) -> np.ndarray:
+    """``block(cubes, cubes)[qi, ri]``, evaluated as the diagonals of blocks of
+    at most _PAIR_CHUNK sampled pairs."""
+    parts = [np.empty(0)]
+    for s in range(0, len(qi), _PAIR_CHUNK):
+        sl = slice(s, s + _PAIR_CHUNK)
+        parts.append(np.diagonal(block(cubes.take(qi[sl]), cubes.take(ri[sl]))))
+    return np.concatenate(parts)
 
 
 @dataclass
 class ADMatrix:
-    """Entry evaluator over cube pairs, with an optional decay certificate."""
+    """Block evaluator over cube pairs, with an optional decay certificate."""
 
-    entry: object                      # (Q, R) -> complex
+    block: object                      # (rows, cols) -> (len(rows), len(cols)) array
     certificate: tuple | None = None   # (D, E, F, C)
     label: str = "matrix"
 
     def __call__(self, q: DyadicCube, r: DyadicCube) -> complex:
-        return self.entry(q, r)
+        return self.block(CubeArrays.of([q]), CubeArrays.of([r]))[0, 0]
 
     @classmethod
     def model(cls, D: float, E: float, F: float) -> "ADMatrix":
-        return cls(lambda q, r: bdef_entry(q, r, D, E, F), (D, E, F, 1.0),
+        return cls(lambda rows, cols: bdef_block(rows, cols, D, E, F), (D, E, F, 1.0),
                    f"bdef({D},{E},{F})")
 
     @classmethod
     def identity(cls) -> "ADMatrix":
-        return cls(lambda q, r: 1.0 if q == r else 0.0, None, "identity")
+        return cls(_cube_equality, None, "identity")
 
     def verify_certificate(self, window: LatticeWindow,
                            rng: np.random.Generator | None = None,
@@ -60,33 +93,35 @@ class ADMatrix:
         if self.certificate is None:
             raise PreconditionError("matrix carries no certificate")
         D, E, F, _ = self.certificate
-        cubes = list(window.all_cubes())
+        cubes = CubeArrays.of_window(window)
         rng = rng or np.random.default_rng(0)
-        worst = 0.0
         count = min(samples, len(cubes) ** 2)
-        for _ in range(count):
-            q = cubes[rng.integers(len(cubes))]
-            r = cubes[rng.integers(len(cubes))]
-            model = bdef_entry(q, r, D, E, F)
-            worst = max(worst, abs(self(q, r)) / model)
-        return {"fitted_C": worst, "samples": count}
+        qi, ri = _sample_pairs(rng, len(cubes), count)
+        entries = _sampled_entries(self.block, cubes, qi, ri)
+        model = _sampled_entries(ADMatrix.model(D, E, F).block, cubes, qi, ri)
+        return {"fitted_C": float(np.max(np.abs(entries) / model, initial=0.0)),
+                "samples": count}
 
 
 def apply(B: ADMatrix, t: CoeffField) -> CoeffField:
-    """(Bt)_Q = sum_R b_{Q,R} t_R over the window, componentwise on C^m."""
-    win = t.window
-    out = CoeffField(win, t.m)
-    entries = list(t.items())
-    if not entries:
+    """(Bt)_Q = sum_R b_{Q,R} t_R over the window, componentwise on C^m.
+
+    Rows are the window's cubes and columns the nonzero cubes of t; the matrix
+    is evaluated in row blocks of at most _BLOCK_ENTRIES entries.
+    """
+    out = CoeffField(t.window, t.m)
+    if not len(t):
         return out
-    for q in win.all_cubes():
-        acc = np.zeros(t.m, dtype=complex)
-        for r, v in entries:
-            b = B(q, r)
-            if b != 0:
-                acc = acc + b * v
-        if np.any(acc != 0):
-            out.set(q, acc)
+    cubes, values = zip(*t.items())
+    cols = CubeArrays.of(cubes)
+    V = np.array(values)
+    rows = CubeArrays.of_window(t.window)
+    step = max(1, _BLOCK_ENTRIES // len(cols))
+    for start in range(0, len(rows), step):
+        blk = rows.take(slice(start, start + step))
+        acc = B.block(blk, cols) @ V
+        for i in np.flatnonzero(np.any(acc != 0, axis=1)):
+            out.set(blk.cube(i), acc[i])
     return out
 
 
@@ -98,7 +133,8 @@ def compose_certificate(c1: tuple, c2: tuple, region: ADRegion,
 
     Both inputs must lie strictly inside the region; the conservative output
     is the componentwise minimum, which stays inside.  When a window is
-    given, the product entries are enumerated and the constant fitted.
+    given, product entries at sampled cube pairs are formed as products of
+    the two model blocks over the window, and the constant fitted.
     """
     for name, c in (("first", c1), ("second", c2)):
         if not region.contains(*c[:3]):
@@ -109,17 +145,16 @@ def compose_certificate(c1: tuple, c2: tuple, region: ADRegion,
     F = min(c1[2], c2[2])
     out = {"certificate": (D, E, F), "inside": region.contains(D, E, F)}
     if window is not None:
-        cubes = list(window.all_cubes())
-        b1 = ADMatrix.model(*c1[:3])
-        b2 = ADMatrix.model(*c2[:3])
+        cubes = CubeArrays.of_window(window)
         rng = rng or np.random.default_rng(0)
-        worst = 0.0
-        for _ in range(samples):
-            q = cubes[rng.integers(len(cubes))]
-            r = cubes[rng.integers(len(cubes))]
-            prod = sum(b1(q, p) * b2(p, r) for p in cubes)
-            worst = max(worst, abs(prod) / bdef_entry(q, r, D, E, F))
-        out["fitted_C"] = worst
+        qi, ri = _sample_pairs(rng, len(cubes), samples)
+
+        def product(rows, cols):
+            return bdef_block(rows, cubes, *c1[:3]) @ bdef_block(cubes, cols, *c2[:3])
+
+        prod = _sampled_entries(product, cubes, qi, ri)
+        model = _sampled_entries(ADMatrix.model(D, E, F).block, cubes, qi, ri)
+        out["fitted_C"] = float(np.max(np.abs(prod) / model, initial=0.0))
     return out
 
 
@@ -218,25 +253,27 @@ def gram_matrix(analysis: MoleculeFamily, synthesis: MoleculeFamily,
     """
     cubes = list(window.all_cubes())
     M, G, H = mgh_bound(analysis.params, synthesis.params, n, alpha)
-    pairs = [(q, p) for q in cubes for p in cubes]
+    pairs = [(a, b) for a in range(len(cubes)) for b in range(len(cubes))]
     if max_pairs is not None and len(pairs) > max_pairs:
         rng = rng or np.random.default_rng(0)
         idx = rng.choice(len(pairs), size=max_pairs, replace=False)
         pairs = [pairs[i] for i in idx]
+    arrays = CubeArrays.of(cubes)
+    bounds = bdef_block(arrays, arrays, M, G, H)
     entries = {}
     deltas = {}
     worst_ratio = 0.0
     worst_pair = None
     members_a = {}
     members_s = {}
-    for q, p in pairs:
+    for a, b in pairs:
+        q, p = cubes[a], cubes[b]
         fa = members_a.setdefault(q, analysis(q))
         fs = members_s.setdefault(p, synthesis(p))
         val, delta = _pair_inner_product(fa, fs, quad_points)
         entries[(q, p)] = val
         deltas[(q, p)] = delta
-        bound = bdef_entry(q, p, M, G, H)
-        ratio = abs(val) / bound
+        ratio = abs(val) / float(bounds[a, b])
         if ratio > worst_ratio:
             worst_ratio = ratio
             worst_pair = (q, p)

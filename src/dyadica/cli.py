@@ -44,6 +44,7 @@ from .weights import (
     ReducingFamily,
     ap_characteristic,
     ap_dimension_estimate,
+    worker_count,
 )
 
 
@@ -69,16 +70,10 @@ def _load_space(path: str) -> SpaceParams:
 
 def _load_weight(path: str) -> MatrixWeight:
     with open(path) as fh:
-        return MatrixWeight.from_json(fh.read())
+        return MatrixWeight.from_json(fh.read(), os.path.dirname(os.path.abspath(path)))
 
 
 def _emit(report: dict, args) -> None:
-    report = {
-        "tool": "dyadica",
-        "version": __version__,
-        "threads": os.environ.get("DYADICA_THREADS"),
-        **report,
-    }
     text = json.dumps(report, sort_keys=True, indent=2, default=_json_default)
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
@@ -342,7 +337,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = args.fn(args)
+        report = {"tool": "dyadica", "version": __version__, "threads": worker_count(),
+                  **args.fn(args)}
     except PreconditionError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2

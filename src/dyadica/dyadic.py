@@ -105,12 +105,77 @@ def children(q: DyadicCube) -> list[DyadicCube]:
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class CubeArrays:
+    """N cubes as arrays: levels ``(N,)`` and integer indices ``(N, n)``.
+
+    The operand of the block kernels; corners and edge lengths materialize
+    as floats on demand, exactly as for :class:`DyadicCube`.
+    """
+
+    levels: np.ndarray
+    index: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.levels)
+
+    @property
+    def n(self) -> int:
+        return self.index.shape[1]
+
+    @property
+    def side(self) -> np.ndarray:
+        return np.ldexp(1.0, -self.levels)
+
+    @property
+    def lower(self) -> np.ndarray:
+        return np.ldexp(self.index.astype(float), -self.levels[:, None])
+
+    @classmethod
+    def of(cls, cubes) -> "CubeArrays":
+        cubes = list(cubes)
+        return cls(np.array([q.j for q in cubes], dtype=np.int64),
+                   np.array([q.k for q in cubes], dtype=np.int64))
+
+    @classmethod
+    def of_window(cls, window: "LatticeWindow") -> "CubeArrays":
+        """Every window cube, in the order of ``window.all_cubes()``."""
+        levels, index = [], []
+        for j in range(window.j_min, window.j_max + 1):
+            axes = [np.arange(a, b, dtype=np.int64) for a, b in window.index_bounds(j)]
+            grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, window.n)
+            levels.append(np.full(len(grid), j, dtype=np.int64))
+            index.append(grid)
+        return cls(np.concatenate(levels), np.concatenate(index))
+
+    def take(self, idx) -> "CubeArrays":
+        return CubeArrays(self.levels[idx], self.index[idx])
+
+    def cube(self, i: int) -> DyadicCube:
+        return DyadicCube(self.n, int(self.levels[i]), tuple(self.index[i].tolist()))
+
+
+def distance_block(rows: CubeArrays, cols: CubeArrays) -> np.ndarray:
+    """:func:`distance_term` for every (row, column) pair, shape
+    ``(len(rows), len(cols))``.  The squared distance is accumulated one axis
+    at a time, so every temporary has the shape of the result."""
+    if rows.n != cols.n:
+        raise PreconditionError("cubes live in different dimensions")
+    lo_r, lo_c = rows.lower, cols.lower
+    dist = np.zeros((len(rows), len(cols)))
+    for axis in range(rows.n):
+        d = np.subtract.outer(lo_r[:, axis], lo_c[:, axis])
+        d *= d
+        dist += d
+    np.sqrt(dist, out=dist)
+    dist /= np.maximum.outer(rows.side, cols.side)
+    dist += 1.0
+    return dist
+
+
 def distance_term(q: DyadicCube, r: DyadicCube) -> float:
     """1 + |x_Q - x_R| / max(side(Q), side(R)), measured between lower corners."""
-    if q.n != r.n:
-        raise PreconditionError("cubes live in different dimensions")
-    dq = np.array(q.lower) - np.array(r.lower)
-    return 1.0 + float(np.linalg.norm(dq)) / max(q.side, r.side)
+    return float(distance_block(CubeArrays.of([q]), CubeArrays.of([r]))[0, 0])
 
 
 def stack_cube(base: DyadicCube, k: int) -> DyadicCube:

@@ -190,6 +190,9 @@ def la_norm(stack: LevelFunctionStack, sp: SpaceParams, window: LatticeWindow | 
     levels = sorted(stack.levels)
     if not levels:
         return NormResult(0.0, None, False)
+    for j in levels:
+        if not np.all(np.isfinite(stack.levels[j])):
+            raise PreconditionError(f"level {j} of the stack holds non-finite values")
     n = window.n
     vol = stack.cell_volume
     best = -1.0

@@ -23,6 +23,14 @@ from .params import WeightDims
 EIG_CLAMP_REL = 1e-14
 
 
+def worker_count() -> int:
+    """Workers for per-cube constructions: DYADICA_THREADS, 1 when unset."""
+    raw = os.environ.get("DYADICA_THREADS") or "1"
+    if not raw.strip().isdigit() or int(raw) < 1:
+        raise PreconditionError(f"DYADICA_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tensor midpoint rule: points_per_axis * 2**depth cells per axis."""
@@ -147,7 +155,10 @@ class MatrixWeight:
         return {"m": self.m, "n": self.n, "kind": self.kind, **self.meta}
 
     @classmethod
-    def from_dict(cls, d: dict, grid_values: np.ndarray | None = None) -> "MatrixWeight":
+    def from_dict(cls, d: dict, grid_values: np.ndarray | None = None,
+                  base_dir: str | None = None) -> "MatrixWeight":
+        """Weight from its JSON form; a relative ``values_file`` is resolved
+        against ``base_dir`` (the directory of the weight file)."""
         kind = d.get("kind")
         n = int(d["n"])
         if kind == "constant":
@@ -159,13 +170,13 @@ class MatrixWeight:
                 path = d.get("values_file")
                 if path is None:
                     raise PreconditionError("grid weight needs values or values_file")
-                grid_values = np.load(path)
+                grid_values = np.load(os.path.join(base_dir or "", path))
             return cls.grid(d["lo"], d["hi"], int(d["level"]), grid_values)
         raise PreconditionError(f"unknown weight kind {kind!r}")
 
     @classmethod
-    def from_json(cls, text: str) -> "MatrixWeight":
-        return cls.from_dict(json.loads(text))
+    def from_json(cls, text: str, base_dir: str | None = None) -> "MatrixWeight":
+        return cls.from_dict(json.loads(text), base_dir=base_dir)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -385,12 +396,12 @@ class ReducingFamily:
               workers: int | None = None) -> "ReducingFamily":
         """Construct per-cube operators; the weight evaluator must be pure.
 
-        ``workers`` defaults to the DYADICA_THREADS env var; values above 1
-        spread the independent per-cube fits over a thread pool.
+        ``workers`` defaults to :func:`worker_count`; values above 1 spread
+        the independent per-cube fits over a thread pool.
         """
         cubes = list(window.all_cubes())
         if workers is None:
-            workers = int(os.environ.get("DYADICA_THREADS", "1") or "1")
+            workers = worker_count()
         if workers > 1 and len(cubes) > 1:
             from concurrent.futures import ThreadPoolExecutor
             with ThreadPoolExecutor(max_workers=workers) as pool:

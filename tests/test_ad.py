@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyadica.ad import (
     ADMatrix,
     apply,
+    bdef_block,
     bdef_entry,
     compose_certificate,
     empirical_norm,
     gram_matrix,
 )
-from dyadica.dyadic import DyadicCube, LatticeWindow
+from dyadica.dyadic import CubeArrays, DyadicCube, LatticeWindow
 from dyadica.errors import PreconditionError
 from dyadica.molecules import MoleculeParams, wavelet_family
 from dyadica.params import BESOV, SpaceParams, ad_region, derived_indices
@@ -190,3 +193,120 @@ def test_empirical_norm_adversarial_monotone():
                          depths=(2, 3, 4), seed=3)
     est = rep["adversarial_estimates"]
     assert all(b >= a - 1e-9 for a, b in zip(est, est[1:]))
+
+
+# ---------------------------------------------------------------------------
+# per-entry oracles for the block kernel
+
+def _bdef_reference(q, r, D, E, F):
+    """The model entry evaluated for one cube pair from the cubes' corners."""
+    dist = 1.0 + float(np.linalg.norm(np.array(q.lower) - np.array(r.lower))) / max(q.side, r.side)
+    if q.side <= r.side:
+        gap = (q.side / r.side) ** E
+    else:
+        gap = (r.side / q.side) ** F
+    return dist ** -D * gap
+
+
+def _apply_reference(entry, t):
+    """(Bt)_Q summed entry by entry over the nonzero cubes of t."""
+    out = CoeffField(t.window, t.m)
+    items = list(t.items())
+    for q in t.window.all_cubes():
+        acc = np.zeros(t.m, dtype=complex)
+        for r, v in items:
+            b = entry(q, r)
+            if b != 0:
+                acc = acc + b * v
+        if np.any(acc != 0):
+            out.set(q, acc)
+    return out
+
+
+@st.composite
+def _oracle_windows(draw):
+    """1D and 2D windows, with negative j_min and boxes off the origin."""
+    n = draw(st.sampled_from((1, 2)))
+    j_min = draw(st.integers(-2, 1))
+    j_max = min(j_min + draw(st.integers(0, 2)), 2 if n == 2 else 3)
+    step = 1 << max(0, -j_min)  # a level-j_min cube fits in every box
+    lo, hi = [], []
+    for _ in range(n):
+        a = step * draw(st.integers(-1, 1))
+        lo.append(a)
+        hi.append(a + step * draw(st.integers(1, 2)))
+    return LatticeWindow(n, j_min, j_max, tuple(lo), tuple(hi))
+
+
+@given(window=_oracle_windows(), m=st.sampled_from((1, 3)), complex_values=st.booleans(),
+       D=st.floats(0.5, 4.0), E=st.floats(0.0, 3.0), F=st.floats(0.0, 3.0),
+       seed=st.integers(0, 2 ** 16))
+@settings(max_examples=40, deadline=None)
+def test_apply_matches_per_entry_oracle(window, m, complex_values, D, E, F, seed):
+    t = CoeffField.random(window, m, np.random.default_rng(seed), density=0.5,
+                          complex_values=complex_values)
+    got = apply(ADMatrix.model(D, E, F), t)
+    ref = _apply_reference(lambda q, r: _bdef_reference(q, r, D, E, F), t)
+    assert set(got.cubes()) == set(ref.cubes())
+    # relative to sum_R |b_QR| |t_R|, the scale of the rounding in row Q
+    scale = _apply_reference(lambda q, r: _bdef_reference(q, r, D, E, F),
+                             CoeffField(window, m, {q: np.abs(v) for q, v in t.items()}))
+    for q in ref.cubes():
+        err = np.max(np.abs(got.get(q) - ref.get(q)))
+        assert err <= 1e-12 * np.max(np.abs(scale.get(q))), (q, err)
+    ident = apply(ADMatrix.identity(), t)
+    assert set(ident.cubes()) == set(t.cubes())
+    assert all(np.array_equal(ident.get(q), v) for q, v in t.items())
+    cubes = list(window.all_cubes())
+    block = bdef_block(CubeArrays.of(cubes), CubeArrays.of(cubes), D, E, F)
+    oracle = np.array([[_bdef_reference(q, r, D, E, F) for r in cubes] for q in cubes])
+    np.testing.assert_allclose(block, oracle, rtol=1e-12, atol=0)
+
+
+def _compose_reference(c1, c2, cert, window, rng, samples):
+    """fitted_C with each product entry summed over every window cube."""
+    cubes = list(window.all_cubes())
+    worst = 0.0
+    for _ in range(samples):
+        q = cubes[rng.integers(len(cubes))]
+        r = cubes[rng.integers(len(cubes))]
+        prod = sum(_bdef_reference(q, p, *c1[:3]) * _bdef_reference(p, r, *c2[:3])
+                   for p in cubes)
+        worst = max(worst, abs(prod) / _bdef_reference(q, r, *cert))
+    return worst
+
+
+@pytest.mark.parametrize("n,window", [
+    (1, LatticeWindow(1, 0, 4, (0,), (1,))),
+    (2, LatticeWindow(2, -1, 1, (-2, 0), (0, 2))),
+])
+def test_compose_certificate_matches_summed_oracle(n, window):
+    sp = SpaceParams(BESOV, 0.0, 0.0, 2.0, 2.0)
+    region = ad_region(derived_indices(sp, n, 0.0), n)
+    c1 = region.point_inside(0.5)
+    c2 = region.point_inside(0.2)
+    out = compose_certificate(c1, c2, region, window=window,
+                              rng=np.random.default_rng(5), samples=300)
+    ref = _compose_reference(c1, c2, out["certificate"], window,
+                             np.random.default_rng(5), 300)
+    assert out["fitted_C"] == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+def test_certificate_verify_scaled_matrix():
+    win = LatticeWindow(2, 0, 2, (0, 0), (1, 1))
+    D, E, F = 2.5, 1.0, 0.5
+    scaled = ADMatrix(lambda rows, cols: 3.0 * bdef_block(rows, cols, D, E, F),
+                      (D, E, F, 3.0))
+    rep = scaled.verify_certificate(win, samples=300)
+    assert rep["samples"] == 300
+    assert rep["fitted_C"] == pytest.approx(3.0, rel=1e-12)
+
+
+def test_scalar_entry_is_block_entry():
+    q = DyadicCube(2, 1, (-1, 3))
+    r = DyadicCube(2, -1, (0, 1))
+    B = ADMatrix.model(2.0, 1.5, 0.5)
+    assert B(q, r) == bdef_entry(q, r, 2.0, 1.5, 0.5)
+    assert bdef_entry(q, r, 2.0, 1.5, 0.5) == pytest.approx(
+        _bdef_reference(q, r, 2.0, 1.5, 0.5), rel=1e-14)
+    assert ADMatrix.identity()(q, q) == 1.0 and ADMatrix.identity()(q, r) == 0.0

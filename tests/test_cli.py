@@ -63,6 +63,15 @@ def test_norm_command(space_file, weight_file, tmp_path, capsys):
     assert rep["norm"]["attaining_P"]
 
 
+def test_norm_non_finite_coefficient_refused(space_file, weight_file, tmp_path, capsys):
+    cfile = tmp_path / "t.csv"
+    cfile.write_text("0:0, 1.0, 0.0\n1:1, nan, 0.0\n")
+    code = main(["norm", "--coeffs", str(cfile), "--space", space_file,
+                 "--weight", weight_file, "--window", "0:2:0..1"])
+    assert code == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_norm_invalid_space_refused(tmp_path, weight_file, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"family": "B", "s": 0, "tau": 0, "p": -1, "q": 2}))
@@ -166,3 +175,36 @@ def test_console_entry_point():
     out = subprocess.run([sys.executable, "-m", "dyadica.cli", "--version"],
                          capture_output=True, text=True)
     assert out.returncode == 0
+
+
+def test_grid_weight_values_file_relative_to_weight_file(tmp_path, monkeypatch, capsys):
+    wdir = tmp_path / "weights"
+    wdir.mkdir()
+    np.save(wdir / "vals.npy", np.array([[[1.0]], [[2.0]], [[4.0]], [[8.0]]]))
+    (wdir / "wg.json").write_text(json.dumps({"m": 1, "n": 1, "kind": "grid", "lo": [0],
+                                              "hi": [1], "level": 2,
+                                              "values_file": "vals.npy"}))
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    code, rep = _run(["weights", "--weight", "../weights/wg.json", "--p", "2",
+                      "--window", "0:2:0..1", "--quad", "2:1", "--reducing"], capsys)
+    assert code == 0
+    # the level-2 cube [1/4, 1/2) sees the single cell value 2
+    assert rep["reducing_operators"]["2:1"] == [[pytest.approx(2.0 ** 0.5)]]
+
+
+@pytest.mark.parametrize("env,threads", [(None, 1), ("2", 2)])
+def test_report_threads_is_worker_count(space_file, monkeypatch, capsys, env, threads):
+    if env is None:
+        monkeypatch.delenv("DYADICA_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("DYADICA_THREADS", env)
+    code, rep = _run(["params", "--space", space_file], capsys)
+    assert code == 0
+    assert rep["threads"] == threads
+
+
+def test_invalid_thread_count_refused(space_file, monkeypatch):
+    monkeypatch.setenv("DYADICA_THREADS", "two")
+    assert main(["params", "--space", space_file]) == 2

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadica.dyadic import (
+    CubeArrays,
     DyadicCube,
     LatticeWindow,
     base_of,
@@ -206,3 +207,14 @@ def test_window_validation():
         LatticeWindow(1, -1, 1, (0,), (1,))
     with pytest.raises(PreconditionError):
         LatticeWindow(1, 0, 99, (0,), (1,))
+
+
+def test_cube_arrays_follow_window_order():
+    win = LatticeWindow(2, -1, 1, (-2, 0), (0, 2))
+    cubes = list(win.all_cubes())
+    arrays = CubeArrays.of_window(win)
+    assert len(arrays) == win.count()
+    assert [arrays.cube(i) for i in range(len(arrays))] == cubes
+    assert np.array_equal(arrays.index, CubeArrays.of(cubes).index)
+    assert np.array_equal(arrays.lower, [q.lower for q in cubes])
+    assert np.array_equal(arrays.side, [q.side for q in cubes])

@@ -48,6 +48,23 @@ def test_la_norm_zero_stack():
     assert la_norm(stack, B(0, 0, 2, 2)).value == 0.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_la_norm_refuses_non_finite_stack(bad):
+    win = _window()
+    levels = {j: np.ones(1 << 5) for j in range(win.j_min, win.j_max + 1)}
+    levels[1][3] = bad
+    with pytest.raises(PreconditionError, match="level 1"):
+        la_norm(LevelFunctionStack(win, 5, levels), B(0, 0, 2, 2))
+
+
+def test_weighted_norm_refuses_nan_coefficient():
+    # one NaN used to give the value 0.0 and drop the finite coefficients
+    win = _window()
+    t = CoeffField(win, 1, {DyadicCube(1, 2, (1,)): [np.nan], DyadicCube(1, 0, (0,)): [1.0]})
+    with pytest.raises(PreconditionError, match="level 2"):
+        seq_norm_weighted(t, MatrixWeight.identity(1, 1), B(0, 0, 2, 2))
+
+
 def test_la_norm_tau0_besov_is_plain_lq_lp():
     # tau = 0: the sup is attained at the whole box; equals l^q(L^p) directly
     win = _window(j_max=2)
