@@ -44,7 +44,6 @@ from .weights import (
     ReducingFamily,
     ap_characteristic,
     ap_dimension_estimate,
-    worker_count,
 )
 
 
@@ -239,6 +238,7 @@ def cmd_weights(args) -> dict:
         out["reducing_operators"] = {
             str(q): fam[q] for q in list(window.all_cubes())[: args.max_ops]
         }
+        out["fit"] = fam.fit_report()
     return out
 
 
@@ -337,7 +337,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = {"tool": "dyadica", "version": __version__, "threads": worker_count(),
+        report = {"tool": "dyadica", "version": __version__, "threads": 1,
                   **args.fn(args)}
     except PreconditionError as exc:
         print(f"refused: {exc}", file=sys.stderr)

@@ -100,6 +100,7 @@ class CoeffField:
     @classmethod
     def from_csv(cls, text: str, window: LatticeWindow, m: int) -> "CoeffField":
         out = cls(window, m)
+        seen = set()
         for raw in text.splitlines():
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -114,7 +115,11 @@ class CoeffField:
                 raise PreconditionError(f"bad coefficient line {line!r}")
             vals = np.array([float(nums[2 * i]) + 1j * float(nums[2 * i + 1])
                              for i in range(m)])
-            out.set(parse_cube(cube_text, n), vals)
+            cube = parse_cube(cube_text, n)
+            if cube in seen:
+                raise PreconditionError(f"duplicate coefficient line for cube {cube}")
+            seen.add(cube)
+            out.set(cube, vals)
         return out
 
 

@@ -16,19 +16,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import DyadicCube, LatticeWindow
+from .dyadic import CubeArrays, DyadicCube, LatticeWindow
 from .errors import PreconditionError, SingularWeightError
 from .params import WeightDims
 
 EIG_CLAMP_REL = 1e-14
-
-
-def worker_count() -> int:
-    """Workers for per-cube constructions: DYADICA_THREADS, 1 when unset."""
-    raw = os.environ.get("DYADICA_THREADS") or "1"
-    if not raw.strip().isdigit() or int(raw) < 1:
-        raise PreconditionError(f"DYADICA_THREADS must be a positive integer, got {raw!r}")
-    return int(raw)
+# (x, y) node pairs, or (node, direction) pairs, evaluated per block: bounds
+# the temporaries at a few MB whatever the quadrature and window size
+PAIR_BLOCK = 1 << 15
+MVEE_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -124,12 +120,14 @@ class MatrixWeight:
         """Piecewise-constant weight on the finest cells of a dyadic grid.
 
         ``values`` has shape (cells_1, ..., cells_n, m, m) covering the box
-        [lo, hi) at resolution 2**-level, row-major.
+        [lo, hi) at resolution 2**-level, row-major; real values stay real.
+        Evaluating at a point outside the box is refused.
         """
         lo_t = tuple(int(v) for v in lo)
         hi_t = tuple(int(v) for v in hi)
         n = len(lo_t)
-        values = np.asarray(values, dtype=complex)
+        values = np.asarray(values)
+        values = values.astype(complex if np.iscomplexobj(values) else float)
         m = values.shape[-1]
         cells = [int((b - a) * (1 << level)) if level >= 0 else (b - a) // (1 << -level)
                  for a, b in zip(lo_t, hi_t)]
@@ -140,12 +138,13 @@ class MatrixWeight:
 
         def f(x):
             x = np.atleast_2d(x)
-            idx = []
-            for i in range(n):
-                ii = np.floor((x[:, i] - lo_t[i]) * scale).astype(int)
-                ii = np.clip(ii, 0, cells[i] - 1)
-                idx.append(ii)
-            return values[tuple(idx)]
+            idx = np.floor((x - lo_t) * scale).astype(int)
+            outside = np.any((idx < 0) | (idx >= cells), axis=1)
+            if np.any(outside):
+                raise PreconditionError(
+                    f"point {x[int(np.argmax(outside))].tolist()} lies outside the grid "
+                    f"weight's box [{lo_t}, {hi_t})")
+            return values[tuple(idx.T)]
 
         return cls(m, n, f, "grid", {"lo": lo_t, "hi": hi_t, "level": level})
 
@@ -214,23 +213,46 @@ class MatrixWeight:
 
 
 def _pair_norms(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Spectral norms of A[i] @ B[j] for all pairs, shape (len(A), len(B))."""
-    prod = np.einsum("xab,ybc->xyac", A, B)
-    return np.linalg.norm(prod, ord=2, axis=(-2, -1))
+    """Spectral norms of A[x] @ B[y] for all pairs, shape (len(A), len(B)).
+
+    ||A_x B_y||_2 is the square root of the largest eigenvalue of the Gram
+    matrix (A_x B_y)^* (A_x B_y): the product of the moduli for m = 1, the
+    closed form of a 2 x 2 Hermitian matrix for m = 2, a batched ``eigvalsh``
+    above.  Real inputs keep the arithmetic real.
+    """
+    m = A.shape[-1]
+    if m == 1:
+        return np.multiply.outer(np.abs(A[:, 0, 0]), np.abs(B[:, 0, 0]))
+    # (A_x B_y)^* (A_x B_y) = B_y^* (A_x^* A_x) B_y
+    AhA = np.swapaxes(A.conj(), -1, -2) @ A
+    Bh = np.ascontiguousarray(np.swapaxes(B.conj(), -1, -2))
+    gram = Bh[None] @ (AhA[:, None] @ B[None])
+    if m == 2:
+        a, d = gram[..., 0, 0].real, gram[..., 1, 1].real
+        top = 0.5 * (a + d) + np.hypot(0.5 * (a - d), np.abs(gram[..., 0, 1]))
+    else:
+        top = np.linalg.eigvalsh(gram)[..., -1]
+    return np.sqrt(np.maximum(top, 0.0))
 
 
 def _defining_average(W: MatrixWeight, p: float,
                       x_nodes: np.ndarray, y_nodes: np.ndarray) -> float:
     """Discretized averaging expression with x over the base cube, y over the
-    (possibly enlarged) comparison region."""
+    (possibly enlarged) comparison region.
+
+    The pairs are evaluated in row blocks over x of about PAIR_BLOCK pairs;
+    the means over x accumulate across blocks.
+    """
     A = W.power(x_nodes, 1.0 / p)
     B = W.power(y_nodes, -1.0 / p)
-    norms = _pair_norms(A, B)
+    rows = max(1, PAIR_BLOCK // len(B))
+    blocks = (_pair_norms(A[s:s + rows], B) for s in range(0, len(A), rows))
     if p <= 1:
-        return float(np.max(np.mean(norms ** p, axis=0)))
+        col_sums = sum(np.sum(norms ** p, axis=0) for norms in blocks)
+        return float(np.max(col_sums) / len(A))
     pprime = p / (p - 1)
-    inner = np.mean(norms ** pprime, axis=1) ** (p / pprime)
-    return float(np.mean(inner))
+    total = sum(np.sum(np.mean(norms ** pprime, axis=1) ** (p / pprime)) for norms in blocks)
+    return float(total / len(A))
 
 
 def ap_characteristic(W: MatrixWeight, p: float, window: LatticeWindow,
@@ -253,94 +275,168 @@ def reducing_operator(W: MatrixWeight, p: float, cube: DyadicCube,
 
     Order 2 uses the exact square root of the cell average; m = 1 reduces to
     the scalar closed form; other orders fit the minimum-volume enclosing
-    ellipsoid of the average-norm unit ball sampled over directions.
+    ellipsoid of the average-norm unit ball sampled over directions.  This is
+    the one-cube case of :meth:`ReducingFamily.build`.
     """
+    ops, _, _ = _reducing_operators(W, p, CubeArrays.of([cube]), quad, directions, rng)
+    return ops[0]
+
+
+def _reducing_operators(W: MatrixWeight, p: float, cubes: CubeArrays,
+                        quad: QuadratureSpec, directions: int | None = None,
+                        rng: np.random.Generator | None = None):
+    """Reducing operators of C cubes, shape (C, m, m), with the updates each
+    ellipsoid fit made in each phase, shape (C, 2), and its final gap
+    kappa_max / d, shape (C,); both are empty when no fit runs."""
     if p <= 0:
         raise PreconditionError("p must be positive")
-    nodes, _ = quad.nodes(cube.lower, cube.upper)
+    nodes = _cube_nodes(quad, cubes)
+    no_fit = np.zeros((0, 2), dtype=int), np.zeros(0)
     if W.m == 1:
         # |A z| = (avg_E w)^{1/p} |z| exactly in the scalar case
-        w = W(nodes)[:, 0, 0].real
-        if np.any(w < 0):
-            raise SingularWeightError("scalar weight negative on cube", node=None)
-        return np.array([[float(np.mean(w)) ** (1.0 / p)]])
+        return _weight_means(W, nodes).real ** (1.0 / p), *no_fit
     if p == 2:
-        avg = np.mean(W(nodes), axis=0)
-        vals, vecs = np.linalg.eigh(avg)
-        if np.any(vals <= 0):
-            raise SingularWeightError("average weight not positive definite")
-        return (vecs * np.sqrt(vals)) @ vecs.conj().T
-    if np.max(np.abs(W(nodes).imag)) > 1e-12:
-        raise PreconditionError("ellipsoid fit supports real symmetric weights; use p = 2 for complex ones")
-    m = W.m
+        avg = _weight_means(W, nodes)
+        return _psd_sqrt(avg, "average weight not positive definite"), *no_fit
+    dirs = _fit_directions(W.m, directions, rng)
+    rho = _direction_averages(W, p, nodes, dirs)
+    if np.any(rho <= 0):
+        raise SingularWeightError("weight average vanishes in some direction")
+    M, iterations, gap = _mvee_centered(dirs / rho[..., None])
+    return _psd_sqrt(M, "ellipsoid fit produced a non-PD matrix"), iterations, gap
+
+
+def _cube_nodes(quad: QuadratureSpec, cubes: CubeArrays) -> np.ndarray:
+    """Quadrature nodes of every cube, shape (C, N, n).  Edge lengths are
+    powers of two, so scaling the unit-cube nodes reproduces
+    ``quad.nodes(cube.lower, cube.upper)`` exactly."""
+    unit, _ = quad.nodes(np.zeros(cubes.n), np.ones(cubes.n))
+    return cubes.lower[:, None, :] + cubes.side[:, None, None] * unit
+
+
+def _cube_blocks(C: int, pairs_per_cube: int):
+    """Slices of consecutive cubes holding about PAIR_BLOCK pairs each."""
+    step = max(1, PAIR_BLOCK // pairs_per_cube)
+    return (slice(s, s + step) for s in range(0, C, step))
+
+
+def _weight_means(W: MatrixWeight, nodes: np.ndarray) -> np.ndarray:
+    """Average of the weight over each cube's nodes, shape (C, m, m)."""
+    C, N, n = nodes.shape
+    means = []
+    for blk in _cube_blocks(C, N):
+        vals = W(nodes[blk].reshape(-1, n))
+        if W.m == 1 and np.any(vals.real < 0):
+            raise SingularWeightError("scalar weight negative on cube", node=None)
+        means.append(np.mean(vals.reshape(-1, N, W.m, W.m), axis=1))
+    return np.concatenate(means)
+
+
+def _psd_sqrt(M: np.ndarray, what: str) -> np.ndarray:
+    """Positive square roots of a batch of positive-definite matrices."""
+    vals, vecs = np.linalg.eigh(M)
+    if np.any(vals <= 0):
+        raise SingularWeightError(what)
+    return (vecs * np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+
+
+def _fit_directions(m: int, directions: int | None,
+                    rng: np.random.Generator | None) -> np.ndarray:
+    """Unit directions sampling the average-norm ball, shape (D, m); every
+    cube of a batch shares them."""
     ndir = directions or max(32 * m * m, 64)
-    rng = rng or np.random.default_rng(0)
     if m == 2:
         # dense angular grid keeps the sampled hull close to the true ball;
         # the centered fit sees +-z identically, so half the circle suffices
         ang = np.linspace(0.0, np.pi, max(ndir, 256), endpoint=False)
-        dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    else:
-        dirs = rng.standard_normal((ndir, m))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    w_root = W.power(nodes, 1.0 / p).real
-    # rho(z) = (avg |W^{1/p} z|^p)^{1/p}
-    img = np.einsum("nab,db->nda", w_root, dirs)
-    rho = (np.mean(np.linalg.norm(img, axis=-1) ** p, axis=0)) ** (1.0 / p)
-    if np.any(rho <= 0):
-        raise SingularWeightError("weight average vanishes in some direction")
-    pts = dirs / rho[:, None]
-    M = _mvee_centered(pts)
-    vals, vecs = np.linalg.eigh(M)
-    if np.any(vals <= 0):
-        raise SingularWeightError("ellipsoid fit produced a non-PD matrix")
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    dirs = (rng or np.random.default_rng(0)).standard_normal((ndir, m))
+    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
-def _mvee_centered(pts: np.ndarray, tol: float = 1e-7,
-                   mult_iter: int = 200, fw_iter: int = 300) -> np.ndarray:
-    """Minimum-volume origin-centered ellipsoid {z: z^T M z <= 1} of a point
-    set (the set is treated as symmetric, so only one representative per
-    direction is needed).
+def _direction_averages(W: MatrixWeight, p: float, nodes: np.ndarray,
+                        dirs: np.ndarray) -> np.ndarray:
+    """rho(z) = (avg |W^{1/p} z|^p)^{1/p} over each cube's nodes, shape (C, D)."""
+    C, N, n = nodes.shape
+    rho = np.empty((C, len(dirs)))
+    for blk in _cube_blocks(C, N * len(dirs)):
+        pts = nodes[blk].reshape(-1, n)
+        if np.max(np.abs(W(pts).imag)) > 1e-12:
+            raise PreconditionError(
+                "ellipsoid fit supports real symmetric weights; use p = 2 for complex ones")
+        root = W.power(pts, 1.0 / p).real.reshape(-1, N, W.m, W.m)
+        img = root @ dirs.T
+        rho[blk] = np.mean(np.linalg.norm(img, axis=-2) ** p, axis=1) ** (1.0 / p)
+    return rho
+
+
+def _kappas(P: np.ndarray, Pt: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V^{-1} for V = P^T diag(u) P, and the leverages kappa_i = p_i^T V^{-1} p_i,
+    batched over point sets P of shape (C, N, d); ``Pt`` is P with its last
+    two axes swapped, stored contiguously."""
+    V = (Pt * u[:, None, :]) @ P
+    try:
+        Vinv = np.linalg.inv(V)
+    except np.linalg.LinAlgError as exc:
+        raise SingularWeightError("degenerate direction set in ellipsoid fit") from exc
+    # row sums over the d coordinates as a product with ones: a reduction
+    # over so short an axis is several times slower
+    return Vinv, ((P @ Vinv) * P) @ np.ones(P.shape[-1])
+
+
+def _mvee_centered(pts: np.ndarray, tol: float = MVEE_TOL,
+                   mult_iter: int = 200, fw_iter: int = 300):
+    """Minimum-volume origin-centered ellipsoids {z: z^T M z <= 1} of C point
+    sets at once, ``pts`` of shape (C, N, d) (each set is treated as
+    symmetric, so only one representative per direction is needed).
 
     Two phases of the D-optimal-design iteration: the multiplicative update
     u_i <- u_i * kappa_i / d makes fast global progress, and a capped
-    coordinate (Frank-Wolfe) phase polishes near the optimum.  The final
-    rescale makes the containment exact regardless of where the iteration
-    stops, so the cap costs only a bounded volume sub-optimality.
+    coordinate (Frank-Wolfe) phase polishes near the optimum.  A set leaves
+    the batch once it meets its own stopping test.  The final rescale makes
+    the containment exact regardless of where the iteration stops, so a cap
+    costs only a bounded volume sub-optimality.
+
+    Returns M (C, d, d), the updates each set made in each phase (C, 2) and
+    its final gap kappa_max / d, which is 1 at the optimum.
     """
     P = np.asarray(pts, dtype=float)
-    N, d = P.shape
-    u = np.full(N, 1.0 / N)
+    Pt = np.ascontiguousarray(np.swapaxes(P, -1, -2))
+    C, N, d = P.shape
+    u = np.full((C, N), 1.0 / N)
+    iterations = np.zeros((C, 2), dtype=int)
+    active = np.arange(C)
 
-    def kappas(u):
-        V = P.T @ (P * u[:, None])
-        try:
-            Vinv = np.linalg.inv(V)
-        except np.linalg.LinAlgError as exc:
-            raise SingularWeightError("degenerate direction set in ellipsoid fit") from exc
-        return np.einsum("nd,de,ne->n", P, Vinv, P)
+    def active_kappas():
+        if len(active) == C:
+            return _kappas(P, Pt, u)[1]
+        return _kappas(P[active], Pt[active], u[active])[1]
 
     for _ in range(mult_iter):
-        kappa = kappas(u)
-        if np.max(kappa) <= d * (1.0 + tol):
+        kappa = active_kappas()
+        go = ~(np.max(kappa, axis=1) <= d * (1.0 + tol))
+        active, kappa = active[go], kappa[go]
+        if not len(active):
             break
-        u *= kappa / d
-        u /= np.sum(u)
-    for _ in range(fw_iter):
-        kappa = kappas(u)
-        j = int(np.argmax(kappa))
-        kj = kappa[j]
-        if kj <= d * (1.0 + tol):
+        u[active] *= kappa / d
+        u[active] /= np.sum(u[active], axis=1, keepdims=True)
+        iterations[active, 0] += 1
+    for _ in range(fw_iter if len(active) else 0):
+        kappa = active_kappas()
+        j = np.argmax(kappa, axis=1)
+        kj = kappa[np.arange(len(j)), j]
+        go = ~(kj <= d * (1.0 + tol))
+        active, j, kj = active[go], j[go], kj[go]
+        if not len(active):
             break
         alpha = (kj - d) / (d * (kj - 1.0))
-        u *= (1.0 - alpha)
-        u[j] += alpha
-    V = P.T @ (P * u[:, None])
-    Vinv = np.linalg.inv(V)
+        u[active] *= (1.0 - alpha)[:, None]
+        u[active, j] += alpha
+        iterations[active, 1] += 1
+    Vinv, kappa = _kappas(P, Pt, u)
     # scale so every point satisfies z^T M z <= 1 exactly
-    kappa_max = float(np.max(np.einsum("nd,de,ne->n", P, Vinv, P)))
-    return Vinv / kappa_max
+    kappa_max = np.max(kappa, axis=1)
+    return Vinv / kappa_max[:, None, None], iterations, kappa_max / d
 
 
 def john_direction_report(W: MatrixWeight, p: float, cube: DyadicCube,
@@ -370,11 +466,14 @@ def john_direction_report(W: MatrixWeight, p: float, cube: DyadicCube,
 
 @dataclass
 class ReducingFamily:
-    """Per-cube reducing operators of a fixed order for one weight."""
+    """Per-cube reducing operators of a fixed order for one weight, with the
+    ellipsoid-fit record of :meth:`build` (empty when no fit ran)."""
 
     p: float
     weight: MatrixWeight | None
     operators: dict[DyadicCube, np.ndarray] = field(default_factory=dict)
+    fit_iterations: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=int))
+    fit_gap: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __getitem__(self, cube: DyadicCube) -> np.ndarray:
         try:
@@ -385,6 +484,17 @@ class ReducingFamily:
     def __contains__(self, cube: DyadicCube) -> bool:
         return cube in self.operators
 
+    def fit_report(self) -> dict:
+        """Fits run, fits stopped by an iteration cap short of the tolerance,
+        the most updates any fit made (both phases) and the largest final
+        gap kappa_max / d (None without fits)."""
+        return {
+            "fits": len(self.fit_gap),
+            "capped": int(np.sum(self.fit_gap > 1.0 + MVEE_TOL)),
+            "iterations_max": int(np.max(self.fit_iterations.sum(axis=1), initial=0)),
+            "gap_max": float(np.max(self.fit_gap)) if len(self.fit_gap) else None,
+        }
+
     @classmethod
     def identity(cls, m: int, p: float, window: LatticeWindow) -> "ReducingFamily":
         eye = np.eye(m)
@@ -392,24 +502,11 @@ class ReducingFamily:
 
     @classmethod
     def build(cls, W: MatrixWeight, p: float, window: LatticeWindow,
-              quad: QuadratureSpec = QuadratureSpec(),
-              workers: int | None = None) -> "ReducingFamily":
-        """Construct per-cube operators; the weight evaluator must be pure.
-
-        ``workers`` defaults to :func:`worker_count`; values above 1 spread
-        the independent per-cube fits over a thread pool.
-        """
+              quad: QuadratureSpec = QuadratureSpec()) -> "ReducingFamily":
+        """Operators of every window cube, computed as one batch."""
         cubes = list(window.all_cubes())
-        if workers is None:
-            workers = worker_count()
-        if workers > 1 and len(cubes) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                mats = list(pool.map(lambda q: reducing_operator(W, p, q, quad), cubes))
-            ops = dict(zip(cubes, mats))
-        else:
-            ops = {q: reducing_operator(W, p, q, quad) for q in cubes}
-        return cls(p, W, ops)
+        ops, iterations, gap = _reducing_operators(W, p, CubeArrays.of(cubes), quad)
+        return cls(p, W, dict(zip(cubes, ops)), iterations, gap)
 
 
 def reducing_ratio_bound(fam: ReducingFamily, wd: WeightDims,

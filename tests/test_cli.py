@@ -194,17 +194,51 @@ def test_grid_weight_values_file_relative_to_weight_file(tmp_path, monkeypatch, 
     assert rep["reducing_operators"]["2:1"] == [[pytest.approx(2.0 ** 0.5)]]
 
 
-@pytest.mark.parametrize("env,threads", [(None, 1), ("2", 2)])
-def test_report_threads_is_worker_count(space_file, monkeypatch, capsys, env, threads):
+@pytest.mark.parametrize("env", [None, "2", "two"])
+def test_report_threads_is_one(space_file, monkeypatch, capsys, env):
+    # per-cube work runs as batched numerics in one thread; DYADICA_THREADS
+    # is no longer read, so no value of it changes or refuses a run
     if env is None:
         monkeypatch.delenv("DYADICA_THREADS", raising=False)
     else:
         monkeypatch.setenv("DYADICA_THREADS", env)
     code, rep = _run(["params", "--space", space_file], capsys)
     assert code == 0
-    assert rep["threads"] == threads
+    assert rep["threads"] == 1
 
 
-def test_invalid_thread_count_refused(space_file, monkeypatch):
-    monkeypatch.setenv("DYADICA_THREADS", "two")
-    assert main(["params", "--space", space_file]) == 2
+def test_weights_report_fit_block(tmp_path, capsys):
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps({"m": 2, "n": 1, "kind": "diag-power",
+                                 "a": [1.0, 2.0], "alpha": [0.3, -0.2], "floor": 0.0}))
+    argv = ["weights", "--weight", str(wfile), "--p", "3", "--window", "0:2:0..1",
+            "--quad", "2:1", "--reducing"]
+    code, rep = _run(argv, capsys)
+    assert code == 0
+    fit = rep["fit"]
+    assert fit["fits"] == 7
+    assert 0 <= fit["capped"] <= fit["fits"]
+    assert 0 < fit["iterations_max"] <= 500
+    assert fit["gap_max"] >= 1.0
+    # the block holds no timings: a second run gives the same report
+    assert _run(argv, capsys)[1] == rep
+
+
+def test_weights_window_outside_grid_box_refused(tmp_path, capsys):
+    np.save(tmp_path / "vals.npy", np.array([[[1.0]], [[2.0]]]))
+    wfile = tmp_path / "wg.json"
+    wfile.write_text(json.dumps({"m": 1, "n": 1, "kind": "grid", "lo": [0], "hi": [1],
+                                 "level": 1, "values_file": "vals.npy"}))
+    code = main(["weights", "--weight", str(wfile), "--p", "2", "--window", "0:1:0..2",
+                 "--quad", "2:0"])
+    assert code == 2
+    assert "outside the grid weight's box" in capsys.readouterr().err
+
+
+def test_norm_duplicate_cube_line_refused(space_file, weight_file, tmp_path, capsys):
+    cfile = tmp_path / "t.csv"
+    cfile.write_text("1:1, 1.0, 0.0\n0:0, 0.5, 0.0\n1:1, 2.0, 0.0\n")
+    code = main(["norm", "--coeffs", str(cfile), "--space", space_file,
+                 "--weight", weight_file, "--window", "0:2:0..1"])
+    assert code == 2
+    assert "duplicate coefficient line for cube 1:1" in capsys.readouterr().err

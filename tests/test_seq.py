@@ -353,6 +353,16 @@ def test_csv_roundtrip():
         assert np.allclose(t.get(q), t2.get(q))
 
 
+@pytest.mark.parametrize("second", ["2.0, 0.0", "0.0, 0.0"])
+def test_csv_refuses_duplicate_cube(second):
+    # a later line for the same cube would silently replace the first one,
+    # also when either line holds zeros (which are not stored)
+    win = LatticeWindow(2, 0, 2, (0, 0), (1, 1))
+    text = f"1:1,0, 1.0, 0.0\n2:3,3, 0.5, 0.0\n1:1,0, {second}\n"
+    with pytest.raises(PreconditionError, match=r"duplicate .* cube 1:1,0"):
+        CoeffField.from_csv(text, win, 1)
+
+
 def _la_norm_bruteforce(stack, sp):
     """Independent reimplementation: explicit loops over window cubes."""
     win = stack.window

@@ -1,9 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dyadica.dyadic import DyadicCube, LatticeWindow
+from dyadica import weights
+from dyadica.dyadic import DyadicCube, LatticeWindow, parse_cube
 from dyadica.errors import PreconditionError, SingularWeightError
 from dyadica.params import WeightDims
 from dyadica.weights import (
@@ -46,6 +50,22 @@ def test_grid_weight_lookup():
     W = MatrixWeight.grid((0,), (1,), level=2, values=vals)
     out = W(np.array([[0.1], [0.3], [0.6], [0.9]]))
     assert np.allclose(out[:, 0, 0], [1, 2, 3, 4])
+
+
+def test_grid_weight_keeps_real_values_real():
+    W = MatrixWeight.grid((0,), (1,), level=1, values=np.ones((2, 1, 1), dtype=int))
+    assert W(np.array([[0.2]])).dtype == np.float64
+    Wc = MatrixWeight.grid((0,), (1,), level=1, values=np.ones((2, 1, 1)) + 0j)
+    assert Wc(np.array([[0.2]])).dtype == np.complex128
+
+
+@pytest.mark.parametrize("x", [5.0, -0.1, 1.0])
+def test_grid_weight_refuses_point_outside_box(x):
+    # the box is half-open: its upper edge lies outside as well
+    vals = np.arange(1.0, 5.0).reshape(4, 1, 1)
+    W = MatrixWeight.grid((0,), (1,), level=2, values=vals)
+    with pytest.raises(PreconditionError, match=rf"point \[{x}\] lies outside"):
+        W(np.array([[0.5], [x]]))
 
 
 def test_weight_json_roundtrip():
@@ -273,3 +293,208 @@ def test_dimension_requires_depth():
     win = LatticeWindow(1, 0, 1, (0,), (1,))
     with pytest.raises(PreconditionError):
         ap_dimension_estimate(W, 2.0, win)
+
+
+# ---------------------------------------------------------------------------
+# batched kernels against the slow paths they replaced: the per-pair SVD of
+# the defining average and the per-cube ellipsoid fit
+
+def _pair_norms_reference(A, B):
+    prod = np.einsum("xab,ybc->xyac", A, B)
+    return np.linalg.norm(prod, ord=2, axis=(-2, -1))
+
+
+def _defining_average_reference(W, p, x_nodes, y_nodes):
+    A = W.power(x_nodes, 1.0 / p)
+    B = W.power(y_nodes, -1.0 / p)
+    norms = _pair_norms_reference(A, B)
+    if p <= 1:
+        return float(np.max(np.mean(norms ** p, axis=0)))
+    pprime = p / (p - 1)
+    inner = np.mean(norms ** pprime, axis=1) ** (p / pprime)
+    return float(np.mean(inner))
+
+
+def _mvee_reference(P, tol=1e-7, mult_iter=200, fw_iter=300):
+    """Per-cube fit; also returns its updates per phase and final gap."""
+    N, d = P.shape
+    u = np.full(N, 1.0 / N)
+    iterations = [0, 0]
+
+    def kappas(u):
+        V = P.T @ (P * u[:, None])
+        Vinv = np.linalg.inv(V)
+        return np.einsum("nd,de,ne->n", P, Vinv, P)
+
+    for _ in range(mult_iter):
+        kappa = kappas(u)
+        if np.max(kappa) <= d * (1.0 + tol):
+            break
+        u *= kappa / d
+        u /= np.sum(u)
+        iterations[0] += 1
+    for _ in range(fw_iter):
+        kappa = kappas(u)
+        j = int(np.argmax(kappa))
+        kj = kappa[j]
+        if kj <= d * (1.0 + tol):
+            break
+        alpha = (kj - d) / (d * (kj - 1.0))
+        u *= (1.0 - alpha)
+        u[j] += alpha
+        iterations[1] += 1
+    V = P.T @ (P * u[:, None])
+    Vinv = np.linalg.inv(V)
+    kappa_max = float(np.max(np.einsum("nd,de,ne->n", P, Vinv, P)))
+    return Vinv / kappa_max, iterations, kappa_max / d
+
+
+def _reducing_operator_reference(W, p, cube, quad, directions=None, rng=None):
+    """Per-cube operator; returns (A, fit updates per phase or None, gap or None)."""
+    nodes, _ = quad.nodes(cube.lower, cube.upper)
+    if W.m == 1:
+        w = W(nodes)[:, 0, 0].real
+        return np.array([[float(np.mean(w)) ** (1.0 / p)]]), None, None
+    if p == 2:
+        vals, vecs = np.linalg.eigh(np.mean(W(nodes), axis=0))
+        return (vecs * np.sqrt(vals)) @ vecs.conj().T, None, None
+    m = W.m
+    ndir = directions or max(32 * m * m, 64)
+    rng = rng or np.random.default_rng(0)
+    if m == 2:
+        ang = np.linspace(0.0, np.pi, max(ndir, 256), endpoint=False)
+        dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    else:
+        dirs = rng.standard_normal((ndir, m))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    w_root = W.power(nodes, 1.0 / p).real
+    img = np.einsum("nab,db->nda", w_root, dirs)
+    rho = (np.mean(np.linalg.norm(img, axis=-1) ** p, axis=0)) ** (1.0 / p)
+    M, iterations, gap = _mvee_reference(dirs / rho[:, None])
+    vals, vecs = np.linalg.eigh(M)
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T, iterations, gap
+
+
+def _smooth_weight(m, n, complex_values, seed):
+    """Positive-definite M(x) M(x)^* + 0.2 I with M smooth in x."""
+    rng = np.random.default_rng(seed)
+    coef = rng.standard_normal((3, m, m))
+    if complex_values:
+        coef = coef + 1j * rng.standard_normal((3, m, m))
+
+    def f(x):
+        x = np.atleast_2d(x)
+        s = np.sin(np.pi * x[:, 0])[:, None, None]
+        c = np.cos(2.0 * x[:, -1])[:, None, None]
+        M = coef[0] + s * coef[1] + c * coef[2]
+        return M @ np.swapaxes(M.conj(), -1, -2) + 0.2 * np.eye(m)
+
+    return MatrixWeight(m, n, f)
+
+
+ORACLE_P = st.sampled_from((0.8, 1.5, 3.0))
+# one pair per block, a ragged split, and the default cap
+ORACLE_BLOCK = st.sampled_from((1, 7, weights.PAIR_BLOCK))
+
+
+@given(m=st.sampled_from((1, 2, 3)), complex_values=st.booleans(), p=ORACLE_P,
+       nx=st.integers(1, 24), ny=st.integers(1, 40), block=ORACLE_BLOCK,
+       seed=st.integers(0, 2 ** 16))
+@settings(max_examples=60, deadline=None)
+def test_defining_average_matches_svd_oracle(m, complex_values, p, nx, ny, block, seed):
+    W = _smooth_weight(m, 1, complex_values, seed)
+    rng = np.random.default_rng(seed + 1)
+    x_nodes = rng.uniform(0.0, 1.0, (nx, 1))
+    y_nodes = rng.uniform(-1.0, 2.0, (ny, 1))
+    with mock.patch.object(weights, "PAIR_BLOCK", block):
+        got = weights._defining_average(W, p, x_nodes, y_nodes)
+    assert got == pytest.approx(_defining_average_reference(W, p, x_nodes, y_nodes),
+                                rel=1e-12)
+
+
+@given(m=st.sampled_from((1, 2, 3)), complex_values=st.booleans(), p=ORACLE_P,
+       n=st.sampled_from((1, 2)), block=ORACLE_BLOCK, seed=st.integers(0, 2 ** 16))
+@settings(max_examples=30, deadline=None)
+def test_characteristic_matches_svd_oracle(m, complex_values, p, n, block, seed):
+    W = _smooth_weight(m, n, complex_values, seed)
+    win = LatticeWindow(n, 0, 1, (0,) * n, (1,) * n)
+    quad = QuadratureSpec(2, 1 if n == 1 else 0)
+    with mock.patch.object(weights, "PAIR_BLOCK", block):
+        got = ap_characteristic(W, p, win, quad)
+    want = 0.0
+    for q in win.all_cubes():
+        nodes, _ = quad.nodes(q.lower, q.upper)
+        want = max(want, _defining_average_reference(W, p, nodes, nodes))
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+@given(m=st.sampled_from((1, 2, 3)), complex_values=st.booleans(), p=ORACLE_P,
+       seed=st.integers(0, 2 ** 16))
+@settings(max_examples=15, deadline=None)
+def test_dimension_slopes_match_svd_oracle(m, complex_values, p, seed):
+    # base and doubled node sets differ in size, as in the doubling fit
+    W = _smooth_weight(m, 1, complex_values, seed)
+    win = LatticeWindow(1, 0, 5, (0,), (2,))
+    quad = QuadratureSpec(2, 0)
+    with mock.patch.object(weights, "PAIR_BLOCK", 7):
+        d_est, rep = ap_dimension_estimate(W, p, win, quad, max_base_cubes=4)
+    slopes = []
+    for entry in rep["per_cube"]:
+        q = parse_cube(entry["cube"])
+        c = np.array(q.center)
+        base, _ = quad.nodes(q.lower, q.upper)
+        vals = []
+        for i in range(entry["doublings"] + 1):
+            half = 0.5 * q.side * 2 ** i
+            y_nodes, _ = quad.nodes(c - half, c + half)
+            vals.append(_defining_average_reference(W, p, base, y_nodes))
+        ii = np.arange(len(vals), dtype=float)
+        slopes.append(np.polyfit(ii, np.log2(vals), 1)[0])
+        assert entry["slope"] == pytest.approx(slopes[-1], rel=1e-12, abs=1e-12)
+    assert d_est == pytest.approx(max(slopes), rel=1e-12, abs=1e-12)
+
+
+def _assert_operator_close(A, A_ref):
+    assert np.max(np.abs(A - A_ref)) <= 1e-10 * np.max(np.abs(A_ref))
+
+
+@given(m=st.sampled_from((1, 2, 3)), complex_values=st.booleans(),
+       p=st.sampled_from((0.8, 1.5, 2.0, 3.0)), n=st.sampled_from((1, 2)),
+       block=ORACLE_BLOCK, seed=st.integers(0, 2 ** 16))
+@settings(max_examples=25, deadline=None)
+def test_reducing_family_matches_per_cube_oracle(m, complex_values, p, n, block, seed):
+    # the ellipsoid fit takes real weights only
+    complex_values = complex_values and (m == 1 or p == 2.0)
+    W = _smooth_weight(m, n, complex_values, seed)
+    win = LatticeWindow(n, 0, 2 if n == 1 else 1, (0,) * n, (1,) * n)
+    quad = QuadratureSpec(2, 1 if n == 1 else 0)
+    with mock.patch.object(weights, "PAIR_BLOCK", block):
+        fam = ReducingFamily.build(W, p, win, quad)
+    gaps = []
+    for i, q in enumerate(win.all_cubes()):
+        A_ref, iterations, gap = _reducing_operator_reference(W, p, q, quad)
+        _assert_operator_close(fam[q], A_ref)
+        if gap is not None:
+            assert fam.fit_iterations[i].tolist() == iterations
+            assert fam.fit_gap[i] == pytest.approx(gap, rel=1e-10)
+            gaps.append(gap)
+    report = fam.fit_report()
+    assert report["fits"] == len(gaps)
+    if gaps:
+        assert report["gap_max"] == pytest.approx(max(gaps), rel=1e-10)
+        assert report["capped"] == sum(g > 1.0 + 1e-7 for g in gaps)
+    else:
+        assert report == {"fits": 0, "capped": 0, "iterations_max": 0, "gap_max": None}
+
+
+@given(m=st.sampled_from((2, 3)), p=st.sampled_from((0.8, 1.5, 3.0)),
+       directions=st.sampled_from((None, 40)), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=15, deadline=None)
+def test_reducing_operator_is_one_cube_batch(m, p, directions, seed):
+    W = _smooth_weight(m, 1, False, seed)
+    q = DyadicCube(1, 1, (1,))
+    quad = QuadratureSpec(3, 1)
+    A = reducing_operator(W, p, q, quad, directions, np.random.default_rng(seed))
+    A_ref, _, _ = _reducing_operator_reference(W, p, q, quad, directions,
+                                               np.random.default_rng(seed))
+    _assert_operator_close(A, A_ref)
