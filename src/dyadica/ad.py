@@ -110,18 +110,16 @@ def apply(B: ADMatrix, t: CoeffField) -> CoeffField:
     is evaluated in row blocks of at most _BLOCK_ENTRIES entries.
     """
     out = CoeffField(t.window, t.m)
-    if not len(t):
+    cols, V = t.nonzero()
+    if not len(cols):
         return out
-    cubes, values = zip(*t.items())
-    cols = CubeArrays.of(cubes)
-    V = np.array(values)
     rows = CubeArrays.of_window(t.window)
+    acc = np.empty((len(rows), t.m), dtype=complex)
     step = max(1, _BLOCK_ENTRIES // len(cols))
     for start in range(0, len(rows), step):
-        blk = rows.take(slice(start, start + step))
-        acc = B.block(blk, cols) @ V
-        for i in np.flatnonzero(np.any(acc != 0, axis=1)):
-            out.set(blk.cube(i), acc[i])
+        blk = slice(start, start + step)
+        acc[blk] = B.block(rows.take(blk), cols) @ V
+    out.write_all(acc)
     return out
 
 

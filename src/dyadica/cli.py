@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -93,6 +94,12 @@ def _json_default(obj):
     return str(obj)
 
 
+def _config(args) -> dict:
+    """The parsed arguments, without the subcommand's function object (its
+    repr holds a memory address that changes from run to run)."""
+    return {k: v for k, v in vars(args).items() if k != "fn"}
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -125,7 +132,7 @@ def cmd_transform(args) -> dict:
             with open(name, "w") as fh:
                 fh.write(tf.to_csv())
             written[str(lam)] = name
-        return {"config": vars(args) | {"window": args.window},
+        return {"config": _config(args),
                 "parseval": parseval_report(f, coefs),
                 "files": written}
     coefs = {}
@@ -137,7 +144,7 @@ def cmd_transform(args) -> dict:
     shape = tuple((b - a) << args.grid_level for a, b in zip(window.lo, window.hi))
     out = synthesize(coefs, sysw, args.grid_level, start, shape, args.m)
     out.save(args.output)
-    return {"config": vars(args) | {"window": args.window}, "written": args.output}
+    return {"config": _config(args), "written": args.output}
 
 
 def cmd_trace(args) -> dict:
@@ -207,7 +214,7 @@ def cmd_molcheck(args) -> dict:
         # smoothness order is capped at the size condition
         cand = MoleculeCandidate(cube, gauss, max_order=0, label="gaussian")
         rep = validate_molecule(cand, args.K, args.L, args.M, min(args.N, 0.0), grid)
-    return {"config": vars(args), "report": rep.to_dict()}
+    return {"config": _config(args), "report": rep.to_dict()}
 
 
 def cmd_czkcheck(args) -> dict:
@@ -333,9 +340,23 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Attach a value that starts with a negative level, such as the window
+    ``-1:3:-4..2`` or the cube ``-2:0``, to the option before it: argparse
+    reads any other token that starts with ``-`` as an option."""
+    out = []
+    for arg in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and re.match(r"-\d+:", arg)):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         report = {"tool": "dyadica", "version": __version__, "threads": 1,
                   **args.fn(args)}

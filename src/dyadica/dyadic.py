@@ -280,6 +280,22 @@ class LatticeWindow:
             return total
         return sum(self.count(jj) for jj in range(self.j_min, self.j_max + 1))
 
+    def positions(self, cubes: CubeArrays) -> np.ndarray:
+        """Position of each cube in ``all_cubes()`` order; -1 for cubes
+        outside the window."""
+        pos = np.full(len(cubes), -1, dtype=np.int64)
+        if cubes.n != self.n:
+            return pos
+        offset = 0
+        for j in range(self.j_min, self.j_max + 1):
+            bounds = np.array(self.index_bounds(j), dtype=np.int64)
+            size = bounds[:, 1] - bounds[:, 0]
+            rel = cubes.index - bounds[:, 0]
+            at = (cubes.levels == j) & np.all((rel >= 0) & (rel < size), axis=1)
+            pos[at] = offset + np.ravel_multi_index(rel[at].T, tuple(size.tolist()))
+            offset += self.count(j)
+        return pos
+
     def contains(self, q: DyadicCube) -> bool:
         if q.n != self.n or not (self.j_min <= q.j <= self.j_max):
             return False

@@ -56,6 +56,14 @@ class TracePair:
         return self.source.phi_at_integer(bit, -k)
 
 
+def _trace_factor(tp: TracePair, bit: int, j: int, k: int) -> float:
+    """Restriction factor of a level-j cube on slab k: side**-1/2 times the
+    1d prototype value at -k, zero when |k| exceeds the support width."""
+    if abs(k) > tp.support_width:
+        return 0.0
+    return 2.0 ** (j / 2.0) * tp.last_axis_value(bit, k)
+
+
 def trace_wavelet(tp: TracePair, lam: tuple[int, ...], q: DyadicCube):
     """Restrict one tensor wavelet: returns (lam', base cube, scalar factor).
 
@@ -65,11 +73,7 @@ def trace_wavelet(tp: TracePair, lam: tuple[int, ...], q: DyadicCube):
     if len(lam) != tp.n or q.n != tp.n:
         raise PreconditionError("channel/cube dimension mismatch")
     base, k = base_of(q)
-    if abs(k) > tp.support_width:
-        factor = 0.0
-    else:
-        factor = 2.0 ** (q.j / 2.0) * tp.last_axis_value(lam[-1], k)
-    return lam[:-1], base, factor
+    return lam[:-1], base, _trace_factor(tp, lam[-1], q.j, k)
 
 
 def ext_wavelet(tp: TracePair, lam_prime: tuple[int, ...], base: DyadicCube):
@@ -94,8 +98,8 @@ class SlabCoeffs:
         out = {}
         for lam, tf in self.channels.items():
             mt = CoeffField(self.window, tf.m)
-            for q, v in tf.items():
-                mt.set(q, v * (2.0 ** (-q.j / 2.0) * self.tp.inv_phi0))
+            for j in tf.levels():
+                mt.write(j, tf.lower(j), tf.level(j) * (2.0 ** (-j / 2.0) * self.tp.inv_phi0))
             out[lam] = mt
         return out
 
@@ -124,28 +128,43 @@ def trace_coeffs(tp: TracePair, coefs, out_window: LatticeWindow | None = None) 
             if lam[-1] != 0:
                 raise PreconditionError("slab carrier must live in a last-bit-0 channel")
             target = CoeffField(out_window or base_window(coefs.window), tf.m)
-            for q, v in tf.items():
-                base, k = base_of(q)
-                if k != tp.k0:
+            for j in tf.levels():
+                arr = tf.level(j)
+                *base_lo, k_lo = tf.lower(j)
+                slab = tp.k0 - k_lo
+                off_slab = np.any(arr != 0, axis=0)
+                if 0 <= slab < arr.shape[-1]:
+                    off_slab[..., slab] = False
+                if off_slab.any():
                     raise PreconditionError("slab carrier has mass off the k0 slab")
                 # pending scale (2^{-j/2}/phi0) times the trace factor
                 # (2^{j/2} phi0) is exactly 1
-                target.set(base, v)
+                target.write(j, base_lo, arr[..., slab])
             out[lam[:-1]] = target
         return out
     some = next(iter(coefs.values()))
     if out_window is None:
         out_window = base_window(some.window)
-    m = some.m
     out = {}
     for lam, tf in coefs.items():
-        lam_prime = lam[:-1]
-        target = out.setdefault(lam_prime, CoeffField(out_window, m))
-        for q, v in tf.items():
-            _, base, factor = trace_wavelet(tp, lam, q)
-            if factor == 0.0 or not out_window.contains(base):
+        target = out.setdefault(lam[:-1], CoeffField(out_window, some.m))
+        for j in tf.levels():
+            arr = tf.level(j)
+            *base_lo, k_lo = tf.lower(j)
+            ov = target.overlap(j, base_lo, arr.shape[1:-1])
+            if ov is None:
                 continue
-            target.set(base, target.get(base) + factor * v)
+            part = arr[(slice(None),) + ov[0]]
+            cur = target.level(j)
+            acc = (np.zeros(part.shape[:-1], dtype=complex) if cur is None
+                   else cur[(slice(None),) + ov[1]].copy())
+            # one slab at a time, in slab order; only slabs within the
+            # support width carry a nonzero factor
+            for i in range(part.shape[-1]):
+                factor = _trace_factor(tp, lam[-1], j, k_lo + i)
+                if factor != 0.0:
+                    acc += factor * part[..., i]
+            target.write(j, [b + s.start for b, s in zip(base_lo, ov[0])], acc)
     return out
 
 
@@ -158,12 +177,14 @@ def ext_coeffs(tp: TracePair, coefs: dict, out_window: LatticeWindow) -> SlabCoe
     out_channels = {}
     for lam_prime, tf in coefs.items():
         target = CoeffField(out_window, tf.m)
-        for base, v in tf.items():
-            cube = stack_cube(base, tp.k0)
-            if not out_window.contains(cube):
+        for j in tf.levels():
+            start = tf.lower(j) + (tp.k0,)
+            slab = tf.level(j)[..., None]
+            cube = target.first_outside(j, start, slab)
+            if cube is not None:
                 raise PreconditionError(
                     f"extension window does not contain the k0 slab cube {cube}")
-            target.set(cube, v)
+            target.write(j, start, slab)
         out_channels[lam_prime + (0,)] = target
     return SlabCoeffs(tp, out_channels, out_window)
 
@@ -189,8 +210,8 @@ def weight_compat_check(V: MatrixWeight, W: MatrixWeight, p: float,
         cube = stack_cube(base, 0)
         xv, _ = quad.nodes(base.lower, base.upper)
         xw, _ = quad.nodes(cube.lower, cube.upper)
-        rv = V.power(xv, 1.0 / p).real
-        rw = W.power(xw, 1.0 / p).real
+        rv = V.power(xv, 1.0 / p)
+        rw = W.power(xw, 1.0 / p)
         num = np.mean(np.linalg.norm(np.einsum("nab,db->nda", rv, dirs), axis=-1) ** p, axis=0)
         den = np.mean(np.linalg.norm(np.einsum("nab,db->nda", rw, dirs), axis=-1) ** p, axis=0)
         if np.any(den <= 0) or np.any(num <= 0):

@@ -450,10 +450,10 @@ def john_direction_report(W: MatrixWeight, p: float, cube: DyadicCube,
     dirs = rng.standard_normal((directions, m))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     nodes, _ = quad.nodes(cube.lower, cube.upper)
-    w_root = W.power(nodes, 1.0 / p).real
+    w_root = W.power(nodes, 1.0 / p)
     img = np.einsum("nab,db->nda", w_root, dirs)
     rho = (np.mean(np.linalg.norm(img, axis=-1) ** p, axis=0)) ** (1.0 / p)
-    lhs = np.linalg.norm(dirs @ A.T.real, axis=-1)
+    lhs = np.linalg.norm(dirs @ A.T, axis=-1)
     ratios = lhs / rho
     return {
         "matrix": A,
@@ -466,23 +466,31 @@ def john_direction_report(W: MatrixWeight, p: float, cube: DyadicCube,
 
 @dataclass
 class ReducingFamily:
-    """Per-cube reducing operators of a fixed order for one weight, with the
-    ellipsoid-fit record of :meth:`build` (empty when no fit ran)."""
+    """Reducing operators of a fixed order for one weight, one per window cube
+    in ``window.all_cubes()`` order, with the ellipsoid-fit record of
+    :meth:`build` (empty when no fit ran)."""
 
     p: float
     weight: MatrixWeight | None
-    operators: dict[DyadicCube, np.ndarray] = field(default_factory=dict)
+    window: LatticeWindow
+    ops: np.ndarray                    # (C, m, m)
     fit_iterations: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=int))
     fit_gap: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
+    def operators_at(self, cubes: CubeArrays) -> np.ndarray:
+        """Operators of N cubes, shape (N, m, m); refuses the first cube
+        outside the family's window."""
+        pos = self.window.positions(cubes)
+        if np.any(pos < 0):
+            missing = cubes.cube(int(np.argmax(pos < 0)))
+            raise PreconditionError(f"no reducing operator stored for cube {missing}")
+        return self.ops[pos]
+
     def __getitem__(self, cube: DyadicCube) -> np.ndarray:
-        try:
-            return self.operators[cube]
-        except KeyError as exc:
-            raise PreconditionError(f"no reducing operator stored for cube {cube}") from exc
+        return self.operators_at(CubeArrays.of([cube]))[0]
 
     def __contains__(self, cube: DyadicCube) -> bool:
-        return cube in self.operators
+        return self.window.contains(cube)
 
     def fit_report(self) -> dict:
         """Fits run, fits stopped by an iteration cap short of the tolerance,
@@ -497,16 +505,14 @@ class ReducingFamily:
 
     @classmethod
     def identity(cls, m: int, p: float, window: LatticeWindow) -> "ReducingFamily":
-        eye = np.eye(m)
-        return cls(p, None, {q: eye for q in window.all_cubes()})
+        return cls(p, None, window, np.broadcast_to(np.eye(m), (window.count(), m, m)))
 
     @classmethod
     def build(cls, W: MatrixWeight, p: float, window: LatticeWindow,
               quad: QuadratureSpec = QuadratureSpec()) -> "ReducingFamily":
         """Operators of every window cube, computed as one batch."""
-        cubes = list(window.all_cubes())
-        ops, iterations, gap = _reducing_operators(W, p, CubeArrays.of(cubes), quad)
-        return cls(p, W, dict(zip(cubes, ops)), iterations, gap)
+        ops, iterations, gap = _reducing_operators(W, p, CubeArrays.of_window(window), quad)
+        return cls(p, W, window, ops, iterations, gap)
 
 
 def reducing_ratio_bound(fam: ReducingFamily, wd: WeightDims,

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import dyadica
 from dyadica.cli import main, parse_window
 from dyadica.dyadic import DyadicCube, LatticeWindow
 from dyadica.errors import PreconditionError
@@ -242,3 +244,72 @@ def test_norm_duplicate_cube_line_refused(space_file, weight_file, tmp_path, cap
                  "--weight", weight_file, "--window", "0:2:0..1"])
     assert code == 2
     assert "duplicate coefficient line for cube 1:1" in capsys.readouterr().err
+
+
+def test_transform_analyze_refuses_non_finite_sample(tmp_path, capsys):
+    values = np.ones((1, 1 << 6))
+    values[0, 5] = np.nan
+    src = tmp_path / "f.npz"
+    np.savez(src, n=1, m=1, grid_level=6, start=np.array([0]), values=values)
+    code = main(["transform", "--mode", "analyze", "--filter-order", "2",
+                 "--window", "0:1:0..1", "--input", str(src),
+                 "--out-prefix", str(tmp_path / "c")])
+    assert code == 2
+    assert "non-finite sample value at index (0, 5)" in capsys.readouterr().err
+    assert not list(tmp_path.glob("c.*.csv"))
+
+
+def test_transform_synthesize_refuses_non_finite_coefficient(tmp_path, capsys):
+    cfile = tmp_path / "c.csv"
+    cfile.write_text("0:0, 1.0, 0.0\n1:1, 0.5, inf\n")
+    code = main(["transform", "--mode", "synthesize", "--filter-order", "2",
+                 "--window", "0:1:0..1", "--coeffs", f"1={cfile}", "--grid-level", "6",
+                 "--output", str(tmp_path / "s.npz")])
+    assert code == 2
+    assert "non-finite coefficient for cube 1:1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("form", ["separate", "joined"])
+def test_negative_level_window_and_cube(form, space_file, weight_file, tmp_path, capsys):
+    win = LatticeWindow(1, -1, 1, (-2,), (2,))
+    cfile = tmp_path / "t.csv"
+    cfile.write_text(CoeffField(win, 1, {DyadicCube(1, -1, (-1,)): [1.0]}).to_csv())
+    spec = "-1:1:-2..2"
+    window_args = ["--window", spec] if form == "separate" else [f"--window={spec}"]
+    code, rep = _run(["norm", "--coeffs", str(cfile), "--space", space_file,
+                      "--weight", weight_file, *window_args], capsys)
+    assert code == 0
+    assert rep["config"]["window"] == spec
+    assert rep["norm"]["attaining_P"] == "-1:-1"
+    cube_args = ["--cube", "-2:0"] if form == "separate" else ["--cube=-2:0"]
+    code, rep = _run(["molcheck", "--kind", "gaussian", *cube_args], capsys)
+    assert code == 0
+    assert rep["config"]["cube"] == "-2:0"
+
+
+def test_reports_are_byte_identical_across_runs(tmp_path):
+    def f(pts):
+        return np.exp(-3 * (pts[:, 0] - 0.5) ** 2)
+
+    FunctionSample.from_callable(f, 1, 1, 7, (0,), (1,)).save(str(tmp_path / "f.npz"))
+    jobs = {
+        "analyze": ["transform", "--mode", "analyze", "--filter-order", "2",
+                    "--window", "0:2:0..1", "--input", "f.npz", "--out-prefix", "c"],
+        "synthesize": ["transform", "--mode", "synthesize", "--filter-order", "2",
+                       "--window", "0:2:0..1", "--coeffs", "1=c.lam1.csv",
+                       "--grid-level", "7", "--output", "s.npz"],
+        "molcheck": ["molcheck", "--kind", "atom", "--cube", "1:1"],
+    }
+    # fresh processes, so object addresses would differ between the runs
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(dyadica.__file__)), os.environ.get("PYTHONPATH", "")]))
+    for name, argv in jobs.items():
+        reports = []
+        for run in range(2):
+            out = tmp_path / f"{name}{run}.json"
+            proc = subprocess.run([sys.executable, "-m", "dyadica.cli", *argv, "--out", out.name],
+                                  cwd=tmp_path, env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            reports.append(out.read_text())
+        assert reports[0].replace(f"{name}0.json", f"{name}1.json") == reports[1]
+        assert "fn" not in json.loads(reports[0])["config"]

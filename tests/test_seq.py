@@ -58,11 +58,11 @@ def test_la_norm_refuses_non_finite_stack(bad):
 
 
 def test_weighted_norm_refuses_nan_coefficient():
-    # one NaN used to give the value 0.0 and drop the finite coefficients
+    # a NaN coefficient is refused when it is stored, so no norm can see one
+    # (the norm's own refusal of a non-finite stack is tested on la_norm)
     win = _window()
-    t = CoeffField(win, 1, {DyadicCube(1, 2, (1,)): [np.nan], DyadicCube(1, 0, (0,)): [1.0]})
-    with pytest.raises(PreconditionError, match="level 2"):
-        seq_norm_weighted(t, MatrixWeight.identity(1, 1), B(0, 0, 2, 2))
+    with pytest.raises(PreconditionError, match="non-finite coefficient for cube 2:1"):
+        CoeffField(win, 1, {DyadicCube(1, 2, (1,)): [np.nan], DyadicCube(1, 0, (0,)): [1.0]})
 
 
 def test_la_norm_tau0_besov_is_plain_lq_lp():

@@ -230,3 +230,12 @@ def test_trace_norm_report_runs(tp2):
     assert rep["compat_C116"] == pytest.approx(1.0, abs=1e-9)
     assert rep["per_depth"][0]["max_ratio"] > 0
     assert math.isfinite(rep["growth"])
+
+
+def test_weight_compat_complex_weight():
+    # |V^{1/2} z|^2 = z* V z = 2 for every real unit z, against 1 for W = I
+    V = MatrixWeight.constant([[2, 1j], [-1j, 2]], 1)
+    c116, c127 = weight_compat_check(V, MatrixWeight.identity(2, 2), 2.0,
+                                     LatticeWindow(1, 0, 1, (0,), (1,)), QuadratureSpec(2, 1))
+    assert c116 == pytest.approx(2.0, rel=1e-12)
+    assert c127 == pytest.approx(0.5, rel=1e-12)

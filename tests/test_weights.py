@@ -498,3 +498,14 @@ def test_reducing_operator_is_one_cube_batch(m, p, directions, seed):
     A_ref, _, _ = _reducing_operator_reference(W, p, q, quad, directions,
                                                np.random.default_rng(seed))
     _assert_operator_close(A, A_ref)
+
+
+def test_complex_weight_direction_certificate_uses_complex_norms():
+    # p = 2: A = (mean W)^{1/2} gives |A z|^2 = mean z* W z = mean |W^{1/2} z|^2,
+    # so every direction ratio is 1 (with real parts of W^{1/2} the spread is 1.011)
+    vals = np.array([[[2, 1j], [-1j, 2]], [[3, 1 + 1j], [1 - 1j, 2]],
+                     [[1, -0.5j], [0.5j, 1]], [[4, 2], [2, 3]]])
+    W = MatrixWeight.grid((0,), (1,), 2, vals)
+    rep = john_direction_report(W, 2.0, DyadicCube(1, 0, (0,)), QuadratureSpec(4, 2))
+    assert rep["ratio_min"] == pytest.approx(1.0, abs=1e-12)
+    assert rep["ratio_max"] == pytest.approx(1.0, abs=1e-12)
