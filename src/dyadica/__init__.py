@@ -7,7 +7,15 @@ __version__ = "0.1.0"
 from .dyadic import DyadicCube, LatticeWindow, children, distance_term
 from .errors import DyadicaError, PreconditionError, SingularWeightError
 from .params import SpaceParams, derived_indices, rounding_profile
-from .seq import CoeffField, la_norm, seq_norm_averaged, seq_norm_weighted
+from .seq import (
+    CoeffField,
+    la_norm,
+    la_norms,
+    seq_norm_averaged,
+    seq_norm_weighted,
+    seq_norms_averaged,
+    seq_norms_weighted,
+)
 from .wavelets import FunctionSample, WaveletSystem, analyze, daubechies_filter, synthesize
 from .weights import MatrixWeight, QuadratureSpec, ReducingFamily
 
@@ -25,8 +33,11 @@ __all__ = [
     "rounding_profile",
     "CoeffField",
     "la_norm",
+    "la_norms",
     "seq_norm_averaged",
     "seq_norm_weighted",
+    "seq_norms_averaged",
+    "seq_norms_weighted",
     "FunctionSample",
     "WaveletSystem",
     "analyze",

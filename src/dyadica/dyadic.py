@@ -301,6 +301,15 @@ class LatticeWindow:
             return False
         return all(a <= ki < b for ki, (a, b) in zip(q.k, self.index_bounds(q.j)))
 
+    def _key(self) -> tuple:
+        return (self.n, self.j_min, self.j_max, self.lo, self.hi)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LatticeWindow) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
     def __repr__(self):
         return (f"LatticeWindow(n={self.n}, j_min={self.j_min}, j_max={self.j_max}, "
                 f"lo={self.lo}, hi={self.hi})")

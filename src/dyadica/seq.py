@@ -116,13 +116,18 @@ class CoeffField:
         the field is unchanged when a value is refused."""
         fresh = CoeffField(self.window, self.m)
         values = np.asarray(values)
-        offset = 0
-        for j in range(self.window.j_min, self.window.j_max + 1):
-            shape = tuple(b - a for a, b in self.window.index_bounds(j))
-            rows = slice(offset, offset + math.prod(shape))
+        for j, rows, shape in _level_rows(self.window):
             fresh.write(j, self.lower(j), values[rows].T.reshape((self.m,) + shape))
-            offset = rows.stop
         self._levels = fresh._levels
+
+    def rows(self) -> np.ndarray:
+        """Every window cube's vector, shape (C, m), in ``window.all_cubes()``
+        order: the inverse of :meth:`write_all`."""
+        out = np.zeros((self.window.count(), self.m), dtype=complex)
+        for j, rows, _ in _level_rows(self.window):
+            if j in self._levels:
+                out[rows] = self._levels[j].reshape(self.m, -1).T
+        return out
 
     def nonzero(self) -> tuple[CubeArrays, np.ndarray]:
         """The present cubes in ``(j, k)`` order and their vectors, shape (N, m)."""
@@ -195,17 +200,9 @@ class CoeffField:
     @classmethod
     def random(cls, window: LatticeWindow, m: int, rng: np.random.Generator,
                density: float = 0.3, complex_values: bool = False) -> "CoeffField":
-        """Each window cube in ``all_cubes`` order is drawn with probability
-        density: one ``rng.random()`` per cube, then the normal vector(s)."""
+        """A field drawn by :func:`random_rows` (one sample)."""
         out = cls(window, m)
-        vals = np.zeros((window.count(), m), dtype=complex)
-        for i in range(len(vals)):
-            if rng.random() < density:
-                v = rng.standard_normal(m)
-                if complex_values:
-                    v = v + 1j * rng.standard_normal(m)
-                vals[i] = v
-        out.write_all(vals)
+        out.write_all(random_rows(rng, 1, window.count(), m, density, complex_values)[0])
         return out
 
     # -- CSV form: "j:k1,...,kn, re1, im1, ..., re_m, im_m" ------------------
@@ -292,39 +289,90 @@ def _cube_list(cubes: CubeArrays) -> list[DyadicCube]:
     return [DyadicCube(n, j, tuple(k)) for j, k in zip(cubes.levels.tolist(), cubes.index.tolist())]
 
 
+def _level_rows(window: LatticeWindow):
+    """(level j, slice of its cubes' rows in ``all_cubes`` order, index shape)
+    for every window level."""
+    offset = 0
+    for j in range(window.j_min, window.j_max + 1):
+        shape = tuple(b - a for a, b in window.index_bounds(j))
+        rows = slice(offset, offset + math.prod(shape))
+        yield j, rows, shape
+        offset = rows.stop
+
+
+def random_rows(rng: np.random.Generator, samples: int, count: int, m: int,
+                density: float = 0.3, complex_values: bool = False) -> np.ndarray:
+    """``samples`` random fields as rows, shape (samples, count, m): each of
+    the count cubes of a sample, in order, is drawn with probability density,
+    by one ``rng.random()`` per cube and then the normal vector(s)."""
+    vals = np.zeros((samples * count, m), dtype=complex)
+    for i in range(len(vals)):
+        if rng.random() < density:
+            v = rng.standard_normal(m)
+            if complex_values:
+                v = v + 1j * rng.standard_normal(m)
+            vals[i] = v
+    return vals.reshape(samples, count, m)
+
+
 @dataclass
 class LevelFunctionStack:
     """Per-level real scalar functions sampled on one uniform fine grid.
 
-    The grid covers the window box at resolution 2**-grid_level with cell
-    midpoint semantics; ``levels[j]`` has the full grid shape.
+    The grid covers the window box with the dyadic cells of level
+    ``grid_level``, with cell midpoint semantics; ``levels[j]`` has the grid
+    shape, or ``(samples, *grid_shape)`` when the stack is a batch of
+    ``samples`` stacks.  A grid level below 0 needs box edges that are whole
+    multiples of the cell side.
     """
 
     window: LatticeWindow
     grid_level: int
     levels: dict[int, np.ndarray] = field(default_factory=dict)
+    samples: int | None = None
 
     def __post_init__(self):
         if self.grid_level < self.window.j_max:
             raise PreconditionError("grid must be at least as fine as the finest level")
+        side = 1 << max(0, -self.grid_level)
+        if any(a % side or b % side for a, b in zip(self.window.lo, self.window.hi)):
+            raise PreconditionError(
+                f"stack grid level {self.grid_level} does not tile the window box "
+                f"{self.window.lo}..{self.window.hi}: its edges must be multiples of {side}")
+
+    @property
+    def grid_start(self) -> tuple[int, ...]:
+        """Lattice index of the first grid cell along each axis."""
+        return tuple(_cell_index(a, self.grid_level) for a in self.window.lo)
 
     @property
     def grid_shape(self) -> tuple[int, ...]:
-        return tuple((b - a) << self.grid_level for a, b in zip(self.window.lo, self.window.hi))
+        return tuple(_cell_index(b - a, self.grid_level)
+                     for a, b in zip(self.window.lo, self.window.hi))
 
     @property
     def cell_volume(self) -> float:
         return math.ldexp(1.0, -self.grid_level * self.window.n)
 
     def midpoints_axis(self, axis: int) -> np.ndarray:
-        a, b = self.window.lo[axis], self.window.hi[axis]
-        cells = (b - a) << self.grid_level
-        return a + (np.arange(cells) + 0.5) * math.ldexp(1.0, -self.grid_level)
+        cells = self.grid_shape[axis]
+        return self.window.lo[axis] + (np.arange(cells) + 0.5) * math.ldexp(1.0, -self.grid_level)
 
     def midpoints(self) -> np.ndarray:
         axes = [self.midpoints_axis(i) for i in range(self.window.n)]
         grids = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1)
+
+    def sample(self, i: int) -> "LevelFunctionStack":
+        """Stack i of a batch, as a single stack."""
+        return LevelFunctionStack(self.window, self.grid_level,
+                                  {j: a[i] for j, a in self.levels.items()})
+
+
+def _cell_index(a: int, grid_level: int) -> int:
+    """a * 2^grid_level for an integer a that is a multiple of the cell side:
+    the index of the level-``grid_level`` cell that starts at a."""
+    return a << grid_level if grid_level >= 0 else a >> -grid_level
 
 
 @dataclass(frozen=True)
@@ -343,29 +391,33 @@ class NormResult:
         }
 
 
-def la_norm(stack: LevelFunctionStack, sp: SpaceParams, window: LatticeWindow | None = None) -> NormResult:
-    """Sup over window cubes P of |P|^-tau times the mixed aggregate over the
-    shadow of P.  The boundary flag marks attainment at the coarsest level,
-    where the finite window may truncate the true sup."""
+def la_norms(stack: LevelFunctionStack, sp: SpaceParams,
+             window: LatticeWindow | None = None) -> list[NormResult]:
+    """:func:`la_norm` of every stack of a batch, in one pass over the window
+    levels with the samples on the leading axis.  A sample whose stack
+    vanishes has value 0 and no attaining cube."""
     window = window or stack.window
     if window.count() == 0:
         raise PreconditionError("empty window")
     if not math.isfinite(sp.p):
         raise PreconditionError("p must be finite")
+    S = stack.samples
+    if S is None:
+        raise PreconditionError("la_norms takes a batched stack; use la_norm for one stack")
     levels = sorted(stack.levels)
     if not levels:
-        return NormResult(0.0, None, False)
+        return [NormResult(0.0, None, False)] * S
     for j in levels:
         if not np.all(np.isfinite(stack.levels[j])):
             raise PreconditionError(f"level {j} of the stack holds non-finite values")
     n = window.n
     vol = stack.cell_volume
-    best = -1.0
-    best_cube = None
     q_inf = sp.q_is_inf
+    best = np.full(S, -1.0)
+    best_level = np.zeros(S, dtype=np.int64)
+    best_flat = np.zeros(S, dtype=np.intp)
+    start = stack.grid_start
 
-    # precompute per-level |f_j|^p cell arrays (B family) or running
-    # suffix aggregates of |f_j|^q (F family)
     arrs = {j: np.abs(stack.levels[j]) for j in levels}
 
     for j_p in range(window.j_min, window.j_max + 1):
@@ -373,14 +425,15 @@ def la_norm(stack: LevelFunctionStack, sp: SpaceParams, window: LatticeWindow | 
         if not contributing:
             continue
         r = stack.grid_level - j_p
+        # the cells of the level-j_p window cubes, in blocks of 2^r per axis
+        region = (slice(None),) + tuple(slice((ka << r) - s, (kb << r) - s)
+                                        for (ka, kb), s in zip(window.index_bounds(j_p), start))
 
-        # aggregate over blocks of size 2^r per axis
         def block_reduce(cells: np.ndarray) -> np.ndarray:
-            out = cells
-            for axis in range(n):
+            out = cells[region]
+            for axis in range(1, n + 1):
                 shape = out.shape
-                nb = shape[axis] >> r
-                new_shape = shape[:axis] + (nb, 1 << r) + shape[axis + 1:]
+                new_shape = shape[:axis] + (shape[axis] >> r, 1 << r) + shape[axis + 1:]
                 out = out.reshape(new_shape).sum(axis=axis + 1)
             return out
 
@@ -407,31 +460,47 @@ def la_norm(stack: LevelFunctionStack, sp: SpaceParams, window: LatticeWindow | 
             vals = (block_reduce(pointwise ** sp.p) * vol) ** (1.0 / sp.p)
 
         scale = math.ldexp(1.0, j_p * n) ** sp.tau  # |P|^{-tau} = 2^{j n tau}
-        vals = vals * scale
-        flat = int(np.argmax(vals))
-        v = float(vals.flat[flat])
-        if v > best:
-            best = v
-            idx = np.unravel_index(flat, vals.shape)
-            bounds = window.index_bounds(j_p)
-            best_cube = DyadicCube(n, j_p, tuple(b[0] + i for b, i in zip(bounds, idx)))
-    return NormResult(max(best, 0.0), best_cube,
-                      best_cube is not None and best_cube.j == window.j_min)
+        vals = (vals * scale).reshape(S, -1)
+        flat = np.argmax(vals, axis=1)
+        v = vals[np.arange(S), flat]
+        better = v > best
+        best[better] = v[better]
+        best_level[better] = j_p
+        best_flat[better] = flat[better]
+
+    out = []
+    for value, j, flat in zip(best.tolist(), best_level.tolist(), best_flat.tolist()):
+        if not value > 0.0:
+            out.append(NormResult(0.0, None, False))
+            continue
+        bounds = window.index_bounds(j)
+        idx = np.unravel_index(flat, tuple(b - a for a, b in bounds))
+        cube = DyadicCube(n, j, tuple(a + int(i) for (a, _), i in zip(bounds, idx)))
+        out.append(NormResult(value, cube, j == window.j_min))
+    return out
 
 
-def _level_cells(window: LatticeWindow, grid_level: int, j: int,
-                 values: np.ndarray) -> np.ndarray:
+def la_norm(stack: LevelFunctionStack, sp: SpaceParams, window: LatticeWindow | None = None) -> NormResult:
+    """Sup over window cubes P of |P|^-tau times the mixed aggregate over the
+    shadow of P.  The boundary flag marks attainment at the coarsest level,
+    where the finite window may truncate the true sup.  The one-sample case
+    of :func:`la_norms`."""
+    batch = LevelFunctionStack(stack.window, stack.grid_level,
+                               {j: a[None] for j, a in stack.levels.items()}, 1)
+    return la_norms(batch, sp, window)[0]
+
+
+def _level_cells(grid: LevelFunctionStack, j: int, values: np.ndarray) -> np.ndarray:
     """Block upsampling of a level array ``(..., *index_shape)`` to the fine
-    grid: every cell of the level-j window cube ``lower + i`` holds
+    grid of a stack: every cell of the level-j window cube ``lower + i`` holds
     ``values[..., i]``; cells outside all level-j window cubes stay zero."""
-    n = window.n
-    r = grid_level - j
+    n = grid.window.n
+    r = grid.grid_level - j
     lead = values.shape[:values.ndim - n]
-    grid = tuple((b - a) << grid_level for a, b in zip(window.lo, window.hi))
-    out = np.zeros(lead + grid, dtype=values.dtype)
+    out = np.zeros(lead + grid.grid_shape, dtype=values.dtype)
     region, spread, blocks, cells = [], [], [], []
-    for (ka, kb), a in zip(window.index_bounds(j), window.lo):
-        start = (ka << r) - (a << grid_level)
+    for (ka, kb), s in zip(grid.window.index_bounds(j), grid.grid_start):
+        start = (ka << r) - s
         region.append(slice(start, start + ((kb - ka) << r)))
         spread += [kb - ka, 1]
         blocks += [kb - ka, 1 << r]
@@ -441,71 +510,137 @@ def _level_cells(window: LatticeWindow, grid_level: int, j: int,
     return out
 
 
+# Stack entries (grid cells x (levels + channels)) per sample block of the
+# batched norms: bounds their temporaries at a few MB.
+SAMPLE_ENTRIES = 1 << 17
+
+
+def _samples_per_block(per_sample: int) -> int:
+    return max(1, SAMPLE_ENTRIES // per_sample)
+
+
+def _sample_blocks(window: LatticeWindow, rows: np.ndarray, grid_level: int):
+    """Slices of consecutive samples of ``rows`` (S, C, m) per stack batch."""
+    cells = math.prod(LevelFunctionStack(window, grid_level).grid_shape)
+    levels = window.j_max - window.j_min + 1
+    step = _samples_per_block(cells * (levels + rows.shape[2]))
+    return [slice(s, s + step) for s in range(0, len(rows), step)]
+
+
+def _present_levels(window: LatticeWindow, rows: np.ndarray):
+    """(j, slice of the level's rows, index shape) for every level where some
+    sample of ``rows`` (S, C, ...) is nonzero."""
+    for j, sl, shape in _level_rows(window):
+        if rows[:, sl].any():
+            yield j, sl, shape
+
+
+def _weighted_stacks(window: LatticeWindow, rows: np.ndarray, W: MatrixWeight,
+                     sp: SpaceParams, grid_extra: int):
+    """Batched :func:`weighted_stack` of the fields given as rows (S, C, m) in
+    ``all_cubes`` order, one batch per sample block; W^{1/p} is evaluated
+    once on the grid."""
+    if rows.shape[2] != W.m:
+        raise PreconditionError("coefficient and weight dimensions differ")
+    grid_level = window.j_max + grid_extra
+    w_root = W.power(LevelFunctionStack(window, grid_level).midpoints(), 1.0 / sp.p)
+    for blk in _sample_blocks(window, rows, grid_level):
+        part = rows[blk]
+        stack = LevelFunctionStack(window, grid_level, {}, len(part))
+        for j, sl, index_shape in _present_levels(window, part):
+            stack.levels[j] = _weighted_level(stack, j, part[:, sl], index_shape, w_root, sp)
+        yield stack
+
+
+def _weighted_level(stack: LevelFunctionStack, j: int, vals: np.ndarray, index_shape,
+                    w_root: np.ndarray, sp: SpaceParams) -> np.ndarray:
+    """Level j of a batch of weighted stacks from the level's rows (S, C_j, m);
+    its temporaries are freed on return, not held by a suspended generator."""
+    S, _, m = vals.shape
+    level = np.swapaxes(vals, 1, 2).reshape((S, m) + index_shape)
+    scale = math.ldexp(1.0, j * stack.window.n) ** 0.5  # |Q|^{-1/2}
+    cells = _level_cells(stack, j, level * scale)
+    img = np.einsum("nab,snb->sna", w_root, np.swapaxes(cells.reshape(S, m, -1), 1, 2))
+    return (2.0 ** (j * sp.s)) * np.linalg.norm(img, axis=-1).reshape((S,) + stack.grid_shape)
+
+
+def _averaged_stacks(window: LatticeWindow, rows: np.ndarray, fam: ReducingFamily,
+                     sp: SpaceParams, grid_extra: int = 0):
+    """Batched :func:`averaged_stack` of the fields given as rows (S, C, m) in
+    ``all_cubes`` order, one batch per sample block.  The operators of the
+    cubes present in any field are gathered once."""
+    cols = np.flatnonzero(np.any(rows != 0, axis=(0, 2)))
+    ops = fam.operators_at(CubeArrays.of_window(window).take(cols))
+    grid_level = window.j_max + grid_extra
+    for blk in _sample_blocks(window, rows, grid_level):
+        part = rows[blk]
+        mags = np.zeros(part.shape[:2])
+        mags[:, cols] = np.linalg.norm((ops @ part[:, cols, :, None])[..., 0], axis=-1)
+        stack = LevelFunctionStack(window, grid_level, {}, len(part))
+        for j, sl, index_shape in _present_levels(window, part):
+            level = mags[:, sl].reshape((len(part),) + index_shape)
+            scale = math.ldexp(1.0, j * window.n) ** 0.5
+            stack.levels[j] = (2.0 ** (j * sp.s)) * _level_cells(stack, j, level * scale)
+        yield stack
+
+
 def weighted_stack(t: CoeffField, W: MatrixWeight, sp: SpaceParams,
                    grid_extra: int = 2) -> LevelFunctionStack:
     """Levels g_j = 2^{js} |W^{1/p} sum_Q t_Q |Q|^{-1/2} 1_Q| on the fine grid."""
-    if t.m != W.m:
-        raise PreconditionError("coefficient and weight dimensions differ")
-    win = t.window
-    grid_level = win.j_max + grid_extra
-    stack = LevelFunctionStack(win, grid_level, {})
-    shape = stack.grid_shape
-    pts = stack.midpoints()
-    w_root = W.power(pts, 1.0 / sp.p)
-    for j in t.levels():
-        scale = math.ldexp(1.0, j * win.n) ** 0.5  # |Q|^{-1/2}
-        cells = _level_cells(win, grid_level, j, t.level(j) * scale)
-        flat = cells.reshape(t.m, -1).T  # (cells, m)
-        img = np.einsum("nab,nb->na", w_root, flat)
-        g = np.linalg.norm(img, axis=-1).reshape(shape)
-        stack.levels[j] = (2.0 ** (j * sp.s)) * g
-    return stack
+    return next(_weighted_stacks(t.window, t.rows()[None], W, sp, grid_extra)).sample(0)
 
 
 def averaged_stack(t: CoeffField, fam: ReducingFamily, sp: SpaceParams,
                    grid_extra: int = 0) -> LevelFunctionStack:
     """Levels g_j = 2^{js} sum_Q |A_Q t_Q| |Q|^{-1/2} 1_Q on the fine grid."""
-    win = t.window
-    grid_level = win.j_max + grid_extra
-    stack = LevelFunctionStack(win, grid_level, {})
-    cubes, values = t.nonzero()
-    mags = np.linalg.norm((fam.operators_at(cubes) @ values[:, :, None])[:, :, 0], axis=-1)
-    for j in t.levels():
-        level = np.zeros(t.level(j).shape[1:])
-        # nonzero() lists a level's cubes in the C order of its array
-        level[np.any(t.level(j) != 0, axis=0)] = mags[cubes.levels == j]
-        scale = math.ldexp(1.0, j * win.n) ** 0.5
-        stack.levels[j] = (2.0 ** (j * sp.s)) * _level_cells(win, grid_level, j, level * scale)
-    return stack
+    return next(_averaged_stacks(t.window, t.rows()[None], fam, sp, grid_extra)).sample(0)
+
+
+def seq_norms_weighted(window: LatticeWindow, rows: np.ndarray, W: MatrixWeight,
+                       sp: SpaceParams, grid_extra: int = 2) -> list[NormResult]:
+    """:func:`seq_norm_weighted` of every field given as rows (S, C, m) in
+    ``window.all_cubes()`` order."""
+    return [r for stack in _weighted_stacks(window, rows, W, sp, grid_extra)
+            for r in la_norms(stack, sp, window)]
+
+
+def seq_norms_averaged(window: LatticeWindow, rows: np.ndarray, fam: ReducingFamily,
+                       sp: SpaceParams) -> list[NormResult]:
+    """:func:`seq_norm_averaged` of every field given as rows (S, C, m) in
+    ``window.all_cubes()`` order."""
+    return [r for stack in _averaged_stacks(window, rows, fam, sp)
+            for r in la_norms(stack, sp, window)]
 
 
 def seq_norm_weighted(t: CoeffField, W: MatrixWeight, sp: SpaceParams,
                       grid_extra: int = 2) -> NormResult:
-    return la_norm(weighted_stack(t, W, sp, grid_extra), sp, t.window)
+    return seq_norms_weighted(t.window, t.rows()[None], W, sp, grid_extra)[0]
 
 
 def seq_norm_averaged(t: CoeffField, fam: ReducingFamily, sp: SpaceParams) -> NormResult:
-    return la_norm(averaged_stack(t, fam, sp), sp, t.window)
+    return seq_norms_averaged(t.window, t.rows()[None], fam, sp)[0]
 
 
 def equivalence_report(fields, W: MatrixWeight, fam: ReducingFamily,
                        sp: SpaceParams, grid_extra: int = 2) -> dict:
-    """Ratio statistics of weighted vs averaged norms over an ensemble."""
-    ratios = []
-    skipped = 0
-    for t in fields:
-        a = seq_norm_weighted(t, W, sp, grid_extra).value
-        b = seq_norm_averaged(t, fam, sp).value
-        if a == 0.0 or b == 0.0:
-            skipped += 1
-            continue
-        ratios.append(a / b)
-    if not ratios:
+    """Ratio statistics of weighted vs averaged norms over an ensemble of
+    fields on one window, evaluated as one batch."""
+    fields = list(fields)
+    if not fields:
         raise PreconditionError("ensemble contains no nonzero fields")
-    ratios = np.array(ratios)
+    window, m = fields[0].window, fields[0].m
+    if any(t.window != window or t.m != m for t in fields):
+        raise PreconditionError("ensemble fields must share one window and dimension")
+    rows = np.stack([t.rows() for t in fields])
+    a = np.array([r.value for r in seq_norms_weighted(window, rows, W, sp, grid_extra)])
+    b = np.array([r.value for r in seq_norms_averaged(window, rows, fam, sp)])
+    keep = (a != 0.0) & (b != 0.0)
+    if not keep.any():
+        raise PreconditionError("ensemble contains no nonzero fields")
+    ratios = a[keep] / b[keep]
     return {
         "count": len(ratios),
-        "skipped_zero": skipped,
+        "skipped_zero": int(np.sum(~keep)),
         "min": float(np.min(ratios)),
         "max": float(np.max(ratios)),
         "spread": float(np.max(ratios) / np.min(ratios)),

@@ -81,6 +81,7 @@ class MatrixWeight:
     @classmethod
     def constant(cls, mat, n: int) -> "MatrixWeight":
         mat = np.atleast_2d(np.asarray(mat, dtype=complex))
+        _refuse_non_finite(mat, "constant weight matrix")
         m = mat.shape[0]
 
         def f(x):
@@ -100,6 +101,8 @@ class MatrixWeight:
         alpha = np.asarray(exponents, dtype=float)
         if a.shape != alpha.shape:
             raise PreconditionError("coefficient and exponent lists differ in length")
+        for name, vals in (("coefficient", a), ("exponent", alpha), ("floor", np.array([floor]))):
+            _refuse_non_finite(vals, f"diag-power weight {name}")
         m = len(a)
 
         def f(x):
@@ -133,6 +136,7 @@ class MatrixWeight:
                  for a, b in zip(lo_t, hi_t)]
         if tuple(values.shape[:-2]) != tuple(cells):
             raise PreconditionError(f"grid values shape {values.shape[:-2]} != cells {cells}")
+        _refuse_non_finite(values, "grid weight value")
 
         scale = math.ldexp(1.0, level)
 
@@ -180,25 +184,36 @@ class MatrixWeight:
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, x) -> np.ndarray:
-        return self._eval(np.atleast_2d(np.asarray(x, dtype=float)))
+        """W at the points x, shape (N, m, m); refuses a non-finite value and
+        names its point."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        W = self._eval(x)
+        bad = ~np.isfinite(W).reshape(len(W), -1).all(axis=1)
+        if bad.any():
+            raise PreconditionError(
+                f"weight is not finite at the point {x[int(np.argmax(bad))].tolist()}")
+        return W
 
     def power(self, x, a: float) -> np.ndarray:
         """W(x)**a via Hermitian eigendecomposition with small-eigenvalue clamp."""
+        return self.powers(x, (a,))[0]
+
+    def powers(self, x, exponents) -> list[np.ndarray]:
+        """W(x)**a for each exponent a, from one eigendecomposition."""
         W = self(x)
         vals, vecs = np.linalg.eigh(W)
         tr = np.trace(W, axis1=-2, axis2=-1).real
         clamp = EIG_CLAMP_REL * np.maximum(tr, 0.0)
-        if a < 0:
+        vals_c = np.maximum(vals, clamp[:, None])
+        if min(exponents) < 0:
             bad = tr <= 0
             if np.any(bad):
                 node = np.atleast_2d(x)[int(np.argmax(bad))]
                 raise SingularWeightError(f"weight is singular at {node}", node=node)
-        vals_c = np.maximum(vals, clamp[:, None])
-        if a < 0 and np.any(vals_c <= 0):
-            node = np.atleast_2d(x)[int(np.argmax(np.any(vals_c <= 0, axis=-1)))]
-            raise SingularWeightError(f"weight not invertible at {node}", node=node)
-        pw = vals_c ** a
-        return np.einsum("nij,nj,nkj->nik", vecs, pw, vecs.conj())
+            if np.any(vals_c <= 0):
+                node = np.atleast_2d(x)[int(np.argmax(np.any(vals_c <= 0, axis=-1)))]
+                raise SingularWeightError(f"weight not invertible at {node}", node=node)
+        return [np.einsum("nij,nj,nkj->nik", vecs, vals_c ** a, vecs.conj()) for a in exponents]
 
     def validate(self, pts, rel: float = 1e-12) -> None:
         W = self(pts)
@@ -210,6 +225,14 @@ class MatrixWeight:
         norms = np.max(np.abs(vals), axis=-1)
         if np.any(vals < -1e-12 * np.maximum(norms[:, None], 1e-300)):
             raise PreconditionError("weight has a significantly negative eigenvalue")
+
+
+def _refuse_non_finite(values: np.ndarray, what: str) -> None:
+    """Refuse NaN or inf in a weight's defining numbers, naming the first entry."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        idx = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise PreconditionError(f"{what} at entry {idx} is not finite: {values[idx]}")
 
 
 def _pair_norms(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -243,8 +266,11 @@ def _defining_average(W: MatrixWeight, p: float,
     The pairs are evaluated in row blocks over x of about PAIR_BLOCK pairs;
     the means over x accumulate across blocks.
     """
-    A = W.power(x_nodes, 1.0 / p)
-    B = W.power(y_nodes, -1.0 / p)
+    if y_nodes is x_nodes:
+        A, B = W.powers(x_nodes, (1.0 / p, -1.0 / p))
+    else:
+        A = W.power(x_nodes, 1.0 / p)
+        B = W.power(y_nodes, -1.0 / p)
     rows = max(1, PAIR_BLOCK // len(B))
     blocks = (_pair_norms(A[s:s + rows], B) for s in range(0, len(A), rows))
     if p <= 1:

@@ -1,11 +1,19 @@
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_coeff_field import DictField, averaged_stack_reference, weighted_stack_reference
+from test_seq import la_norm_reference
 
+import dyadica.seq as seq_module
 from dyadica.ad import (
     ADMatrix,
+    _adversarial_fields,
     apply,
+    apply_rows,
     bdef_block,
     bdef_entry,
     compose_certificate,
@@ -15,9 +23,10 @@ from dyadica.ad import (
 from dyadica.dyadic import CubeArrays, DyadicCube, LatticeWindow
 from dyadica.errors import PreconditionError
 from dyadica.molecules import MoleculeParams, wavelet_family
-from dyadica.params import BESOV, SpaceParams, ad_region, derived_indices
+from dyadica.params import BESOV, INF, TRIEBEL_LIZORKIN, SpaceParams, ad_region, derived_indices
 from dyadica.seq import CoeffField
 from dyadica.wavelets import WaveletSystem, daubechies_filter
+from dyadica.weights import MatrixWeight, QuadratureSpec, ReducingFamily
 
 
 def test_bdef_values():
@@ -310,3 +319,157 @@ def test_scalar_entry_is_block_entry():
     assert bdef_entry(q, r, 2.0, 1.5, 0.5) == pytest.approx(
         _bdef_reference(q, r, 2.0, 1.5, 0.5), rel=1e-14)
     assert ADMatrix.identity()(q, q) == 1.0 and ADMatrix.identity()(q, r) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the batched probe ensemble against the per-field paths
+
+
+def _apply_field_reference(B, t):
+    """One field at a time: columns from the field's own nonzero cubes."""
+    out = CoeffField(t.window, t.m)
+    cols, V = t.nonzero()
+    if len(cols):
+        out.write_all(B.block(CubeArrays.of_window(t.window), cols) @ V)
+    return out
+
+
+def _adversarial_reference(window, m, stack_slopes):
+    """Deltas at the first cube of the coarsest and finest level, then the
+    vertical stacks, built cube by cube."""
+    n = window.n
+
+    def first(j):
+        return DyadicCube(n, j, tuple(b[0] for b in window.index_bounds(j)))
+
+    fields = [CoeffField(window, m, {first(j): np.ones(m)}) for j in (window.j_min, window.j_max)]
+    for slope in stack_slopes:
+        fields.append(CoeffField(window, m, {first(j): np.full(m, 2.0 ** (slope * j))
+                                             for j in range(window.j_min, window.j_max + 1)}))
+    return fields
+
+
+def _empirical_norm_reference(B, sp, depths, weight=None, fam_builder=None, m=1, n=1,
+                              seed=0, trials=12, stack_slopes=(-2.0, -1.0, -0.5, 0.0, 0.5, 1.0)):
+    """The probe one field at a time: per-cube draws, per-field apply, per-cube
+    stacks and the per-stack norm.  Returns the three estimate lists and the
+    number of empty random fields per depth."""
+    rng = np.random.default_rng(seed)
+    randomized, adversarial, empty = [], [], []
+    for depth in depths:
+        window = LatticeWindow(n, 0, depth, (0,) * n, (1,) * n)
+        if fam_builder is not None:
+            fam = fam_builder(window)
+        elif weight is None:
+            fam = ReducingFamily.identity(m, sp.p, window)
+        else:
+            fam = None
+
+        def norm(t):
+            if fam is not None:
+                return la_norm_reference(averaged_stack_reference(t, fam, sp), sp).value
+            return la_norm_reference(weighted_stack_reference(t, weight, sp, 2), sp).value
+
+        def ratio(t):
+            denom = norm(t)
+            return norm(_apply_field_reference(B, t)) / denom if denom > 0 else 0.0
+
+        rand_best, skipped = 0.0, 0
+        for _ in range(trials):
+            t = CoeffField(window, m, dict(DictField.random(window, m, rng, density=0.4).items()))
+            if len(t):
+                rand_best = max(rand_best, ratio(t))
+            else:
+                skipped += 1
+        adv_best = max(ratio(t) for t in _adversarial_reference(window, m, stack_slopes))
+        randomized.append(rand_best)
+        adversarial.append(adv_best)
+        empty.append(skipped)
+    estimates = [max(a, b) for a, b in zip(randomized, adversarial)]
+    return estimates, randomized, adversarial, empty
+
+
+@given(n=st.sampled_from((1, 2)), m=st.sampled_from((1, 2)),
+       family=st.sampled_from((BESOV, TRIEBEL_LIZORKIN)), q=st.sampled_from((1.5, INF)),
+       matrix=st.sampled_from(("model", "identity")),
+       branch=st.sampled_from(("identity", "weight", "fam_builder")),
+       block=st.sampled_from((1, 3, None)), trials=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 16))
+@settings(max_examples=40, deadline=None)
+def test_empirical_norm_matches_per_field_oracle(n, m, family, q, matrix, branch, block,
+                                                 trials, seed):
+    sp = SpaceParams(family, 0.3, 0.1, 1.5, q)
+    B = ADMatrix.model(2.5, 1.0, 0.5) if matrix == "model" else ADMatrix.identity()
+    W = MatrixWeight.diag_power(np.arange(1.0, m + 1), np.linspace(0.3, -0.2, m), n, floor=0.1)
+    kwargs = {"weight": {"weight": W},
+              "fam_builder": {"fam_builder": lambda w: ReducingFamily.build(
+                  W, 2.0, w, QuadratureSpec(2, 1))},
+              "identity": {}}[branch]
+    depths = (1, 3) if n == 1 else (1, 2)
+    with (mock.patch.object(seq_module, "_samples_per_block", lambda per_sample: block)
+          if block else contextlib.nullcontext()):
+        got = empirical_norm(B, sp, depths, m=m, n=n, seed=seed, trials=trials, **kwargs)
+    est, rand, adv, empty = _empirical_norm_reference(B, sp, depths, m=m, n=n, seed=seed,
+                                                      trials=trials, **kwargs)
+    for key, ref in (("estimates", est), ("randomized_estimates", rand),
+                     ("adversarial_estimates", adv)):
+        np.testing.assert_allclose(got[key], ref, rtol=1e-12, atol=0, err_msg=key)
+    assert got["counters"]["empty_random_skipped"] == empty
+    assert got["counters"]["random_fields"] == [trials] * len(depths)
+    assert got["counters"]["adversarial_fields"] == [8] * len(depths)
+
+
+@given(n=st.sampled_from((1, 2)), m=st.sampled_from((1, 3)), samples=st.integers(1, 5),
+       seed=st.integers(0, 2 ** 16))
+@settings(max_examples=30, deadline=None)
+def test_apply_rows_match_per_field_apply(n, m, samples, seed):
+    window = LatticeWindow(n, -1, 1, (-2,) * n, (2,) * n)
+    rng = np.random.default_rng(seed)
+    fields = [CoeffField.random(window, m, rng, density=0.3, complex_values=True)
+              for _ in range(samples)]
+    B = ADMatrix.model(2.0, 1.0, 1.5)
+    with mock.patch("dyadica.ad._BLOCK_ENTRIES", 50):  # ragged row blocks
+        images = apply_rows(B, window, np.stack([t.rows() for t in fields]))
+    for t, image in zip(fields, images):
+        ref = _apply_field_reference(B, t).rows()
+        scale = np.abs(bdef_block(CubeArrays.of_window(window), CubeArrays.of_window(window),
+                                  2.0, 1.0, 1.5)) @ np.abs(t.rows())
+        assert np.all(np.abs(image - ref) <= 1e-12 * scale)
+        assert np.array_equal(image != 0, ref != 0)
+        assert np.array_equal(apply(ADMatrix.identity(), t).rows(), t.rows())
+
+
+def test_empirical_norm_counters_repeat_for_a_seed():
+    sp = SpaceParams(BESOV, 0.0, 0.0, 2.0, 2.0)
+    B = ADMatrix.model(2.0, 1.0, 1.0)
+    first = empirical_norm(B, sp, depths=(2, 3), seed=5, trials=6)
+    again = empirical_norm(B, sp, depths=(2, 3), seed=5, trials=6)
+    assert first == again
+    counters = first["counters"]
+    assert counters["random_fields"] == [6, 6]
+    assert counters["adversarial_fields"] == [8, 8]
+    # every level's first cube is loaded by the vertical stacks, so the
+    # columns are at least one per level
+    for depth, entries in zip((2, 3), counters["matrix_entries"]):
+        cubes = 2 ** (depth + 1) - 1
+        assert entries % cubes == 0 and depth + 1 <= entries // cubes <= cubes
+
+
+def test_empirical_norm_growth_is_none_without_random_fields():
+    # seed 0 draws an empty field at depth 0 (one cube), so the randomized
+    # component of the first depth is 0 and its growth is undefined
+    sp = SpaceParams(BESOV, 0.0, 0.0, 2.0, 2.0)
+    rep = empirical_norm(ADMatrix.model(2.0, 1.0, 1.0), sp, depths=(0, 1), seed=0, trials=1)
+    assert rep["counters"]["empty_random_skipped"][0] == 1
+    assert rep["randomized_estimates"][0] == 0.0 and rep["randomized_growth"] is None
+    assert rep["overall_growth"] == rep["estimates"][1] / rep["estimates"][0]
+
+
+@pytest.mark.parametrize("n,depth", [(1, 0), (1, 4), (2, 3)])
+@pytest.mark.parametrize("m", [1, 2])
+def test_adversarial_fields_match_per_cube_construction(n, depth, m):
+    window = LatticeWindow(n, 0, depth, (0,) * n, (1,) * n)
+    slopes = (-1.0, 0.0, 0.5)
+    got = _adversarial_fields(window, m, slopes)
+    ref = np.stack([t.rows() for t in _adversarial_reference(window, m, slopes)])
+    assert np.array_equal(got, ref)

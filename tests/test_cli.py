@@ -313,3 +313,50 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
             reports.append(out.read_text())
         assert reports[0].replace(f"{name}0.json", f"{name}1.json") == reports[1]
         assert "fn" not in json.loads(reports[0])["config"]
+
+
+def test_weights_non_finite_constant_refused(tmp_path, capsys):
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps({"m": 2, "n": 1, "kind": "constant",
+                                 "matrix": [[1.0, float("nan")], [float("nan"), 1.0]]}))
+    code = main(["weights", "--weight", str(wfile), "--p", "2", "--window", "0:1:0..1",
+                 "--quad", "2:0", "--reducing"])
+    assert code == 2
+    assert "constant weight matrix at entry (0, 1) is not finite" in capsys.readouterr().err
+
+
+def test_weights_grid_values_file_with_inf_refused(tmp_path, capsys):
+    np.save(tmp_path / "vals.npy", np.array([[[1.0]], [[np.inf]]]))
+    wfile = tmp_path / "wg.json"
+    wfile.write_text(json.dumps({"m": 1, "n": 1, "kind": "grid", "lo": [0], "hi": [1],
+                                 "level": 1, "values_file": "vals.npy"}))
+    code = main(["weights", "--weight", str(wfile), "--p", "2", "--window", "0:1:0..1",
+                 "--quad", "2:0"])
+    assert code == 2
+    assert "grid weight value at entry (1, 0, 0) is not finite" in capsys.readouterr().err
+
+
+def test_norm_at_negative_grid_level(space_file, tmp_path, capsys):
+    cfile = tmp_path / "neg.csv"
+    cfile.write_text("-3:-1, 1.0, 0.0\n-3:0, 2.0, 0.0\n")
+    code, rep = _run(["norm", "--coeffs", str(cfile), "--space", space_file,
+                      "--window=-3:-3:-8..8", "--grid-extra", "1"], capsys)
+    assert code == 0
+    assert rep["norm"]["attaining_P"] == "-3:0" and rep["norm"]["value"] > 0
+    # a box that is not a whole number of grid cells is refused
+    code = main(["norm", "--coeffs", str(cfile), "--space", space_file,
+                 "--window=-3:-3:-9..8", "--grid-extra", "1"])
+    assert code == 2
+    assert "stack grid level -2 does not tile the window box" in capsys.readouterr().err
+
+
+def test_adprobe_counters(space_file, capsys):
+    argv = ["adprobe", "--space", space_file, "--depths", "2,3", "--seed", "7"]
+    _, rep1 = _run(argv, capsys)
+    _, rep2 = _run(argv, capsys)
+    counters = rep1["probe"]["counters"]
+    assert counters == rep2["probe"]["counters"]
+    assert counters["random_fields"] == [12, 12]
+    assert counters["adversarial_fields"] == [8, 8]
+    assert all(0 <= k <= 12 for k in counters["empty_random_skipped"])
+    assert all(e > 0 for e in counters["matrix_entries"])

@@ -1,7 +1,13 @@
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dyadica.seq as seq_module
 
 from dyadica.dyadic import DyadicCube, LatticeWindow
 from dyadica.errors import PreconditionError
@@ -9,10 +15,14 @@ from dyadica.params import BESOV, INF, TRIEBEL_LIZORKIN, SpaceParams
 from dyadica.seq import (
     CoeffField,
     LevelFunctionStack,
+    NormResult,
     equivalence_report,
     la_norm,
+    la_norms,
     seq_norm_averaged,
     seq_norm_weighted,
+    seq_norms_averaged,
+    seq_norms_weighted,
     subset_norm,
 )
 from dyadica.weights import MatrixWeight, QuadratureSpec, ReducingFamily
@@ -422,3 +432,216 @@ def test_la_norm_matches_bruteforce_oracle():
             expect, expect_cube = _la_norm_bruteforce(stack, sp)
             assert got.value == pytest.approx(expect, rel=1e-11), (family, tau, p, q)
             assert got.attaining == expect_cube
+
+
+def test_la_norm_unaligned_box_matches_bruteforce_oracle():
+    # a box edge that is not a multiple of the coarsest cube side: the level
+    # -1 cubes start one cell into the grid, not at its first cell
+    rng = np.random.default_rng(4)
+    for win in (LatticeWindow(1, -1, 1, (-3,), (1,)), LatticeWindow(2, -1, 0, (-3, 0), (2, 3))):
+        for family in ("B", "F"):
+            sp = SpaceParams(family, 0.2, 0.4, 1.5, 2.0)
+            stack = LevelFunctionStack(win, win.j_max + 2, {})
+            for j in range(win.j_min, win.j_max + 1):
+                stack.levels[j] = rng.random(stack.grid_shape)
+            got = la_norm(stack, sp)
+            expect, expect_cube = _la_norm_bruteforce(stack, sp)
+            assert got.value == pytest.approx(expect, rel=1e-12)
+            assert got.attaining == expect_cube
+
+
+# ---------------------------------------------------------------------------
+# negative stack grid levels
+
+
+def test_negative_grid_level_norm_matches_finer_grid():
+    # a constant weight does not see the grid resolution
+    win = LatticeWindow(1, -3, -2, (-8,), (8,))
+    t = CoeffField(win, 2, {DyadicCube(1, -3, (-1,)): [1.0, 2.0], DyadicCube(1, -2, (1,)): [0.5, 0.0]})
+    W = MatrixWeight.constant([[2.0, 0.5], [0.5, 1.0]], 1)
+    sp = B(0.3, 0.1, 1.5, 2.0)
+    coarse = seq_norm_weighted(t, W, sp, grid_extra=0)
+    fine = seq_norm_weighted(t, W, sp, grid_extra=4)
+    assert coarse.value == pytest.approx(fine.value, rel=1e-12)
+    assert coarse.attaining == fine.attaining
+    fam = ReducingFamily.identity(2, sp.p, win)
+    assert seq_norm_averaged(t, fam, sp).value > 0
+
+
+def test_negative_grid_level_refuses_box_that_is_not_whole_cells():
+    win = LatticeWindow(1, -3, -3, (-9,), (8,))
+    t = CoeffField(win, 1, {DyadicCube(1, -3, (0,)): [1.0]})
+    with pytest.raises(PreconditionError, match=r"grid level -2 does not tile .* multiples of 4"):
+        seq_norm_weighted(t, MatrixWeight.identity(1, 1), B(0, 0, 2, 2), grid_extra=1)
+    # a finer grid tiles the same box
+    assert seq_norm_weighted(t, MatrixWeight.identity(1, 1), B(0, 0, 2, 2), grid_extra=3).value > 0
+
+
+# ---------------------------------------------------------------------------
+# batched norms against per-stack calls and the per-stack reference
+
+
+def la_norm_reference(stack, sp, window=None):
+    """The per-stack norm as it was before the batched pass: one stack, a
+    Python loop over window levels, a box whose edges are multiples of the
+    coarsest cube side."""
+    window = window or stack.window
+    levels = sorted(stack.levels)
+    if not levels:
+        return NormResult(0.0, None, False)
+    n = window.n
+    vol = stack.cell_volume
+    best = -1.0
+    best_cube = None
+    q_inf = sp.q_is_inf
+    arrs = {j: np.abs(stack.levels[j]) for j in levels}
+    for j_p in range(window.j_min, window.j_max + 1):
+        contributing = [j for j in levels if j >= j_p]
+        if not contributing:
+            continue
+        r = stack.grid_level - j_p
+
+        def block_reduce(cells):
+            out = cells
+            for axis in range(n):
+                shape = out.shape
+                nb = shape[axis] >> r
+                new_shape = shape[:axis] + (nb, 1 << r) + shape[axis + 1:]
+                out = out.reshape(new_shape).sum(axis=axis + 1)
+            return out
+
+        if sp.family == BESOV:
+            acc = None
+            for j in contributing:
+                term = (block_reduce(arrs[j] ** sp.p) * vol) ** (1.0 / sp.p)
+                if q_inf:
+                    acc = term if acc is None else np.maximum(acc, term)
+                else:
+                    acc = term ** sp.q if acc is None else acc + term ** sp.q
+            vals = acc if q_inf else acc ** (1.0 / sp.q)
+        else:
+            if q_inf:
+                pointwise = arrs[contributing[0]].copy()
+                for j in contributing[1:]:
+                    np.maximum(pointwise, arrs[j], out=pointwise)
+            else:
+                pointwise = sum(arrs[j] ** sp.q for j in contributing) ** (1.0 / sp.q)
+            vals = (block_reduce(pointwise ** sp.p) * vol) ** (1.0 / sp.p)
+        vals = vals * math.ldexp(1.0, j_p * n) ** sp.tau
+        flat = int(np.argmax(vals))
+        v = float(vals.flat[flat])
+        if v > best:
+            best = v
+            idx = np.unravel_index(flat, vals.shape)
+            bounds = window.index_bounds(j_p)
+            best_cube = DyadicCube(n, j_p, tuple(b[0] + i for b, i in zip(bounds, idx)))
+    return NormResult(max(best, 0.0), best_cube,
+                      best_cube is not None and best_cube.j == window.j_min)
+
+
+@st.composite
+def _aligned_windows(draw):
+    """1D and 2D windows with negative j_min and boxes off the origin, whose
+    edges are multiples of the coarsest cube side."""
+    n = draw(st.sampled_from((1, 2)))
+    j_min = draw(st.integers(-2, 1))
+    j_max = min(j_min + draw(st.integers(0, 2)), 2 if n == 2 else 3)
+    step = 1 << max(0, -j_min)
+    lo, hi = [], []
+    for _ in range(n):
+        a = step * draw(st.integers(-1, 1))
+        lo.append(a)
+        hi.append(a + step * draw(st.integers(1, 2)))
+    return LatticeWindow(n, j_min, j_max, tuple(lo), tuple(hi))
+
+
+_SPACES = st.builds(SpaceParams, st.sampled_from((BESOV, TRIEBEL_LIZORKIN)),
+                    st.floats(-0.5, 0.5), st.floats(0.0, 0.6), st.sampled_from((0.7, 1.0, 2.0)),
+                    st.sampled_from((0.5, 2.0, INF)))
+
+
+@given(window=_aligned_windows(), sp=_SPACES, samples=st.integers(1, 6),
+       extra=st.integers(0, 2), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=60, deadline=None)
+def test_la_norms_rows_match_single_stack_calls(window, sp, samples, extra, seed):
+    rng = np.random.default_rng(seed)
+    stack = LevelFunctionStack(window, window.j_max + extra, {}, samples)
+    for j in range(window.j_min, window.j_max + 1):
+        if rng.random() < 0.7:
+            # some samples vanish on a level, some everywhere
+            keep = rng.random(samples) < 0.7
+            stack.levels[j] = rng.random((samples,) + stack.grid_shape) * keep[
+                (slice(None),) + (None,) * window.n]
+    got = la_norms(stack, sp)
+    assert len(got) == samples
+    for s, res in enumerate(got):
+        one = stack.sample(s)
+        assert res == la_norm(one, sp)
+        if not any(np.any(a) for a in one.levels.values()):
+            assert res == NormResult(0.0, None, False)
+            continue
+        ref = la_norm_reference(one, sp)
+        assert res.value == pytest.approx(ref.value, rel=1e-12, abs=0)
+        assert (res.attaining, res.boundary_flag) == (ref.attaining, ref.boundary_flag)
+
+
+def test_la_norms_refuses_single_stack():
+    with pytest.raises(PreconditionError, match="batched stack"):
+        la_norms(LevelFunctionStack(_window(), 5, {}), B(0, 0, 2, 2))
+
+
+@given(window=_aligned_windows(), m=st.sampled_from((1, 2)), samples=st.integers(1, 7),
+       block=st.sampled_from((1, 3, None)), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=30, deadline=None)
+def test_batched_field_norms_match_per_field_calls(window, m, samples, block, seed):
+    rng = np.random.default_rng(seed)
+    fields = [CoeffField.random(window, m, rng, density=0.4, complex_values=True)
+              for _ in range(samples)]
+    rows = np.stack([t.rows() for t in fields])
+    sp = SpaceParams(BESOV, 0.2, 0.1, 1.5, 2.0)
+    W = MatrixWeight.diag_power(np.arange(1.0, m + 1), np.linspace(0.2, -0.3, m), window.n,
+                                floor=0.1)
+    fam = ReducingFamily.build(W, 2.0, window, QuadratureSpec(2, 1))
+    with (mock.patch.object(seq_module, "_samples_per_block", lambda per_sample: block)
+          if block else contextlib.nullcontext()):
+        weighted = seq_norms_weighted(window, rows, W, sp, 1)
+        averaged = seq_norms_averaged(window, rows, fam, sp)
+    for t, a, b in zip(fields, weighted, averaged):
+        assert a == seq_norm_weighted(t, W, sp, 1)
+        assert b == seq_norm_averaged(t, fam, sp)
+
+
+def equivalence_report_reference(fields, W, fam, sp, grid_extra=2):
+    """The per-field report: two norms per field, one field at a time."""
+    ratios, skipped = [], 0
+    for t in fields:
+        a = seq_norm_weighted(t, W, sp, grid_extra).value
+        b = seq_norm_averaged(t, fam, sp).value
+        if a == 0.0 or b == 0.0:
+            skipped += 1
+            continue
+        ratios.append(a / b)
+    return {"count": len(ratios), "skipped_zero": skipped, "min": min(ratios),
+            "max": max(ratios), "spread": max(ratios) / min(ratios)}
+
+
+def test_equivalence_report_matches_per_field_reference():
+    win = LatticeWindow(2, -1, 1, (-2, 0), (2, 2))
+    W = MatrixWeight.diag_power([1.0, 2.0], [0.3, -0.2], n=2, floor=0.1)
+    fam = ReducingFamily.build(W, 2.0, win, QuadratureSpec(2, 1))
+    sp = F(0.1, 0.2, 1.5, INF)
+    rng = np.random.default_rng(12)
+    fields = [CoeffField.random(win, 2, rng, density=0.3) for _ in range(9)] + [CoeffField(win, 2)]
+    with mock.patch.object(seq_module, "_samples_per_block", lambda per_sample: 4):
+        got = equivalence_report(fields, W, fam, sp)
+    assert got == equivalence_report_reference(fields, W, fam, sp)
+    assert got["skipped_zero"] >= 1
+
+
+def test_equivalence_report_refuses_mixed_windows():
+    W = MatrixWeight.identity(1, 1)
+    fam = ReducingFamily.identity(1, 2.0, _window())
+    fields = [CoeffField(_window(), 1, {DyadicCube(1, 0, (0,)): [1.0]}),
+              CoeffField(_window(j_max=2), 1, {DyadicCube(1, 0, (0,)): [1.0]})]
+    with pytest.raises(PreconditionError, match="share one window"):
+        equivalence_report(fields, W, fam, B(0, 0, 2, 2))

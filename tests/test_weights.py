@@ -509,3 +509,82 @@ def test_complex_weight_direction_certificate_uses_complex_norms():
     rep = john_direction_report(W, 2.0, DyadicCube(1, 0, (0,)), QuadratureSpec(4, 2))
     assert rep["ratio_min"] == pytest.approx(1.0, abs=1e-12)
     assert rep["ratio_max"] == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# non-finite weights are refused
+
+
+@given(kind=st.sampled_from(("constant", "diag-power", "grid")),
+       bad=st.sampled_from((np.nan, np.inf, -np.inf)), m=st.integers(1, 3), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_weight_constructors_refuse_non_finite_entries(kind, bad, m, data):
+    if kind == "constant":
+        mat = np.eye(m)
+        idx = (data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1)))
+        mat[idx] = bad
+        with pytest.raises(PreconditionError, match=rf"constant weight matrix at entry \({idx[0]}, {idx[1]}\)"):
+            MatrixWeight.constant(mat, 1)
+    elif kind == "diag-power":
+        a, alpha = np.ones(m), np.zeros(m)
+        i = data.draw(st.integers(0, m - 1))
+        which = data.draw(st.sampled_from(("coefficient", "exponent")))
+        (a if which == "coefficient" else alpha)[i] = bad
+        with pytest.raises(PreconditionError, match=rf"{which} at entry \({i},\)"):
+            MatrixWeight.diag_power(a, alpha, 1)
+    else:
+        values = np.broadcast_to(np.eye(m), (4, m, m)).copy()
+        idx = (data.draw(st.integers(0, 3)), data.draw(st.integers(0, m - 1)),
+               data.draw(st.integers(0, m - 1)))
+        values[idx] = bad
+        with pytest.raises(PreconditionError, match=rf"grid weight value at entry \({idx[0]}, {idx[1]}, {idx[2]}\)"):
+            MatrixWeight.grid([0], [1], 2, values)
+
+
+def test_weight_evaluation_refuses_non_finite_value_and_names_the_point():
+    # |x|^-1 without a floor is infinite at the origin
+    W = MatrixWeight.diag_power([1.0], [-1.0], n=1)
+    with np.errstate(divide="ignore"), pytest.raises(
+            PreconditionError, match=r"not finite at the point \[0\.0\]"):
+        W(np.array([[0.5], [0.0], [0.25]]))
+    bad = MatrixWeight(1, 2, lambda x: np.where(x[:, :1, None] > 0.5, np.nan, 1.0))
+    with pytest.raises(PreconditionError, match=r"point \[0\.75, 0\.0\]"):
+        bad.power(np.array([[0.25, 0.0], [0.75, 0.0]]), 0.5)
+
+
+# ---------------------------------------------------------------------------
+# one eigendecomposition when x and y are the same nodes
+
+
+def _counting(W):
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return W(x)
+
+    return MatrixWeight(W.m, W.n, f), calls
+
+
+@pytest.mark.parametrize("p", [0.8, 1.5, 3.0])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_defining_average_same_nodes_takes_one_eigh(p, m):
+    rng = np.random.default_rng(m)
+    base = rng.standard_normal((8, m, m))
+    cells = base @ np.swapaxes(base, -1, -2) + 0.1 * np.eye(m)
+    W, calls = _counting(MatrixWeight.grid([0, 0], [1, 1], 1, cells.reshape(2, 2, 2, m, m)[0]))
+    nodes, _ = QuadratureSpec(3, 1).nodes((0.0, 0.0), (1.0, 0.5))
+    with mock.patch("numpy.linalg.eigh", wraps=np.linalg.eigh) as eigh:
+        same = weights._defining_average(W, p, nodes, nodes)
+        assert eigh.call_count == 1 and len(calls) == 1
+        apart = weights._defining_average(W, p, nodes, nodes.copy())
+        assert eigh.call_count == 3 and len(calls) == 3
+    assert same == apart  # bitwise
+
+
+def test_defining_average_same_nodes_keeps_singular_refusal():
+    nodes, _ = QuadratureSpec(2, 0).nodes((0.0,), (1.0,))
+    W = MatrixWeight.constant([[0.0, 0.0], [0.0, 0.0]], 1)
+    for y in (nodes, nodes.copy()):
+        with pytest.raises(SingularWeightError, match=r"weight is singular at \[0\.25\]"):
+            weights._defining_average(W, 2.0, nodes, y)
