@@ -19,7 +19,7 @@ from .errors import PreconditionError
 from .molecules import MoleculeFamily, mgh_bound
 from .params import ADRegion, SpaceParams
 from .seq import CoeffField, random_rows, seq_norms_averaged, seq_norms_weighted
-from .weights import MatrixWeight, ReducingFamily
+from .weights import MatrixWeight, QuadratureSpec, ReducingFamily
 
 
 # Matrix entries per row block of apply: bounds its temporaries on large windows.
@@ -326,11 +326,7 @@ def _pair_inner_product(fa, fs, quad_points: int) -> tuple[complex, float]:
         return 0.0, 0.0
 
     def midpoint(cells: int) -> complex:
-        axes = [lo[i] + (hi[i] - lo[i]) * (np.arange(cells) + 0.5) / cells
-                for i in range(n)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        vol = float(np.prod((hi - lo) / cells))
+        pts, vol = QuadratureSpec(cells, 0).nodes(lo, hi)
         return complex(np.sum(fa(pts) * np.conj(fs(pts))) * vol)
 
     coarse = midpoint(quad_points // 2 if n == 1 else 48)

@@ -30,7 +30,7 @@ from .errors import DyadicaError, PreconditionError
 from .molecules import ValidationGrid, make_atom, validate_atom, validate_molecule
 from .params import SpaceParams, ad_region, derived_indices, derived_table
 from .seq import CoeffField, seq_norm_weighted
-from .trace import TracePair, base_window, trace_coeffs, weight_compat_check
+from .trace import TracePair, base_window, channel_norm, trace_coeffs, weight_compat_check
 from .wavelets import (
     FunctionSample,
     WaveletSystem,
@@ -159,8 +159,8 @@ def cmd_trace(args) -> dict:
     from .trace import target_params
     sp_t = target_params(sp, window.n)
     bw = base_window(window)
-    src = sum(seq_norm_weighted(tf, W, sp).value for tf in coefs.values())
-    tgt = sum(seq_norm_weighted(tf, V, sp_t).value for tf in traced.values())
+    src = channel_norm(coefs, W, sp)
+    tgt = channel_norm(traced, V, sp_t)
     quad = QuadratureSpec.parse(args.quad)
     c116, c127 = weight_compat_check(V, W, sp.p, bw, quad)
     return {

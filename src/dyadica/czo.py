@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dyadic import tensor_points
 from .errors import PreconditionError
-from .molecules import MoleculeCandidate, multi_indices
+from .molecules import MoleculeCandidate, central_difference, multi_indices
 from .params import (
     ConstraintSet,
     DerivedIndices,
@@ -28,6 +29,9 @@ from .params import (
 )
 from .wavelets import FunctionSample
 
+# central-difference step of kernel derivatives, relative to the separation
+KERNEL_FD_REL = 1e-3
+
 
 class Kernel:
     """Off-diagonal kernel evaluator with mixed-derivative access.
@@ -38,45 +42,31 @@ class Kernel:
     """
 
     def __init__(self, n: int, eval_fn, derivatives: dict | None = None,
-                 max_order: int = 4, fd_rel: float = 1e-3, label: str = "kernel"):
+                 max_order: int = 4, label: str = "kernel"):
         self.n = int(n)
         self._eval = eval_fn
         self.derivatives = derivatives or {}
         self.max_order = max_order
-        self.fd_rel = fd_rel
         self.label = label
 
     def __call__(self, X, Y) -> np.ndarray:
         return np.asarray(self._eval(np.atleast_2d(X), np.atleast_2d(Y)), dtype=complex)
 
     def deriv(self, alpha: tuple[int, ...], beta: tuple[int, ...], X, Y) -> np.ndarray:
-        oa, ob = sum(alpha), sum(beta)
-        if oa == 0 and ob == 0:
-            return self(X, Y)
-        key = (tuple(alpha), tuple(beta))
-        if key in self.derivatives:
-            return np.asarray(self.derivatives[key](np.atleast_2d(X), np.atleast_2d(Y)),
-                              dtype=complex)
-        if oa + ob > self.max_order:
+        return central_difference(
+            self._known, (tuple(alpha), tuple(beta)), (np.atleast_2d(X), np.atleast_2d(Y)),
+            lambda which, args: KERNEL_FD_REL * np.linalg.norm(args[0] - args[1], axis=-1))
+
+    def _known(self, orders, args):
+        if not any(map(any, orders)):
+            return self(*args)
+        if orders in self.derivatives:
+            return np.asarray(self.derivatives[orders](*args), dtype=complex)
+        if sum(map(sum, orders)) > self.max_order:
             raise PreconditionError(
                 f"kernel declares derivatives up to order {self.max_order}, "
-                f"requested {alpha}|{beta}")
-        X = np.atleast_2d(X)
-        Y = np.atleast_2d(Y)
-        h = self.fd_rel * np.linalg.norm(X - Y, axis=-1, keepdims=True)
-        if oa > 0:
-            axis = next(i for i, a in enumerate(alpha) if a > 0)
-            lower = tuple(a - (1 if i == axis else 0) for i, a in enumerate(alpha))
-            step = np.zeros_like(X)
-            step[:, axis] = h[:, 0]
-            return (self.deriv(lower, beta, X + step, Y)
-                    - self.deriv(lower, beta, X - step, Y)) / (2 * h[:, 0])
-        axis = next(i for i, b in enumerate(beta) if b > 0)
-        lower = tuple(b - (1 if i == axis else 0) for i, b in enumerate(beta))
-        step = np.zeros_like(Y)
-        step[:, axis] = h[:, 0]
-        return (self.deriv(alpha, lower, X, Y + step)
-                - self.deriv(alpha, lower, X, Y - step)) / (2 * h[:, 0])
+                f"requested {orders[0]}|{orders[1]}")
+        return None
 
 
 def _hilbert() -> Kernel:
@@ -111,7 +101,7 @@ def _truncated() -> Kernel:
         d = X[:, 0] - Y[:, 0]
         return np.where(np.abs(d) > 1.0, 1.0 / d, 0.0)
 
-    return Kernel(1, base, max_order=2, fd_rel=1e-3, label="truncated")
+    return Kernel(1, base, max_order=2, label="truncated")
 
 
 def difference_grid_kernel(diffs: np.ndarray, values: np.ndarray,
@@ -428,12 +418,9 @@ def apply_to_atom_farfield(K: Kernel, atom: MoleculeCandidate,
     lo = c - atom.support_radius * atom.cube.side
     hi = c + atom.support_radius * atom.cube.side
     nodes_1d, w_1d = np.polynomial.legendre.leggauss(quad_points)
-    axes = [0.5 * (hi[i] - lo[i]) * nodes_1d + 0.5 * (hi[i] + lo[i]) for i in range(n)]
-    waxes = [0.5 * (hi[i] - lo[i]) * w_1d for i in range(n)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    wg = np.meshgrid(*waxes, indexing="ij")
-    Y = np.stack([g.ravel() for g in grids], axis=-1)
-    wts = np.prod(np.stack([g.ravel() for g in wg], axis=-1), axis=-1)
+    Y = tensor_points([0.5 * (hi[i] - lo[i]) * nodes_1d + 0.5 * (hi[i] + lo[i])
+                       for i in range(n)])
+    wts = np.prod(tensor_points([0.5 * (hi[i] - lo[i]) * w_1d for i in range(n)]), axis=-1)
     avals = atom(Y)
 
     raw = np.zeros(len(xs), dtype=complex)
@@ -585,34 +572,20 @@ class SymbolS11u:
         return np.asarray(self._eval(np.atleast_2d(X), np.atleast_2d(XI)), dtype=complex)
 
     def deriv(self, alpha, beta, X, XI) -> np.ndarray:
-        oa, ob = sum(alpha), sum(beta)
-        if oa == 0 and ob == 0:
-            return self(X, XI)
-        key = (tuple(alpha), tuple(beta))
-        if key in self.derivatives:
-            return np.asarray(self.derivatives[key](np.atleast_2d(X), np.atleast_2d(XI)),
-                              dtype=complex)
-        if self.x_independent and oa > 0:
-            return np.zeros(np.atleast_2d(X).shape[0], dtype=complex)
-        if oa + ob > self.max_order:
+        return central_difference(
+            self._known, (tuple(alpha), tuple(beta)), (np.atleast_2d(X), np.atleast_2d(XI)),
+            lambda which, args: 1e-4 * np.linalg.norm(args[1], axis=-1) if which else 1e-4)
+
+    def _known(self, orders, args):
+        if not any(map(any, orders)):
+            return self(*args)
+        if orders in self.derivatives:
+            return np.asarray(self.derivatives[orders](*args), dtype=complex)
+        if self.x_independent and any(orders[0]):
+            return np.zeros(len(args[0]), dtype=complex)
+        if sum(map(sum, orders)) > self.max_order:
             raise PreconditionError("symbol derivative order deficit")
-        X = np.atleast_2d(X)
-        XI = np.atleast_2d(XI)
-        if oa > 0:
-            axis = next(i for i, a in enumerate(alpha) if a > 0)
-            lower = tuple(a - (1 if i == axis else 0) for i, a in enumerate(alpha))
-            h = 1e-4
-            step = np.zeros_like(X)
-            step[:, axis] = h
-            return (self.deriv(lower, beta, X + step, XI)
-                    - self.deriv(lower, beta, X - step, XI)) / (2 * h)
-        axis = next(i for i, b in enumerate(beta) if b > 0)
-        lower = tuple(b - (1 if i == axis else 0) for i, b in enumerate(beta))
-        h = 1e-4 * np.linalg.norm(XI, axis=-1, keepdims=True)
-        step = np.zeros_like(XI)
-        step[:, axis] = h[:, 0]
-        return (self.deriv(alpha, lower, X, XI + step)
-                - self.deriv(alpha, lower, X, XI - step)) / (2 * h[:, 0])
+        return None
 
     @classmethod
     def multiplier_power(cls, n: int, u: int) -> "SymbolS11u":
@@ -654,17 +627,14 @@ def apply_pdo(symbol: SymbolS11u, f: FunctionSample,
     if total > 0 and high / total > alias_tol:
         raise PreconditionError(
             f"aliasing: {high / total:.2e} of the energy sits above the band")
-    grids = np.meshgrid(*axes_freq, indexing="ij")
-    XI = np.stack([g.ravel() for g in grids], axis=-1)
+    XI = tensor_points(axes_freq)
     if symbol.x_independent:
         mult = symbol(np.zeros((1, n)), XI).reshape(shape)
         out = np.fft.ifftn(fhat * mult[None], axes=tuple(range(1, n + 1)))
         return FunctionSample(n, f.m, f.grid_level, f.start, out)
     # x-dependent: per-point synthesis out(x) = (1/N) sum_xi a(x, xi) fhat(xi)
     # e^{i xi (x - x0)}, with x0 the grid origin implied by the raw transform
-    xs_axes = [f.axis_points(i) for i in range(n)]
-    xg = np.meshgrid(*xs_axes, indexing="ij")
-    Xpts = np.stack([g.ravel() for g in xg], axis=-1)
+    Xpts = tensor_points([f.axis_points(i) for i in range(n)])
     origin = np.array([f.start[i] * h for i in range(n)])
     fhat_flat = fhat.reshape(f.m, -1)
     npts = Xpts.shape[0]

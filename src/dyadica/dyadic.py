@@ -105,6 +105,12 @@ def children(q: DyadicCube) -> list[DyadicCube]:
     return out
 
 
+def tensor_points(axes) -> np.ndarray:
+    """Every point of the tensor grid of the 1d arrays ``axes``, shape (N, n),
+    in C order: the last coordinate varies fastest."""
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
 @dataclass(frozen=True, eq=False)
 class CubeArrays:
     """N cubes as arrays: levels ``(N,)`` and integer indices ``(N, n)``.
@@ -142,8 +148,8 @@ class CubeArrays:
         """Every window cube, in the order of ``window.all_cubes()``."""
         levels, index = [], []
         for j in range(window.j_min, window.j_max + 1):
-            axes = [np.arange(a, b, dtype=np.int64) for a, b in window.index_bounds(j)]
-            grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, window.n)
+            grid = tensor_points([np.arange(a, b, dtype=np.int64)
+                                  for a, b in window.index_bounds(j)])
             levels.append(np.full(len(grid), j, dtype=np.int64))
             index.append(grid)
         return cls(np.concatenate(levels), np.concatenate(index))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import DyadicCube
+from .dyadic import DyadicCube, tensor_points
 from .errors import PreconditionError
 from .params import (
     DerivedIndices,
@@ -35,6 +35,29 @@ def envelope(K: float, q: DyadicCube, pts: np.ndarray) -> np.ndarray:
     t = (pts - np.array(q.lower)) / q.side
     r = np.linalg.norm(t, axis=-1)
     return q.volume ** -0.5 * (1.0 + r) ** -K
+
+
+def central_difference(known, orders: tuple, args: tuple, step) -> np.ndarray:
+    """Mixed partial by nested central differences; ``orders`` holds one
+    multi-index per point array (N, n) of ``args``.  ``known(orders, args)``
+    returns the partial where the caller has it, refuses orders beyond its
+    cap, and returns None otherwise; then the first argument of nonzero order
+    moves by +-h along its first such axis, with ``h = step(which, args)``
+    taken at the points of this level."""
+    value = known(orders, args)
+    if value is not None:
+        return value
+    which = next(i for i, g in enumerate(orders) if any(g))
+    axis = next(i for i, g in enumerate(orders[which]) if g > 0)
+    lower, up, down = list(orders), list(args), list(args)
+    lower[which] = tuple(g - (i == axis) for i, g in enumerate(orders[which]))
+    h = step(which, args)
+    shift = np.zeros(args[which].shape)
+    shift[:, axis] = h
+    up[which] = args[which] + shift
+    down[which] = args[which] - shift
+    return (central_difference(known, tuple(lower), tuple(up), step)
+            - central_difference(known, tuple(lower), tuple(down), step)) / (2 * h)
 
 
 def multi_indices(n: int, total_max: int):
@@ -72,23 +95,20 @@ class MoleculeCandidate:
         return np.asarray(self.func(np.atleast_2d(pts)), dtype=complex)
 
     def deriv(self, gamma: tuple[int, ...], pts) -> np.ndarray:
-        order = sum(gamma)
-        if order == 0:
+        return central_difference(self._known, (tuple(gamma),), (np.atleast_2d(pts),),
+                                  lambda which, args: self.fd_step_rel * self.cube.side)
+
+    def _known(self, orders, args):
+        (gamma,), (pts,) = orders, args
+        if not any(gamma):
             return self(pts)
         if gamma in self.derivatives:
-            return np.asarray(self.derivatives[gamma](np.atleast_2d(pts)), dtype=complex)
-        if order > self.max_order:
+            return np.asarray(self.derivatives[gamma](pts), dtype=complex)
+        if sum(gamma) > self.max_order:
             raise PreconditionError(
                 f"candidate declares derivatives up to order {self.max_order}, "
                 f"requested {gamma}")
-        # peel one coordinate and recurse with a central difference
-        axis = next(i for i, gi in enumerate(gamma) if gi > 0)
-        lower = tuple(gi - (1 if i == axis else 0) for i, gi in enumerate(gamma))
-        h = self.fd_step_rel * self.cube.side
-        pts = np.atleast_2d(pts)
-        step = np.zeros(pts.shape[-1])
-        step[axis] = h
-        return (self.deriv(lower, pts + step) - self.deriv(lower, pts - step)) / (2 * h)
+        return None
 
 
 @dataclass(frozen=True)
@@ -101,12 +121,8 @@ class ValidationGrid:
     def points(self, q: DyadicCube, extent: float | None = None) -> np.ndarray:
         extent = self.extent if extent is None else extent
         total = int(extent * self.points_per_side)
-        axes = []
-        for c in q.center:
-            offs = (np.arange(total) + 0.5) / self.points_per_side - extent / 2
-            axes.append(c + q.side * offs)
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
+        offs = (np.arange(total) + 0.5) / self.points_per_side - extent / 2
+        return tensor_points([c + q.side * offs for c in q.center])
 
 
 @dataclass
@@ -184,23 +200,16 @@ def _moment_quadrature(f: MoleculeCandidate, gamma: tuple[int, ...],
     if f.support_radius < math.inf:
         lo = np.maximum(lo, np.array(q.center) - f.support_radius * q.side)
         hi = np.minimum(hi, np.array(q.center) + f.support_radius * q.side)
+    nodes_1d, weights_1d = np.polynomial.legendre.leggauss(order)
     prev = None
     panels = 1
     for _ in range(max_refine + 1):
-        nodes_1d, weights_1d = np.polynomial.legendre.leggauss(order)
-        axes, waxes = [], []
-        for i in range(n):
-            edges = np.linspace(lo[i], hi[i], panels + 1)
-            xs, ws = [], []
-            for a, b in zip(edges[:-1], edges[1:]):
-                xs.append(0.5 * (b - a) * nodes_1d + 0.5 * (a + b))
-                ws.append(0.5 * (b - a) * weights_1d)
-            axes.append(np.concatenate(xs))
-            waxes.append(np.concatenate(ws))
-        grids = np.meshgrid(*axes, indexing="ij")
-        wgrids = np.meshgrid(*waxes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        w = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
+        # per axis, the nodes and weights of every panel [a, b), panel by panel
+        edges = [np.linspace(lo[i], hi[i], panels + 1)[:, None] for i in range(n)]
+        half = [0.5 * (e[1:] - e[:-1]) for e in edges]
+        pts = tensor_points([(d * nodes_1d + 0.5 * (e[:-1] + e[1:])).ravel()
+                             for d, e in zip(half, edges)])
+        w = np.prod(tensor_points([(d * weights_1d).ravel() for d in half]), axis=-1)
         mono = np.prod(pts ** np.array(gamma), axis=-1)
         val = complex(np.sum(w * mono * f(pts)))
         if prev is not None and abs(val - prev) <= max(tol_abs, 1e-300):
@@ -213,9 +222,7 @@ def _moment_quadrature(f: MoleculeCandidate, gamma: tuple[int, ...],
 def _aligned_moment(f: MoleculeCandidate, gamma: tuple[int, ...]) -> complex:
     h, lo, hi = f.aligned_grid
     n = f.cube.n
-    axes = [lo[i] + h * np.arange(round((hi[i] - lo[i]) / h)) for i in range(n)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    pts = tensor_points([lo[i] + h * np.arange(round((hi[i] - lo[i]) / h)) for i in range(n)])
     mono = np.prod(pts ** np.array(gamma), axis=-1)
     return complex(np.sum(mono * f(pts)) * h ** n)
 

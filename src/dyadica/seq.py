@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import CubeArrays, DyadicCube, LatticeWindow, format_cube
+from .dyadic import CubeArrays, DyadicCube, LatticeWindow, format_cube, tensor_points
 from .errors import PreconditionError
 from .params import BESOV, SpaceParams
 from .weights import MatrixWeight, ReducingFamily
@@ -359,9 +359,7 @@ class LevelFunctionStack:
         return self.window.lo[axis] + (np.arange(cells) + 0.5) * math.ldexp(1.0, -self.grid_level)
 
     def midpoints(self) -> np.ndarray:
-        axes = [self.midpoints_axis(i) for i in range(self.window.n)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
+        return tensor_points([self.midpoints_axis(i) for i in range(self.window.n)])
 
     def sample(self, i: int) -> "LevelFunctionStack":
         """Stack i of a batch, as a single stack."""
@@ -664,28 +662,27 @@ def subset_norm(t: CoeffField, selector, sp: SpaceParams, delta: float,
     stack = LevelFunctionStack(win, grid_level, {})
     shape = stack.grid_shape
     h = math.ldexp(1.0, -grid_level)
-    for j in t.levels():
-        g = np.zeros(shape)
-        for q, v in t.items():
-            if q.j != j:
-                continue
-            lo, hi = selector(q)
-            lo = np.asarray(lo, dtype=float)
-            hi = np.asarray(hi, dtype=float)
-            if np.any(lo < np.array(q.lower) - 1e-12) or np.any(hi > np.array(q.upper) + 1e-12):
-                raise PreconditionError(f"selector box leaves the cube {q}")
-            sl = []
-            cube_cells = 1
-            sub_cells = 1
-            for axis in range(win.n):
-                a0 = int(round((lo[axis] - win.lo[axis]) / h))
-                a1 = int(round((hi[axis] - win.lo[axis]) / h))
-                sl.append(slice(a0, a1))
-                sub_cells *= max(a1 - a0, 0)
-                cube_cells *= 1 << (grid_level - j)
-            if sub_cells < delta * cube_cells - 1e-9:
-                raise PreconditionError(
-                    f"selector keeps {sub_cells}/{cube_cells} cells of {q}, below delta={delta}")
-            g[tuple(sl)] += float(np.abs(v[0]))
-        stack.levels[j] = 2.0 ** (j * (sp.s + win.n / 2.0)) * g
+    for q, v in t.items():
+        if q.j not in stack.levels:
+            stack.levels[q.j] = np.zeros(shape)
+        lo, hi = selector(q)
+        lo = np.asarray(lo, dtype=float)
+        hi = np.asarray(hi, dtype=float)
+        if np.any(lo < np.array(q.lower) - 1e-12) or np.any(hi > np.array(q.upper) + 1e-12):
+            raise PreconditionError(f"selector box leaves the cube {q}")
+        sl = []
+        cube_cells = 1
+        sub_cells = 1
+        for axis in range(win.n):
+            a0 = int(round((lo[axis] - win.lo[axis]) / h))
+            a1 = int(round((hi[axis] - win.lo[axis]) / h))
+            sl.append(slice(a0, a1))
+            sub_cells *= max(a1 - a0, 0)
+            cube_cells *= 1 << (grid_level - q.j)
+        if sub_cells < delta * cube_cells - 1e-9:
+            raise PreconditionError(
+                f"selector keeps {sub_cells}/{cube_cells} cells of {q}, below delta={delta}")
+        stack.levels[q.j][tuple(sl)] += float(np.abs(v[0]))
+    for j, g in stack.levels.items():
+        g *= 2.0 ** (j * (sp.s + win.n / 2.0))
     return la_norm(stack, sp, win)

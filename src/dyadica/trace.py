@@ -15,12 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicCube, LatticeWindow, base_of, stack_cube
+from .dyadic import CubeArrays, DyadicCube, LatticeWindow, base_of, stack_cube
 from .errors import PreconditionError
 from .params import BESOV, SpaceParams, trace_threshold
-from .seq import CoeffField, seq_norm_weighted
+from .seq import CoeffField, seq_norms_weighted
 from .wavelets import WaveletSystem
-from .weights import MatrixWeight, QuadratureSpec
+from .weights import MatrixWeight, QuadratureSpec, _cube_nodes, _direction_averages
+
+# sampled unit directions of the weight compatibility constants
+COMPAT_DIRECTIONS = 32
 
 
 def target_params(sp: SpaceParams, n: int) -> SpaceParams:
@@ -191,34 +194,31 @@ def ext_coeffs(tp: TracePair, coefs: dict, out_window: LatticeWindow) -> SlabCoe
 
 def weight_compat_check(V: MatrixWeight, W: MatrixWeight, p: float,
                         window: LatticeWindow,
-                        quad: QuadratureSpec = QuadratureSpec(),
-                        directions: int = 32,
-                        rng: np.random.Generator | None = None) -> tuple[float, float]:
+                        quad: QuadratureSpec = QuadratureSpec()) -> tuple[float, float]:
     """Ratio constants between base-cube averages of V and stacked-cube
     averages of W, over window cubes and sampled directions."""
     if V.m != W.m:
         raise PreconditionError("weights have different vector dimensions")
     if V.n != window.n or W.n != window.n + 1:
         raise PreconditionError("weight dimensions do not match the base window")
-    rng = rng or np.random.default_rng(0)
-    m = V.m
-    dirs = rng.standard_normal((directions, m))
+    dirs = np.random.default_rng(0).standard_normal((COMPAT_DIRECTIONS, V.m))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    c116 = 0.0
-    c127 = 0.0
-    for base in window.all_cubes():
-        cube = stack_cube(base, 0)
-        xv, _ = quad.nodes(base.lower, base.upper)
-        xw, _ = quad.nodes(cube.lower, cube.upper)
-        rv = V.power(xv, 1.0 / p)
-        rw = W.power(xw, 1.0 / p)
-        num = np.mean(np.linalg.norm(np.einsum("nab,db->nda", rv, dirs), axis=-1) ** p, axis=0)
-        den = np.mean(np.linalg.norm(np.einsum("nab,db->nda", rw, dirs), axis=-1) ** p, axis=0)
-        if np.any(den <= 0) or np.any(num <= 0):
-            raise PreconditionError(f"degenerate average on cube {base}")
-        c116 = max(c116, float(np.max(num / den)))
-        c127 = max(c127, float(np.max(den / num)))
-    return c116, c127
+    base = CubeArrays.of_window(window)
+    stacked = CubeArrays(base.levels, np.pad(base.index, ((0, 0), (0, 1))))  # slab 0
+    num = _direction_averages(V, p, _cube_nodes(quad, base), dirs)
+    den = _direction_averages(W, p, _cube_nodes(quad, stacked), dirs)
+    bad = np.any((num <= 0) | (den <= 0), axis=1)
+    if bad.any():
+        raise PreconditionError(f"degenerate average on cube {base.cube(int(np.argmax(bad)))}")
+    return float(np.max(num / den)), float(np.max(den / num))
+
+
+def channel_norm(fields: dict, W: MatrixWeight, sp: SpaceParams, grid_extra: int = 2) -> float:
+    """Sum of the weighted norms of channel fields that share one window,
+    taken as one batch: W^{1/p} is evaluated once on the stack grid."""
+    rows = np.stack([tf.rows() for tf in fields.values()])
+    window = next(iter(fields.values())).window
+    return sum(r.value for r in seq_norms_weighted(window, rows, W, sp, grid_extra))
 
 
 def trace_norm_report(tp: TracePair, sp: SpaceParams, W: MatrixWeight,
@@ -249,16 +249,13 @@ def trace_norm_report(tp: TracePair, sp: SpaceParams, W: MatrixWeight,
             c116, c127 = weight_compat_check(V, W, sp.p, base_win, compat_quad)
         ratios = []
         for _ in range(samples):
-            coefs = {}
-            for lam in tp.source.channels:
-                coefs[lam] = CoeffField.random(src_win, W.m, rng, density=0.25)
-            source_norm = sum(
-                seq_norm_weighted(tf, W, sp, grid_extra).value for tf in coefs.values())
+            coefs = {lam: CoeffField.random(src_win, W.m, rng, density=0.25)
+                     for lam in tp.source.channels}
+            source_norm = channel_norm(coefs, W, sp, grid_extra)
             if source_norm == 0:
                 continue
             traced = trace_coeffs(tp, coefs, base_window(src_win))
-            target_norm = sum(
-                seq_norm_weighted(tf, V, sp_t, grid_extra).value for tf in traced.values())
+            target_norm = channel_norm(traced, V, sp_t, grid_extra)
             ratios.append(target_norm / source_norm)
         if not ratios:
             raise PreconditionError("trace ensemble degenerate")

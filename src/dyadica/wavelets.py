@@ -18,7 +18,7 @@ import mpmath
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dyadic import DyadicCube, LatticeWindow, children
+from .dyadic import DyadicCube, LatticeWindow, tensor_points
 from .errors import PreconditionError
 from .seq import CoeffField, NormResult, seq_norm_averaged, seq_norm_weighted
 
@@ -338,10 +338,8 @@ class FunctionSample:
         start = tuple(int(v) << grid_level if grid_level >= 0 else int(v) >> -grid_level
                       for v in lo)
         shape = tuple((int(b) - int(a)) << grid_level for a, b in zip(lo, hi))
-        axes = [(start[i] + np.arange(shape[i])) * math.ldexp(1.0, -grid_level)
-                for i in range(n)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
+        pts = tensor_points([(start[i] + np.arange(shape[i])) * math.ldexp(1.0, -grid_level)
+                             for i in range(n)])
         vals = np.asarray(f(pts), dtype=complex)
         if vals.ndim == 1:
             vals = vals[None, :]
@@ -552,19 +550,16 @@ class ReindexedAtoms:
     """
 
     coeffs: CoeffField          # materialized values coef / c
-    raw: dict                   # child cube -> (raw coef, lam, parent cube)
+    sources: dict               # channel -> source field with the original values
     c: float
     r: float
     sys: WaveletSystem
     source_window: LatticeWindow
 
     def channel_fields(self) -> dict:
-        """Rebuild the per-channel fields with the original float values."""
-        out = {lam: CoeffField(self.source_window, self.coeffs.m)
-               for lam in self.sys.channels}
-        for child, (v, lam, parent) in self.raw.items():
-            out[lam].set(parent, v)
-        return out
+        """Copies of the per-channel source fields, one per wavelet channel."""
+        empty = CoeffField(self.source_window, self.coeffs.m)
+        return {lam: self.sources.get(lam, empty).copy() for lam in self.sys.channels}
 
     def synthesize_exact(self, grid_level: int, start, shape) -> FunctionSample:
         return synthesize(self.channel_fields(), self.sys, grid_level, start,
@@ -586,16 +581,18 @@ def atoms_from_wavelets(coefs: dict, sys: WaveletSystem,
                                    src_window.j_max + 1, src_window.lo, src_window.hi)
     c = _atom_constant(sys)
     out = CoeffField(out_window, m)
-    raw = {}
-    for lam_index, lam in enumerate(sys.channels):
-        tf = coefs.get(lam)
-        if tf is None:
-            continue
-        for q, v in tf.items():
-            child = children(q)[lam_index]
-            out.set(child, v / c)
-            raw[child] = (v, lam, q)
-    return ReindexedAtoms(out, raw, c, _atom_dilation(sys), sys, src_window)
+    sources = {lam: coefs[lam] for lam in sys.channels if lam in coefs}
+    # child offsets in the order of dyadic.children; channel i takes offset i
+    offsets = dict(zip(sys.channels, itertools.product((0, 1), repeat=sys.n)))
+    for j in sorted({j for tf in sources.values() for j in tf.levels()}):
+        bounds = src_window.index_bounds(j)
+        block = np.zeros((m,) + tuple(2 * (hi - lo) for lo, hi in bounds), dtype=complex)
+        for lam, tf in sources.items():
+            if tf.level(j) is not None:
+                block[(slice(None),) + tuple(slice(o, None, 2) for o in offsets[lam])] = \
+                    tf.level(j) / c
+        out.write(j + 1, tuple(2 * lo for lo, _ in bounds), block)
+    return ReindexedAtoms(out, sources, c, _atom_dilation(sys), sys, src_window)
 
 
 def _atom_constant(sys: WaveletSystem) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import CubeArrays, DyadicCube, LatticeWindow
+from .dyadic import CubeArrays, DyadicCube, LatticeWindow, tensor_points
 from .errors import PreconditionError, SingularWeightError
 from .params import WeightDims
 
@@ -25,6 +25,8 @@ EIG_CLAMP_REL = 1e-14
 # the temporaries at a few MB whatever the quadrature and window size
 PAIR_BLOCK = 1 << 15
 MVEE_TOL = 1e-7
+# fresh unit directions of the direction-ratio certificate
+JOHN_DIRECTIONS = 256
 
 
 @dataclass(frozen=True)
@@ -42,18 +44,14 @@ class QuadratureSpec:
     def cells_per_axis(self) -> int:
         return self.points_per_axis * (1 << self.depth)
 
-    def refined(self) -> "QuadratureSpec":
-        return QuadratureSpec(self.points_per_axis, self.depth + 1)
-
     def nodes(self, lo, hi) -> tuple[np.ndarray, float]:
         """Midpoint nodes of the box [lo, hi) and the per-node volume."""
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         n = len(lo)
         c = self.cells_per_axis
-        axes = [lo[i] + (hi[i] - lo[i]) * (np.arange(c) + 0.5) / c for i in range(n)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
+        pts = tensor_points([lo[i] + (hi[i] - lo[i]) * (np.arange(c) + 0.5) / c
+                             for i in range(n)])
         vol = float(np.prod((hi - lo) / c))
         return pts, vol
 
@@ -80,7 +78,8 @@ class MatrixWeight:
 
     @classmethod
     def constant(cls, mat, n: int) -> "MatrixWeight":
-        mat = np.atleast_2d(np.asarray(mat, dtype=complex))
+        """The same matrix at every point; a real matrix stays real."""
+        mat = np.atleast_2d(np.asarray(mat, dtype=complex if np.iscomplexobj(mat) else float))
         _refuse_non_finite(mat, "constant weight matrix")
         m = mat.shape[0]
 
@@ -324,8 +323,12 @@ def _reducing_operators(W: MatrixWeight, p: float, cubes: CubeArrays,
     if p == 2:
         avg = _weight_means(W, nodes)
         return _psd_sqrt(avg, "average weight not positive definite"), *no_fit
+    if any(np.max(np.abs(W(nodes[blk].reshape(-1, cubes.n)).imag)) > 1e-12
+           for blk in _cube_blocks(len(cubes), nodes.shape[1])):
+        raise PreconditionError(
+            "ellipsoid fit supports real symmetric weights; use p = 2 for complex ones")
     dirs = _fit_directions(W.m, directions, rng)
-    rho = _direction_averages(W, p, nodes, dirs)
+    rho = _direction_averages(W, p, nodes, dirs) ** (1.0 / p)
     if np.any(rho <= 0):
         raise SingularWeightError("weight average vanishes in some direction")
     M, iterations, gap = _mvee_centered(dirs / rho[..., None])
@@ -382,18 +385,15 @@ def _fit_directions(m: int, directions: int | None,
 
 def _direction_averages(W: MatrixWeight, p: float, nodes: np.ndarray,
                         dirs: np.ndarray) -> np.ndarray:
-    """rho(z) = (avg |W^{1/p} z|^p)^{1/p} over each cube's nodes, shape (C, D)."""
+    """avg |W^{1/p} z|^p over each cube's nodes for every direction z, shape
+    (C, D); its p-th root is the p-average of |W^{1/p} z|.  Complex weights
+    are taken with their complex norms."""
     C, N, n = nodes.shape
-    rho = np.empty((C, len(dirs)))
+    avg = np.empty((C, len(dirs)))
     for blk in _cube_blocks(C, N * len(dirs)):
-        pts = nodes[blk].reshape(-1, n)
-        if np.max(np.abs(W(pts).imag)) > 1e-12:
-            raise PreconditionError(
-                "ellipsoid fit supports real symmetric weights; use p = 2 for complex ones")
-        root = W.power(pts, 1.0 / p).real.reshape(-1, N, W.m, W.m)
-        img = root @ dirs.T
-        rho[blk] = np.mean(np.linalg.norm(img, axis=-2) ** p, axis=1) ** (1.0 / p)
-    return rho
+        root = W.power(nodes[blk].reshape(-1, n), 1.0 / p).reshape(-1, N, W.m, W.m)
+        avg[blk] = np.mean(np.linalg.norm(root @ dirs.T, axis=-2) ** p, axis=1)
+    return avg
 
 
 def _kappas(P: np.ndarray, Pt: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -467,18 +467,12 @@ def _mvee_centered(pts: np.ndarray, tol: float = MVEE_TOL,
 
 def john_direction_report(W: MatrixWeight, p: float, cube: DyadicCube,
                           quad: QuadratureSpec = QuadratureSpec(),
-                          directions: int = 256,
                           rng: np.random.Generator | None = None) -> dict:
     """Two-sided direction-ratio certificate for a fitted reducing operator."""
     A = reducing_operator(W, p, cube, quad, rng=rng)
-    rng = rng or np.random.default_rng(1)
-    m = W.m
-    dirs = rng.standard_normal((directions, m))
+    dirs = (rng or np.random.default_rng(1)).standard_normal((JOHN_DIRECTIONS, W.m))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    nodes, _ = quad.nodes(cube.lower, cube.upper)
-    w_root = W.power(nodes, 1.0 / p)
-    img = np.einsum("nab,db->nda", w_root, dirs)
-    rho = (np.mean(np.linalg.norm(img, axis=-1) ** p, axis=0)) ** (1.0 / p)
+    rho = _direction_averages(W, p, _cube_nodes(quad, CubeArrays.of([cube])), dirs)[0] ** (1.0 / p)
     lhs = np.linalg.norm(dirs @ A.T, axis=-1)
     ratios = lhs / rho
     return {
@@ -486,7 +480,7 @@ def john_direction_report(W: MatrixWeight, p: float, cube: DyadicCube,
         "ratio_min": float(np.min(ratios)),
         "ratio_max": float(np.max(ratios)),
         "spread": float(np.max(ratios) / np.min(ratios)),
-        "john_factor": math.sqrt(m),
+        "john_factor": math.sqrt(W.m),
     }
 
 

@@ -8,6 +8,7 @@ from dyadica.czo import (
     Kernel,
     SamplingGeometry,
     SymbolS11u,
+    _riesz,
     apply_pdo,
     apply_to_atom_farfield,
     classify_factorization,
@@ -22,7 +23,7 @@ from dyadica.czo import (
 )
 from dyadica.dyadic import DyadicCube
 from dyadica.errors import PreconditionError
-from dyadica.molecules import MoleculeCandidate, make_atom
+from dyadica.molecules import MoleculeCandidate, make_atom, multi_indices
 from dyadica.params import (
     MoleculeParams,
     SpaceParams,
@@ -419,3 +420,116 @@ def test_custom_grid_kernel():
     assert far[0] == 0.0
     with pytest.raises(PreconditionError):
         kernel_by_name("custom-grid")
+
+
+# ---------------------------------------------------------------------------
+# the shared nested central difference against the per-class recursions it
+# replaced: results must be bitwise equal
+
+
+def _kernel_deriv_reference(K, alpha, beta, X, Y, fd_rel=1e-3):
+    oa, ob = sum(alpha), sum(beta)
+    if oa == 0 and ob == 0:
+        return K(X, Y)
+    key = (tuple(alpha), tuple(beta))
+    if key in K.derivatives:
+        return np.asarray(K.derivatives[key](np.atleast_2d(X), np.atleast_2d(Y)), dtype=complex)
+    if oa + ob > K.max_order:
+        raise PreconditionError("order above the cap")
+    X = np.atleast_2d(X)
+    Y = np.atleast_2d(Y)
+    h = fd_rel * np.linalg.norm(X - Y, axis=-1, keepdims=True)
+    if oa > 0:
+        axis = next(i for i, a in enumerate(alpha) if a > 0)
+        lower = tuple(a - (1 if i == axis else 0) for i, a in enumerate(alpha))
+        step = np.zeros_like(X)
+        step[:, axis] = h[:, 0]
+        return (_kernel_deriv_reference(K, lower, beta, X + step, Y)
+                - _kernel_deriv_reference(K, lower, beta, X - step, Y)) / (2 * h[:, 0])
+    axis = next(i for i, b in enumerate(beta) if b > 0)
+    lower = tuple(b - (1 if i == axis else 0) for i, b in enumerate(beta))
+    step = np.zeros_like(Y)
+    step[:, axis] = h[:, 0]
+    return (_kernel_deriv_reference(K, alpha, lower, X, Y + step)
+            - _kernel_deriv_reference(K, alpha, lower, X, Y - step)) / (2 * h[:, 0])
+
+
+def _symbol_deriv_reference(a, alpha, beta, X, XI):
+    oa, ob = sum(alpha), sum(beta)
+    if oa == 0 and ob == 0:
+        return a(X, XI)
+    key = (tuple(alpha), tuple(beta))
+    if key in a.derivatives:
+        return np.asarray(a.derivatives[key](np.atleast_2d(X), np.atleast_2d(XI)), dtype=complex)
+    if a.x_independent and oa > 0:
+        return np.zeros(np.atleast_2d(X).shape[0], dtype=complex)
+    if oa + ob > a.max_order:
+        raise PreconditionError("symbol derivative order deficit")
+    X = np.atleast_2d(X)
+    XI = np.atleast_2d(XI)
+    if oa > 0:
+        axis = next(i for i, v in enumerate(alpha) if v > 0)
+        lower = tuple(v - (1 if i == axis else 0) for i, v in enumerate(alpha))
+        h = 1e-4
+        step = np.zeros_like(X)
+        step[:, axis] = h
+        return (_symbol_deriv_reference(a, lower, beta, X + step, XI)
+                - _symbol_deriv_reference(a, lower, beta, X - step, XI)) / (2 * h)
+    axis = next(i for i, v in enumerate(beta) if v > 0)
+    lower = tuple(v - (1 if i == axis else 0) for i, v in enumerate(beta))
+    h = 1e-4 * np.linalg.norm(XI, axis=-1, keepdims=True)
+    step = np.zeros_like(XI)
+    step[:, axis] = h[:, 0]
+    return (_symbol_deriv_reference(a, alpha, lower, X, XI + step)
+            - _symbol_deriv_reference(a, alpha, lower, X, XI - step)) / (2 * h[:, 0])
+
+
+def _orders(n, cap):
+    return [(alpha, beta) for alpha in multi_indices(n, cap) for beta in multi_indices(n, cap)
+            if sum(alpha) + sum(beta) <= cap]
+
+
+def _hilbert_beyond_table():
+    # the registered closed forms through order 2 only: orders 3 and 4 take
+    # central differences on top of them
+    full = kernel_by_name("hilbert")
+    table = {k: f for k, f in full.derivatives.items() if sum(map(sum, k)) <= 2}
+    return Kernel(1, full._eval, table, max_order=4, label="hilbert-partial")
+
+
+@pytest.mark.parametrize("make", [
+    _hilbert_beyond_table,
+    lambda: kernel_by_name("riesz-0"),
+    lambda: kernel_by_name("riesz-1"),
+    lambda: _riesz(2, 3),
+    lambda: kernel_by_name("truncated"),
+], ids=["hilbert-beyond-table", "riesz-0-n2", "riesz-1-n2", "riesz-2-n3", "truncated"])
+def test_kernel_deriv_bitwise_equals_per_class_recursion(make):
+    K = make()
+    rng = np.random.default_rng(3)
+    Y = rng.uniform(-1, 1, (16, K.n))
+    X = Y + rng.uniform(0.5, 3.0, (16, 1)) * rng.choice([-1.0, 1.0], (16, K.n))
+    for alpha, beta in _orders(K.n, K.max_order):
+        got = K.deriv(alpha, beta, X, Y)
+        ref = _kernel_deriv_reference(K, alpha, beta, X, Y)
+        assert got.tobytes() == ref.tobytes(), (alpha, beta)
+    top = (K.max_order + 1,) + (0,) * (K.n - 1)
+    with pytest.raises(PreconditionError, match="kernel declares derivatives up to order"):
+        K.deriv(top, (0,) * K.n, X, Y)
+
+
+@pytest.mark.parametrize("symbol", [
+    SymbolS11u(2, 2, lambda X, XI: (1.0 + np.sum(X ** 2, axis=-1)) * np.sum(XI ** 2, axis=-1)
+               + 1j * np.sin(X[:, 0]) * XI[:, 1], max_order=3, label="x-dependent"),
+    SymbolS11u.multiplier_power(2, 3),
+], ids=["x-dependent", "x-independent"])
+def test_symbol_deriv_bitwise_equals_per_class_recursion(symbol):
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-2, 2, (12, 2))
+    XI = rng.standard_normal((12, 2)) * 4.0
+    for alpha, beta in _orders(2, symbol.max_order):
+        got = symbol.deriv(alpha, beta, X, XI)
+        ref = _symbol_deriv_reference(symbol, alpha, beta, X, XI)
+        assert got.tobytes() == ref.tobytes(), (alpha, beta)
+    with pytest.raises(PreconditionError, match="order deficit"):
+        symbol.deriv((0, 0), (symbol.max_order + 1, 0), X, XI)

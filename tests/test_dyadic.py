@@ -1,8 +1,13 @@
+import ast
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dyadica
 from dyadica.dyadic import (
     CubeArrays,
     DyadicCube,
@@ -15,6 +20,7 @@ from dyadica.dyadic import (
     normalized_indicator,
     parse_cube,
     stack_cube,
+    tensor_points,
 )
 from dyadica.errors import PreconditionError
 
@@ -218,3 +224,33 @@ def test_cube_arrays_follow_window_order():
     assert np.array_equal(arrays.index, CubeArrays.of(cubes).index)
     assert np.array_equal(arrays.lower, [q.lower for q in cubes])
     assert np.array_equal(arrays.side, [q.side for q in cubes])
+
+
+# ---------------------------------------------------------------------------
+# tensor grids
+
+
+def test_tensor_points_c_order():
+    axes = [np.array([0.5, -1.0]), np.array([2, 3, 4]), np.array([7.0])]
+    pts = tensor_points(axes)
+    assert pts.shape == (6, 3)
+    assert pts.tolist() == [list(p) for p in itertools.product(*axes)]
+    assert tensor_points([np.arange(3, dtype=np.int64)]).dtype == np.int64
+
+
+def test_meshgrid_only_in_tensor_points():
+    """Tensor grids go through dyadic.tensor_points; a second copy of the
+    meshgrid idiom anywhere in the package fails here."""
+    found = []
+    for path in sorted(Path(dyadica.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path.name == "dyadic.py":
+            fn = next(node for node in tree.body
+                      if isinstance(node, ast.FunctionDef) and node.name == "tensor_points")
+            allowed = {id(node) for node in ast.walk(fn)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if ((isinstance(node, ast.Attribute) and node.attr == "meshgrid")
+                      or (isinstance(node, ast.Name) and node.id == "meshgrid"))
+                  and id(node) not in allowed]
+    assert not found, f"np.meshgrid outside dyadic.tensor_points: {found}"

@@ -232,3 +232,109 @@ def test_wavelet_cancellation_claim_beyond_moments_fails():
     rep = validate_molecule(fam(Q0), K=3.0, L=4.0, M=3.0, N=1.0)
     assert not rep["cancellation"].passed
     assert rep["cancellation"].witness == (4,)
+
+
+# ---------------------------------------------------------------------------
+# the shared helpers against the code they replaced: the candidate's own
+# central-difference recursion and the per-panel Gauss-Legendre axes, both
+# bitwise
+
+
+def _candidate_deriv_reference(f, gamma, pts):
+    order = sum(gamma)
+    if order == 0:
+        return f(pts)
+    if gamma in f.derivatives:
+        return np.asarray(f.derivatives[gamma](np.atleast_2d(pts)), dtype=complex)
+    if order > f.max_order:
+        raise PreconditionError("order above the cap")
+    axis = next(i for i, gi in enumerate(gamma) if gi > 0)
+    lower = tuple(gi - (1 if i == axis else 0) for i, gi in enumerate(gamma))
+    h = f.fd_step_rel * f.cube.side
+    pts = np.atleast_2d(pts)
+    step = np.zeros(pts.shape[-1])
+    step[axis] = h
+    return (_candidate_deriv_reference(f, lower, pts + step)
+            - _candidate_deriv_reference(f, lower, pts - step)) / (2 * h)
+
+
+def _moment_quadrature_reference(f, gamma, extent, tol_abs, order=24, max_refine=6):
+    q = f.cube
+    n = q.n
+    lo = np.array(q.center) - extent / 2 * q.side
+    hi = np.array(q.center) + extent / 2 * q.side
+    if f.support_radius < np.inf:
+        lo = np.maximum(lo, np.array(q.center) - f.support_radius * q.side)
+        hi = np.minimum(hi, np.array(q.center) + f.support_radius * q.side)
+    prev = None
+    panels = 1
+    for _ in range(max_refine + 1):
+        nodes_1d, weights_1d = np.polynomial.legendre.leggauss(order)
+        axes, waxes = [], []
+        for i in range(n):
+            edges = np.linspace(lo[i], hi[i], panels + 1)
+            xs, ws = [], []
+            for a, b in zip(edges[:-1], edges[1:]):
+                xs.append(0.5 * (b - a) * nodes_1d + 0.5 * (a + b))
+                ws.append(0.5 * (b - a) * weights_1d)
+            axes.append(np.concatenate(xs))
+            waxes.append(np.concatenate(ws))
+        grids = np.meshgrid(*axes, indexing="ij")
+        wgrids = np.meshgrid(*waxes, indexing="ij")
+        pts = np.stack([g.ravel() for g in grids], axis=-1)
+        w = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
+        mono = np.prod(pts ** np.array(gamma), axis=-1)
+        val = complex(np.sum(w * mono * f(pts)))
+        if prev is not None and abs(val - prev) <= max(tol_abs, 1e-300):
+            return val
+        prev = val
+        panels *= 2
+    return prev
+
+
+def _smooth_candidate(n, max_order, partial=False):
+    q = DyadicCube(n, 1, (1,) * n)
+    c = np.array(q.center)
+
+    def f(pts):
+        t = (pts - c) / q.side
+        return np.exp(-np.sum(t ** 2, axis=-1)) * (1.0 + 0.5j * np.sin(t[:, 0]))
+
+    def d0(pts):
+        t = (pts - c) / q.side
+        e = np.exp(-np.sum(t ** 2, axis=-1))
+        return e * (-2 * t[:, 0] * (1.0 + 0.5j * np.sin(t[:, 0])) + 0.5j * np.cos(t[:, 0])) / q.side
+
+    # with a closed form for d/dx_0, differences also stop on a registered entry
+    derivatives = {(1,) + (0,) * (n - 1): d0} if partial else {}
+    return MoleculeCandidate(q, f, derivatives, max_order=max_order, fd_step_rel=1e-3)
+
+
+@pytest.mark.parametrize("n, partial", [(1, False), (2, False), (2, True), (3, False)])
+def test_candidate_deriv_bitwise_equals_own_recursion(n, partial):
+    f = _smooth_candidate(n, 3, partial)
+    pts = np.random.default_rng(n).uniform(0.0, 2.0, (20, n))
+    for gamma in multi_indices(n, 3):
+        got = f.deriv(gamma, pts)
+        assert got.tobytes() == _candidate_deriv_reference(f, gamma, pts).tobytes(), gamma
+    with pytest.raises(PreconditionError, match="declares derivatives up to order 3"):
+        f.deriv((4,) + (0,) * (n - 1), pts)
+
+
+def test_atom_deriv_bitwise_equals_own_recursion():
+    atom = make_atom(DyadicCube(2, 1, (1, 0)), 2.0, 1.0, 2.0)
+    atom.derivatives = {g: d for g, d in atom.derivatives.items() if sum(g) <= 1}
+    pts = ValidationGrid(extent=3.0, points_per_side=4).points(atom.cube)
+    for gamma in multi_indices(2, atom.max_order):
+        got = atom.deriv(gamma, pts)
+        assert got.tobytes() == _candidate_deriv_reference(atom, gamma, pts).tobytes(), gamma
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_moment_quadrature_bitwise_equals_per_panel_axes(n):
+    from dyadica.molecules import _moment_quadrature
+    f = _smooth_candidate(n, 0)
+    for gamma in multi_indices(n, 2):
+        for tol in (1e-3, 1e-14):  # stops after a few refinements, and at the cap
+            got = _moment_quadrature(f, gamma, 6.0, tol, max_refine=3)
+            assert got == _moment_quadrature_reference(f, gamma, 6.0, tol, max_refine=3)

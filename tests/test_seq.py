@@ -342,6 +342,47 @@ def test_subset_norm_delta_violation():
         subset_norm(t, sliver, sp, delta=0.5)
 
 
+def _subset_norm_reference(t, selector, sp, delta, grid_extra=3):
+    """One pass over every coefficient per level, as before the single pass."""
+    win = t.window
+    grid_level = win.j_max + grid_extra
+    stack = LevelFunctionStack(win, grid_level, {})
+    h = math.ldexp(1.0, -grid_level)
+    for j in t.levels():
+        g = np.zeros(stack.grid_shape)
+        for q, v in t.items():
+            if q.j != j:
+                continue
+            lo, hi = (np.asarray(b, dtype=float) for b in selector(q))
+            sl, cube_cells, sub_cells = [], 1, 1
+            for axis in range(win.n):
+                a0 = int(round((lo[axis] - win.lo[axis]) / h))
+                a1 = int(round((hi[axis] - win.lo[axis]) / h))
+                sl.append(slice(a0, a1))
+                sub_cells *= max(a1 - a0, 0)
+                cube_cells *= 1 << (grid_level - j)
+            if sub_cells < delta * cube_cells - 1e-9:
+                raise PreconditionError(f"selector keeps too few cells of {q}")
+            g[tuple(sl)] += float(np.abs(v[0]))
+        stack.levels[j] = 2.0 ** (j * (sp.s + win.n / 2.0)) * g
+    return la_norm(stack, sp, win)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_subset_norm_matches_per_level_oracle(n):
+    win = LatticeWindow(n, -1, 2, (-2,) * n, (2,) * n)
+    sp = F(0.2, 0.1, 1.5, 2.0)
+    rng = np.random.default_rng(n)
+
+    def corner(q):
+        lo = np.array(q.lower)
+        return lo, lo + 0.75 * (np.array(q.upper) - lo)
+
+    for _ in range(3):
+        t = CoeffField.random(win, 1, rng, density=0.4)
+        assert subset_norm(t, corner, sp, 0.25) == _subset_norm_reference(t, corner, sp, 0.25)
+
+
 def test_subset_norm_requires_f_family():
     win = _window()
     t = CoeffField(win, 1, {DyadicCube(1, 0, (0,)): [1.0]})

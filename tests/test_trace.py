@@ -6,9 +6,10 @@ import pytest
 from dyadica.dyadic import DyadicCube, LatticeWindow, stack_cube
 from dyadica.errors import PreconditionError
 from dyadica.params import BESOV, TRIEBEL_LIZORKIN, SpaceParams
-from dyadica.seq import CoeffField
+from dyadica.seq import CoeffField, seq_norm_weighted
 from dyadica.trace import (
     TracePair,
+    channel_norm,
     ext_coeffs,
     ext_wavelet,
     stacked_window,
@@ -239,3 +240,90 @@ def test_weight_compat_complex_weight():
                                      LatticeWindow(1, 0, 1, (0,), (1,)), QuadratureSpec(2, 1))
     assert c116 == pytest.approx(2.0, rel=1e-12)
     assert c127 == pytest.approx(0.5, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# batched forms against the per-cube and per-channel code they replaced
+
+
+def _weight_compat_check_reference(V, W, p, window, quad, directions=32):
+    rng = np.random.default_rng(0)
+    dirs = rng.standard_normal((directions, V.m))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    c116 = 0.0
+    c127 = 0.0
+    for base in window.all_cubes():
+        cube = stack_cube(base, 0)
+        xv, _ = quad.nodes(base.lower, base.upper)
+        xw, _ = quad.nodes(cube.lower, cube.upper)
+        rv = V.power(xv, 1.0 / p)
+        rw = W.power(xw, 1.0 / p)
+        num = np.mean(np.linalg.norm(np.einsum("nab,db->nda", rv, dirs), axis=-1) ** p, axis=0)
+        den = np.mean(np.linalg.norm(np.einsum("nab,db->nda", rw, dirs), axis=-1) ** p, axis=0)
+        if np.any(den <= 0) or np.any(num <= 0):
+            raise PreconditionError(f"degenerate average on cube {base}")
+        c116 = max(c116, float(np.max(num / den)))
+        c127 = max(c127, float(np.max(den / num)))
+    return c116, c127
+
+
+def _smooth_pair(m, complex_values, seed):
+    """V on R and W on R^2, Hermitian positive definite and smooth."""
+    rng = np.random.default_rng(seed)
+    coef = rng.standard_normal((3, m, m))
+    if complex_values:
+        coef = coef + 1j * rng.standard_normal((3, m, m))
+
+    def weight(n):
+        def f(x):
+            s = np.sin(np.pi * x[:, 0])[:, None, None]
+            c = np.cos(2.0 * x[:, -1] + n)[:, None, None]
+            M = coef[0] + s * coef[1] + c * coef[2]
+            return M @ np.swapaxes(M.conj(), -1, -2) + 0.2 * np.eye(m)
+        return MatrixWeight(m, n, f)
+
+    return weight(1), weight(2)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("complex_values", [False, True])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_weight_compat_matches_per_cube_oracle(m, complex_values, p):
+    V, W = _smooth_pair(m, complex_values, seed=m)
+    window = LatticeWindow(1, -1, 2, (-2,), (2,))
+    quad = QuadratureSpec(2, 1)
+    got = weight_compat_check(V, W, p, window, quad)
+    ref = _weight_compat_check_reference(V, W, p, window, quad)
+    assert got == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_weight_compat_complex_constant_matches_oracle(p):
+    V = MatrixWeight.constant([[2, 1j], [-1j, 2]], 1)
+    W = MatrixWeight.constant([[3, 1 - 1j], [1 + 1j, 2]], 2)
+    window = LatticeWindow(1, 0, 1, (0,), (1,))
+    got = weight_compat_check(V, W, p, window, QuadratureSpec(2, 1))
+    ref = _weight_compat_check_reference(V, W, p, window, QuadratureSpec(2, 1))
+    assert got == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+def test_weight_compat_names_the_first_degenerate_cube():
+    # V vanishes on [1/2, 1): the first such window cube is the level-1 cube 1
+    V = MatrixWeight(1, 1, lambda x: (x[:, :1, None] < 0.5).astype(float))
+    window = LatticeWindow(1, 0, 2, (0,), (1,))
+    with pytest.raises(PreconditionError, match=r"degenerate average on cube 1:1"):
+        weight_compat_check(V, MatrixWeight.identity(1, 2), 2.0, window, QuadratureSpec(2, 0))
+    with pytest.raises(PreconditionError, match=r"degenerate average on cube 1:1"):
+        _weight_compat_check_reference(V, MatrixWeight.identity(1, 2), 2.0, window,
+                                       QuadratureSpec(2, 0))
+
+
+def test_channel_norm_is_the_per_channel_sum(tp2):
+    sp = SpaceParams(BESOV, 1.6, 0.1, 2.0, 2.0)
+    window = LatticeWindow(2, 0, 2, (0, -1), (1, 1))
+    rng = np.random.default_rng(2)
+    fields = {lam: CoeffField.random(window, 1, rng, density=0.4) for lam in tp2.source.channels}
+    W = MatrixWeight.diag_power([1.5], [0.3], n=2, floor=0.1)
+    for grid_extra in (0, 2):
+        want = sum(seq_norm_weighted(tf, W, sp, grid_extra).value for tf in fields.values())
+        assert channel_norm(fields, W, sp, grid_extra) == want  # bitwise

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dyadica.dyadic import DyadicCube, LatticeWindow
+from dyadica.dyadic import DyadicCube, LatticeWindow, children
 from dyadica.errors import PreconditionError
 from dyadica.params import BESOV, SpaceParams
 from dyadica.seq import CoeffField
@@ -351,3 +351,38 @@ def test_vector_valued_roundtrip():
     for lam in coefs:
         for q in coefs[lam].cubes():
             assert np.allclose(coefs[lam].get(q)[0], c0[lam].get(q)[0], atol=1e-12)
+
+
+def _atoms_reference(coefs, sys, out_window, c):
+    """The per-cube re-indexing: channel i of cube Q on the i-th child of Q."""
+    out = CoeffField(out_window, next(iter(coefs.values())).m)
+    for lam_index, lam in enumerate(sys.channels):
+        if lam in coefs:
+            for q, v in coefs[lam].items():
+                out.set(children(q)[lam_index], v / c)
+    return out
+
+
+@pytest.mark.parametrize("n, window", [
+    (1, LatticeWindow(1, -2, 1, (-4,), (4,))),
+    (2, LatticeWindow(2, -1, 1, (-2, 0), (2, 2))),
+    (3, LatticeWindow(3, 0, 1, (0, 0, -1), (1, 1, 1))),
+])
+def test_atoms_from_wavelets_matches_per_cube_oracle(n, window):
+    sys = WaveletSystem(n, daubechies_filter(1), resolution=6)
+    rng = np.random.default_rng(n)
+    present = sys.channels[:-1] if n > 1 else sys.channels  # leave one channel out
+    coefs = {lam: CoeffField.random(window, 2, rng, density=0.4, complex_values=True)
+             for lam in present}
+    coefs[sys.scaling_channel] = CoeffField.random(window, 2, rng)  # not re-indexed
+    re = atoms_from_wavelets(coefs, sys)
+    want = _atoms_reference(coefs, sys, re.coeffs.window, re.c)
+    assert re.coeffs.levels() == want.levels()
+    for j in want.levels():
+        assert re.coeffs.level(j).tobytes() == want.level(j).tobytes()
+    fields = re.channel_fields()
+    assert sorted(fields) == sorted(sys.channels)
+    for lam in sys.channels:
+        expect = coefs[lam].rows() if lam in coefs else np.zeros((window.count(), 2))
+        assert np.array_equal(fields[lam].rows(), expect)
+        assert fields[lam] is not coefs.get(lam)

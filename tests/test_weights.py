@@ -59,6 +59,14 @@ def test_grid_weight_keeps_real_values_real():
     assert Wc(np.array([[0.2]])).dtype == np.complex128
 
 
+def test_constant_weight_keeps_real_values_real():
+    W = MatrixWeight.constant(np.eye(2, dtype=int), 1)
+    assert W(np.array([[0.2]])).dtype == np.float64
+    assert W.to_dict()["matrix"] == [[1.0, 0.0], [0.0, 1.0]]
+    Wc = MatrixWeight.constant([[2, 1j], [-1j, 2]], 1)
+    assert Wc(np.array([[0.2]])).dtype == np.complex128
+
+
 @pytest.mark.parametrize("x", [5.0, -0.1, 1.0])
 def test_grid_weight_refuses_point_outside_box(x):
     # the box is half-open: its upper edge lies outside as well
@@ -588,3 +596,51 @@ def test_defining_average_same_nodes_keeps_singular_refusal():
     for y in (nodes, nodes.copy()):
         with pytest.raises(SingularWeightError, match=r"weight is singular at \[0\.25\]"):
             weights._defining_average(W, 2.0, nodes, y)
+
+
+# ---------------------------------------------------------------------------
+# the direction-ratio certificate against its per-cube form, which took the
+# p-averages with its own einsum over the quadrature nodes of the cube
+
+
+def _john_direction_report_reference(W, p, cube, quad, rng=None):
+    A = reducing_operator(W, p, cube, quad, rng=rng)
+    rng = rng or np.random.default_rng(1)
+    dirs = rng.standard_normal((256, W.m))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    nodes, _ = quad.nodes(cube.lower, cube.upper)
+    img = np.einsum("nab,db->nda", W.power(nodes, 1.0 / p), dirs)
+    rho = (np.mean(np.linalg.norm(img, axis=-1) ** p, axis=0)) ** (1.0 / p)
+    ratios = np.linalg.norm(dirs @ A.T, axis=-1) / rho
+    return {"matrix": A, "ratio_min": float(np.min(ratios)), "ratio_max": float(np.max(ratios)),
+            "spread": float(np.max(ratios) / np.min(ratios)), "john_factor": math.sqrt(W.m)}
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("complex_values", [False, True])
+@pytest.mark.parametrize("m", [2, 3])
+def test_john_direction_report_matches_per_cube_oracle(m, complex_values, p):
+    W = _smooth_weight(m, 2, complex_values, seed=10 * m + int(p))
+    cube = DyadicCube(2, 1, (1, 0))
+    quad = QuadratureSpec(3, 1)
+    if complex_values and p != 2.0:
+        # the ellipsoid fit sees real directions only: complex weights need p = 2
+        with pytest.raises(PreconditionError, match="ellipsoid fit supports real symmetric"):
+            john_direction_report(W, p, cube, quad)
+        return
+    got = john_direction_report(W, p, cube, quad, rng=np.random.default_rng(4))
+    ref = _john_direction_report_reference(W, p, cube, quad, rng=np.random.default_rng(4))
+    assert np.array_equal(got["matrix"], ref["matrix"])
+    for key in ("ratio_min", "ratio_max", "spread", "john_factor"):
+        assert got[key] == pytest.approx(ref[key], rel=1e-12, abs=0), key
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_fit_refuses_complex_weight(p):
+    W = MatrixWeight.constant([[2, 1j], [-1j, 2]], 1)
+    win = LatticeWindow(1, 0, 1, (0,), (1,))
+    with pytest.raises(PreconditionError, match="ellipsoid fit supports real symmetric"):
+        ReducingFamily.build(W, p, win, QuadratureSpec(2, 0))
+    # a complex dtype with vanishing imaginary parts is a real weight
+    real = MatrixWeight(2, 1, lambda x: MatrixWeight.identity(2, 1)(x) + 0j)
+    assert ReducingFamily.build(real, p, win, QuadratureSpec(2, 0)).fit_report()["fits"] == 3
