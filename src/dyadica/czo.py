@@ -31,6 +31,8 @@ from .wavelets import FunctionSample
 
 # central-difference step of kernel derivatives, relative to the separation
 KERNEL_FD_REL = 1e-3
+# most point pairs one kernel or symbol evaluation sees at once
+_BLOCK_ENTRIES = 1 << 18
 
 
 class Kernel:
@@ -199,12 +201,8 @@ class SamplingGeometry:
         return d / np.linalg.norm(d, axis=1, keepdims=True)
 
     def bases(self, n: int) -> np.ndarray:
-        out = []
-        for b in self.base_points:
-            v = np.zeros(n)
-            v[: min(len(b), n)] = b[: min(len(b), n)]
-            out.append(v)
-        return np.array(out)
+        return np.array([np.pad(np.asarray(b, dtype=float)[:n], (0, n - min(len(b), n)))
+                         for b in self.base_points])
 
 
 @dataclass
@@ -226,19 +224,72 @@ class ConditionFit:
                 "stable": self.stable}
 
 
-def _fit_condition(name: str, samples) -> ConditionFit:
-    """samples: iterable of (ratio, r, witness).  Groups constants by decade."""
-    per_decade = {}
-    worst = None
-    c = 0.0
-    for ratio, r, wit in samples:
-        dec = int(math.floor(math.log10(r)))
-        per_decade[dec] = max(per_decade.get(dec, 0.0), ratio)
-        if ratio > c:
-            c = ratio
-            worst = wit
-    if not per_decade:
+def _pairs(fn, X, Y) -> np.ndarray:
+    """``fn`` on the point pairs of the broadcast arrays X, Y (..., n), in flat
+    (N, n) batches of at most _BLOCK_ENTRIES points, shaped like the pairs."""
+    X, Y = np.broadcast_arrays(X, Y)
+    flat = X.reshape(-1, X.shape[-1]), Y.reshape(-1, Y.shape[-1])
+    return np.concatenate([fn(*(a[i:i + _BLOCK_ENTRIES] for a in flat)) for i in
+                           range(0, len(flat[0]), _BLOCK_ENTRIES)]).reshape(X.shape[:-1])
+
+
+def _libm_pow(base, e: float) -> np.ndarray:
+    """``base ** e`` by the scalar C pow, which numpy's vectorised pow can miss
+    by an ulp, so small per-group factor tables equal per-sample ones bitwise."""
+    return np.array([b ** e for b in np.ravel(base).tolist()]).reshape(np.shape(base))
+
+
+def _shell_samples(geometry: SamplingGeometry, n: int):
+    """Base points Y and X = Y + r d as (S, B, D, n) arrays over shells r, base
+    points and directions d, with their separations |X - Y| (S, B, D)."""
+    shells, dirs, bases = geometry.shells(), geometry.dirs(n), geometry.bases(n)
+    if not (len(shells) and len(dirs) and len(bases)):
+        raise PreconditionError("sampling geometry needs shells, directions and base points")
+    Y = np.broadcast_to(bases[:, None], (len(shells), len(bases), len(dirs), n))
+    X = Y + shells[:, None, None, None] * dirs
+    return X, Y, np.linalg.norm(X - Y, axis=-1)
+
+
+def _corner_sum(K: Kernel, alpha, beta, X, Y, corners) -> np.ndarray:
+    """Signed sum, in order, of ``K.deriv(alpha, beta, X + U, Y + V)`` over the
+    corners ``(sign, U, V)`` of (S, B, D, n) shell samples X, Y.  An offset is
+    None or (S, G, n), one row per group (offset fraction, direction), and
+    broadcasts as a group axis: the sum is (S, B, G, D)."""
+    total = None
+    for sign, U, V in corners:
+        vals = _pairs(lambda x, y: K.deriv(alpha, beta, x, y),
+                      X[:, :, None] if U is None else X[:, :, None] + U[:, None, :, None],
+                      Y[:, :, None] if V is None else Y[:, :, None] + V[:, None, :, None])
+        total = vals if total is None else total + vals if sign > 0 else total - vals
+    return total
+
+
+def _size_ratio(K: Kernel, alpha, beta, X, Y, sep) -> np.ndarray:
+    """|d_x^alpha d_y^beta K| r^{n+|alpha|+|beta|} on shell samples, (S, B, 1, D)."""
+    return (np.abs(_corner_sum(K, alpha, beta, X, Y, [(1, None, None)]))
+            * (sep ** (K.n + sum(alpha) + sum(beta)))[:, :, None])
+
+
+def _fit_condition(name: str, ratio: np.ndarray, shells: np.ndarray, witness,
+                   shell_axis: int = 0) -> ConditionFit:
+    """Fit a condition to its sampled ratios, whose axes follow the sampling
+    order with the shells on ``shell_axis``.  The constant is the largest
+    ratio, ``witness(index)`` describes its first occurrence, and per-decade
+    constants are maxima over shell rows.  Non-finite samples are refused."""
+    if ratio.size == 0:
         return ConditionFit(name, 0.0, {}, 1.0, None, void=True)
+    bad = np.flatnonzero(~np.isfinite(ratio))
+    if bad.size:
+        x, y = (np.array(v).tolist() for v in witness(np.unravel_index(bad[0], ratio.shape))[:2])
+        raise PreconditionError(f"{name} condition: non-finite kernel sample at X={x}, Y={y}")
+    i = int(np.argmax(ratio))
+    c = float(ratio.flat[i])
+    worst = witness(np.unravel_index(i, ratio.shape)) if c > 0 else None
+    per_decade = {}
+    rows = np.moveaxis(ratio, shell_axis, 0).reshape(len(shells), -1).max(axis=1)
+    for r, v in zip(shells, rows.tolist()):
+        dec = int(math.floor(math.log10(r)))
+        per_decade[dec] = max(per_decade.get(dec, 0.0), v)
     vals = [v for v in per_decade.values() if v > 0]
     drift = (max(vals) / min(vals)) if vals else 1.0
     return ConditionFit(name, c, per_decade, drift, worst)
@@ -248,110 +299,68 @@ def czk_check(K: Kernel, E: float, F: float, sigma: int = 0,
               geometry: SamplingGeometry = SamplingGeometry()) -> dict:
     """Fit the smallest constants in the size, x-difference, y-difference,
     and (when applicable) mixed-difference kernel conditions over sampled
-    shells; report per-decade constants and the worst samples."""
+    shells; report per-decade constants and the worst samples.  A condition
+    takes one ``K.deriv`` batch per derivative pair and corner."""
     n = K.n
+    zero = (0,) * n
     rpE = rounding_profile(E)
-    a_max = max(rpE.strict_floor, 0)
-    dirs = geometry.dirs(n)
-    bases = geometry.bases(n)
-    shells = geometry.shells()
+    alphas = list(multi_indices(n, max(rpE.strict_floor, 0)))
+    top = [a for a in alphas if sum(a) == rpE.strict_floor]
+    shells, dirs, fracs = geometry.shells(), geometry.dirs(n), geometry.offset_fracs
+    X, Y, sep = _shell_samples(geometry, n)
+    # offsets frac * r * d over groups (fraction, direction), fraction outer
+    fr = shells[:, None] * np.array(fracs, dtype=float)
+    odirs = dirs[: max(2, len(dirs) // 4)]
+    U = (fr[:, :, None, None] * odirs).reshape(len(shells), -1, n)
+    frac_groups = [(frac,) for frac in fracs for _ in odirs]
 
-    size_samples = []
-    xdiff_samples = []
-    ydiff_samples = []
-    xydiff_samples = []
+    def ratios(alpha, beta, corners, scale, exponent):
+        den = scale[:, None, :, None] * (sep ** exponent)[:, :, None]
+        return np.abs(_corner_sum(K, alpha, beta, X, Y, corners)) / den
 
-    alphas = [g for g in multi_indices(n, a_max)]
-    for r in shells:
-        for y0 in bases:
-            Y = np.tile(y0, (len(dirs), 1))
-            X = Y + r * dirs
-            sep = np.linalg.norm(X - Y, axis=-1)
-            # (size) |d^alpha_x K| <= C r^{-n-|alpha|}
-            for alpha in alphas:
-                vals = np.abs(K.deriv(alpha, (0,) * n, X, Y))
-                ratio = vals * sep ** (n + sum(alpha))
-                i = int(np.argmax(ratio))
-                size_samples.append((float(ratio[i]), r, (tuple(X[i]), tuple(Y[i]), alpha)))
-            # (x-difference) at |alpha| = strict_floor(E), exponent E**
-            if rpE.strict_floor >= 0:
-                for alpha in alphas:
-                    if sum(alpha) != rpE.strict_floor:
-                        continue
-                    base_vals = K.deriv(alpha, (0,) * n, X, Y)
-                    for frac in geometry.offset_fracs:
-                        for ud in dirs[: max(2, len(dirs) // 4)]:
-                            U = frac * r * ud
-                            shifted = K.deriv(alpha, (0,) * n, X + U, Y)
-                            num = np.abs(base_vals - shifted)
-                            den = (frac * r) ** rpE.strict_frac * sep ** (-n - E)
-                            ratio = num / den
-                            i = int(np.argmax(ratio))
-                            xdiff_samples.append(
-                                (float(ratio[i]), r, (tuple(X[i]), tuple(Y[i]), alpha, frac)))
-            # (y-difference) for |alpha| <= strict_floor(E)_+, |beta| = strict_floor(F - |alpha|)
-            for alpha in alphas:
-                fb = F - sum(alpha)
-                rpF = rounding_profile(fb)
-                if rpF.strict_floor < 0:
-                    continue
-                for beta in multi_indices(n, rpF.strict_floor):
-                    if sum(beta) != rpF.strict_floor:
-                        continue
-                    base_vals = K.deriv(alpha, beta, X, Y)
-                    for frac in geometry.offset_fracs:
-                        for vd in dirs[: max(2, len(dirs) // 4)]:
-                            V = frac * r * vd
-                            shifted = K.deriv(alpha, beta, X, Y + V)
-                            num = np.abs(base_vals - shifted)
-                            den = (frac * r) ** rpF.strict_frac * sep ** (-n - sum(alpha) - fb)
-                            ratio = num / den
-                            i = int(np.argmax(ratio))
-                            ydiff_samples.append(
-                                (float(ratio[i]), r, (tuple(X[i]), tuple(Y[i]), alpha, beta, frac)))
-            # (mixed difference) when sigma = 1 and F > E > 0
-            if sigma == 1 and F > E > 0:
-                rpFE = rounding_profile(F - E)
-                for alpha in alphas:
-                    if sum(alpha) != rpE.strict_floor:
-                        continue
-                    for beta in multi_indices(n, max(rpFE.strict_floor, 0)):
-                        if sum(beta) != rpFE.strict_floor:
-                            continue
-                        for frac in geometry.offset_fracs:
-                            for ud in dirs[:2]:
-                                for vd in dirs[:2]:
-                                    U = frac * r / 2 * ud
-                                    V = frac * r / 2 * vd
-                                    dd = (K.deriv(alpha, beta, X, Y)
-                                          - K.deriv(alpha, beta, X + U, Y)
-                                          - K.deriv(alpha, beta, X, Y + V)
-                                          + K.deriv(alpha, beta, X + U, Y + V))
-                                    num = np.abs(dd)
-                                    den = (np.linalg.norm(U) ** rpE.strict_frac
-                                           * np.linalg.norm(V) ** rpFE.strict_frac
-                                           * sep ** (-n - F))
-                                    ratio = num / den
-                                    i = int(np.argmax(ratio))
-                                    xydiff_samples.append(
-                                        (float(ratio[i]), r,
-                                         (tuple(X[i]), tuple(Y[i]), alpha, beta, frac)))
+    def fit(name, terms, groups):
+        # terms: (labels, ratios (S, B, G, D)) per derivative pair, in order
+        def witness(index):
+            s, b, a, g, d = index
+            return (tuple(X[s, b, d]), tuple(Y[s, b, d])) + terms[a][0] + groups[g]
+        ratio = np.stack([t[1] for t in terms], axis=2) if terms else np.empty(0)
+        return _fit_condition(name, ratio, shells, witness)
 
-    fits = {
-        "size": _fit_condition("size", size_samples),
-        "x_difference": _fit_condition("x_difference", xdiff_samples),
-        "y_difference": _fit_condition("y_difference", ydiff_samples),
-    }
+    # (size) |d^alpha_x K| <= C r^{-n-|alpha|}
+    size = [((a,), _size_ratio(K, a, zero, X, Y, sep)) for a in alphas]
+    # (x-difference) at |alpha| = strict_floor(E), exponent E**
+    scale = np.repeat(_libm_pow(fr, rpE.strict_frac), len(odirs), axis=1)
+    xdiff = [((a,), ratios(a, zero, [(1, None, None), (-1, U, None)], scale, -n - E))
+             for a in top]
+    # (y-difference) for |alpha| <= strict_floor(E)_+, |beta| = strict_floor(F - |alpha|)
+    ydiff = []
+    for a in alphas:
+        fb = F - sum(a)
+        rpF = rounding_profile(fb)
+        scale = np.repeat(_libm_pow(fr, rpF.strict_frac), len(odirs), axis=1)
+        ydiff += [((a, b), ratios(a, b, [(1, None, None), (-1, None, U)], scale, -n - sum(a) - fb))
+                  for b in multi_indices(n, rpF.strict_floor) if sum(b) == rpF.strict_floor]
+    fits = {"size": fit("size", size, [()]),
+            "x_difference": fit("x_difference", xdiff, frac_groups),
+            "y_difference": fit("y_difference", ydiff, frac_groups)}
+    # (mixed difference) when sigma = 1 and F > E > 0: offsets frac * r / 2
+    # along the first two directions, groups (fraction, u, v)
     if sigma == 1 and F > E > 0:
-        fits["mixed_difference"] = _fit_condition("mixed_difference", xydiff_samples)
-    return {
-        "kernel": K.label,
-        "E": E,
-        "F": F,
-        "sigma": sigma,
-        "conditions": {k: v.to_dict() for k, v in fits.items()},
-        "all_stable": all(v.stable for v in fits.values()),
-    }
+        rpFE = rounding_profile(F - E)
+        half = (fr / 2)[:, :, None, None, None]
+        U2, V2 = (np.broadcast_to(half * d, fr.shape + (2, 2, n)).reshape(len(shells), -1, n)
+                  for d in (dirs[:2, None], dirs[None, :2]))
+        scale = (_libm_pow([np.linalg.norm(u) for u in U2.reshape(-1, n)], rpE.strict_frac)
+                 * _libm_pow([np.linalg.norm(v) for v in V2.reshape(-1, n)], rpFE.strict_frac))
+        corners = [(1, None, None), (-1, U2, None), (-1, None, V2), (1, U2, V2)]
+        mixed = [((a, b), ratios(a, b, corners, scale.reshape(len(shells), -1), -n - F))
+                 for a in top for b in multi_indices(n, max(rpFE.strict_floor, 0))
+                 if sum(b) == rpFE.strict_floor]
+        fits["mixed_difference"] = fit("mixed_difference", mixed,
+                                       [(frac,) for frac in fracs for _ in range(4)])
+    return {"kernel": K.label, "E": E, "F": F, "sigma": sigma,
+            "conditions": {k: v.to_dict() for k, v in fits.items()},
+            "all_stable": all(v.stable for v in fits.values())}
 
 
 def intermediate_derivative_check(K: Kernel, F: float,
@@ -360,25 +369,16 @@ def intermediate_derivative_check(K: Kernel, F: float,
     to strict_floor(F); a constant that drifts across decades marks the
     failing order."""
     n = K.n
-    top = max(strict_floor(F), 0)
-    dirs = geometry.dirs(n)
-    bases = geometry.bases(n)
+    X, Y, sep = _shell_samples(geometry, n)
     out = {}
-    for order in range(top + 1):
-        samples = []
-        for beta in multi_indices(n, order):
-            if sum(beta) != order:
-                continue
-            for r in geometry.shells():
-                for y0 in bases:
-                    Y = np.tile(y0, (len(dirs), 1))
-                    X = Y + r * dirs
-                    sep = np.linalg.norm(X - Y, axis=-1)
-                    vals = np.abs(K.deriv((0,) * n, beta, X, Y))
-                    ratio = vals * sep ** (n + order)
-                    i = int(np.argmax(ratio))
-                    samples.append((float(ratio[i]), r, (tuple(X[i]), tuple(Y[i]), beta)))
-        out[order] = _fit_condition(f"intermediate-order-{order}", samples).to_dict()
+    for order in range(max(strict_floor(F), 0) + 1):
+        betas = [b for b in multi_indices(n, order) if sum(b) == order]
+        # axes (beta, shell, base point, 1, direction)
+        ratio = np.stack([_size_ratio(K, (0,) * n, b, X, Y, sep) for b in betas])
+        out[order] = _fit_condition(
+            f"intermediate-order-{order}", ratio, geometry.shells(),
+            lambda i: (tuple(X[i[1], i[2], i[4]]), tuple(Y[i[1], i[2], i[4]]), betas[i[0]]),
+            shell_axis=1).to_dict()
     return {"orders": out,
             "all_stable": all(v["stable"] for v in out.values()),
             "failing_orders": [o for o, v in out.items() if not v["stable"]]}
@@ -422,26 +422,20 @@ def apply_to_atom_farfield(K: Kernel, atom: MoleculeCandidate,
                        for i in range(n)])
     wts = np.prod(tensor_points([0.5 * (hi[i] - lo[i]) * w_1d for i in range(n)]), axis=-1)
     avals = atom(Y)
-
-    raw = np.zeros(len(xs), dtype=complex)
-    subtracted = np.zeros(len(xs), dtype=complex)
-    for i, x in enumerate(xs):
-        X = np.tile(x, (len(Y), 1))
-        kv = K.deriv(alpha, (0,) * n, X, Y)
-        raw[i] = np.sum(wts * kv * avals)
-        if taylor_order >= 0:
-            taylor = np.zeros(len(Y), dtype=complex)
-            X0 = x[None, :]
-            Y0 = np.zeros((1, n))
-            for beta in multi_indices(n, taylor_order):
-                coeff = K.deriv(alpha, beta, X0, Y0)[0]
-                fact = 1.0
-                for b in beta:
-                    fact *= math.factorial(b)
-                taylor += coeff / fact * np.prod(Y ** np.array(beta), axis=-1)
-            subtracted[i] = np.sum(wts * (kv - taylor) * avals)
-        else:
-            subtracted[i] = raw[i]
+    # blocks of far points against all nodes; the Taylor polynomial of
+    # K(x, .) at 0 takes one coefficient batch per beta and block
+    raw, subtracted = [], []
+    step = max(1, _BLOCK_ENTRIES // len(Y))
+    for x in (xs[a:a + step] for a in range(0, len(xs), step)):
+        kv = _pairs(lambda p, y: K.deriv(alpha, (0,) * n, p, y), x[:, None], Y)
+        taylor = np.zeros(kv.shape, dtype=complex)
+        for beta in multi_indices(n, taylor_order):
+            fact = math.prod(map(math.factorial, beta))
+            coeff = K.deriv(alpha, beta, x, np.zeros_like(x)) / fact
+            taylor += coeff[:, None] * np.prod(Y ** np.array(beta), axis=-1)
+        raw.append(np.sum(wts * kv * avals, axis=-1))
+        subtracted.append(np.sum(wts * (kv - taylor) * avals, axis=-1))
+    raw, subtracted = np.concatenate(raw), np.concatenate(subtracted)
     denom = np.maximum(np.abs(raw), 1e-300)
     agreement = float(np.max(np.abs(raw - subtracted) / denom))
     return {
@@ -487,20 +481,19 @@ def moment_of_Ta(K: Kernel, atom: MoleculeCandidate, gamma: tuple[int, ...],
     if n != 1:
         raise PreconditionError("annulus moments implemented for n = 1")
     nodes, wts = np.polynomial.legendre.leggauss(quad_points)
-    # integrate over [-r_far, -r_near] and [r_near, r_far] in log bands
-    total = 0.0 + 0.0j
-    tail_scale = 0.0
-    for sign in (-1.0, 1.0):
-        edges = np.geomspace(r_near, r_far, 24)
-        for a, b in zip(edges[:-1], edges[1:]):
-            xs = sign * (0.5 * (b - a) * nodes + 0.5 * (a + b))
-            w = 0.5 * (b - a) * wts
-            rep = apply_to_atom_farfield(K, atom, (0,) * n, xs[:, None],
-                                         quad_points=quad_points)
-            total += np.sum(w * xs ** gamma[0] * rep["raw"])
-            tail_scale = max(tail_scale, float(np.max(np.abs(rep["raw"])
-                                                      * np.abs(xs) ** decay_exponent)))
-    tail_bound = tail_scale * r_far ** (order + 1 + n - 1 - decay_exponent) / (
+    # integrate over [-r_far, -r_near] and [r_near, r_far] in log bands, all
+    # bands of both half-lines in one far-field batch
+    edges = np.geomspace(r_near, r_far, 24)
+    a, b = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (b - a) * nodes + 0.5 * (a + b)
+    xs = np.concatenate([-half, half])
+    w = np.tile(0.5 * (b - a) * wts, (2, 1))
+    raw = apply_to_atom_farfield(K, atom, (0,) * n, xs.reshape(-1, 1),
+                                 quad_points=quad_points)["raw"].reshape(xs.shape)
+    total = sum(np.sum(w * xs ** gamma[0] * raw, axis=1), 0.0 + 0.0j)
+    tail_scale = float(np.max(np.abs(raw) * np.abs(xs) ** decay_exponent))
+    # |x^gamma Ta(x)| <= tail_scale |x|^{|gamma| - decay} on both half-lines past r_far
+    tail_bound = 2 * tail_scale * r_far ** (order + n - decay_exponent) / (
         decay_exponent - order - n)
     return {
         "value": complex(total),
@@ -599,13 +592,13 @@ class SymbolS11u:
 
 
 def apply_pdo(symbol: SymbolS11u, f: FunctionSample,
-              alias_tol: float = 1e-8, chunk: int = 256) -> FunctionSample:
+              alias_tol: float = 1e-8) -> FunctionSample:
     """Frequency-side application of a symbol to a sampled function.
 
     Uses the discrete transform with angular frequencies; for x-independent
-    symbols this is a plain multiplier, otherwise the output is assembled per
-    spatial point.  The inverse measure is normalized so the unit symbol is
-    the identity to machine precision.
+    symbols this is a plain multiplier, otherwise the output is assembled
+    over blocks of spatial points.  The inverse measure is normalized so the
+    unit symbol is the identity to machine precision.
     """
     n = f.n
     if symbol.n != n:
@@ -632,21 +625,20 @@ def apply_pdo(symbol: SymbolS11u, f: FunctionSample,
         mult = symbol(np.zeros((1, n)), XI).reshape(shape)
         out = np.fft.ifftn(fhat * mult[None], axes=tuple(range(1, n + 1)))
         return FunctionSample(n, f.m, f.grid_level, f.start, out)
-    # x-dependent: per-point synthesis out(x) = (1/N) sum_xi a(x, xi) fhat(xi)
-    # e^{i xi (x - x0)}, with x0 the grid origin implied by the raw transform
+    # x-dependent: out(x) = (1/N) sum_xi a(x, xi) fhat(xi) e^{i xi (x - x0)},
+    # with x0 the grid origin implied by the raw transform, for a block of
+    # points per symbol evaluation
     Xpts = tensor_points([f.axis_points(i) for i in range(n)])
     origin = np.array([f.start[i] * h for i in range(n)])
     fhat_flat = fhat.reshape(f.m, -1)
-    npts = Xpts.shape[0]
-    out = np.zeros((f.m, npts), dtype=complex)
     norm = np.prod(shape)
-    for a in range(0, npts, chunk):
-        b = min(a + chunk, npts)
-        xc = Xpts[a:b]
-        phase = np.exp(1j * ((xc - origin) @ XI.T))
-        for i in range(b - a):
-            avals = symbol(xc[i: i + 1].repeat(len(XI), axis=0), XI)
-            out[:, a + i] = (fhat_flat * (avals * phase[i])[None, :]).sum(axis=1) / norm
+
+    def block(xc):
+        weights = _pairs(symbol, xc[:, None], XI) * np.exp(1j * ((xc - origin) @ XI.T))
+        return (fhat_flat[:, None, :] * weights[None]).sum(axis=-1) / norm
+
+    step = max(1, _BLOCK_ENTRIES // len(XI))
+    out = np.concatenate([block(Xpts[a:a + step]) for a in range(0, len(Xpts), step)], axis=1)
     return FunctionSample(n, f.m, f.grid_level, f.start, out.reshape((f.m,) + shape))
 
 
@@ -654,31 +646,36 @@ def symbol_class_check(symbol: SymbolS11u, orders: int = 1,
                        shell_exponents=tuple(range(-6, 7)),
                        x_samples: int = 5, seed: int = 0) -> dict:
     """Sampled sup of |xi|^{-u-|alpha|+|beta|} |d_x^alpha d_xi^beta a| over
-    dyadic frequency shells; blow-up across shells is reported per index pair."""
+    dyadic frequency shells; blow-up across shells is reported per index pair.
+
+    Each index pair is one ``symbol.deriv`` batch over shells, x samples and
+    directions; a non-finite sample is refused."""
     n = symbol.n
     rng = np.random.default_rng(seed)
     xs = rng.uniform(-2, 2, size=(x_samples, n))
+    shells = [2.0 ** e for e in shell_exponents]
+    # axes (shell, x sample, direction, n)
+    XI = (np.array(shells)[:, None, None] * SamplingGeometry(seed=seed).dirs(n))[:, None]
     report = {}
     for alpha in multi_indices(n, orders):
         for beta in multi_indices(n, orders):
-            per_shell = {}
-            for e in shell_exponents:
-                r = 2.0 ** e
-                dirs = SamplingGeometry(seed=seed).dirs(n)
-                XI = r * dirs
-                worst = 0.0
-                for x in xs:
-                    X = np.tile(x, (len(XI), 1))
-                    vals = np.abs(symbol.deriv(alpha, beta, X, XI))
-                    scale = r ** (-symbol.u - sum(alpha) + sum(beta))
-                    worst = max(worst, float(np.max(vals * scale)))
-                per_shell[e] = worst
-            vals = [v for v in per_shell.values() if v > 0]
-            blowup = bool(vals and max(vals) > 10 * min(vals))
+            scale = _libm_pow(shells, -symbol.u - sum(alpha) + sum(beta))
+            vals = (np.abs(_pairs(lambda x, xi: symbol.deriv(alpha, beta, x, xi),
+                                  xs[None, :, None], XI))
+                    * scale[:, None, None])
+            bad = np.argwhere(~np.isfinite(vals))
+            if len(bad):
+                e, i, d = bad[0]
+                raise PreconditionError(
+                    f"symbol class {alpha}|{beta}: non-finite sample at "
+                    f"x={xs[i].tolist()}, xi={XI[e, 0, d].tolist()}")
+            per_shell = dict(zip(shell_exponents,
+                                 vals.reshape(len(shells), -1).max(axis=1).tolist()))
+            positive = [v for v in per_shell.values() if v > 0]
             report[str((alpha, beta))] = {
                 "constant": max(per_shell.values()),
                 "per_shell": per_shell,
-                "blowup": blowup,
+                "blowup": bool(positive and max(positive) > 10 * min(positive)),
             }
     return report
 

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyadica.czo import (
+    ConditionFit,
     Kernel,
     SamplingGeometry,
     SymbolS11u,
@@ -19,9 +22,11 @@ from dyadica.czo import (
     kernel_by_name,
     legacy_to_mixed,
     moment_of_Ta,
+    register_kernel,
+    symbol_class_check,
     t1_molecule_witness,
 )
-from dyadica.dyadic import DyadicCube
+from dyadica.dyadic import DyadicCube, tensor_points
 from dyadica.errors import PreconditionError
 from dyadica.molecules import MoleculeCandidate, make_atom, multi_indices
 from dyadica.params import (
@@ -30,6 +35,8 @@ from dyadica.params import (
     czo_conditions,
     derived_indices,
     molecule_param_sets,
+    rounding_profile,
+    strict_floor,
 )
 from dyadica.wavelets import FunctionSample
 
@@ -533,3 +540,453 @@ def test_symbol_deriv_bitwise_equals_per_class_recursion(symbol):
         assert got.tobytes() == ref.tobytes(), (alpha, beta)
     with pytest.raises(PreconditionError, match="order deficit"):
         symbol.deriv((0, 0), (symbol.max_order + 1, 0), X, XI)
+
+
+# ---------------------------------------------------------------------------
+# the batched shell sampler against the per-shell loops it replaced: reports
+# must be equal, witnesses and per-decade constants included
+
+def _fit_reference(name, samples):
+    per_decade = {}
+    worst = None
+    c = 0.0
+    for ratio, r, wit in samples:
+        dec = int(math.floor(math.log10(r)))
+        per_decade[dec] = max(per_decade.get(dec, 0.0), ratio)
+        if ratio > c:
+            c = ratio
+            worst = wit
+    if not per_decade:
+        return ConditionFit(name, 0.0, {}, 1.0, None, void=True)
+    vals = [v for v in per_decade.values() if v > 0]
+    drift = (max(vals) / min(vals)) if vals else 1.0
+    return ConditionFit(name, c, per_decade, drift, worst)
+
+
+def _czk_check_reference(K, E, F, sigma=0, geometry=SamplingGeometry()):
+    n = K.n
+    rpE = rounding_profile(E)
+    a_max = max(rpE.strict_floor, 0)
+    dirs = geometry.dirs(n)
+    bases = geometry.bases(n)
+    shells = geometry.shells()
+    size_samples, xdiff_samples, ydiff_samples, xydiff_samples = [], [], [], []
+    alphas = [g for g in multi_indices(n, a_max)]
+    for r in shells:
+        for y0 in bases:
+            Y = np.tile(y0, (len(dirs), 1))
+            X = Y + r * dirs
+            sep = np.linalg.norm(X - Y, axis=-1)
+            for alpha in alphas:
+                vals = np.abs(K.deriv(alpha, (0,) * n, X, Y))
+                ratio = vals * sep ** (n + sum(alpha))
+                i = int(np.argmax(ratio))
+                size_samples.append((float(ratio[i]), r, (tuple(X[i]), tuple(Y[i]), alpha)))
+            if rpE.strict_floor >= 0:
+                for alpha in alphas:
+                    if sum(alpha) != rpE.strict_floor:
+                        continue
+                    base_vals = K.deriv(alpha, (0,) * n, X, Y)
+                    for frac in geometry.offset_fracs:
+                        for ud in dirs[: max(2, len(dirs) // 4)]:
+                            U = frac * r * ud
+                            shifted = K.deriv(alpha, (0,) * n, X + U, Y)
+                            num = np.abs(base_vals - shifted)
+                            den = (frac * r) ** rpE.strict_frac * sep ** (-n - E)
+                            ratio = num / den
+                            i = int(np.argmax(ratio))
+                            xdiff_samples.append(
+                                (float(ratio[i]), r, (tuple(X[i]), tuple(Y[i]), alpha, frac)))
+            for alpha in alphas:
+                fb = F - sum(alpha)
+                rpF = rounding_profile(fb)
+                if rpF.strict_floor < 0:
+                    continue
+                for beta in multi_indices(n, rpF.strict_floor):
+                    if sum(beta) != rpF.strict_floor:
+                        continue
+                    base_vals = K.deriv(alpha, beta, X, Y)
+                    for frac in geometry.offset_fracs:
+                        for vd in dirs[: max(2, len(dirs) // 4)]:
+                            V = frac * r * vd
+                            shifted = K.deriv(alpha, beta, X, Y + V)
+                            num = np.abs(base_vals - shifted)
+                            den = (frac * r) ** rpF.strict_frac * sep ** (-n - sum(alpha) - fb)
+                            ratio = num / den
+                            i = int(np.argmax(ratio))
+                            ydiff_samples.append(
+                                (float(ratio[i]), r, (tuple(X[i]), tuple(Y[i]), alpha, beta, frac)))
+            if sigma == 1 and F > E > 0:
+                rpFE = rounding_profile(F - E)
+                for alpha in alphas:
+                    if sum(alpha) != rpE.strict_floor:
+                        continue
+                    for beta in multi_indices(n, max(rpFE.strict_floor, 0)):
+                        if sum(beta) != rpFE.strict_floor:
+                            continue
+                        for frac in geometry.offset_fracs:
+                            for ud in dirs[:2]:
+                                for vd in dirs[:2]:
+                                    U = frac * r / 2 * ud
+                                    V = frac * r / 2 * vd
+                                    dd = (K.deriv(alpha, beta, X, Y)
+                                          - K.deriv(alpha, beta, X + U, Y)
+                                          - K.deriv(alpha, beta, X, Y + V)
+                                          + K.deriv(alpha, beta, X + U, Y + V))
+                                    num = np.abs(dd)
+                                    den = (np.linalg.norm(U) ** rpE.strict_frac
+                                           * np.linalg.norm(V) ** rpFE.strict_frac
+                                           * sep ** (-n - F))
+                                    ratio = num / den
+                                    i = int(np.argmax(ratio))
+                                    xydiff_samples.append(
+                                        (float(ratio[i]), r,
+                                         (tuple(X[i]), tuple(Y[i]), alpha, beta, frac)))
+    fits = {
+        "size": _fit_reference("size", size_samples),
+        "x_difference": _fit_reference("x_difference", xdiff_samples),
+        "y_difference": _fit_reference("y_difference", ydiff_samples),
+    }
+    if sigma == 1 and F > E > 0:
+        fits["mixed_difference"] = _fit_reference("mixed_difference", xydiff_samples)
+    return {"kernel": K.label, "E": E, "F": F, "sigma": sigma,
+            "conditions": {k: v.to_dict() for k, v in fits.items()},
+            "all_stable": all(v.stable for v in fits.values())}
+
+
+def _intermediate_reference(K, F, geometry=SamplingGeometry()):
+    n = K.n
+    top = max(strict_floor(F), 0)
+    dirs = geometry.dirs(n)
+    bases = geometry.bases(n)
+    out = {}
+    for order in range(top + 1):
+        samples = []
+        for beta in multi_indices(n, order):
+            if sum(beta) != order:
+                continue
+            for r in geometry.shells():
+                for y0 in bases:
+                    Y = np.tile(y0, (len(dirs), 1))
+                    X = Y + r * dirs
+                    sep = np.linalg.norm(X - Y, axis=-1)
+                    vals = np.abs(K.deriv((0,) * n, beta, X, Y))
+                    ratio = vals * sep ** (n + order)
+                    i = int(np.argmax(ratio))
+                    samples.append((float(ratio[i]), r, (tuple(X[i]), tuple(Y[i]), beta)))
+        out[order] = _fit_reference(f"intermediate-order-{order}", samples).to_dict()
+    return {"orders": out,
+            "all_stable": all(v["stable"] for v in out.values()),
+            "failing_orders": [o for o, v in out.items() if not v["stable"]]}
+
+
+def _symbol_class_reference(symbol, orders=1, shell_exponents=tuple(range(-6, 7)),
+                            x_samples=5, seed=0):
+    n = symbol.n
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-2, 2, size=(x_samples, n))
+    report = {}
+    for alpha in multi_indices(n, orders):
+        for beta in multi_indices(n, orders):
+            per_shell = {}
+            for e in shell_exponents:
+                r = 2.0 ** e
+                XI = r * SamplingGeometry(seed=seed).dirs(n)
+                worst = 0.0
+                for x in xs:
+                    X = np.tile(x, (len(XI), 1))
+                    vals = np.abs(symbol.deriv(alpha, beta, X, XI))
+                    scale = r ** (-symbol.u - sum(alpha) + sum(beta))
+                    worst = max(worst, float(np.max(vals * scale)))
+                per_shell[e] = worst
+            vals = [v for v in per_shell.values() if v > 0]
+            report[str((alpha, beta))] = {
+                "constant": max(per_shell.values()),
+                "per_shell": per_shell,
+                "blowup": bool(vals and max(vals) > 10 * min(vals)),
+            }
+    return report
+
+
+def _farfield_reference(K, atom, alpha, xs, taylor_order=-1, quad_points=96):
+    n = atom.cube.n
+    xs = np.atleast_2d(xs)
+    c = np.array(atom.cube.center)
+    lo = c - atom.support_radius * atom.cube.side
+    hi = c + atom.support_radius * atom.cube.side
+    nodes_1d, w_1d = np.polynomial.legendre.leggauss(quad_points)
+    Y = tensor_points([0.5 * (hi[i] - lo[i]) * nodes_1d + 0.5 * (hi[i] + lo[i])
+                       for i in range(n)])
+    wts = np.prod(tensor_points([0.5 * (hi[i] - lo[i]) * w_1d for i in range(n)]), axis=-1)
+    avals = atom(Y)
+    raw = np.zeros(len(xs), dtype=complex)
+    subtracted = np.zeros(len(xs), dtype=complex)
+    for i, x in enumerate(xs):
+        X = np.tile(x, (len(Y), 1))
+        kv = K.deriv(alpha, (0,) * n, X, Y)
+        raw[i] = np.sum(wts * kv * avals)
+        if taylor_order >= 0:
+            taylor = np.zeros(len(Y), dtype=complex)
+            for beta in multi_indices(n, taylor_order):
+                coeff = K.deriv(alpha, beta, x[None, :], np.zeros((1, n)))[0]
+                fact = 1.0
+                for b in beta:
+                    fact *= math.factorial(b)
+                taylor += coeff / fact * np.prod(Y ** np.array(beta), axis=-1)
+            subtracted[i] = np.sum(wts * (kv - taylor) * avals)
+        else:
+            subtracted[i] = raw[i]
+    return raw, subtracted
+
+
+def _moment_reference(K, atom, gamma, quad_points=64, r_far=256.0):
+    r_near = 4 * math.sqrt(atom.cube.n) + 1.0
+    nodes, wts = np.polynomial.legendre.leggauss(quad_points)
+    total = 0.0 + 0.0j
+    for sign in (-1.0, 1.0):
+        edges = np.geomspace(r_near, r_far, 24)
+        for a, b in zip(edges[:-1], edges[1:]):
+            xs = sign * (0.5 * (b - a) * nodes + 0.5 * (a + b))
+            w = 0.5 * (b - a) * wts
+            raw, _ = _farfield_reference(K, atom, (0,), xs[:, None], quad_points=quad_points)
+            total += np.sum(w * xs ** gamma[0] * raw)
+    return complex(total)
+
+
+def _pdo_x_dependent_reference(symbol, f):
+    n = f.n
+    axes_freq = [2.0 * math.pi * np.fft.fftfreq(N, d=f.h) for N in f.shape]
+    fhat = np.fft.fftn(f.values, axes=tuple(range(1, n + 1)))
+    XI = tensor_points(axes_freq)
+    Xpts = tensor_points([f.axis_points(i) for i in range(n)])
+    origin = np.array([f.start[i] * f.h for i in range(n)])
+    fhat_flat = fhat.reshape(f.m, -1)
+    out = np.zeros((f.m, len(Xpts)), dtype=complex)
+    for a in range(0, len(Xpts), 256):
+        xc = Xpts[a:a + 256]
+        phase = np.exp(1j * ((xc - origin) @ XI.T))
+        for i in range(len(xc)):
+            avals = symbol(xc[i: i + 1].repeat(len(XI), axis=0), XI)
+            out[:, a + i] = (fhat_flat * (avals * phase[i])[None, :]).sum(axis=1) / np.prod(f.shape)
+    return out.reshape((f.m,) + f.shape)
+
+
+def _oscillatory_kernel():
+    # |K| bounded but d_y K ~ r^{-3} cos(1/r^2)
+    def base(X, Y):
+        return np.sin((X[:, 0] - Y[:, 0]) ** -2.0)
+
+    def dy(X, Y):
+        t = X[:, 0] - Y[:, 0]
+        return 2.0 * t ** -3.0 * np.cos(t ** -2.0)
+
+    return Kernel(1, base, {((0,), (1,)): dy}, max_order=1, label="oscillatory")
+
+
+def _custom_grid_kernel():
+    diffs = np.concatenate([-np.geomspace(1e-3, 1e3, 400), np.geomspace(1e-3, 1e3, 400)])
+    return kernel_by_name("custom-grid", diffs=diffs, values=np.sign(diffs) * np.abs(diffs) ** -1.5)
+
+
+_SAMPLED_KERNELS = {
+    "hilbert": lambda: kernel_by_name("hilbert"),
+    "riesz-0": lambda: kernel_by_name("riesz-0"),
+    "riesz-1": lambda: kernel_by_name("riesz-1"),
+    "riesz-2-n3": lambda: _riesz(2, 3),
+    "truncated": lambda: kernel_by_name("truncated"),
+    "custom-grid": _custom_grid_kernel,
+    "oscillatory": _oscillatory_kernel,
+}
+
+
+@st.composite
+def _geometries(draw):
+    exponent = st.one_of(st.integers(-8, 8), st.floats(-6.0, 6.0))
+    return SamplingGeometry(
+        shell_exponents=tuple(draw(st.lists(exponent, min_size=1, max_size=5))),
+        directions=draw(st.integers(2, 9)),
+        offset_fracs=tuple(draw(st.lists(st.floats(0.01, 0.3), min_size=1, max_size=3))),
+        base_points=tuple(tuple(p) for p in draw(st.lists(
+            st.lists(st.floats(-2.0, 2.0), max_size=4), min_size=1, max_size=3))),
+        seed=draw(st.integers(0, 3)))
+
+
+@st.composite
+def _condition_cases(draw):
+    """(E, F, sigma): void, ordinary, or mixed (sigma = 1, F > E > 0)."""
+    kind = draw(st.sampled_from(["void", "ordinary", "mixed"]))
+    whole = st.sampled_from([1.0, 2.0])
+    if kind == "void":
+        return draw(st.floats(-1.0, 0.0)), draw(st.floats(-1.0, 0.0)), draw(st.sampled_from((0, 1)))
+    if kind == "ordinary":
+        return (draw(st.one_of(whole, st.floats(0.05, 2.4))),
+                draw(st.one_of(whole, st.floats(-1.0, 2.4))), 0)
+    E = draw(st.one_of(st.just(1.0), st.floats(0.05, 1.6)))
+    return E, E + draw(st.one_of(st.just(1.0), st.floats(0.05, 0.9))), 1
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return "ok", fn(*args, **kwargs)
+    except PreconditionError as exc:
+        return "refused", str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(_SAMPLED_KERNELS))
+@given(geometry=_geometries(), case=_condition_cases())
+@settings(max_examples=25, deadline=None)
+def test_batched_kernel_checks_equal_per_shell_references(name, geometry, case):
+    K = _SAMPLED_KERNELS[name]()
+    E, F, sigma = case
+    got = _outcome(czk_check, K, E, F, sigma, geometry)
+    ref = _outcome(_czk_check_reference, K, E, F, sigma, geometry)
+    assert got == ref
+    got = _outcome(intermediate_derivative_check, K, F, geometry)
+    ref = _outcome(_intermediate_reference, K, F, geometry)
+    assert got == ref
+
+
+_SYMBOLS = {
+    "homogeneous": lambda: SymbolS11u.multiplier_power(1, 1),
+    "japanese-bracket": lambda: SymbolS11u(1, 1, lambda X, XI: np.sqrt(1 + XI[:, 0] ** 2),
+                                           x_independent=True),
+    "x-dependent-2d": lambda: SymbolS11u(
+        2, 2, lambda X, XI: (1.0 + np.sum(X ** 2, axis=-1)) * np.sum(XI ** 2, axis=-1)
+        + 1j * np.sin(X[:, 0]) * XI[:, 1], max_order=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SYMBOLS))
+@given(shells=st.lists(st.integers(-7, 7), min_size=1, max_size=6),
+       x_samples=st.integers(1, 4), seed=st.integers(0, 5), orders=st.sampled_from((0, 1)))
+@settings(max_examples=15, deadline=None)
+def test_batched_symbol_check_equals_per_shell_reference(name, shells, x_samples, seed, orders):
+    symbol = _SYMBOLS[name]()
+    kwargs = dict(orders=orders, shell_exponents=tuple(shells), x_samples=x_samples, seed=seed)
+    assert symbol_class_check(symbol, **kwargs) == _symbol_class_reference(symbol, **kwargs)
+
+
+def test_batched_farfield_and_moment_match_references():
+    K = kernel_by_name("hilbert")
+    atom = make_atom(DyadicCube(1, 0, (0,)), r=1.5, L=1.0, N=2.0)
+    xs = np.concatenate([np.geomspace(6.0, 6000.0, 28), -np.geomspace(7.0, 900.0, 9)])[:, None]
+    for taylor_order in (-1, 0, 2):
+        rep = apply_to_atom_farfield(K, atom, (1,), xs, taylor_order=taylor_order)
+        raw, sub = _farfield_reference(K, atom, (1,), xs, taylor_order=taylor_order)
+        for got, ref in ((rep["raw"], raw), (rep["taylor_subtracted"], sub)):
+            assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
+    for gamma in ((0,), (1,)):
+        got = moment_of_Ta(K, _even_bump(), gamma, decay_exponent=3.5)["value"]
+        ref = _moment_reference(K, _even_bump(), gamma)
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+
+
+def test_blocked_pdo_matches_per_point_reference():
+    f = _band_limited_sample(g=6)
+    symbol = SymbolS11u(1, 1, lambda X, XI: (1.0 + 0.5 * np.cos(X[:, 0])) * np.abs(XI[:, 0])
+                        + 1j * X[:, 0] * XI[:, 0], label="x-dependent")
+    got = apply_pdo(symbol, f).values
+    ref = _pdo_x_dependent_reference(symbol, f)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# ---------------------------------------------------------------------------
+# refusals, the two-sided tail, and a regrowth guard on kernel evaluations
+
+def _sqrt_kernel():
+    # NaN for x < y: the kernel is undefined on half of every shell
+    def base(X, Y):
+        with np.errstate(invalid="ignore"):
+            return np.sqrt(X[:, 0] - Y[:, 0]) ** -3
+
+    return Kernel(1, base, max_order=2, label="sqrt")
+
+
+def test_non_finite_kernel_samples_are_refused():
+    K = _sqrt_kernel()
+    with pytest.raises(PreconditionError,
+                       match=r"size condition: non-finite .* X=\[-0.0078125\], Y=\[0.0\]"):
+        czk_check(K, 1.5, 0.5, geometry=GEOM)
+    with pytest.raises(PreconditionError, match="intermediate-order-0 condition: non-finite"):
+        intermediate_derivative_check(K, 0.5, geometry=GEOM)
+
+
+@pytest.mark.parametrize("geometry", [
+    SamplingGeometry(shell_exponents=()), SamplingGeometry(base_points=()),
+    SamplingGeometry(directions=0)], ids=["no-shells", "no-base-points", "no-directions"])
+def test_empty_sampling_geometry_is_refused(geometry):
+    # an empty geometry has no samples to fit: refused, not reported as void
+    with pytest.raises(PreconditionError, match="sampling geometry needs"):
+        czk_check(kernel_by_name("riesz-0"), 1.5, 0.5, geometry=geometry)
+    with pytest.raises(PreconditionError, match="sampling geometry needs"):
+        intermediate_derivative_check(kernel_by_name("riesz-0"), 0.5, geometry=geometry)
+
+
+def test_czkcheck_exits_2_on_a_non_finite_kernel(tmp_path, capsys):
+    from dyadica.cli import main
+    from dyadica.czo import _REGISTRY
+    register_kernel("sqrt-test", _sqrt_kernel)
+    try:
+        code = main(["czkcheck", "--kernel", "sqrt-test", "--E", "1.5", "--F", "0.5",
+                     "--out", str(tmp_path / "czk.json")])
+    finally:
+        del _REGISTRY["sqrt-test"]
+    assert code == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "czk.json").exists()
+
+
+def test_non_finite_symbol_samples_are_refused():
+    def root(X, XI):
+        with np.errstate(invalid="ignore"):
+            return np.sqrt(XI[:, 0])
+
+    symbol = SymbolS11u(1, 0, root, x_independent=True)
+    with pytest.raises(PreconditionError, match=r"symbol class \(0,\)\|\(0,\): non-finite .*xi="):
+        symbol_class_check(symbol, orders=0)
+
+
+def test_moment_tail_bound_covers_both_half_lines():
+    K = kernel_by_name("hilbert")
+    atom = make_atom(DyadicCube(1, 0, (0,)), 2, 1, 1)
+    rep = moment_of_Ta(K, atom, (0,), decay_exponent=3.0)
+    # direct two-sided quadrature of |Ta| over r_far <= |x| <= r_far 2^14
+    nodes, wts = np.polynomial.legendre.leggauss(64)
+    edges = rep["far_radius"] * 2.0 ** np.arange(15)
+    a, b = edges[:-1, None], edges[1:, None]
+    half = 0.5 * (b - a) * nodes + 0.5 * (a + b)
+    xs = np.concatenate([-half, half])
+    vals = apply_to_atom_farfield(K, atom, (0,), xs.reshape(-1, 1), quad_points=64)["raw"]
+    direct = float(np.sum(np.tile(0.5 * (b - a) * wts, (2, 1)) * np.abs(vals.reshape(xs.shape))))
+    assert 1.5e-7 < direct <= rep["tail_bound"]
+
+
+def _count_kernel_derivs(monkeypatch):
+    calls = []
+    original = Kernel.deriv
+
+    def counted(self, *args):
+        calls.append(1)
+        return original(self, *args)
+
+    monkeypatch.setattr(Kernel, "deriv", counted)
+    return calls
+
+
+def test_kernel_check_deriv_calls_do_not_grow_with_the_geometry(monkeypatch, tmp_path):
+    # the czkcheck call of the benchmark's adprobe_checks workload
+    from dyadica.cli import main
+    calls = _count_kernel_derivs(monkeypatch)
+    assert main(["czkcheck", "--kernel", "hilbert", "--E", "1.5", "--F", "0.5",
+                 "--intermediate", "--out", str(tmp_path / "czk.json")]) == 0
+    assert 0 < len(calls) <= 7
+    default = len(calls)
+    g = SamplingGeometry()
+    doubled = SamplingGeometry(
+        shell_exponents=tuple(range(-14, 16)), directions=2 * g.directions,
+        offset_fracs=g.offset_fracs + tuple(f / 8 for f in g.offset_fracs))
+    calls.clear()
+    K = kernel_by_name("hilbert")
+    czk_check(K, 1.5, 0.5, geometry=doubled)
+    intermediate_derivative_check(K, 0.5, geometry=doubled)
+    assert len(calls) == default

@@ -16,7 +16,13 @@ from dyadica.molecules import (
     validate_molecule,
     wavelet_family,
 )
-from dyadica.params import BESOV, SpaceParams, derived_indices, molecule_param_sets
+from dyadica.params import (
+    BESOV,
+    SpaceParams,
+    derived_indices,
+    molecule_param_sets,
+    rounding_profile,
+)
 from dyadica.wavelets import WaveletSystem, daubechies_filter
 
 Q0 = DyadicCube(1, 0, (0,))
@@ -338,3 +344,84 @@ def test_moment_quadrature_bitwise_equals_per_panel_axes(n):
         for tol in (1e-3, 1e-14):  # stops after a few refinements, and at the cap
             got = _moment_quadrature(f, gamma, 6.0, tol, max_refine=3)
             assert got == _moment_quadrature_reference(f, gamma, 6.0, tol, max_refine=3)
+
+
+# ---------------------------------------------------------------------------
+# the Hoelder step: one derivative batch at the probe points per order and
+# one envelope pass per segment, reporting bitwise what the per-separation
+# loop reported
+
+
+def _holder_reference(f, M, N, grid=ValidationGrid(), holder_seps=5, holder_probe=17):
+    q = f.cube
+    n = q.n
+    pts = grid.points(q)
+    rpN = rounding_profile(N)
+    expo = rpN.strict_frac
+    gorder = max(rpN.strict_floor, 0)
+    rng = np.random.default_rng(12345)
+    sub = pts[rng.choice(len(pts), size=min(len(pts), 160), replace=False)]
+    best_c = 0.0
+    witness = None
+    deltas = []
+    for gamma in multi_indices(n, gorder):
+        if sum(gamma) != gorder:
+            continue
+        for i_sep in range(holder_seps):
+            h = q.side / 2 ** i_sep
+            for axis in range(n):
+                dvec = np.zeros(n)
+                dvec[axis] = h
+                a = f.deriv(gamma, sub)
+                b = f.deriv(gamma, sub + dvec)
+                diff = np.abs(a - b)
+                sup_env = np.zeros(len(sub))
+                for frac in np.linspace(-1.0, 1.0, holder_probe):
+                    sup_env = np.maximum(sup_env, envelope(M, q, sub + frac * dvec))
+                sup_env_fine = sup_env.copy()
+                for frac in np.linspace(-1.0, 1.0, 2 * holder_probe - 1):
+                    sup_env_fine = np.maximum(sup_env_fine, envelope(M, q, sub + frac * dvec))
+                deltas.append(float(np.max(np.abs(sup_env_fine - sup_env)
+                                           / np.maximum(sup_env, 1e-300))))
+                bound = q.side ** -gorder * (h / q.side) ** expo * sup_env_fine
+                ratios = diff / bound
+                i = int(np.argmax(ratios))
+                if ratios[i] > best_c:
+                    best_c = float(ratios[i])
+                    witness = (tuple(sub[i]), h, gamma)
+    return best_c, witness, max(deltas)
+
+
+def _holder_candidates():
+    d4 = wavelet_family(WaveletSystem(1, daubechies_filter(4), resolution=12), (1,),
+                        MoleculeParams(3.0, 3.0, 3.0, 1.5))
+    return [
+        (d4(Q0), 1.5),
+        (d4(DyadicCube(1, 2, (5,))), 1.0),
+        (_gaussian_candidate(), 1.0),
+        (make_atom(DyadicCube(2, 1, (0, 1)), r=1.5, L=1.0, N=2.0), 2.0),
+        (make_atom(DyadicCube(2, 0, (1, 0)), r=1.5, L=0.0, N=1.5), 1.5),
+    ]
+
+
+def test_holder_step_bitwise_equals_per_separation_loop():
+    for f, N in _holder_candidates():
+        rep = validate_molecule(f, K=3.0, L=-1.0, M=3.0, N=N)["holder"]
+        best_c, witness, delta = _holder_reference(f, 3.0, N)
+        assert (rep.constant, rep.witness) == (best_c, witness)
+        assert rep.detail["probe_refinement_delta"] == delta
+
+
+def test_holder_step_takes_one_derivative_batch_per_order(monkeypatch):
+    calls = {}
+    original = MoleculeCandidate.deriv
+
+    def counted(self, gamma, pts):
+        key = (tuple(gamma), np.asarray(pts).tobytes())
+        calls[key] = calls.get(key, 0) + 1
+        return original(self, gamma, pts)
+
+    monkeypatch.setattr(MoleculeCandidate, "deriv", counted)
+    f, N = _holder_candidates()[0]
+    validate_molecule(f, K=3.0, L=-1.0, M=3.0, N=N)
+    assert calls and max(calls.values()) == 1
