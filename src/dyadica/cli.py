@@ -340,6 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Built once at import: parsing leaves it unchanged, and building takes ms.
+PARSER = build_parser()
+
+
 def _join_negative_values(argv: list[str]) -> list[str]:
     """Attach a value that starts with a negative level, such as the window
     ``-1:3:-4..2`` or the cube ``-2:0``, to the option before it: argparse
@@ -355,8 +359,7 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else list(argv)))
+    args = PARSER.parse_args(_join_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         report = {"tool": "dyadica", "version": __version__, "threads": 1,
                   **args.fn(args)}

@@ -11,6 +11,7 @@ varying weights are resolved by extra grid subdivision.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -228,60 +229,59 @@ class CoeffField:
         line or cube in file order: a malformed line, a second line for one
         cube, a cube outside the window, a non-finite value."""
         n = window.n
-        width = n + 2 * m
-        heads, nums = [], []
-        malformed = None
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            # the cube literal "j:k1,...,kn" holds the first n comma fields
-            parts = line.split(",")
-            level, _, k1 = parts[0].partition(":")
-            try:
-                head = [int(level), int(k1), *map(int, parts[1:n])]
-                vals = list(map(float, parts[n:]))
-            except ValueError:
-                vals = []
-            if len(vals) != 2 * m:
-                malformed = PreconditionError(f"bad coefficient line {line!r}")
-                break
-            heads.append(head)
-            nums.append(vals)
-        out = cls(window, m)
-        if heads:
-            try:
-                head = np.array(heads, dtype=np.int64)
-            except OverflowError as exc:
-                raise PreconditionError("cube index in coefficient file exceeds 64 bits") from exc
-            # complex(re, im) exactly, so a signed zero survives the round trip
-            values = np.array(nums).view(complex).reshape(len(heads), m)
-            out._scatter(head[:, 0], head[:, 1:], values)
-        if malformed is not None:
-            raise malformed
-        return out
-
-    def _scatter(self, levels: np.ndarray, index: np.ndarray, values: np.ndarray) -> None:
-        """Fill an empty field from N parsed lines (levels (N,), index (N, n),
-        values (N, m)), refusing at the first line that repeats a cube, lies
-        outside the window or holds a non-finite value."""
-        win = self.window
-        pos = win.positions(CubeArrays(levels, index))
+        lines = [s for s in map(str.strip, text.splitlines()) if s and not s.startswith("#")]
+        # "j:k1,...,kn, re1, im1, ...": n - 1 + 2m commas and one colon, in
+        # the first comma field
+        commas = n - 1 + 2 * m
+        ok = [s.count(",") == commas and s.count(":") == 1 and s.index(":") < s.index(",")
+              for s in lines]
+        end = ok.index(False) if False in ok else len(lines)
+        try:
+            head, values = _parse_lines(lines[:end], n, m)
+        except ValueError:  # the first line with a field that is no number
+            for end, line in enumerate(lines):
+                try:
+                    _parse_lines([line], n, m)
+                except ValueError:
+                    break
+            head, values = _parse_lines(lines[:end], n, m)
+        # refuse the first line that repeats a cube, lies outside the window or
+        # holds a non-finite value
+        pos = window.positions(CubeArrays(head[:, 0], head[:, 1:]))
         outside = pos < 0
         repeated = ~outside
         repeated[np.unique(pos, return_index=True)[1]] = False
         bad = repeated | outside | ~np.all(np.isfinite(values), axis=1)
         if bad.any():
             i = int(np.argmax(bad))
-            q = DyadicCube(win.n, int(levels[i]), tuple(index[i].tolist()))
+            q = DyadicCube(window.n, int(head[i, 0]), tuple(head[i, 1:].tolist()))
             if repeated[i]:
                 raise PreconditionError(f"duplicate coefficient line for cube {q}")
             if outside[i]:
                 raise PreconditionError(f"cube {q} outside the window")
             raise PreconditionError(f"non-finite coefficient for cube {q}")
-        rows = np.zeros((win.count(), self.m), dtype=complex)
+        if end < len(lines):
+            raise PreconditionError(f"bad coefficient line {lines[end]!r}")
+        rows = np.zeros((window.count(), m), dtype=complex)
         rows[pos] = values
-        self.write_all(rows)
+        out = cls(window, m)
+        out.write_all(rows)
+        return out
+
+
+def _parse_lines(lines: list[str], n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Levels and indices (N, 1 + n) and values (N, m) of well-formed
+    coefficient lines, parsed column by column from one token list."""
+    width = 1 + n + 2 * m
+    tokens = ",".join(lines).replace(":", ",").split(",") if lines else []
+    try:
+        head = np.array([list(map(int, tokens[c::width])) for c in range(1 + n)], dtype=np.int64)
+    except OverflowError as exc:
+        raise PreconditionError("cube index in coefficient file exceeds 64 bits") from exc
+    nums = np.array([list(map(float, tokens[c::width])) for c in range(1 + n, width)])
+    # complex(re, im) exactly, so a signed zero survives the round trip
+    values = np.ascontiguousarray(nums.T.reshape(-1, 2 * m)).view(complex)
+    return head.T.reshape(-1, 1 + n), values
 
 
 def _cube_list(cubes: CubeArrays) -> list[DyadicCube]:
@@ -410,58 +410,35 @@ def la_norms(stack: LevelFunctionStack, sp: SpaceParams,
             raise PreconditionError(f"level {j} of the stack holds non-finite values")
     n = window.n
     vol = stack.cell_volume
-    q_inf = sp.q_is_inf
     best = np.full(S, -1.0)
     best_level = np.zeros(S, dtype=np.int64)
     best_flat = np.zeros(S, dtype=np.intp)
     start = stack.grid_start
 
     arrs = {j: np.abs(stack.levels[j]) for j in levels}
-
-    for j_p in range(window.j_min, window.j_max + 1):
+    sums = {}
+    # finest level first; on a tie the coarser cube wins
+    for j_p in range(window.j_max, window.j_min - 1, -1):
         contributing = [j for j in levels if j >= j_p]
         if not contributing:
             continue
-        r = stack.grid_level - j_p
-        # the cells of the level-j_p window cubes, in blocks of 2^r per axis
-        region = (slice(None),) + tuple(slice((ka << r) - s, (kb << r) - s)
-                                        for (ka, kb), s in zip(window.index_bounds(j_p), start))
-
-        def block_reduce(cells: np.ndarray) -> np.ndarray:
-            out = cells[region]
-            for axis in range(1, n + 1):
-                shape = out.shape
-                new_shape = shape[:axis] + (shape[axis] >> r, 1 << r) + shape[axis + 1:]
-                out = out.reshape(new_shape).sum(axis=axis + 1)
-            return out
-
+        bounds, r = window.index_bounds(j_p), stack.grid_level - j_p
         if sp.family == BESOV:
-            # [sum_j ||f_j||_{L^p(P)}^q]^{1/q}
-            acc = None
-            for j in contributing:
-                lp_p = block_reduce(arrs[j] ** sp.p) * vol  # ||f_j||_p^p per block
-                term = lp_p ** (1.0 / sp.p)
-                if q_inf:
-                    acc = term if acc is None else np.maximum(acc, term)
-                else:
-                    t = term ** sp.q
-                    acc = t if acc is None else acc + t
-            vals = acc if q_inf else acc ** (1.0 / sp.q)
+            # [sum_j ||f_j||_{L^p(P)}^q]^{1/q}: one block reduction of |f_j|^p
+            # per level, then each window cube sums its 2^n children
+            finer = [a for a, _ in window.index_bounds(j_p + 1)]
+            sums = {j: _block_sums(sums[j], bounds, finer, 1) if j in sums
+                    else _block_sums(arrs[j] ** sp.p, bounds, start, r) for j in contributing}
+            vals = _lq([(s * vol) ** (1.0 / sp.p) for s in sums.values()], sp.q)
         else:
             # || (sum_j |f_j|^q)^{1/q} ||_{L^p(P)}
-            if q_inf:
-                pointwise = arrs[contributing[0]].copy()
-                for j in contributing[1:]:
-                    np.maximum(pointwise, arrs[j], out=pointwise)
-            else:
-                pointwise = sum(arrs[j] ** sp.q for j in contributing) ** (1.0 / sp.q)
-            vals = (block_reduce(pointwise ** sp.p) * vol) ** (1.0 / sp.p)
-
+            pointwise = _lq([arrs[j] for j in contributing], sp.q)
+            vals = (_block_sums(pointwise ** sp.p, bounds, start, r) * vol) ** (1.0 / sp.p)
         scale = math.ldexp(1.0, j_p * n) ** sp.tau  # |P|^{-tau} = 2^{j n tau}
         vals = (vals * scale).reshape(S, -1)
         flat = np.argmax(vals, axis=1)
         v = vals[np.arange(S), flat]
-        better = v > best
+        better = v >= best
         best[better] = v[better]
         best_level[better] = j_p
         best_flat[better] = flat[better]
@@ -475,6 +452,25 @@ def la_norms(stack: LevelFunctionStack, sp: SpaceParams,
         idx = np.unravel_index(flat, tuple(b - a for a, b in bounds))
         cube = DyadicCube(n, j, tuple(a + int(i) for (a, _), i in zip(bounds, idx)))
         out.append(NormResult(value, cube, j == window.j_min))
+    return out
+
+
+def _lq(arrays: list[np.ndarray], q: float) -> np.ndarray:
+    """Entrywise (sum_i a_i^q)^{1/q} of the arrays, their maximum for q = inf."""
+    if math.isinf(q):
+        return functools.reduce(np.maximum, arrays)
+    return sum(a ** q for a in arrays) ** (1.0 / q)
+
+
+def _block_sums(arr: np.ndarray, bounds, start, r: int) -> np.ndarray:
+    """Sums of ``arr`` (S, ...) over blocks of 2^r entries per axis, one per
+    index of ``bounds``; the block of index k starts at entry (k << r) - start."""
+    out = arr[(slice(None),) + tuple(slice((ka << r) - s, (kb << r) - s)
+                                     for (ka, kb), s in zip(bounds, start))]
+    for axis in range(1, out.ndim):
+        shape = out.shape
+        out = out.reshape(shape[:axis] + (shape[axis] >> r, 1 << r) + shape[axis + 1:]).sum(
+            axis=axis + 1)
     return out
 
 

@@ -2,10 +2,9 @@
 
 Filters are computed by spectral factorization of the half-band polynomial in
 extended precision, then rounded to doubles; the scaling function is sampled
-exactly on dyadic points (integer-grid eigenvector plus two-scale refinement),
-so tensor wavelet evaluation over a lattice window is pure index shifting.
-Analysis and synthesis are exact adjoints with respect to the grid inner
-product.
+exactly on dyadic points (integer-grid eigenvector plus two-scale refinement).
+Analysis and synthesis run the Mallat filter-bank pyramid over one sampled
+scaling prototype and are adjoints with respect to the grid inner product.
 """
 
 from __future__ import annotations
@@ -149,59 +148,41 @@ def cascade(fp: FilterPair, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if resolution < 4:
         raise PreconditionError("cascade resolution must be at least 4")
-    h = fp.h
-    L = len(h)
-    sqrt2 = math.sqrt(2.0)
-    n_int = L - 1
-    T = np.zeros((n_int, n_int))
-    for nn in range(n_int):
-        for mm in range(n_int):
-            idx = 2 * nn - mm
-            if 0 <= idx < L:
-                T[nn, mm] = sqrt2 * h[idx]
+    L = fp.length
+    # integer values: the unit eigenvector of T[a, b] = sqrt2 h[2a - b]
+    idx = 2 * np.arange(L - 1)[:, None] - np.arange(L - 1)
+    T = np.where((idx >= 0) & (idx < L), math.sqrt(2.0) * fp.h[np.clip(idx, 0, L - 1)], 0.0)
     w, v = np.linalg.eig(T)
     i = int(np.argmin(np.abs(w - 1.0)))
     if abs(w[i] - 1.0) > 1e-8:
         raise PreconditionError("cascade failed: no unit eigenvalue (invalid filter)")
     phi_int = np.real(v[:, i])
-    phi_int = phi_int / np.sum(phi_int)
-    prev = np.concatenate([phi_int, [0.0]])  # indices 0..L-1 at unit spacing
+    prev = np.concatenate([phi_int / np.sum(phi_int), [0.0]])  # 0..L-1 at unit spacing
     for r in range(1, resolution + 1):
-        N = (L - 1) * (1 << r) + 1
-        cur = np.zeros(N)
+        # keep the coarser samples; the two-scale relation gives the odd ones
+        cur = np.zeros((L - 1) * (1 << r) + 1)
         cur[::2] = prev
-        odd = np.arange(1, N, 2)
-        acc = np.zeros(len(odd))
-        half = 1 << (r - 1)
-        for k in range(L):
-            j_prev = odd - k * half
-            ok = (j_prev >= 0) & (j_prev < len(prev))
-            acc[ok] += sqrt2 * h[k] * prev[j_prev[ok]]
-        cur[odd] = acc
+        cur[1::2] = _two_scale(fp.h, cur, r)[1::2]
         prev = cur
-    phi = prev
-    # psi(x) = sqrt2 sum_k g_k phi(2x - k); 2x - k lands on the same grid
+    return prev, _two_scale(fp.g, prev, resolution)
+
+
+def _two_scale(filt: np.ndarray, phi: np.ndarray, resolution: int) -> np.ndarray:
+    """sqrt2 * sum_k filt[k] * phi(2x - k) on the sample grid 2**-resolution
+    of phi; 2x - k lands on the same grid, and phi is zero off its samples."""
     N = len(phi)
-    psi = np.zeros(N)
     idx = np.arange(N)
-    for k in range(L):
-        j_prev = 2 * idx - k * (1 << resolution)
-        ok = (j_prev >= 0) & (j_prev < N)
-        psi[ok] += sqrt2 * fp.g[k] * phi[j_prev[ok]]
-    return phi, psi
+    out = np.zeros(N)
+    for k, c in enumerate(filt):
+        j = 2 * idx - k * (1 << resolution)
+        ok = (j >= 0) & (j < N)
+        out[ok] += math.sqrt(2.0) * c * phi[j[ok]]
+    return out
 
 
 def refinement_residual(fp: FilterPair, phi: np.ndarray, resolution: int) -> float:
     """Sup-norm residual of the two-scale relation on the sample grid."""
-    L = len(fp.h)
-    N = len(phi)
-    idx = np.arange(N)
-    rhs = np.zeros(N)
-    for k in range(L):
-        j = 2 * idx - k * (1 << resolution)
-        ok = (j >= 0) & (j < N)
-        rhs[ok] += math.sqrt(2.0) * fp.h[k] * phi[j[ok]]
-    return float(np.max(np.abs(phi - rhs)))
+    return float(np.max(np.abs(phi - _two_scale(fp.h, phi, resolution))))
 
 
 def filter_moments(fp: FilterPair, up_to: int) -> tuple[np.ndarray, np.ndarray]:
@@ -346,156 +327,175 @@ class FunctionSample:
         return cls(n, m, grid_level, start, vals.reshape((m,) + shape))
 
 
-def _axis_corr(values: np.ndarray, taps: np.ndarray, stride: int,
-               k_range: tuple[int, int], s: int, axis_scale: float) -> np.ndarray:
-    """Contract the trailing axis of ``values`` against shifted taps.
+# Sample grid levels that analysis needs below the window's finest level.
+MIN_HEADROOM = 4
 
-    out[..., k] = axis_scale * sum_t values[..., k*stride - s + t] * taps[t]
-    for k in [k_range[0], k_range[1]).
-    """
-    T = len(taps)
-    lead = values.shape[:-1]
-    N = values.shape[-1]
-    nk = k_range[1] - k_range[0]
-    if nk <= 0:
-        return np.zeros(lead + (0,), dtype=complex)
-    if stride <= 4 and nk * T <= 1 << 22:
-        # fine levels: short taps, many cubes; strided windows + one matmul
-        padded = np.zeros(lead + (N + 2 * (T - 1),), dtype=values.dtype)
-        padded[..., T - 1: T - 1 + N] = values
-        windows = sliding_window_view(padded, T, axis=-1)
-        qs = np.arange(k_range[0], k_range[1]) * stride - s + (T - 1)
-        rows = windows[..., qs, :]
-        return axis_scale * (rows @ taps)
-    # coarse levels: few cubes with long taps; slice-dot per cube
-    out = np.zeros(lead + (nk,), dtype=complex)
-    for i in range(nk):
-        q = (k_range[0] + i) * stride - s
-        a = max(q, 0)
-        b = min(q + T, N)
-        if a >= b:
-            continue
-        out[..., i] = values[..., a:b] @ taps[a - q: b - q]
-    return axis_scale * out
+# Grid entries per slab of rows in the full-grid steps (as ad and czo block theirs).
+SLAB_ENTRIES = 1 << 18
 
 
-def _axis_scatter(coef: np.ndarray, taps: np.ndarray, stride: int,
-                  k_lo: int, s: int, out_len: int, axis_scale: float) -> np.ndarray:
-    """Adjoint of _axis_corr along the trailing axis.
+def _tap_rows(taps: np.ndarray, stride: int, scale: float) -> np.ndarray:
+    """``scale * taps`` cut into rows of ``stride``, the last one zero-padded."""
+    rows = np.zeros(-(-len(taps) // stride) * stride)
+    rows[:len(taps)] = scale * taps
+    return rows.reshape(-1, stride)
 
-    Cube k_lo + i adds axis_scale * coef[..., i] * taps[t] to output sample
-    (k_lo + i) * stride - s + t.  Cut into R rows of ``stride``, tap row r of
-    cube i lands on output block i + r, so block b receives
-    sum_r coef[..., b - r] * row_r: one product of the length-R sliding
-    windows of coef with the reversed rows.  Only blocks that meet the output
-    are formed.
-    """
-    T = len(taps)
-    lead, nk = coef.shape[:-1], coef.shape[-1]
-    R = -(-T // stride)
-    rows = np.zeros(R * stride)
-    rows[:T] = taps
+
+def _axis_corr(values: np.ndarray, axis: int, taps: np.ndarray, stride: int,
+               k_range: tuple[int, int], s: int, scale: float) -> np.ndarray:
+    """Along ``axis``, out[k] = scale * sum_t values[k*stride - s + t] * taps[t]
+    for k in [k_range[0], k_range[1]), with zeros outside ``values``.  With the
+    taps cut into R rows, out[k] = sum_r block_{k+r} . row_r over the sample
+    blocks of ``stride``: one product, then R shifted adds."""
+    values = np.moveaxis(values, axis, -1)
+    rows = _tap_rows(taps, stride, scale)
+    nk = max(k_range[1] - k_range[0], 0)
+    p0 = k_range[0] * stride - s                # first sample of block 0
+    blocks = np.zeros(values.shape[:-1] + ((nk + len(rows) - 1) * stride,), dtype=values.dtype)
+    a, b = max(p0, 0), min(p0 + blocks.shape[-1], values.shape[-1])
+    if a < b:
+        blocks[..., a - p0:b - p0] = values[..., a:b]
+    prods = blocks.reshape(blocks.shape[:-1] + (-1, stride)) @ rows.T
+    return np.moveaxis(sum(prods[..., r:r + nk, r] for r in range(len(rows))), -1, axis)
+
+
+def _axis_scatter(coef: np.ndarray, axis: int, taps: np.ndarray, stride: int,
+                  k_lo: int, s: int, out_len: int, scale: float) -> np.ndarray:
+    """Adjoint of _axis_corr along ``axis``: cube k_lo + i adds scale * coef[i]
+    * taps[t] to output sample (k_lo + i) * stride - s + t of ``out_len``.  Block
+    b of stride samples receives sum_r coef[b - r] * row_r: one product of the
+    length-R windows of coef with the reversed tap rows."""
+    coef = np.moveaxis(coef, axis, -1)
+    rows = _tap_rows(taps, stride, scale)
+    R, lead = len(rows), coef.shape[:-1]
+    padded = np.zeros(lead + (coef.shape[-1] + 2 * (R - 1),), dtype=coef.dtype)
+    padded[..., R - 1:R - 1 + coef.shape[-1]] = coef
+    blocks = (sliding_window_view(padded, R, axis=-1) @ rows[::-1]).reshape(lead + (-1,))
     p0 = k_lo * stride - s                      # first sample of block 0
-    b_lo = max(0, -p0 // stride)
-    b_hi = min(nk + R - 1, -((p0 - out_len) // stride))
     out = np.zeros(lead + (out_len,), dtype=coef.dtype)
-    if b_lo >= b_hi:
-        return out
-    padded = np.zeros(lead + (nk + 2 * (R - 1),), dtype=coef.dtype)
-    padded[..., R - 1:R - 1 + nk] = axis_scale * coef
-    windows = sliding_window_view(padded, R, axis=-1)[..., b_lo:b_hi, :]
-    blocks = (windows @ rows.reshape(R, stride)[::-1]).reshape(lead + (-1,))
-    first = p0 + b_lo * stride
-    a, b = max(first, 0), min(first + blocks.shape[-1], out_len)
-    out[..., a:b] = blocks[..., a - first:b - first]
-    return out
+    a, b = max(p0, 0), min(p0 + blocks.shape[-1], out_len)
+    if a < b:
+        out[..., a:b] = blocks[..., a - p0:b - p0]
+    return np.moveaxis(out, -1, axis)
 
 
-def _axis_k_range(s: int, N: int, stride: int, T: int,
-                  bounds: tuple[int, int]) -> tuple[int, int]:
-    k_lo = -(-(s - T + 1) // stride)           # ceil((s - T + 1) / stride)
-    k_hi = (s + N - 1) // stride + 1
-    return max(k_lo, bounds[0]), min(k_hi, bounds[1])
+def _slabs(arr: np.ndarray) -> list[slice]:
+    """Slices of the axis-0 rows of an (m, ...) array, SLAB_ENTRIES entries a slab."""
+    step = max(1, SLAB_ENTRIES // max(arr[:, 0].size, 1))
+    return [slice(a, a + step) for a in range(0, max(arr.shape[1], 1), step)]
+
+
+def _split(arr: np.ndarray, taps, stride: int, frame, starts, scale: float) -> dict:
+    """Correlate ``arr`` (m, ...) along every axis with each of ``taps``: a
+    dict from bits, bit i naming the taps of axis i, to arrays over the index
+    ranges ``frame``; ``starts`` are the input's first indices.  The trailing
+    axes run in slabs of rows, and the 2^n outputs share the work."""
+    def corr(parts, i):
+        return {bits[:i] + (b,) + bits[i:]: _axis_corr(a, 1 + i, t, stride, frame[i], starts[i],
+                                                       scale)
+                for bits, a in parts.items() for b, t in enumerate(taps)}
+
+    slabs = []
+    for sl in _slabs(arr):
+        parts = {(): arr[:, sl]}
+        for i in range(1, arr.ndim - 1):
+            parts = corr(parts, i)
+        slabs.append(parts)
+    return corr({bits: np.concatenate([s[bits] for s in slabs], axis=1) for bits in slabs[0]}, 0)
+
+
+def _merge(parts: dict, taps, stride: int, k_lo, starts, out: np.ndarray, scale: float) -> None:
+    """Add to ``out`` every array of ``parts`` scattered along every axis with
+    the taps its bits name, the adjoint of _split; ``k_lo`` are the inputs'
+    first indices and ``starts`` the output's.  Axis 0 runs first."""
+    for bits, arr in parts.items():
+        rows = _axis_scatter(arr, 1, taps[bits[0]], stride, k_lo[0], starts[0], out.shape[1],
+                             scale)
+        for sl in _slabs(out):
+            slab = rows[:, sl]
+            for i in range(1, out.ndim - 1):
+                slab = _axis_scatter(slab, 1 + i, taps[bits[i]], stride, k_lo[i], starts[i],
+                                     out.shape[1 + i], scale)
+            out[:, sl] += slab
+
+
+def _frames(start, shape, grid_level: int, L: int, levels) -> dict:
+    """Per level j, the index range along each axis of the prototypes whose
+    support [k, k + L - 1] * 2^-j meets the grid samples [start, start + shape)."""
+    return {j: [(-(-s >> (grid_level - j)) - (L - 1), ((s + N - 1) >> (grid_level - j)) + 1)
+                for s, N in zip(start, shape)] for j in levels}
 
 
 def analyze(f: FunctionSample, sys: WaveletSystem, window: LatticeWindow,
-            include_scaling: bool = True, min_headroom: int = 4) -> dict:
-    """Grid inner products against all window wavelets, channel by channel.
-
-    Returns a dict mapping channel tuples to coefficient fields; when
-    include_scaling is set, the all-zeros channel holds the coarsest-level
-    scaling coefficients so that the expansion is complete.
+            include_scaling: bool = True) -> dict:
+    """Grid inner products against all window wavelets, by the Mallat
+    pyramid: the samples against the scaling prototype at level J = j_max + 1,
+    then c_j[k] = sum_l h_l c_{j+1}[2k + l] and d_j[k] = sum_l g_l c_{j+1}[2k + l]
+    down to j_min.  A level spans the indices whose support meets the samples;
+    the window cuts it only when it is written.  Returns a dict mapping channel
+    tuples to coefficient fields; when include_scaling is set, the all-zeros
+    channel holds the coarsest-level scaling coefficients.
     """
     if f.n != sys.n or f.n != window.n:
         raise PreconditionError("dimension mismatch between sample, system, and window")
-    g = f.grid_level
-    if g < window.j_max + min_headroom:
+    g, J = f.grid_level, window.j_max + 1
+    if g < window.j_max + MIN_HEADROOM:
         raise PreconditionError(
             f"sample grid level {g} too coarse for finest window level {window.j_max}"
-            f" (needs headroom {min_headroom})")
-    if sys.resolution < g - window.j_min:
-        raise PreconditionError(
-            f"stored wavelet resolution {sys.resolution} cannot serve level"
-            f" {window.j_min} on a level-{g} grid")
-    out = {}
-    channel_list = list(sys.channels)
-    if include_scaling:
-        channel_list.append(sys.scaling_channel)
-    for lam in channel_list:
-        levels = ([window.j_min] if lam == sys.scaling_channel
-                  else range(window.j_min, window.j_max + 1))
-        tf = CoeffField(window, f.m)
-        for j in levels:
-            stride = 1 << (g - j)
-            bounds = window.index_bounds(j)
-            arr = f.values
-            k_ranges = []
-            for axis in range(f.n):
-                taps = sys.axis_samples(lam[axis], g - j)
-                scale = math.ldexp(2.0 ** (j / 2.0), -g)  # 2^{j/2} * h
-                kr = _axis_k_range(f.start[axis], f.shape[axis], stride,
-                                   len(taps), bounds[axis])
-                k_ranges.append(kr)
-                if kr[0] >= kr[1]:
-                    arr = None
-                    break
-                moved = np.moveaxis(arr, 1 + axis, -1)
-                moved = _axis_corr(moved, taps, stride, kr, f.start[axis], scale)
-                arr = np.moveaxis(moved, -1, 1 + axis)
-            if arr is not None:
-                tf.write(j, tuple(kr[0] for kr in k_ranges), arr)
-        out[lam] = tf
+            f" (needs headroom {MIN_HEADROOM})")
+    frames = _frames(f.start, f.shape, g, sys.fp.length, range(window.j_min, J + 1))
+    zero = sys.scaling_channel
+    out = {lam: CoeffField(window, f.m)
+           for lam in list(sys.channels) + ([zero] if include_scaling else [])}
+    top, starts = (f.values if f.values.imag.any() else f.values.real), f.start
+    taps, stride = (sys.axis_samples(0, g - J),), 1 << (g - J)
+    scale = math.ldexp(2.0 ** (J / 2.0), -g)  # 2^{J/2} * h
+    for j in range(J, window.j_min - 1, -1):
+        parts = _split(top, taps, stride, frames[j], starts, scale)
+        top, starts = parts[zero], [a for a, _ in frames[j]]
+        taps, stride, scale = (sys.fp.h, sys.fp.g), 2, 1.0
+        ov = out[sys.channels[0]].overlap(j, starts, top.shape[1:])
+        for lam, tf in out.items():
+            if ov is not None and (lam != zero or j == window.j_min):
+                tf.write(j, [a + sl.start for a, sl in zip(starts, ov[0])],
+                         parts[lam][(slice(None),) + ov[0]])
     return out
 
 
 def synthesize(coefs: dict, sys: WaveletSystem, grid_level: int,
                start: tuple[int, ...], shape: tuple[int, ...], m: int) -> FunctionSample:
-    """Sum of coefficient * wavelet over all channels, sampled on the grid."""
+    """Sum of coefficient * wavelet over all channels, sampled on the grid, by
+    the transposed pyramid: a_{j+1}[2k + l] += h_l a_j[k] + g_l d_j[k] from the
+    coarsest present level up to J = min(finest present level + 1, grid_level),
+    then level J scattered onto the grid.  A level spans the indices whose
+    support meets the grid: any other feeds only finer ones that miss it too.
+    """
     out = np.zeros((m,) + tuple(shape), dtype=complex)
-    for lam in sorted(coefs):
-        tf = coefs[lam]
-        for j in tf.levels():
-            if grid_level < j:
-                raise PreconditionError("synthesis grid coarser than a coefficient level")
-            stride = 1 << (grid_level - j)
-            taps = [sys.axis_samples(bit, grid_level - j) for bit in lam]
-            level, lower = tf.level(j), tf.lower(j)
-            if not level.imag.any():
-                level = level.real  # real coefficients scatter in real arithmetic
-            # only cubes whose support meets the output grid contribute
-            k_ranges = [_axis_k_range(start[axis], shape[axis], stride, len(taps[axis]),
-                                      (lower[axis], lower[axis] + level.shape[1 + axis]))
-                        for axis in range(sys.n)]
-            if any(lo >= hi for lo, hi in k_ranges):
-                continue
-            arr = level[(slice(None),) + tuple(slice(lo - a, hi - a)
-                                               for (lo, hi), a in zip(k_ranges, lower))]
-            for axis, (k_lo, _) in enumerate(k_ranges):
-                moved = np.moveaxis(arr, 1 + axis, -1)
-                moved = _axis_scatter(moved, taps[axis], stride, k_lo, start[axis], shape[axis],
-                                      2.0 ** (j / 2.0))
-                arr = np.moveaxis(moved, -1, 1 + axis)
-            out += arr
+    present = sorted({j for tf in coefs.values() for j in tf.levels()})
+    if not present:
+        return FunctionSample(sys.n, m, grid_level, tuple(start), out)
+    if grid_level < present[-1]:
+        raise PreconditionError("synthesis grid coarser than a coefficient level")
+    J = min(present[-1] + 1, grid_level)
+    frames = _frames(start, shape, grid_level, sys.fp.length, range(present[0], J + 1))
+    parts, k_lo = {}, None
+    for j, frame in frames.items():
+        lo = [a for a, _ in frame]
+        up = np.zeros((m,) + tuple(b - a for a, b in frame),
+                      dtype=np.result_type(float, *parts.values()))
+        _merge(parts, (sys.fp.h, sys.fp.g), 2, k_lo, lo, up, 1.0)
+        parts, k_lo = {sys.scaling_channel: up}, lo
+        for lam, tf in coefs.items():
+            level = tf.level(j)
+            ov = None if level is None else tf.overlap(j, lo, up.shape[1:])
+            if ov is not None:
+                level = level if level.imag.any() else level.real  # real stays real
+                block = np.zeros_like(up, dtype=level.dtype)
+                block[(slice(None),) + ov[0]] = level[(slice(None),) + ov[1]]
+                parts[lam] = parts.get(lam, 0) + block
+    res = grid_level - J
+    _merge(parts, (sys.axis_samples(0, res), sys.axis_samples(1, res)), 1 << res, k_lo,
+           start, out, 2.0 ** (J / 2.0))
     return FunctionSample(sys.n, m, grid_level, tuple(start), out)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import dyadica
-from dyadica.cli import main, parse_window
+from dyadica.cli import _join_negative_values, main, parse_window
 from dyadica.dyadic import DyadicCube, LatticeWindow
 from dyadica.errors import PreconditionError
 from dyadica.seq import CoeffField
@@ -285,6 +285,26 @@ def test_negative_level_window_and_cube(form, space_file, weight_file, tmp_path,
     code, rep = _run(["molcheck", "--kind", "gaussian", *cube_args], capsys)
     assert code == 0
     assert rep["config"]["cube"] == "-2:0"
+
+
+def test_join_negative_values():
+    assert _join_negative_values(["norm", "--window", "-1:3:-4..2", "--cube", "-2:0"]) == \
+        ["norm", "--window=-1:3:-4..2", "--cube=-2:0"]
+    # a leading value, an option that has its value, and values that are no level
+    argv = ["-1:2", "--x=1", "-3:0", "--n", "-2", "--window", "0:1:0..1"]
+    assert _join_negative_values(argv) == argv
+
+
+def test_consecutive_calls_share_no_state(space_file, capsys):
+    # bad arguments exit 2, also on the second call in one process
+    for argv in (["norm", "--bogus"], ["params", "--space", space_file, "--n", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    # a value given to one call is not the default of the next
+    assert _run(["params", "--space", space_file, "--n", "2"], capsys)[1]["config"]["n"] == 2
+    assert _run(["params", "--space", space_file], capsys)[1]["config"]["n"] == 1
 
 
 def test_reports_are_byte_identical_across_runs(tmp_path):

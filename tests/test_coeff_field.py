@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from dyadica.dyadic import DyadicCube, LatticeWindow, format_cube, parse_cube
 from dyadica.errors import PreconditionError
@@ -25,9 +26,8 @@ from dyadica.trace import (
 from dyadica.wavelets import (
     FunctionSample,
     WaveletSystem,
-    _axis_corr,
-    _axis_k_range,
     analyze,
+    atoms_from_wavelets,
     daubechies_filter,
     parseval_report,
     synthesize,
@@ -133,14 +133,66 @@ class DictField:
         return out
 
 
-def analyze_reference(f, sys, window):
-    """Per-cube analysis: one DictField.set per nonzero window cube."""
-    out = {}
+def axis_corr_reference(values, taps, stride, k_range, s, axis_scale):
+    """Contract the trailing axis of ``values`` against shifted taps.
+
+    out[..., k] = axis_scale * sum_t values[..., k*stride - s + t] * taps[t]
+    for k in [k_range[0], k_range[1]).
+    """
+    T = len(taps)
+    lead = values.shape[:-1]
+    N = values.shape[-1]
+    nk = k_range[1] - k_range[0]
+    if nk <= 0:
+        return np.zeros(lead + (0,), dtype=complex)
+    if stride <= 4 and nk * T <= 1 << 22:
+        # fine levels: short taps, many cubes; strided windows + one matmul
+        padded = np.zeros(lead + (N + 2 * (T - 1),), dtype=values.dtype)
+        padded[..., T - 1: T - 1 + N] = values
+        windows = sliding_window_view(padded, T, axis=-1)
+        qs = np.arange(k_range[0], k_range[1]) * stride - s + (T - 1)
+        rows = windows[..., qs, :]
+        return axis_scale * (rows @ taps)
+    # coarse levels: few cubes with long taps; slice-dot per cube
+    out = np.zeros(lead + (nk,), dtype=complex)
+    for i in range(nk):
+        q = (k_range[0] + i) * stride - s
+        a = max(q, 0)
+        b = min(q + T, N)
+        if a >= b:
+            continue
+        out[..., i] = values[..., a:b] @ taps[a - q: b - q]
+    return axis_scale * out
+
+
+def axis_k_range_reference(s, N, stride, T, bounds):
+    k_lo = -(-(s - T + 1) // stride)           # ceil((s - T + 1) / stride)
+    k_hi = (s + N - 1) // stride + 1
+    return max(k_lo, bounds[0]), min(k_hi, bounds[1])
+
+
+def analyze_reference(f, sys, window, include_scaling=True, min_headroom=4):
+    """Direct analysis: every level and channel correlates the samples with
+    prototypes sampled at resolution g - j."""
+    if f.n != sys.n or f.n != window.n:
+        raise PreconditionError("dimension mismatch between sample, system, and window")
     g = f.grid_level
-    for lam in list(sys.channels) + [sys.scaling_channel]:
+    if g < window.j_max + min_headroom:
+        raise PreconditionError(
+            f"sample grid level {g} too coarse for finest window level {window.j_max}"
+            f" (needs headroom {min_headroom})")
+    if sys.resolution < g - window.j_min:
+        raise PreconditionError(
+            f"stored wavelet resolution {sys.resolution} cannot serve level"
+            f" {window.j_min} on a level-{g} grid")
+    out = {}
+    channel_list = list(sys.channels)
+    if include_scaling:
+        channel_list.append(sys.scaling_channel)
+    for lam in channel_list:
         levels = ([window.j_min] if lam == sys.scaling_channel
                   else range(window.j_min, window.j_max + 1))
-        tf = DictField(window, f.m)
+        tf = CoeffField(window, f.m)
         for j in levels:
             stride = 1 << (g - j)
             bounds = window.index_bounds(j)
@@ -148,24 +200,18 @@ def analyze_reference(f, sys, window):
             k_ranges = []
             for axis in range(f.n):
                 taps = sys.axis_samples(lam[axis], g - j)
-                scale = math.ldexp(2.0 ** (j / 2.0), -g)
-                kr = _axis_k_range(f.start[axis], f.shape[axis], stride, len(taps), bounds[axis])
+                scale = math.ldexp(2.0 ** (j / 2.0), -g)  # 2^{j/2} * h
+                kr = axis_k_range_reference(f.start[axis], f.shape[axis], stride,
+                                            len(taps), bounds[axis])
                 k_ranges.append(kr)
                 if kr[0] >= kr[1]:
                     arr = None
                     break
                 moved = np.moveaxis(arr, 1 + axis, -1)
-                moved = _axis_corr(moved, taps, stride, kr, f.start[axis], scale)
+                moved = axis_corr_reference(moved, taps, stride, kr, f.start[axis], scale)
                 arr = np.moveaxis(moved, -1, 1 + axis)
-            if arr is None:
-                continue
-            it = np.nditer(np.zeros(arr.shape[1:]), flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                k = tuple(k_ranges[a][0] + idx[a] for a in range(f.n))
-                v = arr[(slice(None),) + idx]
-                if np.any(v != 0):
-                    tf.set(DyadicCube(f.n, j, k), v)
+            if arr is not None:
+                tf.write(j, tuple(kr[0] for kr in k_ranges), arr)
         out[lam] = tf
     return out
 
@@ -468,22 +514,47 @@ def analysis_cases(draw):
     if n == 3 and window.j_min < 0:  # keep 3D sample grids at 32^3 points
         window = LatticeWindow(3, -1, min(window.j_max, 0), window.lo, window.hi)
     g = window.j_max + 4
-    # a sample box that overlaps the window box and sticks out of it (not in 3D)
+    # a sample box that overlaps the window box and sticks out of it (not in
+    # 3D), its start shifted off the level-(j_max + 1) stride
     lo = [a + (draw(st.integers(-1, 0)) if n < 3 else 0) for a in window.lo]
     hi = [b + (draw(st.integers(0, 1)) if n < 3 else 0) for b in window.hi]
+    offset = [draw(st.integers(0, 7)) for _ in range(n)]
     order = draw(st.sampled_from((1, 2)))
-    return window, g, tuple(lo), tuple(hi), order
+    # channel fields on windows with other boxes and level ranges
+    moves = [(draw(st.integers(0, 1)), draw(st.integers(-1, 1))) for _ in range(1 << n)]
+    return window, g, tuple(lo), tuple(hi), tuple(offset), order, moves
+
+
+def _moved(window, dj, shift):
+    """The window with its levels raised by dj and its box moved by shift
+    coarsest cube sides."""
+    step = 1 << max(0, -window.j_min)
+    return LatticeWindow(window.n, window.j_min + dj, window.j_max + dj,
+                         tuple(a + shift * step for a in window.lo),
+                         tuple(b + shift * step for b in window.hi))
+
+
+def _grid(lo, hi, level):
+    """(start, shape) of a level-``level`` grid one cell wider than the box on each side."""
+    cell = [a << level if level >= 0 else a >> -level for a in lo]
+    end = [-((-b) >> -level) if level < 0 else b << level for b in hi]
+    return tuple(c - 1 for c in cell), tuple(e - c + 2 for c, e in zip(cell, end))
+
+
+def _assert_samples_match(got, expect):
+    np.testing.assert_allclose(got, expect, rtol=0,
+                               atol=1e-12 * max(np.max(np.abs(expect)), 1e-300))
 
 
 @given(case=analysis_cases(), m=st.sampled_from((1, 3)), complex_values=st.booleans(),
        seed=st.integers(0, 2 ** 16))
 @settings(max_examples=25, deadline=None)
 def test_analysis_and_synthesis_match_per_cube_oracle(case, m, complex_values, seed):
-    window, g, lo, hi, order = case
+    window, g, lo, hi, offset, order, moves = case
     n = window.n
     sys = WaveletSystem(n, daubechies_filter(order), max(6, g - window.j_min))
     rng = np.random.default_rng(seed)
-    start = tuple(a << g for a in lo)
+    start = tuple((a << g) + o for a, o in zip(lo, offset))
     shape = tuple((b - a) << g for a, b in zip(lo, hi))
     values = rng.standard_normal((m,) + shape)
     if complex_values:
@@ -492,15 +563,27 @@ def test_analysis_and_synthesis_match_per_cube_oracle(case, m, complex_values, s
     coefs = analyze(f, sys, window)
     ref = analyze_reference(f, sys, window)
     assert list(coefs) == list(ref)
-    for lam in ref:
-        _assert_same_field(coefs[lam], ref[lam])
-    got = parseval_report(f, coefs)
-    total = sum(float(np.sum(np.abs(tf.get(q)) ** 2)) for tf in ref.values() for q in tf.cubes())
-    assert got["coefficient_energy"] == total
+    # the pyramid agrees with the direct path to 1e-12 of the largest coefficient
+    got = np.stack([coefs[lam].rows() for lam in ref])
+    expect = np.stack([ref[lam].rows() for lam in ref])
+    _assert_samples_match(got, expect)
+    energy = parseval_report(f, coefs)["coefficient_energy"]
+    assert energy == pytest.approx(parseval_report(f, ref)["coefficient_energy"], rel=1e-12)
     # synthesis onto a grid that cuts through the window's cube supports
-    out = synthesize(coefs, sys, g, start, shape, m).values
-    expect = synthesize_reference(ref, sys, g, start, shape, m)
-    np.testing.assert_allclose(out, expect, rtol=0, atol=1e-12 * max(np.max(np.abs(expect)), 1e-300))
+    _assert_samples_match(synthesize(coefs, sys, g, start, shape, m).values,
+                          synthesize_reference(ref, sys, g, start, shape, m))
+    atoms = atoms_from_wavelets(coefs, sys)
+    _assert_samples_match(atoms.synthesize_exact(g, start, shape).values,
+                          synthesize_reference(atoms.channel_fields(), sys, g, start, shape, m))
+    # scaling coefficients at every level and channel fields on other windows,
+    # onto the sample grid and onto a grid at the finest coefficient level
+    lams = list(sys.channels) + [sys.scaling_channel]
+    fields = {lam: CoeffField.random(_moved(window, *mv), m, rng, 0.5, complex_values)
+              for lam, mv in zip(lams, moves)}
+    finest = max([j for tf in fields.values() for j in tf.levels()], default=window.j_max)
+    for level, (s, shp) in ((g, (start, shape)), (finest, _grid(lo, hi, finest))):
+        _assert_samples_match(synthesize(fields, sys, level, s, shp, m).values,
+                              synthesize_reference(fields, sys, level, s, shp, m))
 
 
 def test_synthesis_of_sparse_field_matches_oracle():

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -114,6 +115,11 @@ def test_la_norm_single_indicator_closed_form():
         if tau > 0:
             assert got.attaining == q
             assert got.value == pytest.approx(q.volume ** (1 / p - tau), rel=1e-12)
+        else:
+            # q and its ancestors tie exactly; the coarsest one is reported
+            for family in (B(0, tau, p, 2.0), F(0, tau, p, 2.0)):
+                res = la_norm(stack, family)
+                assert res.attaining == q.ancestor(q.j - win.j_min) and res.boundary_flag
 
 
 def test_la_norm_q_inf():
@@ -404,6 +410,19 @@ def test_csv_roundtrip():
         assert np.allclose(t.get(q), t2.get(q))
 
 
+def test_csv_keeps_signed_zeros_and_refuses_misplaced_fields():
+    win = LatticeWindow(2, 0, 2, (0, 0), (1, 1))
+    t = CoeffField.from_csv("# comment\n\n 1:1,0, -0.0, 1.5 \n2:3,3, 2.0, -0.0\n", win, 1)
+    assert np.signbit(t.get(DyadicCube(2, 1, (1, 0))).real[0])
+    assert np.signbit(t.get(DyadicCube(2, 2, (3, 3))).imag[0])
+    # the colon must sit in the first field; an index must be an integer
+    for bad in ("1,1:0, 1.0, 0.0", "1:1,0.5, 1.0, 0.0", "1:1,0, 1.0, x"):
+        with pytest.raises(PreconditionError, match=re.escape(f"bad coefficient line {bad!r}")):
+            CoeffField.from_csv(f"2:3,3, 2.0, 0.0\n{bad}\n1:1,1, 1.0, 0.0\n", win, 1)
+    with pytest.raises(PreconditionError, match="exceeds 64 bits"):
+        CoeffField.from_csv(f"1:{2 ** 70},0, 1.0, 0.0\n", win, 1)
+
+
 @pytest.mark.parametrize("second", ["2.0, 0.0", "0.0, 0.0"])
 def test_csv_refuses_duplicate_cube(second):
     # a later line for the same cube would silently replace the first one,
@@ -624,6 +643,36 @@ def test_la_norms_rows_match_single_stack_calls(window, sp, samples, extra, seed
         ref = la_norm_reference(one, sp)
         assert res.value == pytest.approx(ref.value, rel=1e-12, abs=0)
         assert (res.attaining, res.boundary_flag) == (ref.attaining, ref.boundary_flag)
+
+
+@st.composite
+def _unaligned_windows(draw):
+    """1D and 2D windows with negative j_min whose box edges need not be
+    multiples of the coarsest cube side."""
+    n = draw(st.sampled_from((1, 2)))
+    j_min = draw(st.integers(-2, 0))
+    j_max = j_min + draw(st.integers(0, 2))
+    step = 1 << -j_min
+    lo = [draw(st.integers(-3, 2)) for _ in range(n)]
+    hi = [a + draw(st.integers(2 * step - 1, 2 * step + 1)) for a in lo]
+    return LatticeWindow(n, j_min, j_max, tuple(lo), tuple(hi))
+
+
+@given(window=_unaligned_windows(), sp=_SPACES, extra=st.integers(0, 1),
+       seed=st.integers(0, 2 ** 16))
+@settings(max_examples=40, deadline=None)
+def test_la_norm_unaligned_windows_match_bruteforce(window, sp, extra, seed):
+    rng = np.random.default_rng(seed)
+    stack = LevelFunctionStack(window, max(window.j_max, 0) + extra, {})
+    for j in range(window.j_min, window.j_max + 1):
+        if rng.random() < 0.8:
+            stack.levels[j] = rng.random(stack.grid_shape)
+    if not stack.levels:
+        return
+    got = la_norm(stack, sp)
+    expect, expect_cube = _la_norm_bruteforce(stack, sp)
+    assert got.value == pytest.approx(expect, rel=1e-12, abs=0)
+    assert got.attaining == expect_cube
 
 
 def test_la_norms_refuses_single_stack():

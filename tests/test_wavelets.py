@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from test_coeff_field import analyze_reference
 
 from dyadica.dyadic import DyadicCube, LatticeWindow, children
 from dyadica.errors import PreconditionError
@@ -202,10 +203,18 @@ def test_analyze_preconditions():
     f = _gauss_sample(6, (0,), (1,))
     with pytest.raises(PreconditionError):
         analyze(f, sys, win)  # headroom too small
+    # the stored resolution must serve level j_max + 1 on the sample grid
+    with pytest.raises(PreconditionError, match="requested resolution 5 exceeds stored 4"):
+        analyze(_gauss_sample(7, (0,), (1,)), WaveletSystem(1, daubechies_filter(2), 4),
+                LatticeWindow(1, 0, 1, (0,), (1,)))
+    # but not level j_min: the direct path needs resolution 12 for this window
     win2 = LatticeWindow(1, -6, 1, (-64,), (64,))
     f2 = _gauss_sample(6, (-64,), (64,))
-    with pytest.raises(PreconditionError):
-        analyze(f2, sys, win2)  # stored resolution cannot serve j_min
+    got = analyze(f2, sys, win2)
+    ref = analyze_reference(f2, WaveletSystem(1, daubechies_filter(2), 12), win2)
+    expect = np.stack([tf.rows() for tf in ref.values()])
+    np.testing.assert_allclose(np.stack([got[lam].rows() for lam in ref]), expect, rtol=0,
+                               atol=1e-12 * np.max(np.abs(expect)))
 
 
 # ---------------------------------------------------------------------------
