@@ -242,8 +242,9 @@ def cmd_weights(args) -> dict:
         out["dimension_report"] = rep
     if args.reducing:
         fam = ReducingFamily.build(W, args.p, window, quad)
+        # fam.ops runs in window.all_cubes() order
         out["reducing_operators"] = {
-            str(q): fam[q] for q in list(window.all_cubes())[: args.max_ops]
+            str(q): A for q, A in zip(window.all_cubes(), fam.ops[: args.max_ops])
         }
         out["fit"] = fam.fit_report()
     return out

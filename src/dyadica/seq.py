@@ -417,6 +417,9 @@ def la_norms(stack: LevelFunctionStack, sp: SpaceParams,
 
     arrs = {j: np.abs(stack.levels[j]) for j in levels}
     sums = {}
+    # F family: sum_j |f_j|^q (max_j |f_j| for q = inf) over the levels
+    # absorbed so far, and the p-th power of its q-th root
+    running, powered, absorbed = None, None, 0
     # finest level first; on a tie the coarser cube wins
     for j_p in range(window.j_max, window.j_min - 1, -1):
         contributing = [j for j in levels if j >= j_p]
@@ -431,9 +434,17 @@ def la_norms(stack: LevelFunctionStack, sp: SpaceParams,
                     else _block_sums(arrs[j] ** sp.p, bounds, start, r) for j in contributing}
             vals = _lq([(s * vol) ** (1.0 / sp.p) for s in sums.values()], sp.q)
         else:
-            # || (sum_j |f_j|^q)^{1/q} ||_{L^p(P)}
-            pointwise = _lq([arrs[j] for j in contributing], sp.q)
-            vals = (_block_sums(pointwise ** sp.p, bounds, start, r) * vol) ** (1.0 / sp.p)
+            # || (sum_j |f_j|^q)^{1/q} ||_{L^p(P)}: each level joins the
+            # running sum once, on the way down from the finest
+            fresh = contributing[:len(contributing) - absorbed]
+            if fresh:
+                inf = math.isinf(sp.q)
+                for j in reversed(fresh):
+                    term = arrs[j] if inf else arrs[j] ** sp.q
+                    running = term if running is None else (np.maximum if inf else np.add)(running, term)
+                absorbed = len(contributing)
+                powered = (running if inf else running ** (1.0 / sp.q)) ** sp.p
+            vals = (_block_sums(powered, bounds, start, r) * vol) ** (1.0 / sp.p)
         scale = math.ldexp(1.0, j_p * n) ** sp.tau  # |P|^{-tau} = 2^{j n tau}
         vals = (vals * scale).reshape(S, -1)
         flat = np.argmax(vals, axis=1)

@@ -316,15 +316,21 @@ class FunctionSample:
 
     @classmethod
     def from_callable(cls, f, n: int, m: int, grid_level: int, lo, hi) -> "FunctionSample":
+        """Samples of f on the level-``grid_level`` grid of the box [lo, hi);
+        f maps points (N, n) to values (N,) or (m, N).  f runs on slabs of
+        rows of the first axis, about SLAB_ENTRIES values each, so no
+        full-grid point array is built."""
         start = tuple(int(v) << grid_level if grid_level >= 0 else int(v) >> -grid_level
                       for v in lo)
         shape = tuple((int(b) - int(a)) << grid_level for a, b in zip(lo, hi))
-        pts = tensor_points([(start[i] + np.arange(shape[i])) * math.ldexp(1.0, -grid_level)
-                             for i in range(n)])
-        vals = np.asarray(f(pts), dtype=complex)
-        if vals.ndim == 1:
-            vals = vals[None, :]
-        return cls(n, m, grid_level, start, vals.reshape((m,) + shape))
+        axes = [(start[i] + np.arange(shape[i])) * math.ldexp(1.0, -grid_level)
+                for i in range(n)]
+        values = np.empty((m,) + shape, dtype=complex)
+        for sl in _slabs(values):
+            rows = axes[0][sl]
+            vals = np.asarray(f(tensor_points([rows] + axes[1:])), dtype=complex)
+            values[:, sl] = vals.reshape((m, len(rows)) + shape[1:])
+        return cls(n, m, grid_level, start, values)
 
 
 # Sample grid levels that analysis needs below the window's finest level.

@@ -21,8 +21,9 @@ from .errors import PreconditionError, SingularWeightError
 from .params import WeightDims
 
 EIG_CLAMP_REL = 1e-14
-# (x, y) node pairs, or (node, direction) pairs, evaluated per block: bounds
-# the temporaries at a few MB whatever the quadrature and window size
+# (x, y) pairs of distinct weight values, (node, direction) pairs, or nodes
+# evaluated per block: bounds the temporaries at a few MB whatever the
+# quadrature and window size
 PAIR_BLOCK = 1 << 15
 MVEE_TOL = 1e-7
 # fresh unit directions of the direction-ratio certificate
@@ -199,20 +200,10 @@ class MatrixWeight:
 
     def powers(self, x, exponents) -> list[np.ndarray]:
         """W(x)**a for each exponent a, from one eigendecomposition."""
-        W = self(x)
-        vals, vecs = np.linalg.eigh(W)
-        tr = np.trace(W, axis1=-2, axis2=-1).real
-        clamp = EIG_CLAMP_REL * np.maximum(tr, 0.0)
-        vals_c = np.maximum(vals, clamp[:, None])
+        vals, vecs, tr = _clamped_eigh(self(x))
         if min(exponents) < 0:
-            bad = tr <= 0
-            if np.any(bad):
-                node = np.atleast_2d(x)[int(np.argmax(bad))]
-                raise SingularWeightError(f"weight is singular at {node}", node=node)
-            if np.any(vals_c <= 0):
-                node = np.atleast_2d(x)[int(np.argmax(np.any(vals_c <= 0, axis=-1)))]
-                raise SingularWeightError(f"weight not invertible at {node}", node=node)
-        return [np.einsum("nij,nj,nkj->nik", vecs, vals_c ** a, vecs.conj()) for a in exponents]
+            _refuse_singular(vals[None], tr[None], np.atleast_2d(x)[None])
+        return [_eigen_power(vals, vecs, a) for a in exponents]
 
     def validate(self, pts, rel: float = 1e-12) -> None:
         W = self(pts)
@@ -234,8 +225,75 @@ def _refuse_non_finite(values: np.ndarray, what: str) -> None:
         raise PreconditionError(f"{what} at entry {idx} is not finite: {values[idx]}")
 
 
+def _clamped_eigh(values: np.ndarray):
+    """Eigendecomposition of Hermitian matrices (N, m, m) with the
+    small-eigenvalue clamp: the clamped eigenvalues (ascending), the
+    eigenvectors and the traces."""
+    vals, vecs = np.linalg.eigh(values)
+    tr = np.trace(values, axis1=-2, axis2=-1).real
+    return np.maximum(vals, EIG_CLAMP_REL * np.maximum(tr, 0.0)[:, None]), vecs, tr
+
+
+def _eigen_power(vals: np.ndarray, vecs: np.ndarray, a: float) -> np.ndarray:
+    return np.einsum("nij,nj,nkj->nik", vecs, vals ** a, vecs.conj())
+
+
+def _refuse_singular(vals: np.ndarray, tr: np.ndarray, nodes: np.ndarray) -> None:
+    """Refuse the first of K node sets (K, L, n) holding a matrix without
+    negative powers, from the clamped eigenvalues (K, L, m) and traces (K, L)
+    at its nodes: name its first node of trace <= 0 (singular), else its
+    first node with a clamped eigenvalue <= 0 (not invertible)."""
+    fault = np.where(tr <= 0, 1, 2 * (vals[..., 0] <= 0))
+    bad = np.any(fault > 0, axis=1)
+    if not bad.any():
+        return
+    k = int(np.argmax(bad))
+    code = 1 if np.any(fault[k] == 1) else 2
+    node = nodes[k][int(np.argmax(fault[k] == code))]
+    what = "weight is singular" if code == 1 else "weight not invertible"
+    raise SingularWeightError(f"{what} at {node}", node=node)
+
+
+@dataclass(frozen=True)
+class _Distinct:
+    """The distinct matrices of K equally long sets: ``values`` (G, m, m) in
+    set order; ``pad`` (K, U) indexes each set's values, the rows past its own
+    repeating its first; ``counts`` (K, U) are their multiplicities, 0 in the
+    padding; ``inverse`` (K, L) is the distinct value of every entry."""
+
+    values: np.ndarray
+    pad: np.ndarray
+    counts: np.ndarray
+    inverse: np.ndarray
+
+    @classmethod
+    def of(cls, values: np.ndarray) -> "_Distinct":
+        """From the matrices (K, L, m, m) of K sets: one lexsort by set, then
+        by entries, puts equal matrices of a set next to each other."""
+        K, L, m, _ = values.shape
+        flat = np.ascontiguousarray(values).reshape(K * L, m * m)
+        keys = flat.view(flat.real.dtype) if np.iscomplexobj(flat) else flat
+        order = np.lexsort((*keys.T[::-1], np.repeat(np.arange(K), L)))
+        srt = keys[order]
+        new = np.ones(K * L, dtype=bool)
+        new[1:] = np.any(srt[1:] != srt[:-1], axis=1)
+        new[::L] = True          # set k fills sorted rows [kL, (k+1)L)
+        group = np.cumsum(new) - 1
+        first = np.flatnonzero(new)
+        owner = first // L
+        rank = group[first] - group[::L][owner]
+        pad = np.repeat(group[::L], int(np.max(rank)) + 1).reshape(K, -1)
+        pad[owner, rank] = np.arange(len(first))
+        counts = np.zeros(pad.shape)
+        counts[owner, rank] = np.diff(first, append=K * L)
+        inverse = np.empty(K * L, dtype=np.int64)
+        inverse[order] = group
+        return cls(flat[order[first]].reshape(-1, m, m), pad, counts, inverse.reshape(K, L))
+
+
 def _pair_norms(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Spectral norms of A[x] @ B[y] for all pairs, shape (len(A), len(B)).
+    """Spectral norms of A[..., x] @ B[..., y] for all pairs of a batch of
+    sets, A (..., X, m, m) and B (..., Y, m, m), shape (..., X, Y).
 
     ||A_x B_y||_2 is the square root of the largest eigenvalue of the Gram
     matrix (A_x B_y)^* (A_x B_y): the product of the moduli for m = 1, the
@@ -244,11 +302,11 @@ def _pair_norms(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """
     m = A.shape[-1]
     if m == 1:
-        return np.multiply.outer(np.abs(A[:, 0, 0]), np.abs(B[:, 0, 0]))
+        return np.abs(A[..., :, None, 0, 0]) * np.abs(B[..., None, :, 0, 0])
     # (A_x B_y)^* (A_x B_y) = B_y^* (A_x^* A_x) B_y
     AhA = np.swapaxes(A.conj(), -1, -2) @ A
     Bh = np.ascontiguousarray(np.swapaxes(B.conj(), -1, -2))
-    gram = Bh[None] @ (AhA[:, None] @ B[None])
+    gram = Bh[..., None, :, :, :] @ (AhA[..., :, None, :, :] @ B[..., None, :, :, :])
     if m == 2:
         a, d = gram[..., 0, 0].real, gram[..., 1, 1].real
         top = 0.5 * (a + d) + np.hypot(0.5 * (a - d), np.abs(gram[..., 0, 1]))
@@ -257,38 +315,90 @@ def _pair_norms(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(top, 0.0))
 
 
+def _defining_averages(W: MatrixWeight, p: float,
+                       x_nodes: np.ndarray, y_nodes: np.ndarray) -> np.ndarray:
+    """Discretized averaging expression of K node-set pairs, shape (K,): x
+    over the base cube's nodes ``x_nodes`` (K, N, n), y over the (possibly
+    enlarged) comparison region's nodes ``y_nodes`` (K, M, n); passing the
+    same array for both marks x = y.
+
+    The sets run in blocks of about PAIR_BLOCK nodes; see
+    :func:`_defining_block`.
+    """
+    K, N, _ = x_nodes.shape
+    same = y_nodes is x_nodes
+    out = np.empty(K)
+    for blk in _cube_blocks(K, N if same else N + y_nodes.shape[1]):
+        xs = x_nodes[blk]
+        out[blk] = _defining_block(W, p, xs, xs if same else y_nodes[blk])
+    return out
+
+
+def _defining_block(W: MatrixWeight, p: float,
+                    x_nodes: np.ndarray, y_nodes: np.ndarray) -> np.ndarray:
+    """:func:`_defining_averages` of one block of sets.
+
+    W is evaluated once over all nodes, x before y within each set, and each
+    set is reduced to its distinct values and their multiplicities (a weight
+    constant on grid cells repeats its values many times).  One
+    eigendecomposition of the distinct values gives W^{1/p} at x and W^{-1/p}
+    at y; the pair norms run in blocks of about PAIR_BLOCK distinct pairs and
+    count each pair with the product of its multiplicities.
+    """
+    K, N, n = x_nodes.shape
+    M = y_nodes.shape[1]
+    same = y_nodes is x_nodes
+    pts = x_nodes if same else np.concatenate([x_nodes, y_nodes], axis=1)
+    vals = W(pts.reshape(-1, n)).reshape(K, -1, W.m, W.m)
+    dx = _Distinct.of(vals[:, :N])
+    dy = dx if same else _Distinct.of(vals[:, N:])
+    eig, vecs, tr = _clamped_eigh(dx.values if same else
+                                  np.concatenate([dx.values, dy.values]))
+    gx, gy = slice(len(dx.values)), slice(len(eig) - len(dy.values), None)
+    _refuse_singular(eig[gy][dy.inverse], tr[gy][dy.inverse], y_nodes)
+    A = _eigen_power(eig[gx], vecs[gx], 1.0 / p)[dx.pad]
+    B = _eigen_power(eig[gy], vecs[gy], -1.0 / p)[dy.pad]
+    Ux, Uy = dx.pad.shape[1], dy.pad.shape[1]
+    sets = max(1, PAIR_BLOCK // (Ux * Uy))
+    rows = Ux if Ux * Uy <= PAIR_BLOCK else max(1, PAIR_BLOCK // Uy)
+    # p <= 1: column sums over x per y; p > 1: the outer sum over x
+    acc = np.zeros((K, Uy) if p <= 1 else K)
+    pprime = p / (p - 1) if p > 1 else None
+    for s in range(0, K, sets):
+        S = slice(s, s + sets)
+        for r in range(0, Ux, rows):
+            R = slice(r, r + rows)
+            norms = _pair_norms(A[S, R], B[S])
+            if p <= 1:
+                acc[S] += np.einsum("kx,kxy->ky", dx.counts[S, R], norms ** p)
+            else:
+                inner = np.einsum("kxy,ky->kx", norms ** pprime, dy.counts[S]) / M
+                acc[S] += np.einsum("kx,kx->k", dx.counts[S, R], inner ** (p / pprime))
+    return (np.max(acc, axis=1) if p <= 1 else acc) / N
+
+
 def _defining_average(W: MatrixWeight, p: float,
                       x_nodes: np.ndarray, y_nodes: np.ndarray) -> float:
-    """Discretized averaging expression with x over the base cube, y over the
-    (possibly enlarged) comparison region.
-
-    The pairs are evaluated in row blocks over x of about PAIR_BLOCK pairs;
-    the means over x accumulate across blocks.
-    """
-    if y_nodes is x_nodes:
-        A, B = W.powers(x_nodes, (1.0 / p, -1.0 / p))
-    else:
-        A = W.power(x_nodes, 1.0 / p)
-        B = W.power(y_nodes, -1.0 / p)
-    rows = max(1, PAIR_BLOCK // len(B))
-    blocks = (_pair_norms(A[s:s + rows], B) for s in range(0, len(A), rows))
-    if p <= 1:
-        col_sums = sum(np.sum(norms ** p, axis=0) for norms in blocks)
-        return float(np.max(col_sums) / len(A))
-    pprime = p / (p - 1)
-    total = sum(np.sum(np.mean(norms ** pprime, axis=1) ** (p / pprime)) for norms in blocks)
-    return float(total / len(A))
+    """The one-set case of :func:`_defining_averages`, nodes (N, n) and
+    (M, n)."""
+    xs = x_nodes[None]
+    return float(_defining_averages(W, p, xs, xs if y_nodes is x_nodes else y_nodes[None])[0])
 
 
 def ap_characteristic(W: MatrixWeight, p: float, window: LatticeWindow,
                       quad: QuadratureSpec = QuadratureSpec()) -> float:
-    """Sup over window cubes of the defining average.  Monotone under refinement."""
+    """Sup over window cubes of the defining average.  Monotone under refinement.
+
+    One batch per window level: the cubes of a level see alike numbers of
+    distinct weight values.
+    """
     if p <= 0:
         raise PreconditionError("p must be positive")
+    cubes = CubeArrays.of_window(window)
     best = 0.0
-    for q in window.all_cubes():
-        nodes, _ = quad.nodes(q.lower, q.upper)
-        best = max(best, _defining_average(W, p, nodes, nodes))
+    for j in range(window.j_min, window.j_max + 1):
+        nodes = _cube_nodes(quad, cubes.take(cubes.levels == j))
+        best = max(best, float(np.max(_defining_averages(W, p, nodes, nodes))))
     return best
 
 
@@ -336,27 +446,37 @@ def _reducing_operators(W: MatrixWeight, p: float, cubes: CubeArrays,
 
 
 def _cube_nodes(quad: QuadratureSpec, cubes: CubeArrays) -> np.ndarray:
-    """Quadrature nodes of every cube, shape (C, N, n).  Edge lengths are
-    powers of two, so scaling the unit-cube nodes reproduces
-    ``quad.nodes(cube.lower, cube.upper)`` exactly."""
-    unit, _ = quad.nodes(np.zeros(cubes.n), np.ones(cubes.n))
-    return cubes.lower[:, None, :] + cubes.side[:, None, None] * unit
+    """Quadrature nodes of every cube, shape (C, N, n)."""
+    return _box_nodes(quad, cubes.lower, cubes.side[:, None])
 
 
-def _cube_blocks(C: int, pairs_per_cube: int):
-    """Slices of consecutive cubes holding about PAIR_BLOCK pairs each."""
-    step = max(1, PAIR_BLOCK // pairs_per_cube)
+def _box_nodes(quad: QuadratureSpec, lower: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """Quadrature nodes of B boxes with corners ``lower`` (B, n) and edge
+    lengths ``width`` (B, n) or (B, 1), shape (B, N, n).  Edge lengths that
+    are powers of two scale the unit-cube nodes exactly, so this reproduces
+    ``quad.nodes(lower, lower + width)``."""
+    unit, _ = quad.nodes(np.zeros(lower.shape[1]), np.ones(lower.shape[1]))
+    return lower[:, None, :] + width[:, None, :] * unit
+
+
+def _cube_blocks(C: int, per_cube: int):
+    """Slices of consecutive cubes holding about PAIR_BLOCK pairs (or nodes)
+    each, ``per_cube`` of them a cube."""
+    step = max(1, PAIR_BLOCK // per_cube)
     return (slice(s, s + step) for s in range(0, C, step))
 
 
 def _weight_means(W: MatrixWeight, nodes: np.ndarray) -> np.ndarray:
-    """Average of the weight over each cube's nodes, shape (C, m, m)."""
+    """Average of the weight over each cube's nodes, shape (C, m, m); a
+    negative scalar weight is refused at its first node."""
     C, N, n = nodes.shape
     means = []
     for blk in _cube_blocks(C, N):
-        vals = W(nodes[blk].reshape(-1, n))
+        pts = nodes[blk].reshape(-1, n)
+        vals = W(pts)
         if W.m == 1 and np.any(vals.real < 0):
-            raise SingularWeightError("scalar weight negative on cube", node=None)
+            node = pts[int(np.argmax(vals[:, 0, 0].real < 0))]
+            raise SingularWeightError(f"scalar weight negative at {node}", node=node)
         means.append(np.mean(vals.reshape(-1, N, W.m, W.m), axis=1))
     return np.concatenate(means)
 
@@ -563,42 +683,43 @@ def ap_dimension_estimate(W: MatrixWeight, p: float, window: LatticeWindow,
     """
     if p <= 0:
         raise PreconditionError("p must be positive")
+    cubes = CubeArrays.of_window(window)
     lo = np.array(window.lo, dtype=float)
     hi = np.array(window.hi, dtype=float)
-    candidates = []
-    for q in window.all_cubes():
-        c = np.array(q.center)
-        i = 0
-        while True:
-            half = 0.5 * q.side * (1 << (i + 1))
-            if np.all(c - half >= lo) and np.all(c + half <= hi):
-                i += 1
-            else:
-                break
-        if i >= min_doublings:
-            candidates.append((q, i))
-    if not candidates:
+    center = np.ldexp((2 * cubes.index + 1).astype(float), -(cubes.levels + 1)[:, None])
+    # doublings 2^i Q, i = 1, 2, ..., stay inside the box while they fit
+    doublings = np.zeros(len(cubes), dtype=np.int64)
+    fits = np.ones(len(cubes), dtype=bool)
+    i = 0
+    while fits.any():
+        half = np.ldexp(0.5 * cubes.side, i + 1)[:, None]
+        fits &= np.all(center - half >= lo, axis=1) & np.all(center + half <= hi, axis=1)
+        doublings += fits
+        i += 1
+    candidates = np.flatnonzero(doublings >= min_doublings)
+    if not len(candidates):
         raise PreconditionError(
             f"window too shallow: no cube admits {min_doublings} doublings")
     if len(candidates) > max_base_cubes:
-        stride = len(candidates) // max_base_cubes + 1
-        candidates = candidates[::stride]
+        candidates = candidates[::len(candidates) // max_base_cubes + 1]
+    # one (base cube, doubling i) pair for i = 0..imax of every candidate
+    imax = doublings[candidates]
+    base = np.repeat(candidates, imax + 1)
+    first = np.cumsum(imax + 1) - (imax + 1)
+    step = np.arange(len(base)) - np.repeat(first, imax + 1)
+    half = np.ldexp(0.5 * cubes.side[base], step)[:, None]
+    lower, upper = center[base] - half, center[base] + half
+    vals = _defining_averages(W, p, _cube_nodes(quad, cubes.take(base)),
+                              _box_nodes(quad, lower, upper - lower))
     per_cube = []
     best = -math.inf
-    for q, imax in candidates:
-        c = np.array(q.center)
-        base_nodes, _ = quad.nodes(q.lower, q.upper)
-        vals = []
-        for i in range(imax + 1):
-            half = 0.5 * q.side * (1 << i)
-            y_nodes, _ = quad.nodes(c - half, c + half)
-            vals.append(_defining_average(W, p, base_nodes, y_nodes))
-        ii = np.arange(imax + 1, dtype=float)
-        logs = np.log2(np.maximum(vals, 1e-300))
+    for c, s, d in zip(candidates.tolist(), first.tolist(), imax.tolist()):
+        ii = np.arange(d + 1, dtype=float)
+        logs = np.log2(np.maximum(vals[s:s + d + 1], 1e-300))
         slope, intercept = np.polyfit(ii, logs, 1)
         resid = float(np.sqrt(np.mean((logs - (slope * ii + intercept)) ** 2)))
-        per_cube.append({"cube": str(q), "slope": float(slope), "residual": resid,
-                         "doublings": imax})
+        per_cube.append({"cube": str(cubes.cube(c)), "slope": float(slope), "residual": resid,
+                         "doublings": d})
         best = max(best, float(slope))
     report = {"per_cube": per_cube, "n_base_cubes": len(candidates)}
     return best, report

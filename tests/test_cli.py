@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 import dyadica
-from dyadica.cli import _join_negative_values, main, parse_window
+from dyadica.cli import _join_negative_values, _load_weight, main, parse_window
 from dyadica.dyadic import DyadicCube, LatticeWindow
 from dyadica.errors import PreconditionError
 from dyadica.seq import CoeffField
 from dyadica.wavelets import FunctionSample
+from dyadica.weights import QuadratureSpec, ReducingFamily
 
 
 @pytest.fixture()
@@ -224,6 +225,22 @@ def test_weights_report_fit_block(tmp_path, capsys):
     assert fit["gap_max"] >= 1.0
     # the block holds no timings: a second run gives the same report
     assert _run(argv, capsys)[1] == rep
+
+
+@pytest.mark.parametrize("max_ops", [0, 3, 100])
+def test_weights_report_lists_the_first_max_ops_window_cubes(tmp_path, capsys, max_ops):
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps({"m": 2, "n": 1, "kind": "diag-power",
+                                 "a": [1.0, 2.0], "alpha": [0.3, -0.2], "floor": 0.0}))
+    code, rep = _run(["weights", "--weight", str(wfile), "--p", "2", "--window", "0:2:0..1",
+                      "--quad", "2:1", "--reducing", "--max-ops", str(max_ops)], capsys)
+    assert code == 0
+    window = parse_window("0:2:0..1")
+    fam = ReducingFamily.build(_load_weight(str(wfile)), 2.0, window, QuadratureSpec(2, 1))
+    cubes = list(window.all_cubes())[:max_ops]
+    assert list(rep["reducing_operators"]) == [str(q) for q in cubes]
+    for q in cubes:
+        assert rep["reducing_operators"][str(q)] == fam[q].tolist()
 
 
 def test_weights_window_outside_grid_box_refused(tmp_path, capsys):

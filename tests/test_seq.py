@@ -645,6 +645,32 @@ def test_la_norms_rows_match_single_stack_calls(window, sp, samples, extra, seed
         assert (res.attaining, res.boundary_flag) == (ref.attaining, ref.boundary_flag)
 
 
+@given(n=st.sampled_from((1, 2)), j_min=st.integers(-1, 1), depth=st.integers(1, 4),
+       p=st.sampled_from((0.7, 2.0)), q=st.sampled_from((0.5, 1.0, 3.0, INF)),
+       tau=st.floats(0.0, 0.6), samples=st.integers(1, 4), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=40, deadline=None)
+def test_la_norms_f_running_sum_matches_rebuild(n, j_min, depth, p, q, tau, samples, seed):
+    # the F family keeps a running sum of |f_j|^q from the finest level down;
+    # the reference rebuilds it from every contributing level for each P.
+    # Levels below j_min, above j_max and gaps between levels included.
+    j_max = j_min + (min(depth, 3) if n == 2 else depth)
+    step = 1 << max(0, -j_min)
+    window = LatticeWindow(n, j_min, j_max, (-step,) * n, (step,) * n)
+    rng = np.random.default_rng(seed)
+    stack = LevelFunctionStack(window, j_max + 1, {}, samples)
+    for j in range(j_min - 1, j_max + 2):
+        if rng.random() < 0.7:
+            stack.levels[j] = rng.random((samples,) + stack.grid_shape)
+    sp = F(0.0, tau, p, q)
+    for s, res in enumerate(la_norms(stack, sp)):
+        ref = la_norm_reference(stack.sample(s), sp)
+        if ref.attaining is None:
+            assert res == NormResult(0.0, None, False)
+            continue
+        assert res.value == pytest.approx(ref.value, rel=1e-12, abs=0)
+        assert (res.attaining, res.boundary_flag) == (ref.attaining, ref.boundary_flag)
+
+
 @st.composite
 def _unaligned_windows(draw):
     """1D and 2D windows with negative j_min whose box edges need not be

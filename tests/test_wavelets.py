@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from test_coeff_field import analyze_reference
 
-from dyadica.dyadic import DyadicCube, LatticeWindow, children
+from dyadica import wavelets
+from dyadica.dyadic import DyadicCube, LatticeWindow, children, tensor_points
 from dyadica.errors import PreconditionError
 from dyadica.params import BESOV, SpaceParams
 from dyadica.seq import CoeffField
@@ -112,6 +114,33 @@ def _gauss_sample(grid_level=9, lo=(-4,), hi=(5,)):
         return np.exp(-((x - 0.4) ** 2) * 2.0) * np.cos(3 * x)
 
     return FunctionSample.from_callable(f, 1, 1, grid_level, lo, hi)
+
+
+@pytest.mark.parametrize("n, m, slab", [(1, 1, 5), (2, 1, 40), (2, 2, 90), (3, 2, 300)])
+def test_from_callable_slabs_match_full_grid_evaluation(n, m, slab):
+    # a pointwise f sampled slab by slab equals f on the whole point array
+    # (the former path), bitwise
+    coef = np.arange(1, n + 1)
+
+    def f(pts):
+        vals = np.exp(-np.sum(pts ** 2, axis=1)) * np.cos(pts @ coef) + 1j * pts[:, 0]
+        return vals if m == 1 else np.stack([vals, vals ** 2 - pts[:, -1]])
+
+    level, lo, hi = 3, (-1,) + (0,) * (n - 1), (1,) * n
+    calls = []
+
+    def counted(pts):
+        calls.append(len(pts))
+        return f(pts)
+
+    with mock.patch.object(wavelets, "SLAB_ENTRIES", slab):
+        got = FunctionSample.from_callable(counted, n, m, level, lo, hi)
+    shape = tuple((b - a) << level for a, b in zip(lo, hi))
+    pts = tensor_points([(a * 2 ** level + np.arange(c)) / 2 ** level for a, c in zip(lo, shape)])
+    want = np.asarray(f(pts), dtype=complex).reshape((m,) + shape)
+    assert len(calls) >= 3 and sum(calls) == len(pts)
+    assert got.start == tuple(a << level for a in lo)
+    assert got.values.tobytes() == want.tobytes()
 
 
 def test_analyze_delta_on_wavelet():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadica import weights
-from dyadica.dyadic import DyadicCube, LatticeWindow, parse_cube
+from dyadica.dyadic import DyadicCube, LatticeWindow
 from dyadica.errors import PreconditionError, SingularWeightError
 from dyadica.params import WeightDims
 from dyadica.weights import (
@@ -420,46 +420,165 @@ def test_defining_average_matches_svd_oracle(m, complex_values, p, nx, ny, block
                                 rel=1e-12)
 
 
-@given(m=st.sampled_from((1, 2, 3)), complex_values=st.booleans(), p=ORACLE_P,
-       n=st.sampled_from((1, 2)), block=ORACLE_BLOCK, seed=st.integers(0, 2 ** 16))
-@settings(max_examples=30, deadline=None)
-def test_characteristic_matches_svd_oracle(m, complex_values, p, n, block, seed):
-    W = _smooth_weight(m, n, complex_values, seed)
+def _oracle_weight(kind, m, n, complex_values, seed, hi=1):
+    """The smooth weight, or a positive-definite weight constant on the
+    level-1 cells of [0, hi)^n: a quadrature finer than the cells repeats
+    its values."""
+    if kind == "smooth":
+        return _smooth_weight(m, n, complex_values, seed)
+    rng = np.random.default_rng(seed)
+    cells = (2 * hi,) * n
+    M = rng.standard_normal(cells + (m, m))
+    if complex_values:
+        M = M + 1j * rng.standard_normal(cells + (m, m))
+    return MatrixWeight.grid((0,) * n, (hi,) * n, 1,
+                             M @ np.swapaxes(M.conj(), -1, -2) + 0.2 * np.eye(m))
+
+
+def _ap_characteristic_reference(W, p, window, quad):
+    """The per-cube characteristic: one defining average per window cube,
+    each from the per-pair SVD."""
+    best = 0.0
+    for q in window.all_cubes():
+        nodes, _ = quad.nodes(q.lower, q.upper)
+        best = max(best, _defining_average_reference(W, p, nodes, nodes))
+    return best
+
+
+def _ap_dimension_estimate_reference(W, p, window, quad, min_doublings=4, max_base_cubes=64):
+    """The per-cube doubling fit: a Python loop over cubes and doublings,
+    one per-pair SVD defining average per (base cube, doubling)."""
+    lo = np.array(window.lo, dtype=float)
+    hi = np.array(window.hi, dtype=float)
+    candidates = []
+    for q in window.all_cubes():
+        c = np.array(q.center)
+        i = 0
+        while True:
+            half = 0.5 * q.side * (1 << (i + 1))
+            if np.all(c - half >= lo) and np.all(c + half <= hi):
+                i += 1
+            else:
+                break
+        if i >= min_doublings:
+            candidates.append((q, i))
+    if not candidates:
+        raise PreconditionError(f"window too shallow: no cube admits {min_doublings} doublings")
+    if len(candidates) > max_base_cubes:
+        candidates = candidates[::len(candidates) // max_base_cubes + 1]
+    per_cube = []
+    for q, imax in candidates:
+        c = np.array(q.center)
+        base_nodes, _ = quad.nodes(q.lower, q.upper)
+        vals = []
+        for i in range(imax + 1):
+            half = 0.5 * q.side * (1 << i)
+            y_nodes, _ = quad.nodes(c - half, c + half)
+            vals.append(_defining_average_reference(W, p, base_nodes, y_nodes))
+        ii = np.arange(imax + 1, dtype=float)
+        logs = np.log2(np.maximum(vals, 1e-300))
+        slope, intercept = np.polyfit(ii, logs, 1)
+        resid = float(np.sqrt(np.mean((logs - (slope * ii + intercept)) ** 2)))
+        per_cube.append({"cube": str(q), "slope": float(slope), "residual": resid,
+                         "doublings": imax})
+    return max(e["slope"] for e in per_cube), {"per_cube": per_cube,
+                                               "n_base_cubes": len(candidates)}
+
+
+@given(kind=st.sampled_from(("smooth", "grid")), m=st.sampled_from((1, 2, 3)),
+       complex_values=st.booleans(), p=ORACLE_P, n=st.sampled_from((1, 2)),
+       block=ORACLE_BLOCK, seed=st.integers(0, 2 ** 16))
+@settings(max_examples=40, deadline=None)
+def test_characteristic_matches_svd_oracle(kind, m, complex_values, p, n, block, seed):
+    # a grid weight under a finer quadrature: 4^n nodes, 2^n distinct values
+    # on the level-0 cube
+    W = _oracle_weight(kind, m, n, complex_values, seed)
     win = LatticeWindow(n, 0, 1, (0,) * n, (1,) * n)
-    quad = QuadratureSpec(2, 1 if n == 1 else 0)
+    quad = QuadratureSpec(2, 1 if n == 1 or kind == "grid" else 0)
     with mock.patch.object(weights, "PAIR_BLOCK", block):
         got = ap_characteristic(W, p, win, quad)
-    want = 0.0
-    for q in win.all_cubes():
-        nodes, _ = quad.nodes(q.lower, q.upper)
-        want = max(want, _defining_average_reference(W, p, nodes, nodes))
-    assert got == pytest.approx(want, rel=1e-12)
+    assert got == pytest.approx(_ap_characteristic_reference(W, p, win, quad), rel=1e-12)
 
 
-@given(m=st.sampled_from((1, 2, 3)), complex_values=st.booleans(), p=ORACLE_P,
+@given(kind=st.sampled_from(("smooth", "grid")), m=st.sampled_from((1, 2, 3)),
+       complex_values=st.booleans(), p=ORACLE_P, block=ORACLE_BLOCK,
        seed=st.integers(0, 2 ** 16))
-@settings(max_examples=15, deadline=None)
-def test_dimension_slopes_match_svd_oracle(m, complex_values, p, seed):
-    # base and doubled node sets differ in size, as in the doubling fit
-    W = _smooth_weight(m, 1, complex_values, seed)
+@settings(max_examples=25, deadline=None)
+def test_dimension_slopes_match_svd_oracle(kind, m, complex_values, p, block, seed):
+    # base and doubled node sets see different numbers of distinct values
+    W = _oracle_weight(kind, m, 1, complex_values, seed, hi=2)
     win = LatticeWindow(1, 0, 5, (0,), (2,))
     quad = QuadratureSpec(2, 0)
-    with mock.patch.object(weights, "PAIR_BLOCK", 7):
+    with mock.patch.object(weights, "PAIR_BLOCK", block):
         d_est, rep = ap_dimension_estimate(W, p, win, quad, max_base_cubes=4)
-    slopes = []
-    for entry in rep["per_cube"]:
-        q = parse_cube(entry["cube"])
-        c = np.array(q.center)
-        base, _ = quad.nodes(q.lower, q.upper)
-        vals = []
-        for i in range(entry["doublings"] + 1):
-            half = 0.5 * q.side * 2 ** i
-            y_nodes, _ = quad.nodes(c - half, c + half)
-            vals.append(_defining_average_reference(W, p, base, y_nodes))
-        ii = np.arange(len(vals), dtype=float)
-        slopes.append(np.polyfit(ii, np.log2(vals), 1)[0])
-        assert entry["slope"] == pytest.approx(slopes[-1], rel=1e-12, abs=1e-12)
-    assert d_est == pytest.approx(max(slopes), rel=1e-12, abs=1e-12)
+    d_ref, ref = _ap_dimension_estimate_reference(W, p, win, quad, max_base_cubes=4)
+    assert rep["n_base_cubes"] == ref["n_base_cubes"]
+    assert len(rep["per_cube"]) == len(ref["per_cube"])
+    for entry, want in zip(rep["per_cube"], ref["per_cube"]):
+        assert (entry["cube"], entry["doublings"]) == (want["cube"], want["doublings"])
+        assert entry["slope"] == pytest.approx(want["slope"], rel=1e-12, abs=1e-12)
+        assert entry["residual"] == pytest.approx(want["residual"], rel=1e-9, abs=1e-12)
+    assert d_est == pytest.approx(d_ref, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("window, min_doublings, max_base_cubes", [
+    (LatticeWindow(1, 0, 6, (0,), (3,)), 4, 64),
+    (LatticeWindow(1, -1, 4, (-2,), (6,)), 2, 5),
+    (LatticeWindow(2, 0, 3, (0, 0), (2, 3)), 2, 64),
+])
+def test_dimension_candidates_match_per_cube_loop(window, min_doublings, max_base_cubes):
+    # candidates, their doubling counts and the stride over them
+    W = MatrixWeight.identity(1, window.n)
+    quad = QuadratureSpec(1, 0)
+    _, rep = ap_dimension_estimate(W, 2.0, window, quad, min_doublings, max_base_cubes)
+    _, ref = _ap_dimension_estimate_reference(W, 2.0, window, quad, min_doublings,
+                                              max_base_cubes)
+    assert [(e["cube"], e["doublings"]) for e in rep["per_cube"]] == \
+        [(e["cube"], e["doublings"]) for e in ref["per_cube"]]
+    assert rep["n_base_cubes"] == ref["n_base_cubes"]
+
+
+def _refusal(fn, *args):
+    with pytest.raises((SingularWeightError, PreconditionError)) as info:
+        fn(*args)
+    return type(info.value), str(info.value), getattr(info.value, "node", None)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("p", [0.8, 3.0])
+def test_batched_refusals_name_the_per_cube_node(m, p):
+    # singular cells inside the grid box; a window reaching past a regular
+    # weight's box.  (With both in one window, the box refusal now comes
+    # first: the weight is evaluated on a whole batch before it is factored.)
+    vals = np.broadcast_to(np.eye(m), (16, m, m)).copy()
+    regular = MatrixWeight.grid((0,), (4,), 2, vals)
+    vals[[9, 10, 13]] = 0.0
+    singular = MatrixWeight.grid((0,), (4,), 2, vals)
+    quad = QuadratureSpec(2, 1)
+    cases = [(ap_characteristic, singular, LatticeWindow(1, 0, 2, (0,), (4,))),
+             (ap_characteristic, regular, LatticeWindow(1, 0, 1, (0,), (5,))),
+             (ap_dimension_estimate, singular, LatticeWindow(1, 0, 5, (0,), (4,))),
+             (ap_dimension_estimate, regular, LatticeWindow(1, 0, 5, (0,), (8,)))]
+    refs = {ap_characteristic: _ap_characteristic_reference,
+            ap_dimension_estimate: _ap_dimension_estimate_reference}
+    for fn, W, win in cases:
+        got = _refusal(fn, W, p, win, quad)
+        want = _refusal(refs[fn], W, p, win, quad)
+        assert got[:2] == want[:2]
+        assert np.array_equal(got[2], want[2])
+    # the level-0 cube [2, 3) holds the first singular nodes, 2.375 and 2.625
+    assert _refusal(*cases[0][:2], p, cases[0][2], quad)[1] == "weight is singular at [2.375]"
+    assert "point [4.125] lies outside" in _refusal(*cases[1][:2], p, cases[1][2], quad)[1]
+
+
+@pytest.mark.parametrize("W, node", [
+    (MatrixWeight.constant([[-1.0]], 1), 0.25),
+    (MatrixWeight.grid((0,), (1,), 1, np.array([[[1.0]], [[-1.0]]])), 0.75),
+])
+def test_negative_scalar_weight_names_its_first_node(W, node):
+    with pytest.raises(SingularWeightError, match=rf"scalar weight negative at \[{node}\]") as info:
+        reducing_operator(W, 2.0, DyadicCube(1, 0, (0,)), QuadratureSpec(2, 0))
+    assert info.value.node.tolist() == [node]
 
 
 def _assert_operator_close(A, A_ref):
@@ -561,7 +680,8 @@ def test_weight_evaluation_refuses_non_finite_value_and_names_the_point():
 
 
 # ---------------------------------------------------------------------------
-# one eigendecomposition when x and y are the same nodes
+# one weight evaluation and one eigendecomposition per defining average,
+# whether x and y are the same nodes or not
 
 
 def _counting(W):
@@ -586,7 +706,7 @@ def test_defining_average_same_nodes_takes_one_eigh(p, m):
         same = weights._defining_average(W, p, nodes, nodes)
         assert eigh.call_count == 1 and len(calls) == 1
         apart = weights._defining_average(W, p, nodes, nodes.copy())
-        assert eigh.call_count == 3 and len(calls) == 3
+        assert eigh.call_count == 2 and len(calls) == 2
     assert same == apart  # bitwise
 
 
