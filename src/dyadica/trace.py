@@ -205,8 +205,8 @@ def weight_compat_check(V: MatrixWeight, W: MatrixWeight, p: float,
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     base = CubeArrays.of_window(window)
     stacked = CubeArrays(base.levels, np.pad(base.index, ((0, 0), (0, 1))))  # slab 0
-    num = _direction_averages(V, p, _cube_nodes(quad, base), dirs)
-    den = _direction_averages(W, p, _cube_nodes(quad, stacked), dirs)
+    num, _ = _direction_averages(V, p, _cube_nodes(quad, base), dirs)
+    den, _ = _direction_averages(W, p, _cube_nodes(quad, stacked), dirs)
     bad = np.any((num <= 0) | (den <= 0), axis=1)
     if bad.any():
         raise PreconditionError(f"degenerate average on cube {base.cube(int(np.argmax(bad)))}")

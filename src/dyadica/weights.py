@@ -2,9 +2,10 @@
 
 A weight is a map from points to Hermitian nonnegative matrices.  The module
 estimates the averaging characteristic on a finite window, builds per-cube
-reducing operators (exact square-root averages for order 2, an enclosing
-ellipsoid fit otherwise), and fits the doubling growth exponent of the
-defining averages.
+reducing operators (exact square-root averages for order 2; otherwise the
+minimum-volume enclosing ellipsoid of the sampled average-norm ball, from a
+batched interior-point solve that stops on its optimality certificate), and
+fits the doubling growth exponent of the defining averages.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ EIG_CLAMP_REL = 1e-14
 # quadrature and window size
 PAIR_BLOCK = 1 << 15
 MVEE_TOL = 1e-7
+# step cap of one ellipsoid fit; the benchmark's fits take at most about 20
+MVEE_STEPS = 100
 # fresh unit directions of the direction-ratio certificate
 JOHN_DIRECTIONS = 256
 
@@ -420,29 +423,37 @@ def reducing_operator(W: MatrixWeight, p: float, cube: DyadicCube,
 def _reducing_operators(W: MatrixWeight, p: float, cubes: CubeArrays,
                         quad: QuadratureSpec, directions: int | None = None,
                         rng: np.random.Generator | None = None):
-    """Reducing operators of C cubes, shape (C, m, m), with the updates each
-    ellipsoid fit made in each phase, shape (C, 2), and its final gap
-    kappa_max / d, shape (C,); both are empty when no fit runs."""
+    """Reducing operators of C cubes, shape (C, m, m), with the steps each
+    ellipsoid fit took and its final gap kappa_max / d, both of shape (C,)
+    and empty when no fit runs."""
     if p <= 0:
         raise PreconditionError("p must be positive")
     nodes = _cube_nodes(quad, cubes)
-    no_fit = np.zeros((0, 2), dtype=int), np.zeros(0)
+    no_fit = np.zeros(0, dtype=int), np.zeros(0)
     if W.m == 1:
         # |A z| = (avg_E w)^{1/p} |z| exactly in the scalar case
         return _weight_means(W, nodes).real ** (1.0 / p), *no_fit
     if p == 2:
         avg = _weight_means(W, nodes)
         return _psd_sqrt(avg, "average weight not positive definite"), *no_fit
-    if any(np.max(np.abs(W(nodes[blk].reshape(-1, cubes.n)).imag)) > 1e-12
-           for blk in _cube_blocks(len(cubes), nodes.shape[1])):
+    dirs = _fit_directions(W.m, directions, rng)
+    avg, imag = _direction_averages(W, p, nodes, dirs)
+    if imag > 1e-12:
         raise PreconditionError(
             "ellipsoid fit supports real symmetric weights; use p = 2 for complex ones")
-    dirs = _fit_directions(W.m, directions, rng)
-    rho = _direction_averages(W, p, nodes, dirs) ** (1.0 / p)
+    rho = avg ** (1.0 / p)
     if np.any(rho <= 0):
         raise SingularWeightError("weight average vanishes in some direction")
-    M, iterations, gap = _mvee_centered(dirs / rho[..., None])
-    return _psd_sqrt(M, "ellipsoid fit produced a non-PD matrix"), iterations, gap
+    pts = dirs / rho[..., None]
+    # the points must span R^m: the same clamp as the weight's eigenvalues
+    V = np.swapaxes(pts, -1, -2) @ pts
+    flat = np.linalg.eigvalsh(V)[:, 0] <= EIG_CLAMP_REL * np.trace(V, axis1=1, axis2=2)
+    if flat.any():
+        raise SingularWeightError(
+            f"degenerate direction set in ellipsoid fit on cube {cubes.cube(int(np.argmax(flat)))}: "
+            f"its {len(dirs)} directions do not span R^{W.m}")
+    M, _, steps, gap = _mvee_centered(pts)
+    return _psd_sqrt(M, "ellipsoid fit produced a non-PD matrix"), steps, gap
 
 
 def _cube_nodes(quad: QuadratureSpec, cubes: CubeArrays) -> np.ndarray:
@@ -504,16 +515,33 @@ def _fit_directions(m: int, directions: int | None,
 
 
 def _direction_averages(W: MatrixWeight, p: float, nodes: np.ndarray,
-                        dirs: np.ndarray) -> np.ndarray:
+                        dirs: np.ndarray) -> tuple[np.ndarray, float]:
     """avg |W^{1/p} z|^p over each cube's nodes for every direction z, shape
-    (C, D); its p-th root is the p-average of |W^{1/p} z|.  Complex weights
-    are taken with their complex norms."""
+    (C, D), and the largest imaginary part of any weight entry met; the
+    p-th root is the p-average of |W^{1/p} z|.  Complex weights are taken
+    with their complex norms.
+
+    W is evaluated once per node.  For m = 1 the average is mean(max(w, 0))
+    |z|^p; otherwise each cube's values are reduced to the distinct ones
+    with their multiplicities, and one eigendecomposition raises those to
+    the power 1/p.
+    """
     C, N, n = nodes.shape
     avg = np.empty((C, len(dirs)))
+    imag = 0.0
     for blk in _cube_blocks(C, N * len(dirs)):
-        root = W.power(nodes[blk].reshape(-1, n), 1.0 / p).reshape(-1, N, W.m, W.m)
-        avg[blk] = np.mean(np.linalg.norm(root @ dirs.T, axis=-2) ** p, axis=1)
-    return avg
+        vals = W(nodes[blk].reshape(-1, n)).reshape(-1, N, W.m, W.m)
+        imag = max(imag, float(np.max(np.abs(vals.imag))))
+        if W.m == 1:
+            # the clamp of W^{1/p} sends a negative scalar to 0
+            w = np.mean(np.maximum(vals[..., 0, 0].real, 0.0), axis=1)
+            avg[blk] = w[:, None] * np.abs(dirs[:, 0]) ** p
+            continue
+        dv = _Distinct.of(vals)
+        root = _eigen_power(*_clamped_eigh(dv.values)[:2], 1.0 / p)
+        norms = np.linalg.norm(root @ dirs.T, axis=-2) ** p
+        avg[blk] = (dv.counts[:, None, :] @ norms[dv.pad])[:, 0] / N
+    return avg, imag
 
 
 def _kappas(P: np.ndarray, Pt: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -530,59 +558,117 @@ def _kappas(P: np.ndarray, Pt: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, n
     return Vinv, ((P @ Vinv) * P) @ np.ones(P.shape[-1])
 
 
-def _mvee_centered(pts: np.ndarray, tol: float = MVEE_TOL,
-                   mult_iter: int = 200, fw_iter: int = 300):
+def _sym_basis(d: int) -> np.ndarray:
+    """Orthonormal basis of the symmetric d x d matrices under the trace
+    inner product, one flattened matrix per row, shape (d(d+1)/2, d*d):
+    E_ii, and (E_ij + E_ji) / sqrt 2 for i < j.  B times a flattened
+    symmetric matrix gives its coordinates, and B^T the coordinates back."""
+    i, j = np.triu_indices(d)
+    B = np.zeros((len(i), d, d))
+    k = np.arange(len(i))
+    B[k, i, j] = np.where(i == j, 1.0, math.sqrt(0.5))
+    B[k, j, i] = B[k, i, j]
+    return B.reshape(len(i), d * d)
+
+
+def _mv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Batched matrix-vector products A (C, a, b) x (C, b) -> (C, a)."""
+    return (A @ x[..., None])[..., 0]
+
+
+def _mvee_centered(pts: np.ndarray, tol: float = MVEE_TOL):
     """Minimum-volume origin-centered ellipsoids {z: z^T M z <= 1} of C point
     sets at once, ``pts`` of shape (C, N, d) (each set is treated as
     symmetric, so only one representative per direction is needed).
 
-    Two phases of the D-optimal-design iteration: the multiplicative update
-    u_i <- u_i * kappa_i / d makes fast global progress, and a capped
-    coordinate (Frank-Wolfe) phase polishes near the optimum.  A set leaves
-    the batch once it meets its own stopping test.  The final rescale makes
-    the containment exact regardless of where the iteration stops, so a cap
-    costs only a bounded volume sub-optimality.
+    A primal-dual interior-point (Mehrotra predictor-corrector) solve of
+    min -log det M subject to s_i = 1 - p_i^T M p_i >= 0 on the d(d+1)/2
+    coordinates of M (:func:`_sym_basis`), with multipliers lam_i >= 0.
+    The solve is affine invariant, so it runs on whitened points, for which
+    V(uniform) = I: that keeps its Newton matrices well scaled.  It starts at
+    M = V(uniform)^{-1} / (2 kappa_max), lam = d / N, centres on
+    max(sigma mu, mu_0 |r_d| / |r_d,0|) so that mu falls no faster than the
+    dual residual r_d = sum lam_i p_i p_i^T - M^{-1}, and steps 0.99 of the
+    way to the nearest of the slack and multiplier bounds and the point
+    where M would lose half of itself along some direction.  A set stops,
+    and stays frozen, once the design u = lam / sum(lam) meets the
+    certificate kappa_max / d <= 1 + tol; MVEE_STEPS caps the steps.
 
-    Returns M (C, d, d), the updates each set made in each phase (C, 2) and
-    its final gap kappa_max / d, which is 1 at the optimum.
+    Returns M = V(u)^{-1} / kappa_max (C, d, d), which contains every point
+    exactly, the multipliers kappa_max u (C, N), for which M^{-1} = sum_i
+    lam_i p_i p_i^T, the steps each set took (C,) and its gap kappa_max / d:
+    1 at the optimum, and log det M is within d log(gap) of the optimum's.
     """
     P = np.asarray(pts, dtype=float)
     Pt = np.ascontiguousarray(np.swapaxes(P, -1, -2))
     C, N, d = P.shape
-    u = np.full((C, N), 1.0 / N)
-    iterations = np.zeros((C, 2), dtype=int)
-    active = np.arange(C)
+    try:
+        L = np.linalg.cholesky(Pt @ P / N)
+    except np.linalg.LinAlgError as exc:
+        raise SingularWeightError("degenerate direction set in ellipsoid fit") from exc
+    Xt = np.linalg.solve(L, Pt)                                  # whitened points
+    X = np.ascontiguousarray(np.swapaxes(Xt, -1, -2))
+    B = _sym_basis(d)
+    Bt = np.ascontiguousarray(B.T)
 
-    def active_kappas():
-        if len(active) == C:
-            return _kappas(P, Pt, u)[1]
-        return _kappas(P[active], Pt[active], u[active])[1]
+    # coordinates of C symmetric matrices and back, as C matrix-vector
+    # products: a set's arithmetic does not depend on the batch it is in
+    def coords(Y):
+        return _mv(B, Y.reshape(C, d * d))
 
-    for _ in range(mult_iter):
-        kappa = active_kappas()
-        go = ~(np.max(kappa, axis=1) <= d * (1.0 + tol))
-        active, kappa = active[go], kappa[go]
-        if not len(active):
+    def matrix(v):
+        return _mv(Bt, v).reshape(C, d, d)
+
+    A = (X[..., :, None] * X[..., None, :]).reshape(C, N, d * d) @ Bt   # rows x_i x_i^T
+    At = np.ascontiguousarray(np.swapaxes(A, -1, -2))
+    # V(uniform)^{-1} / (2 kappa_max) of the whitened points
+    m = coords(np.eye(d) / (2.0 * np.max(np.sum(X * X, axis=2), axis=1))[:, None, None])
+    lam = np.full((C, N), d / N)
+    s = 1.0 - _mv(A, m)
+    steps = np.zeros(C, dtype=int)
+    for step in range(MVEE_STEPS + 1):
+        u = lam / np.sum(lam, axis=1, keepdims=True)
+        done = np.max(_kappas(X, Xt, u)[1], axis=1) <= d * (1.0 + tol)
+        if done.all() or step == MVEE_STEPS:
             break
-        u[active] *= kappa / d
-        u[active] /= np.sum(u[active], axis=1, keepdims=True)
-        iterations[active, 0] += 1
-    for _ in range(fw_iter if len(active) else 0):
-        kappa = active_kappas()
-        j = np.argmax(kappa, axis=1)
-        kj = kappa[np.arange(len(j)), j]
-        go = ~(kj <= d * (1.0 + tol))
-        active, j, kj = active[go], j[go], kj[go]
-        if not len(active):
-            break
-        alpha = (kj - d) / (d * (kj - 1.0))
-        u[active] *= (1.0 - alpha)[:, None]
-        u[active, j] += alpha
-        iterations[active, 1] += 1
+        steps += ~done
+        w, Q = np.linalg.eigh(matrix(m))
+        Minv = (Q / w[:, None, :]) @ np.swapaxes(Q, -1, -2)
+        r_d = _mv(At, lam) - coords(Minv)
+        mu = np.sum(lam * s, axis=1) / N
+        if step == 0:
+            mu0, r0 = mu, np.linalg.norm(r_d, axis=1)
+        # Hessian of -log det M: the map Y -> M^{-1} Y M^{-1} on coordinates
+        kron = (Minv[:, :, None, :, None] * Minv[:, None, :, None, :]).reshape(C, d * d, d * d)
+        K = B @ kron @ Bt + (At * (lam / s)[:, None, :]) @ A
+        isqrt = 1.0 / np.sqrt(w)
+
+        def direction(r_c):
+            """Newton step for lam_i s_i -> lam_i s_i - r_c,i with r_d -> 0,
+            and the reciprocal of its largest allowed length (0 if none)."""
+            dm = np.linalg.solve(K, (_mv(At, r_c / s) - r_d)[..., None])[..., 0]
+            ds = -_mv(A, dm)
+            dlam = -(r_c + lam * ds) / s
+            # M + a dM >= M / 2 while a eig(M^{-1/2} dM M^{-1/2}) >= -1/2
+            dM = np.swapaxes(Q, -1, -2) @ matrix(dm) @ Q
+            low = np.linalg.eigvalsh(dM * isqrt[:, :, None] * isqrt[:, None, :])[:, 0]
+            reach = np.max(np.concatenate([-ds / s, -dlam / lam, -2.0 * low[:, None]], axis=1),
+                           axis=1)
+            return dm, ds, dlam, np.maximum(reach, 0.0)
+
+        _, ds, dlam, reach = direction(lam * s)
+        a = 1.0 / np.maximum(reach, 1.0)[:, None]
+        mu_aff = np.sum((lam + a * dlam) * (s + a * ds), axis=1) / N
+        sigma = np.where(done, 0.0, (mu_aff / mu) ** 3)
+        target = np.maximum(sigma * mu, mu0 * np.linalg.norm(r_d, axis=1) / r0)
+        dm, ds, dlam, reach = direction(lam * s + dlam * ds - target[:, None])
+        a = np.where(done, 0.0, 0.99 / np.maximum(reach, 0.99))[:, None]
+        m += a * dm
+        s += a * ds
+        lam += a * dlam
     Vinv, kappa = _kappas(P, Pt, u)
-    # scale so every point satisfies z^T M z <= 1 exactly
     kappa_max = np.max(kappa, axis=1)
-    return Vinv / kappa_max[:, None, None], iterations, kappa_max / d
+    return Vinv / kappa_max[:, None, None], kappa_max[:, None] * u, steps, kappa_max / d
 
 
 def john_direction_report(W: MatrixWeight, p: float, cube: DyadicCube,
@@ -592,7 +678,8 @@ def john_direction_report(W: MatrixWeight, p: float, cube: DyadicCube,
     A = reducing_operator(W, p, cube, quad, rng=rng)
     dirs = (rng or np.random.default_rng(1)).standard_normal((JOHN_DIRECTIONS, W.m))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    rho = _direction_averages(W, p, _cube_nodes(quad, CubeArrays.of([cube])), dirs)[0] ** (1.0 / p)
+    avg, _ = _direction_averages(W, p, _cube_nodes(quad, CubeArrays.of([cube])), dirs)
+    rho = avg[0] ** (1.0 / p)
     lhs = np.linalg.norm(dirs @ A.T, axis=-1)
     ratios = lhs / rho
     return {
@@ -614,7 +701,8 @@ class ReducingFamily:
     weight: MatrixWeight | None
     window: LatticeWindow
     ops: np.ndarray                    # (C, m, m)
-    fit_iterations: np.ndarray = field(default_factory=lambda: np.zeros((0, 2), dtype=int))
+    # (C,) interior-point steps and final gap kappa_max / d of each fit
+    fit_iterations: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     fit_gap: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def operators_at(self, cubes: CubeArrays) -> np.ndarray:
@@ -633,13 +721,13 @@ class ReducingFamily:
         return self.window.contains(cube)
 
     def fit_report(self) -> dict:
-        """Fits run, fits stopped by an iteration cap short of the tolerance,
-        the most updates any fit made (both phases) and the largest final
+        """Fits run, fits stopped by the step cap short of the tolerance,
+        the most interior-point steps any fit took and the largest final
         gap kappa_max / d (None without fits)."""
         return {
             "fits": len(self.fit_gap),
             "capped": int(np.sum(self.fit_gap > 1.0 + MVEE_TOL)),
-            "iterations_max": int(np.max(self.fit_iterations.sum(axis=1), initial=0)),
+            "iterations_max": int(np.max(self.fit_iterations, initial=0)),
             "gap_max": float(np.max(self.fit_gap)) if len(self.fit_gap) else None,
         }
 
@@ -651,8 +739,8 @@ class ReducingFamily:
     def build(cls, W: MatrixWeight, p: float, window: LatticeWindow,
               quad: QuadratureSpec = QuadratureSpec()) -> "ReducingFamily":
         """Operators of every window cube, computed as one batch."""
-        ops, iterations, gap = _reducing_operators(W, p, CubeArrays.of_window(window), quad)
-        return cls(p, W, window, ops, iterations, gap)
+        ops, steps, gap = _reducing_operators(W, p, CubeArrays.of_window(window), quad)
+        return cls(p, W, window, ops, steps, gap)
 
 
 def reducing_ratio_bound(fam: ReducingFamily, wd: WeightDims,

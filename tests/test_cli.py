@@ -220,9 +220,9 @@ def test_weights_report_fit_block(tmp_path, capsys):
     assert code == 0
     fit = rep["fit"]
     assert fit["fits"] == 7
-    assert 0 <= fit["capped"] <= fit["fits"]
-    assert 0 < fit["iterations_max"] <= 500
-    assert fit["gap_max"] >= 1.0
+    assert fit["capped"] == 0
+    assert 0 < fit["iterations_max"]
+    assert 1.0 <= fit["gap_max"] <= 1.0 + 1e-7
     # the block holds no timings: a second run gives the same report
     assert _run(argv, capsys)[1] == rep
 
