@@ -124,6 +124,8 @@ def cmd_transform(args) -> dict:
     window = parse_window(args.window)
     sysw = WaveletSystem(window.n, daubechies_filter(args.filter_order), args.resolution)
     if args.mode == "analyze":
+        if args.input is None:
+            raise PreconditionError("--mode analyze needs --input, a sample file")
         f = FunctionSample.load(args.input)
         coefs = analyze(f, sysw, window)
         written = {}
@@ -136,8 +138,14 @@ def cmd_transform(args) -> dict:
                 "parseval": parseval_report(f, coefs),
                 "files": written}
     coefs = {}
-    for lam_text, path in (pair.split("=") for pair in args.coeffs):
+    for pair in args.coeffs:
+        lam_text, _, path = pair.partition("=")
+        if not (re.fullmatch(f"[01]{{{window.n}}}", lam_text) and path):
+            raise PreconditionError(f"bad --coeffs pair {pair!r}; expected channel=file with "
+                                    f"a channel of {window.n} digits 0 or 1")
         lam = tuple(int(c) for c in lam_text)
+        if lam in coefs:
+            raise PreconditionError(f"--coeffs pair {pair!r} repeats channel {lam_text}")
         with open(path) as fh:
             coefs[lam] = CoeffField.from_csv(fh.read(), window, args.m)
     start = tuple(int(v) << args.grid_level for v in window.lo)

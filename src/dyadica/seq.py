@@ -12,7 +12,10 @@ varying weights are resolved by extra grid subdivision.
 from __future__ import annotations
 
 import functools
+import io
 import math
+import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -230,15 +233,10 @@ class CoeffField:
         cube, a cube outside the window, a non-finite value."""
         n = window.n
         lines = [s for s in map(str.strip, text.splitlines()) if s and not s.startswith("#")]
-        # "j:k1,...,kn, re1, im1, ...": n - 1 + 2m commas and one colon, in
-        # the first comma field
-        commas = n - 1 + 2 * m
-        ok = [s.count(",") == commas and s.count(":") == 1 and s.index(":") < s.index(",")
-              for s in lines]
-        end = ok.index(False) if False in ok else len(lines)
+        end = len(lines)
         try:
-            head, values = _parse_lines(lines[:end], n, m)
-        except ValueError:  # the first line with a field that is no number
+            head, values = _parse_lines(lines, n, m)
+        except ValueError:  # the first line that is malformed on its own
             for end, line in enumerate(lines):
                 try:
                     _parse_lines([line], n, m)
@@ -261,7 +259,7 @@ class CoeffField:
                 raise PreconditionError(f"cube {q} outside the window")
             raise PreconditionError(f"non-finite coefficient for cube {q}")
         if end < len(lines):
-            raise PreconditionError(f"bad coefficient line {lines[end]!r}")
+            raise _bad_line(lines[end], n)
         rows = np.zeros((window.count(), m), dtype=complex)
         rows[pos] = values
         out = cls(window, m)
@@ -269,19 +267,43 @@ class CoeffField:
         return out
 
 
+# Every byte but the separators of a coefficient line.
+_NOT_SEPARATOR = bytes(b for b in range(256) if b not in b":,\n")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def _parse_lines(lines: list[str], n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Levels and indices (N, 1 + n) and values (N, m) of well-formed
-    coefficient lines, parsed column by column from one token list."""
-    width = 1 + n + 2 * m
-    tokens = ",".join(lines).replace(":", ",").split(",") if lines else []
-    try:
-        head = np.array([list(map(int, tokens[c::width])) for c in range(1 + n)], dtype=np.int64)
-    except OverflowError as exc:
-        raise PreconditionError("cube index in coefficient file exceeds 64 bits") from exc
-    nums = np.array([list(map(float, tokens[c::width])) for c in range(1 + n, width)])
+    """Levels and indices (N, 1 + n) and values (N, m) of coefficient lines,
+    read by numpy's C parser, which is never laxer than ``int`` and
+    ``float``; ValueError unless every line is well formed."""
+    if not lines:
+        return np.zeros((0, 1 + n), dtype=np.int64), np.zeros((0, m), dtype=complex)
+    text = "\n".join(lines)
+    # "j:k1,...,kn, re1, im1, ...": the separators of every line are one
+    # colon and then n - 1 + 2m commas
+    if (text.encode().translate(None, _NOT_SEPARATOR)
+            != ((b":" + b"," * (n - 1 + 2 * m) + b"\n") * len(lines))[:-1]):
+        raise ValueError("misplaced separator")
+    dtype = np.dtype([("head", np.int64, (1 + n,)), ("values", np.float64, (2 * m,))])
+    with warnings.catch_warnings():
+        # numpy 1.x reads a float into an integer column with only a warning
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            rows = np.loadtxt(io.StringIO(text.replace(":", ",")), dtype=dtype,
+                              delimiter=",", comments=None, ndmin=1)
+        except DeprecationWarning as exc:
+            raise ValueError(str(exc)) from exc
     # complex(re, im) exactly, so a signed zero survives the round trip
-    values = np.ascontiguousarray(nums.T.reshape(-1, 2 * m)).view(complex)
-    return head.T.reshape(-1, 1 + n), values
+    return rows["head"], np.ascontiguousarray(rows["values"]).view(complex)
+
+
+def _bad_line(line: str, n: int) -> PreconditionError:
+    """The refusal of a coefficient line that does not parse on its own."""
+    ints = [s.strip() for s in line.replace(":", ",").split(",")[:1 + n]]
+    if (all(_INTEGER.fullmatch(s) for s in ints)
+            and any(not -(1 << 63) <= int(s) < (1 << 63) for s in ints)):
+        return PreconditionError(f"cube index in coefficient line {line!r} exceeds 64 bits")
+    return PreconditionError(f"bad coefficient line {line!r}")
 
 
 def _cube_list(cubes: CubeArrays) -> list[DyadicCube]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import zipfile
 from dataclasses import dataclass
 
 import mpmath
@@ -266,6 +267,11 @@ class WaveletSystem:
         return out
 
 
+# The arrays of a sample archive: the dtype kinds and the dimension each may have.
+_SAMPLE_ARRAYS = {"n": ("iu", 0), "m": ("iu", 0), "grid_level": ("iu", 0),
+                  "start": ("iu", 1), "values": ("iufc", None)}
+
+
 @dataclass
 class FunctionSample:
     """Vector-valued samples on a uniform dyadic grid (left-endpoint convention).
@@ -289,6 +295,9 @@ class FunctionSample:
             idx = tuple(np.argwhere(bad)[0].tolist())
             raise PreconditionError(f"non-finite sample value at index {idx} (channel, grid index)")
         self.start = tuple(int(s) for s in self.start)
+        if len(self.start) != self.n:
+            raise PreconditionError(f"sample start {self.start} has {len(self.start)} "
+                                    f"entries, expected n = {self.n}")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -305,14 +314,45 @@ class FunctionSample:
         return float(np.sum(np.abs(self.values) ** 2) * self.h ** self.n)
 
     def save(self, path: str) -> None:
-        np.savez(path, n=self.n, m=self.m, grid_level=self.grid_level,
-                 start=np.array(self.start), values=self.values)
+        """Write an npz archive to exactly ``path``.  ``values`` is stored as
+        float64 when every imaginary part is +0.0, so :meth:`load` gives back
+        the same complex array bit for bit."""
+        values = self.values
+        if not np.any(values.imag.view(np.uint64)):  # no nonzero part, no -0.0
+            values = np.ascontiguousarray(values.real)
+        with open(path, "wb") as fh:
+            np.savez(fh, n=self.n, m=self.m, grid_level=self.grid_level,
+                     start=np.array(self.start), values=values)
 
     @classmethod
     def load(cls, path: str) -> "FunctionSample":
-        data = np.load(path)
-        return cls(int(data["n"]), int(data["m"]), int(data["grid_level"]),
-                   tuple(int(v) for v in data["start"]), data["values"])
+        """Read a :meth:`save` archive.  Refuses, naming the file, one that is
+        no npz archive, lacks one of its arrays, holds object data or
+        non-numbers, or does not describe a valid sample."""
+        try:
+            data = np.load(path)
+        except (ValueError, zipfile.BadZipFile):  # pickled or corrupt data
+            data = None
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise PreconditionError(f"sample file {path!r} is not an npz archive")
+        with data:
+            missing = [k for k in _SAMPLE_ARRAYS if k not in data.files]
+            if missing:
+                raise PreconditionError(f"sample file {path!r} lacks {', '.join(missing)}")
+            try:
+                arrays = {k: data[k] for k in _SAMPLE_ARRAYS}
+            except ValueError as exc:  # object arrays, which need pickle
+                raise PreconditionError(f"sample file {path!r}: {exc}") from exc
+        for k, (kinds, ndim) in _SAMPLE_ARRAYS.items():
+            a = arrays[k]
+            if a.dtype.kind not in kinds or ndim not in (None, a.ndim):
+                raise PreconditionError(f"sample file {path!r} holds {k} as a "
+                                        f"{a.ndim}-d {a.dtype} array")
+        try:
+            return cls(int(arrays["n"]), int(arrays["m"]), int(arrays["grid_level"]),
+                       tuple(arrays["start"].tolist()), arrays["values"])
+        except PreconditionError as exc:
+            raise PreconditionError(f"sample file {path!r}: {exc}") from exc
 
     @classmethod
     def from_callable(cls, f, n: int, m: int, grid_level: int, lo, hi) -> "FunctionSample":

@@ -286,6 +286,58 @@ def test_transform_synthesize_refuses_non_finite_coefficient(tmp_path, capsys):
     assert "non-finite coefficient for cube 1:1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("window, pairs, expect", [
+    ("0:1:0..1", ["1c.csv"], "bad --coeffs pair '1c.csv'"),
+    ("0:1:0..1", ["21=c.csv"], "bad --coeffs pair '21=c.csv'"),
+    ("0:1:0..1", ["="], "bad --coeffs pair '='"),
+    ("0:1:0..1,0..1", ["1=c.csv"], "bad --coeffs pair '1=c.csv'"),
+    ("0:1:0..1,0..1", ["01=c.csv", "01=d.csv"], "--coeffs pair '01=d.csv' repeats channel 01"),
+])
+def test_transform_synthesize_refuses_bad_coeffs_pairs(window, pairs, expect, tmp_path,
+                                                      monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    n = window.count(",") + 1
+    for name in ("c.csv", "d.csv"):
+        (tmp_path / name).write_text("1:" + ",".join(["1"] * n) + ", 1.0, 0.0\n")
+    code = main(["transform", "--mode", "synthesize", "--filter-order", "2", "--window", window,
+                 "--coeffs", *pairs, "--grid-level", "6", "--output", "s.npz"])
+    assert code == 2
+    assert expect in capsys.readouterr().err
+    assert not (tmp_path / "s.npz").exists()
+
+
+def test_transform_analyze_refuses_missing_input(tmp_path, capsys):
+    code = main(["transform", "--mode", "analyze", "--window", "0:1:0..1",
+                 "--out-prefix", str(tmp_path / "c")])
+    assert code == 2
+    assert "--mode analyze needs --input" in capsys.readouterr().err
+
+
+def test_transform_analyze_refuses_csv_input(tmp_path, capsys):
+    src = tmp_path / "c.csv"
+    src.write_text("0:0, 1.0, 0.0\n")
+    code = main(["transform", "--mode", "analyze", "--window", "0:1:0..1",
+                 "--input", str(src), "--out-prefix", str(tmp_path / "c")])
+    assert code == 2
+    assert f"sample file {str(src)!r} is not an npz archive" in capsys.readouterr().err
+
+
+def test_transform_writes_and_reports_the_output_path(tmp_path, capsys):
+    FunctionSample.from_callable(lambda pts: np.exp(-3 * (pts[:, 0] - 0.5) ** 2),
+                                 1, 1, 7, (0,), (1,)).save(str(tmp_path / "f.npz"))
+    prefix = str(tmp_path / "c")
+    assert main(["transform", "--mode", "analyze", "--filter-order", "2", "--window",
+                 "0:2:0..1", "--input", str(tmp_path / "f.npz"), "--out-prefix", prefix]) == 0
+    capsys.readouterr()
+    out = tmp_path / "outfile"
+    code, rep = _run(["transform", "--mode", "synthesize", "--filter-order", "2",
+                      "--window", "0:2:0..1", "--coeffs", f"1={prefix}.lam1.csv",
+                      "--grid-level", "7", "--output", str(out)], capsys)
+    assert code == 0 and rep["written"] == str(out)
+    assert out.exists() and not (tmp_path / "outfile.npz").exists()
+    assert FunctionSample.load(str(out)).shape == (1 << 7,)
+
+
 @pytest.mark.parametrize("form", ["separate", "joined"])
 def test_negative_level_window_and_cube(form, space_file, weight_file, tmp_path, capsys):
     win = LatticeWindow(1, -1, 1, (-2,), (2,))

@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -117,12 +117,12 @@ class DictField:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = [p.strip() for p in line.split(",")]
             n = window.n
+            if not _csv_line(n, m).fullmatch(line):
+                raise PreconditionError(f"bad coefficient line {line!r}")
+            parts = [p.strip() for p in line.split(",")]
             cube_text = parts[0] + ("," + ",".join(parts[1:n]) if n > 1 else "")
             nums = parts[n:]
-            if len(nums) != 2 * m:
-                raise PreconditionError(f"bad coefficient line {line!r}")
             vals = np.array([float(nums[2 * i]) + 1j * float(nums[2 * i + 1])
                              for i in range(m)])
             cube = parse_cube(cube_text, n)
@@ -131,6 +131,17 @@ class DictField:
             seen.add(cube)
             out.set(cube, vals)
         return out
+
+
+# A coefficient line: integer level and indices, decimal floats in ASCII, with
+# optional blanks around each field.
+_INT = r"\s*[+-]?[0-9]+\s*"
+_FLOAT = r"\s*[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|inf|infinity|nan)\s*"
+
+
+def _csv_line(n, m):
+    return re.compile(_INT + ":" + ",".join([_INT] * n + [_FLOAT] * (2 * m)),
+                      re.ASCII | re.IGNORECASE)
 
 
 def axis_corr_reference(values, taps, stride, k_range, s, axis_scale):
@@ -469,6 +480,61 @@ def test_csv_refusals_name_the_first_bad_line(window, m, complex_values, seed, d
     if kind != "non-finite":  # the reference field does not check finiteness
         with pytest.raises(PreconditionError, match=re.escape(expect)):
             DictField.from_csv(text, window, m)
+
+
+# Fields the C parser refuses, some of which int() or float() read (digit
+# groups, non-ASCII digits), and line shapes a column count alone lets pass.
+_BAD_INDEX = ("1_0", "0x10", "1e3", "0.5", "\u0661", "", " ")
+_BAD_VALUE = (" 1_0", " 1_0.5", " \u0661.5", " 1.0j", "")
+
+
+def _misplaced_separators(line, kind):
+    colon = line.index(":")
+    comma = line.index(",", colon)
+    if kind == "comma before colon":  # swap the colon and the next comma
+        return line[:colon] + "," + line[colon + 1:comma] + ":" + line[comma + 1:]
+    return line.replace(":", ",")  # no colon, one comma too many
+
+
+@given(window=windows(), m=st.sampled_from((1, 3)), complex_values=st.booleans(),
+       seed=st.integers(0, 2 ** 16), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_csv_refuses_what_only_int_and_float_accept(window, m, complex_values, seed, data):
+    lines = _nonempty_csv(window, m, seed, complex_values)
+    n = window.n
+    i = data.draw(st.integers(0, len(lines) - 1))
+    fields = lines[i].replace(":", ",", 1).split(",")  # level, n indices, 2m values
+    kind = data.draw(st.sampled_from(("index", "value", "comma before colon", "no colon")))
+    if kind == "index":
+        fields[data.draw(st.integers(0, n))] = data.draw(st.sampled_from(_BAD_INDEX))
+        bad = fields[0] + ":" + ",".join(fields[1:])
+    elif kind == "value":
+        fields[1 + n + data.draw(st.integers(0, 2 * m - 1))] = data.draw(st.sampled_from(_BAD_VALUE))
+        bad = fields[0] + ":" + ",".join(fields[1:])
+    else:
+        bad = _misplaced_separators(lines[i], kind)
+    bad = bad.strip()
+    # a later duplicate is not reached: the first offending line is named
+    text = "\n".join(lines[:i] + [bad] + lines[i:]) + "\n"
+    with pytest.raises(PreconditionError) as got:
+        CoeffField.from_csv(text, window, m)
+    with pytest.raises(PreconditionError) as ref:
+        DictField.from_csv(text, window, m)
+    assert str(got.value) == str(ref.value) == f"bad coefficient line {bad!r}"
+
+
+@given(x=st.floats(-1e300, 1e300).filter(bool),
+       form=st.sampled_from(("%r", "%.17g", "%.17E", "%+.25f", "%.3g", " %.6e ")))
+@settings(max_examples=200, deadline=None)
+def test_csv_values_read_as_float_reads_them(x, form):
+    # both parsers round correctly, so the bits agree also for inexact text
+    window = LatticeWindow(1, 0, 0, (0,), (1,))
+    re_text, im_text = form % x, form % -x
+    expect = np.array([complex(float(re_text), float(im_text))])
+    assume(expect.any())  # a zero vector is stored as absent, +0.0
+    t = CoeffField.from_csv(f"0:0, {re_text}, {im_text}\n", window, 1)
+    got = t.get(DyadicCube(1, 0, (0,)))
+    assert got.view(np.uint64).tolist() == expect.view(np.uint64).tolist()
 
 
 @given(window=windows(), m=st.sampled_from((1, 3)), seed=st.integers(0, 2 ** 16),

@@ -3,6 +3,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_coeff_field import analyze_reference
 
 from dyadica import wavelets
@@ -424,3 +426,63 @@ def test_atoms_from_wavelets_matches_per_cube_oracle(n, window):
         expect = coefs[lam].rows() if lam in coefs else np.zeros((window.count(), 2))
         assert np.array_equal(fields[lam].rows(), expect)
         assert fields[lam] is not coefs.get(lam)
+
+
+# ---------------------------------------------------------------------------
+# sample files
+
+
+@given(n=st.integers(1, 2), m=st.integers(1, 2), kind=st.sampled_from(("real", "complex", "-0.0")),
+       seed=st.integers(0, 2 ** 16))
+@settings(max_examples=30, deadline=None)
+def test_sample_save_load_is_bitwise(tmp_path_factory, n, m, kind, seed):
+    rng = np.random.default_rng(seed)
+    shape = (m,) + (1 << (4 - n),) * n
+    values = rng.standard_normal(shape) * (rng.random(shape) < 0.7)
+    values = values * np.where(rng.random(shape) < 0.5, -1.0, 1.0)  # signed zeros too
+    if kind == "complex":
+        values = values + 1j * rng.standard_normal(shape)
+    elif kind == "-0.0":
+        values = values.astype(complex)
+        values.flat[rng.integers(values.size)] = complex(values.flat[0].real, -0.0)
+    f = FunctionSample(n, m, 3, tuple(rng.integers(-9, 9, n).tolist()), values)
+    path = str(tmp_path_factory.mktemp("s") / "f.npz")
+    f.save(path)
+    with np.load(path) as data:
+        # real samples are stored as float64; any imaginary bit keeps complex128
+        assert data["values"].dtype == (np.float64 if kind == "real" else np.complex128)
+    g = FunctionSample.load(path)
+    assert (g.n, g.m, g.grid_level, g.start) == (f.n, f.m, f.grid_level, f.start)
+    assert g.values.dtype == np.complex128
+    assert g.values.tobytes() == f.values.tobytes()
+
+
+@pytest.mark.parametrize("case, expect", [
+    ("csv", "is not an npz archive"),
+    ("npy", "is not an npz archive"),
+    ("missing", "lacks grid_level, start"),
+    ("object", "Object arrays cannot be loaded"),
+    ("text values", "holds values as a 2-d <U3 array"),
+    ("short start", "sample start (0,) has 1 entries, expected n = 2"),
+])
+def test_sample_load_refusals_name_the_file(tmp_path, case, expect):
+    path = tmp_path / "f.npz"
+    arrays = {"n": 1, "m": 1, "grid_level": 3, "start": np.array([0]), "values": np.ones((1, 8))}
+    if case == "csv":
+        path.write_text("0:0, 1.0, 0.0\n")
+    elif case == "npy":
+        with open(path, "wb") as fh:
+            np.save(fh, arrays["values"])
+    else:
+        if case == "missing":
+            del arrays["grid_level"], arrays["start"]
+        elif case == "object":
+            arrays["start"] = np.array([0, None], dtype=object)
+        elif case == "text values":
+            arrays["values"] = np.array([["1.0"] * 8])
+        else:
+            arrays.update(n=2, values=np.ones((1, 8, 8)))
+        np.savez(path, **arrays)
+    with pytest.raises(PreconditionError) as exc:
+        FunctionSample.load(str(path))
+    assert f"sample file {str(path)!r}" in str(exc.value) and expect in str(exc.value)
