@@ -4,7 +4,8 @@ probe suites, and checker reports.
 All structured output is JSON with sorted keys; bulk data moves through CSV
 (coefficients) and npz (samples).  Reports embed the resolved configuration
 and the tool version, and runs are deterministic under a fixed seed.
-Exit codes: 0 success, 2 precondition refusal, 1 internal error.
+Exit codes: 0 success, 2 precondition refusal (a missing input file too), 1
+internal error.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .czo import (
     kernel_by_name,
 )
 from .dyadic import LatticeWindow, parse_cube
-from .errors import DyadicaError, PreconditionError
+from .errors import PreconditionError
 from .molecules import ValidationGrid, make_atom, validate_atom, validate_molecule
 from .params import SpaceParams, ad_region, derived_indices, derived_table
 from .seq import CoeffField, seq_norm_weighted
@@ -375,9 +376,9 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    except DyadicaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except FileNotFoundError as exc:  # each path a subcommand opens is one of its arguments
+        print(f"refused: no such file: {exc.filename}", file=sys.stderr)
+        return 2
     except Exception as exc:  # noqa: BLE001 - classify unexpected failures
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

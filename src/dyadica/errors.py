@@ -13,13 +13,11 @@ class PreconditionError(DyadicaError):
     """
 
 
-class SingularWeightError(DyadicaError):
-    """A matrix weight was numerically non-invertible at a sample point."""
+class SingularWeightError(PreconditionError):
+    """A matrix weight, or an average or fit made from it, cannot be used;
+    ``node`` is the point of a refused value (not Hermitian, indefinite,
+    singular under a negative power, or complex where a real one is needed)."""
 
     def __init__(self, message, node=None):
         super().__init__(message)
         self.node = node
-
-
-class QuadratureError(DyadicaError):
-    """Quadrature failed to resolve an integrand to the requested accuracy."""

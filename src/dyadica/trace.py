@@ -20,7 +20,7 @@ from .errors import PreconditionError
 from .params import BESOV, SpaceParams, trace_threshold
 from .seq import CoeffField, seq_norms_weighted
 from .wavelets import WaveletSystem
-from .weights import MatrixWeight, QuadratureSpec, _cube_nodes, _direction_averages
+from .weights import MatrixWeight, QuadratureSpec, direction_averages, unit_directions
 
 # sampled unit directions of the weight compatibility constants
 COMPAT_DIRECTIONS = 32
@@ -201,12 +201,11 @@ def weight_compat_check(V: MatrixWeight, W: MatrixWeight, p: float,
         raise PreconditionError("weights have different vector dimensions")
     if V.n != window.n or W.n != window.n + 1:
         raise PreconditionError("weight dimensions do not match the base window")
-    dirs = np.random.default_rng(0).standard_normal((COMPAT_DIRECTIONS, V.m))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = unit_directions(COMPAT_DIRECTIONS, V.m, np.random.default_rng(0))
     base = CubeArrays.of_window(window)
     stacked = CubeArrays(base.levels, np.pad(base.index, ((0, 0), (0, 1))))  # slab 0
-    num, _ = _direction_averages(V, p, _cube_nodes(quad, base), dirs)
-    den, _ = _direction_averages(W, p, _cube_nodes(quad, stacked), dirs)
+    num = direction_averages(V, p, base, quad, dirs)
+    den = direction_averages(W, p, stacked, quad, dirs)
     bad = np.any((num <= 0) | (den <= 0), axis=1)
     if bad.any():
         raise PreconditionError(f"degenerate average on cube {base.cube(int(np.argmax(bad)))}")

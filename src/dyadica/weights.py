@@ -5,11 +5,14 @@ estimates the averaging characteristic on a finite window, builds per-cube
 reducing operators (exact square-root averages for order 2; otherwise the
 minimum-volume enclosing ellipsoid of the sampled average-norm ball, from a
 batched interior-point solve that stops on its optimality certificate), and
-fits the doubling growth exponent of the defining averages.
+fits the doubling growth exponent of the defining averages.  All of them read
+weight values at quadrature nodes through :func:`_weight_blocks`, which
+evaluates, deduplicates, factors and refuses them in one place.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -198,26 +201,11 @@ class MatrixWeight:
         return W
 
     def power(self, x, a: float) -> np.ndarray:
-        """W(x)**a via Hermitian eigendecomposition with small-eigenvalue clamp."""
-        return self.powers(x, (a,))[0]
-
-    def powers(self, x, exponents) -> list[np.ndarray]:
-        """W(x)**a for each exponent a, from one eigendecomposition."""
-        vals, vecs, tr = _clamped_eigh(self(x))
-        if min(exponents) < 0:
-            _refuse_singular(vals[None], tr[None], np.atleast_2d(x)[None])
-        return [_eigen_power(vals, vecs, a) for a in exponents]
-
-    def validate(self, pts, rel: float = 1e-12) -> None:
-        W = self(pts)
-        herm = np.max(np.abs(W - W.conj().swapaxes(-1, -2)))
-        scale = max(np.max(np.abs(W)), 1e-300)
-        if herm > rel * scale:
-            raise PreconditionError(f"weight is not Hermitian (residual {herm:.2e})")
-        vals = np.linalg.eigvalsh(W)
-        norms = np.max(np.abs(vals), axis=-1)
-        if np.any(vals < -1e-12 * np.maximum(norms[:, None], 1e-300)):
-            raise PreconditionError("weight has a significantly negative eigenvalue")
+        """W(x)**a from the eigendecomposition of the distinct values of W at
+        the points x, with the small-eigenvalue clamp (see :func:`_weight_blocks`)."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        _, _, fac = next(_weight_blocks(self, (x[None],), inverted=a < 0))
+        return fac.power(0, a)[fac.parts[0].inverse[0]]
 
 
 def _refuse_non_finite(values: np.ndarray, what: str) -> None:
@@ -226,35 +214,6 @@ def _refuse_non_finite(values: np.ndarray, what: str) -> None:
     if bad.any():
         idx = tuple(int(i) for i in np.argwhere(bad)[0])
         raise PreconditionError(f"{what} at entry {idx} is not finite: {values[idx]}")
-
-
-def _clamped_eigh(values: np.ndarray):
-    """Eigendecomposition of Hermitian matrices (N, m, m) with the
-    small-eigenvalue clamp: the clamped eigenvalues (ascending), the
-    eigenvectors and the traces."""
-    vals, vecs = np.linalg.eigh(values)
-    tr = np.trace(values, axis1=-2, axis2=-1).real
-    return np.maximum(vals, EIG_CLAMP_REL * np.maximum(tr, 0.0)[:, None]), vecs, tr
-
-
-def _eigen_power(vals: np.ndarray, vecs: np.ndarray, a: float) -> np.ndarray:
-    return np.einsum("nij,nj,nkj->nik", vecs, vals ** a, vecs.conj())
-
-
-def _refuse_singular(vals: np.ndarray, tr: np.ndarray, nodes: np.ndarray) -> None:
-    """Refuse the first of K node sets (K, L, n) holding a matrix without
-    negative powers, from the clamped eigenvalues (K, L, m) and traces (K, L)
-    at its nodes: name its first node of trace <= 0 (singular), else its
-    first node with a clamped eigenvalue <= 0 (not invertible)."""
-    fault = np.where(tr <= 0, 1, 2 * (vals[..., 0] <= 0))
-    bad = np.any(fault > 0, axis=1)
-    if not bad.any():
-        return
-    k = int(np.argmax(bad))
-    code = 1 if np.any(fault[k] == 1) else 2
-    node = nodes[k][int(np.argmax(fault[k] == code))]
-    what = "weight is singular" if code == 1 else "weight not invertible"
-    raise SingularWeightError(f"{what} at {node}", node=node)
 
 
 @dataclass(frozen=True)
@@ -271,12 +230,13 @@ class _Distinct:
 
     @classmethod
     def of(cls, values: np.ndarray) -> "_Distinct":
-        """From the matrices (K, L, m, m) of K sets: one lexsort by set, then
-        by entries, puts equal matrices of a set next to each other."""
+        """From the matrices (K, L, m, m) of K sets: one lexsort of every set
+        by its entries puts equal matrices of a set next to each other."""
         K, L, m, _ = values.shape
         flat = np.ascontiguousarray(values).reshape(K * L, m * m)
         keys = flat.view(flat.real.dtype) if np.iscomplexobj(flat) else flat
-        order = np.lexsort((*keys.T[::-1], np.repeat(np.arange(K), L)))
+        by_entry = np.moveaxis(keys.reshape(K, L, -1)[..., ::-1], -1, 0)
+        order = (np.lexsort(by_entry, axis=-1) + L * np.arange(K)[:, None]).ravel()
         srt = keys[order]
         new = np.ones(K * L, dtype=bool)
         new[1:] = np.any(srt[1:] != srt[:-1], axis=1)
@@ -292,6 +252,85 @@ class _Distinct:
         inverse = np.empty(K * L, dtype=np.int64)
         inverse[order] = group
         return cls(flat[order[first]].reshape(-1, m, m), pad, counts, inverse.reshape(K, L))
+
+
+class _Factored:
+    """The distinct weight values of the parts of one block of node sets
+    (``parts``, one :class:`_Distinct` each), ``values`` (G, m, m) in part
+    order, factored by one ``eigh`` when first needed; ``floor`` (G,) is the
+    eigenvalue clamp, EIG_CLAMP_REL times the trace."""
+
+    def __init__(self, parts: list[_Distinct]):
+        self.parts = parts
+        self.values = np.concatenate([d.values for d in parts])
+        self.first = np.cumsum([0] + [len(d.values) for d in parts])
+        self.floor = EIG_CLAMP_REL * np.maximum(np.trace(self.values, axis1=1, axis2=2).real, 0.0)
+
+    @functools.cached_property
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (G, m), ascending and unclamped, and eigenvectors."""
+        return np.linalg.eigh(self.values)
+
+    def power(self, i: int, a: float) -> np.ndarray:
+        """The distinct values of part i raised to the power a, shape (G_i, m, m)."""
+        g = slice(self.first[i], self.first[i + 1])
+        vals, vecs = self.eigh
+        vals = np.maximum(vals[g], self.floor[g, None])
+        return np.einsum("nij,nj,nkj->nik", vecs[g], vals ** a, vecs[g].conj())
+
+
+# the refusals of a weight value, by fault code 1, 2, ...
+_REFUSED = ("weight is not Hermitian", "weight has a significantly negative eigenvalue",
+            "weight is singular", "ellipsoid fit supports real symmetric weights, use p = 2 "
+            "for complex ones; weight is complex")
+
+
+def _weight_blocks(W: MatrixWeight, parts, per_node: int = 1, inverted: bool = False,
+                   real: bool = False):
+    """The one path from quadrature nodes to factored weight values.
+
+    ``parts`` are node arrays (K, L_i, n) of the same K sets.  The sets run in
+    blocks of about PAIR_BLOCK nodes, or PAIR_BLOCK / ``per_node`` when each
+    node carries that much further work.  Each block yields its slice of the
+    sets, W at their nodes (k, L, m, m), parts in order within each set, and
+    the :class:`_Factored` distinct values of every part: W is evaluated once
+    per node, and one eigendecomposition serves all parts.
+
+    Every refusal of weight values is raised here, naming the first offending
+    node in set order: a value V that is not Hermitian (an entry of V - V^*
+    above 1e-12 times the largest eigenvalue modulus), one with an eigenvalue
+    below -1e-12 times that modulus, with ``inverted`` a singular value
+    (clamped eigenvalue <= 0) in the last part, which is taken to negative
+    powers, and with ``real`` a value with an imaginary part above 1e-12.
+    """
+    bounds = np.cumsum([0] + [part.shape[1] for part in parts])
+    step = max(1, PAIR_BLOCK // (int(bounds[-1]) * per_node))
+    for s in range(0, len(parts[0]), step):
+        blk = slice(s, s + step)
+        pts = np.concatenate([part[blk] for part in parts], axis=1)
+        k, L, n = pts.shape
+        vals = W(pts.reshape(-1, n)).reshape(k, L, W.m, W.m)
+        fac = _Factored([_Distinct.of(vals[:, a:b]) for a, b in zip(bounds, bounds[1:])])
+        v = fac.values
+        G = len(v)
+        # a 1 x 1 value is its own eigenvalue: m = 1 takes eigh only for powers
+        eig = v[:, 0].real if W.m == 1 else fac.eigh[0]
+        # eigh reads the lower triangle only: a value whose upper triangle
+        # differs is measured against that triangle's scale, and refused
+        top = np.max(np.abs(eig), axis=1)
+        residual = np.max(np.abs(v - np.swapaxes(v, 1, 2).conj()).reshape(G, -1), axis=1)
+        faults = [residual > 1e-12 * top, eig[:, 0] < -1e-12 * top,
+                  inverted and (np.maximum(eig[:, 0], fac.floor) <= 0)
+                  & (np.arange(G) >= fac.first[-2]),
+                  real and np.max(np.abs(v.imag).reshape(G, -1), axis=1) > 1e-12]
+        if np.any(faults[0] | faults[1] | faults[2] | faults[3]):
+            code = np.select(faults, [1, 2, 3, 4])
+            at = np.concatenate([code[f + d.inverse] for f, d in zip(fac.first, fac.parts)],
+                                axis=1)
+            i = int(np.argmax(at.ravel() > 0))
+            node = pts.reshape(-1, n)[i]
+            raise SingularWeightError(f"{_REFUSED[at.flat[i] - 1]} at {node}", node=node)
+        yield blk, vals, fac
 
 
 def _pair_norms(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -323,69 +362,42 @@ def _defining_averages(W: MatrixWeight, p: float,
     """Discretized averaging expression of K node-set pairs, shape (K,): x
     over the base cube's nodes ``x_nodes`` (K, N, n), y over the (possibly
     enlarged) comparison region's nodes ``y_nodes`` (K, M, n); passing the
-    same array for both marks x = y.
+    same array for both marks x = y, whose values are evaluated and factored
+    once.
 
-    The sets run in blocks of about PAIR_BLOCK nodes; see
-    :func:`_defining_block`.
+    One factorization per block of sets (:func:`_weight_blocks`) gives
+    W^{1/p} at the distinct values of x and W^{-1/p} at those of y; the pair
+    norms run in blocks of about PAIR_BLOCK distinct pairs and count each
+    pair with the product of its multiplicities.
     """
     K, N, _ = x_nodes.shape
-    same = y_nodes is x_nodes
-    out = np.empty(K)
-    for blk in _cube_blocks(K, N if same else N + y_nodes.shape[1]):
-        xs = x_nodes[blk]
-        out[blk] = _defining_block(W, p, xs, xs if same else y_nodes[blk])
-    return out
-
-
-def _defining_block(W: MatrixWeight, p: float,
-                    x_nodes: np.ndarray, y_nodes: np.ndarray) -> np.ndarray:
-    """:func:`_defining_averages` of one block of sets.
-
-    W is evaluated once over all nodes, x before y within each set, and each
-    set is reduced to its distinct values and their multiplicities (a weight
-    constant on grid cells repeats its values many times).  One
-    eigendecomposition of the distinct values gives W^{1/p} at x and W^{-1/p}
-    at y; the pair norms run in blocks of about PAIR_BLOCK distinct pairs and
-    count each pair with the product of its multiplicities.
-    """
-    K, N, n = x_nodes.shape
     M = y_nodes.shape[1]
-    same = y_nodes is x_nodes
-    pts = x_nodes if same else np.concatenate([x_nodes, y_nodes], axis=1)
-    vals = W(pts.reshape(-1, n)).reshape(K, -1, W.m, W.m)
-    dx = _Distinct.of(vals[:, :N])
-    dy = dx if same else _Distinct.of(vals[:, N:])
-    eig, vecs, tr = _clamped_eigh(dx.values if same else
-                                  np.concatenate([dx.values, dy.values]))
-    gx, gy = slice(len(dx.values)), slice(len(eig) - len(dy.values), None)
-    _refuse_singular(eig[gy][dy.inverse], tr[gy][dy.inverse], y_nodes)
-    A = _eigen_power(eig[gx], vecs[gx], 1.0 / p)[dx.pad]
-    B = _eigen_power(eig[gy], vecs[gy], -1.0 / p)[dy.pad]
-    Ux, Uy = dx.pad.shape[1], dy.pad.shape[1]
-    sets = max(1, PAIR_BLOCK // (Ux * Uy))
-    rows = Ux if Ux * Uy <= PAIR_BLOCK else max(1, PAIR_BLOCK // Uy)
-    # p <= 1: column sums over x per y; p > 1: the outer sum over x
-    acc = np.zeros((K, Uy) if p <= 1 else K)
+    parts = (x_nodes,) if y_nodes is x_nodes else (x_nodes, y_nodes)
+    last = len(parts) - 1
     pprime = p / (p - 1) if p > 1 else None
-    for s in range(0, K, sets):
-        S = slice(s, s + sets)
-        for r in range(0, Ux, rows):
-            R = slice(r, r + rows)
-            norms = _pair_norms(A[S, R], B[S])
-            if p <= 1:
-                acc[S] += np.einsum("kx,kxy->ky", dx.counts[S, R], norms ** p)
-            else:
-                inner = np.einsum("kxy,ky->kx", norms ** pprime, dy.counts[S]) / M
-                acc[S] += np.einsum("kx,kx->k", dx.counts[S, R], inner ** (p / pprime))
-    return (np.max(acc, axis=1) if p <= 1 else acc) / N
-
-
-def _defining_average(W: MatrixWeight, p: float,
-                      x_nodes: np.ndarray, y_nodes: np.ndarray) -> float:
-    """The one-set case of :func:`_defining_averages`, nodes (N, n) and
-    (M, n)."""
-    xs = x_nodes[None]
-    return float(_defining_averages(W, p, xs, xs if y_nodes is x_nodes else y_nodes[None])[0])
+    out = np.empty(K)
+    for blk, _, fac in _weight_blocks(W, parts, inverted=True):
+        dx, dy = fac.parts[0], fac.parts[last]
+        A = fac.power(0, 1.0 / p)[dx.pad]
+        B = fac.power(last, -1.0 / p)[dy.pad]
+        k, Ux = dx.pad.shape
+        Uy = dy.pad.shape[1]
+        sets = max(1, PAIR_BLOCK // (Ux * Uy))
+        rows = Ux if Ux * Uy <= PAIR_BLOCK else max(1, PAIR_BLOCK // Uy)
+        # p <= 1: column sums over x per y; p > 1: the outer sum over x
+        acc = np.zeros((k, Uy) if p <= 1 else k)
+        for s in range(0, k, sets):
+            S = slice(s, s + sets)
+            for r in range(0, Ux, rows):
+                R = slice(r, r + rows)
+                norms = _pair_norms(A[S, R], B[S])
+                if p <= 1:
+                    acc[S] += np.einsum("kx,kxy->ky", dx.counts[S, R], norms ** p)
+                else:
+                    inner = np.einsum("kxy,ky->kx", norms ** pprime, dy.counts[S]) / M
+                    acc[S] += np.einsum("kx,kx->k", dx.counts[S, R], inner ** (p / pprime))
+        out[blk] = (np.max(acc, axis=1) if p <= 1 else acc) / N
+    return out
 
 
 def ap_characteristic(W: MatrixWeight, p: float, window: LatticeWindow,
@@ -406,9 +418,7 @@ def ap_characteristic(W: MatrixWeight, p: float, window: LatticeWindow,
 
 
 def reducing_operator(W: MatrixWeight, p: float, cube: DyadicCube,
-                      quad: QuadratureSpec = QuadratureSpec(),
-                      directions: int | None = None,
-                      rng: np.random.Generator | None = None) -> np.ndarray:
+                      quad: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
     """Positive-definite matrix whose norm matches the p-average of the weight.
 
     Order 2 uses the exact square root of the cell average; m = 1 reduces to
@@ -416,13 +426,11 @@ def reducing_operator(W: MatrixWeight, p: float, cube: DyadicCube,
     ellipsoid of the average-norm unit ball sampled over directions.  This is
     the one-cube case of :meth:`ReducingFamily.build`.
     """
-    ops, _, _ = _reducing_operators(W, p, CubeArrays.of([cube]), quad, directions, rng)
+    ops, _, _ = _reducing_operators(W, p, CubeArrays.of([cube]), quad)
     return ops[0]
 
 
-def _reducing_operators(W: MatrixWeight, p: float, cubes: CubeArrays,
-                        quad: QuadratureSpec, directions: int | None = None,
-                        rng: np.random.Generator | None = None):
+def _reducing_operators(W: MatrixWeight, p: float, cubes: CubeArrays, quad: QuadratureSpec):
     """Reducing operators of C cubes, shape (C, m, m), with the steps each
     ellipsoid fit took and its final gap kappa_max / d, both of shape (C,)
     and empty when no fit runs."""
@@ -436,12 +444,8 @@ def _reducing_operators(W: MatrixWeight, p: float, cubes: CubeArrays,
     if p == 2:
         avg = _weight_means(W, nodes)
         return _psd_sqrt(avg, "average weight not positive definite"), *no_fit
-    dirs = _fit_directions(W.m, directions, rng)
-    avg, imag = _direction_averages(W, p, nodes, dirs)
-    if imag > 1e-12:
-        raise PreconditionError(
-            "ellipsoid fit supports real symmetric weights; use p = 2 for complex ones")
-    rho = avg ** (1.0 / p)
+    dirs = _fit_directions(W.m)
+    rho = _direction_averages(W, p, nodes, dirs, real=True)[0] ** (1.0 / p)
     if np.any(rho <= 0):
         raise SingularWeightError("weight average vanishes in some direction")
     pts = dirs / rho[..., None]
@@ -470,77 +474,68 @@ def _box_nodes(quad: QuadratureSpec, lower: np.ndarray, width: np.ndarray) -> np
     return lower[:, None, :] + width[:, None, :] * unit
 
 
-def _cube_blocks(C: int, per_cube: int):
-    """Slices of consecutive cubes holding about PAIR_BLOCK pairs (or nodes)
-    each, ``per_cube`` of them a cube."""
-    step = max(1, PAIR_BLOCK // per_cube)
-    return (slice(s, s + step) for s in range(0, C, step))
-
-
 def _weight_means(W: MatrixWeight, nodes: np.ndarray) -> np.ndarray:
-    """Average of the weight over each cube's nodes, shape (C, m, m); a
-    negative scalar weight is refused at its first node."""
-    C, N, n = nodes.shape
-    means = []
-    for blk in _cube_blocks(C, N):
-        pts = nodes[blk].reshape(-1, n)
-        vals = W(pts)
-        if W.m == 1 and np.any(vals.real < 0):
-            node = pts[int(np.argmax(vals[:, 0, 0].real < 0))]
-            raise SingularWeightError(f"scalar weight negative at {node}", node=node)
-        means.append(np.mean(vals.reshape(-1, N, W.m, W.m), axis=1))
-    return np.concatenate(means)
+    """Average of the weight over each cube's nodes, shape (C, m, m)."""
+    return np.concatenate([np.mean(vals, axis=1) for _, vals, _ in _weight_blocks(W, (nodes,))])
 
 
 def _psd_sqrt(M: np.ndarray, what: str) -> np.ndarray:
-    """Positive square roots of a batch of positive-definite matrices."""
-    vals, vecs = np.linalg.eigh(M)
+    """Positive square roots of a batch of positive-definite matrices.  M is
+    made exactly Hermitian first: ``eigh`` reads only its lower triangle."""
+    vals, vecs = np.linalg.eigh(0.5 * (M + np.swapaxes(M.conj(), -1, -2)))
     if np.any(vals <= 0):
         raise SingularWeightError(what)
     return (vecs * np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
 
 
-def _fit_directions(m: int, directions: int | None,
-                    rng: np.random.Generator | None) -> np.ndarray:
-    """Unit directions sampling the average-norm ball, shape (D, m); every
-    cube of a batch shares them."""
-    ndir = directions or max(32 * m * m, 64)
-    if m == 2:
-        # dense angular grid keeps the sampled hull close to the true ball;
-        # the centered fit sees +-z identically, so half the circle suffices
-        ang = np.linspace(0.0, np.pi, max(ndir, 256), endpoint=False)
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    dirs = (rng or np.random.default_rng(0)).standard_normal((ndir, m))
+def unit_directions(count: int, m: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` unit vectors of R^m, normalized Gaussian draws from ``rng``,
+    shape (count, m)."""
+    dirs = rng.standard_normal((count, m))
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
-def _direction_averages(W: MatrixWeight, p: float, nodes: np.ndarray,
-                        dirs: np.ndarray) -> tuple[np.ndarray, float]:
-    """avg |W^{1/p} z|^p over each cube's nodes for every direction z, shape
-    (C, D), and the largest imaginary part of any weight entry met; the
-    p-th root is the p-average of |W^{1/p} z|.  Complex weights are taken
-    with their complex norms.
+def _fit_directions(m: int) -> np.ndarray:
+    """Unit directions sampling the average-norm ball, shape (D, m); every
+    cube of a batch shares them."""
+    if m == 2:
+        # dense angular grid keeps the sampled hull close to the true ball;
+        # the centered fit sees +-z identically, so half the circle suffices
+        ang = np.linspace(0.0, np.pi, 256, endpoint=False)
+        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    return unit_directions(32 * m * m, m, np.random.default_rng(0))
 
-    W is evaluated once per node.  For m = 1 the average is mean(max(w, 0))
-    |z|^p; otherwise each cube's values are reduced to the distinct ones
-    with their multiplicities, and one eigendecomposition raises those to
-    the power 1/p.
+
+def direction_averages(W: MatrixWeight, p: float, cubes: CubeArrays, quad: QuadratureSpec,
+                       dirs: np.ndarray) -> np.ndarray:
+    """avg |W^{1/p} z|^p over the quadrature nodes of each of C cubes for
+    every direction z of ``dirs`` (D, m), shape (C, D); its p-th root is the
+    p-average of |W^{1/p} z|.  Complex weights are taken with their complex
+    norms."""
+    return _direction_averages(W, p, _cube_nodes(quad, cubes), dirs)[0]
+
+
+def _direction_averages(W: MatrixWeight, p: float, nodes: np.ndarray, dirs: np.ndarray,
+                        real: bool = False) -> tuple[np.ndarray, float]:
+    """:func:`direction_averages` over the nodes (C, N, n) of C cubes, and the
+    largest imaginary part of any weight entry met; ``real`` refuses complex
+    weight values, as the ellipsoid fit needs.
+
+    For m = 1 the average is mean(w) |z|^p; otherwise one eigendecomposition
+    raises each cube's distinct values to the power 1/p, and their norms count
+    with their multiplicities.
     """
-    C, N, n = nodes.shape
-    avg = np.empty((C, len(dirs)))
+    N = nodes.shape[1]
+    avg = np.empty((len(nodes), len(dirs)))
     imag = 0.0
-    for blk in _cube_blocks(C, N * len(dirs)):
-        vals = W(nodes[blk].reshape(-1, n)).reshape(-1, N, W.m, W.m)
+    # m = 1 does no work per direction
+    for blk, vals, fac in _weight_blocks(W, (nodes,), len(dirs) if W.m > 1 else 1, real=real):
         imag = max(imag, float(np.max(np.abs(vals.imag))))
         if W.m == 1:
-            # the clamp of W^{1/p} sends a negative scalar to 0
-            w = np.mean(np.maximum(vals[..., 0, 0].real, 0.0), axis=1)
-            avg[blk] = w[:, None] * np.abs(dirs[:, 0]) ** p
-            continue
-        dv = _Distinct.of(vals)
-        root = _eigen_power(*_clamped_eigh(dv.values)[:2], 1.0 / p)
-        norms = np.linalg.norm(root @ dirs.T, axis=-2) ** p
-        avg[blk] = (dv.counts[:, None, :] @ norms[dv.pad])[:, 0] / N
+            avg[blk] = np.mean(vals[..., 0, 0].real, axis=1)[:, None] * np.abs(dirs[:, 0]) ** p
+        else:
+            norms = np.linalg.norm(fac.power(0, 1.0 / p) @ dirs.T, axis=-2) ** p
+            avg[blk] = (fac.parts[0].counts[:, None, :] @ norms[fac.parts[0].pad])[:, 0] / N
     return avg, imag
 
 
@@ -674,12 +669,11 @@ def _mvee_centered(pts: np.ndarray, tol: float = MVEE_TOL):
 def john_direction_report(W: MatrixWeight, p: float, cube: DyadicCube,
                           quad: QuadratureSpec = QuadratureSpec(),
                           rng: np.random.Generator | None = None) -> dict:
-    """Two-sided direction-ratio certificate for a fitted reducing operator."""
-    A = reducing_operator(W, p, cube, quad, rng=rng)
-    dirs = (rng or np.random.default_rng(1)).standard_normal((JOHN_DIRECTIONS, W.m))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    avg, _ = _direction_averages(W, p, _cube_nodes(quad, CubeArrays.of([cube])), dirs)
-    rho = avg[0] ** (1.0 / p)
+    """Two-sided direction-ratio certificate for a fitted reducing operator,
+    over JOHN_DIRECTIONS fresh unit directions drawn from ``rng``."""
+    A = reducing_operator(W, p, cube, quad)
+    dirs = unit_directions(JOHN_DIRECTIONS, W.m, rng or np.random.default_rng(1))
+    rho = direction_averages(W, p, CubeArrays.of([cube]), quad, dirs)[0] ** (1.0 / p)
     lhs = np.linalg.norm(dirs @ A.T, axis=-1)
     ratios = lhs / rho
     return {

@@ -449,3 +449,60 @@ def test_adprobe_counters(space_file, capsys):
     assert counters["adversarial_fields"] == [8, 8]
     assert all(0 <= k <= 12 for k in counters["empty_random_skipped"])
     assert all(e > 0 for e in counters["matrix_entries"])
+
+
+@pytest.mark.parametrize("matrix, p, expect", [
+    ([[1.0, 0.0], [0.0, -1.0]], 2.0, "weight has a significantly negative eigenvalue at [0.03125]"),
+    ([[1.0, 2.0], [0.0, 1.0]], 3.0, "weight is not Hermitian at [0.03125]"),
+])
+def test_weights_refuses_bad_weight_values(matrix, p, expect, tmp_path, capsys):
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps({"m": 2, "n": 1, "kind": "constant", "matrix": matrix}))
+    code = main(["weights", "--weight", str(wfile), "--p", str(p), "--window", "0:1:0..1",
+                 "--reducing"])
+    assert code == 2
+    assert capsys.readouterr().err == f"refused: {expect}\n"
+
+
+# one case per input option; "{missing}" is a path that does not exist
+MISSING_INPUTS = {
+    "params --space": ["params", "--space", "{missing}"],
+    "norm --coeffs": ["norm", "--coeffs", "{missing}", "--space", "{sp}", "--window", "0:1:0..1"],
+    "norm --space": ["norm", "--coeffs", "{c}", "--space", "{missing}", "--window", "0:1:0..1"],
+    "norm --weight": ["norm", "--coeffs", "{c}", "--space", "{sp}", "--weight", "{missing}",
+                      "--window", "0:1:0..1"],
+    "weights --weight": ["weights", "--weight", "{missing}", "--p", "2", "--window", "0:1:0..1"],
+    "weights values_file": ["weights", "--weight", "{wg}", "--p", "2", "--window", "0:1:0..1"],
+    "transform --input": ["transform", "--mode", "analyze", "--window", "0:1:0..1",
+                          "--input", "{missing}", "--out-prefix", "{out}"],
+    "transform --coeffs": ["transform", "--mode", "synthesize", "--window", "0:1:0..1",
+                           "--coeffs", "1={missing}", "--output", "{out}.npz"],
+    "trace --space": ["trace", "--source", "{f}", "--weightW", "{wW}", "--weightV", "{w}",
+                      "--space", "{missing}", "--window", "0:1:0..1,0..1"],
+    "trace --weightW": ["trace", "--source", "{f}", "--weightW", "{missing}", "--weightV", "{w}",
+                        "--space", "{sp}", "--window", "0:1:0..1,0..1"],
+    "trace --weightV": ["trace", "--source", "{f}", "--weightW", "{wW}", "--weightV", "{missing}",
+                        "--space", "{sp}", "--window", "0:1:0..1,0..1"],
+    "trace --source": ["trace", "--source", "{missing}", "--weightW", "{wW}", "--weightV", "{w}",
+                       "--space", "{sp}", "--window", "0:1:0..1,0..1"],
+}
+
+
+@pytest.mark.parametrize("case", MISSING_INPUTS)
+def test_missing_input_file_refused_naming_it(case, space_file, weight_file, tmp_path, capsys):
+    missing = str(tmp_path / "nothere")
+    (tmp_path / "c.csv").write_text("0:0, 1.0, 0.0\n")
+    (tmp_path / "wW.json").write_text(json.dumps({"m": 1, "n": 2, "kind": "constant",
+                                                  "matrix": [[1.0]]}))
+    # a grid weight whose values file is the missing path, relative to the weight file
+    (tmp_path / "wg.json").write_text(json.dumps({"m": 1, "n": 1, "kind": "grid", "lo": [0],
+                                                  "hi": [1], "level": 1,
+                                                  "values_file": "nothere"}))
+    FunctionSample.from_callable(lambda pts: np.ones(len(pts)), 2, 1, 4, (0, 0), (1, 1)).save(
+        str(tmp_path / "f.npz"))
+    files = {"missing": missing, "sp": space_file, "w": weight_file, "out": str(tmp_path / "o"),
+             **{name: str(tmp_path / f"{name}.{ext}")
+                for name, ext in (("c", "csv"), ("wW", "json"), ("wg", "json"), ("f", "npz"))}}
+    code = main([arg.format(**files) for arg in MISSING_INPUTS[case]])
+    assert code == 2
+    assert capsys.readouterr().err == f"refused: no such file: {missing}\n"

@@ -254,3 +254,17 @@ def test_meshgrid_only_in_tensor_points():
                       or (isinstance(node, ast.Name) and node.id == "meshgrid"))
                   and id(node) not in allowed]
     assert not found, f"np.meshgrid outside dyadic.tensor_points: {found}"
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A module's underscore names are its own: a ``from .module import _name``
+    anywhere in the package fails here (dunders such as __version__ are public)."""
+    found = []
+    for path in sorted(Path(dyadica.__file__).parent.glob("*.py")):
+        found += [f"{path.name}:{node.lineno} {alias.name}"
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level > 0 or (node.module or "").startswith("dyadica"))
+                  for alias in node.names
+                  if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert not found, f"private names imported across modules: {found}"
