@@ -4,8 +4,8 @@ probe suites, and checker reports.
 All structured output is JSON with sorted keys; bulk data moves through CSV
 (coefficients) and npz (samples).  Reports embed the resolved configuration
 and the tool version, and runs are deterministic under a fixed seed.
-Exit codes: 0 success, 2 precondition refusal (a missing input file too), 1
-internal error.
+Exit codes: 0 success, 2 precondition refusal (a missing input file, or a
+missing directory for the report, too), 1 internal error.
 """
 
 from __future__ import annotations
@@ -373,6 +373,7 @@ def main(argv=None) -> int:
     try:
         report = {"tool": "dyadica", "version": __version__, "threads": 1,
                   **args.fn(args)}
+        _emit(report, args)
     except PreconditionError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
@@ -382,7 +383,6 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - classify unexpected failures
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    _emit(report, args)
     return 0
 
 

@@ -26,16 +26,26 @@ from .params import BESOV, SpaceParams
 from .weights import MatrixWeight, ReducingFamily
 
 
+def as_float_or_complex(values) -> np.ndarray:
+    """``values`` as a complex128 array when they are complex, else float64."""
+    values = np.asarray(values)
+    return values.astype(complex if np.iscomplexobj(values) else float, copy=False)
+
+
 class CoeffField:
     """Finite map cube -> vector in C^m over a lattice window; absent cubes
     are zero.
 
-    Each level is stored as one complex array of shape ``(m, *index_shape)``,
-    allocated at the first write to that level; index ``k`` sits at
-    ``k - lower(j)``, the starts of ``window.index_bounds(j)``.  A cube is
+    Each level is stored as one array of shape ``(m, *index_shape)``,
+    allocated at the first write to that level in the dtype of the written
+    block (float64 for real values, complex128 for complex ones) and promoted
+    to complex128 by the first complex block written to it; index ``k`` sits
+    at ``k - lower(j)``, the starts of ``window.index_bounds(j)``.  A cube is
     present when its vector is nonzero, and absent entries hold +0.0.
-    ``DyadicCube`` objects are built only by :meth:`items` and :meth:`cubes`;
-    the array paths use :meth:`level`, :meth:`write` and :meth:`nonzero`.
+    ``DyadicCube`` objects are built only by :meth:`items` and :meth:`cubes`,
+    whose vectors, like those of :meth:`get`, are complex128; the array paths
+    :meth:`level`, :meth:`write`, :meth:`rows` and :meth:`nonzero` keep the
+    stored dtype.
     """
 
     def __init__(self, window: LatticeWindow, m: int, data: dict | None = None):
@@ -78,7 +88,7 @@ class CoeffField:
         Nonzero vectors must lie in the window and be finite; the first
         offending cube is named.  Zero vectors outside the window are ignored.
         """
-        block = np.asarray(block, dtype=complex)
+        block = as_float_or_complex(block)
         start = tuple(int(s) for s in start)
         stray = self.first_outside(j, start, block)
         if stray is not None:
@@ -93,12 +103,15 @@ class CoeffField:
                 a + s.start + int(i) for a, s, i in zip(start, ov[0], np.argwhere(bad)[0])))
             raise PreconditionError(f"non-finite coefficient for cube {first}")
         keep = np.any(part != 0, axis=0)
-        if j not in self._levels:
+        level = self._levels.get(j)
+        if level is None:
             if not keep.any():
                 return
             shape = tuple(b - a for a, b in self.window.index_bounds(j))
-            self._levels[j] = np.zeros((self.m,) + shape, dtype=complex)
-        dst = self._levels[j][(slice(None),) + ov[1]]
+            level = self._levels[j] = np.zeros((self.m,) + shape, dtype=block.dtype)
+        elif np.iscomplexobj(block) and not np.iscomplexobj(level):
+            level = self._levels[j] = level.astype(complex)
+        dst = level[(slice(None),) + ov[1]]
         dst[...] = part
         dst[:, ~keep] = 0
 
@@ -127,7 +140,8 @@ class CoeffField:
     def rows(self) -> np.ndarray:
         """Every window cube's vector, shape (C, m), in ``window.all_cubes()``
         order: the inverse of :meth:`write_all`."""
-        out = np.zeros((self.window.count(), self.m), dtype=complex)
+        out = np.zeros((self.window.count(), self.m),
+                       dtype=np.result_type(float, *self._levels.values()))
         for j, rows, _ in _level_rows(self.window):
             if j in self._levels:
                 out[rows] = self._levels[j].reshape(self.m, -1).T
@@ -145,7 +159,7 @@ class CoeffField:
             values.append(arr[(slice(None),) + idx].T)
         if not levels:
             return (CubeArrays(np.zeros(0, dtype=np.int64), np.zeros((0, n), dtype=np.int64)),
-                    np.zeros((0, m), dtype=complex))
+                    np.zeros((0, m)))
         return (CubeArrays(np.concatenate(levels), np.concatenate(index)),
                 np.concatenate(values))
 
@@ -154,7 +168,7 @@ class CoeffField:
     def set(self, q: DyadicCube, value) -> None:
         if not self.window.contains(q):
             raise PreconditionError(f"cube {q} outside the window")
-        v = np.asarray(value, dtype=complex).reshape((self.m,) + (1,) * q.n)
+        v = as_float_or_complex(value).reshape((self.m,) + (1,) * q.n)
         self.write(q.j, q.k, v)
 
     def get(self, q: DyadicCube) -> np.ndarray:
@@ -162,11 +176,11 @@ class CoeffField:
         if arr is None or not self.window.contains(q):
             return np.zeros(self.m, dtype=complex)
         idx = tuple(k - a for k, a in zip(q.k, self.lower(q.j)))
-        return arr[(slice(None),) + idx].copy()
+        return arr[(slice(None),) + idx].astype(complex)
 
     def items(self) -> list[tuple[DyadicCube, np.ndarray]]:
         cubes, values = self.nonzero()
-        return list(zip(_cube_list(cubes), values))
+        return list(zip(_cube_list(cubes), values.astype(complex, copy=False)))
 
     def cubes(self) -> list[DyadicCube]:
         return _cube_list(self.nonzero()[0])
@@ -192,7 +206,7 @@ class CoeffField:
         out = self.copy()
         for j, a in other._levels.items():
             start = other.lower(j)
-            total = a.copy()
+            total = a.astype(np.result_type(a, out._levels.get(j, a)))
             ov = out.overlap(j, start, a.shape[1:])
             if ov is not None and j in out._levels:
                 mine = out._levels[j][(slice(None),) + ov[1]]
@@ -222,7 +236,7 @@ class CoeffField:
         row[:, 0] = cubes.levels
         row[:, 1:1 + n] = cubes.index
         row[:, 1 + n::2] = values.real
-        row[:, 2 + n::2] = values.imag
+        row[:, 2 + n::2] = values.imag if np.iscomplexobj(values) else 0.0
         line = "%d:" + ",".join(["%d"] * n) + ", %r" * (2 * m) + "\n"
         return (line * N) % tuple(row.ravel().tolist())
 
@@ -230,7 +244,9 @@ class CoeffField:
     def from_csv(cls, text: str, window: LatticeWindow, m: int) -> "CoeffField":
         """Parse :meth:`to_csv` text.  Refuses, naming the first offending
         line or cube in file order: a malformed line, a second line for one
-        cube, a cube outside the window, a non-finite value."""
+        cube, a cube outside the window, a non-finite value.  The field is
+        real (float64 levels) when every imaginary part is +0.0, so that a
+        nonzero or -0.0 imaginary part keeps its bits."""
         n = window.n
         lines = [s for s in map(str.strip, text.splitlines()) if s and not s.startswith("#")]
         end = len(lines)
@@ -260,7 +276,11 @@ class CoeffField:
             raise PreconditionError(f"non-finite coefficient for cube {q}")
         if end < len(lines):
             raise _bad_line(lines[end], n)
-        rows = np.zeros((window.count(), m), dtype=complex)
+        if not np.any(values[:, 1::2].view(np.uint64)):  # no nonzero part, no -0.0
+            values = values[:, ::2]
+        else:  # complex(re, im) exactly
+            values = np.ascontiguousarray(values).view(complex)
+        rows = np.zeros((window.count(), m), dtype=values.dtype)
         rows[pos] = values
         out = cls(window, m)
         out.write_all(rows)
@@ -273,11 +293,12 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _parse_lines(lines: list[str], n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Levels and indices (N, 1 + n) and values (N, m) of coefficient lines,
-    read by numpy's C parser, which is never laxer than ``int`` and
-    ``float``; ValueError unless every line is well formed."""
+    """Levels and indices (N, 1 + n) and the real and imaginary parts
+    (N, 2m) of coefficient lines, read by numpy's C parser, which is never
+    laxer than ``int`` and ``float``; ValueError unless every line is well
+    formed."""
     if not lines:
-        return np.zeros((0, 1 + n), dtype=np.int64), np.zeros((0, m), dtype=complex)
+        return np.zeros((0, 1 + n), dtype=np.int64), np.zeros((0, 2 * m))
     text = "\n".join(lines)
     # "j:k1,...,kn, re1, im1, ...": the separators of every line are one
     # colon and then n - 1 + 2m commas
@@ -293,8 +314,7 @@ def _parse_lines(lines: list[str], n: int, m: int) -> tuple[np.ndarray, np.ndarr
                               delimiter=",", comments=None, ndmin=1)
         except DeprecationWarning as exc:
             raise ValueError(str(exc)) from exc
-    # complex(re, im) exactly, so a signed zero survives the round trip
-    return rows["head"], np.ascontiguousarray(rows["values"]).view(complex)
+    return rows["head"], rows["values"]
 
 
 def _bad_line(line: str, n: int) -> PreconditionError:

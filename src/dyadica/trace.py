@@ -123,7 +123,8 @@ def trace_coeffs(tp: TracePair, coefs, out_window: LatticeWindow | None = None) 
 
     ``coefs`` is either a per-channel dict on R^n or a SlabCoeffs carrier; in
     the latter case the pending slab scale cancels the restriction factor
-    algebraically and raw values pass through exactly.
+    algebraically and raw values pass through exactly.  Real fields give
+    real fields: the sums run in the dtype of their inputs.
     """
     if isinstance(coefs, SlabCoeffs):
         out = {}
@@ -159,8 +160,8 @@ def trace_coeffs(tp: TracePair, coefs, out_window: LatticeWindow | None = None) 
                 continue
             part = arr[(slice(None),) + ov[0]]
             cur = target.level(j)
-            acc = (np.zeros(part.shape[:-1], dtype=complex) if cur is None
-                   else cur[(slice(None),) + ov[1]].copy())
+            acc = (np.zeros(part.shape[:-1], dtype=part.dtype) if cur is None
+                   else cur[(slice(None),) + ov[1]].astype(np.result_type(cur, part)))
             # one slab at a time, in slab order; only slabs within the
             # support width carry a nonzero factor
             for i in range(part.shape[-1]):

@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .dyadic import DyadicCube, LatticeWindow, tensor_points
 from .errors import PreconditionError
-from .seq import CoeffField, NormResult, seq_norm_averaged, seq_norm_weighted
+from .seq import CoeffField, NormResult, as_float_or_complex, seq_norm_averaged, seq_norm_weighted
 
 # Documented global Hoelder regularity estimates for the standard compactly
 # supported orthonormal family, by vanishing-moment count.  Order 1 is the
@@ -170,14 +170,16 @@ def cascade(fp: FilterPair, resolution: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _two_scale(filt: np.ndarray, phi: np.ndarray, resolution: int) -> np.ndarray:
     """sqrt2 * sum_k filt[k] * phi(2x - k) on the sample grid 2**-resolution
-    of phi; 2x - k lands on the same grid, and phi is zero off its samples."""
+    of phi; 2x - k lands on the same grid, and phi is zero off its samples.
+    Tap k adds, in tap order, the samples 2i - o (o = k * 2**resolution) of
+    phi to the entries i from ceil(o / 2) on: one strided slice."""
     N = len(phi)
-    idx = np.arange(N)
     out = np.zeros(N)
     for k, c in enumerate(filt):
-        j = 2 * idx - k * (1 << resolution)
-        ok = (j >= 0) & (j < N)
-        out[ok] += math.sqrt(2.0) * c * phi[j[ok]]
+        o = k << resolution
+        lo = (o + 1) // 2              # first entry whose sample 2i - o is >= 0
+        src = phi[2 * lo - o::2][:max(N - lo, 0)]
+        out[lo:lo + len(src)] += math.sqrt(2.0) * c * src
     return out
 
 
@@ -277,7 +279,8 @@ class FunctionSample:
     """Vector-valued samples on a uniform dyadic grid (left-endpoint convention).
 
     values has shape (m, N1, ..., Nn); the sample at index i sits at
-    x = (start + i) * 2**-grid_level.
+    x = (start + i) * 2**-grid_level.  Real values are held as float64,
+    complex ones as complex128.
     """
 
     n: int
@@ -287,7 +290,7 @@ class FunctionSample:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
+        self.values = as_float_or_complex(self.values)
         if self.values.shape[0] != self.m or self.values.ndim != self.n + 1:
             raise PreconditionError("sample array shape does not match (m, N1..Nn)")
         bad = ~np.isfinite(self.values)
@@ -314,11 +317,12 @@ class FunctionSample:
         return float(np.sum(np.abs(self.values) ** 2) * self.h ** self.n)
 
     def save(self, path: str) -> None:
-        """Write an npz archive to exactly ``path``.  ``values`` is stored as
-        float64 when every imaginary part is +0.0, so :meth:`load` gives back
-        the same complex array bit for bit."""
+        """Write an npz archive to exactly ``path``.  Real values are stored
+        as they are, and complex ones as float64 when every imaginary part is
+        +0.0, so :meth:`load` gives back the same values bit for bit: complex
+        values with a nonzero or -0.0 imaginary part stay complex128."""
         values = self.values
-        if not np.any(values.imag.view(np.uint64)):  # no nonzero part, no -0.0
+        if np.iscomplexobj(values) and not np.any(values.imag.view(np.uint64)):
             values = np.ascontiguousarray(values.real)
         with open(path, "wb") as fh:
             np.savez(fh, n=self.n, m=self.m, grid_level=self.grid_level,
@@ -359,16 +363,19 @@ class FunctionSample:
         """Samples of f on the level-``grid_level`` grid of the box [lo, hi);
         f maps points (N, n) to values (N,) or (m, N).  f runs on slabs of
         rows of the first axis, about SLAB_ENTRIES values each, so no
-        full-grid point array is built."""
+        full-grid point array is built.  The sample is real unless f returns
+        complex values."""
         start = tuple(int(v) << grid_level if grid_level >= 0 else int(v) >> -grid_level
                       for v in lo)
         shape = tuple((int(b) - int(a)) << grid_level for a, b in zip(lo, hi))
         axes = [(start[i] + np.arange(shape[i])) * math.ldexp(1.0, -grid_level)
                 for i in range(n)]
-        values = np.empty((m,) + shape, dtype=complex)
+        values = np.empty((m,) + shape)
         for sl in _slabs(values):
             rows = axes[0][sl]
-            vals = np.asarray(f(tensor_points([rows] + axes[1:])), dtype=complex)
+            vals = np.asarray(f(tensor_points([rows] + axes[1:])))
+            if np.iscomplexobj(vals) and not np.iscomplexobj(values):
+                values = values.astype(complex)
             values[:, sl] = vals.reshape((m, len(rows)) + shape[1:])
         return cls(n, m, grid_level, start, values)
 
@@ -465,6 +472,12 @@ def _merge(parts: dict, taps, stride: int, k_lo, starts, out: np.ndarray, scale:
             out[:, sl] += slab
 
 
+def _real_if_no_imaginary(values: np.ndarray) -> np.ndarray:
+    """The real part of complex ``values`` whose imaginary parts all vanish,
+    so the filter bank runs in real arithmetic; other values as they are."""
+    return values.real if np.iscomplexobj(values) and not values.imag.any() else values
+
+
 def _frames(start, shape, grid_level: int, L: int, levels) -> dict:
     """Per level j, the index range along each axis of the prototypes whose
     support [k, k + L - 1] * 2^-j meets the grid samples [start, start + shape)."""
@@ -493,7 +506,7 @@ def analyze(f: FunctionSample, sys: WaveletSystem, window: LatticeWindow,
     zero = sys.scaling_channel
     out = {lam: CoeffField(window, f.m)
            for lam in list(sys.channels) + ([zero] if include_scaling else [])}
-    top, starts = (f.values if f.values.imag.any() else f.values.real), f.start
+    top, starts = _real_if_no_imaginary(f.values), f.start
     taps, stride = (sys.axis_samples(0, g - J),), 1 << (g - J)
     scale = math.ldexp(2.0 ** (J / 2.0), -g)  # 2^{J/2} * h
     for j in range(J, window.j_min - 1, -1):
@@ -515,11 +528,11 @@ def synthesize(coefs: dict, sys: WaveletSystem, grid_level: int,
     coarsest present level up to J = min(finest present level + 1, grid_level),
     then level J scattered onto the grid.  A level spans the indices whose
     support meets the grid: any other feeds only finer ones that miss it too.
+    The sample is real when no level has a nonzero imaginary part.
     """
-    out = np.zeros((m,) + tuple(shape), dtype=complex)
     present = sorted({j for tf in coefs.values() for j in tf.levels()})
     if not present:
-        return FunctionSample(sys.n, m, grid_level, tuple(start), out)
+        return FunctionSample(sys.n, m, grid_level, tuple(start), np.zeros((m,) + tuple(shape)))
     if grid_level < present[-1]:
         raise PreconditionError("synthesis grid coarser than a coefficient level")
     J = min(present[-1] + 1, grid_level)
@@ -535,11 +548,12 @@ def synthesize(coefs: dict, sys: WaveletSystem, grid_level: int,
             level = tf.level(j)
             ov = None if level is None else tf.overlap(j, lo, up.shape[1:])
             if ov is not None:
-                level = level if level.imag.any() else level.real  # real stays real
+                level = _real_if_no_imaginary(level)
                 block = np.zeros_like(up, dtype=level.dtype)
                 block[(slice(None),) + ov[0]] = level[(slice(None),) + ov[1]]
                 parts[lam] = parts.get(lam, 0) + block
     res = grid_level - J
+    out = np.zeros((m,) + tuple(shape), dtype=np.result_type(float, *parts.values()))
     _merge(parts, (sys.axis_samples(0, res), sys.axis_samples(1, res)), 1 << res, k_lo,
            start, out, 2.0 ** (J / 2.0))
     return FunctionSample(sys.n, m, grid_level, tuple(start), out)
@@ -632,11 +646,11 @@ def atoms_from_wavelets(coefs: dict, sys: WaveletSystem,
     offsets = dict(zip(sys.channels, itertools.product((0, 1), repeat=sys.n)))
     for j in sorted({j for tf in sources.values() for j in tf.levels()}):
         bounds = src_window.index_bounds(j)
-        block = np.zeros((m,) + tuple(2 * (hi - lo) for lo, hi in bounds), dtype=complex)
-        for lam, tf in sources.items():
-            if tf.level(j) is not None:
-                block[(slice(None),) + tuple(slice(o, None, 2) for o in offsets[lam])] = \
-                    tf.level(j) / c
+        levels = {lam: tf.level(j) for lam, tf in sources.items() if tf.level(j) is not None}
+        block = np.zeros((m,) + tuple(2 * (hi - lo) for lo, hi in bounds),
+                         dtype=np.result_type(float, *levels.values()))
+        for lam, level in levels.items():
+            block[(slice(None),) + tuple(slice(o, None, 2) for o in offsets[lam])] = level / c
         out.write(j + 1, tuple(2 * lo for lo, _ in bounds), block)
     return ReindexedAtoms(out, sources, c, _atom_dilation(sys), sys, src_window)
 

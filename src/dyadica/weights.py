@@ -202,10 +202,13 @@ class MatrixWeight:
 
     def power(self, x, a: float) -> np.ndarray:
         """W(x)**a from the eigendecomposition of the distinct values of W at
-        the points x, with the small-eigenvalue clamp (see :func:`_weight_blocks`)."""
+        the points x, with the small-eigenvalue clamp (see :func:`_weight_blocks`);
+        for m = 1 the clamped power of each value."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         _, _, fac = next(_weight_blocks(self, (x[None],), inverted=a < 0))
-        return fac.power(0, a)[fac.parts[0].inverse[0]]
+        powers = fac.power(0, a)
+        # m = 1 values are not deduplicated: they are in node order already
+        return powers if self.m == 1 else powers[fac.parts[0].inverse[0]]
 
 
 def _refuse_non_finite(values: np.ndarray, what: str) -> None:
@@ -253,6 +256,13 @@ class _Distinct:
         inverse[order] = group
         return cls(flat[order[first]].reshape(-1, m, m), pad, counts, inverse.reshape(K, L))
 
+    @classmethod
+    def each(cls, values: np.ndarray) -> "_Distinct":
+        """Every matrix of the sets (K, L, m, m) taken as its own value, unsorted."""
+        K, L, m, _ = values.shape
+        index = np.arange(K * L).reshape(K, L)
+        return cls(values.reshape(-1, m, m), index, np.ones((K, L)), index)
+
 
 class _Factored:
     """The distinct weight values of the parts of one block of node sets
@@ -274,6 +284,9 @@ class _Factored:
     def power(self, i: int, a: float) -> np.ndarray:
         """The distinct values of part i raised to the power a, shape (G_i, m, m)."""
         g = slice(self.first[i], self.first[i + 1])
+        v = self.values[g]
+        if v.shape[1] == 1:  # a 1 x 1 value is its own eigenvalue
+            return (np.maximum(v.real, self.floor[g, None, None]) ** a).astype(v.dtype, copy=False)
         vals, vecs = self.eigh
         vals = np.maximum(vals[g], self.floor[g, None])
         return np.einsum("nij,nj,nkj->nik", vecs[g], vals ** a, vecs[g].conj())
@@ -286,7 +299,7 @@ _REFUSED = ("weight is not Hermitian", "weight has a significantly negative eige
 
 
 def _weight_blocks(W: MatrixWeight, parts, per_node: int = 1, inverted: bool = False,
-                   real: bool = False):
+                   real: bool = False, counts: bool = False):
     """The one path from quadrature nodes to factored weight values.
 
     ``parts`` are node arrays (K, L_i, n) of the same K sets.  The sets run in
@@ -294,7 +307,10 @@ def _weight_blocks(W: MatrixWeight, parts, per_node: int = 1, inverted: bool = F
     node carries that much further work.  Each block yields its slice of the
     sets, W at their nodes (k, L, m, m), parts in order within each set, and
     the :class:`_Factored` distinct values of every part: W is evaluated once
-    per node, and one eigendecomposition serves all parts.
+    per node, and one eigendecomposition serves all parts.  For m = 1, which
+    takes no eigendecomposition, values are deduplicated only when the
+    consumer weighs them by their ``counts``; otherwise each node is its own
+    value.
 
     Every refusal of weight values is raised here, naming the first offending
     node in set order: a value V that is not Hermitian (an entry of V - V^*
@@ -310,10 +326,11 @@ def _weight_blocks(W: MatrixWeight, parts, per_node: int = 1, inverted: bool = F
         pts = np.concatenate([part[blk] for part in parts], axis=1)
         k, L, n = pts.shape
         vals = W(pts.reshape(-1, n)).reshape(k, L, W.m, W.m)
-        fac = _Factored([_Distinct.of(vals[:, a:b]) for a, b in zip(bounds, bounds[1:])])
+        reduce = _Distinct.of if counts or W.m > 1 else _Distinct.each
+        fac = _Factored([reduce(vals[:, a:b]) for a, b in zip(bounds, bounds[1:])])
         v = fac.values
         G = len(v)
-        # a 1 x 1 value is its own eigenvalue: m = 1 takes eigh only for powers
+        # a 1 x 1 value is its own eigenvalue: m = 1 takes no eigh
         eig = v[:, 0].real if W.m == 1 else fac.eigh[0]
         # eigh reads the lower triangle only: a value whose upper triangle
         # differs is measured against that triangle's scale, and refused
@@ -376,7 +393,7 @@ def _defining_averages(W: MatrixWeight, p: float,
     last = len(parts) - 1
     pprime = p / (p - 1) if p > 1 else None
     out = np.empty(K)
-    for blk, _, fac in _weight_blocks(W, parts, inverted=True):
+    for blk, _, fac in _weight_blocks(W, parts, inverted=True, counts=True):
         dx, dy = fac.parts[0], fac.parts[last]
         A = fac.power(0, 1.0 / p)[dx.pad]
         B = fac.power(last, -1.0 / p)[dy.pad]

@@ -506,3 +506,11 @@ def test_missing_input_file_refused_naming_it(case, space_file, weight_file, tmp
     code = main([arg.format(**files) for arg in MISSING_INPUTS[case]])
     assert code == 2
     assert capsys.readouterr().err == f"refused: no such file: {missing}\n"
+
+
+def test_report_to_missing_directory_refused(space_file, tmp_path, capsys):
+    out = str(tmp_path / "nodir" / "x.json")
+    code = main(["params", "--space", space_file, "--out", out])
+    assert code == 2
+    assert capsys.readouterr().err == f"refused: no such file: {out}\n"
+    assert not os.path.exists(os.path.dirname(out))

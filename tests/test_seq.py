@@ -423,6 +423,28 @@ def test_csv_keeps_signed_zeros_and_refuses_misplaced_fields():
         CoeffField.from_csv(f"1:{2 ** 70},0, 1.0, 0.0\n", win, 1)
 
 
+@pytest.mark.parametrize("imag, dtype", [("0.0", np.float64), ("-0.0", np.complex128),
+                                         ("0.5", np.complex128)])
+def test_csv_field_is_real_unless_an_imaginary_bit_is_set(imag, dtype):
+    win = LatticeWindow(2, 0, 2, (0, 0), (1, 1))
+    def csv(im):
+        return f"1:1,0, -0.0, 0.0, 1.5, 0.0\n2:3,3, 2.0, 0.0, -1.0, {im}\n"
+
+    text = csv(imag)
+    t = CoeffField.from_csv(text, win, 2)
+    assert t.level(1).dtype == t.level(2).dtype == dtype
+    assert t.rows().dtype == t.nonzero()[1].dtype == dtype
+    # the API edge stays complex; the text comes back byte for byte
+    assert all(v.dtype == np.complex128 for _, v in t.items())
+    assert t.get(DyadicCube(2, 1, (1, 0))).dtype == np.complex128
+    assert t.to_csv() == text
+    # a complex write promotes a real level, and keeps the values
+    r = CoeffField.from_csv(csv("0.0"), win, 2)
+    r.set(DyadicCube(2, 1, (0, 0)), [1j, 0.0])
+    assert r.level(1).dtype == np.complex128 and r.level(2).dtype == np.float64
+    assert r.get(DyadicCube(2, 1, (1, 0))).tobytes() == np.array([-0.0, 1.5 + 0j]).tobytes()
+
+
 @pytest.mark.parametrize("second", ["2.0, 0.0", "0.0, 0.0"])
 def test_csv_refuses_duplicate_cube(second):
     # a later line for the same cube would silently replace the first one,

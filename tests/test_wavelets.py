@@ -10,8 +10,9 @@ from test_coeff_field import analyze_reference
 from dyadica import wavelets
 from dyadica.dyadic import DyadicCube, LatticeWindow, children, tensor_points
 from dyadica.errors import PreconditionError
-from dyadica.params import BESOV, SpaceParams
-from dyadica.seq import CoeffField
+from dyadica.params import BESOV, TRIEBEL_LIZORKIN, SpaceParams
+from dyadica.seq import CoeffField, seq_norms_weighted
+from dyadica.trace import TracePair, channel_norm, target_params, trace_coeffs
 from dyadica.weights import MatrixWeight
 from dyadica.wavelets import (
     FunctionSample,
@@ -74,6 +75,33 @@ def test_cascade_invariants(order):
     assert refinement_residual(fp, phi, R) <= 1e-8
     # integral of phi = 1 via the Riemann sum (partition of unity makes it exact)
     assert abs(np.sum(phi[:-1]) * 2.0 ** -R - 1.0) < 1e-8
+
+
+def _two_scale_reference(filt, phi, resolution):
+    """The two-scale sum with one index array per tap."""
+    N = len(phi)
+    idx = np.arange(N)
+    out = np.zeros(N)
+    for k, c in enumerate(filt):
+        j = 2 * idx - k * (1 << resolution)
+        ok = (j >= 0) & (j < N)
+        out[ok] += math.sqrt(2.0) * c * phi[j[ok]]
+    return out
+
+
+@pytest.mark.parametrize("resolution", [4, 8, 12])
+@pytest.mark.parametrize("order", range(1, 7))
+def test_cascade_matches_index_array_oracle(order, resolution):
+    fp = daubechies_filter(order)
+    got = cascade(fp, resolution)
+    with mock.patch.object(wavelets, "_two_scale", _two_scale_reference):
+        want = cascade(fp, resolution)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    rng = np.random.default_rng(order)
+    for r in range(4):  # short and odd-length inputs too
+        phi = rng.standard_normal(int(rng.integers(1, 40)))
+        assert (wavelets._two_scale(fp.h, phi, r).tobytes()
+                == _two_scale_reference(fp.h, phi, r).tobytes())
 
 
 def test_cascade_residual_decreases():
@@ -432,8 +460,8 @@ def test_atoms_from_wavelets_matches_per_cube_oracle(n, window):
 # sample files
 
 
-@given(n=st.integers(1, 2), m=st.integers(1, 2), kind=st.sampled_from(("real", "complex", "-0.0")),
-       seed=st.integers(0, 2 ** 16))
+@given(n=st.integers(1, 2), m=st.integers(1, 2),
+       kind=st.sampled_from(("real", "complex", "-0.0", "+0.0")), seed=st.integers(0, 2 ** 16))
 @settings(max_examples=30, deadline=None)
 def test_sample_save_load_is_bitwise(tmp_path_factory, n, m, kind, seed):
     rng = np.random.default_rng(seed)
@@ -445,16 +473,21 @@ def test_sample_save_load_is_bitwise(tmp_path_factory, n, m, kind, seed):
     elif kind == "-0.0":
         values = values.astype(complex)
         values.flat[rng.integers(values.size)] = complex(values.flat[0].real, -0.0)
+    elif kind == "+0.0":  # complex-typed, every imaginary part +0.0
+        values = values.astype(complex)
     f = FunctionSample(n, m, 3, tuple(rng.integers(-9, 9, n).tolist()), values)
+    assert f.values.dtype == (np.float64 if kind == "real" else np.complex128)
     path = str(tmp_path_factory.mktemp("s") / "f.npz")
     f.save(path)
+    # real values, and complex ones without an imaginary bit, are stored and
+    # loaded as float64; any imaginary bit keeps complex128
+    stored = np.float64 if kind in ("real", "+0.0") else np.complex128
     with np.load(path) as data:
-        # real samples are stored as float64; any imaginary bit keeps complex128
-        assert data["values"].dtype == (np.float64 if kind == "real" else np.complex128)
+        assert data["values"].dtype == stored
     g = FunctionSample.load(path)
     assert (g.n, g.m, g.grid_level, g.start) == (f.n, f.m, f.grid_level, f.start)
-    assert g.values.dtype == np.complex128
-    assert g.values.tobytes() == f.values.tobytes()
+    assert g.values.dtype == stored
+    assert g.values.tobytes() == (f.values.real if kind == "+0.0" else f.values).tobytes()
 
 
 @pytest.mark.parametrize("case, expect", [
@@ -486,3 +519,84 @@ def test_sample_load_refusals_name_the_file(tmp_path, case, expect):
     with pytest.raises(PreconditionError) as exc:
         FunctionSample.load(str(path))
     assert f"sample file {str(path)!r}" in str(exc.value) and expect in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# real data against complex-typed copies of it
+
+
+def _complex_typed(tf):
+    """A copy of a field with every level stored as complex128."""
+    out = CoeffField(tf.window, tf.m)
+    for j in tf.levels():
+        out.write(j, tf.lower(j), tf.level(j).astype(complex))
+    return out
+
+
+def _varying_weight(m, n, rng):
+    """x -> Q diag(1 + |x| c) Q^T + 0.1 I, real and not diagonal for m > 1."""
+    Q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    c = rng.uniform(0.2, 2.0, m)
+
+    def f(x):
+        d = 1.0 + np.linalg.norm(x, axis=1)[:, None] * c
+        return np.einsum("ab,nb,cb->nac", Q, d, Q) + 0.1 * np.eye(m)
+
+    return MatrixWeight(m, n, f)
+
+
+# Relative tolerance of norms and traces taken in real arithmetic against the
+# same calls on complex-typed copies: the sums are the same, so they may
+# differ only in the rounding of a few operations per entry.
+REAL_PATH_RTOL = 1e-12
+
+
+@given(n=st.sampled_from((1, 2)), m=st.sampled_from((1, 3)),
+       family=st.sampled_from((BESOV, TRIEBEL_LIZORKIN)), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=40, deadline=None)
+def test_real_path_matches_complex_typed_copies(n, m, family, seed):
+    rng = np.random.default_rng(seed)
+    window = LatticeWindow(n, 0, 1, (0,) * n, (1,) * n)
+    grid = window.j_max + wavelets.MIN_HEADROOM
+    start, shape = (0,) * n, (1 << grid,) * n
+    values = rng.standard_normal((m,) + shape) * (rng.random((m,) + shape) < 0.8)
+    f = FunctionSample(n, m, grid, start, values)
+    assert f.values.dtype == np.float64
+    assert FunctionSample(n, m, grid, start, values.astype(complex)).values.dtype == np.complex128
+    tp = TracePair(2, n) if n == 2 else None
+    sysw = tp.source if tp else WaveletSystem(n, daubechies_filter(2))
+    coefs = analyze(f, sysw, window)
+    cplx = {lam: _complex_typed(tf) for lam, tf in coefs.items()}
+    # CSV bytes, and the text reads back as the real field
+    for lam, tf in coefs.items():
+        assert tf.rows().dtype == np.float64
+        assert cplx[lam].rows().dtype == (np.complex128 if tf.levels() else np.float64)
+        text = tf.to_csv()
+        assert text == cplx[lam].to_csv()
+        back = CoeffField.from_csv(text, window, m).rows()
+        assert back.dtype == np.float64 and back.tobytes() == tf.rows().tobytes()
+    # synthesized samples
+    g = synthesize(coefs, sysw, grid, start, shape, m)
+    gc = synthesize(cplx, sysw, grid, start, shape, m)
+    assert g.values.dtype == np.float64
+    assert g.values.tobytes() == np.real(gc.values).tobytes()
+    # weighted norms of the analysis fields and of sparse random fields
+    sp = SpaceParams(family, 0.5, 0.1, 1.5, 2.0)
+    W = _varying_weight(m, n, rng)
+    rows = np.stack([tf.rows() for tf in coefs.values()]
+                    + [rng.standard_normal((window.count(), m))
+                       * (rng.random((window.count(), 1)) < 0.4) for _ in range(2)])
+    got = [r.value for r in seq_norms_weighted(window, rows, W, sp)]
+    want = [r.value for r in seq_norms_weighted(window, rows.astype(complex), W, sp)]
+    assert np.allclose(got, want, rtol=REAL_PATH_RTOL, atol=0)
+    if tp is None:
+        return
+    # traces: coefficients, then their norms under a weight one dimension down
+    traced, traced_c = trace_coeffs(tp, coefs), trace_coeffs(tp, cplx)
+    for lam, tf in traced.items():
+        a, b = tf.rows(), traced_c[lam].rows()
+        assert a.dtype == np.float64 and b.dtype == (np.complex128 if tf.levels() else np.float64)
+        assert np.max(np.abs(a - b), initial=0.0) <= REAL_PATH_RTOL * np.max(np.abs(b), initial=0.0)
+    V, sp_t = _varying_weight(m, 1, rng), target_params(sp, 2)
+    assert math.isclose(channel_norm(traced, V, sp_t), channel_norm(traced_c, V, sp_t),
+                        rel_tol=REAL_PATH_RTOL)

@@ -777,6 +777,46 @@ def _counting(W):
     return MatrixWeight(W.m, W.n, f), calls
 
 
+@pytest.mark.parametrize("a", [0.5, -1.5])
+@pytest.mark.parametrize("bad", [None, 2j, -0.5, 0.0, -0.0])
+def test_scalar_power_is_elementwise_and_refuses_like_the_distinct_path(bad, a):
+    # 16 cells with repeated values; with ``bad`` the cells 9 and 5 hold it,
+    # and the first shuffled node in either must be named, as the
+    # deduplicated path names it
+    table = np.array([1.5, 0.25, 3.0, 1.5, 2.0, 0.25, 1.0, 3.0] * 2,
+                     dtype=complex if isinstance(bad, complex) else float)
+    if bad is not None:
+        table[[9, 5]] = bad
+    W = MatrixWeight(1, 1, lambda x: table[(x[:, 0] * 16).astype(int)][:, None, None])
+    x = np.random.default_rng(0).permutation((np.arange(64) + 0.5) / 64)[:, None]
+
+    def power():
+        try:
+            return W.power(x, a)
+        except SingularWeightError as exc:
+            return exc
+
+    with mock.patch("numpy.linalg.eigh", wraps=np.linalg.eigh) as eigh, \
+            mock.patch.object(weights._Distinct, "of", wraps=weights._Distinct.of) as of:
+        got = power()
+    assert eigh.call_count == 0 and of.call_count == 0
+    with mock.patch.object(weights._Distinct, "each", weights._Distinct.of):
+        want = power()
+    if isinstance(want, SingularWeightError):
+        assert isinstance(got, SingularWeightError) and str(got) == str(want)
+        assert np.array_equal(got.node, want.node)
+        assert np.array_equal(got.node, x[np.isin((x[:, 0] * 16).astype(int), [5, 9])][0])
+        return
+    assert bad is None or (bad == 0 and a > 0)
+    # the clamped eigendecomposition of every value, as for m > 1
+    w = W(x)
+    vals, vecs = np.linalg.eigh(w)
+    floor = weights.EIG_CLAMP_REL * np.maximum(w[:, 0, 0].real, 0.0)
+    ref = np.einsum("nij,nj,nkj->nik", vecs, np.maximum(vals, floor[:, None]) ** a, vecs.conj())
+    assert got.dtype == w.dtype and not got.imag.any()
+    assert got.real.tobytes() == ref.real.tobytes()
+
+
 @pytest.mark.parametrize("p", [0.8, 1.5, 3.0])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_defining_average_same_nodes_takes_one_eigh(p, m):
@@ -786,11 +826,12 @@ def test_defining_average_same_nodes_takes_one_eigh(p, m):
     W, calls = _counting(MatrixWeight.grid([0, 0], [1, 1], 1, cells.reshape(2, 2, 2, m, m)[0]))
     nodes, _ = QuadratureSpec(3, 1).nodes((0.0, 0.0), (1.0, 0.5))
     xs = nodes[None]
+    # m = 1 takes none: a 1 x 1 value is its own eigenvalue
     with mock.patch("numpy.linalg.eigh", wraps=np.linalg.eigh) as eigh:
         same = weights._defining_averages(W, p, xs, xs)
-        assert eigh.call_count == 1 and len(calls) == 1
+        assert eigh.call_count == (m > 1) and len(calls) == 1
         apart = weights._defining_averages(W, p, xs, xs.copy())
-        assert eigh.call_count == 2 and len(calls) == 2
+        assert eigh.call_count == 2 * (m > 1) and len(calls) == 2
     assert same == apart  # bitwise
 
 
