@@ -285,8 +285,8 @@ class _Factored:
         """The distinct values of part i raised to the power a, shape (G_i, m, m)."""
         g = slice(self.first[i], self.first[i + 1])
         v = self.values[g]
-        if v.shape[1] == 1:  # a 1 x 1 value is its own eigenvalue
-            return (np.maximum(v.real, self.floor[g, None, None]) ** a).astype(v.dtype, copy=False)
+        if v.shape[1] == 1:  # a 1 x 1 value is its own (real) eigenvalue
+            return np.maximum(v.real, self.floor[g, None, None]) ** a
         vals, vecs = self.eigh
         vals = np.maximum(vals[g], self.floor[g, None])
         return np.einsum("nij,nj,nkj->nik", vecs[g], vals ** a, vecs[g].conj())

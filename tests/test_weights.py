@@ -813,8 +813,7 @@ def test_scalar_power_is_elementwise_and_refuses_like_the_distinct_path(bad, a):
     vals, vecs = np.linalg.eigh(w)
     floor = weights.EIG_CLAMP_REL * np.maximum(w[:, 0, 0].real, 0.0)
     ref = np.einsum("nij,nj,nkj->nik", vecs, np.maximum(vals, floor[:, None]) ** a, vecs.conj())
-    assert got.dtype == w.dtype and not got.imag.any()
-    assert got.real.tobytes() == ref.real.tobytes()
+    assert got.dtype == np.float64 and got.tobytes() == ref.real.tobytes()
 
 
 @pytest.mark.parametrize("p", [0.8, 1.5, 3.0])
