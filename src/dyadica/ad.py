@@ -51,8 +51,10 @@ def _cube_equality(rows: CubeArrays, cols: CubeArrays) -> np.ndarray:
 
 
 def _sample_pairs(rng: np.random.Generator, count: int, samples: int) -> tuple:
-    """Row and column indices of sampled pairs, one scalar draw each, row first."""
-    draws = np.array([rng.integers(count) for _ in range(2 * samples)], dtype=np.intp)
+    """Row and column indices of sampled pairs, drawn alternately, row first:
+    one array draw, the same stream as ``2 * samples`` scalar
+    ``rng.integers(count)`` calls."""
+    draws = rng.integers(count, size=2 * samples).astype(np.intp, copy=False)
     return draws[0::2], draws[1::2]
 
 

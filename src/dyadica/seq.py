@@ -248,17 +248,7 @@ class CoeffField:
         real (float64 levels) when every imaginary part is +0.0, so that a
         nonzero or -0.0 imaginary part keeps its bits."""
         n = window.n
-        lines = [s for s in map(str.strip, text.splitlines()) if s and not s.startswith("#")]
-        end = len(lines)
-        try:
-            head, values = _parse_lines(lines, n, m)
-        except ValueError:  # the first line that is malformed on its own
-            for end, line in enumerate(lines):
-                try:
-                    _parse_lines([line], n, m)
-                except ValueError:
-                    break
-            head, values = _parse_lines(lines[:end], n, m)
+        head, values, bad_line = _parse_csv(text, n, m)
         # refuse the first line that repeats a cube, lies outside the window or
         # holds a non-finite value
         pos = window.positions(CubeArrays(head[:, 0], head[:, 1:]))
@@ -274,8 +264,8 @@ class CoeffField:
             if outside[i]:
                 raise PreconditionError(f"cube {q} outside the window")
             raise PreconditionError(f"non-finite coefficient for cube {q}")
-        if end < len(lines):
-            raise _bad_line(lines[end], n)
+        if bad_line is not None:
+            raise _bad_line(bad_line, n)
         if not np.any(values[:, 1::2].view(np.uint64)):  # no nonzero part, no -0.0
             values = values[:, ::2]
         else:  # complex(re, im) exactly
@@ -287,23 +277,52 @@ class CoeffField:
         return out
 
 
-# Every byte but the separators of a coefficient line.
-_NOT_SEPARATOR = bytes(b for b in range(256) if b not in b":,\n")
+# Every byte but the separators of a coefficient line, the comment mark and
+# the other ASCII line breaks of ``str.splitlines``: the text of well-formed
+# lines holds none of these.
+_NOT_SEPARATOR = bytes(b for b in range(256) if b not in b":,\n#\r\x0b\x0c\x1c\x1d\x1e")
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
+def _parse_csv(text: str, n: int, m: int) -> tuple[np.ndarray, np.ndarray, str | None]:
+    """The heads and values of the coefficient lines of ``text`` that come
+    before the first line malformed on its own, and that line (None if
+    there is none).  Lines are stripped, and blank and ``#`` lines skipped;
+    ASCII text without such lines (what ``to_csv`` writes) goes to the C
+    parser as it is."""
+    body = text[:-1] if text.endswith("\n") else text
+    if body.isascii():
+        try:
+            return (*_parse_text(body, body.count("\n") + 1 if body else 0, n, m), None)
+        except ValueError:  # a comment or blank line, or a bad line
+            pass
+    lines = [s for s in map(str.strip, text.splitlines()) if s and not s.startswith("#")]
+    try:
+        return (*_parse_lines(lines, n, m), None)
+    except ValueError:  # the first line that is malformed on its own
+        for end, line in enumerate(lines):
+            try:
+                _parse_lines([line], n, m)
+            except ValueError:
+                return (*_parse_lines(lines[:end], n, m), line)
+        raise
+
+
 def _parse_lines(lines: list[str], n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    return _parse_text("\n".join(lines), len(lines), n, m)
+
+
+def _parse_text(text: str, count: int, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Levels and indices (N, 1 + n) and the real and imaginary parts
-    (N, 2m) of coefficient lines, read by numpy's C parser, which is never
-    laxer than ``int`` and ``float``; ValueError unless every line is well
-    formed."""
-    if not lines:
+    (N, 2m) of the ``count`` coefficient lines of ``text`` (no trailing
+    newline), read by numpy's C parser, which is never laxer than ``int``
+    and ``float``; ValueError unless every line is well formed."""
+    if not count:
         return np.zeros((0, 1 + n), dtype=np.int64), np.zeros((0, 2 * m))
-    text = "\n".join(lines)
     # "j:k1,...,kn, re1, im1, ...": the separators of every line are one
     # colon and then n - 1 + 2m commas
     if (text.encode().translate(None, _NOT_SEPARATOR)
-            != ((b":" + b"," * (n - 1 + 2 * m) + b"\n") * len(lines))[:-1]):
+            != ((b":" + b"," * (n - 1 + 2 * m) + b"\n") * count)[:-1]):
         raise ValueError("misplaced separator")
     dtype = np.dtype([("head", np.int64, (1 + n,)), ("values", np.float64, (2 * m,))])
     with warnings.catch_warnings():
@@ -345,16 +364,17 @@ def _level_rows(window: LatticeWindow):
 def random_rows(rng: np.random.Generator, samples: int, count: int, m: int,
                 density: float = 0.3, complex_values: bool = False) -> np.ndarray:
     """``samples`` random fields as rows, shape (samples, count, m): each of
-    the count cubes of a sample, in order, is drawn with probability density,
-    by one ``rng.random()`` per cube and then the normal vector(s)."""
-    vals = np.zeros((samples * count, m), dtype=complex)
-    for i in range(len(vals)):
-        if rng.random() < density:
-            v = rng.standard_normal(m)
-            if complex_values:
-                v = v + 1j * rng.standard_normal(m)
-            vals[i] = v
-    return vals.reshape(samples, count, m)
+    the count cubes of a sample is drawn with probability density.  Two array
+    draws: ``rng.random((samples, count))`` picks the cubes, then one
+    ``standard_normal((k, m))`` fills the k picked cubes in row order (and,
+    for complex values, a second draw of that shape gives the imaginary
+    parts)."""
+    picked = rng.random((samples, count)) < density
+    vals = np.zeros((samples, count, m), dtype=complex)
+    k = int(np.count_nonzero(picked))
+    v = rng.standard_normal((k, m))
+    vals[picked] = v + 1j * rng.standard_normal((k, m)) if complex_values else v
+    return vals
 
 
 @dataclass

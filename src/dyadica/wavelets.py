@@ -82,11 +82,46 @@ class FilterPair:
                 "max": max(sum_res, orth, moments)}
 
 
+# Newton steps allowed a root; from the float64 starts, orders 2 to 20 take 3
+# to 5 steps a root on average.
+_NEWTON_STEPS = 40
+
+
+def _polished_roots_inside(coeffs: list) -> list:
+    """The roots inside the unit circle of the polynomial with mpf
+    coefficients ``coeffs`` (highest degree first), at the working precision:
+    the float64 roots of ``np.roots``, each polished by Newton steps until a
+    step falls below two thirds of the working digits (convergence is
+    quadratic, so that step leaves an error at the evaluation noise).
+    Refuses a root whose steps do not converge and two starts that reach one
+    root."""
+    tol = mpmath.mpf(10) ** -(2 * mpmath.mp.dps // 3)
+    inside = []
+    for z in np.roots(np.array([float(c) for c in coeffs])):
+        if abs(z) >= 1:
+            continue
+        r = mpmath.mpc(complex(z))
+        for _ in range(_NEWTON_STEPS):
+            p, dp = mpmath.polyval(coeffs, r, derivative=True)
+            step = p / dp
+            r -= step
+            if abs(step) <= tol * abs(r):
+                break
+        else:
+            raise PreconditionError(f"spectral factorization: the root near {complex(z)} "
+                                    "does not converge")
+        if any(abs(r - s) <= tol * abs(r) for s in inside):
+            raise PreconditionError("spectral factorization failed to split roots")
+        inside.append(r)
+    return inside
+
+
 def daubechies_filter(order: int) -> FilterPair:
     """Minimal-length orthonormal filter with the given vanishing-moment count.
 
-    Spectral factorization with 60-digit root finding; coefficients are the
-    correctly rounded doubles of the high-precision construction.
+    Spectral factorization with 60-digit roots (the float64 roots polished by
+    Newton steps); coefficients are the correctly rounded doubles of the
+    high-precision construction.
     """
     if not (1 <= order <= 20):
         raise PreconditionError("filter order must lie in [1, 20]")
@@ -104,9 +139,7 @@ def daubechies_filter(order: int) -> FilterPair:
                 for i in range(2 * j + 1):
                     coeff = mpmath.binomial(2 * j, i) * mpmath.mpf(-1) ** (2 * j - i)
                     total[order - 1 - j + i] += c * coeff
-            # mpmath.polyroots wants highest-degree first
-            roots = mpmath.polyroots(list(reversed(total)), maxsteps=200, extraprec=120)
-            inside = [r for r in roots if abs(r) < 1]
+            inside = _polished_roots_inside(list(reversed(total)))
             if len(inside) != order - 1:
                 raise PreconditionError("spectral factorization failed to split roots")
             # q(z) = prod (z - r), expanded; complex roots pair up to real output

@@ -12,6 +12,7 @@ import dyadica.seq as seq_module
 from dyadica.ad import (
     ADMatrix,
     _adversarial_fields,
+    _sample_pairs,
     apply,
     apply_rows,
     bdef_block,
@@ -272,6 +273,17 @@ def test_apply_matches_per_entry_oracle(window, m, complex_values, D, E, F, seed
     np.testing.assert_allclose(block, oracle, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("count", [1, 2, 3, 7, 100, 2 ** 31 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 40 + 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sample_pairs_match_scalar_draws(count, seed):
+    # the array draw keeps the stream of one scalar draw per index, row first
+    rng = np.random.default_rng(seed)
+    draws = [rng.integers(count) for _ in range(2 * 251)]
+    qi, ri = _sample_pairs(np.random.default_rng(seed), count, 251)
+    assert qi.dtype == ri.dtype == np.intp
+    assert qi.tolist() == draws[0::2] and ri.tolist() == draws[1::2]
+
+
 def _compose_reference(c1, c2, cert, window, rng, samples):
     """fitted_C with each product entry summed over every window cube."""
     cubes = list(window.all_cubes())
@@ -375,8 +387,8 @@ def _empirical_norm_reference(B, sp, depths, weight=None, fam_builder=None, m=1,
             return norm(_apply_field_reference(B, t)) / denom if denom > 0 else 0.0
 
         rand_best, skipped = 0.0, 0
-        for _ in range(trials):
-            t = CoeffField(window, m, dict(DictField.random(window, m, rng, density=0.4).items()))
+        for drawn in DictField.random_batch(window, m, rng, trials, density=0.4):
+            t = CoeffField(window, m, dict(drawn.items()))
             if len(t):
                 rand_best = max(rand_best, ratio(t))
             else:

@@ -14,7 +14,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 from dyadica.dyadic import DyadicCube, LatticeWindow, format_cube, parse_cube
 from dyadica.errors import PreconditionError
 from dyadica.params import BESOV, SpaceParams
-from dyadica.seq import CoeffField, LevelFunctionStack, averaged_stack, weighted_stack
+from dyadica.seq import (
+    CoeffField,
+    LevelFunctionStack,
+    averaged_stack,
+    random_rows,
+    weighted_stack,
+)
 from dyadica.trace import (
     SlabCoeffs,
     TracePair,
@@ -90,14 +96,24 @@ class DictField:
 
     @classmethod
     def random(cls, window, m, rng, density=0.3, complex_values=False):
-        out = cls(window, m)
-        for q in window.all_cubes():
-            if rng.random() < density:
-                v = rng.standard_normal(m)
-                if complex_values:
-                    v = v + 1j * rng.standard_normal(m)
-                out.set(q, v)
-        return out
+        return cls.random_batch(window, m, rng, 1, density, complex_values)[0]
+
+    @classmethod
+    def random_batch(cls, window, m, rng, samples, density=0.3, complex_values=False):
+        """``samples`` fields in the draw order of ``random_rows``, filled cube
+        by cube: one uniform for every cube of every sample, then one normal
+        vector for each picked cube in turn, then (complex values) one more
+        for each picked cube as its imaginary part."""
+        uniforms = [[rng.random() for _ in range(window.count())] for _ in range(samples)]
+        fields = [cls(window, m) for _ in range(samples)]
+        picked = [(t, q) for t, row in zip(fields, uniforms)
+                  for q, u in zip(window.all_cubes(), row) if u < density]
+        for t, q in picked:
+            t.set(q, rng.standard_normal(m))
+        if complex_values:
+            for t, q in picked:
+                t.set(q, t.get(q) + 1j * rng.standard_normal(m))
+        return fields
 
     def to_csv(self):
         lines = []
@@ -433,6 +449,26 @@ def test_field_levels_are_dense_arrays():
     assert len(t) == 0 and t.levels() == [] and t.to_csv() == ""
 
 
+def test_random_rows_picks_cubes_at_the_density_and_repeats_per_seed():
+    samples, count, m, density = 40, 50, 3, 0.3
+    rows = random_rows(np.random.default_rng(3), samples, count, m, density)
+    assert rows.shape == (samples, count, m) and rows.dtype == np.complex128
+    picked = np.any(rows != 0, axis=2)
+    # a picked row is a normal vector, so none of its parts is zero
+    assert np.all(rows[picked].real != 0) and np.all(rows[picked].imag == 0)
+    assert np.all(rows[~picked] == 0)
+    # binomial share: 2000 cubes, mean 600, standard deviation 20.5
+    N = samples * count
+    sd = math.sqrt(N * density * (1 - density))
+    assert abs(int(picked.sum()) - N * density) <= 5 * sd
+    cplx = random_rows(np.random.default_rng(3), samples, count, m, density, complex_values=True)
+    assert np.array_equal(cplx != 0, np.repeat(picked[:, :, None], m, axis=2))
+    assert np.array_equal(cplx.real, rows.real) and np.all(cplx[picked].imag != 0)
+    again = random_rows(np.random.default_rng(3), samples, count, m, density)
+    assert rows.tobytes() == again.tobytes()
+    assert random_rows(np.random.default_rng(4), samples, count, m, density).tobytes() != rows.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # refusals at ingestion
 
@@ -442,6 +478,30 @@ def _nonempty_csv(window, m, seed, complex_values):
     if not len(t):
         t.set(next(window.all_cubes()), np.ones(m))
     return t.to_csv().splitlines()
+
+
+def _decorated(lines, data):
+    """The text of ``lines`` as a reader may write it: lines padded with
+    whitespace, comment and blank lines between them, CRLF line ends."""
+    out = []
+    for line in lines + [None]:
+        out += data.draw(st.lists(st.sampled_from(("# a comment", "  # indented", "", "  ", "\t")),
+                                  max_size=2))
+        if line is not None:
+            out.append(data.draw(st.sampled_from(("", " ", "\t"))) + line
+                       + data.draw(st.sampled_from(("", "  ", " \t"))))
+    return data.draw(st.sampled_from(("\n", "\r\n"))).join(out) + "\n"
+
+
+@given(window=windows(), m=st.sampled_from((1, 3)), complex_values=st.booleans(),
+       seed=st.integers(0, 2 ** 16), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_csv_reads_decorated_text_as_the_written_text(window, m, complex_values, seed, data):
+    t = CoeffField.random(window, m, np.random.default_rng(seed), 0.6, complex_values)
+    text = t.to_csv()
+    back = CoeffField.from_csv(_decorated(text.splitlines(), data), window, m)
+    _assert_same_field(back, CoeffField.from_csv(text, window, m))
+    assert back.to_csv() == text
 
 
 @given(window=windows(), m=st.sampled_from((1, 3)), complex_values=st.booleans(),
@@ -474,7 +534,7 @@ def test_csv_refusals_name_the_first_bad_line(window, m, complex_values, seed, d
     else:
         bad[i] = lines[i].replace(":", ":0,", 1)  # one index too many
         expect = "bad coefficient line"
-    text = "\n".join(bad) + "\n"
+    text = _decorated(bad, data) if data.draw(st.booleans()) else "\n".join(bad) + "\n"
     with pytest.raises(PreconditionError, match=re.escape(expect)):
         CoeffField.from_csv(text, window, m)
     if kind != "non-finite":  # the reference field does not check finiteness
@@ -515,7 +575,8 @@ def test_csv_refuses_what_only_int_and_float_accept(window, m, complex_values, s
         bad = _misplaced_separators(lines[i], kind)
     bad = bad.strip()
     # a later duplicate is not reached: the first offending line is named
-    text = "\n".join(lines[:i] + [bad] + lines[i:]) + "\n"
+    lines = lines[:i] + [bad] + lines[i:]
+    text = _decorated(lines, data) if data.draw(st.booleans()) else "\n".join(lines) + "\n"
     with pytest.raises(PreconditionError) as got:
         CoeffField.from_csv(text, window, m)
     with pytest.raises(PreconditionError) as ref:

@@ -1,6 +1,7 @@
 import math
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +51,61 @@ def test_filter_invariants_orders_1_to_8(order):
     rep = fp.invariant_report()
     assert rep["max"] <= 1e-12, rep
     assert len(fp.h) == 2 * order
+
+
+def _daubechies_reference(order):
+    """The filter taps by the spectral factorization of the half-band
+    polynomial with ``mpmath.polyroots`` at 60 digits."""
+    if order == 1:
+        return np.array([1.0, 1.0]) / math.sqrt(2.0)
+    with mpmath.workdps(60):
+        # P(y) = sum_j C(order-1+j, j) y^j, y -> (2 - z - 1/z)/4, times z^(order-1)
+        total = [mpmath.mpf(0)] * (2 * order - 1)
+        for j in range(order):
+            c = mpmath.binomial(order - 1 + j, j) * mpmath.mpf(-4) ** (-j)
+            for i in range(2 * j + 1):
+                coeff = mpmath.binomial(2 * j, i) * mpmath.mpf(-1) ** (2 * j - i)
+                total[order - 1 - j + i] += c * coeff
+        roots = mpmath.polyroots(list(reversed(total)), maxsteps=200, extraprec=120)
+        # q(z) = prod over the roots inside the circle of (z - r), lowest degree first
+        q = [mpmath.mpf(1)]
+        for r in roots:
+            if abs(r) < 1:
+                nxt = [mpmath.mpf(0)] * (len(q) + 1)
+                for i, c in enumerate(q):
+                    nxt[i] += c * (-r)
+                    nxt[i + 1] += c
+                q = nxt
+        q = [mpmath.re(c) for c in q]
+        m = [mpmath.mpf(1)]  # ((1 + z) / 2) ** order
+        for _ in range(order):
+            nxt = [mpmath.mpf(0)] * (len(m) + 1)
+            for i, c in enumerate(m):
+                nxt[i] += c / 2
+                nxt[i + 1] += c / 2
+            m = nxt
+        h = [mpmath.mpf(0)] * (len(m) + len(q) - 1)
+        for i, a in enumerate(m):
+            for k, b in enumerate(q):
+                h[i + k] += a * b
+        total_sum = sum(h)
+        return np.array([float(c * mpmath.sqrt(2) / total_sum) for c in h])
+
+
+@pytest.mark.parametrize("order", list(range(1, 21)))
+def test_filter_matches_polyroots_construction(order):
+    got = daubechies_filter(order).h
+    assert got.view(np.uint64).tolist() == _daubechies_reference(order).view(np.uint64).tolist()
+
+
+def test_filter_refuses_roots_that_do_not_converge_or_split():
+    with mock.patch.object(wavelets, "_NEWTON_STEPS", 1):
+        with pytest.raises(PreconditionError, match="does not converge"):
+            daubechies_filter(4)
+    # two starts near one root reach it twice
+    with mock.patch.object(wavelets.np, "roots", lambda c: np.full(len(c) - 1, 0.3 + 0.1j)):
+        with pytest.raises(PreconditionError, match="failed to split roots"):
+            daubechies_filter(4)
 
 
 def test_filter_order_range():
