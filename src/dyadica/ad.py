@@ -173,7 +173,7 @@ def _adversarial_fields(window: LatticeWindow, m: int, slopes) -> np.ndarray:
     deltas at the first cube of the coarsest and of the finest level, then
     vertical stacks loading every level j at its first cube with 2^{j*slope}."""
     levels = range(window.j_min, window.j_max + 1)
-    first = np.cumsum([0] + [window.count(j) for j in levels])[:-1]
+    first = [window.level_rows(j)[0].start for j in levels]
     rows = np.zeros((2 + len(slopes), window.count(), m), dtype=complex)
     rows[0, first[0]] = 1.0
     rows[1, first[-1]] = 1.0

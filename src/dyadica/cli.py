@@ -26,7 +26,7 @@ from .czo import (
     intermediate_derivative_check,
     kernel_by_name,
 )
-from .dyadic import LatticeWindow, parse_cube
+from .dyadic import LatticeWindow, grid_cells, parse_cube
 from .errors import PreconditionError
 from .molecules import ValidationGrid, make_atom, validate_atom, validate_molecule
 from .params import SpaceParams, ad_region, derived_indices, derived_table
@@ -149,8 +149,8 @@ def cmd_transform(args) -> dict:
             raise PreconditionError(f"--coeffs pair {pair!r} repeats channel {lam_text}")
         with open(path) as fh:
             coefs[lam] = CoeffField.from_csv(fh.read(), window, args.m)
-    start = tuple(int(v) << args.grid_level for v in window.lo)
-    shape = tuple((b - a) << args.grid_level for a, b in zip(window.lo, window.hi))
+    start, shape = grid_cells(window.lo, window.hi, args.grid_level, "synthesis grid",
+                              "window box")
     out = synthesize(coefs, sysw, args.grid_level, start, shape, args.m)
     out.save(args.output)
     return {"config": _config(args), "written": args.output}

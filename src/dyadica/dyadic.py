@@ -68,9 +68,6 @@ class DyadicCube:
         hi = np.array(self.upper)
         return np.all((pts >= lo) & (pts < hi), axis=-1)
 
-    def parent(self) -> "DyadicCube":
-        return DyadicCube(self.n, self.j - 1, tuple(ki // 2 for ki in self.k))
-
     def ancestor(self, up: int) -> "DyadicCube":
         if up < 0:
             raise PreconditionError("ancestor level offset must be nonnegative")
@@ -146,13 +143,13 @@ class CubeArrays:
     @classmethod
     def of_window(cls, window: "LatticeWindow") -> "CubeArrays":
         """Every window cube, in the order of ``window.all_cubes()``."""
-        levels, index = [], []
-        for j in range(window.j_min, window.j_max + 1):
-            grid = tensor_points([np.arange(a, b, dtype=np.int64)
-                                  for a, b in window.index_bounds(j)])
-            levels.append(np.full(len(grid), j, dtype=np.int64))
-            index.append(grid)
-        return cls(np.concatenate(levels), np.concatenate(index))
+        levels = np.empty(window.count(), dtype=np.int64)
+        index = np.empty((window.count(), window.n), dtype=np.int64)
+        for j, (lower, shape, rows) in window._layout.items():
+            levels[rows] = j
+            index[rows] = tensor_points([np.arange(a, a + size, dtype=np.int64)
+                                         for a, size in zip(lower, shape)])
+        return cls(levels, index)
 
     def take(self, idx) -> "CubeArrays":
         return CubeArrays(self.levels[idx], self.index[idx])
@@ -230,6 +227,29 @@ def normalized_indicator(q: DyadicCube, x) -> np.ndarray:
     return vals
 
 
+def _index_bounds(lo, hi, j: int) -> list[tuple[int, int]]:
+    """Half-open index ranges [a, b) per axis of the level-j cubes inside the
+    box [lo, hi) of integer level-0 coordinates."""
+    if j >= 0:
+        return [(a << j, b << j) for a, b in zip(lo, hi)]
+    step = 1 << -j
+    return [(-(-a // step), b // step) for a, b in zip(lo, hi)]
+
+
+def grid_cells(lo, hi, j: int, grid: str, box: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Index of the first level-j cell and cell counts per axis of the grid
+    that tiles the box [lo, hi); refuses a box whose edges are not multiples
+    of the cell side, naming the grid and the box."""
+    lo, hi = tuple(int(v) for v in lo), tuple(int(v) for v in hi)
+    side = 1 << max(0, -j)
+    if any(a % side or b % side for a, b in zip(lo, hi)):
+        raise PreconditionError(
+            f"{grid} level {j} does not tile the {box} {lo}..{hi}: "
+            f"its edges must be multiples of {side}")
+    bounds = _index_bounds(lo, hi, j)
+    return tuple(a for a, _ in bounds), tuple(b - a for a, b in bounds)
+
+
 class LatticeWindow:
     """Finite truncation of the dyadic lattice.
 
@@ -252,20 +272,30 @@ class LatticeWindow:
             raise PreconditionError("box bounds must match dimension")
         if any(a >= b for a, b in zip(self.lo, self.hi)):
             raise PreconditionError("box must be nonempty")
+        # the row layout of every window level: first indices, index shape
+        # and rows in all_cubes() order
+        self._layout: dict[int, tuple[tuple[int, ...], tuple[int, ...], slice]] = {}
+        first = 0
         for j in range(self.j_min, self.j_max + 1):
-            if any(a >= b for a, b in self.index_bounds(j)):
+            bounds = self.index_bounds(j)
+            if any(a >= b for a, b in bounds):
                 raise PreconditionError(f"window has no cubes at level {j}")
+            shape = tuple(b - a for a, b in bounds)
+            rows = slice(first, first + math.prod(shape))
+            self._layout[j] = (tuple(a for a, _ in bounds), shape, rows)
+            first = rows.stop
 
     def index_bounds(self, j: int) -> list[tuple[int, int]]:
         """Half-open integer index ranges [a, b) per axis at level j."""
-        out = []
-        for a, b in zip(self.lo, self.hi):
-            if j >= 0:
-                out.append((a << j, b << j))
-            else:
-                step = 1 << (-j)
-                out.append((-((-a) // step) if a < 0 else (a + step - 1) // step, b // step))
-        return out
+        return _index_bounds(self.lo, self.hi, j)
+
+    def level_rows(self, j: int) -> tuple[slice, tuple[int, ...]]:
+        """The rows of the level-j cubes in ``all_cubes()`` order and their
+        index shape; the cube ``lower + i`` sits at row ``start + ravel(i)``."""
+        if j not in self._layout:
+            raise PreconditionError(f"level {j} outside the window")
+        _, shape, rows = self._layout[j]
+        return rows, shape
 
     def cubes(self, j: int):
         if not (self.j_min <= j <= self.j_max):
@@ -279,12 +309,10 @@ class LatticeWindow:
             yield from self.cubes(j)
 
     def count(self, j: int | None = None) -> int:
-        if j is not None:
-            total = 1
-            for a, b in self.index_bounds(j):
-                total *= max(0, b - a)
-            return total
-        return sum(self.count(jj) for jj in range(self.j_min, self.j_max + 1))
+        """The number of window cubes, at level j or in all."""
+        if j is None:
+            return self._layout[self.j_max][2].stop
+        return math.prod(self._layout[j][1]) if j in self._layout else 0
 
     def positions(self, cubes: CubeArrays) -> np.ndarray:
         """Position of each cube in ``all_cubes()`` order; -1 for cubes
@@ -292,14 +320,10 @@ class LatticeWindow:
         pos = np.full(len(cubes), -1, dtype=np.int64)
         if cubes.n != self.n:
             return pos
-        offset = 0
-        for j in range(self.j_min, self.j_max + 1):
-            bounds = np.array(self.index_bounds(j), dtype=np.int64)
-            size = bounds[:, 1] - bounds[:, 0]
-            rel = cubes.index - bounds[:, 0]
-            at = (cubes.levels == j) & np.all((rel >= 0) & (rel < size), axis=1)
-            pos[at] = offset + np.ravel_multi_index(rel[at].T, tuple(size.tolist()))
-            offset += self.count(j)
+        for j, (lower, shape, rows) in self._layout.items():
+            rel = cubes.index - np.array(lower, dtype=np.int64)
+            at = (cubes.levels == j) & np.all((rel >= 0) & (rel < shape), axis=1)
+            pos[at] = rows.start + np.ravel_multi_index(rel[at].T, shape)
         return pos
 
     def contains(self, q: DyadicCube) -> bool:

@@ -108,9 +108,6 @@ class SpaceParams:
     def q_is_inf(self) -> bool:
         return self.q == INF
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     def to_dict(self) -> dict:
         return {
             "family": self.family,
@@ -248,11 +245,6 @@ class Inequality:
     def margin(self) -> float:
         return self.value - self.bound
 
-    def __str__(self):
-        op = ">" if self.strict else ">="
-        state = "ok" if self.ok else "FAIL"
-        return f"{self.name} {op} {self.bound:g} (value {self.value:g}, margin {self.margin:+g}) [{state}]"
-
 
 @dataclass(frozen=True)
 class ConstraintSet:
@@ -265,9 +257,6 @@ class ConstraintSet:
 
     def failing(self) -> list[str]:
         return [f"{it.name} {'>' if it.strict else '>='} {it.bound:g}" for it in self.items if not it.ok]
-
-    def describe(self) -> str:
-        return "\n".join([self.label + ":"] + ["  " + str(it) for it in self.items])
 
     def to_dict(self) -> dict:
         return {

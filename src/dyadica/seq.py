@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import CubeArrays, DyadicCube, LatticeWindow, format_cube, tensor_points
+from .dyadic import CubeArrays, DyadicCube, LatticeWindow, format_cube, grid_cells, tensor_points
 from .errors import PreconditionError
 from .params import BESOV, SpaceParams
 from .weights import MatrixWeight, ReducingFamily
@@ -36,22 +36,20 @@ class CoeffField:
     """Finite map cube -> vector in C^m over a lattice window; absent cubes
     are zero.
 
-    Each level is stored as one array of shape ``(m, *index_shape)``,
-    allocated at the first write to that level in the dtype of the written
-    block (float64 for real values, complex128 for complex ones) and promoted
-    to complex128 by the first complex block written to it; index ``k`` sits
-    at ``k - lower(j)``, the starts of ``window.index_bounds(j)``.  A cube is
-    present when its vector is nonzero, and absent entries hold +0.0.
-    ``DyadicCube`` objects are built only by :meth:`items` and :meth:`cubes`,
-    whose vectors, like those of :meth:`get`, are complex128; the array paths
-    :meth:`level`, :meth:`write`, :meth:`rows` and :meth:`nonzero` keep the
-    stored dtype.
+    The field is one ``(C, m)`` array of rows, one per window cube in
+    ``window.all_cubes()`` order (see ``LatticeWindow.level_rows``): float64
+    until a nonzero complex block is written, then complex128 for the whole
+    field.  A cube is present when its vector is nonzero, and absent rows
+    hold +0.0.  ``DyadicCube`` objects are built only by :meth:`items` and
+    :meth:`cubes`, whose vectors, like those of :meth:`get`, are complex128;
+    the array paths :meth:`level`, :meth:`write`, :meth:`rows` and
+    :meth:`nonzero` keep the stored dtype.
     """
 
     def __init__(self, window: LatticeWindow, m: int, data: dict | None = None):
         self.window = window
         self.m = int(m)
-        self._levels: dict[int, np.ndarray] = {}
+        self._rows = np.zeros((window.count(), self.m))
         if data:
             for q, v in data.items():
                 self.set(q, v)
@@ -63,9 +61,11 @@ class CoeffField:
         return tuple(a for a, _ in self.window.index_bounds(j))
 
     def level(self, j: int) -> np.ndarray | None:
-        """The ``(m, *index_shape)`` array of level j (None if never written);
-        callers must not write to it."""
-        return self._levels.get(j)
+        """The read-only ``(m, *index_shape)`` view of level j (None outside
+        the window)."""
+        if not (self.window.j_min <= j <= self.window.j_max):
+            return None
+        return _level_view(self.rows(), self.window, j)
 
     def overlap(self, j: int, start, shape):
         """(block slices, level slices) of the part of the index box
@@ -103,15 +103,12 @@ class CoeffField:
                 a + s.start + int(i) for a, s, i in zip(start, ov[0], np.argwhere(bad)[0])))
             raise PreconditionError(f"non-finite coefficient for cube {first}")
         keep = np.any(part != 0, axis=0)
-        level = self._levels.get(j)
-        if level is None:
-            if not keep.any():
-                return
-            shape = tuple(b - a for a, b in self.window.index_bounds(j))
-            level = self._levels[j] = np.zeros((self.m,) + shape, dtype=block.dtype)
-        elif np.iscomplexobj(block) and not np.iscomplexobj(level):
-            level = self._levels[j] = level.astype(complex)
-        dst = level[(slice(None),) + ov[1]]
+        if np.iscomplexobj(part) and not np.iscomplexobj(self._rows):
+            if keep.any():
+                self._rows = self._rows.astype(complex)
+            else:
+                part = part.real
+        dst = _level_view(self._rows, self.window, j)[(slice(None),) + ov[1]]
         dst[...] = part
         dst[:, ~keep] = 0
 
@@ -129,39 +126,32 @@ class CoeffField:
 
     def write_all(self, values: np.ndarray) -> None:
         """Set every window cube from ``values`` (C, m), one row per cube in
-        ``window.all_cubes()`` order, level by level through :meth:`write`;
-        the field is unchanged when a value is refused."""
-        fresh = CoeffField(self.window, self.m)
-        values = np.asarray(values)
-        for j, rows, shape in _level_rows(self.window):
-            fresh.write(j, self.lower(j), values[rows].T.reshape((self.m,) + shape))
-        self._levels = fresh._levels
+        ``window.all_cubes()`` order; the field is unchanged when a value is
+        refused."""
+        values = as_float_or_complex(values)
+        if values.shape != self._rows.shape:
+            raise PreconditionError(f"field rows have shape {values.shape}, "
+                                    f"expected {self._rows.shape}")
+        bad = ~np.all(np.isfinite(values), axis=1)
+        if bad.any():
+            q = CubeArrays.of_window(self.window).cube(int(np.argmax(bad)))
+            raise PreconditionError(f"non-finite coefficient for cube {q}")
+        keep = np.any(values != 0, axis=1)
+        rows = values.copy() if keep.any() else np.zeros(values.shape)
+        rows[~keep] = 0
+        self._rows = rows
 
     def rows(self) -> np.ndarray:
         """Every window cube's vector, shape (C, m), in ``window.all_cubes()``
-        order: the inverse of :meth:`write_all`."""
-        out = np.zeros((self.window.count(), self.m),
-                       dtype=np.result_type(float, *self._levels.values()))
-        for j, rows, _ in _level_rows(self.window):
-            if j in self._levels:
-                out[rows] = self._levels[j].reshape(self.m, -1).T
+        order, as a read-only view: the inverse of :meth:`write_all`."""
+        out = self._rows.view()
+        out.flags.writeable = False
         return out
 
     def nonzero(self) -> tuple[CubeArrays, np.ndarray]:
         """The present cubes in ``(j, k)`` order and their vectors, shape (N, m)."""
-        n, m = self.window.n, self.m
-        levels, index, values = [], [], []
-        for j in sorted(self._levels):
-            arr = self._levels[j]
-            idx = np.nonzero(np.any(arr != 0, axis=0))
-            levels.append(np.full(len(idx[0]), j, dtype=np.int64))
-            index.append(np.stack(idx, axis=1) + np.array(self.lower(j), dtype=np.int64))
-            values.append(arr[(slice(None),) + idx].T)
-        if not levels:
-            return (CubeArrays(np.zeros(0, dtype=np.int64), np.zeros((0, n), dtype=np.int64)),
-                    np.zeros((0, m)))
-        return (CubeArrays(np.concatenate(levels), np.concatenate(index)),
-                np.concatenate(values))
+        present = np.flatnonzero(np.any(self._rows != 0, axis=1))
+        return CubeArrays.of_window(self.window).take(present), self._rows[present]
 
     # -- cube access ---------------------------------------------------------
 
@@ -172,11 +162,10 @@ class CoeffField:
         self.write(q.j, q.k, v)
 
     def get(self, q: DyadicCube) -> np.ndarray:
-        arr = self._levels.get(q.j)
-        if arr is None or not self.window.contains(q):
+        pos = int(self.window.positions(CubeArrays.of([q]))[0])
+        if pos < 0:
             return np.zeros(self.m, dtype=complex)
-        idx = tuple(k - a for k, a in zip(q.k, self.lower(q.j)))
-        return arr[(slice(None),) + idx].astype(complex)
+        return self._rows[pos].astype(complex)
 
     def items(self) -> list[tuple[DyadicCube, np.ndarray]]:
         cubes, values = self.nonzero()
@@ -186,33 +175,30 @@ class CoeffField:
         return _cube_list(self.nonzero()[0])
 
     def __len__(self):
-        return sum(int(np.count_nonzero(np.any(a != 0, axis=0))) for a in self._levels.values())
+        return int(np.count_nonzero(np.any(self._rows != 0, axis=1)))
 
     def levels(self):
-        return [j for j in sorted(self._levels) if np.any(self._levels[j])]
+        w = self.window
+        return [j for j in range(w.j_min, w.j_max + 1) if self._rows[w.level_rows(j)[0]].any()]
 
     def copy(self) -> "CoeffField":
         out = CoeffField(self.window, self.m)
-        out._levels = {j: a.copy() for j, a in self._levels.items()}
+        out._rows = self._rows.copy()
         return out
 
     def scaled(self, c: complex) -> "CoeffField":
         out = CoeffField(self.window, self.m)
-        for j, a in self._levels.items():
-            out.write(j, self.lower(j), c * a)
+        out.write_all(c * self._rows)
         return out
 
     def plus(self, other: "CoeffField") -> "CoeffField":
-        out = self.copy()
-        for j, a in other._levels.items():
-            start = other.lower(j)
-            total = a.astype(np.result_type(a, out._levels.get(j, a)))
-            ov = out.overlap(j, start, a.shape[1:])
-            if ov is not None and j in out._levels:
-                mine = out._levels[j][(slice(None),) + ov[1]]
-                theirs = total[(slice(None),) + ov[0]]
-                theirs[...] = np.where(np.any(theirs != 0, axis=0), mine + theirs, mine)
-            out.write(j, start, total)
+        """The sum of two fields on one window; a cube absent from ``other``
+        keeps this field's vector as it is."""
+        if other.window != self.window or other.m != self.m:
+            raise PreconditionError("fields to add must share one window and dimension")
+        theirs = np.any(other._rows != 0, axis=1)[:, None]
+        out = CoeffField(self.window, self.m)
+        out.write_all(np.where(theirs, self._rows + other._rows, self._rows))
         return out
 
     @classmethod
@@ -245,7 +231,7 @@ class CoeffField:
         """Parse :meth:`to_csv` text.  Refuses, naming the first offending
         line or cube in file order: a malformed line, a second line for one
         cube, a cube outside the window, a non-finite value.  The field is
-        real (float64 levels) when every imaginary part is +0.0, so that a
+        real (float64 rows) when every imaginary part is +0.0, so that a
         nonzero or -0.0 imaginary part keeps its bits."""
         n = window.n
         head, values, bad_line = _parse_csv(text, n, m)
@@ -266,14 +252,14 @@ class CoeffField:
             raise PreconditionError(f"non-finite coefficient for cube {q}")
         if bad_line is not None:
             raise _bad_line(bad_line, n)
+        values[~np.any(values != 0, axis=1)] = 0  # a zero vector is absent: +0.0
         if not np.any(values[:, 1::2].view(np.uint64)):  # no nonzero part, no -0.0
             values = values[:, ::2]
         else:  # complex(re, im) exactly
             values = np.ascontiguousarray(values).view(complex)
-        rows = np.zeros((window.count(), m), dtype=values.dtype)
-        rows[pos] = values
         out = cls(window, m)
-        out.write_all(rows)
+        out._rows = np.zeros((window.count(), m), dtype=values.dtype)
+        out._rows[pos] = values
         return out
 
 
@@ -350,15 +336,10 @@ def _cube_list(cubes: CubeArrays) -> list[DyadicCube]:
     return [DyadicCube(n, j, tuple(k)) for j, k in zip(cubes.levels.tolist(), cubes.index.tolist())]
 
 
-def _level_rows(window: LatticeWindow):
-    """(level j, slice of its cubes' rows in ``all_cubes`` order, index shape)
-    for every window level."""
-    offset = 0
-    for j in range(window.j_min, window.j_max + 1):
-        shape = tuple(b - a for a, b in window.index_bounds(j))
-        rows = slice(offset, offset + math.prod(shape))
-        yield j, rows, shape
-        offset = rows.stop
+def _level_view(rows: np.ndarray, window: LatticeWindow, j: int) -> np.ndarray:
+    """The ``(m, *index_shape)`` view of the level-j rows of ``rows`` (C, m)."""
+    sl, shape = window.level_rows(j)
+    return rows[sl].T.reshape((rows.shape[1],) + shape)
 
 
 def random_rows(rng: np.random.Generator, samples: int, count: int, m: int,
@@ -396,21 +377,8 @@ class LevelFunctionStack:
     def __post_init__(self):
         if self.grid_level < self.window.j_max:
             raise PreconditionError("grid must be at least as fine as the finest level")
-        side = 1 << max(0, -self.grid_level)
-        if any(a % side or b % side for a, b in zip(self.window.lo, self.window.hi)):
-            raise PreconditionError(
-                f"stack grid level {self.grid_level} does not tile the window box "
-                f"{self.window.lo}..{self.window.hi}: its edges must be multiples of {side}")
-
-    @property
-    def grid_start(self) -> tuple[int, ...]:
-        """Lattice index of the first grid cell along each axis."""
-        return tuple(_cell_index(a, self.grid_level) for a in self.window.lo)
-
-    @property
-    def grid_shape(self) -> tuple[int, ...]:
-        return tuple(_cell_index(b - a, self.grid_level)
-                     for a, b in zip(self.window.lo, self.window.hi))
+        self.grid_start, self.grid_shape = grid_cells(
+            self.window.lo, self.window.hi, self.grid_level, "stack grid", "window box")
 
     @property
     def cell_volume(self) -> float:
@@ -427,12 +395,6 @@ class LevelFunctionStack:
         """Stack i of a batch, as a single stack."""
         return LevelFunctionStack(self.window, self.grid_level,
                                   {j: a[i] for j, a in self.levels.items()})
-
-
-def _cell_index(a: int, grid_level: int) -> int:
-    """a * 2^grid_level for an integer a that is a multiple of the cell side:
-    the index of the level-``grid_level`` cell that starts at a."""
-    return a << grid_level if grid_level >= 0 else a >> -grid_level
 
 
 @dataclass(frozen=True)
@@ -597,7 +559,8 @@ def _sample_blocks(window: LatticeWindow, rows: np.ndarray, grid_level: int):
 def _present_levels(window: LatticeWindow, rows: np.ndarray):
     """(j, slice of the level's rows, index shape) for every level where some
     sample of ``rows`` (S, C, ...) is nonzero."""
-    for j, sl, shape in _level_rows(window):
+    for j in range(window.j_min, window.j_max + 1):
+        sl, shape = window.level_rows(j)
         if rows[:, sl].any():
             yield j, sl, shape
 

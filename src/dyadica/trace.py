@@ -97,15 +97,6 @@ class SlabCoeffs:
     channels: dict           # channel tuple -> CoeffField with raw values
     window: LatticeWindow
 
-    def materialized(self) -> dict:
-        out = {}
-        for lam, tf in self.channels.items():
-            mt = CoeffField(self.window, tf.m)
-            for j in tf.levels():
-                mt.write(j, tf.lower(j), tf.level(j) * (2.0 ** (-j / 2.0) * self.tp.inv_phi0))
-            out[lam] = mt
-        return out
-
 
 def base_window(window: LatticeWindow) -> LatticeWindow:
     return LatticeWindow(window.n - 1, window.j_min, window.j_max,
@@ -160,8 +151,7 @@ def trace_coeffs(tp: TracePair, coefs, out_window: LatticeWindow | None = None) 
                 continue
             part = arr[(slice(None),) + ov[0]]
             cur = target.level(j)
-            acc = (np.zeros(part.shape[:-1], dtype=part.dtype) if cur is None
-                   else cur[(slice(None),) + ov[1]].astype(np.result_type(cur, part)))
+            acc = cur[(slice(None),) + ov[1]].astype(np.result_type(cur, part))
             # one slab at a time, in slab order; only slabs within the
             # support width carry a nonzero factor
             for i in range(part.shape[-1]):
@@ -175,8 +165,9 @@ def trace_coeffs(tp: TracePair, coefs, out_window: LatticeWindow | None = None) 
 def ext_coeffs(tp: TracePair, coefs: dict, out_window: LatticeWindow) -> SlabCoeffs:
     """Populate the k0 slab from base coefficients, Eq.-(224)-style.
 
-    Output values carry the per-level scale lazily (see SlabCoeffs); use
-    ``materialized()`` for norm computations and synthesis.
+    Output values carry the per-level scale lazily (see SlabCoeffs): the
+    extended coefficient of a level-j cube is its raw value times
+    2^{-j/2} / phi(-k0).
     """
     out_channels = {}
     for lam_prime, tf in coefs.items():

@@ -18,7 +18,7 @@ import mpmath
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dyadic import DyadicCube, LatticeWindow, tensor_points
+from .dyadic import DyadicCube, LatticeWindow, grid_cells, tensor_points
 from .errors import PreconditionError
 from .seq import CoeffField, NormResult, as_float_or_complex, seq_norm_averaged, seq_norm_weighted
 
@@ -393,14 +393,12 @@ class FunctionSample:
 
     @classmethod
     def from_callable(cls, f, n: int, m: int, grid_level: int, lo, hi) -> "FunctionSample":
-        """Samples of f on the level-``grid_level`` grid of the box [lo, hi);
-        f maps points (N, n) to values (N,) or (m, N).  f runs on slabs of
-        rows of the first axis, about SLAB_ENTRIES values each, so no
-        full-grid point array is built.  The sample is real unless f returns
-        complex values."""
-        start = tuple(int(v) << grid_level if grid_level >= 0 else int(v) >> -grid_level
-                      for v in lo)
-        shape = tuple((int(b) - int(a)) << grid_level for a, b in zip(lo, hi))
+        """Samples of f on the level-``grid_level`` grid of the box [lo, hi),
+        whose cells must tile the box; f maps points (N, n) to values (N,)
+        or (m, N).  f runs on slabs of rows of the first axis, about
+        SLAB_ENTRIES values each, so no full-grid point array is built.  The
+        sample is real unless f returns complex values."""
+        start, shape = grid_cells(lo, hi, grid_level, "sample grid", "box")
         axes = [(start[i] + np.arange(shape[i])) * math.ldexp(1.0, -grid_level)
                 for i in range(n)]
         values = np.empty((m,) + shape)
@@ -563,7 +561,8 @@ def synthesize(coefs: dict, sys: WaveletSystem, grid_level: int,
     support meets the grid: any other feeds only finer ones that miss it too.
     The sample is real when no level has a nonzero imaginary part.
     """
-    present = sorted({j for tf in coefs.values() for j in tf.levels()})
+    levels = {lam: tf.levels() for lam, tf in coefs.items()}
+    present = sorted({j for js in levels.values() for j in js})
     if not present:
         return FunctionSample(sys.n, m, grid_level, tuple(start), np.zeros((m,) + tuple(shape)))
     if grid_level < present[-1]:
@@ -578,10 +577,9 @@ def synthesize(coefs: dict, sys: WaveletSystem, grid_level: int,
         _merge(parts, (sys.fp.h, sys.fp.g), 2, k_lo, lo, up, 1.0)
         parts, k_lo = {sys.scaling_channel: up}, lo
         for lam, tf in coefs.items():
-            level = tf.level(j)
-            ov = None if level is None else tf.overlap(j, lo, up.shape[1:])
+            ov = tf.overlap(j, lo, up.shape[1:]) if j in levels[lam] else None
             if ov is not None:
-                level = _real_if_no_imaginary(level)
+                level = _real_if_no_imaginary(tf.level(j))
                 block = np.zeros_like(up, dtype=level.dtype)
                 block[(slice(None),) + ov[0]] = level[(slice(None),) + ov[1]]
                 parts[lam] = parts.get(lam, 0) + block
@@ -654,10 +652,6 @@ class ReindexedAtoms:
         empty = CoeffField(self.source_window, self.coeffs.m)
         return {lam: self.sources.get(lam, empty).copy() for lam in self.sys.channels}
 
-    def synthesize_exact(self, grid_level: int, start, shape) -> FunctionSample:
-        return synthesize(self.channel_fields(), self.sys, grid_level, start,
-                          shape, self.coeffs.m)
-
 
 def atoms_from_wavelets(coefs: dict, sys: WaveletSystem,
                         out_window: LatticeWindow | None = None) -> ReindexedAtoms:
@@ -677,9 +671,10 @@ def atoms_from_wavelets(coefs: dict, sys: WaveletSystem,
     sources = {lam: coefs[lam] for lam in sys.channels if lam in coefs}
     # child offsets in the order of dyadic.children; channel i takes offset i
     offsets = dict(zip(sys.channels, itertools.product((0, 1), repeat=sys.n)))
-    for j in sorted({j for tf in sources.values() for j in tf.levels()}):
+    present = {lam: tf.levels() for lam, tf in sources.items()}
+    for j in sorted({j for js in present.values() for j in js}):
         bounds = src_window.index_bounds(j)
-        levels = {lam: tf.level(j) for lam, tf in sources.items() if tf.level(j) is not None}
+        levels = {lam: tf.level(j) for lam, tf in sources.items() if j in present[lam]}
         block = np.zeros((m,) + tuple(2 * (hi - lo) for lo, hi in bounds),
                          dtype=np.result_type(float, *levels.values()))
         for lam, level in levels.items():

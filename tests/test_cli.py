@@ -109,6 +109,24 @@ def test_transform_roundtrip(tmp_path, capsys):
     assert FunctionSample.load(str(out)).shape[0] == 17 << 8
 
 
+def test_transform_synthesize_at_negative_grid_levels(tmp_path, capsys):
+    cfile = tmp_path / "c.csv"
+    cfile.write_text("-1:0, 1.0, 0.0\n")
+    out = tmp_path / "s.npz"
+    argv = ["transform", "--mode", "synthesize", "--filter-order", "2", "--coeffs",
+            f"1={cfile}", "--output", str(out), "--grid-level", "-1"]
+    # cells of side 2 tile the box -4..4
+    code, _ = _run(argv + ["--window=-2:-1:-4..4"], capsys)
+    assert code == 0
+    fs = FunctionSample.load(str(out))
+    assert (fs.grid_level, fs.start, fs.shape) == (-1, (-2,), (4,))
+    # they do not tile the box 0..3
+    cfile.write_text("")
+    assert main(argv + ["--window", "0:1:0..3"]) == 2
+    assert ("synthesis grid level -1 does not tile the window box (0,)..(3,): "
+            "its edges must be multiples of 2") in capsys.readouterr().err
+
+
 def test_adprobe_command(space_file, capsys):
     code, rep = _run(["adprobe", "--space", space_file, "--depths", "2,3",
                       "--seed", "7"], capsys)

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from dyadica.dyadic import DyadicCube, LatticeWindow, format_cube, parse_cube
+from dyadica.dyadic import CubeArrays, DyadicCube, LatticeWindow, format_cube, parse_cube
 from dyadica.errors import PreconditionError
 from dyadica.params import BESOV, SpaceParams
 from dyadica.seq import (
@@ -439,7 +439,10 @@ def test_field_levels_are_dense_arrays():
     arr = t.level(1)
     assert arr.shape == (3, 8, 4) and t.lower(1) == (-4, 0)
     assert np.array_equal(arr[:, 1, 2], [1.0, 0.0, 2j])
-    assert t.level(0) is None and t.levels() == [1]
+    # an empty window level is a zero view of the field; outside the window
+    # there is no level
+    assert not t.level(0).any() and t.level(0).shape == (3, 4, 2)
+    assert t.level(2) is None and t.levels() == [1]
     cubes, values = t.nonzero()
     assert cubes.cube(0) == q and np.array_equal(values[0], [1.0, 0.0, 2j])
     t.set(q, np.zeros(3))
@@ -447,6 +450,46 @@ def test_field_levels_are_dense_arrays():
     t.set(q, [1.0, 0.0, 0.0])
     t.write_all(np.zeros((win.count(), 3)))
     assert len(t) == 0 and t.levels() == [] and t.to_csv() == ""
+
+
+@given(window=windows(), m=st.sampled_from((1, 3)), complex_values=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+@settings(max_examples=60, deadline=None)
+def test_window_row_layout_and_field_views(window, m, complex_values, seed):
+    # the level rows tile [0, count()) in level order
+    stop = 0
+    for j in range(window.j_min, window.j_max + 1):
+        rows, shape = window.level_rows(j)
+        assert (rows.start, rows.step) == (stop, None)
+        assert rows.stop - rows.start == window.count(j) == math.prod(shape)
+        assert shape == tuple(b - a for a, b in window.index_bounds(j))
+        stop = rows.stop
+    assert stop == window.count()
+    cubes = CubeArrays.of_window(window)
+    assert np.array_equal(window.positions(cubes), np.arange(window.count()))
+    assert [cubes.cube(i) for i in range(len(cubes))] == list(window.all_cubes())
+    # every level is a view of the one array of rows, which callers cannot write
+    t = CoeffField.random(window, m, np.random.default_rng(seed), 0.5, complex_values)
+    views = {j: t.level(j) for j in range(window.j_min, window.j_max + 1)}
+    for j, view in views.items():
+        rows, shape = window.level_rows(j)
+        assert view.shape == (m,) + shape and np.shares_memory(view, t.rows())
+        assert np.array_equal(view.reshape(m, -1).T, t.rows()[rows])
+    with pytest.raises(ValueError):
+        t.rows()[0] = 1.0
+    with pytest.raises(ValueError):
+        views[window.j_max][...] = 1.0
+    # a write shows through an earlier view of its level
+    q = cubes.cube(window.count() - 1)
+    t.set(q, np.arange(1.0, m + 1))
+    assert np.array_equal(views[q.j].reshape(m, -1)[:, -1], np.arange(1.0, m + 1))
+    # a refused write_all leaves the field as it was
+    before, dtype = t.rows().tobytes(), t.rows().dtype
+    bad = np.full((window.count(), m), 2.0 + 1j)
+    bad[-1, -1] = np.nan
+    with pytest.raises(PreconditionError, match=f"non-finite coefficient for cube {q}"):
+        t.write_all(bad)
+    assert t.rows().dtype == dtype and t.rows().tobytes() == before
 
 
 def test_random_rows_picks_cubes_at_the_density_and_repeats_per_seed():
@@ -700,7 +743,7 @@ def test_analysis_and_synthesis_match_per_cube_oracle(case, m, complex_values, s
     _assert_samples_match(synthesize(coefs, sys, g, start, shape, m).values,
                           synthesize_reference(ref, sys, g, start, shape, m))
     atoms = atoms_from_wavelets(coefs, sys)
-    _assert_samples_match(atoms.synthesize_exact(g, start, shape).values,
+    _assert_samples_match(synthesize(atoms.channel_fields(), sys, g, start, shape, m).values,
                           synthesize_reference(atoms.channel_fields(), sys, g, start, shape, m))
     # scaling coefficients at every level and channel fields on other windows,
     # onto the sample grid and onto a grid at the finest coefficient level
@@ -805,12 +848,14 @@ def test_tr_ext_round_trip_is_bitwise(base, m, complex_values, seed):
     assert set(back) == set(coefs)
     for lam, tf in coefs.items():
         assert back[lam].to_csv() == tf.to_csv()
-    # materialized slab values carry the level scale
-    for lam, mt in carrier.materialized().items():
-        for q, v in mt.items():
+    # the carrier holds the raw base values on the k0 slab; the pending level
+    # scale 2^{-j/2} / phi(-k0) is applied here
+    for lam, tf in carrier.channels.items():
+        for q, v in tf.items():
             raw = coefs[lam[:-1]].get(DyadicCube(base.n, q.j, q.k[:-1]))
             assert q.k[-1] == tp.k0
-            assert np.array_equal(v, raw * (2.0 ** (-q.j / 2.0) * tp.inv_phi0))
+            scale = 2.0 ** (-q.j / 2.0) * tp.inv_phi0
+            assert np.array_equal(v * scale, raw * scale)
 
 
 def test_ext_refuses_window_without_the_slab():

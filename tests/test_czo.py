@@ -373,7 +373,7 @@ def test_czo_molecule_conditions_strictness():
     # N <= 0: sigma >= 0 suffices
     mp = MoleculeParams(K=3.0, L=1.0, M=3.0, N=-0.5)
     cs = czo_molecule_conditions(0, 1.0, 2.5, 0.0, 1.0, mp, n=1)
-    assert cs.ok, cs.describe()
+    assert cs.ok, cs.failing()
     # E = N a positive integer fails the strict part
     mp2 = MoleculeParams(K=2.5, L=0.5, M=2.5, N=2.0)
     cs2 = czo_molecule_conditions(1, 2.0, 2.0, 2.0, 0.0, mp2, n=1)
@@ -401,7 +401,7 @@ def test_t1_witness_cross_check():
         mp = t1_molecule_witness(di, n, sigma, E, F, G, H)
         # the witness solves the atom-to-molecule conditions...
         cs = czo_molecule_conditions(sigma, E, F, G, H, mp, n)
-        assert cs.ok, (sp.to_dict(), d, (E, F, G, H), mp, cs.describe())
+        assert cs.ok, (sp.to_dict(), d, (E, F, G, H), mp, cs.failing())
         # ...and is a synthesis molecule quadruple for the space
         syn, _ = molecule_param_sets(di, n)
         assert syn.admits(mp), (sp, mp)

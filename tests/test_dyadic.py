@@ -70,7 +70,7 @@ def test_children_partition(q):
 def test_parent_roundtrip():
     q = DyadicCube(2, 3, (-5, 7))
     for c in children(q):
-        assert c.parent() == q
+        assert c.ancestor(1) == q
     assert q.ancestor(2) == DyadicCube(2, 1, (-2, 1))
 
 

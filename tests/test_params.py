@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -384,7 +385,7 @@ def test_weight_dims():
 
 def test_space_params_json_roundtrip():
     sp = B(0.5, 0.25, 2.0, INF)
-    sp2 = SpaceParams.from_json(sp.to_json())
+    sp2 = SpaceParams.from_json(json.dumps(sp.to_dict(), sort_keys=True))
     assert sp2 == sp
     sp3 = SpaceParams.from_dict({"family": "F", "s": 1, "tau": 0, "p": 2, "q": 2})
     assert sp3.family == "F"

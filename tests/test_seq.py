@@ -438,10 +438,11 @@ def test_csv_field_is_real_unless_an_imaginary_bit_is_set(imag, dtype):
     assert all(v.dtype == np.complex128 for _, v in t.items())
     assert t.get(DyadicCube(2, 1, (1, 0))).dtype == np.complex128
     assert t.to_csv() == text
-    # a complex write promotes a real level, and keeps the values
+    # a complex write promotes the whole real field, and keeps the values
     r = CoeffField.from_csv(csv("0.0"), win, 2)
     r.set(DyadicCube(2, 1, (0, 0)), [1j, 0.0])
-    assert r.level(1).dtype == np.complex128 and r.level(2).dtype == np.float64
+    assert r.level(1).dtype == r.level(2).dtype == r.rows().dtype == np.complex128
+    assert r.get(DyadicCube(2, 2, (3, 3))).tobytes() == np.array([2.0, -1.0 + 0j]).tobytes()
     assert r.get(DyadicCube(2, 1, (1, 0))).tobytes() == np.array([-0.0, 1.5 + 0j]).tobytes()
 
 

@@ -98,13 +98,13 @@ def test_ext_occupies_only_k0_slab(tp2):
     src_win = stacked_window(base_win, -4, 4)
     coefs = {(1,): CoeffField(base_win, 1, {DyadicCube(1, 1, (1,)): [1.0]})}
     carrier = ext_coeffs(tp2, coefs, src_win)
-    mat = carrier.materialized()
-    assert set(mat) == {(1, 0)}
-    for q in mat[(1, 0)].cubes():
+    raw = carrier.channels
+    assert set(raw) == {(1, 0)}
+    for q in raw[(1, 0)].cubes():
         assert q.k[-1] == tp2.k0
-    # materialized value carries the slab scale
-    v = mat[(1, 0)].get(stack_cube(DyadicCube(1, 1, (1,)), tp2.k0))
-    assert v[0] == pytest.approx(2.0 ** -0.5 * tp2.inv_phi0)
+    # the raw value times the pending slab scale 2^{-j/2} / phi(-k0) at j = 1
+    v = raw[(1, 0)].get(stack_cube(DyadicCube(1, 1, (1,)), tp2.k0))
+    assert v[0] * (2.0 ** -0.5 * tp2.inv_phi0) == pytest.approx(2.0 ** -0.5 * tp2.inv_phi0)
 
 
 def test_trace_zero_fields_and_far_slabs(tp2):

@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import mpmath
@@ -200,6 +201,21 @@ def _gauss_sample(grid_level=9, lo=(-4,), hi=(5,)):
         return np.exp(-((x - 0.4) ** 2) * 2.0) * np.cos(3 * x)
 
     return FunctionSample.from_callable(f, 1, 1, grid_level, lo, hi)
+
+
+def test_from_callable_at_negative_grid_levels():
+    # cells of side 2 and 4 at the left endpoints of the box's tiling
+    fs = FunctionSample.from_callable(lambda p: p[:, 0] + 1.0, 1, 1, -1, (0,), (4,))
+    assert fs.start == (0,) and fs.shape == (2,)
+    assert fs.values.tobytes() == np.array([[1.0, 3.0]]).tobytes()
+    fs = FunctionSample.from_callable(lambda p: p[:, 0] * p[:, 1], 2, 1, -2, (-4, 4), (4, 12))
+    assert fs.start == (-1, 1) and fs.shape == (2, 2)
+    assert np.array_equal(fs.values[0], [[-16.0, -32.0], [0.0, 0.0]])
+    # a box that is not a whole number of cells is refused, naming the condition
+    with pytest.raises(PreconditionError, match=re.escape(
+            "sample grid level -1 does not tile the box (0,)..(3,): "
+            "its edges must be multiples of 2")):
+        FunctionSample.from_callable(lambda p: p[:, 0], 1, 1, -1, (0,), (3,))
 
 
 @pytest.mark.parametrize("n, m, slab", [(1, 1, 5), (2, 1, 40), (2, 2, 90), (3, 2, 300)])
@@ -418,7 +434,7 @@ def test_atoms_from_wavelets_roundtrip_exact():
     start = ((-4) << g,)
     shape = (9 << g,)
     a = synthesize(coefs, sys, g, start, shape, 1)
-    b = re.synthesize_exact(g, start, shape)
+    b = synthesize(re.channel_fields(), sys, g, start, shape, 1)
     assert np.array_equal(a.values, b.values)
 
 
