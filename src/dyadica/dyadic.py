@@ -284,6 +284,13 @@ class LatticeWindow:
             rows = slice(first, first + math.prod(shape))
             self._layout[j] = (tuple(a for a, _ in bounds), shape, rows)
             first = rows.stop
+        # the layout as arrays indexed by level - j_min, with row-major strides
+        lower, shape, rows = zip(*self._layout.values())
+        self._lower = np.array(lower, dtype=np.int64)
+        self._shape = np.array(shape, dtype=np.int64)
+        self._stride = np.ones_like(self._shape)
+        self._stride[:, :-1] = np.cumprod(self._shape[:, :0:-1], axis=1)[:, ::-1]
+        self._first = np.array([r.start for r in rows], dtype=np.int64)
 
     def index_bounds(self, j: int) -> list[tuple[int, int]]:
         """Half-open integer index ranges [a, b) per axis at level j."""
@@ -317,14 +324,14 @@ class LatticeWindow:
     def positions(self, cubes: CubeArrays) -> np.ndarray:
         """Position of each cube in ``all_cubes()`` order; -1 for cubes
         outside the window."""
-        pos = np.full(len(cubes), -1, dtype=np.int64)
         if cubes.n != self.n:
-            return pos
-        for j, (lower, shape, rows) in self._layout.items():
-            rel = cubes.index - np.array(lower, dtype=np.int64)
-            at = (cubes.levels == j) & np.all((rel >= 0) & (rel < shape), axis=1)
-            pos[at] = rows.start + np.ravel_multi_index(rel[at].T, shape)
-        return pos
+            return np.full(len(cubes), -1, dtype=np.int64)
+        # levels outside the window read level j_min's table and are masked
+        j = np.clip(cubes.levels - self.j_min, 0, len(self._first) - 1)
+        rel = cubes.index - self._lower[j]
+        inside = np.all((rel >= 0) & (rel < self._shape[j]), axis=1)
+        inside &= (cubes.levels >= self.j_min) & (cubes.levels <= self.j_max)
+        return np.where(inside, self._first[j] + np.einsum("ci,ci->c", rel, self._stride[j]), -1)
 
     def contains(self, q: DyadicCube) -> bool:
         if q.n != self.n or not (self.j_min <= q.j <= self.j_max):

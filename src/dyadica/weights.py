@@ -357,20 +357,27 @@ def _pair_norms(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     ||A_x B_y||_2 is the square root of the largest eigenvalue of the Gram
     matrix (A_x B_y)^* (A_x B_y): the product of the moduli for m = 1, the
     closed form of a 2 x 2 Hermitian matrix for m = 2, a batched ``eigvalsh``
-    above.  Real inputs keep the arithmetic real.
+    of the lower triangles above.  Real inputs keep the arithmetic real.  Gram
+    entry (a, b) is sum_ij (A_x^* A_x)_ij conj(B_y,ia) B_y,jb: one product of
+    the flattened A_x^* A_x (X, m^2) with a table of the B_y (m^2, Y t) gives
+    the t entries of the lower triangles of all X Y of them.
     """
     m = A.shape[-1]
     if m == 1:
         return np.abs(A[..., :, None, 0, 0]) * np.abs(B[..., None, :, 0, 0])
-    # (A_x B_y)^* (A_x B_y) = B_y^* (A_x^* A_x) B_y
-    AhA = np.swapaxes(A.conj(), -1, -2) @ A
-    Bh = np.ascontiguousarray(np.swapaxes(B.conj(), -1, -2))
-    gram = Bh[..., None, :, :, :] @ (AhA[..., :, None, :, :] @ B[..., None, :, :, :])
+    Y = B.shape[-3]
+    lower = np.tril_indices(m)
+    AhA = (np.swapaxes(A.conj(), -1, -2) @ A).reshape(*A.shape[:-2], m * m)
+    table = B.conj()[..., :, None, lower[0]] * B[..., None, :, lower[1]]   # (..., Y, i, j, t)
+    table = np.moveaxis(table.reshape(*B.shape[:-2], m * m, -1), -3, -2)
+    gram = (AhA @ table.reshape(*table.shape[:-2], -1)).reshape(*AhA.shape[:-1], Y, -1)
     if m == 2:
-        a, d = gram[..., 0, 0].real, gram[..., 1, 1].real
-        top = 0.5 * (a + d) + np.hypot(0.5 * (a - d), np.abs(gram[..., 0, 1]))
+        a, d = gram[..., 0].real, gram[..., 2].real
+        top = 0.5 * (a + d) + np.hypot(0.5 * (a - d), np.abs(gram[..., 1]))
     else:
-        top = np.linalg.eigvalsh(gram)[..., -1]
+        full = np.zeros(gram.shape[:-1] + (m, m), dtype=gram.dtype)
+        full[..., lower[0], lower[1]] = gram
+        top = np.linalg.eigvalsh(full)[..., -1]
     return np.sqrt(np.maximum(top, 0.0))
 
 
@@ -465,15 +472,15 @@ def _reducing_operators(W: MatrixWeight, p: float, cubes: CubeArrays, quad: Quad
     rho = _direction_averages(W, p, nodes, dirs, real=True)[0] ** (1.0 / p)
     if np.any(rho <= 0):
         raise SingularWeightError("weight average vanishes in some direction")
-    pts = dirs / rho[..., None]
-    # the points must span R^m: the same clamp as the weight's eigenvalues
-    V = np.swapaxes(pts, -1, -2) @ pts
+    # the points dirs / rho must span R^m: the same clamp as the weight's eigenvalues
+    outer = (dirs[:, :, None] * dirs[:, None, :]).reshape(len(dirs), -1)
+    V = _per_set(rho ** -2.0, outer).reshape(-1, W.m, W.m)
     flat = np.linalg.eigvalsh(V)[:, 0] <= EIG_CLAMP_REL * np.trace(V, axis1=1, axis2=2)
     if flat.any():
         raise SingularWeightError(
             f"degenerate direction set in ellipsoid fit on cube {cubes.cube(int(np.argmax(flat)))}: "
             f"its {len(dirs)} directions do not span R^{W.m}")
-    M, _, steps, gap = _mvee_centered(pts)
+    M, _, steps, gap = _mvee_centered(dirs, rho)
     return _psd_sqrt(M, "ellipsoid fit produced a non-PD matrix"), steps, gap
 
 
@@ -556,20 +563,6 @@ def _direction_averages(W: MatrixWeight, p: float, nodes: np.ndarray, dirs: np.n
     return avg, imag
 
 
-def _kappas(P: np.ndarray, Pt: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """V^{-1} for V = P^T diag(u) P, and the leverages kappa_i = p_i^T V^{-1} p_i,
-    batched over point sets P of shape (C, N, d); ``Pt`` is P with its last
-    two axes swapped, stored contiguously."""
-    V = (Pt * u[:, None, :]) @ P
-    try:
-        Vinv = np.linalg.inv(V)
-    except np.linalg.LinAlgError as exc:
-        raise SingularWeightError("degenerate direction set in ellipsoid fit") from exc
-    # row sums over the d coordinates as a product with ones: a reduction
-    # over so short an axis is several times slower
-    return Vinv, ((P @ Vinv) * P) @ np.ones(P.shape[-1])
-
-
 def _sym_basis(d: int) -> np.ndarray:
     """Orthonormal basis of the symmetric d x d matrices under the trace
     inner product, one flattened matrix per row, shape (d(d+1)/2, d*d):
@@ -583,18 +576,27 @@ def _sym_basis(d: int) -> np.ndarray:
     return B.reshape(len(i), d * d)
 
 
-def _mv(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Batched matrix-vector products A (C, a, b) x (C, b) -> (C, a)."""
-    return (A @ x[..., None])[..., 0]
+def _congruence(B: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The maps Y -> X Y X^T of X (C, d, d) on coordinates in the basis B, (C, k, k)."""
+    C, d, _ = X.shape
+    return B @ (X[:, :, None, :, None] * X[:, None, :, None, :]).reshape(C, d * d, d * d) @ B.T
 
 
-def _mvee_centered(pts: np.ndarray, tol: float = MVEE_TOL):
+def _per_set(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Rows x (C, a) times a shared table (a, b), one row at a time, so that a
+    set's arithmetic does not depend on the batch it is in: shape (C, b)."""
+    return (x[:, None, :] @ table)[:, 0]
+
+
+def _mvee_centered(dirs: np.ndarray, rho: np.ndarray, tol: float = MVEE_TOL):
     """Minimum-volume origin-centered ellipsoids {z: z^T M z <= 1} of C point
-    sets at once, ``pts`` of shape (C, N, d) (each set is treated as
-    symmetric, so only one representative per direction is needed).
+    sets at once: set c holds the points p_ci = d_i / rho_ci of the
+    directions ``dirs`` (N, d), which every set shares, and the radii ``rho``
+    (C, N) (each set is treated as symmetric, so only one representative per
+    direction is needed).
 
     A primal-dual interior-point (Mehrotra predictor-corrector) solve of
-    min -log det M subject to s_i = 1 - p_i^T M p_i >= 0 on the d(d+1)/2
+    min -log det M subject to s_i = 1 - p_i^T M p_i >= 0 on the k = d(d+1)/2
     coordinates of M (:func:`_sym_basis`), with multipliers lam_i >= 0.
     The solve is affine invariant, so it runs on whitened points, for which
     V(uniform) = I: that keeps its Newton matrices well scaled.  It starts at
@@ -602,85 +604,101 @@ def _mvee_centered(pts: np.ndarray, tol: float = MVEE_TOL):
     max(sigma mu, mu_0 |r_d| / |r_d,0|) so that mu falls no faster than the
     dual residual r_d = sum lam_i p_i p_i^T - M^{-1}, and steps 0.99 of the
     way to the nearest of the slack and multiplier bounds and the point
-    where M would lose half of itself along some direction.  A set stops,
-    and stays frozen, once the design u = lam / sum(lam) meets the
-    certificate kappa_max / d <= 1 + tol; MVEE_STEPS caps the steps.
+    where M would lose half of itself along some direction.  A set leaves
+    the batch once the design u = lam / sum(lam) meets the certificate
+    kappa_max / d <= 1 + tol; MVEE_STEPS caps the steps.
+
+    In coordinates, the whitened row of point i of set c is rho_ci^-2 T_c t_i,
+    where t_i holds the coordinates of d_i d_i^T, shared by every set, and T_c
+    is the set's whitening map: one product of the shared table with each T_c
+    gives the rows, without forming the points.  The Newton matrix sums over
+    these rows, not over the shared table, where the range of rho^-4 would
+    lose the far points to rounding.  Every product runs set by set, so a
+    set's numbers do not depend on the batch it is in.
 
     Returns M = V(u)^{-1} / kappa_max (C, d, d), which contains every point
     exactly, the multipliers kappa_max u (C, N), for which M^{-1} = sum_i
     lam_i p_i p_i^T, the steps each set took (C,) and its gap kappa_max / d:
     1 at the optimum, and log det M is within d log(gap) of the optimum's.
     """
-    P = np.asarray(pts, dtype=float)
-    Pt = np.ascontiguousarray(np.swapaxes(P, -1, -2))
-    C, N, d = P.shape
+    (N, d), C = dirs.shape, len(rho)
+    B = _sym_basis(d)
+    outer = (dirs[:, :, None] * dirs[:, None, :]).reshape(N, d * d)     # d_i d_i^T
+    weight = np.asarray(rho, dtype=float) ** -2.0
     try:
-        L = np.linalg.cholesky(Pt @ P / N)
+        L = np.linalg.cholesky(_per_set(weight, outer).reshape(C, d, d) / N)
     except np.linalg.LinAlgError as exc:
         raise SingularWeightError("degenerate direction set in ellipsoid fit") from exc
-    Xt = np.linalg.solve(L, Pt)                                  # whitened points
-    X = np.ascontiguousarray(np.swapaxes(Xt, -1, -2))
-    B = _sym_basis(d)
-    Bt = np.ascontiguousarray(B.T)
+    eye = B @ np.eye(d).ravel()
 
-    # coordinates of C symmetric matrices and back, as C matrix-vector
-    # products: a set's arithmetic does not depend on the batch it is in
+    # A v and A^T w for the rows A of the sets still running, stored as A^T
+    def rows(v):
+        return (v[..., None, :] @ At)[:, 0]
+
+    def cols(w):
+        return (At @ w[..., None])[..., 0]
+
     def coords(Y):
-        return _mv(B, Y.reshape(C, d * d))
+        return _per_set(Y.reshape(len(Y), -1), B.T)
 
     def matrix(v):
-        return _mv(Bt, v).reshape(C, d, d)
+        return _per_set(v, B).reshape(-1, d, d)
 
-    A = (X[..., :, None] * X[..., None, :]).reshape(C, N, d * d) @ Bt   # rows x_i x_i^T
-    At = np.ascontiguousarray(np.swapaxes(A, -1, -2))
-    # V(uniform)^{-1} / (2 kappa_max) of the whitened points
-    m = coords(np.eye(d) / (2.0 * np.max(np.sum(X * X, axis=2), axis=1))[:, None, None])
+    # the whitened rows; T_c maps the coordinates of Y to those of L_c^-1 Y L_c^-T
+    At = weight[:, None, :] * (_congruence(B, np.linalg.inv(L)) @ (outer @ B.T).T)
+    kappa0 = np.max(rows(eye), axis=1)
+    m = eye / (2.0 * kappa0[:, None])           # V(uniform)^{-1} / (2 kappa_max)
     lam = np.full((C, N), d / N)
-    s = 1.0 - _mv(A, m)
-    steps = np.zeros(C, dtype=int)
+    s = 1.0 - rows(m)
+    mu0 = np.sum(lam * s, axis=1) / N
+    r0 = np.linalg.norm(cols(lam) - 2.0 * kappa0[:, None] * eye, axis=1)
+    run, design, steps = np.arange(C), np.empty((C, N)), np.zeros(C, dtype=int)
     for step in range(MVEE_STEPS + 1):
-        u = lam / np.sum(lam, axis=1, keepdims=True)
-        done = np.max(_kappas(X, Xt, u)[1], axis=1) <= d * (1.0 + tol)
-        if done.all() or step == MVEE_STEPS:
-            break
-        steps += ~done
+        # the leverages of u = lam / sum(lam) are those of lam times sum(lam)
+        Al, total = cols(lam), np.sum(lam, axis=1)
+        going = np.max(rows(coords(np.linalg.inv(matrix(Al)))), axis=1) * total > d * (1.0 + tol)
+        going &= step < MVEE_STEPS
+        if not going.all():
+            design[run[~going]] = lam[~going] / total[~going, None]
+            if not going.any():
+                break
+            run, At, Al, m, s, lam, mu0, r0 = (x[going] for x in (run, At, Al, m, s, lam, mu0, r0))
+        steps[run] += 1
         w, Q = np.linalg.eigh(matrix(m))
         Minv = (Q / w[:, None, :]) @ np.swapaxes(Q, -1, -2)
-        r_d = _mv(At, lam) - coords(Minv)
-        mu = np.sum(lam * s, axis=1) / N
-        if step == 0:
-            mu0, r0 = mu, np.linalg.norm(r_d, axis=1)
-        # Hessian of -log det M: the map Y -> M^{-1} Y M^{-1} on coordinates
-        kron = (Minv[:, :, None, :, None] * Minv[:, None, :, None, :]).reshape(C, d * d, d * d)
-        K = B @ kron @ Bt + (At * (lam / s)[:, None, :]) @ A
-        isqrt = 1.0 / np.sqrt(w)
+        r_d = Al - coords(Minv)
+        ls = lam * s
+        mu = np.sum(ls, axis=1) / N
+        neg_inv_s, neg_inv_lam = -1.0 / s, -1.0 / lam
+        # the Hessian of -log det M, Y -> M^{-1} Y M^{-1}, plus A^T diag(lam / s) A
+        K = _congruence(B, Minv) - (At * (lam * neg_inv_s)[:, None, :]) @ np.swapaxes(At, 1, 2)
+        R = Q / np.sqrt(w)[:, None, :]          # M^{-1/2} = R Q^T
 
         def direction(r_c):
             """Newton step for lam_i s_i -> lam_i s_i - r_c,i with r_d -> 0,
             and the reciprocal of its largest allowed length (0 if none)."""
-            dm = np.linalg.solve(K, (_mv(At, r_c / s) - r_d)[..., None])[..., 0]
-            ds = -_mv(A, dm)
-            dlam = -(r_c + lam * ds) / s
+            dm = -np.linalg.solve(K, (cols(r_c * neg_inv_s) + r_d)[..., None])[..., 0]
+            ds = -rows(dm)
+            dlam = (r_c + lam * ds) * neg_inv_s
             # M + a dM >= M / 2 while a eig(M^{-1/2} dM M^{-1/2}) >= -1/2
-            dM = np.swapaxes(Q, -1, -2) @ matrix(dm) @ Q
-            low = np.linalg.eigvalsh(dM * isqrt[:, :, None] * isqrt[:, None, :])[:, 0]
-            reach = np.max(np.concatenate([-ds / s, -dlam / lam, -2.0 * low[:, None]], axis=1),
-                           axis=1)
-            return dm, ds, dlam, np.maximum(reach, 0.0)
+            low = np.linalg.eigvalsh(np.swapaxes(R, 1, 2) @ matrix(dm) @ R)[:, 0]
+            reach = np.maximum(np.max(ds * neg_inv_s, axis=1), np.max(dlam * neg_inv_lam, axis=1))
+            return dm, ds, dlam, np.maximum(np.maximum(reach, -2.0 * low), 0.0)
 
-        _, ds, dlam, reach = direction(lam * s)
-        a = 1.0 / np.maximum(reach, 1.0)[:, None]
-        mu_aff = np.sum((lam + a * dlam) * (s + a * ds), axis=1) / N
-        sigma = np.where(done, 0.0, (mu_aff / mu) ** 3)
-        target = np.maximum(sigma * mu, mu0 * np.linalg.norm(r_d, axis=1) / r0)
-        dm, ds, dlam, reach = direction(lam * s + dlam * ds - target[:, None])
-        a = np.where(done, 0.0, 0.99 / np.maximum(reach, 0.99))[:, None]
+        _, ds, dlam, reach = direction(ls)
+        a = 1.0 / np.maximum(reach, 1.0)
+        # sum (lam + a dlam)(s + a ds), as lam ds + s dlam = -lam s
+        cross = dlam * ds
+        mu_aff = (1.0 - a) * mu + a * a * np.sum(cross, axis=1) / N
+        target = np.maximum((mu_aff / mu) ** 3 * mu, mu0 * np.linalg.norm(r_d, axis=1) / r0)
+        dm, ds, dlam, reach = direction(ls + cross - target[:, None])
+        a = (0.99 / np.maximum(reach, 0.99))[:, None]
         m += a * dm
         s += a * ds
         lam += a * dlam
-    Vinv, kappa = _kappas(P, Pt, u)
-    kappa_max = np.max(kappa, axis=1)
-    return Vinv / kappa_max[:, None, None], kappa_max[:, None] * u, steps, kappa_max / d
+    Vinv = np.linalg.inv(_per_set(design * weight, outer).reshape(C, d, d))
+    kappa_max = np.max(weight * _per_set(Vinv.reshape(C, d * d), outer.T), axis=1)
+    return Vinv / kappa_max[:, None, None], kappa_max[:, None] * design, steps, kappa_max / d
 
 
 def john_direction_report(W: MatrixWeight, p: float, cube: DyadicCube,

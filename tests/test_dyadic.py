@@ -226,6 +226,48 @@ def test_cube_arrays_follow_window_order():
     assert np.array_equal(arrays.side, [q.side for q in cubes])
 
 
+def _positions_reference(window, cubes):
+    """The per-level loop: every cube is masked once per window level."""
+    pos = np.full(len(cubes), -1, dtype=np.int64)
+    if cubes.n != window.n:
+        return pos
+    for j in range(window.j_min, window.j_max + 1):
+        bounds = window.index_bounds(j)
+        shape = tuple(b - a for a, b in bounds)
+        rel = cubes.index - np.array([a for a, _ in bounds], dtype=np.int64)
+        at = (cubes.levels == j) & np.all((rel >= 0) & (rel < shape), axis=1)
+        pos[at] = window.level_rows(j)[0].start + np.ravel_multi_index(rel[at].T, shape)
+    return pos
+
+
+@given(n=st.integers(1, 3), j_min=st.integers(-2, 1), levels=st.integers(1, 3),
+       corner=st.lists(st.integers(-2, 1), min_size=3, max_size=3),
+       width=st.lists(st.integers(1, 2), min_size=3, max_size=3),
+       count=st.integers(0, 40), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=80, deadline=None)
+def test_positions_match_per_level_loop(n, j_min, levels, corner, width, count, seed):
+    # windows with negative j_min, off the origin; cubes one level beyond the
+    # window and two indices beyond the box at their level
+    step = 1 << max(0, -j_min)
+    lo = tuple(step * a for a in corner[:n])
+    hi = tuple(a + step * w for a, w in zip(lo, width))
+    window = LatticeWindow(n, j_min, j_min + levels - 1, lo, hi)
+    rng = np.random.default_rng(seed)
+    j = rng.integers(window.j_min - 1, window.j_max + 2, count)
+    index = np.empty((count, n), dtype=np.int64)
+    for i, level in enumerate(j.tolist()):
+        bounds = window.index_bounds(level)
+        index[i] = [rng.integers(a - 2, b + 2) for a, b in bounds]
+    cubes = CubeArrays(j.astype(np.int64), index)
+    assert np.array_equal(window.positions(cubes), _positions_reference(window, cubes))
+    whole = CubeArrays.of_window(window)
+    assert np.array_equal(window.positions(whole), np.arange(window.count()))
+    # cubes of another dimension are not in the window
+    other = CubeArrays(whole.levels, np.concatenate([whole.index, whole.index[:, :1]], axis=1))
+    assert np.array_equal(window.positions(other), np.full(window.count(), -1))
+    assert np.array_equal(_positions_reference(window, other), np.full(window.count(), -1))
+
+
 # ---------------------------------------------------------------------------
 # tensor grids
 

@@ -306,6 +306,35 @@ def _pair_norms_reference(A, B):
     return np.linalg.norm(prod, ord=2, axis=(-2, -1))
 
 
+def _pair_norms_batched_reference(A, B):
+    """The pair norms from one batched product B_y^* (A_x^* A_x) B_y per pair:
+    closed form for m = 2, ``eigvalsh`` above."""
+    AhA = np.swapaxes(A.conj(), -1, -2) @ A
+    Bh = np.ascontiguousarray(np.swapaxes(B.conj(), -1, -2))
+    gram = Bh[..., None, :, :, :] @ (AhA[..., :, None, :, :] @ B[..., None, :, :, :])
+    if A.shape[-1] == 2:
+        a, d = gram[..., 0, 0].real, gram[..., 1, 1].real
+        top = 0.5 * (a + d) + np.hypot(0.5 * (a - d), np.abs(gram[..., 0, 1]))
+    else:
+        top = np.linalg.eigvalsh(gram)[..., -1]
+    return np.sqrt(np.maximum(top, 0.0))
+
+
+@given(m=st.sampled_from((2, 3)), complex_values=st.booleans(), sets=st.integers(1, 3),
+       nx=st.integers(1, 12), ny=st.integers(1, 12), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=60, deadline=None)
+def test_pair_norms_match_batched_products(m, complex_values, sets, nx, ny, seed):
+    rng = np.random.default_rng(seed)
+    A, B = (rng.standard_normal((sets, k, m, m)) for k in (nx, ny))
+    if complex_values:
+        A = A + 1j * rng.standard_normal(A.shape)
+        B = B + 1j * rng.standard_normal(B.shape)
+    got = weights._pair_norms(A, B)
+    assert got.shape == (sets, nx, ny) and got.dtype == np.float64
+    np.testing.assert_allclose(got, _pair_norms_batched_reference(A, B), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(weights._pair_norms(A[0], B[0]), got[0], rtol=1e-12, atol=0)
+
+
 def _defining_average_reference(W, p, x_nodes, y_nodes):
     A = W.power(x_nodes, 1.0 / p)
     B = W.power(y_nodes, -1.0 / p)
@@ -347,6 +376,80 @@ def _mvee_reference(P, tol=1e-7, mult_iter=200, fw_iter=300):
     Vinv = np.linalg.inv(V)
     kappa_max = float(np.max(np.einsum("nd,de,ne->n", P, Vinv, P)))
     return Vinv / kappa_max
+
+
+def _mvee_centered_reference(pts, tol=weights.MVEE_TOL):
+    """The interior-point fit on per-set point arrays (C, N, d): the same
+    iterates as ``weights._mvee_centered``, with every product over the points
+    a batched product per set, and every set riding along, frozen, until the
+    slowest one ends.  Returns M (C, d, d) and the steps (C,)."""
+    P = np.asarray(pts, dtype=float)
+    Pt = np.ascontiguousarray(np.swapaxes(P, -1, -2))
+    C, N, d = P.shape
+
+    def mv(A, x):
+        return (A @ x[..., None])[..., 0]
+
+    def kappas(P, Pt, u):
+        Vinv = np.linalg.inv((Pt * u[:, None, :]) @ P)
+        return Vinv, ((P @ Vinv) * P) @ np.ones(P.shape[-1])
+
+    L = np.linalg.cholesky(Pt @ P / N)
+    Xt = np.linalg.solve(L, Pt)
+    X = np.ascontiguousarray(np.swapaxes(Xt, -1, -2))
+    B = weights._sym_basis(d)
+    Bt = np.ascontiguousarray(B.T)
+
+    def coords(Y):
+        return mv(B, Y.reshape(C, d * d))
+
+    def matrix(v):
+        return mv(Bt, v).reshape(C, d, d)
+
+    A = (X[..., :, None] * X[..., None, :]).reshape(C, N, d * d) @ Bt
+    At = np.ascontiguousarray(np.swapaxes(A, -1, -2))
+    m = coords(np.eye(d) / (2.0 * np.max(np.sum(X * X, axis=2), axis=1))[:, None, None])
+    lam = np.full((C, N), d / N)
+    s = 1.0 - mv(A, m)
+    steps = np.zeros(C, dtype=int)
+    for step in range(weights.MVEE_STEPS + 1):
+        u = lam / np.sum(lam, axis=1, keepdims=True)
+        done = np.max(kappas(X, Xt, u)[1], axis=1) <= d * (1.0 + tol)
+        if done.all() or step == weights.MVEE_STEPS:
+            break
+        steps += ~done
+        w, Q = np.linalg.eigh(matrix(m))
+        Minv = (Q / w[:, None, :]) @ np.swapaxes(Q, -1, -2)
+        r_d = mv(At, lam) - coords(Minv)
+        mu = np.sum(lam * s, axis=1) / N
+        if step == 0:
+            mu0, r0 = mu, np.linalg.norm(r_d, axis=1)
+        kron = (Minv[:, :, None, :, None] * Minv[:, None, :, None, :]).reshape(C, d * d, d * d)
+        K = B @ kron @ Bt + (At * (lam / s)[:, None, :]) @ A
+        isqrt = 1.0 / np.sqrt(w)
+
+        def direction(r_c):
+            dm = np.linalg.solve(K, (mv(At, r_c / s) - r_d)[..., None])[..., 0]
+            ds = -mv(A, dm)
+            dlam = -(r_c + lam * ds) / s
+            dM = np.swapaxes(Q, -1, -2) @ matrix(dm) @ Q
+            low = np.linalg.eigvalsh(dM * isqrt[:, :, None] * isqrt[:, None, :])[:, 0]
+            reach = np.max(np.concatenate([-ds / s, -dlam / lam, -2.0 * low[:, None]], axis=1),
+                           axis=1)
+            return dm, ds, dlam, np.maximum(reach, 0.0)
+
+        _, ds, dlam, reach = direction(lam * s)
+        a = 1.0 / np.maximum(reach, 1.0)[:, None]
+        mu_aff = np.sum((lam + a * dlam) * (s + a * ds), axis=1) / N
+        sigma = np.where(done, 0.0, (mu_aff / mu) ** 3)
+        target = np.maximum(sigma * mu, mu0 * np.linalg.norm(r_d, axis=1) / r0)
+        dm, ds, dlam, reach = direction(lam * s + dlam * ds - target[:, None])
+        a = np.where(done, 0.0, 0.99 / np.maximum(reach, 0.99))[:, None]
+        m += a * dm
+        s += a * ds
+        lam += a * dlam
+    Vinv, kappa = kappas(P, Pt, u)
+    return Vinv / np.max(kappa, axis=1)[:, None, None], steps
 
 
 def _reference_directions(m, directions=None, rng=None):
@@ -652,9 +755,16 @@ def test_ellipsoid_fit_is_optimal(m, p, floor, seed):
     fits = [_reducing_operator_reference(W, p, q, quad)[1]
             for q in LatticeWindow(1, 0, 1, (0,), (1,)).all_cubes()]
     P = np.stack([pts for pts, _ in fits])
-    M, lam, steps, gap = weights._mvee_centered(P)
+    # the fit reads the directions every set shares and each set's radii
+    dirs = _reference_directions(m)
+    rho = 1.0 / np.linalg.norm(P, axis=-1)
+    M, lam, steps, gap = weights._mvee_centered(dirs, rho)
+    # the same iterates as the per-set products, up to rounding
+    M_old, steps_old = _mvee_centered_reference(P)
+    assert np.array_equal(steps, steps_old)
     tol = weights.MVEE_TOL
     for c, (pts, M_ref) in enumerate(fits):
+        assert np.max(np.abs(M[c] - M_old[c])) <= 1e-7 * np.max(np.abs(M_old[c]))
         _assert_fit_optimal(M[c], pts, M_ref, gap[c])
         assert 0 < steps[c] <= weights.MVEE_STEPS
         # KKT: M^{-1} = sum lam_i p_i p_i^T, lam >= 0, complementary slackness
@@ -664,8 +774,13 @@ def test_ellipsoid_fit_is_optimal(m, p, floor, seed):
             1e-9 * np.max(np.abs(Minv))
         slack = 1.0 - np.einsum("ni,ij,nj->n", pts, M[c], pts)
         assert np.sum(lam[c] * slack) <= m * tol
-        # one set alone is the same set inside the batch
-        alone = weights._mvee_centered(P[c:c + 1])
+    # a set leaves the batch when it is done: with the sphere, which takes
+    # fewer steps, every set of the batch is the same set fitted alone
+    batch = np.concatenate([np.ones((1, len(dirs))), rho])
+    M, _, steps, _ = weights._mvee_centered(dirs, batch)
+    assert len(set(steps.tolist())) > 1
+    for c in range(len(batch)):
+        alone = weights._mvee_centered(dirs, batch[c:c + 1])
         assert np.max(np.abs(alone[0][0] - M[c])) <= 1e-12 * np.max(np.abs(M[c]))
         assert alone[2][0] == steps[c]
 
