@@ -64,14 +64,41 @@ def parse_window(text: str) -> LatticeWindow:
                                 "expected jmin:jmax:lo..hi[,lo..hi...]") from exc
 
 
-def _load_space(path: str) -> SpaceParams:
+def _parse_list(text: str, option: str, convert, expected: str, count: int | None = None):
+    """The comma-separated values of an option; text that ``convert`` rejects,
+    or (given ``count``) a wrong number of values, is refused naming the option."""
+    try:
+        values = [convert(v) for v in text.split(",")]
+    except ValueError:
+        values = None
+    if values is None or count not in (None, len(values)):
+        raise PreconditionError(f"bad {option} {text!r}; expected {expected}")
+    return values
+
+
+def _load_json(path: str, build):
+    """``build`` of the JSON object in the file at ``path``; a file that holds
+    no JSON object, or one that ``build`` refuses, is refused naming the file."""
     with open(path) as fh:
-        return SpaceParams.from_json(fh.read())
+        text = fh.read()
+    try:
+        obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise PreconditionError("not a JSON object")
+        return build(obj)
+    except json.JSONDecodeError as exc:
+        raise PreconditionError(f"{path}: not JSON: {exc}") from exc
+    except PreconditionError as exc:
+        raise PreconditionError(f"{path}: {exc}") from exc
+
+
+def _load_space(path: str) -> SpaceParams:
+    return _load_json(path, SpaceParams.from_dict)
 
 
 def _load_weight(path: str) -> MatrixWeight:
-    with open(path) as fh:
-        return MatrixWeight.from_json(fh.read(), os.path.dirname(os.path.abspath(path)))
+    base_dir = os.path.dirname(os.path.abspath(path))
+    return _load_json(path, lambda d: MatrixWeight.from_dict(d, base_dir=base_dir))
 
 
 def _emit(report: dict, args) -> None:
@@ -189,11 +216,11 @@ def cmd_adprobe(args) -> dict:
     di = derived_indices(sp, args.n, args.d)
     region = ad_region(di, args.n)
     if args.DEF:
-        D, E, F = (float(v) for v in args.DEF.split(","))
+        D, E, F = _parse_list(args.DEF, "--DEF", float, "three numbers D,E,F", 3)
     else:
         D, E, F = region.point_inside(args.margin)
-    rep = empirical_norm(ADMatrix.model(D, E, F), sp,
-                         depths=tuple(int(d) for d in args.depths.split(",")),
+    depths = _parse_list(args.depths, "--depths", int, "comma-separated integers")
+    rep = empirical_norm(ADMatrix.model(D, E, F), sp, depths=tuple(depths),
                          n=args.n, seed=args.seed)
     cs = region.check(D, E, F)
     return {

@@ -16,7 +16,13 @@ import numpy as np
 
 from .dyadic import tensor_points
 from .errors import PreconditionError
-from .molecules import MoleculeCandidate, central_difference, multi_indices
+from .molecules import (
+    MoleculeCandidate,
+    central_difference,
+    closed_form,
+    gauss_panels,
+    multi_indices,
+)
 from .params import (
     ConstraintSet,
     DerivedIndices,
@@ -28,6 +34,7 @@ from .params import (
     strict_floor,
 )
 from .wavelets import FunctionSample
+from .weights import unit_directions
 
 # central-difference step of kernel derivatives, relative to the separation
 KERNEL_FD_REL = 1e-3
@@ -55,20 +62,16 @@ class Kernel:
         return np.asarray(self._eval(np.atleast_2d(X), np.atleast_2d(Y)), dtype=complex)
 
     def deriv(self, alpha: tuple[int, ...], beta: tuple[int, ...], X, Y) -> np.ndarray:
-        return central_difference(
-            self._known, (tuple(alpha), tuple(beta)), (np.atleast_2d(X), np.atleast_2d(Y)),
-            lambda which, args: KERNEL_FD_REL * np.linalg.norm(args[0] - args[1], axis=-1))
+        return central_difference(self._known, (tuple(alpha), tuple(beta)),
+                                  (np.atleast_2d(X), np.atleast_2d(Y)), self._step)
+
+    def _step(self, which, args):
+        return KERNEL_FD_REL * np.linalg.norm(args[0] - args[1], axis=-1)
 
     def _known(self, orders, args):
-        if not any(map(any, orders)):
-            return self(*args)
-        if orders in self.derivatives:
-            return np.asarray(self.derivatives[orders](*args), dtype=complex)
-        if sum(map(sum, orders)) > self.max_order:
-            raise PreconditionError(
-                f"kernel declares derivatives up to order {self.max_order}, "
-                f"requested {orders[0]}|{orders[1]}")
-        return None
+        return closed_form(self, orders, args, orders,
+                           f"kernel declares derivatives up to order {self.max_order}, "
+                           f"requested {orders[0]}|{orders[1]}")
 
 
 def _hilbert() -> Kernel:
@@ -117,34 +120,24 @@ def difference_grid_kernel(diffs: np.ndarray, values: np.ndarray,
     values = np.asarray(values, dtype=complex)
     if diffs.ndim != 1 or diffs.shape != values.shape:
         raise PreconditionError("difference grid needs matching 1d arrays")
-    pos_mask = diffs > 0
-    neg_mask = diffs < 0
-    pos_d = np.log(diffs[pos_mask])
-    pos_v = values[pos_mask]
-    order = np.argsort(pos_d)
-    pos_d, pos_v = pos_d[order], pos_v[order]
-    neg_d = np.log(-diffs[neg_mask])
-    neg_v = values[neg_mask]
-    order = np.argsort(neg_d)
-    neg_d, neg_v = neg_d[order], neg_v[order]
-
-    def interp(logr, table_d, table_v):
-        out = np.zeros(len(logr), dtype=complex)
-        ok = (logr >= table_d[0]) & (logr <= table_d[-1])
-        if np.any(ok):
-            out[ok] = (np.interp(logr[ok], table_d, table_v.real)
-                       + 1j * np.interp(logr[ok], table_d, table_v.imag))
-        return out
+    # per sign, the table (log |x - y|, value) sorted by log |x - y|
+    tables = []
+    for sign in (1, -1):
+        keep = sign * diffs > 0
+        logr = np.log(sign * diffs[keep])
+        order = np.argsort(logr)
+        tables.append((sign, logr[order], values[keep][order]))
 
     def base(X, Y):
         d = X[:, 0] - Y[:, 0]
         out = np.zeros(len(d), dtype=complex)
-        p = d > 0
-        if np.any(p) and len(pos_d):
-            out[p] = interp(np.log(d[p]), pos_d, pos_v)
-        m = d < 0
-        if np.any(m) and len(neg_d):
-            out[m] = interp(np.log(-d[m]), neg_d, neg_v)
+        for sign, table_d, table_v in tables:
+            idx = np.flatnonzero(sign * d > 0)
+            if len(idx) and len(table_d):
+                logr = np.log(sign * d[idx])
+                ok = (logr >= table_d[0]) & (logr <= table_d[-1])
+                out[idx[ok]] = (np.interp(logr[ok], table_d, table_v.real)
+                                + 1j * np.interp(logr[ok], table_d, table_v.imag))
         return out
 
     return Kernel(1, base, max_order=max_order, label="custom-grid")
@@ -196,9 +189,7 @@ class SamplingGeometry:
     def dirs(self, n: int) -> np.ndarray:
         if n == 1:
             return np.array([[1.0], [-1.0]])
-        rng = np.random.default_rng(self.seed)
-        d = rng.standard_normal((self.directions, n))
-        return d / np.linalg.norm(d, axis=1, keepdims=True)
+        return unit_directions(self.directions, n, np.random.default_rng(self.seed))
 
     def bases(self, n: int) -> np.ndarray:
         return np.array([np.pad(np.asarray(b, dtype=float)[:n], (0, n - min(len(b), n)))
@@ -414,13 +405,8 @@ def apply_to_atom_farfield(K: Kernel, atom: MoleculeCandidate,
         raise PreconditionError("far-field points must satisfy |x| > 4 sqrt(n)")
     if atom.support_radius == math.inf:
         raise PreconditionError("far-field action needs a compactly supported atom")
-    c = np.array(atom.cube.center)
-    lo = c - atom.support_radius * atom.cube.side
-    hi = c + atom.support_radius * atom.cube.side
-    nodes_1d, w_1d = np.polynomial.legendre.leggauss(quad_points)
-    Y = tensor_points([0.5 * (hi[i] - lo[i]) * nodes_1d + 0.5 * (hi[i] + lo[i])
-                       for i in range(n)])
-    wts = np.prod(tensor_points([0.5 * (hi[i] - lo[i]) * w_1d for i in range(n)]), axis=-1)
+    c, r = np.array(atom.cube.center), atom.support_radius * atom.cube.side
+    Y, wts = gauss_panels(c - r, c + r, 1, np.polynomial.legendre.leggauss(quad_points))
     avals = atom(Y)
     # blocks of far points against all nodes; the Taylor polynomial of
     # K(x, .) at 0 takes one coefficient batch per beta and block
@@ -548,37 +534,23 @@ def legacy_to_mixed(s: float, J: float, delta: float, rho: float, n: int) -> dic
 # ---------------------------------------------------------------------------
 # pseudo-differential application
 
-class SymbolS11u:
-    """Symbol evaluator a(x, xi) with derivative access and a declared order."""
+class SymbolS11u(Kernel):
+    """Symbol evaluator a(x, xi) with derivative access and a declared order: a
+    kernel in (x, xi) with steps 1e-4 in x and 1e-4 |xi| in xi."""
 
     def __init__(self, n: int, u: int, eval_fn, derivatives: dict | None = None,
                  max_order: int = 2, x_independent: bool = False, label: str = "symbol"):
-        self.n = n
+        super().__init__(n, eval_fn, derivatives, max_order, label)
         self.u = int(u)
-        self._eval = eval_fn
-        self.derivatives = derivatives or {}
-        self.max_order = max_order
         self.x_independent = x_independent
-        self.label = label
 
-    def __call__(self, X, XI) -> np.ndarray:
-        return np.asarray(self._eval(np.atleast_2d(X), np.atleast_2d(XI)), dtype=complex)
-
-    def deriv(self, alpha, beta, X, XI) -> np.ndarray:
-        return central_difference(
-            self._known, (tuple(alpha), tuple(beta)), (np.atleast_2d(X), np.atleast_2d(XI)),
-            lambda which, args: 1e-4 * np.linalg.norm(args[1], axis=-1) if which else 1e-4)
+    def _step(self, which, args):
+        return 1e-4 * np.linalg.norm(args[1], axis=-1) if which else 1e-4
 
     def _known(self, orders, args):
-        if not any(map(any, orders)):
-            return self(*args)
-        if orders in self.derivatives:
-            return np.asarray(self.derivatives[orders](*args), dtype=complex)
         if self.x_independent and any(orders[0]):
             return np.zeros(len(args[0]), dtype=complex)
-        if sum(map(sum, orders)) > self.max_order:
-            raise PreconditionError("symbol derivative order deficit")
-        return None
+        return closed_form(self, orders, args, orders, "symbol derivative order deficit")
 
     @classmethod
     def multiplier_power(cls, n: int, u: int) -> "SymbolS11u":
@@ -607,20 +579,15 @@ def apply_pdo(symbol: SymbolS11u, f: FunctionSample,
     shape = f.shape
     axes_freq = [2.0 * math.pi * np.fft.fftfreq(N, d=h) for N in shape]
     fhat = np.fft.fftn(f.values, axes=tuple(range(1, n + 1)))
+    XI = tensor_points(axes_freq)
     # energy above 80% of the Nyquist band must be negligible
-    mask = np.zeros(shape, dtype=bool)
-    for i, freqs in enumerate(axes_freq):
-        cutoff = 0.8 * np.max(np.abs(freqs))
-        band = np.abs(freqs) > cutoff
-        sl = [None] * n
-        sl[i] = slice(None)
-        mask |= band[tuple(sl)]
+    cutoff = 0.8 * np.array([np.max(np.abs(freqs)) for freqs in axes_freq])
+    mask = np.any(np.abs(XI) > cutoff, axis=1).reshape(shape)
     total = float(np.sum(np.abs(fhat) ** 2))
     high = float(np.sum(np.abs(fhat[:, mask]) ** 2))
     if total > 0 and high / total > alias_tol:
         raise PreconditionError(
             f"aliasing: {high / total:.2e} of the energy sits above the band")
-    XI = tensor_points(axes_freq)
     if symbol.x_independent:
         mult = symbol(np.zeros((1, n)), XI).reshape(shape)
         out = np.fft.ifftn(fhat * mult[None], axes=tuple(range(1, n + 1)))

@@ -64,6 +64,32 @@ def central_difference(known, orders: tuple, args: tuple, step) -> np.ndarray:
             - central_difference(known, tuple(lower), tuple(down), step)) / (2 * h)
 
 
+def closed_form(f, orders: tuple, args: tuple, key, refusal: str):
+    """The ``known`` rule of :func:`central_difference` for an evaluator ``f``
+    with ``derivatives`` and ``max_order``: f at order 0, else the closed form
+    registered under ``key``, else the refusal above ``max_order``, else None."""
+    if not any(map(any, orders)):
+        return f(*args)
+    if key in f.derivatives:
+        return np.asarray(f.derivatives[key](*args), dtype=complex)
+    if sum(map(sum, orders)) > f.max_order:
+        raise PreconditionError(refusal)
+    return None
+
+
+def gauss_panels(lo, hi, panels: int, rule: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor rule of the 1d Gauss-Legendre ``rule`` (nodes and weights on
+    [-1, 1], built once by the caller) on ``panels`` equal panels per axis of
+    the box [lo, hi]: points (N, n), weights (N,)."""
+    nodes_1d, weights_1d = rule
+    # per axis, the nodes and weights of every panel [a, b), panel by panel
+    edges = [np.linspace(a, b, panels + 1)[:, None] for a, b in zip(lo, hi)]
+    half = [0.5 * (e[1:] - e[:-1]) for e in edges]
+    pts = tensor_points([(d * nodes_1d + 0.5 * (e[:-1] + e[1:])).ravel()
+                         for d, e in zip(half, edges)])
+    return pts, np.prod(tensor_points([(d * weights_1d).ravel() for d in half]), axis=-1)
+
+
 def multi_indices(n: int, total_max: int):
     """All multi-indices of length n with |gamma| <= total_max."""
     for total in range(total_max + 1):
@@ -103,16 +129,9 @@ class MoleculeCandidate:
                                   lambda which, args: self.fd_step_rel * self.cube.side)
 
     def _known(self, orders, args):
-        (gamma,), (pts,) = orders, args
-        if not any(gamma):
-            return self(pts)
-        if gamma in self.derivatives:
-            return np.asarray(self.derivatives[gamma](pts), dtype=complex)
-        if sum(gamma) > self.max_order:
-            raise PreconditionError(
-                f"candidate declares derivatives up to order {self.max_order}, "
-                f"requested {gamma}")
-        return None
+        return closed_form(self, orders, args, orders[0],
+                           f"candidate declares derivatives up to order {self.max_order}, "
+                           f"requested {orders[0]}")
 
 
 @dataclass(frozen=True)
@@ -198,22 +217,14 @@ def _moment_quadrature(f: MoleculeCandidate, gamma: tuple[int, ...],
     if f.aligned_grid is not None:
         return _aligned_moment(f, gamma)
     q = f.cube
-    n = q.n
-    lo = np.array(q.center) - extent / 2 * q.side
-    hi = np.array(q.center) + extent / 2 * q.side
-    if f.support_radius < math.inf:
-        lo = np.maximum(lo, np.array(q.center) - f.support_radius * q.side)
-        hi = np.minimum(hi, np.array(q.center) + f.support_radius * q.side)
-    nodes_1d, weights_1d = np.polynomial.legendre.leggauss(order)
+    # the sampling box, cut to the support
+    half = min(extent / 2, f.support_radius) * q.side
+    lo, hi = np.array(q.center) - half, np.array(q.center) + half
+    rule = np.polynomial.legendre.leggauss(order)
     prev = None
     panels = 1
     for _ in range(max_refine + 1):
-        # per axis, the nodes and weights of every panel [a, b), panel by panel
-        edges = [np.linspace(lo[i], hi[i], panels + 1)[:, None] for i in range(n)]
-        half = [0.5 * (e[1:] - e[:-1]) for e in edges]
-        pts = tensor_points([(d * nodes_1d + 0.5 * (e[:-1] + e[1:])).ravel()
-                             for d, e in zip(half, edges)])
-        w = np.prod(tensor_points([(d * weights_1d).ravel() for d in half]), axis=-1)
+        pts, w = gauss_panels(lo, hi, panels, rule)
         mono = np.prod(pts ** np.array(gamma), axis=-1)
         val = complex(np.sum(w * mono * f(pts)))
         if prev is not None and abs(val - prev) <= max(tol_abs, 1e-300):
@@ -229,6 +240,18 @@ def _aligned_moment(f: MoleculeCandidate, gamma: tuple[int, ...]) -> complex:
     pts = tensor_points([lo[i] + h * np.arange(round((hi[i] - lo[i]) / h)) for i in range(n)])
     mono = np.prod(pts ** np.array(gamma), axis=-1)
     return complex(np.sum(mono * f(pts)) * h ** n)
+
+
+def _worst_moment(f: MoleculeCandidate, L: float, extent: float,
+                  tol_abs: float) -> tuple[float, tuple | None]:
+    """The largest |moment| of f through order floor(L), none for L < 0, on
+    the box of ``extent`` sides, and its multi-index (None while all are 0)."""
+    worst, worst_gamma = 0.0, None
+    for gamma in multi_indices(f.cube.n, math.floor(L)):
+        mom = abs(_moment_quadrature(f, gamma, extent, tol_abs))
+        if mom > worst:
+            worst, worst_gamma = mom, gamma
+    return worst, worst_gamma
 
 
 def validate_molecule(f: MoleculeCandidate, K: float, L: float, M: float, N: float,
@@ -257,12 +280,7 @@ def validate_molecule(f: MoleculeCandidate, K: float, L: float, M: float, N: flo
         sup = float(np.max(np.abs(vals)))
         span = (min(2 * f.support_radius, grid.extent) * q.side) ** n
         scale = max(sup * span, 1e-300)
-        worst = 0.0
-        worst_gamma = None
-        for gamma in multi_indices(n, math.floor(L)):
-            mom = abs(_moment_quadrature(f, gamma, grid.extent, moment_tol * scale))
-            if mom > worst:
-                worst, worst_gamma = mom, gamma
+        worst, worst_gamma = _worst_moment(f, L, grid.extent, moment_tol * scale)
         conditions.append(ConditionReport(
             "cancellation", worst <= moment_tol * scale, worst / scale,
             witness=worst_gamma, detail={"tolerance": moment_tol}))
@@ -270,32 +288,27 @@ def validate_molecule(f: MoleculeCandidate, K: float, L: float, M: float, N: flo
         conditions.append(ConditionReport("cancellation", True, 0.0,
                                           detail={"void": True}))
 
-    # (c) derivative decay for 0 < |gamma| < N
+    # (c) derivative decay for 0 < |gamma| < N, void for N <= 0
     rpN = rounding_profile(N)
-    top = rpN.strict_floor
-    if N > 0:
-        reports = []
-        for gamma in multi_indices(n, max(top, 0)):
-            order = sum(gamma)
-            if order == 0 or order >= N:
-                continue
-            reports.append(_ratio_condition(
-                "derivative-decay",
-                lambda p, g=gamma: f.deriv(g, p),
-                lambda p, o=order: q.side ** -o * envelope(M, q, p),
-                q, grid, growth_tol))
-        if reports:
-            worst = max(reports, key=lambda r: r.constant)
-            worst = ConditionReport("derivative-decay",
-                                    all(r.passed for r in reports),
-                                    worst.constant, worst.witness, worst.detail)
-        else:
-            worst = ConditionReport("derivative-decay", True, 0.0,
-                                    detail={"void": True})
-        conditions.append(worst)
+    reports = []
+    for gamma in multi_indices(n, max(rpN.strict_floor, 0)):
+        order = sum(gamma)
+        if order == 0 or order >= N:
+            continue
+        reports.append(_ratio_condition(
+            "derivative-decay",
+            lambda p, g=gamma: f.deriv(g, p),
+            lambda p, o=order: q.side ** -o * envelope(M, q, p),
+            q, grid, growth_tol))
+    if reports:
+        worst = max(reports, key=lambda r: r.constant)
+        worst = ConditionReport("derivative-decay",
+                                all(r.passed for r in reports),
+                                worst.constant, worst.witness, worst.detail)
     else:
-        conditions.append(ConditionReport("derivative-decay", True, 0.0,
-                                          detail={"void": True}))
+        worst = ConditionReport("derivative-decay", True, 0.0,
+                                detail={"void": True})
+    conditions.append(worst)
 
     # (d) Hoelder difference at |gamma| = strict_floor(N), exponent N**
     if N > 0:
@@ -467,12 +480,7 @@ def validate_atom(f: MoleculeCandidate, q: DyadicCube, r: float, L: float, N: fl
 
     sup = float(np.max(vals))
     scale = max(sup * (r * q.side) ** n, 1e-300)
-    worst, worst_gamma = 0.0, None
-    if L >= 0:
-        for gamma in multi_indices(n, math.floor(L)):
-            mom = abs(_moment_quadrature(f, gamma, 2 * r, moment_tol * scale))
-            if mom > worst:
-                worst, worst_gamma = mom, gamma
+    worst, worst_gamma = _worst_moment(f, L, 2 * r, moment_tol * scale)
     moments = ConditionReport("moments", worst <= moment_tol * scale,
                               worst / scale, worst_gamma)
 

@@ -30,6 +30,17 @@ def neg(x: float) -> float:
     return -x if x < 0 else 0.0
 
 
+def json_field(d: dict, key: str, convert=float):
+    """``convert(d[key])`` for a JSON object ``d``; a missing key, or a value
+    that ``convert`` rejects (a non-number for ``float``), is refused naming it."""
+    if key not in d:
+        raise PreconditionError(f"missing key {key!r}")
+    try:
+        return convert(d[key])
+    except (TypeError, ValueError) as exc:
+        raise PreconditionError(f"key {key!r} holds {d[key]!r}, not a number") from exc
+
+
 # ---------------------------------------------------------------------------
 # rounding
 
@@ -119,12 +130,13 @@ class SpaceParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SpaceParams":
-        q = d["q"]
+        q = json_field(d, "q", lambda v: v if isinstance(v, str) else float(v))
         if isinstance(q, str):
             if q.lower() not in ("inf", "infinity"):
                 raise PreconditionError(f"bad q value {q!r}")
             q = INF
-        return cls(d["family"], float(d["s"]), float(d["tau"]), float(d["p"]), float(q))
+        return cls(json_field(d, "family", str), json_field(d, "s"), json_field(d, "tau"),
+                   json_field(d, "p"), float(q))
 
     @classmethod
     def from_json(cls, text: str) -> "SpaceParams":
@@ -327,14 +339,19 @@ class JsMoleculeSpec:
     n: int
     label: str = "molecule"
 
+    def bounds(self) -> MoleculeParams:
+        """The lower bounds of K, L, M and N; only L's is attained."""
+        return MoleculeParams(self.j + neg(self.s), self.j - self.n - self.s, self.j, self.s)
+
     def check(self, mp: MoleculeParams) -> ConstraintSet:
+        b = self.bounds()
         return ConstraintSet(
             self.label,
             (
-                Inequality("K", mp.K, self.j + neg(self.s), True),
-                Inequality("L", mp.L, self.j - self.n - self.s, False),
-                Inequality("M", mp.M, self.j, True),
-                Inequality("N", mp.N, self.s, True),
+                Inequality("K", mp.K, b.K, True),
+                Inequality("L", mp.L, b.L, False),
+                Inequality("M", mp.M, b.M, True),
+                Inequality("N", mp.N, b.N, True),
             ),
         )
 
@@ -342,12 +359,8 @@ class JsMoleculeSpec:
         return self.check(mp).ok
 
     def witness(self, margin: float = 0.1) -> MoleculeParams:
-        return MoleculeParams(
-            K=self.j + neg(self.s) + margin,
-            L=self.j - self.n - self.s,
-            M=self.j + margin,
-            N=self.s + margin,
-        )
+        b = self.bounds()
+        return MoleculeParams(K=b.K + margin, L=b.L, M=b.M + margin, N=b.N + margin)
 
 
 def molecule_param_sets(di: DerivedIndices, n: int) -> tuple[JsMoleculeSpec, JsMoleculeSpec]:
@@ -433,11 +446,10 @@ def derived_table(sp: SpaceParams, n: int, d: float = 0.0) -> dict:
         "cancellation_free": cancellation_free(sp, n),
         "wavelet_smoothness_required": wavelet_smoothness_required(di, n),
         "classical_equivalent_r": classical_equivalent(di, n)[0],
-        "synthesis_molecule": {"K>": di.j_eff + neg(di.s_eff), "L>=": di.j_eff - n - di.s_eff,
-                               "M>": di.j_eff, "N>": di.s_eff},
-        "analysis_molecule": {"K>": ana.j + neg(ana.s), "L>=": ana.j - n - ana.s,
-                              "M>": ana.j, "N>": ana.s},
     }
+    for name, spec in (("synthesis_molecule", syn), ("analysis_molecule", ana)):
+        b = spec.bounds()
+        out[name] = {"K>": b.K, "L>=": b.L, "M>": b.M, "N>": b.N}
     if n >= 2:
         out["trace_threshold"] = trace_threshold(sp, n)
         out["trace_admissible"] = sp.s > 1.0 / sp.p + out["trace_threshold"]

@@ -22,7 +22,7 @@ import numpy as np
 
 from .dyadic import CubeArrays, DyadicCube, LatticeWindow, tensor_points
 from .errors import PreconditionError, SingularWeightError
-from .params import WeightDims
+from .params import WeightDims, json_field
 
 EIG_CLAMP_REL = 1e-14
 # (x, y) pairs of distinct weight values, (node, direction) pairs, or nodes
@@ -169,18 +169,21 @@ class MatrixWeight:
         """Weight from its JSON form; a relative ``values_file`` is resolved
         against ``base_dir`` (the directory of the weight file)."""
         kind = d.get("kind")
-        n = int(d["n"])
+        n = json_field(d, "n", int)
+        numbers = functools.partial(json_field, d, convert=_numbers)
         if kind == "constant":
-            return cls.constant(np.asarray(d["matrix"]), n)
+            return cls.constant(numbers("matrix"), n)
         if kind == "diag-power":
-            return cls.diag_power(d["a"], d["alpha"], n, d.get("floor", 0.0))
+            return cls.diag_power(numbers("a"), numbers("alpha"), n,
+                                  json_field(d, "floor") if "floor" in d else 0.0)
         if kind == "grid":
             if grid_values is None:
                 path = d.get("values_file")
                 if path is None:
                     raise PreconditionError("grid weight needs values or values_file")
                 grid_values = np.load(os.path.join(base_dir or "", path))
-            return cls.grid(d["lo"], d["hi"], int(d["level"]), grid_values)
+            return cls.grid(numbers("lo"), numbers("hi"), json_field(d, "level", int),
+                            grid_values)
         raise PreconditionError(f"unknown weight kind {kind!r}")
 
     @classmethod
@@ -209,6 +212,14 @@ class MatrixWeight:
         powers = fac.power(0, a)
         # m = 1 values are not deduplicated: they are in node order already
         return powers if self.m == 1 else powers[fac.parts[0].inverse[0]]
+
+
+def _numbers(v) -> np.ndarray:
+    """``v`` as an array, refused unless it holds numbers."""
+    a = np.asarray(v)
+    if a.dtype.kind not in "biufc":
+        raise ValueError(f"{v!r} holds no numbers")
+    return a
 
 
 def _refuse_non_finite(values: np.ndarray, what: str) -> None:
@@ -469,7 +480,7 @@ def _reducing_operators(W: MatrixWeight, p: float, cubes: CubeArrays, quad: Quad
         avg = _weight_means(W, nodes)
         return _psd_sqrt(avg, "average weight not positive definite"), *no_fit
     dirs = _fit_directions(W.m)
-    rho = _direction_averages(W, p, nodes, dirs, real=True)[0] ** (1.0 / p)
+    rho = _direction_averages(W, p, nodes, dirs, real=True) ** (1.0 / p)
     if np.any(rho <= 0):
         raise SingularWeightError("weight average vanishes in some direction")
     # the points dirs / rho must span R^m: the same clamp as the weight's eigenvalues
@@ -536,14 +547,13 @@ def direction_averages(W: MatrixWeight, p: float, cubes: CubeArrays, quad: Quadr
     every direction z of ``dirs`` (D, m), shape (C, D); its p-th root is the
     p-average of |W^{1/p} z|.  Complex weights are taken with their complex
     norms."""
-    return _direction_averages(W, p, _cube_nodes(quad, cubes), dirs)[0]
+    return _direction_averages(W, p, _cube_nodes(quad, cubes), dirs)
 
 
 def _direction_averages(W: MatrixWeight, p: float, nodes: np.ndarray, dirs: np.ndarray,
-                        real: bool = False) -> tuple[np.ndarray, float]:
-    """:func:`direction_averages` over the nodes (C, N, n) of C cubes, and the
-    largest imaginary part of any weight entry met; ``real`` refuses complex
-    weight values, as the ellipsoid fit needs.
+                        real: bool = False) -> np.ndarray:
+    """:func:`direction_averages` over the nodes (C, N, n) of C cubes; ``real``
+    refuses complex weight values, as the ellipsoid fit needs.
 
     For m = 1 the average is mean(w) |z|^p; otherwise one eigendecomposition
     raises each cube's distinct values to the power 1/p, and their norms count
@@ -551,16 +561,14 @@ def _direction_averages(W: MatrixWeight, p: float, nodes: np.ndarray, dirs: np.n
     """
     N = nodes.shape[1]
     avg = np.empty((len(nodes), len(dirs)))
-    imag = 0.0
     # m = 1 does no work per direction
     for blk, vals, fac in _weight_blocks(W, (nodes,), len(dirs) if W.m > 1 else 1, real=real):
-        imag = max(imag, float(np.max(np.abs(vals.imag))))
         if W.m == 1:
             avg[blk] = np.mean(vals[..., 0, 0].real, axis=1)[:, None] * np.abs(dirs[:, 0]) ** p
         else:
             norms = np.linalg.norm(fac.power(0, 1.0 / p) @ dirs.T, axis=-2) ** p
             avg[blk] = (fac.parts[0].counts[:, None, :] @ norms[fac.parts[0].pad])[:, 0] / N
-    return avg, imag
+    return avg
 
 
 def _sym_basis(d: int) -> np.ndarray:

@@ -532,3 +532,44 @@ def test_report_to_missing_directory_refused(space_file, tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err == f"refused: no such file: {out}\n"
     assert not os.path.exists(os.path.dirname(out))
+
+
+@pytest.mark.parametrize("option, value, expect", [
+    ("--DEF", "1,2", "bad --DEF '1,2'; expected three numbers D,E,F"),
+    ("--DEF", "a,b,c", "bad --DEF 'a,b,c'; expected three numbers D,E,F"),
+    ("--depths", "3,,4", "bad --depths '3,,4'; expected comma-separated integers"),
+])
+def test_adprobe_refuses_malformed_option_naming_it(option, value, expect, space_file, capsys):
+    code = main(["adprobe", "--space", space_file, option, value])
+    assert code == 2
+    assert capsys.readouterr().err == f"refused: {expect}\n"
+
+
+# a --space or --weight file that is not JSON, lacks a key or holds a non-number
+BAD_INPUT_FILES = {
+    "space without q": ("params", "--space", '{"family": "B", "s": 0.5, "tau": 0, "p": 2}',
+                        "missing key 'q'"),
+    "space not JSON": ("params", "--space", '{"family": "B", "s": 0.5',
+                       "not JSON: Expecting ',' delimiter: line 1 column 25 (char 24)"),
+    "space non-number": ("params", "--space",
+                         '{"family": "B", "s": "half", "tau": 0, "p": 2, "q": 2}',
+                         "key 's' holds 'half', not a number"),
+    "space not an object": ("params", "--space", "[1, 2]", "not a JSON object"),
+    "weight without n": ("weights", "--weight",
+                         '{"m": 1, "kind": "constant", "matrix": [[1.0]]}', "missing key 'n'"),
+    "weight non-number": ("weights", "--weight",
+                          '{"m": 2, "n": 1, "kind": "diag-power", "a": [1, 1], "alpha": ["x"]}',
+                          "key 'alpha' holds ['x'], not a number"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUT_FILES)
+def test_bad_input_file_refused_naming_file_and_key(case, tmp_path, capsys):
+    command, option, text, expect = BAD_INPUT_FILES[case]
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    argv = [command, option, str(path)]
+    if command == "weights":
+        argv += ["--p", "2", "--window", "0:1:0..1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"refused: {path}: {expect}\n"

@@ -28,7 +28,7 @@ from dyadica.czo import (
 )
 from dyadica.dyadic import DyadicCube, tensor_points
 from dyadica.errors import PreconditionError
-from dyadica.molecules import MoleculeCandidate, make_atom, multi_indices
+from dyadica.molecules import MoleculeCandidate, gauss_panels, make_atom, multi_indices
 from dyadica.params import (
     MoleculeParams,
     SpaceParams,
@@ -341,6 +341,29 @@ def test_pdo_aliasing_guard():
     with pytest.raises(PreconditionError):
         apply_pdo(one, fs)
 
+
+def _alias_share_reference(f):
+    """The share of the energy above 80% of the Nyquist band, from per-axis bands."""
+    n = f.n
+    axes_freq = [2.0 * math.pi * np.fft.fftfreq(N, d=f.h) for N in f.shape]
+    fhat = np.fft.fftn(f.values, axes=tuple(range(1, n + 1)))
+    mask = np.zeros(f.shape, dtype=bool)
+    for i, freqs in enumerate(axes_freq):
+        band = np.abs(freqs) > 0.8 * np.max(np.abs(freqs))
+        sl = [None] * n
+        sl[i] = slice(None)
+        mask |= band[tuple(sl)]
+    return float(np.sum(np.abs(fhat[:, mask]) ** 2)) / float(np.sum(np.abs(fhat) ** 2))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_pdo_aliasing_share_equals_per_axis_bands(n):
+    rng = np.random.default_rng(n)
+    fs = FunctionSample.from_callable(lambda pts: rng.standard_normal(len(pts)), n, 1, 3,
+                                      (0,) * n, (1,) * n)
+    one = SymbolS11u(n, 0, lambda X, XI: np.ones(len(XI)), x_independent=True)
+    with pytest.raises(PreconditionError, match=f"aliasing: {_alias_share_reference(fs):.2e} "):
+        apply_pdo(one, fs)
 
 def test_symbol_class_check():
     hom = SymbolS11u.multiplier_power(1, 1)
@@ -888,6 +911,44 @@ def test_blocked_pdo_matches_per_point_reference():
     got = apply_pdo(symbol, f).values
     ref = _pdo_x_dependent_reference(symbol, f)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+
+def _farfield_rule_reference(lo, hi, quad_points):
+    """The far-field's own tensor Gauss-Legendre nodes and weights on [lo, hi]."""
+    n = len(lo)
+    nodes_1d, w_1d = np.polynomial.legendre.leggauss(quad_points)
+    Y = tensor_points([0.5 * (hi[i] - lo[i]) * nodes_1d + 0.5 * (hi[i] + lo[i])
+                       for i in range(n)])
+    wts = np.prod(tensor_points([0.5 * (hi[i] - lo[i]) * w_1d for i in range(n)]), axis=-1)
+    return Y, wts
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("quad_points", [1, 2, 7, 24, 96])
+def test_one_gauss_panel_bitwise_equals_farfield_rule(n, quad_points):
+    c = np.array([0.3, -1.7][:n])
+    for radius, side in ((0.75, 0.5), (1.5, 2.0), (3.0, 0.125)):
+        lo, hi = c - radius * side, c + radius * side
+        got = gauss_panels(lo, hi, 1, np.polynomial.legendre.leggauss(quad_points))
+        ref = _farfield_rule_reference(lo, hi, quad_points)
+        for g, r in zip(got, ref):
+            assert g.tobytes() == r.tobytes()
+
+
+def _dirs_reference(geometry, n):
+    """The directions ``SamplingGeometry.dirs`` drew with its own sampler."""
+    if n == 1:
+        return np.array([[1.0], [-1.0]])
+    rng = np.random.default_rng(geometry.seed)
+    d = rng.standard_normal((geometry.directions, n))
+    return d / np.linalg.norm(d, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("geometry", [SamplingGeometry(), SamplingGeometry(directions=5, seed=9)])
+def test_geometry_dirs_bitwise_equal_own_sampler(n, geometry):
+    assert geometry.dirs(n).tobytes() == _dirs_reference(geometry, n).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from dyadica.params import (
     classical_equivalent,
     czo_conditions,
     derived_indices,
+    derived_table,
     js_gap,
     molecule_param_sets,
     rounding_profile,
@@ -395,3 +396,23 @@ def test_space_params_json_roundtrip():
         SpaceParams("X", 0, 0, 1, 1)
     with pytest.raises(PreconditionError):
         SpaceParams("B", 0, -0.1, 1, 1)
+
+
+@pytest.mark.parametrize("sp, n, d", [
+    (B(0.5, 0.1, 2, 2), 1, 0.0), (F(-0.7, 0.0, 0.8, 1.5), 2, 0.3), (B(1.2, 0.4, 1.5, INF), 3, 0.0),
+])
+def test_derived_table_molecule_rows_are_the_spec_bounds(sp, n, d):
+    # the (J, s) formulas as the table used to restate them
+    di = derived_indices(sp, n, d)
+    j, s = di.j_eff, di.s_eff
+    table = derived_table(sp, n, d)
+    assert table["synthesis_molecule"] == {"K>": j + max(-s, 0.0), "L>=": j - n - s,
+                                           "M>": j, "N>": s}
+    s_ana = j - n - s
+    assert table["analysis_molecule"] == {"K>": j + max(-s_ana, 0.0), "L>=": j - n - s_ana,
+                                          "M>": j, "N>": s_ana}
+    for spec in molecule_param_sets(di, n):
+        b = spec.bounds()
+        assert spec.admits(spec.witness(0.1)) and spec.witness(0.1).L == b.L
+        # K, M and N are strict bounds, L is attained
+        assert [it.name for it in spec.check(b).items if not it.ok] == ["K", "M", "N"]
