@@ -30,15 +30,16 @@ def neg(x: float) -> float:
     return -x if x < 0 else 0.0
 
 
-def json_field(d: dict, key: str, convert=float):
+def json_field(d: dict, key: str, convert=float, expected: str = "a number"):
     """``convert(d[key])`` for a JSON object ``d``; a missing key, or a value
-    that ``convert`` rejects (a non-number for ``float``), is refused naming it."""
+    that ``convert`` rejects (a non-number for ``float``), is refused naming
+    it and what was ``expected``."""
     if key not in d:
         raise PreconditionError(f"missing key {key!r}")
     try:
         return convert(d[key])
     except (TypeError, ValueError) as exc:
-        raise PreconditionError(f"key {key!r} holds {d[key]!r}, not a number") from exc
+        raise PreconditionError(f"key {key!r} holds {d[key]!r}, not {expected}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ evaluates, deduplicates, factors and refuses them in one place.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -34,6 +33,9 @@ MVEE_TOL = 1e-7
 MVEE_STEPS = 100
 # fresh unit directions of the direction-ratio certificate
 JOHN_DIRECTIONS = 256
+# 3 x 3 Gram matrices whose closed-form r has 1 + r below this (top two
+# eigenvalues within about 2% of p) take their top eigenvalue from eigvalsh
+CUBIC_GAP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -135,6 +137,8 @@ class MatrixWeight:
         lo_t = tuple(int(v) for v in lo)
         hi_t = tuple(int(v) for v in hi)
         n = len(lo_t)
+        if len(hi_t) != n:
+            raise PreconditionError(f"grid weight corners {lo_t} and {hi_t} differ in length")
         values = np.asarray(values)
         values = values.astype(complex if np.iscomplexobj(values) else float)
         m = values.shape[-1]
@@ -167,28 +171,37 @@ class MatrixWeight:
     def from_dict(cls, d: dict, grid_values: np.ndarray | None = None,
                   base_dir: str | None = None) -> "MatrixWeight":
         """Weight from its JSON form; a relative ``values_file`` is resolved
-        against ``base_dir`` (the directory of the weight file)."""
+        against ``base_dir`` (the directory of the weight file).  ``n``,
+        ``level``, ``lo`` and ``hi`` must be whole numbers; an ``m`` that
+        disagrees with the values, or a grid's ``n`` that disagrees with
+        ``lo``, is refused."""
         kind = d.get("kind")
-        n = json_field(d, "n", int)
         numbers = functools.partial(json_field, d, convert=_numbers)
+        whole = functools.partial(json_field, d, convert=_whole, expected="a whole number")
+        n = whole("n")
         if kind == "constant":
-            return cls.constant(numbers("matrix"), n)
-        if kind == "diag-power":
-            return cls.diag_power(numbers("a"), numbers("alpha"), n,
-                                  json_field(d, "floor") if "floor" in d else 0.0)
-        if kind == "grid":
+            W = cls.constant(numbers("matrix"), n)
+        elif kind == "diag-power":
+            W = cls.diag_power(numbers("a"), numbers("alpha"), n,
+                               json_field(d, "floor") if "floor" in d else 0.0)
+        elif kind == "grid":
+            corners = functools.partial(json_field, d, convert=_whole_list,
+                                        expected="a list of whole numbers")
+            lo, hi, level = corners("lo"), corners("hi"), whole("level")
+            if n != len(lo):
+                raise PreconditionError(f"key 'n' holds {n}, but key 'lo' has {len(lo)} entries")
             if grid_values is None:
                 path = d.get("values_file")
                 if path is None:
                     raise PreconditionError("grid weight needs values or values_file")
                 grid_values = np.load(os.path.join(base_dir or "", path))
-            return cls.grid(numbers("lo"), numbers("hi"), json_field(d, "level", int),
-                            grid_values)
-        raise PreconditionError(f"unknown weight kind {kind!r}")
-
-    @classmethod
-    def from_json(cls, text: str, base_dir: str | None = None) -> "MatrixWeight":
-        return cls.from_dict(json.loads(text), base_dir=base_dir)
+            W = cls.grid(lo, hi, level, grid_values)
+        else:
+            raise PreconditionError(f"unknown weight kind {kind!r}")
+        if "m" in d and whole("m") != W.m:
+            raise PreconditionError(
+                f"key 'm' holds {d['m']!r}, but the weight's values are {W.m} x {W.m}")
+        return W
 
     # -- evaluation ---------------------------------------------------------
 
@@ -220,6 +233,22 @@ def _numbers(v) -> np.ndarray:
     if a.dtype.kind not in "biufc":
         raise ValueError(f"{v!r} holds no numbers")
     return a
+
+
+def _whole(v) -> int:
+    """``v`` as an int, refused unless it is a whole number (not a bool)."""
+    if isinstance(v, float) and v.is_integer():
+        v = int(v)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"{v!r} is not a whole number")
+    return v
+
+
+def _whole_list(v) -> list[int]:
+    """``v`` as a list of ints, refused unless it is a list of whole numbers."""
+    if not isinstance(v, (list, tuple)):
+        raise ValueError(f"{v!r} is not a list")
+    return [_whole(x) for x in v]
 
 
 def _refuse_non_finite(values: np.ndarray, what: str) -> None:
@@ -367,11 +396,14 @@ def _pair_norms(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
     ||A_x B_y||_2 is the square root of the largest eigenvalue of the Gram
     matrix (A_x B_y)^* (A_x B_y): the product of the moduli for m = 1, the
-    closed form of a 2 x 2 Hermitian matrix for m = 2, a batched ``eigvalsh``
-    of the lower triangles above.  Real inputs keep the arithmetic real.  Gram
-    entry (a, b) is sum_ij (A_x^* A_x)_ij conj(B_y,ia) B_y,jb: one product of
-    the flattened A_x^* A_x (X, m^2) with a table of the B_y (m^2, Y t) gives
-    the t entries of the lower triangles of all X Y of them.
+    closed form of a 2 x 2 Hermitian matrix for m = 2, the trigonometric
+    solution of the characteristic cubic for m = 3 (:func:`_top_eigenvalue_3x3`,
+    which hands matrices with a nearly repeated top eigenvalue to ``eigvalsh``),
+    a batched ``eigvalsh`` of the lower triangles above.  Real inputs keep the
+    arithmetic real.  Gram entry (a, b) is sum_ij (A_x^* A_x)_ij conj(B_y,ia)
+    B_y,jb: one product of the flattened A_x^* A_x (X, m^2) with a table of
+    the B_y (m^2, Y t) gives the t entries of the lower triangles of all X Y
+    of them.
     """
     m = A.shape[-1]
     if m == 1:
@@ -385,11 +417,47 @@ def _pair_norms(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if m == 2:
         a, d = gram[..., 0].real, gram[..., 2].real
         top = 0.5 * (a + d) + np.hypot(0.5 * (a - d), np.abs(gram[..., 1]))
+    elif m == 3:
+        top = _top_eigenvalue_3x3(gram)
     else:
-        full = np.zeros(gram.shape[:-1] + (m, m), dtype=gram.dtype)
-        full[..., lower[0], lower[1]] = gram
-        top = np.linalg.eigvalsh(full)[..., -1]
+        top = _top_eigenvalue(gram, m)
     return np.sqrt(np.maximum(top, 0.0))
+
+
+def _top_eigenvalue(lower: np.ndarray, m: int) -> np.ndarray:
+    """Largest eigenvalue of Hermitian m x m matrices given by their lower
+    triangles (..., t) in ``np.tril_indices`` order, by batched ``eigvalsh``."""
+    i, j = np.tril_indices(m)
+    full = np.zeros(lower.shape[:-1] + (m, m), dtype=lower.dtype)
+    full[..., i, j] = lower
+    return np.linalg.eigvalsh(full)[..., -1]
+
+
+def _top_eigenvalue_3x3(g: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of Hermitian 3 x 3 matrices given by their lower
+    triangles g (..., 6) = (a, b, c, d, e, f) of [[a, b*, d*], [b, c, e*],
+    [d, e, f]], from the trigonometric solution of the characteristic cubic
+    (Kopp, Int. J. Mod. Phys. C 19, 2008).
+
+    With q the mean of the diagonal, p^2 = |G - qI|_F^2 / 6 and r =
+    det((G - qI) / p) / 2 in [-1, 1], the eigenvalues are q + 2p
+    cos((acos r + 2 pi k) / 3); k = 0 is the largest.  acos loses digits where
+    the top two eigenvalues meet (r -> -1): matrices with 1 + r below
+    CUBIC_GAP go to ``eigvalsh``.  p = 0 (G = qI) gives q exactly.
+    """
+    a, c, f = g[..., 0].real, g[..., 2].real, g[..., 5].real
+    b, d, e = g[..., 1], g[..., 3], g[..., 4]
+    q = (a + c + f) / 3
+    a, c, f = a - q, c - q, f - q
+    bb, dd, ee = ((v * v.conj()).real for v in (b, d, e))
+    p = np.sqrt((a * a + c * c + f * f + 2 * (bb + dd + ee)) / 6)
+    det = a * c * f - a * ee - c * dd - f * bb + 2 * (b * e * d.conj()).real
+    r = np.clip(det / (2 * np.where(p > 0, p, 1.0) ** 3), -1.0, 1.0)
+    top = q + 2 * p * np.cos(np.arccos(r) / 3)
+    near = 1 + r < CUBIC_GAP
+    if near.any():
+        top[near] = _top_eigenvalue(g[near], 3)
+    return top
 
 
 def _defining_averages(W: MatrixWeight, p: float,

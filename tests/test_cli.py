@@ -560,6 +560,29 @@ BAD_INPUT_FILES = {
     "weight non-number": ("weights", "--weight",
                           '{"m": 2, "n": 1, "kind": "diag-power", "a": [1, 1], "alpha": ["x"]}',
                           "key 'alpha' holds ['x'], not a number"),
+    # whole-number keys are not truncated, and m and n must agree with the values
+    "weight n not whole": ("weights", "--weight",
+                           '{"m": 1, "n": 1.7, "kind": "constant", "matrix": [[1.0]]}',
+                           "key 'n' holds 1.7, not a whole number"),
+    "grid level not whole": ("weights", "--weight",
+                             '{"m": 1, "n": 1, "kind": "grid", "lo": [0], "hi": [1], '
+                             '"level": 1.5, "values_file": "v.npy"}',
+                             "key 'level' holds 1.5, not a whole number"),
+    "grid lo not whole": ("weights", "--weight",
+                          '{"m": 1, "n": 1, "kind": "grid", "lo": [0.5], "hi": [1], '
+                          '"level": 1, "values_file": "v.npy"}',
+                          "key 'lo' holds [0.5], not a list of whole numbers"),
+    "constant m disagrees": ("weights", "--weight",
+                             '{"m": 2, "n": 1, "kind": "constant", "matrix": [[4.0]]}',
+                             "key 'm' holds 2, but the weight's values are 1 x 1"),
+    "diag-power m disagrees": ("weights", "--weight",
+                               '{"m": 3, "n": 1, "kind": "diag-power", "a": [1, 1], '
+                               '"alpha": [0, 0]}',
+                               "key 'm' holds 3, but the weight's values are 2 x 2"),
+    "grid n disagrees": ("weights", "--weight",
+                         '{"m": 1, "n": 3, "kind": "grid", "lo": [0], "hi": [1], "level": 1, '
+                         '"values_file": "v.npy"}',
+                         "key 'n' holds 3, but key 'lo' has 1 entries"),
 }
 
 
@@ -573,3 +596,13 @@ def test_bad_input_file_refused_naming_file_and_key(case, tmp_path, capsys):
         argv += ["--p", "2", "--window", "0:1:0..1"]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"refused: {path}: {expect}\n"
+
+
+def test_grid_weight_m_disagreeing_with_values_file_refused(tmp_path, capsys):
+    np.save(tmp_path / "v.npy", np.ones((2, 1, 1)))
+    wfile = tmp_path / "wg.json"
+    wfile.write_text(json.dumps({"m": 2, "n": 1, "kind": "grid", "lo": [0], "hi": [1],
+                                 "level": 1, "values_file": "v.npy"}))
+    assert main(["weights", "--weight", str(wfile), "--p", "2", "--window", "0:1:0..1"]) == 2
+    assert capsys.readouterr().err == (
+        f"refused: {wfile}: key 'm' holds 2, but the weight's values are 1 x 1\n")

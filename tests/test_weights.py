@@ -70,6 +70,11 @@ def test_grid_weight_refuses_point_outside_box(x):
         W(np.array([[0.5], [x]]))
 
 
+def test_grid_weight_refuses_corners_of_different_lengths():
+    with pytest.raises(PreconditionError, match=r"corners \(0, 0\) and \(1,\) differ in length"):
+        MatrixWeight.grid((0, 0), (1,), level=1, values=np.ones((2, 1, 1)))
+
+
 def test_weight_json_roundtrip():
     W = MatrixWeight.diag_power([1.0, 2.0], [0.5, 0.0], n=2, floor=0.01)
     d = W.to_dict()
@@ -333,6 +338,55 @@ def test_pair_norms_match_batched_products(m, complex_values, sets, nx, ny, seed
     assert got.shape == (sets, nx, ny) and got.dtype == np.float64
     np.testing.assert_allclose(got, _pair_norms_batched_reference(A, B), rtol=1e-12, atol=0)
     np.testing.assert_allclose(weights._pair_norms(A[0], B[0]), got[0], rtol=1e-12, atol=0)
+
+
+# spectra of 3 x 3 Gram matrices B_y^* A_x^* A_x B_y where the closed form
+# loses digits or divides by zero, and whether each matrix takes the eigvalsh
+# fallback (True), none does (False) or either may (None): a top gap of 1e-3
+# gives 1 + r near 7e-6, one of 1e-2 near 7e-4 > CUBIC_GAP
+DEGENERATE_SPECTRA = {
+    "repeated": ((1.0, 1.0, 0.3), True),
+    **{f"gap {gap:g}": ((1.0, 1.0 + gap, 0.3), True) for gap in (1e-12, 1e-9, 1e-6, 1e-3)},
+    "gap 0.01": ((1.0, 1.01, 0.3), False),
+    "scalar": ((4.0, 4.0, 4.0), None),
+    "rank-deficient": ((1.0, 1.0, 1e-14), True),
+}
+
+
+@pytest.mark.parametrize("complex_values", [False, True])
+@pytest.mark.parametrize("case", DEGENERATE_SPECTRA)
+def test_pair_norms_3x3_closed_form_on_degenerate_spectra(case, complex_values, monkeypatch):
+    spectrum, falls_back = DEGENERATE_SPECTRA[case]
+    rng = np.random.default_rng(11)
+
+    def unitaries(k):
+        Z = rng.standard_normal((k, 3, 3))
+        if complex_values:
+            Z = Z + 1j * rng.standard_normal(Z.shape)
+        return np.linalg.qr(Z)[0]
+
+    # A_x = diag(sqrt(spectrum)) U_x and B_y = V_y: each Gram matrix is
+    # V_y^* U_x^* diag(spectrum) U_x V_y
+    A = np.sqrt(spectrum)[:, None] * unitaries(8)
+    B = unitaries(9)
+    fallback = []
+    lapack = weights._top_eigenvalue
+
+    def counted(lower, m):
+        fallback.append(len(lower))
+        return lapack(lower, m)
+
+    monkeypatch.setattr(weights, "_top_eigenvalue", counted)
+    got = weights._pair_norms(A, B)
+    np.testing.assert_allclose(got, _pair_norms_batched_reference(A, B), rtol=1e-12, atol=0)
+    if falls_back is not None:
+        assert sum(fallback) == (8 * 9 if falls_back else 0)
+
+
+def test_pair_norms_3x3_multiple_of_identity_is_exact(monkeypatch):
+    monkeypatch.setattr(weights, "_top_eigenvalue", None)   # p = 0 needs no fallback
+    got = weights._pair_norms(2.0 * np.eye(3)[None], 3.0 * np.eye(3)[None])
+    assert got.tolist() == [[6.0]]
 
 
 def _defining_average_reference(W, p, x_nodes, y_nodes):
