@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -24,9 +25,9 @@ from .errors import PreconditionError, SingularWeightError
 from .params import WeightDims, json_field
 
 EIG_CLAMP_REL = 1e-14
-# (x, y) pairs of distinct weight values, (node, direction) pairs, or nodes
-# evaluated per block: bounds the temporaries at a few MB whatever the
-# quadrature and window size
+# nodes evaluated per block, and (x, y) pairs or (value, direction) pairs of
+# distinct weight values per group: bounds the temporaries at a few MB
+# whatever the quadrature and window size
 PAIR_BLOCK = 1 << 15
 MVEE_TOL = 1e-7
 # step cap of one ellipsoid fit; the benchmark's fits take at most about 20
@@ -134,8 +135,11 @@ class MatrixWeight:
         [lo, hi) at resolution 2**-level, row-major; real values stay real.
         Evaluating at a point outside the box is refused.
         """
-        lo_t = tuple(int(v) for v in lo)
-        hi_t = tuple(int(v) for v in hi)
+        try:
+            lo_t, hi_t = tuple(_whole_list(lo)), tuple(_whole_list(hi))
+            level = _whole(level)
+        except ValueError as exc:
+            raise PreconditionError(f"grid weight corners and level must be whole: {exc}") from exc
         n = len(lo_t)
         if len(hi_t) != n:
             raise PreconditionError(f"grid weight corners {lo_t} and {hi_t} differ in length")
@@ -172,13 +176,15 @@ class MatrixWeight:
                   base_dir: str | None = None) -> "MatrixWeight":
         """Weight from its JSON form; a relative ``values_file`` is resolved
         against ``base_dir`` (the directory of the weight file).  ``n``,
-        ``level``, ``lo`` and ``hi`` must be whole numbers; an ``m`` that
-        disagrees with the values, or a grid's ``n`` that disagrees with
-        ``lo``, is refused."""
+        ``level``, ``lo`` and ``hi`` must be whole numbers; an ``n`` below 1,
+        an ``m`` that disagrees with the values, or a grid's ``n`` that
+        disagrees with ``lo``, is refused."""
         kind = d.get("kind")
         numbers = functools.partial(json_field, d, convert=_numbers)
         whole = functools.partial(json_field, d, convert=_whole, expected="a whole number")
         n = whole("n")
+        if n < 1:
+            raise PreconditionError(f"key 'n' holds {n}, but a weight's points need n >= 1")
         if kind == "constant":
             W = cls.constant(numbers("matrix"), n)
         elif kind == "diag-power":
@@ -206,9 +212,13 @@ class MatrixWeight:
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, x) -> np.ndarray:
-        """W at the points x, shape (N, m, m); refuses a non-finite value and
-        names its point."""
+        """W at the points x, shape (N, m, m); refuses points of another
+        dimension than n, and a non-finite value, naming its point."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        if x.shape[-1] != self.n:
+            raise PreconditionError(
+                f"the weight is defined on R^{self.n}, but it is evaluated at points of "
+                f"R^{x.shape[-1]}")
         W = self._eval(x)
         bad = ~np.isfinite(W).reshape(len(W), -1).all(axis=1)
         if bad.any():
@@ -239,14 +249,14 @@ def _whole(v) -> int:
     """``v`` as an int, refused unless it is a whole number (not a bool)."""
     if isinstance(v, float) and v.is_integer():
         v = int(v)
-    if isinstance(v, bool) or not isinstance(v, int):
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
         raise ValueError(f"{v!r} is not a whole number")
-    return v
+    return int(v)
 
 
 def _whole_list(v) -> list[int]:
     """``v`` as a list of ints, refused unless it is a list of whole numbers."""
-    if not isinstance(v, (list, tuple)):
+    if not isinstance(v, (list, tuple, np.ndarray)):
         raise ValueError(f"{v!r} is not a list")
     return [_whole(x) for x in v]
 
@@ -321,15 +331,22 @@ class _Factored:
         """Eigenvalues (G, m), ascending and unclamped, and eigenvectors."""
         return np.linalg.eigh(self.values)
 
-    def power(self, i: int, a: float) -> np.ndarray:
-        """The distinct values of part i raised to the power a, shape (G_i, m, m)."""
-        g = slice(self.first[i], self.first[i + 1])
+    def power(self, i: int, a: float, index: np.ndarray | None = None) -> np.ndarray:
+        """The distinct values of part i raised to the power a, shape
+        (G_i, m, m), or only those at ``index`` (an integer array into part
+        i's values), shape index.shape + (m, m).  Each value's power is the
+        same whichever others are taken with it."""
+        g = slice(self.first[i], self.first[i + 1]) if index is None else \
+            self.first[i] + index.ravel()
         v = self.values[g]
-        if v.shape[1] == 1:  # a 1 x 1 value is its own (real) eigenvalue
-            return np.maximum(v.real, self.floor[g, None, None]) ** a
-        vals, vecs = self.eigh
-        vals = np.maximum(vals[g], self.floor[g, None])
-        return np.einsum("nij,nj,nkj->nik", vecs[g], vals ** a, vecs[g].conj())
+        m = v.shape[1]
+        if m == 1:  # a 1 x 1 value is its own (real) eigenvalue
+            out = np.maximum(v.real, self.floor[g, None, None]) ** a
+        else:
+            vals, vecs = self.eigh
+            vals = np.maximum(vals[g], self.floor[g, None])
+            out = np.einsum("nij,nj,nkj->nik", vecs[g], vals ** a, vecs[g].conj())
+        return out if index is None else out.reshape(index.shape + (m, m))
 
 
 # the refusals of a weight value, by fault code 1, 2, ...
@@ -338,19 +355,19 @@ _REFUSED = ("weight is not Hermitian", "weight has a significantly negative eige
             "for complex ones; weight is complex")
 
 
-def _weight_blocks(W: MatrixWeight, parts, per_node: int = 1, inverted: bool = False,
+def _weight_blocks(W: MatrixWeight, parts, inverted: bool = False,
                    real: bool = False, counts: bool = False):
     """The one path from quadrature nodes to factored weight values.
 
     ``parts`` are node arrays (K, L_i, n) of the same K sets.  The sets run in
-    blocks of about PAIR_BLOCK nodes, or PAIR_BLOCK / ``per_node`` when each
-    node carries that much further work.  Each block yields its slice of the
+    blocks of about PAIR_BLOCK nodes.  Each block yields its slice of the
     sets, W at their nodes (k, L, m, m), parts in order within each set, and
     the :class:`_Factored` distinct values of every part: W is evaluated once
-    per node, and one eigendecomposition serves all parts.  For m = 1, which
-    takes no eigendecomposition, values are deduplicated only when the
-    consumer weighs them by their ``counts``; otherwise each node is its own
-    value.
+    per node, and one eigendecomposition serves all parts.  A consumer that
+    does further work per distinct value sizes it by the distinct counts it
+    sees (:func:`_count_groups`).  For m = 1, which takes no
+    eigendecomposition, values are deduplicated only when the consumer weighs
+    them by their ``counts``; otherwise each node is its own value.
 
     Every refusal of weight values is raised here, naming the first offending
     node in set order: a value V that is not Hermitian (an entry of V - V^*
@@ -360,7 +377,7 @@ def _weight_blocks(W: MatrixWeight, parts, per_node: int = 1, inverted: bool = F
     powers, and with ``real`` a value with an imaginary part above 1e-12.
     """
     bounds = np.cumsum([0] + [part.shape[1] for part in parts])
-    step = max(1, PAIR_BLOCK // (int(bounds[-1]) * per_node))
+    step = max(1, PAIR_BLOCK // int(bounds[-1]))
     for s in range(0, len(parts[0]), step):
         blk = slice(s, s + step)
         pts = np.concatenate([part[blk] for part in parts], axis=1)
@@ -388,6 +405,24 @@ def _weight_blocks(W: MatrixWeight, parts, per_node: int = 1, inverted: bool = F
             node = pts.reshape(-1, n)[i]
             raise SingularWeightError(f"{_REFUSED[at.flat[i] - 1]} at {node}", node=node)
         yield blk, vals, fac
+
+
+def _count_groups(parts, size):
+    """Groups of the sets of a block with equal distinct counts.
+
+    ``parts`` are :class:`_Distinct` reductions of the same k sets; ``size``
+    maps a set's distinct counts, one per part, to the entries of its further
+    work.  Yields, in ascending order of the counts, the indices of at most
+    max(1, PAIR_BLOCK // size) sets that share them and the counts: a group
+    pads no set, and each set's arithmetic is the same in any group.
+    """
+    own = np.stack([np.count_nonzero(d.counts, axis=1) for d in parts], axis=1)
+    keys, inverse = np.unique(own, axis=0, return_inverse=True)
+    for key, row in enumerate(keys.tolist()):
+        sets = np.flatnonzero(inverse.ravel() == key)
+        step = max(1, PAIR_BLOCK // size(*row))
+        for s in range(0, len(sets), step):
+            yield sets[s:s + step], row
 
 
 def _pair_norms(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -469,9 +504,11 @@ def _defining_averages(W: MatrixWeight, p: float,
     once.
 
     One factorization per block of sets (:func:`_weight_blocks`) gives
-    W^{1/p} at the distinct values of x and W^{-1/p} at those of y; the pair
-    norms run in blocks of about PAIR_BLOCK distinct pairs and count each
-    pair with the product of its multiplicities.
+    W^{1/p} at the distinct values of x and W^{-1/p} at those of y.  The sets
+    of a block run in groups of equal distinct counts (Ux, Uy) of about
+    PAIR_BLOCK distinct pairs (:func:`_count_groups`), a set alone in rows of
+    about PAIR_BLOCK pairs when its own pairs exceed that, and each pair counts
+    with the product of its multiplicities.
     """
     K, N, _ = x_nodes.shape
     M = y_nodes.shape[1]
@@ -481,25 +518,22 @@ def _defining_averages(W: MatrixWeight, p: float,
     out = np.empty(K)
     for blk, _, fac in _weight_blocks(W, parts, inverted=True, counts=True):
         dx, dy = fac.parts[0], fac.parts[last]
-        A = fac.power(0, 1.0 / p)[dx.pad]
-        B = fac.power(last, -1.0 / p)[dy.pad]
-        k, Ux = dx.pad.shape
-        Uy = dy.pad.shape[1]
-        sets = max(1, PAIR_BLOCK // (Ux * Uy))
-        rows = Ux if Ux * Uy <= PAIR_BLOCK else max(1, PAIR_BLOCK // Uy)
-        # p <= 1: column sums over x per y; p > 1: the outer sum over x
-        acc = np.zeros((k, Uy) if p <= 1 else k)
-        for s in range(0, k, sets):
-            S = slice(s, s + sets)
+        for sets, (Ux, Uy) in _count_groups((dx, dy), lambda ux, uy: ux * uy):
+            A = fac.power(0, 1.0 / p, dx.pad[sets, :Ux])
+            B = fac.power(last, -1.0 / p, dy.pad[sets, :Uy])
+            cx, cy = dx.counts[sets, :Ux], dy.counts[sets, :Uy]
+            rows = Ux if Ux * Uy <= PAIR_BLOCK else max(1, PAIR_BLOCK // Uy)
+            # p <= 1: column sums over x per y; p > 1: the outer sum over x
+            acc = np.zeros((len(sets), Uy) if p <= 1 else len(sets))
             for r in range(0, Ux, rows):
                 R = slice(r, r + rows)
-                norms = _pair_norms(A[S, R], B[S])
+                norms = _pair_norms(A[:, R], B)
                 if p <= 1:
-                    acc[S] += np.einsum("kx,kxy->ky", dx.counts[S, R], norms ** p)
+                    acc += np.einsum("kx,kxy->ky", cx[:, R], norms ** p)
                 else:
-                    inner = np.einsum("kxy,ky->kx", norms ** pprime, dy.counts[S]) / M
-                    acc[S] += np.einsum("kx,kx->k", dx.counts[S, R], inner ** (p / pprime))
-        out[blk] = (np.max(acc, axis=1) if p <= 1 else acc) / N
+                    inner = np.einsum("kxy,ky->kx", norms ** pprime, cy) / M
+                    acc += np.einsum("kx,kx->k", cx[:, R], inner ** (p / pprime))
+            out[blk][sets] = (np.max(acc, axis=1) if p <= 1 else acc) / N
     return out
 
 
@@ -507,17 +541,14 @@ def ap_characteristic(W: MatrixWeight, p: float, window: LatticeWindow,
                       quad: QuadratureSpec = QuadratureSpec()) -> float:
     """Sup over window cubes of the defining average.  Monotone under refinement.
 
-    One batch per window level: the cubes of a level see alike numbers of
-    distinct weight values.
+    One batch of all window cubes: :func:`_defining_averages` groups the
+    cubes by their numbers of distinct weight values, which differ from
+    level to level, so no cube's pairs are padded to another's.
     """
     if p <= 0:
         raise PreconditionError("p must be positive")
-    cubes = CubeArrays.of_window(window)
-    best = 0.0
-    for j in range(window.j_min, window.j_max + 1):
-        nodes = _cube_nodes(quad, cubes.take(cubes.levels == j))
-        best = max(best, float(np.max(_defining_averages(W, p, nodes, nodes))))
-    return best
+    nodes = _cube_nodes(quad, CubeArrays.of_window(window))
+    return float(np.max(_defining_averages(W, p, nodes, nodes)))
 
 
 def reducing_operator(W: MatrixWeight, p: float, cube: DyadicCube,
@@ -624,18 +655,21 @@ def _direction_averages(W: MatrixWeight, p: float, nodes: np.ndarray, dirs: np.n
     refuses complex weight values, as the ellipsoid fit needs.
 
     For m = 1 the average is mean(w) |z|^p; otherwise one eigendecomposition
-    raises each cube's distinct values to the power 1/p, and their norms count
-    with their multiplicities.
+    per block of cubes serves their distinct values, which are raised to the
+    power 1/p and normed in every direction group by group: cubes with equal
+    distinct counts U, at most about PAIR_BLOCK / (U D) of them (at least
+    one) per group, their norms counted with their multiplicities.
     """
-    N = nodes.shape[1]
-    avg = np.empty((len(nodes), len(dirs)))
-    # m = 1 does no work per direction
-    for blk, vals, fac in _weight_blocks(W, (nodes,), len(dirs) if W.m > 1 else 1, real=real):
+    N, D = nodes.shape[1], len(dirs)
+    avg = np.empty((len(nodes), D))
+    for blk, vals, fac in _weight_blocks(W, (nodes,), real=real):
         if W.m == 1:
             avg[blk] = np.mean(vals[..., 0, 0].real, axis=1)[:, None] * np.abs(dirs[:, 0]) ** p
-        else:
-            norms = np.linalg.norm(fac.power(0, 1.0 / p) @ dirs.T, axis=-2) ** p
-            avg[blk] = (fac.parts[0].counts[:, None, :] @ norms[fac.parts[0].pad])[:, 0] / N
+            continue
+        d = fac.parts[0]
+        for sets, (U,) in _count_groups((d,), lambda u: u * D):
+            norms = np.linalg.norm(fac.power(0, 1.0 / p, d.pad[sets, :U]) @ dirs.T, axis=-2) ** p
+            avg[blk][sets] = (d.counts[sets, None, :U] @ norms)[:, 0] / N
     return avg
 
 

@@ -583,6 +583,10 @@ BAD_INPUT_FILES = {
                          '{"m": 1, "n": 3, "kind": "grid", "lo": [0], "hi": [1], "level": 1, '
                          '"values_file": "v.npy"}',
                          "key 'n' holds 3, but key 'lo' has 1 entries"),
+    "diag-power n below 1": ("weights", "--weight",
+                             '{"m": 1, "n": -1, "kind": "diag-power", "a": [1.0], '
+                             '"alpha": [0.5]}',
+                             "key 'n' holds -1, but a weight's points need n >= 1"),
 }
 
 
@@ -606,3 +610,21 @@ def test_grid_weight_m_disagreeing_with_values_file_refused(tmp_path, capsys):
     assert main(["weights", "--weight", str(wfile), "--p", "2", "--window", "0:1:0..1"]) == 2
     assert capsys.readouterr().err == (
         f"refused: {wfile}: key 'm' holds 2, but the weight's values are 1 x 1\n")
+
+
+@pytest.mark.parametrize("command", ["weights", "norm"])
+def test_weight_of_another_dimension_than_the_window_refused(command, space_file, tmp_path,
+                                                             capsys):
+    # a constant weight on R^2 evaluated on a 1-d window
+    wfile = tmp_path / "w2.json"
+    wfile.write_text('{"m": 1, "n": 2, "kind": "constant", "matrix": [[1.0]]}')
+    if command == "weights":
+        argv = ["weights", "--weight", str(wfile), "--p", "2", "--window", "0:1:0..1"]
+    else:
+        cfile = tmp_path / "c.csv"
+        cfile.write_text("0:0,1.0,0.0\n")
+        argv = ["norm", "--coeffs", str(cfile), "--space", space_file, "--weight", str(wfile),
+                "--window", "0:1:0..1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "refused: the weight is defined on R^2, but it is evaluated at points of R^1\n")

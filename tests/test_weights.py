@@ -75,6 +75,29 @@ def test_grid_weight_refuses_corners_of_different_lengths():
         MatrixWeight.grid((0, 0), (1,), level=1, values=np.ones((2, 1, 1)))
 
 
+@pytest.mark.parametrize("lo, hi, level", [((0.5,), (1,), 1), ((0,), (1.5,), 1),
+                                           ((0,), (1,), 1.5), ((True,), (1,), 1)])
+def test_grid_weight_refuses_corners_that_are_not_whole(lo, hi, level):
+    # int() would take the box [0, 1) without notice
+    with pytest.raises(PreconditionError, match="grid weight corners and level must be whole"):
+        MatrixWeight.grid(lo, hi, level=level, values=np.ones((2, 1, 1)))
+    # whole floats and numpy integers are whole numbers
+    W = MatrixWeight.grid(np.array([0]), (1.0,), level=np.int64(1), values=np.ones((2, 1, 1)))
+    assert W.meta == {"lo": (0,), "hi": (1,), "level": 1}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_weight_refuses_points_of_another_dimension(n):
+    W = MatrixWeight.diag_power([1.0], [0.5], n=2)
+    x = np.full((3, n), 0.5)
+    if n == 2:
+        assert W(x).shape == (3, 1, 1)
+        return
+    with pytest.raises(PreconditionError,
+                       match=rf"defined on R\^2, but it is evaluated at points of R\^{n}"):
+        W(x)
+
+
 def test_weight_json_roundtrip():
     W = MatrixWeight.diag_power([1.0, 2.0], [0.5, 0.0], n=2, floor=0.01)
     d = W.to_dict()
@@ -887,6 +910,173 @@ def test_complex_weight_direction_certificate_uses_complex_norms():
     rep = john_direction_report(W, 2.0, DyadicCube(1, 0, (0,)), QuadratureSpec(4, 2))
     assert rep["ratio_min"] == pytest.approx(1.0, abs=1e-12)
     assert rep["ratio_max"] == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the work sized by distinct counts against the blocking it replaced: the
+# characteristic as one defining-average batch per window level, each block of
+# sets padded to its largest distinct counts, and the direction averages in
+# blocks of about PAIR_BLOCK node-direction pairs
+
+
+def _defining_averages_padded(W, p, x_nodes, y_nodes):
+    """The defining averages with the sets of each block padded to the
+    block's largest distinct counts, in groups of about PAIR_BLOCK padded pairs."""
+    K, N, _ = x_nodes.shape
+    M = y_nodes.shape[1]
+    parts = (x_nodes,) if y_nodes is x_nodes else (x_nodes, y_nodes)
+    last = len(parts) - 1
+    pprime = p / (p - 1) if p > 1 else None
+    out = np.empty(K)
+    for blk, _, fac in weights._weight_blocks(W, parts, inverted=True, counts=True):
+        dx, dy = fac.parts[0], fac.parts[last]
+        A = fac.power(0, 1.0 / p)[dx.pad]
+        B = fac.power(last, -1.0 / p)[dy.pad]
+        k, Ux = dx.pad.shape
+        Uy = dy.pad.shape[1]
+        sets = max(1, weights.PAIR_BLOCK // (Ux * Uy))
+        rows = Ux if Ux * Uy <= weights.PAIR_BLOCK else max(1, weights.PAIR_BLOCK // Uy)
+        acc = np.zeros((k, Uy) if p <= 1 else k)
+        for s in range(0, k, sets):
+            S = slice(s, s + sets)
+            for r in range(0, Ux, rows):
+                R = slice(r, r + rows)
+                norms = weights._pair_norms(A[S, R], B[S])
+                if p <= 1:
+                    acc[S] += np.einsum("kx,kxy->ky", dx.counts[S, R], norms ** p)
+                else:
+                    inner = np.einsum("kxy,ky->kx", norms ** pprime, dy.counts[S]) / M
+                    acc[S] += np.einsum("kx,kx->k", dx.counts[S, R], inner ** (p / pprime))
+        out[blk] = (np.max(acc, axis=1) if p <= 1 else acc) / N
+    return out
+
+
+def _defining_averages_per_level(W, p, window, quad):
+    """Every window cube's defining average, one padded batch per window level
+    (``window.all_cubes()`` runs level by level)."""
+    cubes = CubeArrays.of_window(window)
+    levels = []
+    for j in range(window.j_min, window.j_max + 1):
+        nodes = weights._cube_nodes(quad, cubes.take(cubes.levels == j))
+        levels.append(_defining_averages_padded(W, p, nodes, nodes))
+    return np.concatenate(levels)
+
+
+def _direction_averages_node_blocks(W, p, nodes, dirs):
+    """The direction averages of m > 1 in blocks of about PAIR_BLOCK
+    node-direction pairs, each block's sets padded to its largest distinct count."""
+    C, N, _ = nodes.shape
+    step = max(1, weights.PAIR_BLOCK // (N * len(dirs)))
+    avg = np.empty((C, len(dirs)))
+    for s in range(0, C, step):
+        _, _, fac = next(weights._weight_blocks(W, (nodes[s:s + step],)))
+        d = fac.parts[0]
+        norms = np.linalg.norm(fac.power(0, 1.0 / p) @ dirs.T, axis=-2) ** p
+        avg[s:s + step] = (d.counts[:, None, :] @ norms[d.pad])[:, 0] / N
+    return avg
+
+
+def _level_weight(kind, m, n):
+    """A grid weight on the level-3 cells of [0, 1)^n, whose window cubes see
+    4^n, ..., 1 distinct values from level 0 to 3 under an 8-point rule; a
+    diag-power weight, distinct at every node; a complex constant weight."""
+    rng = np.random.default_rng(10 * m + n)
+    if kind == "grid":
+        M = rng.standard_normal((8,) * n + (m, m))
+        return MatrixWeight.grid((0,) * n, (1,) * n, 3,
+                                 M @ np.swapaxes(M, -1, -2) + 0.2 * np.eye(m))
+    if kind == "diag-power":
+        return MatrixWeight.diag_power(rng.uniform(0.5, 2.0, m), rng.uniform(-0.4, 0.4, m), n)
+    A = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    return MatrixWeight.constant(A @ A.conj().T + 0.2 * np.eye(m), n)
+
+
+LEVEL_WEIGHTS = ([("grid", m, n) for m in (2, 3) for n in (1, 2)]
+                 + [("diag-power", m, 1) for m in (2, 3)] + [("constant", 2, 1)])
+LEVEL_QUAD = QuadratureSpec(2, 2)
+
+
+def _level_nodes(n):
+    win = LatticeWindow(n, 0, 3, (0,) * n, (1,) * n)
+    return win, weights._cube_nodes(LEVEL_QUAD, CubeArrays.of_window(win))
+
+
+# 64 splits the 4,096 level-0 pairs of a 2-d grid weight into rows of 64 and
+# takes one cube per node block; 512 splits them into rows of 512, puts 8
+# cubes of a 2-d weight in a node block and its level-1 cubes in groups of two
+@pytest.mark.parametrize("block", [64, 512])
+@pytest.mark.parametrize("p", [0.8, 1.5, 3.0])
+@pytest.mark.parametrize("kind, m, n", LEVEL_WEIGHTS)
+def test_characteristic_is_the_per_level_loop_bitwise(kind, m, n, p, block):
+    W = _level_weight(kind, m, n)
+    win, nodes = _level_nodes(n)
+    with mock.patch.object(weights, "PAIR_BLOCK", block):
+        got = weights._defining_averages(W, p, nodes, nodes)
+        want = _defining_averages_per_level(W, p, win, LEVEL_QUAD)
+        assert got.tobytes() == want.tobytes()
+        assert ap_characteristic(W, p, win, LEVEL_QUAD) == float(np.max(want))
+
+
+# the fit's 256 or 288 directions take one cube per reference block; 9
+# directions put several cubes of different levels in one, padded
+@pytest.mark.parametrize("directions", ["fit", 9])
+@pytest.mark.parametrize("block", [64, 512])
+@pytest.mark.parametrize("p", [0.8, 1.5, 3.0])
+@pytest.mark.parametrize("kind, m, n", LEVEL_WEIGHTS)
+def test_direction_averages_are_the_node_block_loop_bitwise(kind, m, n, p, block, directions):
+    W = _level_weight(kind, m, n)
+    _, nodes = _level_nodes(n)
+    dirs = weights._fit_directions(m) if directions == "fit" else \
+        weights.unit_directions(directions, m, np.random.default_rng(m))
+    with mock.patch.object(weights, "PAIR_BLOCK", block):
+        got = weights._direction_averages(W, p, nodes, dirs)
+        want = _direction_averages_node_blocks(W, p, nodes, dirs)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("block", [64, 512, weights.PAIR_BLOCK])
+@pytest.mark.parametrize("kind, m, n", LEVEL_WEIGHTS)
+def test_direction_average_groups_stay_within_the_pair_budget(kind, m, n, block):
+    # every group raises (k, U) distinct values to a power: k U D value-direction
+    # entries, at most the budget unless one cube alone holds more
+    W = _level_weight(kind, m, n)
+    _, nodes = _level_nodes(n)
+    dirs = weights._fit_directions(m)
+    D = len(dirs)
+    power = weights._Factored.power
+    groups = []
+
+    def spy(self, i, a, index=None):
+        groups.append(index.shape)
+        return power(self, i, a, index)
+
+    with mock.patch.object(weights, "PAIR_BLOCK", block), \
+            mock.patch.object(weights._Factored, "power", spy):
+        weights._direction_averages(W, 3.0, nodes, dirs)
+    assert sum(k for k, _ in groups) == len(nodes)
+    for k, U in groups:
+        assert k * U * D <= max(block, U * D)
+
+
+@pytest.mark.parametrize("p", [0.8, 1.5, 3.0])
+def test_each_set_is_computed_as_if_alone(p):
+    # a diag-power weight on R^2 sees the mirrored nodes of a cube on the
+    # diagonal as one value: its cubes of one level differ in distinct counts
+    W = MatrixWeight.diag_power([1.0, 2.0, 0.5], [0.3, -0.2, 0.1], n=2)
+    win = LatticeWindow(2, 0, 2, (0, 0), (1, 1))
+    nodes = weights._cube_nodes(QuadratureSpec(2, 1), CubeArrays.of_window(win))
+    _, _, fac = next(weights._weight_blocks(W, (nodes,), counts=True))
+    assert len(set(np.count_nonzero(fac.parts[0].counts, axis=1).tolist())) > 1
+    shifted = nodes + 0.25
+    alone = [slice(c, c + 1) for c in range(len(nodes))]
+    for y in (nodes, shifted):
+        got = weights._defining_averages(W, p, nodes, y)
+        want = np.concatenate([weights._defining_averages(W, p, nodes[c], y[c]) for c in alone])
+        assert got.tobytes() == want.tobytes()
+    dirs = weights._fit_directions(3)
+    got = weights._direction_averages(W, p, nodes, dirs)
+    want = np.concatenate([weights._direction_averages(W, p, nodes[c], dirs) for c in alone])
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
