@@ -331,22 +331,15 @@ class _Factored:
         """Eigenvalues (G, m), ascending and unclamped, and eigenvectors."""
         return np.linalg.eigh(self.values)
 
-    def power(self, i: int, a: float, index: np.ndarray | None = None) -> np.ndarray:
-        """The distinct values of part i raised to the power a, shape
-        (G_i, m, m), or only those at ``index`` (an integer array into part
-        i's values), shape index.shape + (m, m).  Each value's power is the
-        same whichever others are taken with it."""
-        g = slice(self.first[i], self.first[i + 1]) if index is None else \
-            self.first[i] + index.ravel()
+    def power(self, i: int, a: float) -> np.ndarray:
+        """The distinct values of part i raised to the power a, shape (G_i, m, m)."""
+        g = slice(self.first[i], self.first[i + 1])
         v = self.values[g]
-        m = v.shape[1]
-        if m == 1:  # a 1 x 1 value is its own (real) eigenvalue
-            out = np.maximum(v.real, self.floor[g, None, None]) ** a
-        else:
-            vals, vecs = self.eigh
-            vals = np.maximum(vals[g], self.floor[g, None])
-            out = np.einsum("nij,nj,nkj->nik", vecs[g], vals ** a, vecs[g].conj())
-        return out if index is None else out.reshape(index.shape + (m, m))
+        if v.shape[1] == 1:  # a 1 x 1 value is its own (real) eigenvalue
+            return np.maximum(v.real, self.floor[g, None, None]) ** a
+        vals, vecs = self.eigh
+        vals = np.maximum(vals[g], self.floor[g, None])
+        return np.einsum("nij,nj,nkj->nik", vecs[g], vals ** a, vecs[g].conj())
 
 
 # the refusals of a weight value, by fault code 1, 2, ...
@@ -518,9 +511,9 @@ def _defining_averages(W: MatrixWeight, p: float,
     out = np.empty(K)
     for blk, _, fac in _weight_blocks(W, parts, inverted=True, counts=True):
         dx, dy = fac.parts[0], fac.parts[last]
+        Pa, Pb = fac.power(0, 1.0 / p), fac.power(last, -1.0 / p)
         for sets, (Ux, Uy) in _count_groups((dx, dy), lambda ux, uy: ux * uy):
-            A = fac.power(0, 1.0 / p, dx.pad[sets, :Ux])
-            B = fac.power(last, -1.0 / p, dy.pad[sets, :Uy])
+            A, B = Pa[dx.pad[sets, :Ux]], Pb[dy.pad[sets, :Uy]]
             cx, cy = dx.counts[sets, :Ux], dy.counts[sets, :Uy]
             rows = Ux if Ux * Uy <= PAIR_BLOCK else max(1, PAIR_BLOCK // Uy)
             # p <= 1: column sums over x per y; p > 1: the outer sum over x
@@ -656,9 +649,10 @@ def _direction_averages(W: MatrixWeight, p: float, nodes: np.ndarray, dirs: np.n
 
     For m = 1 the average is mean(w) |z|^p; otherwise one eigendecomposition
     per block of cubes serves their distinct values, which are raised to the
-    power 1/p and normed in every direction group by group: cubes with equal
-    distinct counts U, at most about PAIR_BLOCK / (U D) of them (at least
-    one) per group, their norms counted with their multiplicities.
+    power 1/p once per block and normed in every direction group by group:
+    cubes with equal distinct counts U, at most about PAIR_BLOCK / (U D) of
+    them (at least one) per group, their norms counted with their
+    multiplicities.
     """
     N, D = nodes.shape[1], len(dirs)
     avg = np.empty((len(nodes), D))
@@ -666,9 +660,9 @@ def _direction_averages(W: MatrixWeight, p: float, nodes: np.ndarray, dirs: np.n
         if W.m == 1:
             avg[blk] = np.mean(vals[..., 0, 0].real, axis=1)[:, None] * np.abs(dirs[:, 0]) ** p
             continue
-        d = fac.parts[0]
+        d, P = fac.parts[0], fac.power(0, 1.0 / p)
         for sets, (U,) in _count_groups((d,), lambda u: u * D):
-            norms = np.linalg.norm(fac.power(0, 1.0 / p, d.pad[sets, :U]) @ dirs.T, axis=-2) ** p
+            norms = np.linalg.norm(P[d.pad[sets, :U]] @ dirs.T, axis=-2) ** p
             avg[blk][sets] = (d.counts[sets, None, :U] @ norms)[:, 0] / N
     return avg
 

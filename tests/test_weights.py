@@ -1037,25 +1037,27 @@ def test_direction_averages_are_the_node_block_loop_bitwise(kind, m, n, p, block
 @pytest.mark.parametrize("block", [64, 512, weights.PAIR_BLOCK])
 @pytest.mark.parametrize("kind, m, n", LEVEL_WEIGHTS)
 def test_direction_average_groups_stay_within_the_pair_budget(kind, m, n, block):
-    # every group raises (k, U) distinct values to a power: k U D value-direction
-    # entries, at most the budget unless one cube alone holds more
+    # every group norms its (k, U) distinct powers in every direction, the
+    # products (k, U, m, D): k U D value-direction entries, at most the budget
+    # unless one cube alone holds more
     W = _level_weight(kind, m, n)
     _, nodes = _level_nodes(n)
     dirs = weights._fit_directions(m)
     D = len(dirs)
-    power = weights._Factored.power
+    norm = np.linalg.norm
     groups = []
 
-    def spy(self, i, a, index=None):
-        groups.append(index.shape)
-        return power(self, i, a, index)
+    def spy(x, *args, **kwargs):
+        if np.ndim(x) == 4:
+            groups.append(x.shape)
+        return norm(x, *args, **kwargs)
 
     with mock.patch.object(weights, "PAIR_BLOCK", block), \
-            mock.patch.object(weights._Factored, "power", spy):
+            mock.patch.object(np.linalg, "norm", spy):
         weights._direction_averages(W, 3.0, nodes, dirs)
-    assert sum(k for k, _ in groups) == len(nodes)
-    for k, U in groups:
-        assert k * U * D <= max(block, U * D)
+    assert sum(shape[0] for shape in groups) == len(nodes)
+    for k, U, _, d in groups:
+        assert d == D and k * U * D <= max(block, U * D)
 
 
 @pytest.mark.parametrize("p", [0.8, 1.5, 3.0])
