@@ -44,6 +44,7 @@ from .weights import (
     MatrixWeight,
     QuadratureSpec,
     ReducingFamily,
+    WeightTable,
     ap_characteristic,
     ap_dimension_estimate,
 )
@@ -96,9 +97,15 @@ def _load_space(path: str) -> SpaceParams:
     return _load_json(path, SpaceParams.from_dict)
 
 
-def _load_weight(path: str) -> MatrixWeight:
+def _load_weight(path: str, option: str, n: int) -> MatrixWeight:
+    """The weight in the file at ``path``, given as ``option``; a weight that
+    is not defined on R^n is refused naming the option and the file."""
     base_dir = os.path.dirname(os.path.abspath(path))
-    return _load_json(path, lambda d: MatrixWeight.from_dict(d, base_dir=base_dir))
+    W = _load_json(path, lambda d: MatrixWeight.from_dict(d, base_dir=base_dir))
+    if W.n != n:
+        raise PreconditionError(f"{option} {path}: the weight is defined on R^{W.n}, "
+                                f"but this window needs one on R^{n}")
+    return W
 
 
 def _emit(report: dict, args) -> None:
@@ -142,7 +149,8 @@ def cmd_norm(args) -> dict:
     window = parse_window(args.window)
     with open(args.coeffs) as fh:
         t = CoeffField.from_csv(fh.read(), window, args.m)
-    W = _load_weight(args.weight) if args.weight else MatrixWeight.identity(args.m, window.n)
+    W = (_load_weight(args.weight, "--weight", window.n) if args.weight
+         else MatrixWeight.identity(args.m, window.n))
     res = seq_norm_weighted(t, W, sp, args.grid_extra)
     return {"config": {"space": sp.to_dict(), "window": args.window, "m": args.m},
             "norm": res.to_dict()}
@@ -185,10 +193,11 @@ def cmd_transform(args) -> dict:
 
 def cmd_trace(args) -> dict:
     sp = _load_space(args.space)
-    W = _load_weight(args.weightW)
-    V = _load_weight(args.weightV)
     window = parse_window(args.window)
     tp = TracePair(args.filter_order, window.n, args.resolution)
+    # W weighs the window, V its base window, one dimension lower
+    W = _load_weight(args.weightW, "--weightW", window.n)
+    V = _load_weight(args.weightV, "--weightV", window.n - 1)
     f = FunctionSample.load(args.source)
     coefs = analyze(f, tp.source, window)
     traced = trace_coeffs(tp, coefs)
@@ -266,18 +275,20 @@ def cmd_czkcheck(args) -> dict:
 
 
 def cmd_weights(args) -> dict:
-    W = _load_weight(args.weight)
     window = parse_window(args.window)
+    W = _load_weight(args.weight, "--weight", window.n)
     quad = QuadratureSpec.parse(args.quad)
-    char = ap_characteristic(W, args.p, window, quad)
+    # one table: each node is evaluated and each distinct value factored once
+    table = WeightTable(W)
+    char = ap_characteristic(W, args.p, window, quad, table)
     out = {"config": {"p": args.p, "window": args.window, "quad": args.quad},
            "characteristic": char}
     if args.dimension:
-        d_est, rep = ap_dimension_estimate(W, args.p, window, quad)
+        d_est, rep = ap_dimension_estimate(W, args.p, window, quad, table=table)
         out["dimension_estimate"] = d_est
         out["dimension_report"] = rep
     if args.reducing:
-        fam = ReducingFamily.build(W, args.p, window, quad)
+        fam = ReducingFamily.build(W, args.p, window, quad, table)
         # fam.ops runs in window.all_cubes() order
         out["reducing_operators"] = {
             str(q): A for q, A in zip(window.all_cubes(), fam.ops[: args.max_ops])

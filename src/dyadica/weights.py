@@ -6,8 +6,9 @@ reducing operators (exact square-root averages for order 2; otherwise the
 minimum-volume enclosing ellipsoid of the sampled average-norm ball, from a
 batched interior-point solve that stops on its optimality certificate), and
 fits the doubling growth exponent of the defining averages.  All of them read
-weight values at quadrature nodes through :func:`_weight_blocks`, which
-evaluates, deduplicates, factors and refuses them in one place.
+weight values at quadrature nodes through a :class:`WeightTable`, which
+evaluates, deduplicates, factors and refuses them in one place; one table can
+serve every consumer of a command.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ JOHN_DIRECTIONS = 256
 # 3 x 3 Gram matrices whose closed-form r has 1 + r below this (top two
 # eigenvalues within about 2% of p) take their top eigenvalue from eigvalsh
 CUBIC_GAP = 1e-4
+# odd 64-bit multipliers of the row hash of WeightTable lookups: a splitmix64 round of 1, 2, ...
+_MIX = np.arange(1, 33, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+_MIX = (_MIX ^ (_MIX >> np.uint64(31))) * np.uint64(0xBF58476D1CE4E5B9) | np.uint64(1)
 
 
 @dataclass(frozen=True)
@@ -211,14 +215,18 @@ class MatrixWeight:
 
     # -- evaluation ---------------------------------------------------------
 
+    def _points(self, x) -> np.ndarray:
+        """x as points (N, n); refuses points of another dimension than n."""
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        if x.shape[-1] != self.n:
+            raise PreconditionError(f"the weight is defined on R^{self.n}, but it is "
+                                    f"evaluated at points of R^{x.shape[-1]}")
+        return x
+
     def __call__(self, x) -> np.ndarray:
         """W at the points x, shape (N, m, m); refuses points of another
         dimension than n, and a non-finite value, naming its point."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[-1] != self.n:
-            raise PreconditionError(
-                f"the weight is defined on R^{self.n}, but it is evaluated at points of "
-                f"R^{x.shape[-1]}")
+        x = self._points(x)
         W = self._eval(x)
         bad = ~np.isfinite(W).reshape(len(W), -1).all(axis=1)
         if bad.any():
@@ -227,14 +235,12 @@ class MatrixWeight:
         return W
 
     def power(self, x, a: float) -> np.ndarray:
-        """W(x)**a from the eigendecomposition of the distinct values of W at
-        the points x, with the small-eigenvalue clamp (see :func:`_weight_blocks`);
-        for m = 1 the clamped power of each value."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        _, _, fac = next(_weight_blocks(self, (x[None],), inverted=a < 0))
-        powers = fac.power(0, a)
-        # m = 1 values are not deduplicated: they are in node order already
-        return powers if self.m == 1 else powers[fac.parts[0].inverse[0]]
+        """W(x)**a with the small-eigenvalue clamp, from a :class:`WeightTable`
+        that takes every point as its own node (equal values of m > 1 share one)."""
+        table = WeightTable(self)
+        (ids,) = table.sets(self._points(x)[None], inverted=a < 0, lookup=False)
+        # m = 1 keeps a value per node, in node order already
+        return table.power(a) if self.m == 1 else table.power(a)[ids[0]]
 
 
 def _numbers(v) -> np.ndarray:
@@ -269,153 +275,168 @@ def _refuse_non_finite(values: np.ndarray, what: str) -> None:
         raise PreconditionError(f"{what} at entry {idx} is not finite: {values[idx]}")
 
 
-@dataclass(frozen=True)
-class _Distinct:
-    """The distinct matrices of K equally long sets: ``values`` (G, m, m) in
-    set order; ``pad`` (K, U) indexes each set's values, the rows past its own
-    repeating its first; ``counts`` (K, U) are their multiplicities, 0 in the
-    padding; ``inverse`` (K, L) is the distinct value of every entry."""
-
-    values: np.ndarray
-    pad: np.ndarray
-    counts: np.ndarray
-    inverse: np.ndarray
-
-    @classmethod
-    def of(cls, values: np.ndarray) -> "_Distinct":
-        """From the matrices (K, L, m, m) of K sets: one lexsort of every set
-        by its entries puts equal matrices of a set next to each other."""
-        K, L, m, _ = values.shape
-        flat = np.ascontiguousarray(values).reshape(K * L, m * m)
-        keys = flat.view(flat.real.dtype) if np.iscomplexobj(flat) else flat
-        by_entry = np.moveaxis(keys.reshape(K, L, -1)[..., ::-1], -1, 0)
-        order = (np.lexsort(by_entry, axis=-1) + L * np.arange(K)[:, None]).ravel()
-        srt = keys[order]
-        new = np.ones(K * L, dtype=bool)
-        new[1:] = np.any(srt[1:] != srt[:-1], axis=1)
-        new[::L] = True          # set k fills sorted rows [kL, (k+1)L)
-        group = np.cumsum(new) - 1
-        first = np.flatnonzero(new)
-        owner = first // L
-        rank = group[first] - group[::L][owner]
-        pad = np.repeat(group[::L], int(np.max(rank)) + 1).reshape(K, -1)
-        pad[owner, rank] = np.arange(len(first))
-        counts = np.zeros(pad.shape)
-        counts[owner, rank] = np.diff(first, append=K * L)
-        inverse = np.empty(K * L, dtype=np.int64)
-        inverse[order] = group
-        return cls(flat[order[first]].reshape(-1, m, m), pad, counts, inverse.reshape(K, L))
-
-    @classmethod
-    def each(cls, values: np.ndarray) -> "_Distinct":
-        """Every matrix of the sets (K, L, m, m) taken as its own value, unsorted."""
-        K, L, m, _ = values.shape
-        index = np.arange(K * L).reshape(K, L)
-        return cls(values.reshape(-1, m, m), index, np.ones((K, L)), index)
-
-
-class _Factored:
-    """The distinct weight values of the parts of one block of node sets
-    (``parts``, one :class:`_Distinct` each), ``values`` (G, m, m) in part
-    order, factored by one ``eigh`` when first needed; ``floor`` (G,) is the
-    eigenvalue clamp, EIG_CLAMP_REL times the trace."""
-
-    def __init__(self, parts: list[_Distinct]):
-        self.parts = parts
-        self.values = np.concatenate([d.values for d in parts])
-        self.first = np.cumsum([0] + [len(d.values) for d in parts])
-        self.floor = EIG_CLAMP_REL * np.maximum(np.trace(self.values, axis1=1, axis2=2).real, 0.0)
-
-    @functools.cached_property
-    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (G, m), ascending and unclamped, and eigenvectors."""
-        return np.linalg.eigh(self.values)
-
-    def power(self, i: int, a: float) -> np.ndarray:
-        """The distinct values of part i raised to the power a, shape (G_i, m, m)."""
-        g = slice(self.first[i], self.first[i + 1])
-        v = self.values[g]
-        if v.shape[1] == 1:  # a 1 x 1 value is its own (real) eigenvalue
-            return np.maximum(v.real, self.floor[g, None, None]) ** a
-        vals, vecs = self.eigh
-        vals = np.maximum(vals[g], self.floor[g, None])
-        return np.einsum("nij,nj,nkj->nik", vecs[g], vals ** a, vecs[g].conj())
-
-
-# the refusals of a weight value, by fault code 1, 2, ...
+# the refusals of a weight value, by fault bit 0, 1, ...
 _REFUSED = ("weight is not Hermitian", "weight has a significantly negative eigenvalue",
             "weight is singular", "ellipsoid fit supports real symmetric weights, use p = 2 "
             "for complex ones; weight is complex")
 
 
-def _weight_blocks(W: MatrixWeight, parts, inverted: bool = False,
-                   real: bool = False, counts: bool = False):
-    """The one path from quadrature nodes to factored weight values.
+def _runs(keys: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An order of rows (N, k) by ``key`` (N,), which equal rows share, and in
+    it the mask of the first row of every run of equal rows; a lexsort of the
+    columns, column 0 first, if rows that share their key differ."""
+    order = np.argsort(key)
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = key[order[1:]] != key[order[:-1]]
+    tie = np.flatnonzero(~new[1:])
+    if not np.array_equal(keys[order[tie]], keys[order[tie + 1]]):
+        order = np.lexsort(keys.T[::-1])
+        new[1:] = np.any(keys[order[1:]] != keys[order[:-1]], axis=1)
+    return order, new
 
-    ``parts`` are node arrays (K, L_i, n) of the same K sets.  The sets run in
-    blocks of about PAIR_BLOCK nodes.  Each block yields its slice of the
-    sets, W at their nodes (k, L, m, m), parts in order within each set, and
-    the :class:`_Factored` distinct values of every part: W is evaluated once
-    per node, and one eigendecomposition serves all parts.  A consumer that
-    does further work per distinct value sizes it by the distinct counts it
-    sees (:func:`_count_groups`).  For m = 1, which takes no
-    eigendecomposition, values are deduplicated only when the consumer weighs
-    them by their ``counts``; otherwise each node is its own value.
 
-    Every refusal of weight values is raised here, naming the first offending
-    node in set order: a value V that is not Hermitian (an entry of V - V^*
-    above 1e-12 times the largest eigenvalue modulus), one with an eigenvalue
-    below -1e-12 times that modulus, with ``inverted`` a singular value
-    (clamped eigenvalue <= 0) in the last part, which is taken to negative
-    powers, and with ``real`` a value with an imaginary part above 1e-12.
+def _match(known: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ids of ``rows`` among the distinct rows ``known`` (Q, k), new ones
+    numbered from Q in the order they first appear, and the indices of those
+    first appearances.  The key is a hash of each row's bits, which rows that
+    differ, even in their last bits, all but never share."""
+    Q, every = len(known), np.concatenate([known, rows])
+    order, new = _runs(every, np.sum(every.view(np.uint64) * np.resize(_MIX, every.shape[1]), 1))
+    lead = np.minimum.reduceat(order, np.flatnonzero(new))    # a known row leads its run
+    fresh = np.sort(lead[lead >= Q])
+    run = np.where(lead < Q, lead, Q + np.searchsorted(fresh, lead))
+    ids = np.empty(len(every), dtype=np.int64)
+    ids[order] = run[np.cumsum(new) - 1]
+    return ids[Q:], fresh - Q
+
+
+def _keys(values: np.ndarray) -> np.ndarray:
+    """Matrices (V, m, m) as rows of real numbers, (re, im) for complex ones."""
+    flat = np.ascontiguousarray(values).reshape(len(values), values.shape[1] * values.shape[2])
+    return flat.view(flat.real.dtype) if np.iscomplexobj(flat) else flat
+
+
+class WeightTable:
+    """The weight values one command reads, each evaluated and factored once.
+
+    ``nodes`` (Q, n): the distinct points looked up (:meth:`sets`), W
+    evaluated once at each; ``value`` (Q,): their value ids.  ``values``
+    (V, m, m), equal ones of m > 1 under one id (for m = 1, one per node),
+    each with one ``eigh`` (``eig`` ascending, ``vecs``; a 1 x 1 value is its
+    own eigenvalue) and its clamp ``floor``, EIG_CLAMP_REL times the trace.
+    Bit i of ``faults`` (V,) marks refusal i of _REFUSED: an entry of V - V^*
+    above 1e-12 times the largest eigenvalue modulus, an eigenvalue below
+    -1e-12 times it, a clamped eigenvalue <= 0, an imaginary part above 1e-12.
     """
-    bounds = np.cumsum([0] + [part.shape[1] for part in parts])
-    step = max(1, PAIR_BLOCK // int(bounds[-1]))
-    for s in range(0, len(parts[0]), step):
-        blk = slice(s, s + step)
-        pts = np.concatenate([part[blk] for part in parts], axis=1)
-        k, L, n = pts.shape
-        vals = W(pts.reshape(-1, n)).reshape(k, L, W.m, W.m)
-        reduce = _Distinct.of if counts or W.m > 1 else _Distinct.each
-        fac = _Factored([reduce(vals[:, a:b]) for a, b in zip(bounds, bounds[1:])])
-        v = fac.values
-        G = len(v)
-        # a 1 x 1 value is its own eigenvalue: m = 1 takes no eigh
-        eig = v[:, 0].real if W.m == 1 else fac.eigh[0]
+
+    def __init__(self, W: MatrixWeight):
+        self.W, m = W, W.m
+        self.nodes, self.value = np.zeros((0, W.n)), np.zeros(0, dtype=np.int64)
+        self.values, self.vecs = np.zeros((0, m, m)), np.zeros((0, m, m))
+        self.eig, self.floor, self.faults = np.zeros((0, m)), np.zeros(0), np.zeros(0, np.uint8)
+        self._powers, self._rank = {}, (self.value, self.value)     # by exponent; see blocks
+
+    def sets(self, *parts, inverted: bool = False, real: bool = False,
+             lookup: bool = True) -> list[np.ndarray]:
+        """Value ids (K, L_i) of the nodes of K sets, given as parts (K, L_i, n).
+
+        Nodes are matched against the table's (all new without ``lookup``),
+        new ones evaluated in the order they first appear, set by set and part
+        by part.  Refuses the first node in that order whose value earns
+        refusal 0 or 1, with ``inverted`` 2 in the last part (taken to
+        negative powers), with ``real`` 3."""
+        K = len(parts[0])
+        bounds = np.cumsum([0] + [part.shape[1] for part in parts])
+        pts = self.W._points((np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0])
+                             .reshape(-1, parts[0].shape[-1]))
+        nid, fresh = (_match(self.nodes, pts) if lookup
+                      else (len(self.nodes) + np.arange(len(pts)), slice(None)))
+        self._grow(pts[fresh])
+        vid = self.value[nid].reshape(K, -1)
+        if np.any(self.faults & (3 | 4 * inverted | 8 * real)):
+            allowed = np.full(bounds[-1], 3 | 8 * real, dtype=np.uint8)
+            allowed[bounds[-2]:] |= 4 * inverted
+            fault = (self.faults[vid] & allowed).ravel()
+            for i in np.flatnonzero(fault)[:1]:     # the first faulty node, if any
+                code = (int(fault[i]) & -int(fault[i])).bit_length() - 1     # its lowest bit
+                raise SingularWeightError(f"{_REFUSED[code]} at {pts[i]}", node=pts[i])
+        return [vid[:, a:b] for a, b in zip(bounds, bounds[1:])]
+
+    def _grow(self, pts: np.ndarray) -> None:
+        """Evaluate W at new nodes, and factor the values new to the table."""
+        if not len(pts):
+            return
+        vals = self.W(pts)
+        self.values = self.values.astype(np.result_type(self.values, vals), copy=False)
+        vals = vals.astype(self.values.dtype, copy=False)
+        ids, fresh = ((len(self.values) + np.arange(len(vals)), slice(None)) if self.W.m == 1
+                      else _match(_keys(self.values), _keys(vals)))
+        v = vals[fresh]
+        floor = EIG_CLAMP_REL * np.maximum(np.trace(v, axis1=1, axis2=2).real, 0.0)
+        eig, vecs = (v[:, 0].real, v[:0]) if self.W.m == 1 else np.linalg.eigh(v)
         # eigh reads the lower triangle only: a value whose upper triangle
         # differs is measured against that triangle's scale, and refused
         top = np.max(np.abs(eig), axis=1)
-        residual = np.max(np.abs(v - np.swapaxes(v, 1, 2).conj()).reshape(G, -1), axis=1)
-        faults = [residual > 1e-12 * top, eig[:, 0] < -1e-12 * top,
-                  inverted and (np.maximum(eig[:, 0], fac.floor) <= 0)
-                  & (np.arange(G) >= fac.first[-2]),
-                  real and np.max(np.abs(v.imag).reshape(G, -1), axis=1) > 1e-12]
-        if np.any(faults[0] | faults[1] | faults[2] | faults[3]):
-            code = np.select(faults, [1, 2, 3, 4])
-            at = np.concatenate([code[f + d.inverse] for f, d in zip(fac.first, fac.parts)],
-                                axis=1)
-            i = int(np.argmax(at.ravel() > 0))
-            node = pts.reshape(-1, n)[i]
-            raise SingularWeightError(f"{_REFUSED[at.flat[i] - 1]} at {node}", node=node)
-        yield blk, vals, fac
+        residual = np.max(np.abs(v - np.swapaxes(v, 1, 2).conj()).reshape(len(v), -1), axis=1)
+        imag = (np.max(np.abs(v.imag).reshape(len(v), -1), axis=1) > 1e-12 if np.iscomplexobj(v)
+                else np.zeros(len(v), dtype=bool))
+        faults = sum(f.view(np.uint8) << i for i, f in enumerate((residual > 1e-12 * top,
+                     eig[:, 0] < -1e-12 * top, np.maximum(eig[:, 0], floor) <= 0, imag)))
+        grown = {"nodes": pts, "value": ids, "values": v, "eig": eig, "vecs": vecs,
+                 "floor": floor, "faults": faults}
+        for name, rows in grown.items():
+            held = getattr(self, name)
+            setattr(self, name, np.concatenate([held, rows]) if len(held) else rows)
 
+    def power(self, a: float) -> np.ndarray:
+        """Every value to the power a with the clamp, (V, m, m); once per
+        exponent, and then for the values the table gains."""
+        done = self._powers.get(a, self.values[:0])
+        if len(done) < len(self.values):
+            g = slice(len(done), None)
+            # singular values give inf for a < 0; no consumer reads them
+            with np.errstate(divide="ignore", invalid="ignore"):
+                clamped = np.maximum(self.eig[g], self.floor[g, None]) ** a
+                new = clamped[:, :, None] if self.W.m == 1 else np.einsum(
+                    "nij,nj,nkj->nik", self.vecs[g], clamped, self.vecs[g].conj())
+            self._powers[a] = done = new if g.start == 0 else np.concatenate([done, new])
+        return done
 
-def _count_groups(parts, size):
-    """Groups of the sets of a block with equal distinct counts.
-
-    ``parts`` are :class:`_Distinct` reductions of the same k sets; ``size``
-    maps a set's distinct counts, one per part, to the entries of its further
-    work.  Yields, in ascending order of the counts, the indices of at most
-    max(1, PAIR_BLOCK // size) sets that share them and the counts: a group
-    pads no set, and each set's arithmetic is the same in any group.
-    """
-    own = np.stack([np.count_nonzero(d.counts, axis=1) for d in parts], axis=1)
-    keys, inverse = np.unique(own, axis=0, return_inverse=True)
-    for key, row in enumerate(keys.tolist()):
-        sets = np.flatnonzero(inverse.ravel() == key)
-        step = max(1, PAIR_BLOCK // size(*row))
-        for s in range(0, len(sets), step):
-            yield sets[s:s + step], row
+    def blocks(self, parts, size):
+        """The sets of one or two parts of value ids (K, L_i) in groups of
+        equal distinct counts, at most max(1, PAIR_BLOCK // size(*counts))
+        sets each.  Yields the sets, their counts and per part the (k, U)
+        distinct value ids and their multiplicities: no set is padded, so
+        each is computed as if alone.  A set lists its values in the order
+        of a lexsort of their entries, as ``_rank`` places every value."""
+        if len(self._rank[0]) < len(self.values):
+            keys = _keys(self.values)
+            order, new = _runs(keys, keys[:, 0])
+            rank = np.empty(len(order), dtype=np.int64)
+            rank[order] = np.cumsum(new) - 1
+            self._rank = rank, order[new]       # and the id of one value at each place
+        rank, by_rank = self._rank
+        distinct = {}
+        for ids in {id(ids): ids for ids in parts}.values():
+            K, L = ids.shape
+            srt = np.sort(rank[ids], axis=1)
+            new = np.diff(srt, axis=1, prepend=-1) != 0
+            first = np.flatnonzero(new)
+            at = (first // L, (np.cumsum(new, axis=1) - 1).ravel()[first])
+            own = np.count_nonzero(new, axis=1)
+            pad, counts = np.zeros((K, np.max(own)), dtype=np.int64), np.zeros((K, np.max(own)))
+            pad[at], counts[at] = by_rank[srt.ravel()[first]], np.diff(first, append=K * L)
+            distinct[id(ids)] = pad, counts, own
+        per = [distinct[id(ids)] for ids in parts]
+        own = np.stack([own for _, _, own in per], axis=1)
+        _, first, inverse = np.unique(own[:, 0] * (np.max(own) + 1) + own[:, -1],
+                                      return_index=True, return_inverse=True)
+        for key, row in enumerate(own[first].tolist()):
+            sets = np.flatnonzero(inverse == key)
+            step = max(1, PAIR_BLOCK // size(*row))
+            for s in range(0, len(sets), step):
+                S = sets[s:s + step]
+                yield S, row, [(pad[S, :u], counts[S, :u]) for (pad, counts, _), u in zip(per, row)]
 
 
 def _pair_norms(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -488,60 +509,44 @@ def _top_eigenvalue_3x3(g: np.ndarray) -> np.ndarray:
     return top
 
 
-def _defining_averages(W: MatrixWeight, p: float,
+def _defining_averages(table: WeightTable, p: float,
                        x_nodes: np.ndarray, y_nodes: np.ndarray) -> np.ndarray:
     """Discretized averaging expression of K node-set pairs, shape (K,): x
-    over the base cube's nodes ``x_nodes`` (K, N, n), y over the (possibly
-    enlarged) comparison region's nodes ``y_nodes`` (K, M, n); passing the
-    same array for both marks x = y, whose values are evaluated and factored
-    once.
-
-    One factorization per block of sets (:func:`_weight_blocks`) gives
-    W^{1/p} at the distinct values of x and W^{-1/p} at those of y.  The sets
-    of a block run in groups of equal distinct counts (Ux, Uy) of about
-    PAIR_BLOCK distinct pairs (:func:`_count_groups`), a set alone in rows of
-    about PAIR_BLOCK pairs when its own pairs exceed that, and each pair counts
-    with the product of its multiplicities.
-    """
-    K, N, _ = x_nodes.shape
-    M = y_nodes.shape[1]
-    parts = (x_nodes,) if y_nodes is x_nodes else (x_nodes, y_nodes)
-    last = len(parts) - 1
+    over the base cube's nodes ``x_nodes`` (K, N, n), y over the comparison
+    region's ``y_nodes`` (K, M, n), the same array when x = y.  W^{1/p} at x's
+    and W^{-1/p} at y's distinct values come from the table (:meth:`WeightTable.blocks`);
+    a set's pairs run in rows of about PAIR_BLOCK, each with its multiplicities."""
+    (K, N, _), M = x_nodes.shape, y_nodes.shape[1]
+    ids = table.sets(*((x_nodes,) if y_nodes is x_nodes else (x_nodes, y_nodes)), inverted=True)
     pprime = p / (p - 1) if p > 1 else None
+    Pa, Pb = table.power(1.0 / p), table.power(-1.0 / p)
     out = np.empty(K)
-    for blk, _, fac in _weight_blocks(W, parts, inverted=True, counts=True):
-        dx, dy = fac.parts[0], fac.parts[last]
-        Pa, Pb = fac.power(0, 1.0 / p), fac.power(last, -1.0 / p)
-        for sets, (Ux, Uy) in _count_groups((dx, dy), lambda ux, uy: ux * uy):
-            A, B = Pa[dx.pad[sets, :Ux]], Pb[dy.pad[sets, :Uy]]
-            cx, cy = dx.counts[sets, :Ux], dy.counts[sets, :Uy]
-            rows = Ux if Ux * Uy <= PAIR_BLOCK else max(1, PAIR_BLOCK // Uy)
-            # p <= 1: column sums over x per y; p > 1: the outer sum over x
-            acc = np.zeros((len(sets), Uy) if p <= 1 else len(sets))
-            for r in range(0, Ux, rows):
-                R = slice(r, r + rows)
-                norms = _pair_norms(A[:, R], B)
-                if p <= 1:
-                    acc += np.einsum("kx,kxy->ky", cx[:, R], norms ** p)
-                else:
-                    inner = np.einsum("kxy,ky->kx", norms ** pprime, cy) / M
-                    acc += np.einsum("kx,kx->k", cx[:, R], inner ** (p / pprime))
-            out[blk][sets] = (np.max(acc, axis=1) if p <= 1 else acc) / N
+    for sets, (Ux, Uy), ((ax, cx), (ay, cy)) in table.blocks((ids[0], ids[-1]), np.multiply):
+        A, B = Pa[ax], Pb[ay]
+        rows = Ux if Ux * Uy <= PAIR_BLOCK else max(1, PAIR_BLOCK // Uy)
+        # p <= 1: column sums over x per y; p > 1: the outer sum over x
+        acc = np.zeros((len(sets), Uy) if p <= 1 else len(sets))
+        for r in range(0, Ux, rows):
+            R = slice(r, r + rows)
+            norms = _pair_norms(A[:, R], B)
+            if p <= 1:
+                acc += np.einsum("kx,kxy->ky", cx[:, R], norms ** p)
+            else:
+                inner = np.einsum("kxy,ky->kx", norms ** pprime, cy) / M
+                acc += np.einsum("kx,kx->k", cx[:, R], inner ** (p / pprime))
+        out[sets] = (np.max(acc, axis=1) if p <= 1 else acc) / N
     return out
 
 
 def ap_characteristic(W: MatrixWeight, p: float, window: LatticeWindow,
-                      quad: QuadratureSpec = QuadratureSpec()) -> float:
-    """Sup over window cubes of the defining average.  Monotone under refinement.
-
-    One batch of all window cubes: :func:`_defining_averages` groups the
-    cubes by their numbers of distinct weight values, which differ from
-    level to level, so no cube's pairs are padded to another's.
-    """
+                      quad: QuadratureSpec = QuadratureSpec(),
+                      table: WeightTable | None = None) -> float:
+    """Sup over window cubes of the defining average, all cubes in one batch.
+    Monotone under refinement.  ``table``: the command's :class:`WeightTable` of W."""
     if p <= 0:
         raise PreconditionError("p must be positive")
     nodes = _cube_nodes(quad, CubeArrays.of_window(window))
-    return float(np.max(_defining_averages(W, p, nodes, nodes)))
+    return float(np.max(_defining_averages(table or WeightTable(W), p, nodes, nodes)))
 
 
 def reducing_operator(W: MatrixWeight, p: float, cube: DyadicCube,
@@ -557,22 +562,23 @@ def reducing_operator(W: MatrixWeight, p: float, cube: DyadicCube,
     return ops[0]
 
 
-def _reducing_operators(W: MatrixWeight, p: float, cubes: CubeArrays, quad: QuadratureSpec):
+def _reducing_operators(W: MatrixWeight, p: float, cubes: CubeArrays, quad: QuadratureSpec,
+                        table: WeightTable | None = None):
     """Reducing operators of C cubes, shape (C, m, m), with the steps each
     ellipsoid fit took and its final gap kappa_max / d, both of shape (C,)
     and empty when no fit runs."""
     if p <= 0:
         raise PreconditionError("p must be positive")
-    nodes = _cube_nodes(quad, cubes)
+    nodes, table = _cube_nodes(quad, cubes), table or WeightTable(W)
     no_fit = np.zeros(0, dtype=int), np.zeros(0)
     if W.m == 1:
         # |A z| = (avg_E w)^{1/p} |z| exactly in the scalar case
-        return _weight_means(W, nodes).real ** (1.0 / p), *no_fit
+        return _weight_means(table, nodes).real ** (1.0 / p), *no_fit
     if p == 2:
-        avg = _weight_means(W, nodes)
+        avg = _weight_means(table, nodes)
         return _psd_sqrt(avg, "average weight not positive definite"), *no_fit
     dirs = _fit_directions(W.m)
-    rho = _direction_averages(W, p, nodes, dirs, real=True) ** (1.0 / p)
+    rho = _direction_averages(table, p, nodes, dirs, real=True) ** (1.0 / p)
     if np.any(rho <= 0):
         raise SingularWeightError("weight average vanishes in some direction")
     # the points dirs / rho must span R^m: the same clamp as the weight's eigenvalues
@@ -601,9 +607,10 @@ def _box_nodes(quad: QuadratureSpec, lower: np.ndarray, width: np.ndarray) -> np
     return lower[:, None, :] + width[:, None, :] * unit
 
 
-def _weight_means(W: MatrixWeight, nodes: np.ndarray) -> np.ndarray:
+def _weight_means(table: WeightTable, nodes: np.ndarray) -> np.ndarray:
     """Average of the weight over each cube's nodes, shape (C, m, m)."""
-    return np.concatenate([np.mean(vals, axis=1) for _, vals, _ in _weight_blocks(W, (nodes,))])
+    (ids,) = table.sets(nodes)
+    return np.mean(table.values[ids], axis=1)
 
 
 def _psd_sqrt(M: np.ndarray, what: str) -> np.ndarray:
@@ -638,32 +645,27 @@ def direction_averages(W: MatrixWeight, p: float, cubes: CubeArrays, quad: Quadr
     """avg |W^{1/p} z|^p over the quadrature nodes of each of C cubes for
     every direction z of ``dirs`` (D, m), shape (C, D); its p-th root is the
     p-average of |W^{1/p} z|.  Complex weights are taken with their complex
-    norms."""
-    return _direction_averages(W, p, _cube_nodes(quad, cubes), dirs)
+    norms.  Its own table looks up no node: the quadrature nodes of distinct
+    cubes never coincide."""
+    return _direction_averages(WeightTable(W), p, _cube_nodes(quad, cubes), dirs, lookup=False)
 
 
-def _direction_averages(W: MatrixWeight, p: float, nodes: np.ndarray, dirs: np.ndarray,
-                        real: bool = False) -> np.ndarray:
+def _direction_averages(table: WeightTable, p: float, nodes: np.ndarray, dirs: np.ndarray,
+                        real: bool = False, lookup: bool = True) -> np.ndarray:
     """:func:`direction_averages` over the nodes (C, N, n) of C cubes; ``real``
-    refuses complex weight values, as the ellipsoid fit needs.
-
-    For m = 1 the average is mean(w) |z|^p; otherwise one eigendecomposition
-    per block of cubes serves their distinct values, which are raised to the
-    power 1/p once per block and normed in every direction group by group:
-    cubes with equal distinct counts U, at most about PAIR_BLOCK / (U D) of
-    them (at least one) per group, their norms counted with their
-    multiplicities.
-    """
+    refuses complex weight values, as the ellipsoid fit needs.  For m = 1 the
+    average is mean(w) |z|^p; otherwise the table's W^{1/p} at each cube's
+    distinct values is normed in every direction, in groups of about
+    PAIR_BLOCK / D values, and counted with its multiplicity."""
     N, D = nodes.shape[1], len(dirs)
+    (ids,) = table.sets(nodes, real=real, lookup=lookup)
+    if table.W.m == 1:
+        return np.mean(table.values[ids][..., 0, 0].real, axis=1)[:, None] * np.abs(dirs[:, 0]) ** p
+    P = table.power(1.0 / p)
     avg = np.empty((len(nodes), D))
-    for blk, vals, fac in _weight_blocks(W, (nodes,), real=real):
-        if W.m == 1:
-            avg[blk] = np.mean(vals[..., 0, 0].real, axis=1)[:, None] * np.abs(dirs[:, 0]) ** p
-            continue
-        d, P = fac.parts[0], fac.power(0, 1.0 / p)
-        for sets, (U,) in _count_groups((d,), lambda u: u * D):
-            norms = np.linalg.norm(P[d.pad[sets, :U]] @ dirs.T, axis=-2) ** p
-            avg[blk][sets] = (d.counts[sets, None, :U] @ norms)[:, 0] / N
+    for sets, _, ((u, c),) in table.blocks((ids,), lambda u: u * D):
+        norms = np.linalg.norm(P[u] @ dirs.T, axis=-2) ** p
+        avg[sets] = (c[:, None, :] @ norms)[:, 0] / N
     return avg
 
 
@@ -870,9 +872,10 @@ class ReducingFamily:
 
     @classmethod
     def build(cls, W: MatrixWeight, p: float, window: LatticeWindow,
-              quad: QuadratureSpec = QuadratureSpec()) -> "ReducingFamily":
-        """Operators of every window cube, computed as one batch."""
-        ops, steps, gap = _reducing_operators(W, p, CubeArrays.of_window(window), quad)
+              quad: QuadratureSpec = QuadratureSpec(),
+              table: WeightTable | None = None) -> "ReducingFamily":
+        """Operators of every window cube as one batch (``table``: as ap_characteristic)."""
+        ops, steps, gap = _reducing_operators(W, p, CubeArrays.of_window(window), quad, table)
         return cls(p, W, window, ops, steps, gap)
 
 
@@ -894,19 +897,19 @@ def reducing_ratio_bound(fam: ReducingFamily, wd: WeightDims,
 
 def ap_dimension_estimate(W: MatrixWeight, p: float, window: LatticeWindow,
                           quad: QuadratureSpec = QuadratureSpec(),
-                          min_doublings: int = 4,
-                          max_base_cubes: int = 64) -> tuple[float, dict]:
+                          min_doublings: int = 4, max_base_cubes: int = 64,
+                          table: WeightTable | None = None) -> tuple[float, dict]:
     """Least-squares doubling exponent of the defining averages.
 
     For each base cube Q with room for >= min_doublings concentric doublings
     inside the window box, fits log2(average over 2^i Q) against i and reports
-    the per-cube slopes; the estimate is the maximum slope.
+    the per-cube slopes; the estimate is the maximum slope.  Every doubling
+    reads its base cube's values from one ``table`` (as ap_characteristic).
     """
     if p <= 0:
         raise PreconditionError("p must be positive")
     cubes = CubeArrays.of_window(window)
-    lo = np.array(window.lo, dtype=float)
-    hi = np.array(window.hi, dtype=float)
+    lo, hi = np.array(window.lo, dtype=float), np.array(window.hi, dtype=float)
     center = np.ldexp((2 * cubes.index + 1).astype(float), -(cubes.levels + 1)[:, None])
     # doublings 2^i Q, i = 1, 2, ..., stay inside the box while they fit
     doublings = np.zeros(len(cubes), dtype=np.int64)
@@ -919,8 +922,7 @@ def ap_dimension_estimate(W: MatrixWeight, p: float, window: LatticeWindow,
         i += 1
     candidates = np.flatnonzero(doublings >= min_doublings)
     if not len(candidates):
-        raise PreconditionError(
-            f"window too shallow: no cube admits {min_doublings} doublings")
+        raise PreconditionError(f"window too shallow: no cube admits {min_doublings} doublings")
     if len(candidates) > max_base_cubes:
         candidates = candidates[::len(candidates) // max_base_cubes + 1]
     # one (base cube, doubling i) pair for i = 0..imax of every candidate
@@ -930,10 +932,9 @@ def ap_dimension_estimate(W: MatrixWeight, p: float, window: LatticeWindow,
     step = np.arange(len(base)) - np.repeat(first, imax + 1)
     half = np.ldexp(0.5 * cubes.side[base], step)[:, None]
     lower, upper = center[base] - half, center[base] + half
-    vals = _defining_averages(W, p, _cube_nodes(quad, cubes.take(base)),
+    vals = _defining_averages(table or WeightTable(W), p, _cube_nodes(quad, cubes.take(base)),
                               _box_nodes(quad, lower, upper - lower))
     per_cube = []
-    best = -math.inf
     for c, s, d in zip(candidates.tolist(), first.tolist(), imax.tolist()):
         ii = np.arange(d + 1, dtype=float)
         logs = np.log2(np.maximum(vals[s:s + d + 1], 1e-300))
@@ -941,6 +942,5 @@ def ap_dimension_estimate(W: MatrixWeight, p: float, window: LatticeWindow,
         resid = float(np.sqrt(np.mean((logs - (slope * ii + intercept)) ** 2)))
         per_cube.append({"cube": str(cubes.cube(c)), "slope": float(slope), "residual": resid,
                          "doublings": d})
-        best = max(best, float(slope))
-    report = {"per_cube": per_cube, "n_base_cubes": len(candidates)}
-    return best, report
+    return max(e["slope"] for e in per_cube), {"per_cube": per_cube,
+                                               "n_base_cubes": len(candidates)}

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from dyadica.dyadic import DyadicCube, LatticeWindow
 from dyadica.errors import PreconditionError
 from dyadica.seq import CoeffField
 from dyadica.wavelets import FunctionSample
-from dyadica.weights import QuadratureSpec, ReducingFamily
+from dyadica.weights import MatrixWeight, QuadratureSpec, ReducingFamily
 
 
 @pytest.fixture()
@@ -254,7 +255,8 @@ def test_weights_report_lists_the_first_max_ops_window_cubes(tmp_path, capsys, m
                       "--quad", "2:1", "--reducing", "--max-ops", str(max_ops)], capsys)
     assert code == 0
     window = parse_window("0:2:0..1")
-    fam = ReducingFamily.build(_load_weight(str(wfile)), 2.0, window, QuadratureSpec(2, 1))
+    fam = ReducingFamily.build(_load_weight(str(wfile), "--weight", 1), 2.0, window,
+                               QuadratureSpec(2, 1))
     cubes = list(window.all_cubes())[:max_ops]
     assert list(rep["reducing_operators"]) == [str(q) for q in cubes]
     for q in cubes:
@@ -612,19 +614,66 @@ def test_grid_weight_m_disagreeing_with_values_file_refused(tmp_path, capsys):
         f"refused: {wfile}: key 'm' holds 2, but the weight's values are 1 x 1\n")
 
 
-@pytest.mark.parametrize("command", ["weights", "norm"])
-def test_weight_of_another_dimension_than_the_window_refused(command, space_file, tmp_path,
+# (option, n of the weight file): a weight file must have the window's n,
+# and the trace's --weightV one less
+WRONG_DIMENSION = {
+    "weights": ("--weight", 2),
+    "norm": ("--weight", 2),
+    "trace-W": ("--weightW", 1),
+    "trace-V": ("--weightV", 2),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_DIMENSION)
+def test_weight_of_another_dimension_than_the_window_refused(case, space_file, tmp_path,
                                                              capsys):
-    # a constant weight on R^2 evaluated on a 1-d window
-    wfile = tmp_path / "w2.json"
-    wfile.write_text('{"m": 1, "n": 2, "kind": "constant", "matrix": [[1.0]]}')
-    if command == "weights":
-        argv = ["weights", "--weight", str(wfile), "--p", "2", "--window", "0:1:0..1"]
-    else:
+    # refused right after loading, before the weight is evaluated
+    option, n = WRONG_DIMENSION[case]
+    wfile = tmp_path / "wrong.json"
+    wfile.write_text(json.dumps({"m": 1, "n": n, "kind": "constant", "matrix": [[1.0]]}))
+    if case == "weights":
+        argv, need = ["weights", "--weight", str(wfile), "--p", "2", "--window", "0:1:0..1"], 1
+    elif case == "norm":
         cfile = tmp_path / "c.csv"
         cfile.write_text("0:0,1.0,0.0\n")
-        argv = ["norm", "--coeffs", str(cfile), "--space", space_file, "--weight", str(wfile),
-                "--window", "0:1:0..1"]
+        argv = ["norm", "--coeffs", str(cfile), "--space", space_file,
+                "--weight", str(wfile), "--window", "0:1:0..1"]
+        need = 1
+    else:
+        good = {"--weightW": 2, "--weightV": 1}
+        argv = ["trace", "--source", str(tmp_path / "absent.npz"), "--space", space_file,
+                "--window", "0:3:-6..4,-6..4"]
+        for opt, dim in good.items():
+            path = tmp_path / f"{opt[2:]}.json"
+            path.write_text(json.dumps({"m": 1, "n": dim, "kind": "constant",
+                                        "matrix": [[1.0]]}))
+            argv += [opt, str(wfile if opt == option else path)]
+        need = good[option]
     assert main(argv) == 2
     assert capsys.readouterr().err == (
-        "refused: the weight is defined on R^2, but it is evaluated at points of R^1\n")
+        f"refused: {option} {wfile}: the weight is defined on R^{n}, but this window needs "
+        f"one on R^{need}\n")
+
+
+@pytest.mark.parametrize("p", ["2", "3"])
+def test_weights_command_evaluates_each_distinct_node_once(p, tmp_path):
+    # the characteristic, the dimension's base cubes and doublings and the
+    # reducing operators (p = 2 averages or p = 3 fit) of the CI's m = 2
+    # weight share 1,023 distinct nodes among their 4,576 (1,008 per window
+    # pass, 2,560 for the doublings)
+    wfile = tmp_path / "wd.json"
+    wfile.write_text(json.dumps({"m": 2, "n": 1, "kind": "diag-power", "a": [1.3, 0.7],
+                                 "alpha": [0.3, -0.2], "floor": 0.0}))
+    seen = []
+    call = MatrixWeight.__call__
+
+    def spy(self, x):
+        seen.append(np.array(x))
+        return call(self, x)
+
+    with mock.patch.object(MatrixWeight, "__call__", spy):
+        assert main(["weights", "--weight", str(wfile), "--p", p, "--window", "0:5:0..1",
+                     "--quad", "4:2", "--dimension", "--reducing",
+                     "--out", str(tmp_path / "w.json")]) == 0
+    pts = np.concatenate(seen)
+    assert len(pts) == 1023 and len(np.unique(pts, axis=0)) == 1023

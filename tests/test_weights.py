@@ -1,3 +1,4 @@
+import json
 import math
 from unittest import mock
 
@@ -7,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dyadica import trace, weights
-from dyadica.dyadic import CubeArrays, DyadicCube, LatticeWindow
+from dyadica.cli import main
+from dyadica.dyadic import CubeArrays, DyadicCube, LatticeWindow, parse_cube
 from dyadica.errors import PreconditionError, SingularWeightError
 from dyadica.params import BESOV, SpaceParams, WeightDims
 from dyadica.seq import CoeffField, seq_norm_weighted
@@ -15,6 +17,7 @@ from dyadica.weights import (
     MatrixWeight,
     QuadratureSpec,
     ReducingFamily,
+    WeightTable,
     ap_characteristic,
     ap_dimension_estimate,
     john_direction_report,
@@ -603,7 +606,7 @@ def test_defining_average_matches_svd_oracle(m, complex_values, p, nx, ny, block
     x_nodes = rng.uniform(0.0, 1.0, (nx, 1))
     y_nodes = rng.uniform(-1.0, 2.0, (ny, 1))
     with mock.patch.object(weights, "PAIR_BLOCK", block):
-        got = weights._defining_averages(W, p, x_nodes[None], y_nodes[None])[0]
+        got = weights._defining_averages(WeightTable(W), p, x_nodes[None], y_nodes[None])[0]
     assert got == pytest.approx(_defining_average_reference(W, p, x_nodes, y_nodes),
                                 rel=1e-12)
 
@@ -894,7 +897,7 @@ def test_direction_averages_match_per_node_oracle(kind, m, complex_values, p, n,
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     with mock.patch.object(weights, "PAIR_BLOCK", block), \
             mock.patch("numpy.linalg.eigh", wraps=np.linalg.eigh) as eigh:
-        got = weights._direction_averages(W, p, nodes, dirs)
+        got = weights._direction_averages(WeightTable(W), p, nodes, dirs)
     # m = 1 is the closed form: no eigendecomposition
     assert (eigh.call_count == 0) == (m == 1)
     ref = _direction_averages_reference(W, p, nodes, dirs)
@@ -913,6 +916,281 @@ def test_complex_weight_direction_certificate_uses_complex_norms():
 
 
 # ---------------------------------------------------------------------------
+# the pre-table path: every consumer evaluated, deduplicated and factored the
+# weight values of its own node sets in blocks of about PAIR_BLOCK nodes
+
+
+class _Distinct:
+    """The distinct matrices of K equally long sets: ``values`` (G, m, m) in
+    set order; ``pad`` (K, U) indexes each set's values, the rows past its own
+    repeating its first; ``counts`` (K, U) are their multiplicities, 0 in the
+    padding; ``inverse`` (K, L) is the distinct value of every entry."""
+
+    def __init__(self, values, pad, counts, inverse):
+        self.values, self.pad, self.counts, self.inverse = values, pad, counts, inverse
+
+    @classmethod
+    def of(cls, values):
+        """One lexsort of every set (K, L, m, m) by its entries."""
+        K, L, m, _ = values.shape
+        flat = np.ascontiguousarray(values).reshape(K * L, m * m)
+        keys = flat.view(flat.real.dtype) if np.iscomplexobj(flat) else flat
+        by_entry = np.moveaxis(keys.reshape(K, L, -1)[..., ::-1], -1, 0)
+        order = (np.lexsort(by_entry, axis=-1) + L * np.arange(K)[:, None]).ravel()
+        srt = keys[order]
+        new = np.ones(K * L, dtype=bool)
+        new[1:] = np.any(srt[1:] != srt[:-1], axis=1)
+        new[::L] = True
+        group = np.cumsum(new) - 1
+        first = np.flatnonzero(new)
+        owner = first // L
+        rank = group[first] - group[::L][owner]
+        pad = np.repeat(group[::L], int(np.max(rank)) + 1).reshape(K, -1)
+        pad[owner, rank] = np.arange(len(first))
+        counts = np.zeros(pad.shape)
+        counts[owner, rank] = np.diff(first, append=K * L)
+        inverse = np.empty(K * L, dtype=np.int64)
+        inverse[order] = group
+        return cls(flat[order[first]].reshape(-1, m, m), pad, counts, inverse.reshape(K, L))
+
+    @classmethod
+    def each(cls, values):
+        """Every matrix of the sets (K, L, m, m) taken as its own value."""
+        K, L, m, _ = values.shape
+        index = np.arange(K * L).reshape(K, L)
+        return cls(values.reshape(-1, m, m), index, np.ones((K, L)), index)
+
+
+class _Factored:
+    """The distinct values of the parts of one block, factored by one eigh."""
+
+    def __init__(self, parts):
+        self.parts = parts
+        self.values = np.concatenate([d.values for d in parts])
+        self.first = np.cumsum([0] + [len(d.values) for d in parts])
+        self.floor = weights.EIG_CLAMP_REL * np.maximum(
+            np.trace(self.values, axis1=1, axis2=2).real, 0.0)
+        self.eigh = np.linalg.eigh(self.values) if self.values.shape[1] > 1 else None
+
+    def power(self, i, a):
+        g = slice(self.first[i], self.first[i + 1])
+        v = self.values[g]
+        if v.shape[1] == 1:
+            return np.maximum(v.real, self.floor[g, None, None]) ** a
+        vals, vecs = self.eigh
+        vals = np.maximum(vals[g], self.floor[g, None])
+        return np.einsum("nij,nj,nkj->nik", vecs[g], vals ** a, vecs[g].conj())
+
+
+def _weight_blocks(W, parts, inverted=False, real=False, counts=False):
+    """Blocks of the node sets ``parts`` (K, L_i, n): each evaluates W at its
+    nodes, reduces and factors every part, and refuses at its first faulty node."""
+    bounds = np.cumsum([0] + [part.shape[1] for part in parts])
+    step = max(1, weights.PAIR_BLOCK // int(bounds[-1]))
+    for s in range(0, len(parts[0]), step):
+        blk = slice(s, s + step)
+        pts = np.concatenate([part[blk] for part in parts], axis=1)
+        k, L, n = pts.shape
+        vals = W(pts.reshape(-1, n)).reshape(k, L, W.m, W.m)
+        reduce = _Distinct.of if counts or W.m > 1 else _Distinct.each
+        fac = _Factored([reduce(vals[:, a:b]) for a, b in zip(bounds, bounds[1:])])
+        v = fac.values
+        G = len(v)
+        eig = v[:, 0].real if W.m == 1 else fac.eigh[0]
+        top = np.max(np.abs(eig), axis=1)
+        residual = np.max(np.abs(v - np.swapaxes(v, 1, 2).conj()).reshape(G, -1), axis=1)
+        faults = [residual > 1e-12 * top, eig[:, 0] < -1e-12 * top,
+                  inverted and (np.maximum(eig[:, 0], fac.floor) <= 0)
+                  & (np.arange(G) >= fac.first[-2]),
+                  real and np.max(np.abs(v.imag).reshape(G, -1), axis=1) > 1e-12]
+        if np.any(faults[0] | faults[1] | faults[2] | faults[3]):
+            code = np.select(faults, [1, 2, 3, 4])
+            at = np.concatenate([code[f + d.inverse] for f, d in zip(fac.first, fac.parts)],
+                                axis=1)
+            i = int(np.argmax(at.ravel() > 0))
+            node = pts.reshape(-1, n)[i]
+            raise SingularWeightError(f"{weights._REFUSED[at.flat[i] - 1]} at {node}", node=node)
+        yield blk, vals, fac
+
+
+def _count_groups(parts, size):
+    """Groups of the sets of a block with equal distinct counts."""
+    own = np.stack([np.count_nonzero(d.counts, axis=1) for d in parts], axis=1)
+    keys, inverse = np.unique(own, axis=0, return_inverse=True)
+    for key, row in enumerate(keys.tolist()):
+        sets = np.flatnonzero(inverse.ravel() == key)
+        step = max(1, weights.PAIR_BLOCK // size(*row))
+        for s in range(0, len(sets), step):
+            yield sets[s:s + step], row
+
+
+def _defining_averages_blocks(W, p, x_nodes, y_nodes):
+    """The defining averages, one _weight_blocks pass of their own."""
+    K, N, _ = x_nodes.shape
+    M = y_nodes.shape[1]
+    parts = (x_nodes,) if y_nodes is x_nodes else (x_nodes, y_nodes)
+    last = len(parts) - 1
+    pprime = p / (p - 1) if p > 1 else None
+    out = np.empty(K)
+    for blk, _, fac in _weight_blocks(W, parts, inverted=True, counts=True):
+        dx, dy = fac.parts[0], fac.parts[last]
+        Pa, Pb = fac.power(0, 1.0 / p), fac.power(last, -1.0 / p)
+        for sets, (Ux, Uy) in _count_groups((dx, dy), lambda ux, uy: ux * uy):
+            A, B = Pa[dx.pad[sets, :Ux]], Pb[dy.pad[sets, :Uy]]
+            cx, cy = dx.counts[sets, :Ux], dy.counts[sets, :Uy]
+            rows = Ux if Ux * Uy <= weights.PAIR_BLOCK else max(1, weights.PAIR_BLOCK // Uy)
+            acc = np.zeros((len(sets), Uy) if p <= 1 else len(sets))
+            for r in range(0, Ux, rows):
+                R = slice(r, r + rows)
+                norms = weights._pair_norms(A[:, R], B)
+                if p <= 1:
+                    acc += np.einsum("kx,kxy->ky", cx[:, R], norms ** p)
+                else:
+                    inner = np.einsum("kxy,ky->kx", norms ** pprime, cy) / M
+                    acc += np.einsum("kx,kx->k", cx[:, R], inner ** (p / pprime))
+            out[blk][sets] = (np.max(acc, axis=1) if p <= 1 else acc) / N
+    return out
+
+
+def _direction_averages_blocks(W, p, nodes, dirs, real=False):
+    """The direction averages, one _weight_blocks pass of their own."""
+    N, D = nodes.shape[1], len(dirs)
+    avg = np.empty((len(nodes), D))
+    for blk, vals, fac in _weight_blocks(W, (nodes,), real=real):
+        if W.m == 1:
+            avg[blk] = np.mean(vals[..., 0, 0].real, axis=1)[:, None] * np.abs(dirs[:, 0]) ** p
+            continue
+        d, P = fac.parts[0], fac.power(0, 1.0 / p)
+        for sets, (U,) in _count_groups((d,), lambda u: u * D):
+            norms = np.linalg.norm(P[d.pad[sets, :U]] @ dirs.T, axis=-2) ** p
+            avg[blk][sets] = (d.counts[sets, None, :U] @ norms)[:, 0] / N
+    return avg
+
+
+def _weight_means_blocks(W, nodes):
+    """The cube means of the weight, one _weight_blocks pass of their own."""
+    return np.concatenate([np.mean(vals, axis=1) for _, vals, _ in _weight_blocks(W, (nodes,))])
+
+
+def _power_blocks(W, x, a):
+    """MatrixWeight.power through one _weight_blocks pass."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    _, _, fac = next(_weight_blocks(W, (x[None],), inverted=a < 0))
+    powers = fac.power(0, a)
+    return powers if W.m == 1 else powers[fac.parts[0].inverse[0]]
+
+
+def _pre_table():
+    """Patches that route every table consumer through its own pre-table pass."""
+    return (mock.patch.object(weights, "_defining_averages",
+                              lambda t, p, x, y: _defining_averages_blocks(t.W, p, x, y)),
+            mock.patch.object(weights, "_direction_averages",
+                              lambda t, p, nodes, dirs, real=False, lookup=True:
+                              _direction_averages_blocks(t.W, p, nodes, dirs, real)),
+            mock.patch.object(weights, "_weight_means",
+                              lambda t, nodes: _weight_means_blocks(t.W, nodes)))
+
+
+def _weights_report(argv, tmp_path, name):
+    assert main(argv + ["--out", str(tmp_path / name)]) == 0
+    return (tmp_path / name).read_bytes()
+
+
+def _grid_file(tmp_path, m, n, level, seed):
+    M = np.random.default_rng(seed).standard_normal((1 << level,) * n + (m, m))
+    np.save(tmp_path / f"g{m}{n}.npy", M @ np.swapaxes(M, -1, -2) + 0.2 * np.eye(m))
+    path = tmp_path / f"g{m}{n}.json"
+    path.write_text(json.dumps({"m": m, "n": n, "kind": "grid", "lo": [0] * n, "hi": [1] * n,
+                                "level": level, "values_file": f"g{m}{n}.npy"}))
+    return str(path)
+
+
+def _diag_file(tmp_path, a, alpha, n):
+    path = tmp_path / f"d{len(a)}{n}.json"
+    path.write_text(json.dumps({"m": len(a), "n": n, "kind": "diag-power", "a": a,
+                                "alpha": alpha, "floor": 0.0}))
+    return str(path)
+
+
+# (weight file, p, window, quad, --dimension): the benchmark's m = 3 grid weight
+# on its two windows, the CI's m = 2 diag-power weight, an m = 1 weight, and a
+# diag-power weight on R^2 whose cubes of one level differ in distinct counts
+TABLE_RUNS = {
+    "grid-m3-p1.5": (lambda d: _grid_file(d, 3, 2, 3, 5), 1.5, "0:1:0..1,0..1", "3:2", False),
+    "grid-m3-p3": (lambda d: _grid_file(d, 3, 2, 3, 5), 3.0, "0:2:0..1,0..1", "3:1", False),
+    "diag-m2-p2": (lambda d: _diag_file(d, [1.3, 0.7], [0.3, -0.2], 1), 2.0, "0:5:0..1", "4:2",
+                   True),
+    "diag-m2-p3": (lambda d: _diag_file(d, [1.3, 0.7], [0.3, -0.2], 1), 3.0, "0:5:0..1", "4:2",
+                   True),
+    "grid-m1-p1.5": (lambda d: _grid_file(d, 1, 1, 3, 7), 1.5, "0:5:0..1", "2:1", True),
+    "diag-m1-p0.8": (lambda d: _diag_file(d, [1.5], [0.4], 1), 0.8, "0:5:0..1", "4:2", True),
+    "uneven-m3-p1.5": (lambda d: _diag_file(d, [1.0, 2.0, 0.5], [0.3, -0.2, 0.1], 2), 1.5,
+                       "0:5:0..1,0..1", "2:1", True),
+    "uneven-m2-p3": (lambda d: _diag_file(d, [1.3, 0.7], [0.3, -0.2], 2), 3.0,
+                     "0:5:0..1,0..1", "2:1", True),
+}
+
+
+def _first_appearance_ids(known, rows):
+    """Ids of rows among known ones, new rows numbered in first-appearance order."""
+    seen = {tuple(r): i for i, r in enumerate(known.tolist())}
+    ids = []
+    for r in rows.tolist():
+        ids.append(seen.setdefault(tuple(r), len(seen)))
+    return np.array(ids)
+
+
+@given(n=st.integers(1, 4), known=st.integers(0, 6), count=st.integers(1, 40),
+       seed=st.integers(0, 2 ** 16))
+@settings(max_examples=60, deadline=None)
+def test_match_numbers_rows_by_first_appearance(n, known, count, seed):
+    # a few base rows, repeated, and copies that differ from them in the last bit
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((5, n))
+    base = np.concatenate([base, np.nextafter(base, np.inf)])
+    pool = np.unique(base[rng.integers(0, len(base), known)], axis=0)
+    rows = base[rng.integers(0, len(base), count)]
+    ids, fresh = weights._match(pool, rows)
+    want = _first_appearance_ids(pool, rows)
+    assert np.array_equal(ids, want)
+    # the first appearance of every new row, in order
+    new_ids = range(len(pool), ids.max(initial=-1) + 1)
+    assert fresh.tolist() == [int(np.argmax(ids == k)) for k in new_ids]
+
+
+def test_runs_falls_back_to_a_lexsort_where_keys_tie():
+    # every key ties, so only the lexsort of the rows can tell them apart
+    rows = np.array([[2.0, 1.0], [1.0, 3.0], [2.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
+    order, new = weights._runs(rows, np.zeros(len(rows)))
+    assert rows[order].tolist() == sorted(rows.tolist())
+    assert new.tolist() == [True, True, False, True, False]
+
+
+@pytest.mark.parametrize("run", TABLE_RUNS)
+def test_weights_command_is_the_pre_table_path_bitwise(run, tmp_path):
+    # the characteristic, the dimension report and the operators of one
+    # table per command against one pass over the weight per consumer
+    make, p, window, quad, dimension = TABLE_RUNS[run]
+    argv = ["weights", "--weight", make(tmp_path), "--p", str(p), "--window", window,
+            "--quad", quad, "--reducing", "--max-ops", "1000"] + ["--dimension"] * dimension
+    got = _weights_report(argv, tmp_path, "table.json")
+    patches = _pre_table()
+    with patches[0], patches[1], patches[2]:
+        want = _weights_report(argv, tmp_path, "blocks.json")
+    assert got == want
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("a", [0.5, -1.5])
+def test_power_is_the_pre_table_path_bitwise(m, a):
+    # repeated grid values, and a smooth weight distinct at every point
+    x = np.random.default_rng(m).uniform(0.0, 1.0, (300, 1))
+    for W in (_oracle_weight("grid", m, 1, False, m), _smooth_weight(m, 1, True, m)):
+        got, want = W.power(x, a), _power_blocks(W, x, a)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # the work sized by distinct counts against the blocking it replaced: the
 # characteristic as one defining-average batch per window level, each block of
 # sets padded to its largest distinct counts, and the direction averages in
@@ -928,7 +1206,7 @@ def _defining_averages_padded(W, p, x_nodes, y_nodes):
     last = len(parts) - 1
     pprime = p / (p - 1) if p > 1 else None
     out = np.empty(K)
-    for blk, _, fac in weights._weight_blocks(W, parts, inverted=True, counts=True):
+    for blk, _, fac in _weight_blocks(W, parts, inverted=True, counts=True):
         dx, dy = fac.parts[0], fac.parts[last]
         A = fac.power(0, 1.0 / p)[dx.pad]
         B = fac.power(last, -1.0 / p)[dy.pad]
@@ -969,7 +1247,7 @@ def _direction_averages_node_blocks(W, p, nodes, dirs):
     step = max(1, weights.PAIR_BLOCK // (N * len(dirs)))
     avg = np.empty((C, len(dirs)))
     for s in range(0, C, step):
-        _, _, fac = next(weights._weight_blocks(W, (nodes[s:s + step],)))
+        _, _, fac = next(_weight_blocks(W, (nodes[s:s + step],)))
         d = fac.parts[0]
         norms = np.linalg.norm(fac.power(0, 1.0 / p) @ dirs.T, axis=-2) ** p
         avg[s:s + step] = (d.counts[:, None, :] @ norms[d.pad])[:, 0] / N
@@ -1011,7 +1289,7 @@ def test_characteristic_is_the_per_level_loop_bitwise(kind, m, n, p, block):
     W = _level_weight(kind, m, n)
     win, nodes = _level_nodes(n)
     with mock.patch.object(weights, "PAIR_BLOCK", block):
-        got = weights._defining_averages(W, p, nodes, nodes)
+        got = weights._defining_averages(WeightTable(W), p, nodes, nodes)
         want = _defining_averages_per_level(W, p, win, LEVEL_QUAD)
         assert got.tobytes() == want.tobytes()
         assert ap_characteristic(W, p, win, LEVEL_QUAD) == float(np.max(want))
@@ -1029,7 +1307,7 @@ def test_direction_averages_are_the_node_block_loop_bitwise(kind, m, n, p, block
     dirs = weights._fit_directions(m) if directions == "fit" else \
         weights.unit_directions(directions, m, np.random.default_rng(m))
     with mock.patch.object(weights, "PAIR_BLOCK", block):
-        got = weights._direction_averages(W, p, nodes, dirs)
+        got = weights._direction_averages(WeightTable(W), p, nodes, dirs)
         want = _direction_averages_node_blocks(W, p, nodes, dirs)
     assert got.tobytes() == want.tobytes()
 
@@ -1054,7 +1332,7 @@ def test_direction_average_groups_stay_within_the_pair_budget(kind, m, n, block)
 
     with mock.patch.object(weights, "PAIR_BLOCK", block), \
             mock.patch.object(np.linalg, "norm", spy):
-        weights._direction_averages(W, 3.0, nodes, dirs)
+        weights._direction_averages(WeightTable(W), 3.0, nodes, dirs)
     assert sum(shape[0] for shape in groups) == len(nodes)
     for k, U, _, d in groups:
         assert d == D and k * U * D <= max(block, U * D)
@@ -1067,17 +1345,20 @@ def test_each_set_is_computed_as_if_alone(p):
     W = MatrixWeight.diag_power([1.0, 2.0, 0.5], [0.3, -0.2, 0.1], n=2)
     win = LatticeWindow(2, 0, 2, (0, 0), (1, 1))
     nodes = weights._cube_nodes(QuadratureSpec(2, 1), CubeArrays.of_window(win))
-    _, _, fac = next(weights._weight_blocks(W, (nodes,), counts=True))
-    assert len(set(np.count_nonzero(fac.parts[0].counts, axis=1).tolist())) > 1
+    table = WeightTable(W)
+    groups = list(table.blocks(table.sets(nodes), lambda u: u))
+    assert len({tuple(counts) for _, counts, _ in groups}) > 1
     shifted = nodes + 0.25
     alone = [slice(c, c + 1) for c in range(len(nodes))]
     for y in (nodes, shifted):
-        got = weights._defining_averages(W, p, nodes, y)
-        want = np.concatenate([weights._defining_averages(W, p, nodes[c], y[c]) for c in alone])
+        got = weights._defining_averages(table, p, nodes, y)
+        want = np.concatenate([weights._defining_averages(WeightTable(W), p, nodes[c], y[c])
+                               for c in alone])
         assert got.tobytes() == want.tobytes()
     dirs = weights._fit_directions(3)
-    got = weights._direction_averages(W, p, nodes, dirs)
-    want = np.concatenate([weights._direction_averages(W, p, nodes[c], dirs) for c in alone])
+    got = weights._direction_averages(table, p, nodes, dirs)
+    want = np.concatenate([weights._direction_averages(WeightTable(W), p, nodes[c], dirs)
+                           for c in alone])
     assert got.tobytes() == want.tobytes()
 
 
@@ -1142,7 +1423,7 @@ def _counting(W):
 def test_scalar_power_is_elementwise_and_refuses_like_the_distinct_path(bad, a):
     # 16 cells with repeated values; with ``bad`` the cells 9 and 5 hold it,
     # and the first shuffled node in either must be named, as the
-    # deduplicated path names it
+    # deduplicated path of the defining averages names it
     table = np.array([1.5, 0.25, 3.0, 1.5, 2.0, 0.25, 1.0, 3.0] * 2,
                      dtype=complex if isinstance(bad, complex) else float)
     if bad is not None:
@@ -1150,18 +1431,18 @@ def test_scalar_power_is_elementwise_and_refuses_like_the_distinct_path(bad, a):
     W = MatrixWeight(1, 1, lambda x: table[(x[:, 0] * 16).astype(int)][:, None, None])
     x = np.random.default_rng(0).permutation((np.arange(64) + 0.5) / 64)[:, None]
 
-    def power():
+    def refusal(fn):
         try:
-            return W.power(x, a)
+            return fn()
         except SingularWeightError as exc:
             return exc
 
+    # no eigendecomposition, and no lookup or deduplication of the points
     with mock.patch("numpy.linalg.eigh", wraps=np.linalg.eigh) as eigh, \
-            mock.patch.object(weights._Distinct, "of", wraps=weights._Distinct.of) as of:
-        got = power()
-    assert eigh.call_count == 0 and of.call_count == 0
-    with mock.patch.object(weights._Distinct, "each", weights._Distinct.of):
-        want = power()
+            mock.patch.object(weights, "_match", wraps=weights._match) as match:
+        got = refusal(lambda: W.power(x, a))
+    assert eigh.call_count == 0 and match.call_count == 0
+    want = refusal(lambda: WeightTable(W).sets(x[None], inverted=a < 0))
     if isinstance(want, SingularWeightError):
         assert isinstance(got, SingularWeightError) and str(got) == str(want)
         assert np.array_equal(got.node, want.node)
@@ -1185,13 +1466,18 @@ def test_defining_average_same_nodes_takes_one_eigh(p, m):
     W, calls = _counting(MatrixWeight.grid([0, 0], [1, 1], 1, cells.reshape(2, 2, 2, m, m)[0]))
     nodes, _ = QuadratureSpec(3, 1).nodes((0.0, 0.0), (1.0, 0.5))
     xs = nodes[None]
-    # m = 1 takes none: a 1 x 1 value is its own eigenvalue
+    # m = 1 takes none: a 1 x 1 value is its own eigenvalue; equal nodes of
+    # x and y are looked up, not evaluated again
     with mock.patch("numpy.linalg.eigh", wraps=np.linalg.eigh) as eigh:
-        same = weights._defining_averages(W, p, xs, xs)
-        assert eigh.call_count == (m > 1) and len(calls) == 1
-        apart = weights._defining_averages(W, p, xs, xs.copy())
-        assert eigh.call_count == 2 * (m > 1) and len(calls) == 2
-    assert same == apart  # bitwise
+        same = weights._defining_averages(WeightTable(W), p, xs, xs)
+        assert eigh.call_count == (m > 1) and calls == [len(nodes)]
+        apart = weights._defining_averages(WeightTable(W), p, xs, xs.copy())
+        assert eigh.call_count == 2 * (m > 1) and calls == [len(nodes)] * 2
+        table = WeightTable(W)
+        weights._defining_averages(table, p, xs, xs)
+        again = weights._defining_averages(table, p, xs, xs.copy())
+        assert eigh.call_count == 3 * (m > 1) and calls == [len(nodes)] * 3
+    assert same == apart == again  # bitwise
 
 
 def test_defining_average_same_nodes_keeps_singular_refusal():
@@ -1199,7 +1485,7 @@ def test_defining_average_same_nodes_keeps_singular_refusal():
     W = MatrixWeight.constant([[0.0, 0.0], [0.0, 0.0]], 1)
     for y in (xs, xs.copy()):
         with pytest.raises(SingularWeightError, match=r"weight is singular at \[0\.25\]"):
-            weights._defining_averages(W, 2.0, xs, y)
+            weights._defining_averages(WeightTable(W), 2.0, xs, y)
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -1229,6 +1515,18 @@ def _entry_field(m):
     return t
 
 
+def _doubling_nodes(report):
+    """The number of distinct quadrature nodes of the base cubes of a
+    dimension report and of all their doublings."""
+    boxes = []
+    for entry in report["per_cube"]:
+        q = parse_cube(entry["cube"])
+        for i in range(entry["doublings"] + 1):
+            half = np.ldexp(0.5 * q.side, i)
+            boxes.append(ENTRY_QUAD.nodes(np.array(q.center) - half, np.array(q.center) + half)[0])
+    return len(np.unique(np.concatenate(boxes), axis=0))
+
+
 # entry point -> (m, its call on W, the node evaluations it needs given its result)
 ENTRY_POINTS = {
     "ap_characteristic": (2, lambda W: ap_characteristic(W, 1.5, ENTRY_WINDOW, ENTRY_QUAD),
@@ -1239,10 +1537,11 @@ ENTRY_POINTS = {
                  lambda _: CUBE_NODES),
     "build_fit": (2, lambda W: ReducingFamily.build(W, 3.0, ENTRY_WINDOW, ENTRY_QUAD),
                   lambda _: CUBE_NODES),
-    # the base cube's nodes and the doubled cube's, per (base cube, doubling)
+    # each distinct node of the base cubes and their doublings once: a base
+    # cube's nodes serve all its doublings, and they are its first doubling's
     "ap_dimension_estimate": (
         2, lambda W: ap_dimension_estimate(W, 1.5, LatticeWindow(1, 0, 5, (0,), (2,)), ENTRY_QUAD),
-        lambda res: 2 * ENTRY_NODES * sum(e["doublings"] + 1 for e in res[1]["per_cube"])),
+        lambda res: _doubling_nodes(res[1])),
     # the fit, then the certificate
     "john_direction_report": (
         2, lambda W: john_direction_report(W, 3.0, DyadicCube(1, 0, (0,)), ENTRY_QUAD),
