@@ -38,9 +38,6 @@ JOHN_DIRECTIONS = 256
 # 3 x 3 Gram matrices whose closed-form r has 1 + r below this (top two
 # eigenvalues within about 2% of p) take their top eigenvalue from eigvalsh
 CUBIC_GAP = 1e-4
-# odd 64-bit multipliers of the row hash of WeightTable lookups: a splitmix64 round of 1, 2, ...
-_MIX = np.arange(1, 33, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-_MIX = (_MIX ^ (_MIX >> np.uint64(31))) * np.uint64(0xBF58476D1CE4E5B9) | np.uint64(1)
 
 
 @dataclass(frozen=True)
@@ -235,12 +232,10 @@ class MatrixWeight:
         return W
 
     def power(self, x, a: float) -> np.ndarray:
-        """W(x)**a with the small-eigenvalue clamp, from a :class:`WeightTable`
-        that takes every point as its own node (equal values of m > 1 share one)."""
+        """W(x)**a with the small-eigenvalue clamp, from a :class:`WeightTable` of x."""
         table = WeightTable(self)
-        (ids,) = table.sets(self._points(x)[None], inverted=a < 0, lookup=False)
-        # m = 1 keeps a value per node, in node order already
-        return table.power(a) if self.m == 1 else table.power(a)[ids[0]]
+        (ids,) = table.sets(self._points(x)[None], inverted=a < 0)
+        return table.power(a)[ids[0]]
 
 
 def _numbers(v) -> np.ndarray:
@@ -281,52 +276,46 @@ _REFUSED = ("weight is not Hermitian", "weight has a significantly negative eige
             "for complex ones; weight is complex")
 
 
-def _runs(keys: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """An order of rows (N, k) by ``key`` (N,), which equal rows share, and in
-    it the mask of the first row of every run of equal rows; a lexsort of the
-    columns, column 0 first, if rows that share their key differ."""
-    order = np.argsort(key)
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A lexsort of rows (N, k), column 0 first, which keeps equal rows in
+    the order they come, and in it the mask of the first row of every run of
+    equal rows.  Complex entries sort by their real, then imaginary parts."""
+    order = np.lexsort(keys.T[::-1])
+    srt = keys[order]
     new = np.ones(len(keys), dtype=bool)
-    new[1:] = key[order[1:]] != key[order[:-1]]
-    tie = np.flatnonzero(~new[1:])
-    if not np.array_equal(keys[order[tie]], keys[order[tie + 1]]):
-        order = np.lexsort(keys.T[::-1])
-        new[1:] = np.any(keys[order[1:]] != keys[order[:-1]], axis=1)
+    new[1:] = np.any(srt[1:] != srt[:-1], axis=1)
     return order, new
 
 
 def _match(known: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ids of ``rows`` among the distinct rows ``known`` (Q, k), new ones
     numbered from Q in the order they first appear, and the indices of those
-    first appearances.  The key is a hash of each row's bits, which rows that
-    differ, even in their last bits, all but never share."""
+    first appearances."""
     Q, every = len(known), np.concatenate([known, rows])
-    order, new = _runs(every, np.sum(every.view(np.uint64) * np.resize(_MIX, every.shape[1]), 1))
-    lead = np.minimum.reduceat(order, np.flatnonzero(new))    # a known row leads its run
-    fresh = np.sort(lead[lead >= Q])
-    run = np.where(lead < Q, lead, Q + np.searchsorted(fresh, lead))
+    order, new = _runs(every)
+    lead = order[new]           # the first row of each run: a known row, if any
+    first = np.zeros(len(every), dtype=bool)
+    first[lead[lead >= Q]] = True
+    run = np.where(lead < Q, lead, Q - 1 + np.cumsum(first)[lead])
     ids = np.empty(len(every), dtype=np.int64)
     ids[order] = run[np.cumsum(new) - 1]
-    return ids[Q:], fresh - Q
-
-
-def _keys(values: np.ndarray) -> np.ndarray:
-    """Matrices (V, m, m) as rows of real numbers, (re, im) for complex ones."""
-    flat = np.ascontiguousarray(values).reshape(len(values), values.shape[1] * values.shape[2])
-    return flat.view(flat.real.dtype) if np.iscomplexobj(flat) else flat
+    return ids[Q:], np.flatnonzero(first) - Q
 
 
 class WeightTable:
     """The weight values one command reads, each evaluated and factored once.
 
-    ``nodes`` (Q, n): the distinct points looked up (:meth:`sets`), W
+    ``nodes`` (Q, n): the distinct points looked up (:meth:`sets`; for m = 1,
+    whose values cost less to evaluate than to look up, every point), W
     evaluated once at each; ``value`` (Q,): their value ids.  ``values``
-    (V, m, m), equal ones of m > 1 under one id (for m = 1, one per node),
-    each with one ``eigh`` (``eig`` ascending, ``vecs``; a 1 x 1 value is its
+    (V, m, m), one per distinct value of m > 1 and per node of m = 1, each
+    with one ``eigh`` (``eig`` ascending, ``vecs``; a 1 x 1 value is its
     own eigenvalue) and its clamp ``floor``, EIG_CLAMP_REL times the trace.
     Bit i of ``faults`` (V,) marks refusal i of _REFUSED: an entry of V - V^*
     above 1e-12 times the largest eigenvalue modulus, an eigenvalue below
     -1e-12 times it, a clamped eigenvalue <= 0, an imaginary part above 1e-12.
+    The table keeps these for the whole command: n + 1 numbers per node,
+    about 2 m^2 + m + 3 per value and m^2 more per exponent taken.
     """
 
     def __init__(self, W: MatrixWeight):
@@ -334,32 +323,35 @@ class WeightTable:
         self.nodes, self.value = np.zeros((0, W.n)), np.zeros(0, dtype=np.int64)
         self.values, self.vecs = np.zeros((0, m, m)), np.zeros((0, m, m))
         self.eig, self.floor, self.faults = np.zeros((0, m)), np.zeros(0), np.zeros(0, np.uint8)
-        self._powers, self._rank = {}, (self.value, self.value)     # by exponent; see blocks
+        self._powers = {}                           # by exponent
+        self._rank = self.value, self.value         # see blocks
 
-    def sets(self, *parts, inverted: bool = False, real: bool = False,
-             lookup: bool = True) -> list[np.ndarray]:
+    def sets(self, *parts, inverted: bool = False, real: bool = False) -> list[np.ndarray]:
         """Value ids (K, L_i) of the nodes of K sets, given as parts (K, L_i, n).
 
-        Nodes are matched against the table's (all new without ``lookup``),
-        new ones evaluated in the order they first appear, set by set and part
-        by part.  Refuses the first node in that order whose value earns
-        refusal 0 or 1, with ``inverted`` 2 in the last part (taken to
-        negative powers), with ``real`` 3."""
-        K = len(parts[0])
+        Their nodes are matched against the table's at once (for m > 1).
+        The sets then run in blocks of about PAIR_BLOCK nodes: a block
+        evaluates its new nodes in the order they first appear, set by set
+        and part by part, and refuses the first of its nodes whose value
+        earns refusal 0 or 1, with ``inverted`` 2 in the last part (taken to
+        negative powers), with ``real`` 3, before the next block runs."""
         bounds = np.cumsum([0] + [part.shape[1] for part in parts])
-        pts = self.W._points((np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0])
-                             .reshape(-1, parts[0].shape[-1]))
-        nid, fresh = (_match(self.nodes, pts) if lookup
-                      else (len(self.nodes) + np.arange(len(pts)), slice(None)))
-        self._grow(pts[fresh])
-        vid = self.value[nid].reshape(K, -1)
-        if np.any(self.faults & (3 | 4 * inverted | 8 * real)):
-            allowed = np.full(bounds[-1], 3 | 8 * real, dtype=np.uint8)
-            allowed[bounds[-2]:] |= 4 * inverted
-            fault = (self.faults[vid] & allowed).ravel()
-            for i in np.flatnonzero(fault)[:1]:     # the first faulty node, if any
-                code = (int(fault[i]) & -int(fault[i])).bit_length() - 1     # its lowest bit
-                raise SingularWeightError(f"{_REFUSED[code]} at {pts[i]}", node=pts[i])
+        K, L = len(parts[0]), int(bounds[-1])
+        allowed = np.full((K, L), 3 | 8 * real, dtype=np.uint8)
+        allowed[:, bounds[-2]:] |= 4 * inverted
+        pts = self.W._points(np.concatenate(parts, axis=1).reshape(K * L, -1))
+        nid, fresh = ((len(self.nodes) + np.arange(K * L), np.arange(K * L)) if self.W.m == 1
+                      else _match(self.nodes, pts))
+        step = max(1, PAIR_BLOCK // L) * L          # the nodes of whole sets
+        for s in range(0, K * L, step):
+            self._grow(pts[fresh[(fresh >= s) & (fresh < s + step)]])
+            fault = self.faults[self.value[nid[s:s + step]]] & allowed.flat[s:s + step]
+            if fault.any():
+                i = int(np.argmax(fault != 0))
+                f, node = int(fault[i]), pts[s + i]
+                code = (f & -f).bit_length() - 1        # its lowest bit
+                raise SingularWeightError(f"{_REFUSED[code]} at {node}", node=node)
+        vid = self.value[nid].reshape(K, L)
         return [vid[:, a:b] for a, b in zip(bounds, bounds[1:])]
 
     def _grow(self, pts: np.ndarray) -> None:
@@ -367,40 +359,43 @@ class WeightTable:
         if not len(pts):
             return
         vals = self.W(pts)
-        self.values = self.values.astype(np.result_type(self.values, vals), copy=False)
-        vals = vals.astype(self.values.dtype, copy=False)
-        ids, fresh = ((len(self.values) + np.arange(len(vals)), slice(None)) if self.W.m == 1
-                      else _match(_keys(self.values), _keys(vals)))
-        v = vals[fresh]
+        if self.W.m == 1:       # a value per node, which is its own eigenvalue
+            ids, v = len(self.values) + np.arange(len(vals)), vals
+            eig, vecs = v[:, 0].real, v[:0]
+        else:
+            flat = self.W.m ** 2
+            ids, fresh = _match(self.values.reshape(-1, flat), vals.reshape(-1, flat))
+            v = vals[fresh]
+            eig, vecs = np.linalg.eigh(v)
         floor = EIG_CLAMP_REL * np.maximum(np.trace(v, axis1=1, axis2=2).real, 0.0)
-        eig, vecs = (v[:, 0].real, v[:0]) if self.W.m == 1 else np.linalg.eigh(v)
         # eigh reads the lower triangle only: a value whose upper triangle
         # differs is measured against that triangle's scale, and refused
         top = np.max(np.abs(eig), axis=1)
-        residual = np.max(np.abs(v - np.swapaxes(v, 1, 2).conj()).reshape(len(v), -1), axis=1)
-        imag = (np.max(np.abs(v.imag).reshape(len(v), -1), axis=1) > 1e-12 if np.iscomplexobj(v)
-                else np.zeros(len(v), dtype=bool))
-        faults = sum(f.view(np.uint8) << i for i, f in enumerate((residual > 1e-12 * top,
-                     eig[:, 0] < -1e-12 * top, np.maximum(eig[:, 0], floor) <= 0, imag)))
-        grown = {"nodes": pts, "value": ids, "values": v, "eig": eig, "vecs": vecs,
-                 "floor": floor, "faults": faults}
-        for name, rows in grown.items():
-            held = getattr(self, name)
-            setattr(self, name, np.concatenate([held, rows]) if len(held) else rows)
+        residual = np.max(np.abs(v - np.swapaxes(v, 1, 2).conj()), axis=(1, 2))
+        faults = np.zeros(len(v), dtype=np.uint8)
+        faults[residual > 1e-12 * top] |= 1
+        faults[eig[:, 0] < -1e-12 * top] |= 2
+        faults[np.maximum(eig[:, 0], floor) <= 0] |= 4
+        if np.iscomplexobj(v):
+            faults[np.max(np.abs(v.imag), axis=(1, 2)) > 1e-12] |= 8
+        self.nodes = np.concatenate([self.nodes, pts])
+        self.value = np.concatenate([self.value, ids])
+        self.values = np.concatenate([self.values, v])
+        self.eig = np.concatenate([self.eig, eig])
+        self.vecs = np.concatenate([self.vecs, vecs])
+        self.floor = np.concatenate([self.floor, floor])
+        self.faults = np.concatenate([self.faults, faults])
 
     def power(self, a: float) -> np.ndarray:
-        """Every value to the power a with the clamp, (V, m, m); once per
-        exponent, and then for the values the table gains."""
-        done = self._powers.get(a, self.values[:0])
-        if len(done) < len(self.values):
-            g = slice(len(done), None)
+        """Every value to the power a with the clamp, (V, m, m); taken again
+        only when the table has gained values since."""
+        if len(self._powers.get(a, ())) < len(self.values):
             # singular values give inf for a < 0; no consumer reads them
             with np.errstate(divide="ignore", invalid="ignore"):
-                clamped = np.maximum(self.eig[g], self.floor[g, None]) ** a
-                new = clamped[:, :, None] if self.W.m == 1 else np.einsum(
-                    "nij,nj,nkj->nik", self.vecs[g], clamped, self.vecs[g].conj())
-            self._powers[a] = done = new if g.start == 0 else np.concatenate([done, new])
-        return done
+                clamped = np.maximum(self.eig, self.floor[:, None]) ** a
+                self._powers[a] = clamped[:, :, None] if self.W.m == 1 else np.einsum(
+                    "nij,nj,nkj->nik", self.vecs, clamped, self.vecs.conj())
+        return self._powers[a]
 
     def blocks(self, parts, size):
         """The sets of one or two parts of value ids (K, L_i) in groups of
@@ -410,8 +405,7 @@ class WeightTable:
         each is computed as if alone.  A set lists its values in the order
         of a lexsort of their entries, as ``_rank`` places every value."""
         if len(self._rank[0]) < len(self.values):
-            keys = _keys(self.values)
-            order, new = _runs(keys, keys[:, 0])
+            order, new = _runs(self.values.reshape(-1, self.W.m ** 2))
             rank = np.empty(len(order), dtype=np.int64)
             rank[order] = np.cumsum(new) - 1
             self._rank = rank, order[new]       # and the id of one value at each place
@@ -608,9 +602,12 @@ def _box_nodes(quad: QuadratureSpec, lower: np.ndarray, width: np.ndarray) -> np
 
 
 def _weight_means(table: WeightTable, nodes: np.ndarray) -> np.ndarray:
-    """Average of the weight over each cube's nodes, shape (C, m, m)."""
+    """Average of the weight over each cube's nodes, shape (C, m, m), in
+    blocks of about PAIR_BLOCK nodes."""
     (ids,) = table.sets(nodes)
-    return np.mean(table.values[ids], axis=1)
+    step = max(1, PAIR_BLOCK // ids.shape[1])
+    return np.concatenate([np.mean(table.values[ids[s:s + step]], axis=1)
+                           for s in range(0, len(ids), step)])
 
 
 def _psd_sqrt(M: np.ndarray, what: str) -> np.ndarray:
@@ -645,20 +642,19 @@ def direction_averages(W: MatrixWeight, p: float, cubes: CubeArrays, quad: Quadr
     """avg |W^{1/p} z|^p over the quadrature nodes of each of C cubes for
     every direction z of ``dirs`` (D, m), shape (C, D); its p-th root is the
     p-average of |W^{1/p} z|.  Complex weights are taken with their complex
-    norms.  Its own table looks up no node: the quadrature nodes of distinct
-    cubes never coincide."""
-    return _direction_averages(WeightTable(W), p, _cube_nodes(quad, cubes), dirs, lookup=False)
+    norms."""
+    return _direction_averages(WeightTable(W), p, _cube_nodes(quad, cubes), dirs)
 
 
 def _direction_averages(table: WeightTable, p: float, nodes: np.ndarray, dirs: np.ndarray,
-                        real: bool = False, lookup: bool = True) -> np.ndarray:
+                        real: bool = False) -> np.ndarray:
     """:func:`direction_averages` over the nodes (C, N, n) of C cubes; ``real``
     refuses complex weight values, as the ellipsoid fit needs.  For m = 1 the
     average is mean(w) |z|^p; otherwise the table's W^{1/p} at each cube's
     distinct values is normed in every direction, in groups of about
     PAIR_BLOCK / D values, and counted with its multiplicity."""
     N, D = nodes.shape[1], len(dirs)
-    (ids,) = table.sets(nodes, real=real, lookup=lookup)
+    (ids,) = table.sets(nodes, real=real)
     if table.W.m == 1:
         return np.mean(table.values[ids][..., 0, 0].real, axis=1)[:, None] * np.abs(dirs[:, 0]) ** p
     P = table.power(1.0 / p)
@@ -909,7 +905,8 @@ def ap_dimension_estimate(W: MatrixWeight, p: float, window: LatticeWindow,
     if p <= 0:
         raise PreconditionError("p must be positive")
     cubes = CubeArrays.of_window(window)
-    lo, hi = np.array(window.lo, dtype=float), np.array(window.hi, dtype=float)
+    lo = np.array(window.lo, dtype=float)
+    hi = np.array(window.hi, dtype=float)
     center = np.ldexp((2 * cubes.index + 1).astype(float), -(cubes.levels + 1)[:, None])
     # doublings 2^i Q, i = 1, 2, ..., stay inside the box while they fit
     doublings = np.zeros(len(cubes), dtype=np.int64)
@@ -922,7 +919,8 @@ def ap_dimension_estimate(W: MatrixWeight, p: float, window: LatticeWindow,
         i += 1
     candidates = np.flatnonzero(doublings >= min_doublings)
     if not len(candidates):
-        raise PreconditionError(f"window too shallow: no cube admits {min_doublings} doublings")
+        raise PreconditionError(
+            f"window too shallow: no cube admits {min_doublings} doublings")
     if len(candidates) > max_base_cubes:
         candidates = candidates[::len(candidates) // max_base_cubes + 1]
     # one (base cube, doubling i) pair for i = 0..imax of every candidate
@@ -935,6 +933,7 @@ def ap_dimension_estimate(W: MatrixWeight, p: float, window: LatticeWindow,
     vals = _defining_averages(table or WeightTable(W), p, _cube_nodes(quad, cubes.take(base)),
                               _box_nodes(quad, lower, upper - lower))
     per_cube = []
+    best = -math.inf
     for c, s, d in zip(candidates.tolist(), first.tolist(), imax.tolist()):
         ii = np.arange(d + 1, dtype=float)
         logs = np.log2(np.maximum(vals[s:s + d + 1], 1e-300))
@@ -942,5 +941,6 @@ def ap_dimension_estimate(W: MatrixWeight, p: float, window: LatticeWindow,
         resid = float(np.sqrt(np.mean((logs - (slope * ii + intercept)) ** 2)))
         per_cube.append({"cube": str(cubes.cube(c)), "slope": float(slope), "residual": resid,
                          "doublings": d})
-    return max(e["slope"] for e in per_cube), {"per_cube": per_cube,
-                                               "n_base_cubes": len(candidates)}
+        best = max(best, float(slope))
+    report = {"per_cube": per_cube, "n_base_cubes": len(candidates)}
+    return best, report

@@ -1085,7 +1085,7 @@ def _pre_table():
     return (mock.patch.object(weights, "_defining_averages",
                               lambda t, p, x, y: _defining_averages_blocks(t.W, p, x, y)),
             mock.patch.object(weights, "_direction_averages",
-                              lambda t, p, nodes, dirs, real=False, lookup=True:
+                              lambda t, p, nodes, dirs, real=False:
                               _direction_averages_blocks(t.W, p, nodes, dirs, real)),
             mock.patch.object(weights, "_weight_means",
                               lambda t, nodes: _weight_means_blocks(t.W, nodes)))
@@ -1156,14 +1156,6 @@ def test_match_numbers_rows_by_first_appearance(n, known, count, seed):
     # the first appearance of every new row, in order
     new_ids = range(len(pool), ids.max(initial=-1) + 1)
     assert fresh.tolist() == [int(np.argmax(ids == k)) for k in new_ids]
-
-
-def test_runs_falls_back_to_a_lexsort_where_keys_tie():
-    # every key ties, so only the lexsort of the rows can tell them apart
-    rows = np.array([[2.0, 1.0], [1.0, 3.0], [2.0, 1.0], [1.0, 2.0], [1.0, 3.0]])
-    order, new = weights._runs(rows, np.zeros(len(rows)))
-    assert rows[order].tolist() == sorted(rows.tolist())
-    assert new.tolist() == [True, True, False, True, False]
 
 
 @pytest.mark.parametrize("run", TABLE_RUNS)
@@ -1465,18 +1457,20 @@ def test_defining_average_same_nodes_takes_one_eigh(p, m):
     cells = base @ np.swapaxes(base, -1, -2) + 0.1 * np.eye(m)
     W, calls = _counting(MatrixWeight.grid([0, 0], [1, 1], 1, cells.reshape(2, 2, 2, m, m)[0]))
     nodes, _ = QuadratureSpec(3, 1).nodes((0.0, 0.0), (1.0, 0.5))
-    xs = nodes[None]
-    # m = 1 takes none: a 1 x 1 value is its own eigenvalue; equal nodes of
-    # x and y are looked up, not evaluated again
+    xs, n = nodes[None], len(nodes)
+    # m = 1 takes none: a 1 x 1 value is its own eigenvalue.  For m > 1 equal
+    # nodes of x and y are looked up, not evaluated again; m = 1 looks up no
+    # node, so x and y given apart are evaluated together
     with mock.patch("numpy.linalg.eigh", wraps=np.linalg.eigh) as eigh:
         same = weights._defining_averages(WeightTable(W), p, xs, xs)
-        assert eigh.call_count == (m > 1) and calls == [len(nodes)]
+        assert eigh.call_count == (m > 1) and calls == [n]
         apart = weights._defining_averages(WeightTable(W), p, xs, xs.copy())
-        assert eigh.call_count == 2 * (m > 1) and calls == [len(nodes)] * 2
+        assert eigh.call_count == 2 * (m > 1) and calls == [n, n if m > 1 else 2 * n]
         table = WeightTable(W)
         weights._defining_averages(table, p, xs, xs)
         again = weights._defining_averages(table, p, xs, xs.copy())
-        assert eigh.call_count == 3 * (m > 1) and calls == [len(nodes)] * 3
+        assert eigh.call_count == 3 * (m > 1)
+        assert calls == ([n] * 3 if m > 1 else [n, 2 * n, n, 2 * n])
     assert same == apart == again  # bitwise
 
 
@@ -1592,6 +1586,44 @@ def test_every_entry_point_refuses_bad_weight_values_at_the_first_node(entry, bl
     assert str(info.value) == f"{fault} at {first}"
     assert np.array_equal(info.value.node, first)
     assert isinstance(info.value, PreconditionError)
+
+
+# consumers of a table, each on the two cubes [0, 1/2) and [1/2, 1)
+MIXED_FAULT_CALLS = {
+    "characteristic": lambda W, win: ap_characteristic(W, 1.5, win, ENTRY_QUAD),
+    "build_p2": lambda W, win: ReducingFamily.build(W, 2.0, win, ENTRY_QUAD),
+    "build_fit": lambda W, win: ReducingFamily.build(W, 3.0, win, ENTRY_QUAD),
+}
+
+
+@pytest.mark.parametrize("block, wins", [(1, "weight is not Hermitian at [0.3125]"),
+                                         (weights.PAIR_BLOCK, "weight is not finite at the "
+                                                              "point [0.8125]")],
+                         ids=["small-blocks", "default-blocks"])
+@pytest.mark.parametrize("call", MIXED_FAULT_CALLS)
+def test_mixed_faults_are_refused_in_block_order(call, block, wins):
+    # a non-Hermitian value in the first cube and a non-finite one in the
+    # second: a block of the first cube alone refuses its value before the
+    # second cube is evaluated; a block of both evaluates them first
+    def f(x):
+        out = np.broadcast_to(np.eye(2), (len(x), 2, 2)).copy()
+        out[(x[:, 0] >= 0.25) & (x[:, 0] < 0.5), 0, 1] = 1.0
+        out[x[:, 0] >= 0.75] = np.nan
+        return out
+
+    W, win = MatrixWeight(2, 1, f), LatticeWindow(1, 1, 1, (0,), (1,))
+
+    def refusal():
+        with pytest.raises(PreconditionError) as info:
+            MIXED_FAULT_CALLS[call](W, win)
+        return info.value
+
+    with mock.patch.object(weights, "PAIR_BLOCK", block):
+        got = refusal()
+        patches = _pre_table()
+        with patches[0], patches[1], patches[2]:
+            want = refusal()
+    assert type(got) is type(want) and str(got) == str(want) == wins
 
 
 # ---------------------------------------------------------------------------
