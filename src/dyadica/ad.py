@@ -1,6 +1,6 @@
 """Cube-pair matrices with distance/scale decay: the model matrix, its
-application to coefficient fields, composition certificates, empirical
-boundedness probes, and pairing matrices of localized families.
+application to coefficient fields, empirical boundedness probes, and
+pairing matrices of localized families.
 
 Finite-window operator-norm estimates are lower bounds obtained from
 randomized search plus structured adversarial fields; the growth trend
@@ -17,16 +17,13 @@ import numpy as np
 from .dyadic import CubeArrays, DyadicCube, LatticeWindow, distance_block
 from .errors import PreconditionError
 from .molecules import MoleculeFamily, mgh_bound
-from .params import ADRegion, SpaceParams
+from .params import SpaceParams
 from .seq import CoeffField, random_rows, seq_norms_averaged, seq_norms_weighted
 from .weights import MatrixWeight, QuadratureSpec, ReducingFamily
 
 
 # Matrix entries per row block of apply: bounds its temporaries on large windows.
 _BLOCK_ENTRIES = 1 << 18
-# Sampled cube pairs per block of the certificate checks, whose temporaries
-# are _PAIR_CHUNK x (window cubes) at most.
-_PAIR_CHUNK = 128
 
 
 def bdef_block(rows: CubeArrays, cols: CubeArrays, D: float, E: float, F: float) -> np.ndarray:
@@ -50,59 +47,22 @@ def _cube_equality(rows: CubeArrays, cols: CubeArrays) -> np.ndarray:
     return eq.astype(float)
 
 
-def _sample_pairs(rng: np.random.Generator, count: int, samples: int) -> tuple:
-    """Row and column indices of sampled pairs, drawn alternately, row first:
-    one array draw, the same stream as ``2 * samples`` scalar
-    ``rng.integers(count)`` calls."""
-    draws = rng.integers(count, size=2 * samples).astype(np.intp, copy=False)
-    return draws[0::2], draws[1::2]
-
-
-def _sampled_entries(block, cubes: CubeArrays, qi: np.ndarray, ri: np.ndarray) -> np.ndarray:
-    """``block(cubes, cubes)[qi, ri]``, evaluated as the diagonals of blocks of
-    at most _PAIR_CHUNK sampled pairs."""
-    parts = [np.empty(0)]
-    for s in range(0, len(qi), _PAIR_CHUNK):
-        sl = slice(s, s + _PAIR_CHUNK)
-        parts.append(np.diagonal(block(cubes.take(qi[sl]), cubes.take(ri[sl]))))
-    return np.concatenate(parts)
-
-
 @dataclass
 class ADMatrix:
-    """Block evaluator over cube pairs, with an optional decay certificate."""
+    """Block evaluator over cube pairs."""
 
-    block: object                      # (rows, cols) -> (len(rows), len(cols)) array
-    certificate: tuple | None = None   # (D, E, F, C)
-    label: str = "matrix"
+    block: object  # (rows, cols) -> (len(rows), len(cols)) array
 
     def __call__(self, q: DyadicCube, r: DyadicCube) -> complex:
         return self.block(CubeArrays.of([q]), CubeArrays.of([r]))[0, 0]
 
     @classmethod
     def model(cls, D: float, E: float, F: float) -> "ADMatrix":
-        return cls(lambda rows, cols: bdef_block(rows, cols, D, E, F), (D, E, F, 1.0),
-                   f"bdef({D},{E},{F})")
+        return cls(lambda rows, cols: bdef_block(rows, cols, D, E, F))
 
     @classmethod
     def identity(cls) -> "ADMatrix":
-        return cls(_cube_equality, None, "identity")
-
-    def verify_certificate(self, window: LatticeWindow,
-                           rng: np.random.Generator | None = None,
-                           samples: int = 10000) -> dict:
-        """Sample cube pairs and fit the smallest C with |b| <= C * model."""
-        if self.certificate is None:
-            raise PreconditionError("matrix carries no certificate")
-        D, E, F, _ = self.certificate
-        cubes = CubeArrays.of_window(window)
-        rng = rng or np.random.default_rng(0)
-        count = min(samples, len(cubes) ** 2)
-        qi, ri = _sample_pairs(rng, len(cubes), count)
-        entries = _sampled_entries(self.block, cubes, qi, ri)
-        model = _sampled_entries(ADMatrix.model(D, E, F).block, cubes, qi, ri)
-        return {"fitted_C": float(np.max(np.abs(entries) / model, initial=0.0)),
-                "samples": count}
+        return cls(_cube_equality)
 
 
 def apply_rows(B: ADMatrix, window: LatticeWindow, fields: np.ndarray) -> np.ndarray:
@@ -132,39 +92,6 @@ def apply(B: ADMatrix, t: CoeffField) -> CoeffField:
     """:func:`apply_rows` of one field."""
     out = CoeffField(t.window, t.m)
     out.write_all(apply_rows(B, t.window, t.rows()[None])[0])
-    return out
-
-
-def compose_certificate(c1: tuple, c2: tuple, region: ADRegion,
-                        window: LatticeWindow | None = None,
-                        rng: np.random.Generator | None = None,
-                        samples: int = 2000) -> dict:
-    """Certificate for the product of two certified matrices.
-
-    Both inputs must lie strictly inside the region; the conservative output
-    is the componentwise minimum, which stays inside.  When a window is
-    given, product entries at sampled cube pairs are formed as products of
-    the two model blocks over the window, and the constant fitted.
-    """
-    for name, c in (("first", c1), ("second", c2)):
-        if not region.contains(*c[:3]):
-            failing = region.check(*c[:3]).failing()
-            raise PreconditionError(f"{name} certificate outside the region: {failing}")
-    D = min(c1[0], c2[0])
-    E = min(c1[1], c2[1])
-    F = min(c1[2], c2[2])
-    out = {"certificate": (D, E, F), "inside": region.contains(D, E, F)}
-    if window is not None:
-        cubes = CubeArrays.of_window(window)
-        rng = rng or np.random.default_rng(0)
-        qi, ri = _sample_pairs(rng, len(cubes), samples)
-
-        def product(rows, cols):
-            return bdef_block(rows, cubes, *c1[:3]) @ bdef_block(cubes, cols, *c2[:3])
-
-        prod = _sampled_entries(product, cubes, qi, ri)
-        model = _sampled_entries(ADMatrix.model(D, E, F).block, cubes, qi, ri)
-        out["fitted_C"] = float(np.max(np.abs(prod) / model, initial=0.0))
     return out
 
 

@@ -449,47 +449,6 @@ def decay_fit(radii: np.ndarray, values: np.ndarray) -> dict:
     return {"slope": float(slope), "residual": resid, "count": int(np.sum(ok))}
 
 
-def moment_of_Ta(K: Kernel, atom: MoleculeCandidate, gamma: tuple[int, ...],
-                 decay_exponent: float, r_near: float = None, r_far: float = 256.0,
-                 quad_points: int = 64) -> dict:
-    """Annulus quadrature of x^gamma times the kernel applied to the atom.
-
-    The near ball (distributional territory) is excluded and reported; the
-    far tail is bounded using the supplied decay exponent, which must exceed
-    |gamma| + n for integrability.
-    """
-    n = atom.cube.n
-    order = sum(gamma)
-    if not decay_exponent > order + n:
-        raise PreconditionError(
-            f"moment not integrable: decay {decay_exponent} <= |gamma| + n = {order + n}")
-    r_near = r_near if r_near is not None else 4 * math.sqrt(n) + 1.0
-    if n != 1:
-        raise PreconditionError("annulus moments implemented for n = 1")
-    nodes, wts = np.polynomial.legendre.leggauss(quad_points)
-    # integrate over [-r_far, -r_near] and [r_near, r_far] in log bands, all
-    # bands of both half-lines in one far-field batch
-    edges = np.geomspace(r_near, r_far, 24)
-    a, b = edges[:-1, None], edges[1:, None]
-    half = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-    xs = np.concatenate([-half, half])
-    w = np.tile(0.5 * (b - a) * wts, (2, 1))
-    raw = apply_to_atom_farfield(K, atom, (0,) * n, xs.reshape(-1, 1),
-                                 quad_points=quad_points)["raw"].reshape(xs.shape)
-    total = sum(np.sum(w * xs ** gamma[0] * raw, axis=1), 0.0 + 0.0j)
-    tail_scale = float(np.max(np.abs(raw) * np.abs(xs) ** decay_exponent))
-    # |x^gamma Ta(x)| <= tail_scale |x|^{|gamma| - decay} on both half-lines past r_far
-    tail_bound = 2 * tail_scale * r_far ** (order + n - decay_exponent) / (
-        decay_exponent - order - n)
-    return {
-        "value": complex(total),
-        "excluded_radius": r_near,
-        "far_radius": r_far,
-        "tail_bound": float(tail_bound),
-        "note": "near field excluded; value covers the annulus only",
-    }
-
-
 def legacy_to_mixed(s: float, J: float, delta: float, rho: float, n: int) -> dict:
     """Convert classical split-smoothness parameters to mixed-difference
     exponents.  Returns the pair with the dilation bookkeeping identity."""

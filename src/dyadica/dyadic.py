@@ -193,40 +193,6 @@ def base_of(q: DyadicCube) -> tuple[DyadicCube, int]:
     return DyadicCube(q.n - 1, q.j, q.k[:-1]), q.k[-1]
 
 
-def _ceil_log2(m: int) -> int:
-    if m < 1:
-        raise ValueError("argument must be >= 1")
-    return (m - 1).bit_length()
-
-
-def covering_cube(r: DyadicCube, k: int) -> DyadicCube:
-    """Smallest-construction cube one dimension up containing every stack of r.
-
-    For a base cube r and slab offset k, returns P with side
-    ``2**ceil(log2(k+1)) * side(r)`` (k >= 0) or ``2**ceil(log2(-k)) * side(r)``
-    (k <= -1) such that ``stack_cube(i, k)`` is contained in P for every dyadic
-    ``i`` inside r.
-    """
-    k = int(k)
-    if k >= 0:
-        up = _ceil_log2(k + 1)
-        anc = r.ancestor(up)
-        return stack_cube(anc, 0)
-    up = _ceil_log2(-k)
-    anc = r.ancestor(up)
-    return stack_cube(anc, -1)
-
-
-def normalized_indicator(q: DyadicCube, x) -> np.ndarray:
-    """|Q|^{-1/2} on Q, zero elsewhere."""
-    inside = q.contains(x)
-    scale = math.ldexp(1.0, q.j * q.n) ** 0.5
-    vals = np.where(inside, scale, 0.0)
-    if np.asarray(x).ndim == 1:
-        return vals[0]
-    return vals
-
-
 def _index_bounds(lo, hi, j: int) -> list[tuple[int, int]]:
     """Half-open index ranges [a, b) per axis of the level-j cubes inside the
     box [lo, hi) of integer level-0 coordinates."""

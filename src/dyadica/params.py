@@ -9,7 +9,6 @@ with its margin, so callers can report exactly which condition fails.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -138,10 +137,6 @@ class SpaceParams:
             q = INF
         return cls(json_field(d, "family", str), json_field(d, "s"), json_field(d, "tau"),
                    json_field(d, "p"), float(q))
-
-    @classmethod
-    def from_json(cls, text: str) -> "SpaceParams":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -630,64 +630,3 @@ def wavelet_norm(f: FunctionSample, sys: WaveletSystem, sp, window: LatticeWindo
         meta["smoothness_warning"] = sys.fp.holder < required_smoothness
         meta["low_margin_flag"] = (sys.fp.holder - required_smoothness) < 0.1
     return NormResult(total, attaining, False, meta)
-
-
-@dataclass
-class ReindexedAtoms:
-    """One-sequence atom re-indexing of a multi-channel wavelet expansion.
-
-    Child cube i of a cube Q carries the channel-i coefficient of Q; the atom
-    on that child is the parent wavelet scaled by the fixed constant.
-    """
-
-    coeffs: CoeffField          # materialized values coef / c
-    sources: dict               # channel -> source field with the original values
-    c: float
-    r: float
-    sys: WaveletSystem
-    source_window: LatticeWindow
-
-    def channel_fields(self) -> dict:
-        """Copies of the per-channel source fields, one per wavelet channel."""
-        empty = CoeffField(self.source_window, self.coeffs.m)
-        return {lam: self.sources.get(lam, empty).copy() for lam in self.sys.channels}
-
-
-def atoms_from_wavelets(coefs: dict, sys: WaveletSystem,
-                        out_window: LatticeWindow | None = None) -> ReindexedAtoms:
-    """Re-index channel coefficients of each cube onto its child cubes.
-
-    Channel i (in the fixed channel order) goes to child i; the last child
-    slot always carries the zero coefficient.
-    """
-    some = next(iter(coefs.values()))
-    src_window = some.window
-    m = some.m
-    if out_window is None:
-        out_window = LatticeWindow(src_window.n, src_window.j_min + 1,
-                                   src_window.j_max + 1, src_window.lo, src_window.hi)
-    c = _atom_constant(sys)
-    out = CoeffField(out_window, m)
-    sources = {lam: coefs[lam] for lam in sys.channels if lam in coefs}
-    # child offsets in the order of dyadic.children; channel i takes offset i
-    offsets = dict(zip(sys.channels, itertools.product((0, 1), repeat=sys.n)))
-    present = {lam: tf.levels() for lam, tf in sources.items()}
-    for j in sorted({j for js in present.values() for j in js}):
-        bounds = src_window.index_bounds(j)
-        levels = {lam: tf.level(j) for lam, tf in sources.items() if j in present[lam]}
-        block = np.zeros((m,) + tuple(2 * (hi - lo) for lo, hi in bounds),
-                         dtype=np.result_type(float, *levels.values()))
-        for lam, level in levels.items():
-            block[(slice(None),) + tuple(slice(o, None, 2) for o in offsets[lam])] = level / c
-        out.write(j + 1, tuple(2 * lo for lo, _ in bounds), block)
-    return ReindexedAtoms(out, sources, c, _atom_dilation(sys), sys, src_window)
-
-
-def _atom_constant(sys: WaveletSystem) -> float:
-    sup = max(float(np.max(np.abs(sys.phi))), float(np.max(np.abs(sys.psi))))
-    return 2.0 ** (sys.n / 2.0) / sup ** sys.n
-
-
-def _atom_dilation(sys: WaveletSystem) -> float:
-    L = sys.support_width
-    return max(4.0 * (L - 0.25), 3.0)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .dyadic import CubeArrays, DyadicCube, LatticeWindow, tensor_points
 from .errors import PreconditionError, SingularWeightError
-from .params import WeightDims, json_field
+from .params import json_field
 
 EIG_CLAMP_REL = 1e-14
 # nodes evaluated per block, and (x, y) pairs or (value, direction) pairs of
@@ -808,9 +808,11 @@ def john_direction_report(W: MatrixWeight, p: float, cube: DyadicCube,
                           rng: np.random.Generator | None = None) -> dict:
     """Two-sided direction-ratio certificate for a fitted reducing operator,
     over JOHN_DIRECTIONS fresh unit directions drawn from ``rng``."""
-    A = reducing_operator(W, p, cube, quad)
+    cubes, table = CubeArrays.of([cube]), WeightTable(W)
+    ops, _, _ = _reducing_operators(W, p, cubes, quad, table)
+    A = ops[0]
     dirs = unit_directions(JOHN_DIRECTIONS, W.m, rng or np.random.default_rng(1))
-    rho = direction_averages(W, p, CubeArrays.of([cube]), quad, dirs)[0] ** (1.0 / p)
+    rho = _direction_averages(table, p, _cube_nodes(quad, cubes), dirs)[0] ** (1.0 / p)
     lhs = np.linalg.norm(dirs @ A.T, axis=-1)
     ratios = lhs / rho
     return {
@@ -873,22 +875,6 @@ class ReducingFamily:
         """Operators of every window cube as one batch (``table``: as ap_characteristic)."""
         ops, steps, gap = _reducing_operators(W, p, CubeArrays.of_window(window), quad, table)
         return cls(p, W, window, ops, steps, gap)
-
-
-def reducing_ratio_bound(fam: ReducingFamily, wd: WeightDims,
-                         q: DyadicCube, r: DyadicCube) -> tuple[float, float]:
-    """(measured ||A_Q A_R^{-1}||, model bound) for a cube pair."""
-    Aq = fam[q]
-    Ar = fam[r]
-    ratio = float(np.linalg.norm(Aq @ np.linalg.inv(Ar), ord=2))
-    lq, lr = q.side, r.side
-    if fam.p <= 1:
-        scale = max((lr / lq) ** (wd.d / fam.p), 1.0)
-    else:
-        pprime = fam.p / (fam.p - 1)
-        scale = max((lr / lq) ** (wd.d / fam.p), (lq / lr) ** (wd.d_tilde / pprime))
-    dist = 1.0 + float(np.linalg.norm(np.array(q.center) - np.array(r.center))) / max(lq, lr)
-    return ratio, scale * dist ** wd.delta
 
 
 def ap_dimension_estimate(W: MatrixWeight, p: float, window: LatticeWindow,

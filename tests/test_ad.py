@@ -12,17 +12,14 @@ import dyadica.seq as seq_module
 from dyadica.ad import (
     ADMatrix,
     _adversarial_fields,
-    _sample_pairs,
     apply,
     apply_rows,
     bdef_block,
     bdef_entry,
-    compose_certificate,
     empirical_norm,
     gram_matrix,
 )
 from dyadica.dyadic import CubeArrays, DyadicCube, LatticeWindow
-from dyadica.errors import PreconditionError
 from dyadica.molecules import MoleculeParams, wavelet_family
 from dyadica.params import BESOV, INF, TRIEBEL_LIZORKIN, SpaceParams, ad_region, derived_indices
 from dyadica.seq import CoeffField
@@ -75,35 +72,6 @@ def test_apply_linearity():
     rhs = apply(B, t).plus(apply(B, u).scaled(2.0))
     for q in win.all_cubes():
         assert np.allclose(lhs.get(q), rhs.get(q), atol=1e-13)
-
-
-def test_certificate_verify():
-    win = LatticeWindow(1, 0, 3, (0,), (1,))
-    B = ADMatrix.model(2.0, 1.0, 1.5)
-    rep = B.verify_certificate(win, samples=500)
-    assert rep["fitted_C"] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_compose_certificate_inside():
-    sp = SpaceParams(BESOV, 0.0, 0.0, 2.0, 2.0)
-    di = derived_indices(sp, 1, 0.0)
-    region = ad_region(di, 1)
-    c = region.point_inside(0.5)
-    win = LatticeWindow(1, 0, 4, (0,), (1,))
-    out = compose_certificate(c, c, region, window=win, samples=2000)
-    assert out["inside"]
-    assert out["certificate"] == c
-    assert np.isfinite(out["fitted_C"]) and out["fitted_C"] > 0
-
-
-def test_compose_certificate_boundary_rejected():
-    sp = SpaceParams(BESOV, 0.0, 0.0, 2.0, 2.0)
-    di = derived_indices(sp, 1, 0.0)
-    region = ad_region(di, 1)
-    good = region.point_inside(0.5)
-    boundary = (region.d_min, region.e_min + 0.5, region.f_min + 0.5)
-    with pytest.raises(PreconditionError):
-        compose_certificate(good, boundary, region)
 
 
 def test_empirical_norm_identity():
@@ -271,56 +239,6 @@ def test_apply_matches_per_entry_oracle(window, m, complex_values, D, E, F, seed
     block = bdef_block(CubeArrays.of(cubes), CubeArrays.of(cubes), D, E, F)
     oracle = np.array([[_bdef_reference(q, r, D, E, F) for r in cubes] for q in cubes])
     np.testing.assert_allclose(block, oracle, rtol=1e-12, atol=0)
-
-
-@pytest.mark.parametrize("count", [1, 2, 3, 7, 100, 2 ** 31 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 40 + 3])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_sample_pairs_match_scalar_draws(count, seed):
-    # the array draw keeps the stream of one scalar draw per index, row first
-    rng = np.random.default_rng(seed)
-    draws = [rng.integers(count) for _ in range(2 * 251)]
-    qi, ri = _sample_pairs(np.random.default_rng(seed), count, 251)
-    assert qi.dtype == ri.dtype == np.intp
-    assert qi.tolist() == draws[0::2] and ri.tolist() == draws[1::2]
-
-
-def _compose_reference(c1, c2, cert, window, rng, samples):
-    """fitted_C with each product entry summed over every window cube."""
-    cubes = list(window.all_cubes())
-    worst = 0.0
-    for _ in range(samples):
-        q = cubes[rng.integers(len(cubes))]
-        r = cubes[rng.integers(len(cubes))]
-        prod = sum(_bdef_reference(q, p, *c1[:3]) * _bdef_reference(p, r, *c2[:3])
-                   for p in cubes)
-        worst = max(worst, abs(prod) / _bdef_reference(q, r, *cert))
-    return worst
-
-
-@pytest.mark.parametrize("n,window", [
-    (1, LatticeWindow(1, 0, 4, (0,), (1,))),
-    (2, LatticeWindow(2, -1, 1, (-2, 0), (0, 2))),
-])
-def test_compose_certificate_matches_summed_oracle(n, window):
-    sp = SpaceParams(BESOV, 0.0, 0.0, 2.0, 2.0)
-    region = ad_region(derived_indices(sp, n, 0.0), n)
-    c1 = region.point_inside(0.5)
-    c2 = region.point_inside(0.2)
-    out = compose_certificate(c1, c2, region, window=window,
-                              rng=np.random.default_rng(5), samples=300)
-    ref = _compose_reference(c1, c2, out["certificate"], window,
-                             np.random.default_rng(5), 300)
-    assert out["fitted_C"] == pytest.approx(ref, rel=1e-12, abs=0)
-
-
-def test_certificate_verify_scaled_matrix():
-    win = LatticeWindow(2, 0, 2, (0, 0), (1, 1))
-    D, E, F = 2.5, 1.0, 0.5
-    scaled = ADMatrix(lambda rows, cols: 3.0 * bdef_block(rows, cols, D, E, F),
-                      (D, E, F, 3.0))
-    rep = scaled.verify_certificate(win, samples=300)
-    assert rep["samples"] == 300
-    assert rep["fitted_C"] == pytest.approx(3.0, rel=1e-12)
 
 
 def test_scalar_entry_is_block_entry():

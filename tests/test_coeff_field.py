@@ -33,7 +33,6 @@ from dyadica.wavelets import (
     FunctionSample,
     WaveletSystem,
     analyze,
-    atoms_from_wavelets,
     daubechies_filter,
     parseval_report,
     synthesize,
@@ -742,9 +741,6 @@ def test_analysis_and_synthesis_match_per_cube_oracle(case, m, complex_values, s
     # synthesis onto a grid that cuts through the window's cube supports
     _assert_samples_match(synthesize(coefs, sys, g, start, shape, m).values,
                           synthesize_reference(ref, sys, g, start, shape, m))
-    atoms = atoms_from_wavelets(coefs, sys)
-    _assert_samples_match(synthesize(atoms.channel_fields(), sys, g, start, shape, m).values,
-                          synthesize_reference(atoms.channel_fields(), sys, g, start, shape, m))
     # scaling coefficients at every level and channel fields on other windows,
     # onto the sample grid and onto a grid at the finest coefficient level
     lams = list(sys.channels) + [sys.scaling_channel]

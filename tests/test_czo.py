@@ -21,7 +21,6 @@ from dyadica.czo import (
     intermediate_derivative_check,
     kernel_by_name,
     legacy_to_mixed,
-    moment_of_Ta,
     register_kernel,
     symbol_class_check,
     t1_molecule_witness,
@@ -233,30 +232,6 @@ def test_hilbert_atom_decay_exponent():
     vals2 = apply_to_atom_farfield(K, atom, (0,), radii[:, None], quad_points=160)["raw"]
     rep2 = decay_fit(radii, vals2)
     assert abs(rep2["slope"] - rep["slope"]) <= 0.05
-
-
-def test_moment_of_Ta_odd_kernel():
-    K = kernel_by_name("hilbert")
-    a = _even_bump()
-    rep = moment_of_Ta(K, a, (0,), decay_exponent=3.0)
-    scale = abs(rep["value"]) + rep["tail_bound"] + 1e-6
-    assert abs(rep["value"]) < 1e-4 * max(scale, 1.0)
-    with pytest.raises(PreconditionError):
-        moment_of_Ta(K, a, (3,), decay_exponent=3.0)
-
-
-def test_moment_linear_in_atom():
-    K = kernel_by_name("hilbert")
-    a = _even_bump()
-    q = a.cube
-
-    def doubled(pts):
-        return 2.0 * a(pts)
-
-    a2 = MoleculeCandidate(q, doubled, support_radius=a.support_radius)
-    m1 = moment_of_Ta(K, a, (1,), decay_exponent=3.0)["value"]
-    m2 = moment_of_Ta(K, a2, (1,), decay_exponent=3.0)["value"]
-    assert m2 == pytest.approx(2 * m1, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -762,20 +737,6 @@ def _farfield_reference(K, atom, alpha, xs, taylor_order=-1, quad_points=96):
     return raw, subtracted
 
 
-def _moment_reference(K, atom, gamma, quad_points=64, r_far=256.0):
-    r_near = 4 * math.sqrt(atom.cube.n) + 1.0
-    nodes, wts = np.polynomial.legendre.leggauss(quad_points)
-    total = 0.0 + 0.0j
-    for sign in (-1.0, 1.0):
-        edges = np.geomspace(r_near, r_far, 24)
-        for a, b in zip(edges[:-1], edges[1:]):
-            xs = sign * (0.5 * (b - a) * nodes + 0.5 * (a + b))
-            w = 0.5 * (b - a) * wts
-            raw, _ = _farfield_reference(K, atom, (0,), xs[:, None], quad_points=quad_points)
-            total += np.sum(w * xs ** gamma[0] * raw)
-    return complex(total)
-
-
 def _pdo_x_dependent_reference(symbol, f):
     n = f.n
     axes_freq = [2.0 * math.pi * np.fft.fftfreq(N, d=f.h) for N in f.shape]
@@ -889,7 +850,7 @@ def test_batched_symbol_check_equals_per_shell_reference(name, shells, x_samples
     assert symbol_class_check(symbol, **kwargs) == _symbol_class_reference(symbol, **kwargs)
 
 
-def test_batched_farfield_and_moment_match_references():
+def test_batched_farfield_matches_references():
     K = kernel_by_name("hilbert")
     atom = make_atom(DyadicCube(1, 0, (0,)), r=1.5, L=1.0, N=2.0)
     xs = np.concatenate([np.geomspace(6.0, 6000.0, 28), -np.geomspace(7.0, 900.0, 9)])[:, None]
@@ -898,10 +859,6 @@ def test_batched_farfield_and_moment_match_references():
         raw, sub = _farfield_reference(K, atom, (1,), xs, taylor_order=taylor_order)
         for got, ref in ((rep["raw"], raw), (rep["taylor_subtracted"], sub)):
             assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-12
-    for gamma in ((0,), (1,)):
-        got = moment_of_Ta(K, _even_bump(), gamma, decay_exponent=3.5)["value"]
-        ref = _moment_reference(K, _even_bump(), gamma)
-        assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
 def test_blocked_pdo_matches_per_point_reference():
@@ -1005,21 +962,6 @@ def test_non_finite_symbol_samples_are_refused():
     symbol = SymbolS11u(1, 0, root, x_independent=True)
     with pytest.raises(PreconditionError, match=r"symbol class \(0,\)\|\(0,\): non-finite .*xi="):
         symbol_class_check(symbol, orders=0)
-
-
-def test_moment_tail_bound_covers_both_half_lines():
-    K = kernel_by_name("hilbert")
-    atom = make_atom(DyadicCube(1, 0, (0,)), 2, 1, 1)
-    rep = moment_of_Ta(K, atom, (0,), decay_exponent=3.0)
-    # direct two-sided quadrature of |Ta| over r_far <= |x| <= r_far 2^14
-    nodes, wts = np.polynomial.legendre.leggauss(64)
-    edges = rep["far_radius"] * 2.0 ** np.arange(15)
-    a, b = edges[:-1, None], edges[1:, None]
-    half = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-    xs = np.concatenate([-half, half])
-    vals = apply_to_atom_farfield(K, atom, (0,), xs.reshape(-1, 1), quad_points=64)["raw"]
-    direct = float(np.sum(np.tile(0.5 * (b - a) * wts, (2, 1)) * np.abs(vals.reshape(xs.shape))))
-    assert 1.5e-7 < direct <= rep["tail_bound"]
 
 
 def _count_kernel_derivs(monkeypatch):

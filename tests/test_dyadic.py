@@ -14,10 +14,8 @@ from dyadica.dyadic import (
     LatticeWindow,
     base_of,
     children,
-    covering_cube,
     distance_term,
     format_cube,
-    normalized_indicator,
     parse_cube,
     stack_cube,
     tensor_points,
@@ -113,61 +111,6 @@ def test_stack_base_roundtrip(i_cube, k):
     back, kk = base_of(q)
     assert back == i_cube
     assert kk == k
-
-
-def test_covering_cube_sides():
-    r = DyadicCube(1, 2, (3,))
-    assert covering_cube(r, 0).side == r.side
-    assert covering_cube(r, 3).side == 4 * r.side
-    assert covering_cube(r, -3).side == 4 * r.side
-    assert covering_cube(r, 1).side == 2 * r.side
-
-
-def test_covering_cube_containment_exhaustive():
-    # all sub-cubes I of R of depth <= 3 and |k| <= 16: Q(I,k) inside P_R
-    r = DyadicCube(1, 1, (1,))
-    subs = [r]
-    frontier = [r]
-    for _ in range(3):
-        nxt = []
-        for q in frontier:
-            nxt.extend(children(q))
-        subs.extend(nxt)
-        frontier = nxt
-    for k in range(-16, 17):
-        p = covering_cube(r, k)
-        for i_cube in subs:
-            q = stack_cube(i_cube, k)
-            assert all(pl <= ql and qu <= pu
-                       for pl, ql, qu, pu in zip(p.lower, q.lower, q.upper, p.upper)), (k, i_cube)
-
-
-def test_covering_cube_near_minimal():
-    # halving the covering cube breaks containment for some (I, k)
-    r = DyadicCube(1, 0, (0,))
-    broken = False
-    for k in list(range(-16, 0)) + list(range(1, 17)):
-        p = covering_cube(r, k)
-        half_children = children(p)
-        q = stack_cube(r, k)
-        contained_in_some_child = any(
-            all(cl <= ql and qu <= cu for cl, ql, qu, cu in zip(c.lower, q.lower, q.upper, c.upper))
-            for c in half_children
-        )
-        if not contained_in_some_child:
-            broken = True
-    assert broken
-
-
-def test_normalized_indicator():
-    q = DyadicCube(1, 0, (0,))
-    assert normalized_indicator(q, [0.5]) == 1.0
-    q1 = DyadicCube(1, 1, (0,))
-    assert normalized_indicator(q1, [0.25]) == pytest.approx(np.sqrt(2), rel=1e-15)
-    assert normalized_indicator(q1, [0.75]) == 0.0
-    # half-open edges
-    assert normalized_indicator(q, [0.0]) == 1.0
-    assert normalized_indicator(q, [1.0]) == 0.0
 
 
 def test_cube_literals():

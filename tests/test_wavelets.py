@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from test_coeff_field import analyze_reference
 
 from dyadica import wavelets
-from dyadica.dyadic import DyadicCube, LatticeWindow, children, tensor_points
+from dyadica.dyadic import DyadicCube, LatticeWindow, tensor_points
 from dyadica.errors import PreconditionError
 from dyadica.params import BESOV, TRIEBEL_LIZORKIN, SpaceParams
 from dyadica.seq import CoeffField, seq_norms_weighted
@@ -20,7 +20,6 @@ from dyadica.wavelets import (
     FunctionSample,
     WaveletSystem,
     analyze,
-    atoms_from_wavelets,
     cascade,
     daubechies_filter,
     filter_moments,
@@ -415,59 +414,6 @@ def test_wavelet_norm_smoothness_flag():
     assert got.meta["smoothness_warning"]
 
 
-# ---------------------------------------------------------------------------
-# atom re-indexing
-
-def test_atoms_from_wavelets_roundtrip_exact():
-    sys = WaveletSystem(1, daubechies_filter(3), resolution=12)
-    win = LatticeWindow(1, 0, 2, (-4,), (5,))
-    rng = np.random.default_rng(1)
-    coefs = {}
-    for lam in sys.channels:
-        tf = CoeffField(win, 1)
-        for q in win.all_cubes():
-            if rng.random() < 0.3:
-                tf.set(q, [rng.standard_normal() + 1j * rng.standard_normal()])
-        coefs[lam] = tf
-    re = atoms_from_wavelets(coefs, sys)
-    g = 8
-    start = ((-4) << g,)
-    shape = (9 << g,)
-    a = synthesize(coefs, sys, g, start, shape, 1)
-    b = synthesize(re.channel_fields(), sys, g, start, shape, 1)
-    assert np.array_equal(a.values, b.values)
-
-
-def test_atoms_from_wavelets_slots_and_norm_shift():
-    sys = WaveletSystem(1, daubechies_filter(2), resolution=10)
-    win = LatticeWindow(1, 0, 2, (0,), (2,))
-    rng = np.random.default_rng(2)
-    sp = SpaceParams(BESOV, 0.25, 0.1, 2.0, 2.0)
-    W = MatrixWeight.identity(1, 1)
-    from dyadica.seq import seq_norm_weighted
-    ratios = []
-    for _ in range(20):
-        coefs = {}
-        for lam in sys.channels:
-            tf = CoeffField(win, 1)
-            for q in win.all_cubes():
-                if rng.random() < 0.5:
-                    tf.set(q, [rng.standard_normal()])
-            coefs[lam] = tf
-        if all(len(tf) == 0 for tf in coefs.values()):
-            continue
-        re = atoms_from_wavelets(coefs, sys)
-        # n=1: child slot 2 (i = 2^n) must be empty
-        for q in re.coeffs.cubes():
-            assert q.k[0] % 2 == 0  # only first-child slots are used in 1d
-        norm_orig = sum(seq_norm_weighted(tf, W, sp).value for tf in coefs.values())
-        norm_re = seq_norm_weighted(re.coeffs, W, sp).value
-        if norm_orig > 0:
-            ratios.append(norm_re / norm_orig)
-    ratios = np.array(ratios)
-    assert ratios.max() / ratios.min() < 8.0
-
-
 def test_vector_valued_roundtrip():
     # m = 2 complex components analyze/synthesize independently
     sys = WaveletSystem(1, daubechies_filter(3), resolution=13)
@@ -491,41 +437,6 @@ def test_vector_valued_roundtrip():
     for lam in coefs:
         for q in coefs[lam].cubes():
             assert np.allclose(coefs[lam].get(q)[0], c0[lam].get(q)[0], atol=1e-12)
-
-
-def _atoms_reference(coefs, sys, out_window, c):
-    """The per-cube re-indexing: channel i of cube Q on the i-th child of Q."""
-    out = CoeffField(out_window, next(iter(coefs.values())).m)
-    for lam_index, lam in enumerate(sys.channels):
-        if lam in coefs:
-            for q, v in coefs[lam].items():
-                out.set(children(q)[lam_index], v / c)
-    return out
-
-
-@pytest.mark.parametrize("n, window", [
-    (1, LatticeWindow(1, -2, 1, (-4,), (4,))),
-    (2, LatticeWindow(2, -1, 1, (-2, 0), (2, 2))),
-    (3, LatticeWindow(3, 0, 1, (0, 0, -1), (1, 1, 1))),
-])
-def test_atoms_from_wavelets_matches_per_cube_oracle(n, window):
-    sys = WaveletSystem(n, daubechies_filter(1), resolution=6)
-    rng = np.random.default_rng(n)
-    present = sys.channels[:-1] if n > 1 else sys.channels  # leave one channel out
-    coefs = {lam: CoeffField.random(window, 2, rng, density=0.4, complex_values=True)
-             for lam in present}
-    coefs[sys.scaling_channel] = CoeffField.random(window, 2, rng)  # not re-indexed
-    re = atoms_from_wavelets(coefs, sys)
-    want = _atoms_reference(coefs, sys, re.coeffs.window, re.c)
-    assert re.coeffs.levels() == want.levels()
-    for j in want.levels():
-        assert re.coeffs.level(j).tobytes() == want.level(j).tobytes()
-    fields = re.channel_fields()
-    assert sorted(fields) == sorted(sys.channels)
-    for lam in sys.channels:
-        expect = coefs[lam].rows() if lam in coefs else np.zeros((window.count(), 2))
-        assert np.array_equal(fields[lam].rows(), expect)
-        assert fields[lam] is not coefs.get(lam)
 
 
 # ---------------------------------------------------------------------------
