@@ -124,8 +124,6 @@ def _json_default(obj):
         return {"re": obj.real, "im": obj.imag}
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, tuple):
-        return list(obj)
     return str(obj)
 
 

@@ -88,10 +88,6 @@ def strict_ceil(r: float) -> int:
     return rounding_profile(r).strict_ceil
 
 
-def strict_frac(r: float) -> float:
-    return rounding_profile(r).strict_frac
-
-
 # ---------------------------------------------------------------------------
 # space parameters
 

@@ -20,6 +20,7 @@ from dyadica.ad import (
     gram_matrix,
 )
 from dyadica.dyadic import CubeArrays, DyadicCube, LatticeWindow
+from dyadica.errors import PreconditionError
 from dyadica.molecules import MoleculeParams, wavelet_family
 from dyadica.params import BESOV, INF, TRIEBEL_LIZORKIN, SpaceParams, ad_region, derived_indices
 from dyadica.seq import CoeffField
@@ -72,6 +73,13 @@ def test_apply_linearity():
     rhs = apply(B, t).plus(apply(B, u).scaled(2.0))
     for q in win.all_cubes():
         assert np.allclose(lhs.get(q), rhs.get(q), atol=1e-13)
+
+
+def test_empirical_norm_refuses_a_matrix_that_annihilates_every_field():
+    sp = SpaceParams(BESOV, 0.0, 0.0, 2.0, 2.0)
+    zero = ADMatrix(lambda rows, cols: np.zeros((len(rows), len(cols))))
+    with pytest.raises(PreconditionError, match="ensemble is degenerate: all fields vanish"):
+        empirical_norm(zero, sp, depths=(2,))
 
 
 def test_empirical_norm_identity():

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import dyadica
-from dyadica.cli import _join_negative_values, _load_weight, main, parse_window
+from dyadica import cli
+from dyadica.cli import _join_negative_values, _json_default, _load_weight, main, parse_window
 from dyadica.dyadic import DyadicCube, LatticeWindow
 from dyadica.errors import PreconditionError
 from dyadica.seq import CoeffField
@@ -677,3 +678,26 @@ def test_weights_command_evaluates_each_distinct_node_once(p, tmp_path):
                      "--out", str(tmp_path / "w.json")]) == 0
     pts = np.concatenate(seen)
     assert len(pts) == 1023 and len(np.unique(pts, axis=0)) == 1023
+
+
+@pytest.mark.parametrize("value, encoded", [
+    (np.float64(1.5), "1.5"),
+    (np.int64(-3), "-3"),
+    (2.0 - 0.5j, '{"im": -0.5, "re": 2.0}'),
+    (np.array([[1, 2]]), "[[1, 2]]"),
+    (DyadicCube(2, 1, (0, -1)), '"1:0,-1"'),
+], ids=["numpy-float", "numpy-int", "complex", "array", "cube"])
+def test_reports_encode_numpy_complex_and_cube_values(value, encoded):
+    assert json.dumps(value, sort_keys=True, default=_json_default) == encoded
+
+
+def test_unexpected_failure_exits_1_naming_the_exception(space_file, capsys):
+    def fail(report, args):
+        raise RuntimeError("disk on fire")
+
+    with mock.patch.object(cli, "_emit", fail):
+        code = main(["params", "--space", space_file, "--n", "2"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: disk on fire\n"

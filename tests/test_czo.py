@@ -281,6 +281,30 @@ def _band_limited_sample(g=8, lo=-8, hi=8):
     return FunctionSample.from_callable(f, 1, 1, g, (lo,), (hi,))
 
 
+def _subcritical_indices():
+    return derived_indices(SpaceParams("B", 0.0, 0.0, 2.0, 2.0), 1, 0.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: decay_fit([1.0, 10.0, 100.0, 1000.0], [1.0, 0.0, 1e-3, 0.0]),
+     "too few nonzero samples for a decay fit"),
+    (lambda: apply_to_atom_farfield(kernel_by_name("hilbert"),
+                                    MoleculeCandidate(DyadicCube(1, 0, (0,)), lambda p: p[:, 0]),
+                                    (0,), np.array([[10.0]])),
+     "far-field action needs a compactly supported atom"),
+    (lambda: apply_pdo(SymbolS11u.derivative_symbol(axis=0, n=2), _band_limited_sample()),
+     "symbol and sample dimensions differ"),
+    (lambda: t1_molecule_witness(_subcritical_indices(), 1, 0, 5.0, -100.0, 1.0, 1.0),
+     "F too small for a decay witness"),
+    (lambda: t1_molecule_witness(_subcritical_indices(), 1, 0, -1.0, 5.0, 1.0, 1.0),
+     "E too small for a smoothness witness"),
+], ids=["decay-fit-samples", "farfield-unbounded-support", "pdo-dimension", "witness-F",
+        "witness-E"])
+def test_czo_refusals(call, message):
+    with pytest.raises(PreconditionError, match=message):
+        call()
+
+
 def test_pdo_identity():
     f = _band_limited_sample()
     one = SymbolS11u(1, 0, lambda X, XI: np.ones(len(XI)), x_independent=True)

@@ -253,3 +253,32 @@ def test_no_module_imports_a_private_name_of_another():
                   for alias in node.names
                   if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert not found, f"private names imported across modules: {found}"
+
+
+# ---------------------------------------------------------------------------
+# refusals and window identity
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: DyadicCube(0, 0, ()), "cube dimension must be positive"),
+    (lambda: DyadicCube(2, 0, (0,)), "index length does not match dimension"),
+    (lambda: DyadicCube(1, 0, (0,)).ancestor(-1), "offset must be nonnegative"),
+    (lambda: base_of(DyadicCube(1, 0, (0,))), "base of a 1-dimensional cube"),
+    (lambda: LatticeWindow(2, 0, 1, (0,), (1, 1)), "box bounds must match dimension"),
+    (lambda: LatticeWindow(1, 0, 1, (0,), (1,)).level_rows(2), "level 2 outside the window"),
+], ids=["zero-dimension", "index-length", "negative-ancestor", "base-of-1d",
+        "box-dimension", "level-rows-outside"])
+def test_cube_and_window_refusals(make, message):
+    with pytest.raises(PreconditionError, match=message):
+        make()
+
+
+def test_window_levels_outside_are_empty_and_windows_compare_by_value():
+    w = LatticeWindow(2, -1, 1, (-2, 0), (0, 2))
+    assert list(w.cubes(-2)) == [] and list(w.cubes(2)) == []
+    assert w.count(-2) == 0 and w.count(2) == 0
+    assert not w.contains(DyadicCube(1, 0, (0,)))
+    same = LatticeWindow(2, -1, 1, [-2, 0], [0, 2])
+    assert same == w and hash(same) == hash(w) and len({w, same}) == 1
+    assert w != LatticeWindow(2, -1, 1, (-2, 0), (0, 4))
+    assert w != (2, -1, 1, (-2, 0), (0, 2))
+    assert repr(w) == "LatticeWindow(n=2, j_min=-1, j_max=1, lo=(-2, 0), hi=(0, 2))"

@@ -118,6 +118,12 @@ def test_mgh_positive_part_clamp():
     assert H == 0.5
 
 
+def test_mgh_refuses_nonpositive_alpha():
+    mp = MoleculeParams(3.0, 1.0, 3.0, 1.5)
+    with pytest.raises(PreconditionError, match="alpha must be positive"):
+        mgh_bound(mp, mp, n=1, alpha=0.0)
+
+
 def test_mgh_monotone():
     rng = np.random.default_rng(0)
     for _ in range(50):
@@ -425,3 +431,14 @@ def test_holder_step_takes_one_derivative_batch_per_order(monkeypatch):
     f, N = _holder_candidates()[0]
     validate_molecule(f, K=3.0, L=-1.0, M=3.0, N=N)
     assert calls and max(calls.values()) == 1
+
+
+def test_vanishing_candidate_meets_decay_with_constant_zero():
+    q = DyadicCube(1, 0, (0,))
+    zero = MoleculeCandidate(q, lambda p: np.zeros(len(p)), support_radius=1.0)
+    rep = validate_molecule(zero, 2.0, 0.0, 2.0, 0.5)
+    decay = rep["decay"]
+    assert decay.passed and decay.constant == 0.0 and decay.witness is None
+    assert rep.passed
+    with pytest.raises(KeyError):
+        rep["no-such-condition"]

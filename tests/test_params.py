@@ -69,6 +69,25 @@ def test_rounding_identities(r):
     assert rp.strict_floor < r <= rp.strict_floor + 1
 
 
+@pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan])
+def test_rounding_refuses_non_finite(r):
+    with pytest.raises(PreconditionError, match="finite argument"):
+        rounding_profile(r)
+
+
+@pytest.mark.parametrize("r, frac, strict_frac", [
+    # r - floor(r) rounds up to 1 just below an integer, where 1 is strict_frac's
+    (-1e-20, math.nextafter(1.0, 0.0), 1.0),
+    # r - strict_floor(r) rounds down to 0 at integers beyond 2**53
+    (1e20, 0.0, math.nextafter(0.0, 1.0)),
+    (-1e20, 0.0, math.nextafter(0.0, 1.0)),
+])
+def test_rounding_fractions_clamped_to_their_intervals(r, frac, strict_frac):
+    rp = rounding_profile(r)
+    assert (rp.frac, rp.strict_frac) == (frac, strict_frac)
+    assert rp.strict_floor < r <= rp.strict_floor + 1
+
+
 # ---------------------------------------------------------------------------
 # derived indices
 
@@ -384,6 +403,21 @@ def test_weight_dims():
         WeightDims.for_order(0.8, 0.5, 0.1)
 
 
+def test_weight_dims_above_one_default_d_tilde_to_zero():
+    wd = WeightDims.for_order(4.0, 0.5)
+    assert (wd.d, wd.d_tilde, wd.delta) == (0.5, 0.0, 0.125)
+
+
+@pytest.mark.parametrize("p, d, d_tilde, message", [
+    (0.8, -0.1, None, "d must be nonnegative"),
+    (2.0, -0.1, 0.2, "d must be nonnegative"),
+    (2.0, 0.5, -0.2, "d_tilde must be nonnegative"),
+])
+def test_weight_dims_refusals(p, d, d_tilde, message):
+    with pytest.raises(PreconditionError, match=message):
+        WeightDims.for_order(p, d, d_tilde)
+
+
 def test_space_params_json_roundtrip():
     sp = B(0.5, 0.25, 2.0, INF)
     sp2 = SpaceParams.from_dict(json.loads(json.dumps(sp.to_dict(), sort_keys=True)))
@@ -396,6 +430,12 @@ def test_space_params_json_roundtrip():
         SpaceParams("X", 0, 0, 1, 1)
     with pytest.raises(PreconditionError):
         SpaceParams("B", 0, -0.1, 1, 1)
+
+
+@pytest.mark.parametrize("q", [0.0, -2.0, math.nan], ids=["zero", "negative", "nan"])
+def test_space_params_refuse_q_outside_range(q):
+    with pytest.raises(PreconditionError, match=r"q must lie in \(0, inf\]"):
+        SpaceParams(BESOV, 0.5, 0.0, 2.0, q)
 
 
 @pytest.mark.parametrize("sp, n, d", [

@@ -784,3 +784,48 @@ def test_equivalence_report_refuses_mixed_windows():
               CoeffField(_window(j_max=2), 1, {DyadicCube(1, 0, (0,)): [1.0]})]
     with pytest.raises(PreconditionError, match="share one window"):
         equivalence_report(fields, W, fam, B(0, 0, 2, 2))
+
+
+def _whole_cubes(q):
+    return q.lower, q.upper
+
+
+def _cube_and_its_right_neighbour(q):
+    return q.lower, tuple(u + q.side for u in q.upper)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: CoeffField(_window(), 1).write(0, (5,), np.ones((1, 1))),
+     "cube 0:5 outside the window"),
+    (lambda: CoeffField(_window(), 1).write_all(np.zeros((3, 1))),
+     r"field rows have shape \(3, 1\), expected \(15, 1\)"),
+    (lambda: CoeffField(_window(), 1).plus(CoeffField(_window(j_max=2), 1)),
+     "share one window and dimension"),
+    (lambda: CoeffField(_window(), 1).plus(CoeffField(_window(), 2)),
+     "share one window and dimension"),
+    (lambda: LevelFunctionStack(_window(j_max=3), 2),
+     "grid must be at least as fine as the finest level"),
+    (lambda: equivalence_report([], MatrixWeight.identity(1, 1),
+                                ReducingFamily.identity(1, 2.0, _window()), B(0, 0, 2, 2)),
+     "ensemble contains no nonzero fields"),
+    (lambda: subset_norm(CoeffField(_window(), 2), _whole_cubes, F(0.3, 0.2, 1.5, 2.0), 0.5),
+     "subset norms take scalar coefficient fields"),
+    (lambda: subset_norm(CoeffField(_window(), 1, {DyadicCube(1, 1, (0,)): [1.0]}),
+                         _cube_and_its_right_neighbour, F(0.3, 0.2, 1.5, 2.0), 0.5),
+     "selector box leaves the cube 1:0"),
+    (lambda: seq_norm_weighted(CoeffField(_window(), 2), MatrixWeight.identity(1, 1),
+                               B(0, 0, 2, 2)),
+     "coefficient and weight dimensions differ"),
+], ids=["write-outside", "write-all-shape", "plus-window", "plus-dimension", "coarse-stack-grid",
+        "empty-ensemble", "subset-vector-field", "subset-box-leaves-cube", "weight-dimension"])
+def test_field_and_norm_refusals(call, message):
+    with pytest.raises(PreconditionError, match=message):
+        call()
+
+
+def test_zero_block_outside_the_window_is_ignored():
+    t = CoeffField(_window(), 1, {DyadicCube(1, 1, (1,)): [2.0]})
+    before = t.rows().copy()
+    t.write(1, (7,), np.zeros((1, 3)))
+    t.write(0, (-4,), np.zeros((1, 2)))
+    assert np.array_equal(t.rows(), before)

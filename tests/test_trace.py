@@ -8,6 +8,7 @@ from dyadica.errors import PreconditionError
 from dyadica.params import BESOV, TRIEBEL_LIZORKIN, SpaceParams
 from dyadica.seq import CoeffField, seq_norm_weighted
 from dyadica.trace import (
+    SlabCoeffs,
     TracePair,
     channel_norm,
     ext_coeffs,
@@ -327,3 +328,30 @@ def test_channel_norm_is_the_per_channel_sum(tp2):
     for grid_extra in (0, 2):
         want = sum(seq_norm_weighted(tf, W, sp, grid_extra).value for tf in fields.values())
         assert channel_norm(fields, W, sp, grid_extra) == want  # bitwise
+
+
+def _slab_window():
+    return LatticeWindow(2, 0, 1, (0, 0), (1, 1))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tp: target_params(SpaceParams(BESOV, 1.0, 0.0, 2.0, 2.0), 1), "trace targets need n >= 2"),
+    (lambda tp: TracePair(1, 1, resolution=8), "trace pairs need n >= 2"),
+    (lambda tp: trace_wavelet(tp, (1,), DyadicCube(2, 0, (0, 0))), "channel/cube dimension mismatch"),
+    (lambda tp: trace_wavelet(tp, (1, 0), DyadicCube(1, 0, (0,))), "channel/cube dimension mismatch"),
+    (lambda tp: ext_wavelet(tp, (1, 0), DyadicCube(1, 0, (0,))), "channel/cube dimension mismatch"),
+    (lambda tp: ext_wavelet(tp, (1,), DyadicCube(2, 0, (0, 0))), "channel/cube dimension mismatch"),
+    (lambda tp: trace_coeffs(tp, SlabCoeffs(tp, {(1, 1): CoeffField(_slab_window(), 1)},
+                                            _slab_window())),
+     "slab carrier must live in a last-bit-0 channel"),
+    (lambda tp: weight_compat_check(MatrixWeight.identity(1, 1), MatrixWeight.identity(2, 2), 2.0,
+                                    LatticeWindow(1, 0, 1, (0,), (1,))),
+     "weights have different vector dimensions"),
+    (lambda tp: weight_compat_check(MatrixWeight.identity(1, 2), MatrixWeight.identity(1, 2), 2.0,
+                                    LatticeWindow(1, 0, 1, (0,), (1,))),
+     "weight dimensions do not match the base window"),
+], ids=["target-1d", "pair-1d", "trace-channel", "trace-cube", "ext-channel", "ext-cube",
+        "slab-channel", "compat-vector-dimension", "compat-space-dimension"])
+def test_trace_refusals(tp_haar, call, message):
+    with pytest.raises(PreconditionError, match=message):
+        call(tp_haar)

@@ -13,9 +13,9 @@ from dyadica import wavelets
 from dyadica.dyadic import DyadicCube, LatticeWindow, tensor_points
 from dyadica.errors import PreconditionError
 from dyadica.params import BESOV, TRIEBEL_LIZORKIN, SpaceParams
-from dyadica.seq import CoeffField, seq_norms_weighted
+from dyadica.seq import CoeffField, seq_norm_averaged, seq_norms_weighted
 from dyadica.trace import TracePair, channel_norm, target_params, trace_coeffs
-from dyadica.weights import MatrixWeight
+from dyadica.weights import MatrixWeight, QuadratureSpec, ReducingFamily
 from dyadica.wavelets import (
     FunctionSample,
     WaveletSystem,
@@ -437,6 +437,52 @@ def test_vector_valued_roundtrip():
     for lam in coefs:
         for q in coefs[lam].cubes():
             assert np.allclose(coefs[lam].get(q)[0], c0[lam].get(q)[0], atol=1e-12)
+
+
+def test_wavelet_norm_with_reducing_family_sums_averaged_channel_norms():
+    sys = WaveletSystem(1, daubechies_filter(2), resolution=10)
+    win = LatticeWindow(1, 0, 3, (-2,), (3,))
+    sp = SpaceParams(TRIEBEL_LIZORKIN, 0.4, 0.1, 1.5, 2.0)
+    W = MatrixWeight.diag_power([1.0], [0.4], n=1, floor=0.25)
+    fam = ReducingFamily.build(W, sp.p, win, QuadratureSpec(2, 1))
+    f = _gauss_sample(9, (-2,), (3,))
+    coefs = analyze(f, sys, win, include_scaling=False)
+    norms = [seq_norm_averaged(coefs[lam], fam, sp) for lam in sys.channels]
+    got = wavelet_norm(f, sys, sp, win, fam=fam)
+    assert got.value == sum(r.value for r in norms) > 0
+    assert got.attaining == max(norms, key=lambda r: r.value).attaining
+
+
+def _wavelet_refusal_sample(n=1, m=1):
+    return FunctionSample(n, m, 8, (0,) * n, np.zeros((m,) + (1 << 8,) * n))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cascade(daubechies_filter(2), 3), "cascade resolution must be at least 4"),
+    (lambda: cascade(wavelets.FilterPair(np.ones(3), np.array([1.0, -1.0, 1.0]), 1, 0.0), 6),
+     "no unit eigenvalue"),
+    (lambda: FunctionSample(1, 2, 8, (0,), np.zeros((1, 16))),
+     r"sample array shape does not match \(m, N1..Nn\)"),
+    (lambda: FunctionSample(2, 1, 8, (0, 0), np.zeros((1, 16))),
+     r"sample array shape does not match \(m, N1..Nn\)"),
+    (lambda: analyze(_wavelet_refusal_sample(), WaveletSystem(2, daubechies_filter(1), 8),
+                     LatticeWindow(1, 0, 2, (0,), (1,))),
+     "dimension mismatch between sample, system, and window"),
+    (lambda: analyze(_wavelet_refusal_sample(), WaveletSystem(1, daubechies_filter(1), 8),
+                     LatticeWindow(2, 0, 2, (0, 0), (1, 1))),
+     "dimension mismatch between sample, system, and window"),
+    (lambda: synthesize({(1,): CoeffField(LatticeWindow(1, 0, 4, (0,), (1,)), 1,
+                                          {DyadicCube(1, 4, (3,)): [1.0]})},
+                        WaveletSystem(1, daubechies_filter(1), 8), 3, (0,), (8,), 1),
+     "synthesis grid coarser than a coefficient level"),
+    (lambda: wavelet_norm(_wavelet_refusal_sample(), WaveletSystem(1, daubechies_filter(1), 8),
+                          SpaceParams(BESOV, 0.2, 0.0, 2.0, 2.0), LatticeWindow(1, 0, 2, (0,), (1,))),
+     "wavelet_norm needs a weight or a reducing family"),
+], ids=["cascade-resolution", "cascade-filter", "sample-channels", "sample-dimension",
+        "analyze-system", "analyze-window", "synthesize-coarse-grid", "norm-without-weight"])
+def test_wavelet_refusals(call, message):
+    with pytest.raises(PreconditionError, match=message):
+        call()
 
 
 # ---------------------------------------------------------------------------

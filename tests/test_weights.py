@@ -108,6 +108,41 @@ def test_weight_json_roundtrip():
     assert np.allclose(W(x), W2(x))
 
 
+_UNIT_CUBE = DyadicCube(1, 0, (0,))
+_UNIT_WINDOW = LatticeWindow(1, 0, 1, (0,), (1,))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: QuadratureSpec(0, 1), PreconditionError, "invalid quadrature spec"),
+    (lambda: QuadratureSpec(2, -1), PreconditionError, "invalid quadrature spec"),
+    (lambda: QuadratureSpec.parse("4"), PreconditionError, "bad quadrature spec '4'"),
+    (lambda: QuadratureSpec.parse("4:x"), PreconditionError, "bad quadrature spec '4:x'"),
+    (lambda: MatrixWeight.diag_power([1.0, 2.0], [0.5], n=1), PreconditionError,
+     "coefficient and exponent lists differ in length"),
+    (lambda: MatrixWeight.grid([0], [1], 1, np.ones((3, 1, 1))), PreconditionError,
+     r"grid values shape \(3,\) != cells \[2\]"),
+    (lambda: MatrixWeight.from_dict({"kind": "grid", "n": 1, "lo": [0], "hi": [1], "level": 0}),
+     PreconditionError, "grid weight needs values or values_file"),
+    (lambda: MatrixWeight.from_dict({"kind": "power", "n": 1}), PreconditionError,
+     "unknown weight kind 'power'"),
+    (lambda: ap_characteristic(MatrixWeight.identity(1, 1), 0.0, _UNIT_WINDOW), PreconditionError,
+     "p must be positive"),
+    (lambda: reducing_operator(MatrixWeight.identity(2, 1), -1.0, _UNIT_CUBE), PreconditionError,
+     "p must be positive"),
+    (lambda: ap_dimension_estimate(MatrixWeight.identity(1, 1), 0.0, _UNIT_WINDOW),
+     PreconditionError, "p must be positive"),
+    # at p = 2 the operator is the square root of the average, singular here
+    (lambda: reducing_operator(MatrixWeight.constant(np.diag([1.0, 0.0]), 1), 2.0, _UNIT_CUBE,
+                               QuadratureSpec(2, 0)),
+     SingularWeightError, "average weight not positive definite"),
+], ids=["quad-points", "quad-depth", "parse-one-field", "parse-not-a-number", "diag-power-lengths",
+        "grid-cells", "grid-without-values", "unknown-kind", "characteristic-p",
+        "reducing-operator-p", "dimension-estimate-p", "singular-average-p2"])
+def test_weight_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # characteristic
 
