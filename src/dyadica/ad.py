@@ -24,6 +24,8 @@ from .weights import MatrixWeight, QuadratureSpec, ReducingFamily
 
 # Matrix entries per row block of apply: bounds its temporaries on large windows.
 _BLOCK_ENTRIES = 1 << 18
+# level exponents of the vertical stacks among the adversarial fields
+STACK_SLOPES = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0)
 
 
 def bdef_block(rows: CubeArrays, cols: CubeArrays, D: float, E: float, F: float) -> np.ndarray:
@@ -113,8 +115,7 @@ def empirical_norm(B: ADMatrix, sp: SpaceParams, depths,
                    weight: MatrixWeight | None = None,
                    fam_builder=None,
                    m: int = 1, n: int = 1,
-                   seed: int = 0, trials: int = 12,
-                   stack_slopes=(-2.0, -1.0, -0.5, 0.0, 0.5, 1.0)) -> dict:
+                   seed: int = 0, trials: int = 12) -> dict:
     """Lower bounds for ||Bt|| / ||t|| over nested window depths.
 
     Two ensemble components are tracked separately, because they answer
@@ -145,7 +146,7 @@ def empirical_norm(B: ADMatrix, sp: SpaceParams, depths,
             fam = None
         drawn = random_rows(rng, trials, window.count(), m, density=0.4)
         nonempty = np.any(drawn != 0, axis=(1, 2))
-        fields = np.concatenate([drawn[nonempty], _adversarial_fields(window, m, stack_slopes)])
+        fields = np.concatenate([drawn[nonempty], _adversarial_fields(window, m, STACK_SLOPES)])
         both = np.concatenate([fields, apply_rows(B, window, fields)])
         if fam is not None:
             norms = seq_norms_averaged(window, both, fam, sp)
@@ -187,9 +188,7 @@ def empirical_norm(B: ADMatrix, sp: SpaceParams, depths,
 
 
 def gram_matrix(analysis: MoleculeFamily, synthesis: MoleculeFamily,
-                window: LatticeWindow, n: int, alpha: float = 0.1,
-                quad_points: int = 512, max_pairs: int | None = None,
-                rng: np.random.Generator | None = None) -> dict:
+                window: LatticeWindow, n: int, quad_points: int = 512) -> dict:
     """Pairing matrix of two localized families over the window.
 
     Entries are quadrature inner products on the union of supports, checked
@@ -197,12 +196,8 @@ def gram_matrix(analysis: MoleculeFamily, synthesis: MoleculeFamily,
     the model bound with the two families' decay parameters.
     """
     cubes = list(window.all_cubes())
-    M, G, H = mgh_bound(analysis.params, synthesis.params, n, alpha)
+    M, G, H = mgh_bound(analysis.params, synthesis.params, n, alpha=0.1)
     pairs = [(a, b) for a in range(len(cubes)) for b in range(len(cubes))]
-    if max_pairs is not None and len(pairs) > max_pairs:
-        rng = rng or np.random.default_rng(0)
-        idx = rng.choice(len(pairs), size=max_pairs, replace=False)
-        pairs = [pairs[i] for i in idx]
     arrays = CubeArrays.of(cubes)
     bounds = bdef_block(arrays, arrays, M, G, H)
     entries = {}

@@ -28,10 +28,12 @@ from .czo import (
 )
 from .dyadic import LatticeWindow, grid_cells, parse_cube
 from .errors import PreconditionError
-from .molecules import ValidationGrid, make_atom, validate_atom, validate_molecule
+from .molecules import (MoleculeCandidate, ValidationGrid, make_atom, validate_atom,
+                        validate_molecule)
 from .params import SpaceParams, ad_region, derived_indices, derived_table
 from .seq import CoeffField, seq_norm_weighted
-from .trace import TracePair, base_window, channel_norm, trace_coeffs, weight_compat_check
+from .trace import (TracePair, base_window, channel_norm, target_params, trace_coeffs,
+                    weight_compat_check)
 from .wavelets import (
     FunctionSample,
     WaveletSystem,
@@ -192,14 +194,13 @@ def cmd_transform(args) -> dict:
 def cmd_trace(args) -> dict:
     sp = _load_space(args.space)
     window = parse_window(args.window)
-    tp = TracePair(args.filter_order, window.n, args.resolution)
+    tp = TracePair(daubechies_filter(args.filter_order), window.n, args.resolution)
     # W weighs the window, V its base window, one dimension lower
     W = _load_weight(args.weightW, "--weightW", window.n)
     V = _load_weight(args.weightV, "--weightV", window.n - 1)
     f = FunctionSample.load(args.source)
     coefs = analyze(f, tp.source, window)
     traced = trace_coeffs(tp, coefs)
-    from .trace import target_params
     sp_t = target_params(sp, window.n)
     bw = base_window(window)
     src = channel_norm(coefs, W, sp)
@@ -252,7 +253,6 @@ def cmd_molcheck(args) -> dict:
             r2 = np.sum(((pts - c) / s) ** 2, axis=-1)
             return cube.volume ** -0.5 * np.exp(-r2)
 
-        from .molecules import MoleculeCandidate
         # the built-in prototype carries no derivative evaluators, so the
         # smoothness order is capped at the size condition
         cand = MoleculeCandidate(cube, gauss, max_order=0, label="gaussian")

@@ -109,64 +109,18 @@ def _truncated() -> Kernel:
     return Kernel(1, base, max_order=2, label="truncated")
 
 
-def difference_grid_kernel(diffs: np.ndarray, values: np.ndarray,
-                           max_order: int = 2) -> Kernel:
-    """Convolution kernel interpolated from samples over the difference x - y.
-
-    Log-linear interpolation on |x - y| per sign, matching the scale structure
-    of singular kernels; outside the sampled range the kernel is zero.
-    """
-    diffs = np.asarray(diffs, dtype=float)
-    values = np.asarray(values, dtype=complex)
-    if diffs.ndim != 1 or diffs.shape != values.shape:
-        raise PreconditionError("difference grid needs matching 1d arrays")
-    # per sign, the table (log |x - y|, value) sorted by log |x - y|
-    tables = []
-    for sign in (1, -1):
-        keep = sign * diffs > 0
-        logr = np.log(sign * diffs[keep])
-        order = np.argsort(logr)
-        tables.append((sign, logr[order], values[keep][order]))
-
-    def base(X, Y):
-        d = X[:, 0] - Y[:, 0]
-        out = np.zeros(len(d), dtype=complex)
-        for sign, table_d, table_v in tables:
-            idx = np.flatnonzero(sign * d > 0)
-            if len(idx) and len(table_d):
-                logr = np.log(sign * d[idx])
-                ok = (logr >= table_d[0]) & (logr <= table_d[-1])
-                out[idx[ok]] = (np.interp(logr[ok], table_d, table_v.real)
-                                + 1j * np.interp(logr[ok], table_d, table_v.imag))
-        return out
-
-    return Kernel(1, base, max_order=max_order, label="custom-grid")
+_KERNELS = {
+    "hilbert": _hilbert,
+    "riesz-0": lambda: _riesz(0, 2),
+    "riesz-1": lambda: _riesz(1, 2),
+    "truncated": _truncated,
+}
 
 
-_REGISTRY = {}
-
-
-def register_kernel(name: str, factory) -> None:
-    _REGISTRY[name] = factory
-
-
-register_kernel("hilbert", _hilbert)
-register_kernel("riesz-0", lambda: _riesz(0, 2))
-register_kernel("riesz-1", lambda: _riesz(1, 2))
-register_kernel("truncated", _truncated)
-register_kernel("custom-grid",
-                lambda diffs=None, values=None, **kw: difference_grid_kernel(
-                    diffs, values, **kw) if diffs is not None else _raise_grid())
-
-
-def _raise_grid():
-    raise PreconditionError("custom-grid kernels need diffs= and values= arrays")
-
-
-def kernel_by_name(name: str, **kwargs) -> Kernel:
-    if name not in _REGISTRY:
-        raise PreconditionError(f"unknown kernel {name!r}; have {sorted(_REGISTRY)}")
-    return _REGISTRY[name](**kwargs)
+def kernel_by_name(name: str) -> Kernel:
+    if name not in _KERNELS:
+        raise PreconditionError(f"unknown kernel {name!r}; have {sorted(_KERNELS)}")
+    return _KERNELS[name]()
 
 
 @dataclass(frozen=True)
@@ -522,8 +476,7 @@ class SymbolS11u(Kernel):
                    x_independent=True, label=f"i xi_{axis}")
 
 
-def apply_pdo(symbol: SymbolS11u, f: FunctionSample,
-              alias_tol: float = 1e-8) -> FunctionSample:
+def apply_pdo(symbol: SymbolS11u, f: FunctionSample) -> FunctionSample:
     """Frequency-side application of a symbol to a sampled function.
 
     Uses the discrete transform with angular frequencies; for x-independent
@@ -544,7 +497,7 @@ def apply_pdo(symbol: SymbolS11u, f: FunctionSample,
     mask = np.any(np.abs(XI) > cutoff, axis=1).reshape(shape)
     total = float(np.sum(np.abs(fhat) ** 2))
     high = float(np.sum(np.abs(fhat[:, mask]) ** 2))
-    if total > 0 and high / total > alias_tol:
+    if total > 0 and high / total > 1e-8:
         raise PreconditionError(
             f"aliasing: {high / total:.2e} of the energy sits above the band")
     if symbol.x_independent:

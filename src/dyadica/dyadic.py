@@ -61,13 +61,6 @@ class DyadicCube:
     def center(self) -> tuple[float, ...]:
         return tuple(math.ldexp(2 * ki + 1, -self.j - 1) for ki in self.k)
 
-    def contains(self, x) -> np.ndarray:
-        """Half-open membership test for points of shape (n,) or (N, n)."""
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        lo = np.array(self.lower)
-        hi = np.array(self.upper)
-        return np.all((pts >= lo) & (pts < hi), axis=-1)
-
     def ancestor(self, up: int) -> "DyadicCube":
         if up < 0:
             raise PreconditionError("ancestor level offset must be nonnegative")

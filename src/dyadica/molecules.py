@@ -31,6 +31,10 @@ from .params import (
 # Hoelder step: separations side / 2^i for i < HOLDER_SEPS, envelope probes per segment
 HOLDER_SEPS = 5
 HOLDER_PROBE = 17
+# moments vanish up to this share of sup |f| times the support volume
+MOMENT_TOL = 1e-9
+# a decay constant is stable when doubling the sampling region grows it at most this much
+GROWTH_TOL = 1.5
 
 
 def envelope(K: float, q: DyadicCube, pts: np.ndarray) -> np.ndarray:
@@ -183,7 +187,7 @@ class MoleculeReport:
 
 
 def _ratio_condition(name: str, evaluate, bound, q: DyadicCube,
-                     grid: ValidationGrid, growth_tol: float) -> ConditionReport:
+                     grid: ValidationGrid) -> ConditionReport:
     """Fit the smallest constant c with |f| <= c * bound on the sampling
     region, and require it to be stable when the region doubles: a constant
     that keeps growing outward signals a decay exponent the candidate lacks.
@@ -200,7 +204,7 @@ def _ratio_condition(name: str, evaluate, bound, q: DyadicCube,
     ratios2 = np.abs(evaluate(pts2)) / bound(pts2)
     i2 = int(np.argmax(ratios2))
     c_ext = float(ratios2[i2])
-    stable = c_ext <= growth_tol * c_base
+    stable = c_ext <= GROWTH_TOL * c_base
     c_all = max(c_base, c_ext)
     witness = tuple(pts2[i2]) if c_ext >= c_base else tuple(pts[i])
     return ConditionReport(name, bool(stable and math.isfinite(c_all)), c_all,
@@ -255,8 +259,7 @@ def _worst_moment(f: MoleculeCandidate, L: float, extent: float,
 
 
 def validate_molecule(f: MoleculeCandidate, K: float, L: float, M: float, N: float,
-                      grid: ValidationGrid = ValidationGrid(),
-                      moment_tol: float = 1e-9, growth_tol: float = 1.5) -> MoleculeReport:
+                      grid: ValidationGrid = ValidationGrid()) -> MoleculeReport:
     """Check the four condition families of a localized function.
 
     (a) decay against the K-envelope, (b) vanishing moments through L,
@@ -272,18 +275,17 @@ def validate_molecule(f: MoleculeCandidate, K: float, L: float, M: float, N: flo
 
     # (a) size
     vals = f(pts)
-    conditions.append(_ratio_condition("decay", f, lambda p: envelope(K, q, p),
-                                       q, grid, growth_tol))
+    conditions.append(_ratio_condition("decay", f, lambda p: envelope(K, q, p), q, grid))
 
     # (b) cancellation
     if L >= 0:
         sup = float(np.max(np.abs(vals)))
         span = (min(2 * f.support_radius, grid.extent) * q.side) ** n
         scale = max(sup * span, 1e-300)
-        worst, worst_gamma = _worst_moment(f, L, grid.extent, moment_tol * scale)
+        worst, worst_gamma = _worst_moment(f, L, grid.extent, MOMENT_TOL * scale)
         conditions.append(ConditionReport(
-            "cancellation", worst <= moment_tol * scale, worst / scale,
-            witness=worst_gamma, detail={"tolerance": moment_tol}))
+            "cancellation", worst <= MOMENT_TOL * scale, worst / scale,
+            witness=worst_gamma, detail={"tolerance": MOMENT_TOL}))
     else:
         conditions.append(ConditionReport("cancellation", True, 0.0,
                                           detail={"void": True}))
@@ -299,7 +301,7 @@ def validate_molecule(f: MoleculeCandidate, K: float, L: float, M: float, N: flo
             "derivative-decay",
             lambda p, g=gamma: f.deriv(g, p),
             lambda p, o=order: q.side ** -o * envelope(M, q, p),
-            q, grid, growth_tol))
+            q, grid))
     if reports:
         worst = max(reports, key=lambda r: r.constant)
         worst = ConditionReport("derivative-decay",
@@ -398,8 +400,7 @@ def _poly_derivative(coeffs: np.ndarray, k: int) -> np.ndarray:
     return c.deriv(k).coef if k > 0 else coeffs
 
 
-def make_atom(q: DyadicCube, r: float, L: float, N: float,
-              margin: float = 0.999) -> MoleculeCandidate:
+def make_atom(q: DyadicCube, r: float, L: float, N: float) -> MoleculeCandidate:
     """Compactly supported atom on r*q with vanishing moments through L.
 
     One-dimensional prototype: the (floor(L)+1)-st derivative of the
@@ -437,7 +438,7 @@ def make_atom(q: DyadicCube, r: float, L: float, N: float,
             out = out * (half * side) ** -gamma[axis]
         return np.where(inside, out, 0.0)
 
-    # normalization: |D^gamma a_Q| <= |Q|^{-1/2-|gamma|/n} with margin
+    # normalization: |D^gamma a_Q| <= 0.999 |Q|^{-1/2-|gamma|/n}
     worst = 0.0
     for gamma in multi_indices(n, n_int):
         sup = 1.0
@@ -445,7 +446,7 @@ def make_atom(q: DyadicCube, r: float, L: float, N: float,
             sup *= sup_1d[gamma[axis]] / (half * side) ** gamma[axis]
         need = q.volume ** (-0.5 - sum(gamma) / n)
         worst = max(worst, sup / need)
-    c0 = margin / worst
+    c0 = 0.999 / worst
 
     derivatives = {}
     for gamma in multi_indices(n, n_int):
@@ -462,10 +463,9 @@ def make_atom(q: DyadicCube, r: float, L: float, N: float,
 
 
 def validate_atom(f: MoleculeCandidate, q: DyadicCube, r: float, L: float, N: float,
-                  grid: ValidationGrid = ValidationGrid(),
-                  moment_tol: float = 1e-9, bound_tol: float = 1e-6) -> MoleculeReport:
+                  grid: ValidationGrid = ValidationGrid()) -> MoleculeReport:
     """Support containment, exact moments, and derivative bounds with the
-    definitional constant 1 (up to bound_tol relative slack)."""
+    definitional constant 1 (up to 1e-6 relative slack)."""
     n = q.n
     pts = grid.points(q)
     vals = np.abs(f(pts))
@@ -480,8 +480,8 @@ def validate_atom(f: MoleculeCandidate, q: DyadicCube, r: float, L: float, N: fl
 
     sup = float(np.max(vals))
     scale = max(sup * (r * q.side) ** n, 1e-300)
-    worst, worst_gamma = _worst_moment(f, L, 2 * r, moment_tol * scale)
-    moments = ConditionReport("moments", worst <= moment_tol * scale,
+    worst, worst_gamma = _worst_moment(f, L, 2 * r, MOMENT_TOL * scale)
+    moments = ConditionReport("moments", worst <= MOMENT_TOL * scale,
                               worst / scale, worst_gamma)
 
     worst_ratio, witness = 0.0, None
@@ -492,7 +492,7 @@ def validate_atom(f: MoleculeCandidate, q: DyadicCube, r: float, L: float, N: fl
         ratio = float(dv[i] / bound)
         if ratio > worst_ratio:
             worst_ratio, witness = ratio, (tuple(pts[i]), gamma)
-    bounds = ConditionReport("derivative-bounds", worst_ratio <= 1.0 + bound_tol,
+    bounds = ConditionReport("derivative-bounds", worst_ratio <= 1.0 + 1e-6,
                              worst_ratio, witness)
     return MoleculeReport([support, moments, bounds])
 

@@ -301,9 +301,6 @@ class ADRegion:
             ),
         )
 
-    def contains(self, D: float, E: float, F: float) -> bool:
-        return self.check(D, E, F).ok
-
     def point_inside(self, margin: float = 0.1) -> tuple[float, float, float]:
         return (self.d_min + margin, self.e_min + margin, self.f_min + margin)
 
@@ -349,10 +346,6 @@ class JsMoleculeSpec:
 
     def admits(self, mp: MoleculeParams) -> bool:
         return self.check(mp).ok
-
-    def witness(self, margin: float = 0.1) -> MoleculeParams:
-        b = self.bounds()
-        return MoleculeParams(K=b.K + margin, L=b.L, M=b.M + margin, N=b.N + margin)
 
 
 def molecule_param_sets(di: DerivedIndices, n: int) -> tuple[JsMoleculeSpec, JsMoleculeSpec]:

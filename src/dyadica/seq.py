@@ -181,11 +181,6 @@ class CoeffField:
         w = self.window
         return [j for j in range(w.j_min, w.j_max + 1) if self._rows[w.level_rows(j)[0]].any()]
 
-    def copy(self) -> "CoeffField":
-        out = CoeffField(self.window, self.m)
-        out._rows = self._rows.copy()
-        return out
-
     def scaled(self, c: complex) -> "CoeffField":
         out = CoeffField(self.window, self.m)
         out.write_all(c * self._rows)
@@ -419,10 +414,6 @@ def la_norms(stack: LevelFunctionStack, sp: SpaceParams,
     levels with the samples on the leading axis.  A sample whose stack
     vanishes has value 0 and no attaining cube."""
     window = window or stack.window
-    if window.count() == 0:
-        raise PreconditionError("empty window")
-    if not math.isfinite(sp.p):
-        raise PreconditionError("p must be finite")
     S = stack.samples
     if S is None:
         raise PreconditionError("la_norms takes a batched stack; use la_norm for one stack")

@@ -19,7 +19,7 @@ from .dyadic import CubeArrays, DyadicCube, LatticeWindow, base_of, stack_cube
 from .errors import PreconditionError
 from .params import BESOV, SpaceParams, trace_threshold
 from .seq import CoeffField, seq_norms_weighted
-from .wavelets import WaveletSystem
+from .wavelets import FilterPair, WaveletSystem
 from .weights import MatrixWeight, QuadratureSpec, direction_averages, unit_directions
 
 # sampled unit directions of the weight compatibility constants
@@ -37,12 +37,7 @@ def target_params(sp: SpaceParams, n: int) -> SpaceParams:
 class TracePair:
     """Matched wavelet systems on R^n and R^{n-1} built from one filter."""
 
-    def __init__(self, fp_or_order, n: int, resolution: int = 12):
-        if isinstance(fp_or_order, int):
-            from .wavelets import daubechies_filter
-            fp = daubechies_filter(fp_or_order)
-        else:
-            fp = fp_or_order
+    def __init__(self, fp: FilterPair, n: int, resolution: int = 12):
         if n < 2:
             raise PreconditionError("trace pairs need n >= 2")
         self.n = n
@@ -215,9 +210,7 @@ def channel_norm(fields: dict, W: MatrixWeight, sp: SpaceParams, grid_extra: int
 def trace_norm_report(tp: TracePair, sp: SpaceParams, W: MatrixWeight,
                       V: MatrixWeight, depths, box_lo, box_hi,
                       slab_lo: int, slab_hi: int,
-                      samples: int = 20, seed: int = 0,
-                      grid_extra: int = 1,
-                      compat_quad: QuadratureSpec = QuadratureSpec(2, 1)) -> dict:
+                      samples: int = 20, seed: int = 0) -> dict:
     """Per-sample ratios ||trace of t|| / ||t|| across nested window depths.
 
     Source fields are random multi-channel coefficient fields on R^n; the
@@ -237,16 +230,16 @@ def trace_norm_report(tp: TracePair, sp: SpaceParams, W: MatrixWeight,
         base_win = LatticeWindow(n - 1, 0, depth, box_lo, box_hi)
         src_win = stacked_window(base_win, slab_lo, slab_hi)
         if c116 is None:
-            c116, c127 = weight_compat_check(V, W, sp.p, base_win, compat_quad)
+            c116, c127 = weight_compat_check(V, W, sp.p, base_win, QuadratureSpec(2, 1))
         ratios = []
         for _ in range(samples):
             coefs = {lam: CoeffField.random(src_win, W.m, rng, density=0.25)
                      for lam in tp.source.channels}
-            source_norm = channel_norm(coefs, W, sp, grid_extra)
+            source_norm = channel_norm(coefs, W, sp, 1)
             if source_norm == 0:
                 continue
             traced = trace_coeffs(tp, coefs, base_window(src_win))
-            target_norm = channel_norm(traced, V, sp_t, grid_extra)
+            target_norm = channel_norm(traced, V, sp_t, 1)
             ratios.append(target_norm / source_norm)
         if not ratios:
             raise PreconditionError("trace ensemble degenerate")

@@ -78,12 +78,11 @@ class QuadratureSpec:
 class MatrixWeight:
     """x -> Hermitian nonnegative m x m matrix, with power evaluation."""
 
-    def __init__(self, m: int, n: int, eval_fn, kind: str = "custom", meta: dict | None = None):
+    def __init__(self, m: int, n: int, eval_fn, kind: str = "custom"):
         self.m = int(m)
         self.n = int(n)
         self._eval = eval_fn
         self.kind = kind
-        self.meta = meta or {}
 
     # -- constructors -------------------------------------------------------
 
@@ -98,7 +97,7 @@ class MatrixWeight:
             x = np.atleast_2d(x)
             return np.broadcast_to(mat, (x.shape[0], m, m)).copy()
 
-        return cls(m, n, f, "constant", {"matrix": mat.tolist()})
+        return cls(m, n, f, "constant")
 
     @classmethod
     def identity(cls, m: int, n: int) -> "MatrixWeight":
@@ -125,8 +124,7 @@ class MatrixWeight:
                 out[:, i, i] = a[i] * r ** alpha[i]
             return out
 
-        return cls(m, n, f, "diag-power",
-                   {"a": a.tolist(), "alpha": alpha.tolist(), "floor": floor})
+        return cls(m, n, f, "diag-power")
 
     @classmethod
     def grid(cls, lo, hi, level: int, values: np.ndarray) -> "MatrixWeight":
@@ -165,16 +163,12 @@ class MatrixWeight:
                     f"weight's box [{lo_t}, {hi_t})")
             return values[tuple(idx.T)]
 
-        return cls(m, n, f, "grid", {"lo": lo_t, "hi": hi_t, "level": level})
+        return cls(m, n, f, "grid")
 
     # -- serialization ------------------------------------------------------
 
-    def to_dict(self) -> dict:
-        return {"m": self.m, "n": self.n, "kind": self.kind, **self.meta}
-
     @classmethod
-    def from_dict(cls, d: dict, grid_values: np.ndarray | None = None,
-                  base_dir: str | None = None) -> "MatrixWeight":
+    def from_dict(cls, d: dict, base_dir: str | None = None) -> "MatrixWeight":
         """Weight from its JSON form; a relative ``values_file`` is resolved
         against ``base_dir`` (the directory of the weight file).  ``n``,
         ``level``, ``lo`` and ``hi`` must be whole numbers; an ``n`` below 1,
@@ -197,12 +191,10 @@ class MatrixWeight:
             lo, hi, level = corners("lo"), corners("hi"), whole("level")
             if n != len(lo):
                 raise PreconditionError(f"key 'n' holds {n}, but key 'lo' has {len(lo)} entries")
-            if grid_values is None:
-                path = d.get("values_file")
-                if path is None:
-                    raise PreconditionError("grid weight needs values or values_file")
-                grid_values = np.load(os.path.join(base_dir or "", path))
-            W = cls.grid(lo, hi, level, grid_values)
+            path = d.get("values_file")
+            if path is None:
+                raise PreconditionError("grid weight needs values_file")
+            W = cls.grid(lo, hi, level, np.load(os.path.join(base_dir or "", path)))
         else:
             raise PreconditionError(f"unknown weight kind {kind!r}")
         if "m" in d and whole("m") != W.m:
@@ -690,7 +682,7 @@ def _per_set(x: np.ndarray, table: np.ndarray) -> np.ndarray:
     return (x[:, None, :] @ table)[:, 0]
 
 
-def _mvee_centered(dirs: np.ndarray, rho: np.ndarray, tol: float = MVEE_TOL):
+def _mvee_centered(dirs: np.ndarray, rho: np.ndarray):
     """Minimum-volume origin-centered ellipsoids {z: z^T M z <= 1} of C point
     sets at once: set c holds the points p_ci = d_i / rho_ci of the
     directions ``dirs`` (N, d), which every set shares, and the radii ``rho``
@@ -708,7 +700,7 @@ def _mvee_centered(dirs: np.ndarray, rho: np.ndarray, tol: float = MVEE_TOL):
     way to the nearest of the slack and multiplier bounds and the point
     where M would lose half of itself along some direction.  A set leaves
     the batch once the design u = lam / sum(lam) meets the certificate
-    kappa_max / d <= 1 + tol; MVEE_STEPS caps the steps.
+    kappa_max / d <= 1 + MVEE_TOL; MVEE_STEPS caps the steps.
 
     In coordinates, the whitened row of point i of set c is rho_ci^-2 T_c t_i,
     where t_i holds the coordinates of d_i d_i^T, shared by every set, and T_c
@@ -758,7 +750,7 @@ def _mvee_centered(dirs: np.ndarray, rho: np.ndarray, tol: float = MVEE_TOL):
     for step in range(MVEE_STEPS + 1):
         # the leverages of u = lam / sum(lam) are those of lam times sum(lam)
         Al, total = cols(lam), np.sum(lam, axis=1)
-        going = np.max(rows(coords(np.linalg.inv(matrix(Al)))), axis=1) * total > d * (1.0 + tol)
+        going = np.max(rows(coords(np.linalg.inv(matrix(Al)))), axis=1) * total > d * (1.0 + MVEE_TOL)
         going &= step < MVEE_STEPS
         if not going.all():
             design[run[~going]] = lam[~going] / total[~going, None]

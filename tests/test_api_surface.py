@@ -1,21 +1,45 @@
-"""Public names that no code of the package calls.
+"""Public names that no code of the package calls, and imports that no code uses.
 
 Every public top-level function and public method of a public class in
 ``src/dyadica`` should be reached from another place in the package, or be
-listed below with the consumer that keeps it.  A name is reached when an
-``ast.Name`` or ``ast.Attribute`` with its name appears in the package
-outside its own definition.  Matching is by name only, so a method shares
-its callers with every attribute of the same name: the scan can miss an
-unused method, but it never flags a used one.
+listed in ``ALLOWED`` with the consumer that keeps it.  The scan reads the
+package's source:
+
+- A function is reached by its name, outside its own definition, in a module
+  that defines it or imports it from its module: anywhere in a function
+  body, or called by module-level code.  A module-level reference that is not
+  a call (a table entry, a lambda) only registers the function, and a lookup
+  by string is not a call the scan can follow.
+- A method is reached only through an attribute access ``x.name`` outside its
+  own definition; a bare name (a local variable, a builtin) never reaches it.
+- An attribute access does not say which object it is on.  So where a
+  method's name is also an attribute of a type the package's code holds
+  (``SHARED_TYPES``) or of another class of the package, ``CALLERS`` names
+  the package function that calls it.  So it does where every access goes
+  through ``self`` or ``cls`` of its own class: such a call may sit on a path
+  that only tests take, as ``CoeffField.set`` behind ``CoeffField(data=)``.
+  The scan checks that the named function's body accesses the name; without
+  such an entry the method counts as uncalled.
+
+Every module-level import must be used by its module, unless the name is in
+the module's ``__all__`` or comes from ``__future__``.
 """
 import ast
+import io
 from collections import defaultdict
+from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import dyadica
 
+PACKAGE = Path(dyadica.__file__).parent
+
 ITEM_1 = "ROADMAP item 1: reducing operators whose direction sample cannot miss the ball"
 ITEM_2 = "ROADMAP item 2: A_p-dimension estimates and their dims block"
+ITEM_3 = "ROADMAP item 3: window operator norms, whose checks run on identity matrices"
 ITEM_5 = "ROADMAP item 5: operator wavelet matrices"
 ITEM_8 = "ROADMAP item 8: weight averages whose quadrature error is known"
 ITEM_9 = "ROADMAP item 9: trace and extension end to end"
@@ -25,6 +49,7 @@ EXPORTED = "package API: its class or itself is in dyadica.__all__"
 
 # "<module>.<function>" or "<module>.<Class>.<method>" -> why it stays
 ALLOWED = {
+    "ad.ADMatrix.identity": ITEM_3,
     "ad.apply": PERFBENCH + " (ad.apply.self_s)",
     "ad.bdef_entry": PERFBENCH + " (ad.bdef_entry.calls)",
     "ad.gram_matrix": ITEM_5,
@@ -42,11 +67,16 @@ ALLOWED = {
     "dyadic.distance_term": PERFBENCH + " (dyadic.distance_term.calls)",
     "molecules.families_ad_check": ITEM_5,
     "molecules.wavelet_family": ITEM_5,
+    "params.CzoConditionSpec.check": ACCEPTANCE,
     "params.JsMoleculeSpec.admits": ACCEPTANCE,
     "params.WeightDims.for_order": ITEM_2,
     "params.czo_conditions": ACCEPTANCE,
+    "seq.CoeffField.cubes": ACCEPTANCE,
+    "seq.CoeffField.get": ACCEPTANCE,
     "seq.CoeffField.plus": EXPORTED,
     "seq.CoeffField.scaled": EXPORTED,
+    # CoeffField.__init__ calls it only for data=, which only tests pass
+    "seq.CoeffField.set": PERFBENCH + " (seq.CoeffField.set.calls and .self_s)",
     "seq.averaged_stack": PERFBENCH + " (seq.averaged_stack.self_s)",
     "seq.equivalence_report": ITEM_8,
     "seq.subset_norm": "ROADMAP item 7: kept as a paper object, the subset-indicator norm",
@@ -62,46 +92,284 @@ ALLOWED = {
     "weights.reducing_operator": PERFBENCH + " (weights.reducing_operator.calls)",
 }
 
+# types whose attributes an access in the package's code may be reading
+SHARED_TYPES = (dict, list, str, tuple, set, np.ndarray, np.random.Generator, io.TextIOWrapper)
 
-def _public_definitions(module: str, tree: ast.Module):
-    """(qualified name, bare name, definition node) of every public
-    top-level function and public method of a public top-level class."""
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-            yield f"{module}.{node.name}", node.name, node
-        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield f"{module}.{node.name}.{item.name}", item.name, item
+# "<module>.<Class>.<method>" -> a package function or method that calls it
+CALLERS = {
+    "czo.ConditionFit.to_dict": "czo.czk_check",
+    "czo.Kernel.deriv": "czo._corner_sum",
+    "dyadic.CubeArrays.cube": "seq.CoeffField.write_all",
+    "dyadic.CubeArrays.lower": "dyadic.distance_block",
+    "dyadic.CubeArrays.n": "dyadic.distance_block",
+    "dyadic.CubeArrays.side": "dyadic.distance_block",
+    "dyadic.CubeArrays.take": "seq.CoeffField.nonzero",
+    "dyadic.DyadicCube.center": "molecules.make_atom",
+    "dyadic.DyadicCube.lower": "molecules.wavelet_family",
+    "dyadic.DyadicCube.side": "molecules.make_atom",
+    "dyadic.DyadicCube.upper": "seq.subset_norm",
+    "dyadic.LatticeWindow.count": "seq.CoeffField.__init__",
+    "dyadic.LatticeWindow.cubes": "dyadic.LatticeWindow.all_cubes",
+    "molecules.MoleculeCandidate.deriv": "molecules.validate_atom",
+    "molecules.MoleculeReport.passed": "molecules.MoleculeReport.to_dict",
+    "molecules.MoleculeReport.to_dict": "cli.cmd_molcheck",
+    "params.ADRegion.check": "cli.cmd_adprobe",
+    "params.ConstraintSet.ok": "params.ConstraintSet.to_dict",
+    "params.ConstraintSet.to_dict": "cli.cmd_adprobe",
+    "params.Inequality.ok": "params.ConstraintSet.ok",
+    "params.JsMoleculeSpec.check": "params.JsMoleculeSpec.admits",
+    "params.SpaceParams.from_dict": "cli._load_space",
+    "params.SpaceParams.to_dict": "cli.cmd_params",
+    "seq.CoeffField.items": "seq.subset_norm",
+    "seq.CoeffField.levels": "trace.trace_coeffs",
+    "seq.CoeffField.lower": "trace.trace_coeffs",
+    "seq.CoeffField.nonzero": "wavelets.parseval_report",
+    "seq.CoeffField.random": "trace.trace_norm_report",
+    "seq.CoeffField.write": "wavelets.analyze",
+    "seq.LevelFunctionStack.midpoints_axis": "seq.LevelFunctionStack.midpoints",
+    "seq.NormResult.to_dict": "cli.cmd_norm",
+    "wavelets.FilterPair.support_width": "trace.TracePair.__init__",
+    "wavelets.FunctionSample.h": "czo.apply_pdo",
+    "wavelets.FunctionSample.shape": "wavelets.analyze",
+    "wavelets.WaveletSystem.support_width": "molecules.wavelet_family",
+    "weights.MatrixWeight.constant": "weights.MatrixWeight.from_dict",
+    "weights.MatrixWeight.diag_power": "weights.MatrixWeight.from_dict",
+    "weights.MatrixWeight.from_dict": "cli._load_weight",
+    "weights.MatrixWeight.grid": "weights.MatrixWeight.from_dict",
+    "weights.MatrixWeight.identity": "cli.cmd_norm",
+    "weights.MatrixWeight.power": "seq._weighted_stacks",
+    "weights.QuadratureSpec.cells_per_axis": "weights.QuadratureSpec.nodes",
+    "weights.QuadratureSpec.nodes": "weights._box_nodes",
+    "weights.ReducingFamily.identity": "ad.empirical_norm",
+    "weights.WeightTable.power": "weights.MatrixWeight.power",
+}
 
 
-def uncalled_public_names() -> set[str]:
-    """Public names of the package with no reference outside their own
-    definition anywhere in the package."""
-    trees = {path.stem: ast.parse(path.read_text())
-             for path in sorted(Path(dyadica.__file__).parent.glob("*.py"))}
-    refs = defaultdict(list)  # bare name -> [(module, line)]
+def _class_attributes(cls: ast.ClassDef) -> set[str]:
+    """Methods, class-level names and ``self.<name> = ...`` attributes."""
+    names = set()
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    for node in ast.walk(cls):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            names.add(node.attr)
+    return names
+
+
+def _running_names(tree: ast.Module):
+    """Every name inside a function body, and the called names of module- and
+    class-level code outside lambdas."""
+    stack = [(tree, False)]
+    while stack:
+        node, in_def = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Lambda) and not in_def:
+                continue
+            if in_def and isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                yield child
+            elif not in_def and isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
+                yield child.func
+            stack.append((child, in_def or isinstance(child, ast.FunctionDef)))
+
+
+def _accesses(node: ast.AST, name: str) -> bool:
+    return any(isinstance(n, ast.Attribute) and n.attr == name for n in ast.walk(node))
+
+
+@dataclass
+class Scan:
+    uncalled: set[str]   # public names with no caller the scan can see
+    needless: set[str]   # CALLERS entries for a name that is gone or needs none
+
+
+def scan(package: Path, callers: dict[str, str]) -> Scan:
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    functions, classes, owners = {}, {}, defaultdict(set)
     for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                functions[f"{module}.{node.name}"] = node
+            elif isinstance(node, ast.ClassDef):
+                classes[f"{module}.{node.name}"] = node
+                for name in _class_attributes(node):
+                    owners[name].add(f"{module}.{node.name}")
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        functions[f"{module}.{node.name}.{item.name}"] = item
+    shared = set().union(*(dir(t) for t in SHARED_TYPES))
+    names = defaultdict(list)   # (defining module, name) -> [(module, line)]
+    attrs = defaultdict(list)   # attribute name -> [(module, line, through self or cls)]
+    for module, tree in trees.items():
+        bound = {alias.asname or alias.name: (node.module, alias.name)
+                 for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1
+                 for alias in node.names}
+        for node in _running_names(tree):
+            names[bound.get(node.id, (module, node.id))].append((module, node.lineno))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                refs[node.id].append((module, node.lineno))
-            elif isinstance(node, ast.Attribute):
-                refs[node.attr].append((module, node.lineno))
-    found = set()
-    for module, tree in trees.items():
-        for qualname, name, node in _public_definitions(module, tree):
-            own = range(node.lineno, node.end_lineno + 1)
-            if all(m == module and line in own for m, line in refs[name]):
-                found.add(qualname)
-    return found
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                own = isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")
+                attrs[node.attr].append((module, node.lineno, own))
+    uncalled, needy = set(), set()
+    for qualname, node in functions.items():
+        module, *cls, name = qualname.split(".")
+        if name.startswith("_") or (cls and cls[0].startswith("_")):
+            continue
+        own = range(node.lineno, node.end_lineno + 1)
+        if not cls:
+            if all(m == module and line in own for m, line in names[(module, name)]):
+                uncalled.add(qualname)
+            continue
+        owner = f"{module}.{cls[0]}"
+        body = classes[owner]
+        outside = [(m, line, via) for m, line, via in attrs[name]
+                   if not (m == module and line in own)]
+        self_only = outside and all(m == module and body.lineno <= line <= body.end_lineno
+                                    and via for m, line, via in outside)
+        if name in shared or owners[name] - {owner} or self_only:
+            needy.add(qualname)
+            caller = callers.get(qualname)
+            if (caller == qualname or caller not in functions
+                    or not _accesses(functions[caller], name)):
+                uncalled.add(qualname)
+        elif not outside:
+            uncalled.add(qualname)
+    return Scan(uncalled, set(callers) - needy)
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Module-level imports that the module never names, outside ``__all__``
+    and ``__future__``."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    unused = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound = [alias.asname or alias.name for alias in node.names]
+        else:
+            continue
+        unused += [name for name in bound if name not in used]
+    return unused
 
 
 def test_every_uncalled_public_name_is_allowed():
-    extra = sorted(uncalled_public_names() - set(ALLOWED))
-    assert not extra, (f"public names that only tests reach: {extra}; "
-                       "give each a library caller, delete it, or allow it with its consumer")
+    extra = sorted(scan(PACKAGE, CALLERS).uncalled - set(ALLOWED))
+    assert not extra, (f"public names that only tests reach: {extra}; give each a library "
+                       "caller (named in CALLERS if its name is shared), delete it, or allow "
+                       "it with its consumer")
 
 
 def test_every_allowed_name_exists_and_is_uncalled():
-    stale = sorted(set(ALLOWED) - uncalled_public_names())
+    stale = sorted(set(ALLOWED) - scan(PACKAGE, CALLERS).uncalled)
     assert not stale, f"allowed names that are gone or now have a library caller: {stale}"
+
+
+def test_every_caller_entry_names_a_shared_method():
+    needless = sorted(scan(PACKAGE, CALLERS).needless)
+    assert not needless, f"CALLERS entries for methods that are gone or need none: {needless}"
+
+
+PLANTED = {
+    "store.py": '''
+class Table:
+    def get(self, key):
+        return key
+
+    def items(self):
+        return []
+
+
+class Probe:
+    def witness(self):
+        return 1
+
+    def copy(self):
+        return Probe()
+
+
+class Field:
+    def __init__(self, data=None):
+        if data:
+            self.set(data)
+
+    def set(self, data):
+        self.data = data
+
+
+def grid_kernel():
+    return 0
+
+
+REGISTRY = {"grid": grid_kernel, "lazy": lambda: grid_kernel()}
+''',
+    "use.py": '''
+from .store import Field
+
+
+def _lookup(d, key):
+    return d.get(key)
+
+
+def _check(margin):
+    witness = margin + 1
+    return witness
+
+
+def _clone(p):
+    return p.copy()
+
+
+def _unrelated(p):
+    return p
+
+
+def _walk(t):
+    return t.items()
+
+
+def _build():
+    return Field()
+''',
+}
+
+
+def test_scan_reports_planted_escapes(tmp_path):
+    for name, text in PLANTED.items():
+        (tmp_path / name).write_text(text)
+    callers = {"store.Table.items": "use._walk",          # a correct entry for a shared name
+               "store.Probe.copy": "use._unrelated"}      # its caller does not access it
+    found = scan(tmp_path, callers)
+    assert found.uncalled == {
+        "store.Table.get",       # a test-only method named like dict.get
+        "store.Probe.witness",   # a test-only method named like a local variable
+        "store.Probe.copy",      # its entry names a caller that does not access it
+        "store.Field.set",       # reached only through self, from __init__
+        "store.grid_kernel",     # referenced only by a registry entry
+    }
+    assert found.needless == set()
+    # an entry for a method whose name is its own and not reached through self
+    assert scan(tmp_path, {**callers, "store.Field.__init__": "use._build"}).needless == {
+        "store.Field.__init__"}
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in PACKAGE.glob("*.py")))
+def test_no_module_imports_a_name_it_never_uses(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    assert unused_imports(tree) == []
+
+
+def test_unused_imports_are_found():
+    tree = ast.parse("from __future__ import annotations\nimport os\nimport numpy.linalg\n"
+                     "from .a import b, c as d\nfrom .e import f\n__all__ = ['f']\n"
+                     "print(numpy, d)\n")
+    assert unused_imports(tree) == ["os", "b"]

@@ -418,7 +418,6 @@ def test_field_matches_dict_oracle(window, m, complex_values, seed, density):
     for q in _outside_cubes(window):
         with pytest.raises(PreconditionError, match="outside the window"):
             new.set(q, np.ones(m))
-    _assert_same_field(new.copy(), ref.copy())
     for c in (2.5, -1j, 0.0):
         _assert_same_field(new.scaled(c), ref.scaled(c))
     other_new, other_ref = _pair(window, m, seed + 2, complex_values)

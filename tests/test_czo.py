@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dyadica.czo as czo_module
 from dyadica.czo import (
     ConditionFit,
     Kernel,
@@ -21,7 +23,6 @@ from dyadica.czo import (
     intermediate_derivative_check,
     kernel_by_name,
     legacy_to_mixed,
-    register_kernel,
     symbol_class_check,
     t1_molecule_witness,
 )
@@ -435,22 +436,6 @@ def pos(x):
     return x if x > 0 else 0.0
 
 
-def test_custom_grid_kernel():
-    # sampled reciprocal-difference kernel reproduces the closed form on
-    # the sampled range and vanishes outside it
-    diffs = np.concatenate([-np.geomspace(1e-3, 1e3, 400), np.geomspace(1e-3, 1e3, 400)])
-    vals = 1.0 / diffs
-    K = kernel_by_name("custom-grid", diffs=diffs, values=vals)
-    X = np.array([[2.0], [0.5], [-3.0]])
-    Y = np.array([[0.0], [0.0], [0.0]])
-    got = K(X, Y).real
-    assert np.allclose(got, [0.5, 2.0, -1 / 3], rtol=1e-3)
-    far = K(np.array([[1e6]]), np.array([[0.0]]))
-    assert far[0] == 0.0
-    with pytest.raises(PreconditionError):
-        kernel_by_name("custom-grid")
-
-
 # ---------------------------------------------------------------------------
 # the shared nested central difference against the per-class recursions it
 # replaced: results must be bitwise equal
@@ -791,18 +776,12 @@ def _oscillatory_kernel():
     return Kernel(1, base, {((0,), (1,)): dy}, max_order=1, label="oscillatory")
 
 
-def _custom_grid_kernel():
-    diffs = np.concatenate([-np.geomspace(1e-3, 1e3, 400), np.geomspace(1e-3, 1e3, 400)])
-    return kernel_by_name("custom-grid", diffs=diffs, values=np.sign(diffs) * np.abs(diffs) ** -1.5)
-
-
 _SAMPLED_KERNELS = {
     "hilbert": lambda: kernel_by_name("hilbert"),
     "riesz-0": lambda: kernel_by_name("riesz-0"),
     "riesz-1": lambda: kernel_by_name("riesz-1"),
     "riesz-2-n3": lambda: _riesz(2, 3),
     "truncated": lambda: kernel_by_name("truncated"),
-    "custom-grid": _custom_grid_kernel,
     "oscillatory": _oscillatory_kernel,
 }
 
@@ -966,13 +945,9 @@ def test_empty_sampling_geometry_is_refused(geometry):
 
 def test_czkcheck_exits_2_on_a_non_finite_kernel(tmp_path, capsys):
     from dyadica.cli import main
-    from dyadica.czo import _REGISTRY
-    register_kernel("sqrt-test", _sqrt_kernel)
-    try:
+    with mock.patch.dict(czo_module._KERNELS, {"sqrt-test": _sqrt_kernel}):
         code = main(["czkcheck", "--kernel", "sqrt-test", "--E", "1.5", "--F", "0.5",
                      "--out", str(tmp_path / "czk.json")])
-    finally:
-        del _REGISTRY["sqrt-test"]
     assert code == 2
     assert "non-finite" in capsys.readouterr().err
     assert not (tmp_path / "czk.json").exists()

@@ -147,12 +147,13 @@ def test_mgh_requires_decay_above_dimension():
 def test_families_ad_check():
     sp = SpaceParams(BESOV, 0.3, 0.1, 1.0, 2.0)
     di = derived_indices(sp, 1, 0.2)
-    syn_spec, ana_spec = molecule_param_sets(di, 1)
-    ok, failing = families_ad_check(ana_spec.witness(0.1), syn_spec.witness(0.1), di, 1)
+    # parameters 0.1 inside each set's strict bounds, on its L bound
+    syn, ana = (MoleculeParams(b.K + 0.1, b.L, b.M + 0.1, b.N + 0.1)
+                for b in (spec.bounds() for spec in molecule_param_sets(di, 1)))
+    ok, failing = families_ad_check(ana, syn, di, 1)
     assert ok and failing == []
-    bad_syn = MoleculeParams(syn_spec.witness(0.1).K, syn_spec.witness(0.1).L,
-                             syn_spec.witness(0.1).M, di.s_eff)  # N_b = s_eff fails
-    ok2, failing2 = families_ad_check(ana_spec.witness(0.1), bad_syn, di, 1)
+    bad_syn = MoleculeParams(syn.K, syn.L, syn.M, di.s_eff)  # N_b = s_eff fails
+    ok2, failing2 = families_ad_check(ana, bad_syn, di, 1)
     assert not ok2
     assert any(line.startswith("synthesis N >") for line in failing2)
 

@@ -214,11 +214,10 @@ def test_ad_region_membership():
     di = derived_indices(F(0.2, 0.3, 1.2, 2.0), 2, 0.5)
     region = ad_region(di, 2)
     D, E, Fv = region.point_inside(1.0)
-    assert region.contains(D, E, Fv)
-    assert not region.contains(D, 1.0 + di.s_eff - 1e-9 + 0.0, Fv) or True
+    assert region.check(D, E, Fv).ok
     # boundary excluded
-    assert not region.contains(region.d_min, E, Fv)
-    assert not region.contains(D, region.e_min, Fv)
+    assert not region.check(region.d_min, E, Fv).ok
+    assert not region.check(D, region.e_min, Fv).ok
     cs = region.check(D, region.e_min, Fv)
     assert cs.failing() == [f"E > {region.e_min:g}"]
 
@@ -237,22 +236,28 @@ def test_ad_region_monotone():
     di = derived_indices(F(0.0, 0.2, 0.8, 1.5), 1, 0.3)
     region = ad_region(di, 1)
     D, E, Fv = region.point_inside(0.05)
-    assert region.contains(D, E, Fv)
-    assert region.contains(D + 5, E + 5, Fv + 5)
+    assert region.check(D, E, Fv).ok
+    assert region.check(D + 5, E + 5, Fv + 5).ok
 
 
 # ---------------------------------------------------------------------------
 # molecule parameter sets
 
+def _inside(spec):
+    """Molecule parameters 0.1 inside the strict bounds of ``spec``, on its L bound."""
+    b = spec.bounds()
+    return MoleculeParams(b.K + 0.1, b.L, b.M + 0.1, b.N + 0.1)
+
+
 def test_js_molecule_witness_and_margins():
     di = derived_indices(B(0.3, 0.1, 1.0, 2.0), 1, 0.2)
     syn, ana = molecule_param_sets(di, 1)
-    assert syn.admits(syn.witness(0.1))
-    assert ana.admits(ana.witness(0.1))
+    assert syn.admits(_inside(syn))
+    assert ana.admits(_inside(ana))
     # analysis constraints are the (j_eff, j_eff - n - s_eff) set
     assert ana.s == di.j_eff - 1 - di.s_eff
     # violate N on the synthesis side
-    mp = syn.witness(0.1)
+    mp = _inside(syn)
     bad = MoleculeParams(mp.K, mp.L, mp.M, di.s_eff)
     cs = syn.check(bad)
     assert not cs.ok
@@ -453,6 +458,6 @@ def test_derived_table_molecule_rows_are_the_spec_bounds(sp, n, d):
                                           "M>": j, "N>": s_ana}
     for spec in molecule_param_sets(di, n):
         b = spec.bounds()
-        assert spec.admits(spec.witness(0.1)) and spec.witness(0.1).L == b.L
+        assert spec.admits(_inside(spec))
         # K, M and N are strict bounds, L is attained
         assert [it.name for it in spec.check(b).items if not it.ok] == ["K", "M", "N"]

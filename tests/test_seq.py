@@ -45,7 +45,7 @@ def _indicator_stack(win, grid_level, q):
     stack = LevelFunctionStack(win, grid_level, {})
     arr = np.zeros(stack.grid_shape)
     pts = stack.midpoints()
-    arr.flat[q.contains(pts)] = 1.0
+    arr.flat[np.all((pts >= q.lower) & (pts < q.upper), axis=-1)] = 1.0
     stack.levels[q.j] = arr
     return stack
 
@@ -465,7 +465,7 @@ def _la_norm_bruteforce(stack, sp):
     for j_p in range(win.j_min, win.j_max + 1):
         for P in win.cubes(j_p):
             pts = stack.midpoints()
-            inside = P.contains(pts)
+            inside = np.all((pts >= P.lower) & (pts < P.upper), axis=-1)
             if sp.family == "B":
                 acc = []
                 for j in levels:

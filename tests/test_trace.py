@@ -336,7 +336,7 @@ def _slab_window():
 
 @pytest.mark.parametrize("call, message", [
     (lambda tp: target_params(SpaceParams(BESOV, 1.0, 0.0, 2.0, 2.0), 1), "trace targets need n >= 2"),
-    (lambda tp: TracePair(1, 1, resolution=8), "trace pairs need n >= 2"),
+    (lambda tp: TracePair(daubechies_filter(1), 1, resolution=8), "trace pairs need n >= 2"),
     (lambda tp: trace_wavelet(tp, (1,), DyadicCube(2, 0, (0, 0))), "channel/cube dimension mismatch"),
     (lambda tp: trace_wavelet(tp, (1, 0), DyadicCube(1, 0, (0,))), "channel/cube dimension mismatch"),
     (lambda tp: ext_wavelet(tp, (1, 0), DyadicCube(1, 0, (0,))), "channel/cube dimension mismatch"),

@@ -592,7 +592,7 @@ def test_real_path_matches_complex_typed_copies(n, m, family, seed):
     f = FunctionSample(n, m, grid, start, values)
     assert f.values.dtype == np.float64
     assert FunctionSample(n, m, grid, start, values.astype(complex)).values.dtype == np.complex128
-    tp = TracePair(2, n) if n == 2 else None
+    tp = TracePair(daubechies_filter(2), n) if n == 2 else None
     sysw = tp.source if tp else WaveletSystem(n, daubechies_filter(2))
     coefs = analyze(f, sysw, window)
     cplx = {lam: _complex_typed(tf) for lam, tf in coefs.items()}

@@ -58,7 +58,7 @@ def test_grid_weight_keeps_real_values_real():
 def test_constant_weight_keeps_real_values_real():
     W = MatrixWeight.constant(np.eye(2, dtype=int), 1)
     assert W(np.array([[0.2]])).dtype == np.float64
-    assert W.to_dict()["matrix"] == [[1.0, 0.0], [0.0, 1.0]]
+    assert W(np.array([[0.2]]))[0].tolist() == [[1.0, 0.0], [0.0, 1.0]]
     Wc = MatrixWeight.constant([[2, 1j], [-1j, 2]], 1)
     assert Wc(np.array([[0.2]])).dtype == np.complex128
 
@@ -84,8 +84,11 @@ def test_grid_weight_refuses_corners_that_are_not_whole(lo, hi, level):
     with pytest.raises(PreconditionError, match="grid weight corners and level must be whole"):
         MatrixWeight.grid(lo, hi, level=level, values=np.ones((2, 1, 1)))
     # whole floats and numpy integers are whole numbers
-    W = MatrixWeight.grid(np.array([0]), (1.0,), level=np.int64(1), values=np.ones((2, 1, 1)))
-    assert W.meta == {"lo": (0,), "hi": (1,), "level": 1}
+    W = MatrixWeight.grid(np.array([0]), (1.0,), level=np.int64(1),
+                          values=np.arange(2.0).reshape(2, 1, 1))
+    assert W(np.array([[0.25], [0.75]])).ravel().tolist() == [0.0, 1.0]
+    with pytest.raises(PreconditionError, match="outside the grid weight's box"):
+        W(np.array([[1.0]]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -100,12 +103,12 @@ def test_weight_refuses_points_of_another_dimension(n):
         W(x)
 
 
-def test_weight_json_roundtrip():
+def test_weight_from_json_form():
     W = MatrixWeight.diag_power([1.0, 2.0], [0.5, 0.0], n=2, floor=0.01)
-    d = W.to_dict()
-    W2 = MatrixWeight.from_dict(d)
-    x = np.array([[0.3, 0.4], [1.0, 0.0]])
-    assert np.allclose(W(x), W2(x))
+    W2 = MatrixWeight.from_dict({"kind": "diag-power", "m": 2, "n": 2, "a": [1.0, 2.0],
+                                 "alpha": [0.5, 0.0], "floor": 0.01})
+    x = np.array([[0.3, 0.4], [1.0, 0.0], [0.0, 0.0]])
+    assert np.array_equal(W(x), W2(x))
 
 
 _UNIT_CUBE = DyadicCube(1, 0, (0,))
@@ -122,7 +125,7 @@ _UNIT_WINDOW = LatticeWindow(1, 0, 1, (0,), (1,))
     (lambda: MatrixWeight.grid([0], [1], 1, np.ones((3, 1, 1))), PreconditionError,
      r"grid values shape \(3,\) != cells \[2\]"),
     (lambda: MatrixWeight.from_dict({"kind": "grid", "n": 1, "lo": [0], "hi": [1], "level": 0}),
-     PreconditionError, "grid weight needs values or values_file"),
+     PreconditionError, "grid weight needs values_file"),
     (lambda: MatrixWeight.from_dict({"kind": "power", "n": 1}), PreconditionError,
      "unknown weight kind 'power'"),
     (lambda: ap_characteristic(MatrixWeight.identity(1, 1), 0.0, _UNIT_WINDOW), PreconditionError,
