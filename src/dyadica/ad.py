@@ -113,7 +113,6 @@ def _adversarial_fields(window: LatticeWindow, m: int, slopes) -> np.ndarray:
 
 def empirical_norm(B: ADMatrix, sp: SpaceParams, depths,
                    weight: MatrixWeight | None = None,
-                   fam_builder=None,
                    m: int = 1, n: int = 1,
                    seed: int = 0, trials: int = 12) -> dict:
     """Lower bounds for ||Bt|| / ||t|| over nested window depths.
@@ -138,12 +137,7 @@ def empirical_norm(B: ADMatrix, sp: SpaceParams, depths,
                 "matrix_entries": []}
     for depth in depths:
         window = LatticeWindow(n, 0, depth, (0,) * n, (1,) * n)
-        if fam_builder is not None:
-            fam = fam_builder(window)
-        elif weight is None:
-            fam = ReducingFamily.identity(m, sp.p, window)
-        else:
-            fam = None
+        fam = ReducingFamily.identity(m, sp.p, window) if weight is None else None
         drawn = random_rows(rng, trials, window.count(), m, density=0.4)
         nonempty = np.any(drawn != 0, axis=(1, 2))
         fields = np.concatenate([drawn[nonempty], _adversarial_fields(window, m, STACK_SLOPES)])

@@ -451,9 +451,9 @@ class SymbolS11u(Kernel):
     """Symbol evaluator a(x, xi) with derivative access and a declared order: a
     kernel in (x, xi) with steps 1e-4 in x and 1e-4 |xi| in xi."""
 
-    def __init__(self, n: int, u: int, eval_fn, derivatives: dict | None = None,
-                 max_order: int = 2, x_independent: bool = False, label: str = "symbol"):
-        super().__init__(n, eval_fn, derivatives, max_order, label)
+    def __init__(self, n: int, u: int, eval_fn, max_order: int = 2,
+                 x_independent: bool = False, label: str = "symbol"):
+        super().__init__(n, eval_fn, max_order=max_order, label=label)
         self.u = int(u)
         self.x_independent = x_independent
 

@@ -70,7 +70,7 @@ class DyadicCube:
         return format_cube(self)
 
 
-def parse_cube(text: str, n: int | None = None) -> DyadicCube:
+def parse_cube(text: str) -> DyadicCube:
     """Parse the literal form ``"j:k1,k2,...,kn"`` used in coefficient files."""
     try:
         level_part, idx_part = text.strip().split(":")
@@ -78,8 +78,6 @@ def parse_cube(text: str, n: int | None = None) -> DyadicCube:
         k = tuple(int(v) for v in idx_part.split(","))
     except ValueError as exc:
         raise PreconditionError(f"bad cube literal {text!r}") from exc
-    if n is not None and len(k) != n:
-        raise PreconditionError(f"cube literal {text!r} has dimension {len(k)}, expected {n}")
     return DyadicCube(len(k), j, k)
 
 

@@ -391,26 +391,22 @@ class CzoConditionSpec:
     s_eff: float
     j_eff: float
     n: int
-    extended: bool = False
 
     def check(self, sigma: int, E: float, F: float, G: float, H: float) -> ConstraintSet:
-        h_bound = math.floor(self.j_eff - self.n - self.s_eff)
-        if self.extended:
-            h_bound = max(h_bound, 0)
         return ConstraintSet(
-            "kernel parameter conditions" + (" (extended)" if self.extended else ""),
+            "kernel parameter conditions",
             (
                 Inequality("sigma", sigma, 1.0 if self.s_eff >= 0 else 0.0, False),
                 Inequality("E", E, pos(self.s_eff), True),
                 Inequality("F", F, self.j_eff - self.n + neg(self.s_eff), True),
                 Inequality("G", G, pos(math.floor(self.s_eff)), False),
-                Inequality("H", H, h_bound, False),
+                Inequality("H", H, math.floor(self.j_eff - self.n - self.s_eff), False),
             ),
         )
 
 
-def czo_conditions(di: DerivedIndices, n: int, extended: bool = False) -> CzoConditionSpec:
-    return CzoConditionSpec(di.s_eff, di.j_eff, n, extended)
+def czo_conditions(di: DerivedIndices, n: int) -> CzoConditionSpec:
+    return CzoConditionSpec(di.s_eff, di.j_eff, n)
 
 
 def derived_table(sp: SpaceParams, n: int, d: float = 0.0) -> dict:

@@ -397,14 +397,12 @@ class NormResult:
     value: float
     attaining: DyadicCube | None
     boundary_flag: bool
-    meta: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
             "value": self.value,
             "attaining_P": format_cube(self.attaining) if self.attaining else None,
             "boundary_flag": self.boundary_flag,
-            **self.meta,
         }
 
 
@@ -586,13 +584,16 @@ def _weighted_level(stack: LevelFunctionStack, j: int, vals: np.ndarray, index_s
 
 
 def _averaged_stacks(window: LatticeWindow, rows: np.ndarray, fam: ReducingFamily,
-                     sp: SpaceParams, grid_extra: int = 0):
+                     sp: SpaceParams):
     """Batched :func:`averaged_stack` of the fields given as rows (S, C, m) in
     ``all_cubes`` order, one batch per sample block.  The operators of the
     cubes present in any field are gathered once."""
+    if fam.p != sp.p:
+        raise PreconditionError(f"reducing operators of order p = {fam.p} "
+                                f"cannot serve a space with p = {sp.p}")
     cols = np.flatnonzero(np.any(rows != 0, axis=(0, 2)))
     ops = fam.operators_at(CubeArrays.of_window(window).take(cols))
-    grid_level = window.j_max + grid_extra
+    grid_level = window.j_max
     for blk in _sample_blocks(window, rows, grid_level):
         part = rows[blk]
         mags = np.zeros(part.shape[:2])
@@ -605,16 +606,15 @@ def _averaged_stacks(window: LatticeWindow, rows: np.ndarray, fam: ReducingFamil
         yield stack
 
 
-def weighted_stack(t: CoeffField, W: MatrixWeight, sp: SpaceParams,
-                   grid_extra: int = 2) -> LevelFunctionStack:
-    """Levels g_j = 2^{js} |W^{1/p} sum_Q t_Q |Q|^{-1/2} 1_Q| on the fine grid."""
-    return next(_weighted_stacks(t.window, t.rows()[None], W, sp, grid_extra)).sample(0)
+def weighted_stack(t: CoeffField, W: MatrixWeight, sp: SpaceParams) -> LevelFunctionStack:
+    """Levels g_j = 2^{js} |W^{1/p} sum_Q t_Q |Q|^{-1/2} 1_Q| on the grid two
+    levels below the window's finest."""
+    return next(_weighted_stacks(t.window, t.rows()[None], W, sp, 2)).sample(0)
 
 
-def averaged_stack(t: CoeffField, fam: ReducingFamily, sp: SpaceParams,
-                   grid_extra: int = 0) -> LevelFunctionStack:
-    """Levels g_j = 2^{js} sum_Q |A_Q t_Q| |Q|^{-1/2} 1_Q on the fine grid."""
-    return next(_averaged_stacks(t.window, t.rows()[None], fam, sp, grid_extra)).sample(0)
+def averaged_stack(t: CoeffField, fam: ReducingFamily, sp: SpaceParams) -> LevelFunctionStack:
+    """Levels g_j = 2^{js} sum_Q |A_Q t_Q| |Q|^{-1/2} 1_Q on the window's finest grid."""
+    return next(_averaged_stacks(t.window, t.rows()[None], fam, sp)).sample(0)
 
 
 def seq_norms_weighted(window: LatticeWindow, rows: np.ndarray, W: MatrixWeight,
@@ -642,8 +642,7 @@ def seq_norm_averaged(t: CoeffField, fam: ReducingFamily, sp: SpaceParams) -> No
     return seq_norms_averaged(t.window, t.rows()[None], fam, sp)[0]
 
 
-def equivalence_report(fields, W: MatrixWeight, fam: ReducingFamily,
-                       sp: SpaceParams, grid_extra: int = 2) -> dict:
+def equivalence_report(fields, W: MatrixWeight, fam: ReducingFamily, sp: SpaceParams) -> dict:
     """Ratio statistics of weighted vs averaged norms over an ensemble of
     fields on one window, evaluated as one batch."""
     fields = list(fields)
@@ -653,7 +652,7 @@ def equivalence_report(fields, W: MatrixWeight, fam: ReducingFamily,
     if any(t.window != window or t.m != m for t in fields):
         raise PreconditionError("ensemble fields must share one window and dimension")
     rows = np.stack([t.rows() for t in fields])
-    a = np.array([r.value for r in seq_norms_weighted(window, rows, W, sp, grid_extra)])
+    a = np.array([r.value for r in seq_norms_weighted(window, rows, W, sp)])
     b = np.array([r.value for r in seq_norms_averaged(window, rows, fam, sp)])
     keep = (a != 0.0) & (b != 0.0)
     if not keep.any():

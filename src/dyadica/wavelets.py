@@ -9,6 +9,7 @@ scaling prototype and are adjoints with respect to the grid inner product.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import zipfile
@@ -20,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .dyadic import DyadicCube, LatticeWindow, grid_cells, tensor_points
 from .errors import PreconditionError
-from .seq import CoeffField, NormResult, as_float_or_complex, seq_norm_averaged, seq_norm_weighted
+from .seq import CoeffField, NormResult, as_float_or_complex, seq_norm_weighted
 
 # Documented global Hoelder regularity estimates for the standard compactly
 # supported orthonormal family, by vanishing-moment count.  Order 1 is the
@@ -116,6 +117,15 @@ def _polished_roots_inside(coeffs: list) -> list:
     return inside
 
 
+def _poly_mul(a: list, b: list) -> list:
+    """Coefficients, lowest power first, of the product of two polynomials."""
+    out = [mpmath.mpf(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for k, y in enumerate(b):
+            out[i + k] += x * y
+    return out
+
+
 def daubechies_filter(order: int) -> FilterPair:
     """Minimal-length orthonormal filter with the given vanishing-moment count.
 
@@ -143,25 +153,11 @@ def daubechies_filter(order: int) -> FilterPair:
             if len(inside) != order - 1:
                 raise PreconditionError("spectral factorization failed to split roots")
             # q(z) = prod (z - r), expanded; complex roots pair up to real output
-            q = [mpmath.mpf(1)]
-            for r in inside:
-                nxt = [mpmath.mpf(0)] * (len(q) + 1)
-                for i, c in enumerate(q):
-                    nxt[i] += c * (-r)
-                    nxt[i + 1] += c
-                q = nxt
+            q = functools.reduce(_poly_mul, ([-r, 1] for r in inside), [mpmath.mpf(1)])
             q = [mpmath.re(c) for c in q]
-            m = [mpmath.mpf(1)]
-            for _ in range(order):
-                nxt = [mpmath.mpf(0)] * (len(m) + 1)
-                for i, c in enumerate(m):
-                    nxt[i] += c / 2
-                    nxt[i + 1] += c / 2
-                m = nxt
-            hmp = [mpmath.mpf(0)] * (len(m) + len(q) - 1)
-            for i, a in enumerate(m):
-                for jj, b in enumerate(q):
-                    hmp[i + jj] += a * b
+            half = mpmath.mpf(1) / 2
+            m = functools.reduce(_poly_mul, [[half, half]] * order, [mpmath.mpf(1)])
+            hmp = _poly_mul(m, q)
             total_sum = sum(hmp)
             hmp = [c * mpmath.sqrt(2) / total_sum for c in hmp]
             h = np.array([float(c) for c in hmp])
@@ -605,28 +601,16 @@ def parseval_report(f: FunctionSample, coefs: dict) -> dict:
 
 
 def wavelet_norm(f: FunctionSample, sys: WaveletSystem, sp, window: LatticeWindow,
-                 weight=None, fam=None, required_smoothness: int | None = None,
-                 grid_extra: int = 2) -> NormResult:
+                 weight) -> NormResult:
     """Sum over wavelet channels of the sequence norm of the coefficients."""
     coefs = analyze(f, sys, window, include_scaling=False)
     total = 0.0
     attaining = None
     best = -1.0
     for lam in sys.channels:
-        tf = coefs[lam]
-        if fam is not None:
-            r = seq_norm_averaged(tf, fam, sp)
-        else:
-            if weight is None:
-                raise PreconditionError("wavelet_norm needs a weight or a reducing family")
-            r = seq_norm_weighted(tf, weight, sp, grid_extra)
+        r = seq_norm_weighted(coefs[lam], weight, sp)
         total += r.value
         if r.value > best:
             best = r.value
             attaining = r.attaining
-    meta = {}
-    if required_smoothness is not None:
-        meta["smoothness_margin"] = sys.fp.holder - required_smoothness
-        meta["smoothness_warning"] = sys.fp.holder < required_smoothness
-        meta["low_margin_flag"] = (sys.fp.holder - required_smoothness) < 0.1
-    return NormResult(total, attaining, False, meta)
+    return NormResult(total, attaining, False)

@@ -823,7 +823,6 @@ class ReducingFamily:
     :meth:`build` (empty when no fit ran)."""
 
     p: float
-    weight: MatrixWeight | None
     window: LatticeWindow
     ops: np.ndarray                    # (C, m, m)
     # (C,) interior-point steps and final gap kappa_max / d of each fit
@@ -842,9 +841,6 @@ class ReducingFamily:
     def __getitem__(self, cube: DyadicCube) -> np.ndarray:
         return self.operators_at(CubeArrays.of([cube]))[0]
 
-    def __contains__(self, cube: DyadicCube) -> bool:
-        return self.window.contains(cube)
-
     def fit_report(self) -> dict:
         """Fits run, fits stopped by the step cap short of the tolerance,
         the most interior-point steps any fit took and the largest final
@@ -858,7 +854,7 @@ class ReducingFamily:
 
     @classmethod
     def identity(cls, m: int, p: float, window: LatticeWindow) -> "ReducingFamily":
-        return cls(p, None, window, np.broadcast_to(np.eye(m), (window.count(), m, m)))
+        return cls(p, window, np.broadcast_to(np.eye(m), (window.count(), m, m)))
 
     @classmethod
     def build(cls, W: MatrixWeight, p: float, window: LatticeWindow,
@@ -866,7 +862,7 @@ class ReducingFamily:
               table: WeightTable | None = None) -> "ReducingFamily":
         """Operators of every window cube as one batch (``table``: as ap_characteristic)."""
         ops, steps, gap = _reducing_operators(W, p, CubeArrays.of_window(window), quad, table)
-        return cls(p, W, window, ops, steps, gap)
+        return cls(p, window, ops, steps, gap)
 
 
 def ap_dimension_estimate(W: MatrixWeight, p: float, window: LatticeWindow,

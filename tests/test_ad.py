@@ -25,7 +25,7 @@ from dyadica.molecules import MoleculeParams, wavelet_family
 from dyadica.params import BESOV, INF, TRIEBEL_LIZORKIN, SpaceParams, ad_region, derived_indices
 from dyadica.seq import CoeffField
 from dyadica.wavelets import WaveletSystem, daubechies_filter
-from dyadica.weights import MatrixWeight, QuadratureSpec, ReducingFamily
+from dyadica.weights import MatrixWeight, ReducingFamily
 
 
 def test_bdef_values():
@@ -287,7 +287,7 @@ def _adversarial_reference(window, m, stack_slopes):
     return fields
 
 
-def _empirical_norm_reference(B, sp, depths, weight=None, fam_builder=None, m=1, n=1,
+def _empirical_norm_reference(B, sp, depths, weight=None, m=1, n=1,
                               seed=0, trials=12, stack_slopes=(-2.0, -1.0, -0.5, 0.0, 0.5, 1.0)):
     """The probe one field at a time: per-cube draws, per-field apply, per-cube
     stacks and the per-stack norm.  Returns the three estimate lists and the
@@ -296,12 +296,7 @@ def _empirical_norm_reference(B, sp, depths, weight=None, fam_builder=None, m=1,
     randomized, adversarial, empty = [], [], []
     for depth in depths:
         window = LatticeWindow(n, 0, depth, (0,) * n, (1,) * n)
-        if fam_builder is not None:
-            fam = fam_builder(window)
-        elif weight is None:
-            fam = ReducingFamily.identity(m, sp.p, window)
-        else:
-            fam = None
+        fam = ReducingFamily.identity(m, sp.p, window) if weight is None else None
 
         def norm(t):
             if fam is not None:
@@ -330,7 +325,7 @@ def _empirical_norm_reference(B, sp, depths, weight=None, fam_builder=None, m=1,
 @given(n=st.sampled_from((1, 2)), m=st.sampled_from((1, 2)),
        family=st.sampled_from((BESOV, TRIEBEL_LIZORKIN)), q=st.sampled_from((1.5, INF)),
        matrix=st.sampled_from(("model", "identity")),
-       branch=st.sampled_from(("identity", "weight", "fam_builder")),
+       branch=st.sampled_from(("identity", "weight")),
        block=st.sampled_from((1, 3, None)), trials=st.integers(1, 5),
        seed=st.integers(0, 2 ** 16))
 @settings(max_examples=40, deadline=None)
@@ -339,10 +334,7 @@ def test_empirical_norm_matches_per_field_oracle(n, m, family, q, matrix, branch
     sp = SpaceParams(family, 0.3, 0.1, 1.5, q)
     B = ADMatrix.model(2.5, 1.0, 0.5) if matrix == "model" else ADMatrix.identity()
     W = MatrixWeight.diag_power(np.arange(1.0, m + 1), np.linspace(0.3, -0.2, m), n, floor=0.1)
-    kwargs = {"weight": {"weight": W},
-              "fam_builder": {"fam_builder": lambda w: ReducingFamily.build(
-                  W, 2.0, w, QuadratureSpec(2, 1))},
-              "identity": {}}[branch]
+    kwargs = {"weight": {"weight": W}, "identity": {}}[branch]
     depths = (1, 3) if n == 1 else (1, 2)
     with (mock.patch.object(seq_module, "_samples_per_block", lambda per_sample: block)
           if block else contextlib.nullcontext()):

@@ -140,7 +140,7 @@ class DictField:
             nums = parts[n:]
             vals = np.array([float(nums[2 * i]) + 1j * float(nums[2 * i + 1])
                              for i in range(m)])
-            cube = parse_cube(cube_text, n)
+            cube = parse_cube(cube_text)  # the line pattern fixes its n indices
             if cube in seen:
                 raise PreconditionError(f"duplicate coefficient line for cube {cube}")
             seen.add(cube)
@@ -776,12 +776,12 @@ def test_stacks_match_per_cube_oracle(window, m, complex_values, seed):
     sp = SpaceParams(BESOV, 0.3, 0.1, 1.5, 2.0)
     W = MatrixWeight.diag_power(np.arange(1.0, m + 1), np.linspace(0.2, -0.3, m), window.n,
                                 floor=0.1)
-    got = weighted_stack(new, W, sp, 1)
-    expect = weighted_stack_reference(ref, W, sp, 1)
+    got = weighted_stack(new, W, sp)
+    expect = weighted_stack_reference(ref, W, sp, 2)
     assert sorted(got.levels) == sorted(expect.levels)
     for j, arr in expect.levels.items():
         np.testing.assert_allclose(got.levels[j], arr, rtol=1e-12, atol=0)
-    fam = ReducingFamily.build(W, 2.0, window, QuadratureSpec(2, 1))
+    fam = ReducingFamily.build(W, sp.p, window, QuadratureSpec(2, 1))
     got = averaged_stack(new, fam, sp)
     expect = averaged_stack_reference(ref, fam, sp)
     assert sorted(got.levels) == sorted(expect.levels)

@@ -357,18 +357,21 @@ def test_trace_threshold_needs_n2():
 # ---------------------------------------------------------------------------
 # czo conditions
 
+def _h_bound(cs):
+    return next(it.bound for it in cs.items if it.name == "H")
+
+
 def test_czo_conditions_negative_s():
     sp = B(-2.0, 0.0, 1.0, 1.0)
     di = derived_indices(sp, 1, 0.0)
     assert di.s_eff < 0
-    spec0 = czo_conditions(di, 1, extended=False)
-    spec1 = czo_conditions(di, 1, extended=True)
+    spec = czo_conditions(di, 1)
     # sigma >= 0 suffices, E > 0, G >= 0
-    cs = spec0.check(0, 0.1, di.j_eff - 1 + 2 + 0.1, 0, math.floor(di.j_eff - 1 - di.s_eff))
+    cs = spec.check(0, 0.1, di.j_eff - 1 + 2 + 0.1, 0, math.floor(di.j_eff - 1 - di.s_eff))
     assert cs.ok
-    # with s_eff < 0, floor(j_eff - n - s_eff) >= 0 so extended set coincides
+    # with s_eff < 0 the H bound floor(j_eff - n - s_eff) is already nonnegative
     for args in [(0, 0.1, 3.0, 0, 1), (1, 1.0, 0.5, 2, 0), (0, 0.0, 3.0, 0, 1)]:
-        assert spec0.check(*args).ok == spec1.check(*args).ok
+        assert _h_bound(spec.check(*args)) == math.floor(di.j_eff - 1 - di.s_eff) >= 0
 
 
 def test_czo_conditions_positive_s():
@@ -378,21 +381,10 @@ def test_czo_conditions_positive_s():
     cs = spec.check(1, 0.6, 0.1, 0, -1)
     # F > 0 needed; G >= floor(0.5) = 0; H >= floor(1-1-0.5) = -1
     assert cs.ok
+    assert _h_bound(cs) == -1
     assert not spec.check(0, 0.6, 0.1, 0, -1).ok  # sigma must be >= 1
-    ext = czo_conditions(di, 1, extended=True)
-    assert not ext.check(1, 0.6, 0.1, 0, -1).ok   # H >= 0 when extended
-    assert ext.check(1, 0.6, 0.1, 0, 0).ok
-
-
-def test_czo_extended_differs_only_when_negative_floor():
-    # when j_eff - n - s_eff >= 0 the extended variant is identical
-    sp = B(-1.0, 0.0, 0.5, 1.0)
-    di = derived_indices(sp, 1, 0.0)
-    assert di.j_eff - 1 - di.s_eff >= 0
-    a = czo_conditions(di, 1, False)
-    b = czo_conditions(di, 1, True)
-    for args in [(1, 1.0, 2.0, 0, 0), (0, 0.2, 1.6, 0, 1), (1, 3.0, 0.2, 1, 2)]:
-        assert a.check(*args).ok == b.check(*args).ok
+    assert not spec.check(1, 0.6, 0.1, 0, -2).ok  # H below its bound
+    assert spec.check(1, 0.6, 0.1, 0, 0).ok
 
 
 # ---------------------------------------------------------------------------

@@ -210,8 +210,8 @@ def test_b_equals_f_when_p_is_q():
 def test_averaged_single_cube_and_identity_weight():
     win = _window(j_max=3)
     m = 2
-    fam = ReducingFamily.identity(m, 2.0, win)
     sp = B(0.4, 0.25, 1.5, 2.0)
+    fam = ReducingFamily.identity(m, sp.p, win)
     q = DyadicCube(1, 2, (2,))
     z = np.array([1.0, -2.0])
     t = CoeffField(win, m, {q: z})
@@ -226,8 +226,8 @@ def test_averaged_single_cube_and_identity_weight():
 
 def test_two_disjoint_cubes_besov_p_eq_q():
     win = _window(j_max=2)
-    fam = ReducingFamily.identity(1, 2.0, win)
     p = 1.3
+    fam = ReducingFamily.identity(1, p, win)
     sp = B(0.2, 0.0, p, p)
     q1 = DyadicCube(1, 2, (0,))
     q2 = DyadicCube(1, 2, (3,))
@@ -740,7 +740,7 @@ def test_batched_field_norms_match_per_field_calls(window, m, samples, block, se
     sp = SpaceParams(BESOV, 0.2, 0.1, 1.5, 2.0)
     W = MatrixWeight.diag_power(np.arange(1.0, m + 1), np.linspace(0.2, -0.3, m), window.n,
                                 floor=0.1)
-    fam = ReducingFamily.build(W, 2.0, window, QuadratureSpec(2, 1))
+    fam = ReducingFamily.build(W, sp.p, window, QuadratureSpec(2, 1))
     with (mock.patch.object(seq_module, "_samples_per_block", lambda per_sample: block)
           if block else contextlib.nullcontext()):
         weighted = seq_norms_weighted(window, rows, W, sp, 1)
@@ -750,11 +750,11 @@ def test_batched_field_norms_match_per_field_calls(window, m, samples, block, se
         assert b == seq_norm_averaged(t, fam, sp)
 
 
-def equivalence_report_reference(fields, W, fam, sp, grid_extra=2):
+def equivalence_report_reference(fields, W, fam, sp):
     """The per-field report: two norms per field, one field at a time."""
     ratios, skipped = [], 0
     for t in fields:
-        a = seq_norm_weighted(t, W, sp, grid_extra).value
+        a = seq_norm_weighted(t, W, sp).value
         b = seq_norm_averaged(t, fam, sp).value
         if a == 0.0 or b == 0.0:
             skipped += 1
@@ -767,8 +767,8 @@ def equivalence_report_reference(fields, W, fam, sp, grid_extra=2):
 def test_equivalence_report_matches_per_field_reference():
     win = LatticeWindow(2, -1, 1, (-2, 0), (2, 2))
     W = MatrixWeight.diag_power([1.0, 2.0], [0.3, -0.2], n=2, floor=0.1)
-    fam = ReducingFamily.build(W, 2.0, win, QuadratureSpec(2, 1))
     sp = F(0.1, 0.2, 1.5, INF)
+    fam = ReducingFamily.build(W, sp.p, win, QuadratureSpec(2, 1))
     rng = np.random.default_rng(12)
     fields = [CoeffField.random(win, 2, rng, density=0.3) for _ in range(9)] + [CoeffField(win, 2)]
     with mock.patch.object(seq_module, "_samples_per_block", lambda per_sample: 4):
@@ -816,8 +816,12 @@ def _cube_and_its_right_neighbour(q):
     (lambda: seq_norm_weighted(CoeffField(_window(), 2), MatrixWeight.identity(1, 1),
                                B(0, 0, 2, 2)),
      "coefficient and weight dimensions differ"),
+    (lambda: seq_norm_averaged(CoeffField(_window(), 1, {DyadicCube(1, 1, (0,)): [1.0]}),
+                               ReducingFamily.identity(1, 2.0, _window()), B(0, 0, 3.0, 2.0)),
+     r"reducing operators of order p = 2\.0 cannot serve a space with p = 3\.0"),
 ], ids=["write-outside", "write-all-shape", "plus-window", "plus-dimension", "coarse-stack-grid",
-        "empty-ensemble", "subset-vector-field", "subset-box-leaves-cube", "weight-dimension"])
+        "empty-ensemble", "subset-vector-field", "subset-box-leaves-cube", "weight-dimension",
+        "averaged-order"])
 def test_field_and_norm_refusals(call, message):
     with pytest.raises(PreconditionError, match=message):
         call()

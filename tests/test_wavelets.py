@@ -13,9 +13,9 @@ from dyadica import wavelets
 from dyadica.dyadic import DyadicCube, LatticeWindow, tensor_points
 from dyadica.errors import PreconditionError
 from dyadica.params import BESOV, TRIEBEL_LIZORKIN, SpaceParams
-from dyadica.seq import CoeffField, seq_norm_averaged, seq_norms_weighted
+from dyadica.seq import CoeffField, seq_norms_weighted
 from dyadica.trace import TracePair, channel_norm, target_params, trace_coeffs
-from dyadica.weights import MatrixWeight, QuadratureSpec, ReducingFamily
+from dyadica.weights import MatrixWeight
 from dyadica.wavelets import (
     FunctionSample,
     WaveletSystem,
@@ -404,16 +404,6 @@ def test_wavelet_norm_s_monotone_on_fine_data():
     assert v_lo.value < v_hi.value
 
 
-def test_wavelet_norm_smoothness_flag():
-    sys = WaveletSystem(1, daubechies_filter(1), resolution=10)
-    win = LatticeWindow(1, 0, 4, (0,), (1,))
-    f = _gauss_sample(9, (0,), (1,))
-    W = MatrixWeight.identity(1, 1)
-    got = wavelet_norm(f, sys, SpaceParams(BESOV, 0.1, 0.0, 2.0, 2.0), win,
-                       weight=W, required_smoothness=1)
-    assert got.meta["smoothness_warning"]
-
-
 def test_vector_valued_roundtrip():
     # m = 2 complex components analyze/synthesize independently
     sys = WaveletSystem(1, daubechies_filter(3), resolution=13)
@@ -439,20 +429,6 @@ def test_vector_valued_roundtrip():
             assert np.allclose(coefs[lam].get(q)[0], c0[lam].get(q)[0], atol=1e-12)
 
 
-def test_wavelet_norm_with_reducing_family_sums_averaged_channel_norms():
-    sys = WaveletSystem(1, daubechies_filter(2), resolution=10)
-    win = LatticeWindow(1, 0, 3, (-2,), (3,))
-    sp = SpaceParams(TRIEBEL_LIZORKIN, 0.4, 0.1, 1.5, 2.0)
-    W = MatrixWeight.diag_power([1.0], [0.4], n=1, floor=0.25)
-    fam = ReducingFamily.build(W, sp.p, win, QuadratureSpec(2, 1))
-    f = _gauss_sample(9, (-2,), (3,))
-    coefs = analyze(f, sys, win, include_scaling=False)
-    norms = [seq_norm_averaged(coefs[lam], fam, sp) for lam in sys.channels]
-    got = wavelet_norm(f, sys, sp, win, fam=fam)
-    assert got.value == sum(r.value for r in norms) > 0
-    assert got.attaining == max(norms, key=lambda r: r.value).attaining
-
-
 def _wavelet_refusal_sample(n=1, m=1):
     return FunctionSample(n, m, 8, (0,) * n, np.zeros((m,) + (1 << 8,) * n))
 
@@ -475,11 +451,8 @@ def _wavelet_refusal_sample(n=1, m=1):
                                           {DyadicCube(1, 4, (3,)): [1.0]})},
                         WaveletSystem(1, daubechies_filter(1), 8), 3, (0,), (8,), 1),
      "synthesis grid coarser than a coefficient level"),
-    (lambda: wavelet_norm(_wavelet_refusal_sample(), WaveletSystem(1, daubechies_filter(1), 8),
-                          SpaceParams(BESOV, 0.2, 0.0, 2.0, 2.0), LatticeWindow(1, 0, 2, (0,), (1,))),
-     "wavelet_norm needs a weight or a reducing family"),
 ], ids=["cascade-resolution", "cascade-filter", "sample-channels", "sample-dimension",
-        "analyze-system", "analyze-window", "synthesize-coarse-grid", "norm-without-weight"])
+        "analyze-system", "analyze-window", "synthesize-coarse-grid"])
 def test_wavelet_refusals(call, message):
     with pytest.raises(PreconditionError, match=message):
         call()
