@@ -373,14 +373,10 @@ def trace_threshold(sp: SpaceParams, n: int) -> float:
         raise PreconditionError("trace thresholds need n >= 2")
     ratio = n / (n - 1) * sp.tau
     inv_p = 1.0 / sp.p
-    if sp.family == BESOV:
-        if ratio > inv_p:
-            return (n - 1) / sp.p - n * sp.tau
-        if ratio == inv_p and sp.q_is_inf:
-            return 0.0
-        return (n - 1) * pos(inv_p - 1.0)
     if ratio > inv_p:
         return (n - 1) / sp.p - n * sp.tau
+    if sp.family == BESOV and ratio == inv_p and sp.q_is_inf:
+        return 0.0
     return (n - 1) * pos(inv_p - 1.0)
 
 

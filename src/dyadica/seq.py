@@ -591,6 +591,8 @@ def _averaged_stacks(window: LatticeWindow, rows: np.ndarray, fam: ReducingFamil
     if fam.p != sp.p:
         raise PreconditionError(f"reducing operators of order p = {fam.p} "
                                 f"cannot serve a space with p = {sp.p}")
+    if rows.shape[2] != fam.ops.shape[-1]:
+        raise PreconditionError("coefficient and weight dimensions differ")
     cols = np.flatnonzero(np.any(rows != 0, axis=(0, 2)))
     ops = fam.operators_at(CubeArrays.of_window(window).take(cols))
     grid_level = window.j_max

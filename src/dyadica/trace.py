@@ -88,7 +88,6 @@ class SlabCoeffs:
     """Extension output: raw base coefficients on the k0 slab with a pending
     per-level scale 2^{-j/2} / phi(-k0) applied lazily."""
 
-    tp: TracePair
     channels: dict           # channel tuple -> CoeffField with raw values
     window: LatticeWindow
 
@@ -176,7 +175,7 @@ def ext_coeffs(tp: TracePair, coefs: dict, out_window: LatticeWindow) -> SlabCoe
                     f"extension window does not contain the k0 slab cube {cube}")
             target.write(j, start, slab)
         out_channels[lam_prime + (0,)] = target
-    return SlabCoeffs(tp, out_channels, out_window)
+    return SlabCoeffs(out_channels, out_window)
 
 
 def weight_compat_check(V: MatrixWeight, W: MatrixWeight, p: float,

@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .dyadic import DyadicCube, LatticeWindow, grid_cells, tensor_points
 from .errors import PreconditionError
-from .seq import CoeffField, NormResult, as_float_or_complex, seq_norm_weighted
+from .seq import CoeffField, NormResult, as_float_or_complex, seq_norms_weighted
 
 # Documented global Hoelder regularity estimates for the standard compactly
 # supported orthonormal family, by vanishing-moment count.  Order 1 is the
@@ -602,15 +602,11 @@ def parseval_report(f: FunctionSample, coefs: dict) -> dict:
 
 def wavelet_norm(f: FunctionSample, sys: WaveletSystem, sp, window: LatticeWindow,
                  weight) -> NormResult:
-    """Sum over wavelet channels of the sequence norm of the coefficients."""
+    """Sum over wavelet channels of the sequence norm of the coefficients, attained
+    where the first largest channel norm is and flagged when any channel is."""
     coefs = analyze(f, sys, window, include_scaling=False)
-    total = 0.0
-    attaining = None
-    best = -1.0
-    for lam in sys.channels:
-        r = seq_norm_weighted(coefs[lam], weight, sp)
-        total += r.value
-        if r.value > best:
-            best = r.value
-            attaining = r.attaining
-    return NormResult(total, attaining, False)
+    rows = np.stack([coefs[lam].rows() for lam in sys.channels])
+    norms = seq_norms_weighted(window, rows, weight, sp)
+    best = max(norms, key=lambda r: r.value)
+    return NormResult(sum(r.value for r in norms), best.attaining,
+                      any(r.boundary_flag for r in norms))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import CubeArrays, DyadicCube, LatticeWindow, tensor_points
+from .dyadic import CubeArrays, DyadicCube, LatticeWindow, grid_cells, tensor_points
 from .errors import PreconditionError, SingularWeightError
 from .params import json_field
 
@@ -145,8 +145,7 @@ class MatrixWeight:
         values = np.asarray(values)
         values = values.astype(complex if np.iscomplexobj(values) else float)
         m = values.shape[-1]
-        cells = [int((b - a) * (1 << level)) if level >= 0 else (b - a) // (1 << -level)
-                 for a, b in zip(lo_t, hi_t)]
+        cells = list(grid_cells(lo_t, hi_t, level, "grid weight", "box")[1])
         if tuple(values.shape[:-2]) != tuple(cells):
             raise PreconditionError(f"grid values shape {values.shape[:-2]} != cells {cells}")
         _refuse_non_finite(values, "grid weight value")
@@ -576,7 +575,10 @@ def _reducing_operators(W: MatrixWeight, p: float, cubes: CubeArrays, quad: Quad
             f"degenerate direction set in ellipsoid fit on cube {cubes.cube(int(np.argmax(flat)))}: "
             f"its {len(dirs)} directions do not span R^{W.m}")
     M, _, steps, gap = _mvee_centered(dirs, rho)
-    return _psd_sqrt(M, "ellipsoid fit produced a non-PD matrix"), steps, gap
+    A = _psd_sqrt(M, "ellipsoid fit produced a non-PD matrix")
+    # undo the root's rounding: each cube's farthest point d_i / rho_ci back on |A p| = 1
+    reach = np.linalg.norm(A @ dirs.T, axis=1) / rho  # one product per cube
+    return A / np.max(reach, axis=1)[:, None, None], steps, gap
 
 
 def _cube_nodes(quad: QuadratureSpec, cubes: CubeArrays) -> np.ndarray:

@@ -344,19 +344,25 @@ def test_transform_analyze_refuses_csv_input(tmp_path, capsys):
 
 
 def test_transform_writes_and_reports_the_output_path(tmp_path, capsys):
-    FunctionSample.from_callable(lambda pts: np.exp(-3 * (pts[:, 0] - 0.5) ** 2),
-                                 1, 1, 7, (0,), (1,)).save(str(tmp_path / "f.npz"))
+    # a round trip: analyze a sample, synthesize it back to a path without a suffix
+    f = FunctionSample.from_callable(lambda pts: np.exp(-20 * (pts[:, 0] - 0.5) ** 2),
+                                     1, 1, 9, (-8,), (9,))
+    f.save(str(tmp_path / "f.npz"))
     prefix = str(tmp_path / "c")
-    assert main(["transform", "--mode", "analyze", "--filter-order", "2", "--window",
-                 "0:2:0..1", "--input", str(tmp_path / "f.npz"), "--out-prefix", prefix]) == 0
+    window = ["--filter-order", "3", "--window", "0:5:-8..9"]
+    assert main(["transform", "--mode", "analyze", *window, "--input", str(tmp_path / "f.npz"),
+                 "--out-prefix", prefix]) == 0
     capsys.readouterr()
     out = tmp_path / "outfile"
-    code, rep = _run(["transform", "--mode", "synthesize", "--filter-order", "2",
-                      "--window", "0:2:0..1", "--coeffs", f"1={prefix}.lam1.csv",
-                      "--grid-level", "7", "--output", str(out)], capsys)
+    code, rep = _run(["transform", "--mode", "synthesize", *window,
+                      "--coeffs", f"0={prefix}.lam0.csv", f"1={prefix}.lam1.csv",
+                      "--grid-level", "9", "--output", str(out)], capsys)
     assert code == 0 and rep["written"] == str(out)
     assert out.exists() and not (tmp_path / "outfile.npz").exists()
-    assert FunctionSample.load(str(out)).shape == (1 << 7,)
+    g = FunctionSample.load(str(out))
+    assert (g.start, g.shape) == (f.start, f.shape)
+    assert f.values.dtype == g.values.dtype == np.float64
+    assert np.max(np.abs(g.values - f.values)) <= 1e-3
 
 
 @pytest.mark.parametrize("form", ["separate", "joined"])
@@ -397,32 +403,97 @@ def test_consecutive_calls_share_no_state(space_file, capsys):
     assert _run(["params", "--space", space_file], capsys)[1]["config"]["n"] == 1
 
 
-def test_reports_are_byte_identical_across_runs(tmp_path):
-    def f(pts):
-        return np.exp(-3 * (pts[:, 0] - 0.5) ** 2)
+# calls dyadica.cli.main for every argv of a JSON list, in one process
+_RUN_ALL = ("import json, sys\n"
+            "from dyadica.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    if main(argv) != 0:\n"
+            "        sys.exit(f'{argv} failed')\n")
 
-    FunctionSample.from_callable(f, 1, 1, 7, (0,), (1,)).save(str(tmp_path / "f.npz"))
-    jobs = {
-        "analyze": ["transform", "--mode", "analyze", "--filter-order", "2",
-                    "--window", "0:2:0..1", "--input", "f.npz", "--out-prefix", "c"],
-        "synthesize": ["transform", "--mode", "synthesize", "--filter-order", "2",
-                       "--window", "0:2:0..1", "--coeffs", "1=c.lam1.csv",
-                       "--grid-level", "7", "--output", "s.npz"],
-        "molcheck": ["molcheck", "--kind", "atom", "--cube", "1:1"],
+
+def test_reports_are_byte_identical_across_runs(tmp_path):
+    inp = tmp_path / "in"
+    inp.mkdir()
+    FunctionSample.from_callable(lambda p: np.exp(-3 * (p[:, 0] - 0.5) ** 2),
+                                 1, 1, 7, (0,), (1,)).save(str(inp / "f.npz"))
+    # a 2-D sample and m = 1 diag-power weights with floor 0.1: the kinds the
+    # wavelet2d workload uses
+    FunctionSample.from_callable(lambda p: np.exp(-8 * np.sum((p - 1.0) ** 2, axis=1)),
+                                 2, 1, 7, (-2, -2), (2, 2)).save(str(inp / "f2.npz"))
+    # an m = 3 grid weight: its pair norms take the closed-form cubic
+    M = np.random.default_rng(1).standard_normal((4, 4, 3, 3))
+    np.save(inp / "vals3.npy", M @ M.transpose(0, 1, 3, 2) + 0.2 * np.eye(3))
+    files = {
+        "wg3.json": {"m": 3, "n": 2, "kind": "grid", "lo": [0, 0], "hi": [1, 1], "level": 2,
+                     "values_file": "vals3.npy"},
+        # the doubling fit, and the square-root average (p = 2) or the ellipsoid fit (p = 3)
+        "wd.json": {"m": 2, "n": 1, "kind": "diag-power", "a": [1.3, 0.7],
+                    "alpha": [0.3, -0.2], "floor": 0.0},
+        "wW.json": {"m": 1, "n": 2, "kind": "diag-power", "a": [1.2], "alpha": [0.4],
+                    "floor": 0.1},
+        "wV.json": {"m": 1, "n": 1, "kind": "diag-power", "a": [1.2], "alpha": [0.4],
+                    "floor": 0.1},
+        "adprobe-sp.json": {"family": "B", "s": 0.5, "tau": 0.0, "p": 2, "q": 2},
+        "wavelet-sp.json": {"family": "B", "s": 0.5, "tau": 0.1, "p": 2, "q": 2},
     }
-    # fresh processes, so object addresses would differ between the runs
+    for name, d in files.items():
+        (inp / name).write_text(json.dumps(d))
+    path = {name: str(inp / name) for name in [*files, "f.npz", "f2.npz"]}
+    window2 = "--window=0:3:-2..2,-2..2"
+    # molcheck and weights reports record their --out path, so both runs
+    # write the same names
+    jobs = [
+        ["transform", "--mode", "analyze", "--filter-order", "2", "--window", "0:2:0..1",
+         "--input", path["f.npz"], "--out-prefix", "c1", "--out", "analyze1.json"],
+        ["transform", "--mode", "synthesize", "--filter-order", "2", "--window", "0:2:0..1",
+         "--coeffs", "1=c1.lam1.csv", "--grid-level", "7", "--output", "s.npz",
+         "--out", "synthesize.json"],
+        ["adprobe", "--space", path["adprobe-sp.json"], "--depths", "3,4", "--seed", "7",
+         "--out", "adprobe.json"],
+        ["czkcheck", "--kernel", "hilbert", "--E", "1.5", "--F", "0.5", "--intermediate",
+         "--out", "czk.json"],
+        ["molcheck", "--kind", "atom", "--cube", "1:1", "--r", "2", "--L", "1", "--N", "2",
+         "--out", "atom.json"],
+        ["molcheck", "--kind", "gaussian", "--out", "gaussian.json"],
+        ["weights", "--weight", path["wg3.json"], "--p", "3", "--window", "0:2:0..1,0..1",
+         "--quad", "2:0", "--reducing", "--out", "weights3.json"],
+        *(["weights", "--weight", path["wd.json"], "--p", p, "--window", "0:5:0..1",
+           "--quad", "4:2", "--dimension", "--reducing", "--out", f"weights2-p{p}.json"]
+          for p in ("2", "3")),
+        ["transform", "--mode", "analyze", "--filter-order", "2", window2,
+         "--input", path["f2.npz"], "--out-prefix", "c", "--out", "analyze.json"],
+        ["norm", "--coeffs", "c.lam01.csv", "--space", path["wavelet-sp.json"],
+         "--weight", path["wW.json"], window2, "--out", "norm.json"],
+        ["trace", "--filter-order", "2", "--source", path["f2.npz"], "--weightW", path["wW.json"],
+         "--weightV", path["wV.json"], "--space", path["wavelet-sp.json"], window2,
+         "--out", "trace.json"],
+    ]
+    # one fresh process per run, so object addresses would differ between them
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.dirname(os.path.dirname(dyadica.__file__)), os.environ.get("PYTHONPATH", "")]))
-    for name, argv in jobs.items():
-        reports = []
-        for run in range(2):
-            out = tmp_path / f"{name}{run}.json"
-            proc = subprocess.run([sys.executable, "-m", "dyadica.cli", *argv, "--out", out.name],
-                                  cwd=tmp_path, env=env, capture_output=True, text=True)
-            assert proc.returncode == 0, proc.stderr
-            reports.append(out.read_text())
-        assert reports[0].replace(f"{name}0.json", f"{name}1.json") == reports[1]
-        assert "fn" not in json.loads(reports[0])["config"]
+    runs = [tmp_path / "run0", tmp_path / "run1"]
+    for run in runs:
+        run.mkdir()
+        proc = subprocess.run([sys.executable, "-c", _RUN_ALL, json.dumps(jobs)], cwd=run,
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+    written = sorted(f.name for f in runs[0].iterdir())
+    assert written == sorted(f.name for f in runs[1].iterdir())
+    reports = [name for name in written if name.endswith(".json")]
+    assert len(reports) == len(jobs)
+    for name in written:
+        if name.endswith((".json", ".csv")):
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
+    for name in reports:
+        rep = json.loads((runs[0] / name).read_text())
+        assert "fn" not in rep["config"]
+        if name.startswith("weights"):
+            assert rep["characteristic"] >= 1
+    for name in ("weights3.json", "weights2-p3.json"):
+        fit = json.loads((runs[0] / name).read_text())["fit"]
+        assert fit["fits"] > 0 and fit["capped"] == 0 and fit["gap_max"] <= 1 + 1e-7
+    czk = json.loads((runs[0] / "czk.json").read_text())
+    assert czk["check"]["all_stable"] and czk["intermediate"]["all_stable"]
 
 
 def test_weights_non_finite_constant_refused(tmp_path, capsys):
@@ -575,6 +646,10 @@ BAD_INPUT_FILES = {
                           '{"m": 1, "n": 1, "kind": "grid", "lo": [0.5], "hi": [1], '
                           '"level": 1, "values_file": "v.npy"}',
                           "key 'lo' holds [0.5], not a list of whole numbers"),
+    "grid lo not a list": ("weights", "--weight",
+                           '{"m": 1, "n": 1, "kind": "grid", "lo": 0, "hi": [1], '
+                           '"level": 1, "values_file": "v.npy"}',
+                           "key 'lo' holds 0, not a list of whole numbers"),
     "constant m disagrees": ("weights", "--weight",
                              '{"m": 2, "n": 1, "kind": "constant", "matrix": [[4.0]]}',
                              "key 'm' holds 2, but the weight's values are 1 x 1"),

@@ -819,9 +819,12 @@ def _cube_and_its_right_neighbour(q):
     (lambda: seq_norm_averaged(CoeffField(_window(), 1, {DyadicCube(1, 1, (0,)): [1.0]}),
                                ReducingFamily.identity(1, 2.0, _window()), B(0, 0, 3.0, 2.0)),
      r"reducing operators of order p = 2\.0 cannot serve a space with p = 3\.0"),
+    (lambda: seq_norm_averaged(CoeffField(_window(), 2, {DyadicCube(1, 1, (0,)): [1.0, 0.0]}),
+                               ReducingFamily.identity(3, 2.0, _window()), B(0, 0, 2.0, 2.0)),
+     "coefficient and weight dimensions differ"),
 ], ids=["write-outside", "write-all-shape", "plus-window", "plus-dimension", "coarse-stack-grid",
         "empty-ensemble", "subset-vector-field", "subset-box-leaves-cube", "weight-dimension",
-        "averaged-order"])
+        "averaged-order", "averaged-dimension"])
 def test_field_and_norm_refusals(call, message):
     with pytest.raises(PreconditionError, match=message):
         call()

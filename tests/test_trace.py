@@ -341,8 +341,8 @@ def _slab_window():
     (lambda tp: trace_wavelet(tp, (1, 0), DyadicCube(1, 0, (0,))), "channel/cube dimension mismatch"),
     (lambda tp: ext_wavelet(tp, (1, 0), DyadicCube(1, 0, (0,))), "channel/cube dimension mismatch"),
     (lambda tp: ext_wavelet(tp, (1,), DyadicCube(2, 0, (0, 0))), "channel/cube dimension mismatch"),
-    (lambda tp: trace_coeffs(tp, SlabCoeffs(tp, {(1, 1): CoeffField(_slab_window(), 1)},
-                                            _slab_window())),
+    (lambda tp: trace_coeffs(tp, SlabCoeffs({(1, 1): CoeffField(_slab_window(), 1)},
+                                        _slab_window())),
      "slab carrier must live in a last-bit-0 channel"),
     (lambda tp: weight_compat_check(MatrixWeight.identity(1, 1), MatrixWeight.identity(2, 2), 2.0,
                                     LatticeWindow(1, 0, 1, (0,), (1,))),

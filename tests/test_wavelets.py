@@ -13,7 +13,7 @@ from dyadica import wavelets
 from dyadica.dyadic import DyadicCube, LatticeWindow, tensor_points
 from dyadica.errors import PreconditionError
 from dyadica.params import BESOV, TRIEBEL_LIZORKIN, SpaceParams
-from dyadica.seq import CoeffField, seq_norms_weighted
+from dyadica.seq import CoeffField, seq_norm_weighted, seq_norms_weighted
 from dyadica.trace import TracePair, channel_norm, target_params, trace_coeffs
 from dyadica.weights import MatrixWeight
 from dyadica.wavelets import (
@@ -402,6 +402,36 @@ def test_wavelet_norm_s_monotone_on_fine_data():
     v_hi = wavelet_norm(f, sys, SpaceParams(BESOV, 0.8, 0.0, 2.0, 2.0), win, weight=W)
     v_lo = wavelet_norm(f, sys, SpaceParams(BESOV, 0.2, 0.0, 2.0, 2.0), win, weight=W)
     assert v_lo.value < v_hi.value
+
+
+def test_wavelet_norm_is_the_per_channel_sum_and_keeps_the_boundary_flag():
+    sp = SpaceParams(BESOV, 0.2, 0.0, 2.0, 2.0)
+    cases = [
+        # one channel, whose sup the window cuts: it attains on the coarsest level
+        (WaveletSystem(1, daubechies_filter(2), resolution=10),
+         LatticeWindow(1, 0, 2, (-4,), (5,)),
+         FunctionSample.from_callable(lambda x: np.exp(-(((x[:, 0] - 0.5) / 1.5) ** 2)),
+                                      1, 1, 8, (-4,), (5,)),
+         MatrixWeight.identity(1, 1)),
+        # three channels in one batch
+        (WaveletSystem(2, daubechies_filter(2), resolution=8),
+         LatticeWindow(2, 0, 1, (-2, -2), (2, 2)),
+         FunctionSample.from_callable(lambda p: np.exp(-8 * np.sum((p - 0.3) ** 2, axis=1)),
+                                      2, 1, 6, (-2, -2), (2, 2)),
+         MatrixWeight.diag_power([1.2], [0.4], n=2, floor=0.1)),
+    ]
+    got = []
+    for sys, win, f, W in cases:
+        r = wavelet_norm(f, sys, sp, win, weight=W)
+        # one norm per channel: the values summed in channel order (bitwise),
+        # the first largest channel's cube and the flag of any channel
+        coefs = analyze(f, sys, win, include_scaling=False)
+        norms = [seq_norm_weighted(coefs[lam], W, sp) for lam in sys.channels]
+        best = max(norms, key=lambda n: n.value)
+        assert (r.value, r.attaining, r.boundary_flag) == \
+            (sum(n.value for n in norms), best.attaining, any(n.boundary_flag for n in norms))
+        got.append(r)
+    assert got[0].attaining == DyadicCube(1, 0, (-1,)) and got[0].boundary_flag
 
 
 def test_vector_valued_roundtrip():

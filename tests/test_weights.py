@@ -124,6 +124,9 @@ _UNIT_WINDOW = LatticeWindow(1, 0, 1, (0,), (1,))
      "coefficient and exponent lists differ in length"),
     (lambda: MatrixWeight.grid([0], [1], 1, np.ones((3, 1, 1))), PreconditionError,
      r"grid values shape \(3,\) != cells \[2\]"),
+    # a level -1 cell is 2 wide: it does not tile [0, 3)
+    (lambda: MatrixWeight.grid([0], [3], -1, np.ones((1, 1, 1))), PreconditionError,
+     r"grid weight level -1 does not tile the box \(0,\)\.\.\(3,\)"),
     (lambda: MatrixWeight.from_dict({"kind": "grid", "n": 1, "lo": [0], "hi": [1], "level": 0}),
      PreconditionError, "grid weight needs values_file"),
     (lambda: MatrixWeight.from_dict({"kind": "power", "n": 1}), PreconditionError,
@@ -138,9 +141,13 @@ _UNIT_WINDOW = LatticeWindow(1, 0, 1, (0,), (1,))
     (lambda: reducing_operator(MatrixWeight.constant(np.diag([1.0, 0.0]), 1), 2.0, _UNIT_CUBE,
                                QuadratureSpec(2, 0)),
      SingularWeightError, "average weight not positive definite"),
+    (lambda: ReducingFamily.build(MatrixWeight.constant(np.zeros((2, 2)), 1), 3.0, _UNIT_WINDOW,
+                                  QuadratureSpec(2, 0)),
+     SingularWeightError, "weight average vanishes in some direction"),
 ], ids=["quad-points", "quad-depth", "parse-one-field", "parse-not-a-number", "diag-power-lengths",
-        "grid-cells", "grid-without-values", "unknown-kind", "characteristic-p",
-        "reducing-operator-p", "dimension-estimate-p", "singular-average-p2"])
+        "grid-cells", "grid-level-untiled", "grid-without-values", "unknown-kind",
+        "characteristic-p", "reducing-operator-p", "dimension-estimate-p", "singular-average-p2",
+        "vanishing-average-fit"])
 def test_weight_refusals(call, error, message):
     with pytest.raises(error, match=message):
         call()
@@ -365,7 +372,7 @@ def _pair_norms_batched_reference(A, B):
     return np.sqrt(np.maximum(top, 0.0))
 
 
-@given(m=st.sampled_from((2, 3)), complex_values=st.booleans(), sets=st.integers(1, 3),
+@given(m=st.sampled_from((2, 3, 4)), complex_values=st.booleans(), sets=st.integers(1, 3),
        nx=st.integers(1, 12), ny=st.integers(1, 12), seed=st.integers(0, 2 ** 16))
 @settings(max_examples=60, deadline=None)
 def test_pair_norms_match_batched_products(m, complex_values, sets, nx, ny, seed):
@@ -797,6 +804,9 @@ def _assert_operator_close(A, A_ref):
 # an ill-conditioned fit (cube 2:0, condition number 3e3) whose operator missed
 # the fitted ellipsoid by 8.5e-12 while the fit was square-rooted unsymmetrized
 @example(m=3, complex_values=False, p=0.8, n=1, block=1, seed=326)
+# an ill-conditioned fit (cube 2:2) whose square root's rounding put the
+# farthest point 2.7e-12 outside the operator's ellipsoid
+@example(m=2, complex_values=False, p=0.8, n=1, block=1, seed=37)
 def test_reducing_family_matches_per_cube_oracle(m, complex_values, p, n, block, seed):
     # the ellipsoid fit takes real weights only
     complex_values = complex_values and (m == 1 or p == 2.0)
