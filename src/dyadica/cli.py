@@ -2,8 +2,8 @@
 probe suites, and checker reports.
 
 All structured output is JSON with sorted keys; bulk data moves through CSV
-(coefficients) and npz (samples).  Reports embed the resolved configuration
-and the tool version, and runs are deterministic under a fixed seed.
+(coefficients) and npz (samples).  Reports embed the parsed options (less
+``--out``) and the tool version, and runs are deterministic under a fixed seed.
 Exit codes: 0 success, 2 precondition refusal (a missing input file, or a
 missing directory for the report, too), 1 internal error.
 """
@@ -130,18 +130,16 @@ def _json_default(obj):
 
 
 def _config(args) -> dict:
-    """The parsed arguments, without the subcommand's function object (its
-    repr holds a memory address that changes from run to run)."""
-    return {k: v for k, v in vars(args).items() if k != "fn"}
+    """The parsed arguments less ``--out`` and the subcommand's function object
+    (its repr holds a memory address that changes from run to run)."""
+    return {k: v for k, v in vars(args).items() if k not in ("fn", "out")}
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_params(args) -> dict:
-    sp = _load_space(args.space)
-    return {"config": {"space": sp.to_dict(), "n": args.n, "d": args.d},
-            "table": derived_table(sp, args.n, args.d)}
+    return {"table": derived_table(_load_space(args.space), args.n, args.d)}
 
 
 def cmd_norm(args) -> dict:
@@ -152,8 +150,7 @@ def cmd_norm(args) -> dict:
     W = (_load_weight(args.weight, "--weight", window.n) if args.weight
          else MatrixWeight.identity(args.m, window.n))
     res = seq_norm_weighted(t, W, sp, args.grid_extra)
-    return {"config": {"space": sp.to_dict(), "window": args.window, "m": args.m},
-            "norm": res.to_dict()}
+    return {"space": sp.to_dict(), "norm": res.to_dict()}
 
 
 def cmd_transform(args) -> dict:
@@ -170,9 +167,7 @@ def cmd_transform(args) -> dict:
             with open(name, "w") as fh:
                 fh.write(tf.to_csv())
             written[str(lam)] = name
-        return {"config": _config(args),
-                "parseval": parseval_report(f, coefs),
-                "files": written}
+        return {"parseval": parseval_report(f, coefs), "files": written}
     coefs = {}
     for pair in args.coeffs:
         lam_text, _, path = pair.partition("=")
@@ -188,7 +183,7 @@ def cmd_transform(args) -> dict:
                               "window box")
     out = synthesize(coefs, sysw, args.grid_level, start, shape, args.m)
     out.save(args.output)
-    return {"config": _config(args), "written": args.output}
+    return {"written": args.output}
 
 
 def cmd_trace(args) -> dict:
@@ -208,8 +203,7 @@ def cmd_trace(args) -> dict:
     quad = QuadratureSpec.parse(args.quad)
     c116, c127 = weight_compat_check(V, W, sp.p, bw, quad)
     return {
-        "config": {"space": sp.to_dict(), "window": args.window,
-                   "filter_order": args.filter_order},
+        "space": sp.to_dict(),
         "target_space": sp_t.to_dict(),
         "source_norm": src,
         "target_norm": tgt,
@@ -232,8 +226,7 @@ def cmd_adprobe(args) -> dict:
                          n=args.n, seed=args.seed)
     cs = region.check(D, E, F)
     return {
-        "config": {"space": sp.to_dict(), "n": args.n, "d": args.d,
-                   "DEF": [D, E, F], "seed": args.seed},
+        "space": sp.to_dict(), "DEF": [D, E, F],
         "region": cs.to_dict(),
         "probe": rep,
     }
@@ -257,7 +250,7 @@ def cmd_molcheck(args) -> dict:
         # smoothness order is capped at the size condition
         cand = MoleculeCandidate(cube, gauss, max_order=0, label="gaussian")
         rep = validate_molecule(cand, args.K, args.L, args.M, min(args.N, 0.0), grid)
-    return {"config": _config(args), "report": rep.to_dict()}
+    return {"report": rep.to_dict()}
 
 
 def cmd_czkcheck(args) -> dict:
@@ -265,7 +258,6 @@ def cmd_czkcheck(args) -> dict:
     rep = czk_check(K, args.E, args.F, args.sigma)
     inter = intermediate_derivative_check(K, args.F) if args.intermediate else None
     return {
-        "config": {"kernel": args.kernel, "E": args.E, "F": args.F, "sigma": args.sigma},
         "classification": classify_factorization(args.E, args.F, args.sigma),
         "check": rep,
         "intermediate": inter,
@@ -273,14 +265,14 @@ def cmd_czkcheck(args) -> dict:
 
 
 def cmd_weights(args) -> dict:
+    if args.max_ops < 0:
+        raise PreconditionError(f"--max-ops must be nonnegative; got {args.max_ops}")
     window = parse_window(args.window)
     W = _load_weight(args.weight, "--weight", window.n)
     quad = QuadratureSpec.parse(args.quad)
     # one table: each node is evaluated and each distinct value factored once
     table = WeightTable(W)
-    char = ap_characteristic(W, args.p, window, quad, table)
-    out = {"config": {"p": args.p, "window": args.window, "quad": args.quad},
-           "characteristic": char}
+    out = {"characteristic": ap_characteristic(W, args.p, window, quad, table)}
     if args.dimension:
         d_est, rep = ap_dimension_estimate(W, args.p, window, quad, table=table)
         out["dimension_estimate"] = d_est
@@ -407,7 +399,7 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     args = PARSER.parse_args(_join_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
-        report = {"tool": "dyadica", "version": __version__, "threads": 1,
+        report = {"tool": "dyadica", "version": __version__, "config": _config(args),
                   **args.fn(args)}
         _emit(report, args)
     except PreconditionError as exc:

@@ -37,6 +37,13 @@ MOMENT_TOL = 1e-9
 GROWTH_TOL = 1.5
 
 
+def _check_finite(**values: float) -> None:
+    """Refuse the first named value that is NaN or infinite."""
+    for name, v in values.items():
+        if not math.isfinite(v):
+            raise PreconditionError(f"{name} must be finite, got {v}")
+
+
 def envelope(K: float, q: DyadicCube, pts: np.ndarray) -> np.ndarray:
     """(1 + |x - x_Q| / side)^-K scaled by |Q|^{-1/2}."""
     pts = np.atleast_2d(pts)
@@ -145,6 +152,11 @@ class ValidationGrid:
     extent: float = 8.0
     points_per_side: int = 16
 
+    def __post_init__(self):
+        if not (0 < self.extent < math.inf and self.extent * self.points_per_side >= 1):
+            raise PreconditionError(f"validation grid has no points or no finite extent: "
+                                    f"extent {self.extent}, {self.points_per_side} per side")
+
     def points(self, q: DyadicCube, extent: float | None = None) -> np.ndarray:
         extent = self.extent if extent is None else extent
         total = int(extent * self.points_per_side)
@@ -216,8 +228,9 @@ def _moment_quadrature(f: MoleculeCandidate, gamma: tuple[int, ...],
                        extent: float, tol_abs: float,
                        order: int = 24, max_refine: int = 6) -> complex:
     """Adaptive tensor Gauss-Legendre integral of x^gamma * f over the
-    sampling box, doubling the panel count until the value stabilizes.
-    Grid-aligned candidates use their native left-endpoint rule instead."""
+    sampling box, doubling the panel count until the value stabilizes (refused
+    after ``max_refine`` doublings).  Grid-aligned candidates use their native
+    left-endpoint rule instead."""
     if f.aligned_grid is not None:
         return _aligned_moment(f, gamma)
     q = f.cube
@@ -225,17 +238,17 @@ def _moment_quadrature(f: MoleculeCandidate, gamma: tuple[int, ...],
     half = min(extent / 2, f.support_radius) * q.side
     lo, hi = np.array(q.center) - half, np.array(q.center) + half
     rule = np.polynomial.legendre.leggauss(order)
-    prev = None
-    panels = 1
-    for _ in range(max_refine + 1):
+    tol = max(tol_abs, 1e-300)
+    vals = []
+    for panels in (2 ** i for i in range(max_refine + 1)):
         pts, w = gauss_panels(lo, hi, panels, rule)
         mono = np.prod(pts ** np.array(gamma), axis=-1)
-        val = complex(np.sum(w * mono * f(pts)))
-        if prev is not None and abs(val - prev) <= max(tol_abs, 1e-300):
-            return val
-        prev = val
-        panels *= 2
-    return prev
+        vals.append(complex(np.sum(w * mono * f(pts))))
+        if len(vals) > 1 and abs(vals[-1] - vals[-2]) <= tol:
+            return vals[-1]
+    change = f"{abs(vals[-1] - vals[-2]):.3g}" if len(vals) > 1 else "none"
+    raise PreconditionError(f"moment {gamma} on cube {q} not converged at {panels} panels: "
+                            f"last change {change}, tolerance {tol:.3g}")
 
 
 def _aligned_moment(f: MoleculeCandidate, gamma: tuple[int, ...]) -> complex:
@@ -268,6 +281,7 @@ def validate_molecule(f: MoleculeCandidate, K: float, L: float, M: float, N: flo
     condition reports its smallest admissible constant and fails when the
     constant keeps growing toward the sampling edge.
     """
+    _check_finite(K=K, L=L, M=M, N=N)
     q = f.cube
     n = q.n
     pts = grid.points(q)
@@ -408,6 +422,7 @@ def make_atom(q: DyadicCube, r: float, L: float, N: float) -> MoleculeCandidate:
     evaluations.  The normalization keeps every derivative bound through
     order N strictly below the definitional constant 1.
     """
+    _check_finite(r=r, L=L, N=N)
     if r < 1:
         raise PreconditionError("the support dilation r must be at least 1")
     n = q.n
@@ -466,6 +481,7 @@ def validate_atom(f: MoleculeCandidate, q: DyadicCube, r: float, L: float, N: fl
                   grid: ValidationGrid = ValidationGrid()) -> MoleculeReport:
     """Support containment, exact moments, and derivative bounds with the
     definitional constant 1 (up to 1e-6 relative slack)."""
+    _check_finite(r=r, L=L, N=N)
     n = q.n
     pts = grid.points(q)
     vals = np.abs(f(pts))

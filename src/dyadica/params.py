@@ -91,6 +91,12 @@ def strict_ceil(r: float) -> int:
 # ---------------------------------------------------------------------------
 # space parameters
 
+def check_order(p: float) -> None:
+    """Refuse an order p of a space or a weight average outside (0, inf); NaN too."""
+    if not (p > 0 and math.isfinite(p)):
+        raise PreconditionError(f"p must lie in (0, inf), got {p}")
+
+
 @dataclass(frozen=True)
 class SpaceParams:
     """(family, s, tau, p, q) with q = inf as a distinguished value."""
@@ -104,8 +110,7 @@ class SpaceParams:
     def __post_init__(self):
         if self.family not in (BESOV, TRIEBEL_LIZORKIN):
             raise PreconditionError(f"family must be '{BESOV}' or '{TRIEBEL_LIZORKIN}'")
-        if not (self.p > 0 and math.isfinite(self.p)):
-            raise PreconditionError("p must lie in (0, inf)")
+        check_order(self.p)
         if self.tau < 0:
             raise PreconditionError("tau must be nonnegative")
         if not (self.q > 0):
@@ -145,6 +150,7 @@ class WeightDims:
 
     @classmethod
     def for_order(cls, p: float, d: float, d_tilde: float | None = None) -> "WeightDims":
+        check_order(p)
         if d < 0:
             raise PreconditionError("d must be nonnegative")
         if p <= 1:

@@ -41,25 +41,16 @@ class TracePair:
         if n < 2:
             raise PreconditionError("trace pairs need n >= 2")
         self.n = n
-        self.fp = fp
         self.source = WaveletSystem(n, fp, resolution)
         self.target = WaveletSystem(n - 1, fp, resolution)
         self.k0 = self.source.k0
-        self.support_width = fp.support_width  # factor is zero for |k| beyond this
-        self.phi0 = self.source.phi_at_integer(0, -self.k0)
-        self.inv_phi0 = 1.0 / self.phi0
-
-    def last_axis_value(self, bit: int, k: int) -> float:
-        """phi or psi prototype at the integer -k."""
-        return self.source.phi_at_integer(bit, -k)
+        self.inv_phi0 = 1.0 / self.source.phi_at_integer(0, -self.k0)
 
 
 def _trace_factor(tp: TracePair, bit: int, j: int, k: int) -> float:
     """Restriction factor of a level-j cube on slab k: side**-1/2 times the
-    1d prototype value at -k, zero when |k| exceeds the support width."""
-    if abs(k) > tp.support_width:
-        return 0.0
-    return 2.0 ** (j / 2.0) * tp.last_axis_value(bit, k)
+    1d prototype value at -k, zero off the prototype's support."""
+    return 2.0 ** (j / 2.0) * tp.source.phi_at_integer(bit, -k)
 
 
 def trace_wavelet(tp: TracePair, lam: tuple[int, ...], q: DyadicCube):
@@ -103,20 +94,20 @@ def stacked_window(window: LatticeWindow, slab_lo: int, slab_hi: int) -> Lattice
                          window.lo + (slab_lo,), window.hi + (slab_hi,))
 
 
-def trace_coeffs(tp: TracePair, coefs, out_window: LatticeWindow | None = None) -> dict:
-    """Collapse stacked-cube coefficients onto base cubes, Eq.-(223)-style.
+def trace_coeffs(tp: TracePair, coefs) -> dict:
+    """Collapse stacked-cube coefficients onto the base window, Eq.-(223)-style.
 
-    ``coefs`` is either a per-channel dict on R^n or a SlabCoeffs carrier; in
-    the latter case the pending slab scale cancels the restriction factor
-    algebraically and raw values pass through exactly.  Real fields give
-    real fields: the sums run in the dtype of their inputs.
+    ``coefs`` is either a per-channel dict on one window of R^n or a SlabCoeffs
+    carrier; in the latter case the pending slab scale cancels the restriction
+    factor algebraically and raw values pass through exactly.  Real fields
+    give real fields: the sums run in the dtype of their inputs.
     """
     if isinstance(coefs, SlabCoeffs):
         out = {}
         for lam, tf in coefs.channels.items():
             if lam[-1] != 0:
                 raise PreconditionError("slab carrier must live in a last-bit-0 channel")
-            target = CoeffField(out_window or base_window(coefs.window), tf.m)
+            target = CoeffField(base_window(coefs.window), tf.m)
             for j in tf.levels():
                 arr = tf.level(j)
                 *base_lo, k_lo = tf.lower(j)
@@ -131,28 +122,25 @@ def trace_coeffs(tp: TracePair, coefs, out_window: LatticeWindow | None = None) 
                 target.write(j, base_lo, arr[..., slab])
             out[lam[:-1]] = target
         return out
-    some = next(iter(coefs.values()))
-    if out_window is None:
-        out_window = base_window(some.window)
+    first, some = next(iter(coefs.items()))
     out = {}
     for lam, tf in coefs.items():
-        target = out.setdefault(lam[:-1], CoeffField(out_window, some.m))
+        if tf.window != some.window:
+            raise PreconditionError(f"channel {lam} lies on another window than {first}")
+        target = out.setdefault(lam[:-1], CoeffField(base_window(some.window), some.m))
         for j in tf.levels():
+            # the base window holds the level's whole block of base cubes
             arr = tf.level(j)
             *base_lo, k_lo = tf.lower(j)
-            ov = target.overlap(j, base_lo, arr.shape[1:-1])
-            if ov is None:
-                continue
-            part = arr[(slice(None),) + ov[0]]
             cur = target.level(j)
-            acc = cur[(slice(None),) + ov[1]].astype(np.result_type(cur, part))
+            acc = cur.astype(np.result_type(cur, arr))
             # one slab at a time, in slab order; only slabs within the
             # support width carry a nonzero factor
-            for i in range(part.shape[-1]):
+            for i in range(arr.shape[-1]):
                 factor = _trace_factor(tp, lam[-1], j, k_lo + i)
                 if factor != 0.0:
-                    acc += factor * part[..., i]
-            target.write(j, [b + s.start for b, s in zip(base_lo, ov[0])], acc)
+                    acc += factor * arr[..., i]
+            target.write(j, base_lo, acc)
     return out
 
 
@@ -237,7 +225,7 @@ def trace_norm_report(tp: TracePair, sp: SpaceParams, W: MatrixWeight,
             source_norm = channel_norm(coefs, W, sp, 1)
             if source_norm == 0:
                 continue
-            traced = trace_coeffs(tp, coefs, base_window(src_win))
+            traced = trace_coeffs(tp, coefs)
             target_norm = channel_norm(traced, V, sp_t, 1)
             ratios.append(target_norm / source_norm)
         if not ratios:

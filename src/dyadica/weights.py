@@ -23,7 +23,7 @@ import numpy as np
 
 from .dyadic import CubeArrays, DyadicCube, LatticeWindow, grid_cells, tensor_points
 from .errors import PreconditionError, SingularWeightError
-from .params import json_field
+from .params import check_order, json_field
 
 EIG_CLAMP_REL = 1e-14
 # nodes evaluated per block, and (x, y) pairs or (value, direction) pairs of
@@ -528,8 +528,7 @@ def ap_characteristic(W: MatrixWeight, p: float, window: LatticeWindow,
                       table: WeightTable | None = None) -> float:
     """Sup over window cubes of the defining average, all cubes in one batch.
     Monotone under refinement.  ``table``: the command's :class:`WeightTable` of W."""
-    if p <= 0:
-        raise PreconditionError("p must be positive")
+    check_order(p)
     nodes = _cube_nodes(quad, CubeArrays.of_window(window))
     return float(np.max(_defining_averages(table or WeightTable(W), p, nodes, nodes)))
 
@@ -552,8 +551,7 @@ def _reducing_operators(W: MatrixWeight, p: float, cubes: CubeArrays, quad: Quad
     """Reducing operators of C cubes, shape (C, m, m), with the steps each
     ellipsoid fit took and its final gap kappa_max / d, both of shape (C,)
     and empty when no fit runs."""
-    if p <= 0:
-        raise PreconditionError("p must be positive")
+    check_order(p)
     nodes, table = _cube_nodes(quad, cubes), table or WeightTable(W)
     no_fit = np.zeros(0, dtype=int), np.zeros(0)
     if W.m == 1:
@@ -878,8 +876,7 @@ def ap_dimension_estimate(W: MatrixWeight, p: float, window: LatticeWindow,
     the per-cube slopes; the estimate is the maximum slope.  Every doubling
     reads its base cube's values from one ``table`` (as ap_characteristic).
     """
-    if p <= 0:
-        raise PreconditionError("p must be positive")
+    check_order(p)
     cubes = CubeArrays.of_window(window)
     lo = np.array(window.lo, dtype=float)
     hi = np.array(window.hi, dtype=float)

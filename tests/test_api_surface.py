@@ -128,7 +128,7 @@ CALLERS = {
     "params.Inequality.ok": "params.ConstraintSet.ok",
     "params.JsMoleculeSpec.check": "params.JsMoleculeSpec.admits",
     "params.SpaceParams.from_dict": "cli._load_space",
-    "params.SpaceParams.to_dict": "cli.cmd_params",
+    "params.SpaceParams.to_dict": "cli.cmd_norm",
     "seq.CoeffField.items": "seq.subset_norm",
     "seq.CoeffField.levels": "trace.trace_coeffs",
     "seq.CoeffField.lower": "trace.trace_coeffs",
@@ -137,7 +137,7 @@ CALLERS = {
     "seq.CoeffField.write": "wavelets.analyze",
     "seq.LevelFunctionStack.midpoints_axis": "seq.LevelFunctionStack.midpoints",
     "seq.NormResult.to_dict": "cli.cmd_norm",
-    "wavelets.FilterPair.support_width": "trace.TracePair.__init__",
+    "wavelets.FilterPair.support_width": "wavelets.WaveletSystem.support_width",
     "wavelets.FunctionSample.h": "wavelets.FunctionSample.energy",
     "wavelets.FunctionSample.shape": "wavelets.analyze",
     "wavelets.WaveletSystem.support_width": "wavelets.WaveletSystem.phi_at_integer",

@@ -217,17 +217,49 @@ def test_grid_weight_values_file_relative_to_weight_file(tmp_path, monkeypatch, 
     assert rep["reducing_operators"]["2:1"] == [[pytest.approx(2.0 ** 0.5)]]
 
 
-@pytest.mark.parametrize("env", [None, "2", "two"])
-def test_report_threads_is_one(space_file, monkeypatch, capsys, env):
-    # per-cube work runs as batched numerics in one thread; DYADICA_THREADS
-    # is no longer read, so no value of it changes or refuses a run
-    if env is None:
-        monkeypatch.delenv("DYADICA_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("DYADICA_THREADS", env)
-    code, rep = _run(["params", "--space", space_file], capsys)
-    assert code == 0
-    assert rep["threads"] == 1
+def _no_constant(name):
+    raise AssertionError(f"report holds {name}, which is not JSON")
+
+
+def test_config_is_the_parsed_options_less_out(space_file, weight_file, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    FunctionSample.from_callable(lambda p: np.exp(-8 * np.sum((p - 0.5) ** 2, axis=1)),
+                                 2, 1, 6, (0, 0), (1, 1)).save("f2.npz")
+    w2 = tmp_path / "w2.json"
+    w2.write_text(json.dumps({"m": 1, "n": 2, "kind": "constant", "matrix": [[1.0]]}))
+    (tmp_path / "c.csv").write_text("0:0, 1.0, 0.0\n")
+    jobs = [
+        ["params", "--space", space_file, "--n", "2"],
+        ["norm", "--coeffs", "c.csv", "--space", space_file, "--weight", weight_file,
+         "--window", "0:1:0..1", "--grid-extra", "1"],
+        ["transform", "--mode", "analyze", "--filter-order", "1", "--resolution", "4",
+         "--window", "0:1:0..1,0..1", "--input", "f2.npz", "--out-prefix", "c2"],
+        ["trace", "--filter-order", "1", "--resolution", "4", "--source", "f2.npz",
+         "--weightW", str(w2), "--weightV", weight_file, "--space", space_file,
+         "--window", "0:1:0..1,0..1", "--quad", "2:0"],
+        ["adprobe", "--space", space_file, "--depths", "2", "--margin", "0.2"],
+        ["molcheck", "--kind", "gaussian", "--points", "8"],
+        ["czkcheck", "--kernel", "hilbert", "--E", "1.5", "--F", "0.5", "--intermediate"],
+        ["weights", "--weight", weight_file, "--p", "3", "--window", "0:1:0..1",
+         "--quad", "2:0", "--reducing", "--max-ops", "2"],
+    ]
+    # one job per subcommand
+    subcommands = next(a for a in cli.PARSER._actions if a.dest == "command").choices
+    assert sorted(job[0] for job in jobs) == sorted(subcommands)
+    for argv in jobs:
+        argv = [*argv, "--out", f"{argv[0]}.json"]
+        assert main(argv) == 0, argv
+        with open(f"{argv[0]}.json") as fh:
+            rep = json.load(fh, parse_constant=_no_constant)
+        want = vars(cli.PARSER.parse_args(argv))
+        del want["fn"], want["out"]
+        assert rep["config"] == want
+        assert "threads" not in rep
+        # the resolved values that no option shows are results
+        assert ("space" in rep) == (argv[0] in ("norm", "trace", "adprobe"))
+        assert ("DEF" in rep) == (argv[0] == "adprobe")
+        if "space" in rep:
+            assert rep["space"] == {"family": "B", "s": 0.5, "tau": 0.1, "p": 2.0, "q": 2.0}
 
 
 def test_weights_report_fit_block(tmp_path, capsys):
@@ -440,8 +472,7 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
         (inp / name).write_text(json.dumps(d))
     path = {name: str(inp / name) for name in [*files, "f.npz", "f2.npz"]}
     window2 = "--window=0:3:-2..2,-2..2"
-    # molcheck and weights reports record their --out path, so both runs
-    # write the same names
+    # both runs write the same names, each in its own directory
     jobs = [
         ["transform", "--mode", "analyze", "--filter-order", "2", "--window", "0:2:0..1",
          "--input", path["f.npz"], "--out-prefix", "c1", "--out", "analyze1.json"],
@@ -485,8 +516,8 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
         if name.endswith((".json", ".csv")):
             assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name
     for name in reports:
-        rep = json.loads((runs[0] / name).read_text())
-        assert "fn" not in rep["config"]
+        rep = json.loads((runs[0] / name).read_text(), parse_constant=_no_constant)
+        assert "fn" not in rep["config"] and "out" not in rep["config"]
         if name.startswith("weights"):
             assert rep["characteristic"] >= 1
     for name in ("weights3.json", "weights2-p3.json"):
@@ -617,6 +648,34 @@ def test_adprobe_refuses_malformed_option_naming_it(option, value, expect, space
     code = main(["adprobe", "--space", space_file, option, value])
     assert code == 2
     assert capsys.readouterr().err == f"refused: {expect}\n"
+
+
+_NO_GRID = "validation grid has no points or no finite extent: "
+
+
+@pytest.mark.parametrize("argv, expect", [
+    (["molcheck", "--points", "0"], _NO_GRID + "extent 8.0, 0 per side"),
+    (["molcheck", "--extent", "0"], _NO_GRID + "extent 0.0, 16 per side"),
+    (["molcheck", "--extent", "nan"], _NO_GRID + "extent nan, 16 per side"),
+    (["molcheck", "--N", "nan"], "N must be finite, got nan"),
+    (["molcheck", "--r", "nan"], "r must be finite, got nan"),
+    (["molcheck", "--kind", "gaussian", "--K", "nan"], "K must be finite, got nan"),
+    (["molcheck", "--kind", "gaussian", "--K", "inf"], "K must be finite, got inf"),
+    (["weights", "--weight", "{w}", "--p", "2", "--window", "0:1:0..1", "--reducing",
+      "--max-ops", "-1"], "--max-ops must be nonnegative; got -1"),
+    (["weights", "--weight", "{w}", "--p", "inf", "--window", "0:1:0..1"],
+     "p must lie in (0, inf), got inf"),
+    (["weights", "--weight", "{w}", "--p", "nan", "--window", "0:1:0..1"],
+     "p must lie in (0, inf), got nan"),
+], ids=["molcheck-points", "molcheck-extent-zero", "molcheck-extent-nan", "molcheck-N-nan",
+        "molcheck-r-nan", "molcheck-K-nan", "molcheck-K-inf", "weights-max-ops", "weights-p-inf",
+        "weights-p-nan"])
+def test_option_value_refused_naming_it(argv, expect, weight_file, capsys):
+    code = main([arg.format(w=weight_file) for arg in argv])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"refused: {expect}\n"
 
 
 # a --space or --weight file that is not JSON, lacks a key or holds a non-number

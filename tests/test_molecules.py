@@ -237,6 +237,52 @@ def test_make_atom_requires_r_at_least_1():
         make_atom(Q0, r=0.5, L=0.0, N=1.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ValidationGrid(0.0), "no finite extent: extent 0.0, 16 per side"),
+    (lambda: ValidationGrid(NAN), "no finite extent: extent nan, 16 per side"),
+    (lambda: ValidationGrid(INF), "no finite extent: extent inf, 16 per side"),
+    (lambda: ValidationGrid(8.0, 0), "validation grid has no points or no finite extent: "
+                                     "extent 8.0, 0 per side"),
+    (lambda: ValidationGrid(0.05, 16), "has no points or no finite extent: extent 0.05, 16 "),
+    (lambda: make_atom(Q0, r=NAN, L=0.0, N=1.0), "r must be finite, got nan"),
+    (lambda: make_atom(Q0, r=2.0, L=INF, N=1.0), "L must be finite, got inf"),
+    (lambda: make_atom(Q0, r=2.0, L=0.0, N=NAN), "N must be finite, got nan"),
+    (lambda: validate_atom(make_atom(Q0, 2.0, 0.0, 1.0), Q0, NAN, 0.0, 1.0), "r must be finite"),
+    (lambda: validate_atom(make_atom(Q0, 2.0, 0.0, 1.0), Q0, 2.0, 0.0, INF), "N must be finite"),
+    (lambda: validate_molecule(_gaussian_candidate(), NAN, 0.0, 3.0, 0.0), "K must be finite"),
+    (lambda: validate_molecule(_gaussian_candidate(), 3.0, NAN, 3.0, 0.0), "L must be finite"),
+    (lambda: validate_molecule(_gaussian_candidate(), 3.0, 0.0, INF, 0.0), "M must be finite"),
+    (lambda: validate_molecule(_gaussian_candidate(), 3.0, 0.0, 3.0, NAN), "N must be finite"),
+], ids=["extent-zero", "extent-nan", "extent-inf", "no-points", "too-few-points", "atom-r",
+        "atom-L", "atom-N", "validate-atom-r", "validate-atom-N", "molecule-K", "molecule-L",
+        "molecule-M", "molecule-N"])
+def test_molecule_refusals(call, message):
+    with pytest.raises(PreconditionError, match=message):
+        call()
+
+
+def _step_candidate():
+    """A jump at x = 0.3: no panel count of the moment quadrature agrees with the next."""
+    return MoleculeCandidate(Q0, lambda p: np.sign(p[:, 0] - 0.3) * np.exp(-p[:, 0] ** 2))
+
+
+@pytest.mark.parametrize("max_refine, panels, change", [(6, 64, r"0\.00\d+"), (0, 1, "none")])
+def test_moment_quadrature_refuses_at_its_cap(max_refine, panels, change):
+    from dyadica.molecules import _moment_quadrature
+    with pytest.raises(PreconditionError,
+                       match=rf"moment \(0,\) on cube 0:0 not converged at {panels} panels: "
+                             rf"last change {change}, tolerance 1e-09"):
+        _moment_quadrature(_step_candidate(), (0,), 8.0, 1e-9, max_refine=max_refine)
+
+
+def test_validate_molecule_refuses_an_unconverged_moment():
+    with pytest.raises(PreconditionError, match=r"moment \(0,\) on cube 0:0 not converged"):
+        validate_molecule(_step_candidate(), 1, 1, 1, 0)
+
+
 def test_wavelet_cancellation_claim_beyond_moments_fails():
     # order 4 has four vanishing moments (orders 0..3); claiming a fourth
     # order (L = 4) must fail the cancellation check
@@ -302,7 +348,7 @@ def _moment_quadrature_reference(f, gamma, extent, tol_abs, order=24, max_refine
             return val
         prev = val
         panels *= 2
-    return prev
+    return None  # the library refuses at the cap
 
 
 def _smooth_candidate(n, max_order, partial=False):
@@ -348,7 +394,7 @@ def test_moment_quadrature_bitwise_equals_per_panel_axes(n):
     from dyadica.molecules import _moment_quadrature
     f = _smooth_candidate(n, 0)
     for gamma in multi_indices(n, 2):
-        for tol in (1e-3, 1e-14):  # stops after a few refinements, and at the cap
+        for tol in (1e-3, 1e-14):  # both stop at 2 panels, below the cap
             got = _moment_quadrature(f, gamma, 6.0, tol, max_refine=3)
             assert got == _moment_quadrature_reference(f, gamma, 6.0, tol, max_refine=3)
 

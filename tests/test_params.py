@@ -409,6 +409,9 @@ def test_weight_dims_above_one_default_d_tilde_to_zero():
     (0.8, -0.1, None, "d must be nonnegative"),
     (2.0, -0.1, 0.2, "d must be nonnegative"),
     (2.0, 0.5, -0.2, "d_tilde must be nonnegative"),
+    (0.0, 0.5, None, r"p must lie in \(0, inf\), got 0.0"),
+    (INF, 0.5, None, r"p must lie in \(0, inf\), got inf"),
+    (math.nan, 0.5, None, r"p must lie in \(0, inf\), got nan"),
 ])
 def test_weight_dims_refusals(p, d, d_tilde, message):
     with pytest.raises(PreconditionError, match=message):

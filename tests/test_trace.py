@@ -112,7 +112,7 @@ def test_trace_zero_fields_and_far_slabs(tp2):
     base_win = LatticeWindow(1, 0, 1, (0,), (1,))
     src_win = stacked_window(base_win, -40, 40)
     far = CoeffField(src_win, 1)
-    k_far = tp2.support_width + 5
+    k_far = tp2.source.support_width + 5
     far.set(stack_cube(DyadicCube(1, 1, (0,)), k_far), [3.0])
     out = trace_coeffs(tp2, {(1, 0): far})
     assert all(len(tf) == 0 for tf in out.values())
@@ -127,7 +127,7 @@ def test_trace_delta_single_entry(tp2):
     out = trace_coeffs(tp2, src)
     tf = out[(1,)]
     assert len(tf) == 1
-    expect = 2.0 * 2.0 ** 0.5 * tp2.last_axis_value(1, k)
+    expect = 2.0 * 2.0 ** 0.5 * tp2.source.phi_at_integer(1, -k)
     assert tf.get(DyadicCube(1, 1, (1,)))[0] == pytest.approx(expect)
 
 
@@ -344,6 +344,9 @@ def _slab_window():
     (lambda tp: trace_coeffs(tp, SlabCoeffs({(1, 1): CoeffField(_slab_window(), 1)},
                                         _slab_window())),
      "slab carrier must live in a last-bit-0 channel"),
+    (lambda tp: trace_coeffs(tp, {(1, 0): CoeffField(_slab_window(), 1),
+                                  (0, 1): CoeffField(LatticeWindow(2, 0, 1, (0, 0), (1, 2)), 1)}),
+     r"channel \(0, 1\) lies on another window than \(1, 0\)"),
     (lambda tp: weight_compat_check(MatrixWeight.identity(1, 1), MatrixWeight.identity(2, 2), 2.0,
                                     LatticeWindow(1, 0, 1, (0,), (1,))),
      "weights have different vector dimensions"),
@@ -351,7 +354,7 @@ def _slab_window():
                                     LatticeWindow(1, 0, 1, (0,), (1,))),
      "weight dimensions do not match the base window"),
 ], ids=["target-1d", "pair-1d", "trace-channel", "trace-cube", "ext-channel", "ext-cube",
-        "slab-channel", "compat-vector-dimension", "compat-space-dimension"])
+        "slab-channel", "mixed-windows", "compat-vector-dimension", "compat-space-dimension"])
 def test_trace_refusals(tp_haar, call, message):
     with pytest.raises(PreconditionError, match=message):
         call(tp_haar)

@@ -113,6 +113,8 @@ def test_weight_from_json_form():
 
 _UNIT_CUBE = DyadicCube(1, 0, (0,))
 _UNIT_WINDOW = LatticeWindow(1, 0, 1, (0,), (1,))
+# orders outside (0, inf), NaN included
+_BAD_ORDERS = (0.0, -1.0, math.inf, math.nan)
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -131,12 +133,14 @@ _UNIT_WINDOW = LatticeWindow(1, 0, 1, (0,), (1,))
      PreconditionError, "grid weight needs values_file"),
     (lambda: MatrixWeight.from_dict({"kind": "power", "n": 1}), PreconditionError,
      "unknown weight kind 'power'"),
-    (lambda: ap_characteristic(MatrixWeight.identity(1, 1), 0.0, _UNIT_WINDOW), PreconditionError,
-     "p must be positive"),
-    (lambda: reducing_operator(MatrixWeight.identity(2, 1), -1.0, _UNIT_CUBE), PreconditionError,
-     "p must be positive"),
-    (lambda: ap_dimension_estimate(MatrixWeight.identity(1, 1), 0.0, _UNIT_WINDOW),
-     PreconditionError, "p must be positive"),
+    *((lambda p=p: ap_characteristic(MatrixWeight.identity(1, 1), p, _UNIT_WINDOW),
+       PreconditionError, rf"p must lie in \(0, inf\), got {p}") for p in _BAD_ORDERS),
+    *((lambda p=p: reducing_operator(MatrixWeight.identity(2, 1), p, _UNIT_CUBE),
+       PreconditionError, rf"p must lie in \(0, inf\), got {p}") for p in _BAD_ORDERS),
+    *((lambda p=p: ReducingFamily.build(MatrixWeight.identity(2, 1), p, _UNIT_WINDOW),
+       PreconditionError, rf"p must lie in \(0, inf\), got {p}") for p in _BAD_ORDERS),
+    *((lambda p=p: ap_dimension_estimate(MatrixWeight.identity(1, 1), p, _UNIT_WINDOW),
+       PreconditionError, rf"p must lie in \(0, inf\), got {p}") for p in _BAD_ORDERS),
     # at p = 2 the operator is the square root of the average, singular here
     (lambda: reducing_operator(MatrixWeight.constant(np.diag([1.0, 0.0]), 1), 2.0, _UNIT_CUBE,
                                QuadratureSpec(2, 0)),
@@ -146,7 +150,9 @@ _UNIT_WINDOW = LatticeWindow(1, 0, 1, (0,), (1,))
      SingularWeightError, "weight average vanishes in some direction"),
 ], ids=["quad-points", "quad-depth", "parse-one-field", "parse-not-a-number", "diag-power-lengths",
         "grid-cells", "grid-level-untiled", "grid-without-values", "unknown-kind",
-        "characteristic-p", "reducing-operator-p", "dimension-estimate-p", "singular-average-p2",
+        *(f"{call}-p-{p}" for call in ("characteristic", "reducing-operator", "reducing-family",
+                                         "dimension-estimate") for p in _BAD_ORDERS),
+        "singular-average-p2",
         "vanishing-average-fit"])
 def test_weight_refusals(call, error, message):
     with pytest.raises(error, match=message):
