@@ -130,6 +130,8 @@ def empirical_norm(B: ADMatrix, sp: SpaceParams, depths,
     random fields drawn, the empty ones skipped, the adversarial fields and
     the matrix entries evaluated.
     """
+    if seed < 0:
+        raise PreconditionError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     randomized = []
     adversarial = []

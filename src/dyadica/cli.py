@@ -111,7 +111,7 @@ def _load_weight(path: str, option: str, n: int) -> MatrixWeight:
 
 
 def _emit(report: dict, args) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2, default=_json_default)
+    text = json.dumps(report, sort_keys=True, indent=2, default=_json_default, allow_nan=False)
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -155,7 +155,7 @@ def cmd_norm(args) -> dict:
 
 def cmd_transform(args) -> dict:
     window = parse_window(args.window)
-    sysw = WaveletSystem(window.n, daubechies_filter(args.filter_order), args.resolution)
+    sysw = WaveletSystem(window.n, daubechies_filter(args.filter_order))
     if args.mode == "analyze":
         if args.input is None:
             raise PreconditionError("--mode analyze needs --input, a sample file")
@@ -189,7 +189,7 @@ def cmd_transform(args) -> dict:
 def cmd_trace(args) -> dict:
     sp = _load_space(args.space)
     window = parse_window(args.window)
-    tp = TracePair(daubechies_filter(args.filter_order), window.n, args.resolution)
+    tp = TracePair(daubechies_filter(args.filter_order), window.n)
     # W weighs the window, V its base window, one dimension lower
     W = _load_weight(args.weightW, "--weightW", window.n)
     V = _load_weight(args.weightV, "--weightV", window.n - 1)
@@ -311,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     st = sub.add_parser("transform", help="wavelet analysis / synthesis")
     st.add_argument("--mode", choices=("analyze", "synthesize"), required=True)
     st.add_argument("--filter-order", type=int, default=4)
-    st.add_argument("--resolution", type=int, default=12)
     st.add_argument("--window", required=True)
     st.add_argument("--input")
     st.add_argument("--out-prefix", default="coeffs")
@@ -324,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     tr = sub.add_parser("trace", help="trace run with weight compatibility")
     tr.add_argument("--filter-order", type=int, default=3)
-    tr.add_argument("--resolution", type=int, default=12)
     tr.add_argument("--source", required=True)
     tr.add_argument("--weightW", required=True)
     tr.add_argument("--weightV", required=True)

@@ -111,8 +111,10 @@ class SpaceParams:
         if self.family not in (BESOV, TRIEBEL_LIZORKIN):
             raise PreconditionError(f"family must be '{BESOV}' or '{TRIEBEL_LIZORKIN}'")
         check_order(self.p)
-        if self.tau < 0:
-            raise PreconditionError("tau must be nonnegative")
+        if not math.isfinite(self.s):
+            raise PreconditionError(f"s must be finite, got {self.s}")
+        if not (0 <= self.tau < INF):
+            raise PreconditionError(f"tau must lie in [0, inf), got {self.tau}")
         if not (self.q > 0):
             raise PreconditionError("q must lie in (0, inf]")
 

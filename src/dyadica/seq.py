@@ -49,6 +49,8 @@ class CoeffField:
     def __init__(self, window: LatticeWindow, m: int, data: dict | None = None):
         self.window = window
         self.m = int(m)
+        if self.m < 1:
+            raise PreconditionError(f"the vector dimension m must be at least 1, got {m}")
         self._rows = np.zeros((window.count(), self.m))
         if data:
             for q, v in data.items():
@@ -228,7 +230,7 @@ class CoeffField:
         cube, a cube outside the window, a non-finite value.  The field is
         real (float64 rows) when every imaginary part is +0.0, so that a
         nonzero or -0.0 imaginary part keeps its bits."""
-        n = window.n
+        n, out = window.n, cls(window, m)
         head, values, bad_line = _parse_csv(text, n, m)
         # refuse the first line that repeats a cube, lies outside the window or
         # holds a non-finite value
@@ -252,7 +254,6 @@ class CoeffField:
             values = values[:, ::2]
         else:  # complex(re, im) exactly
             values = np.ascontiguousarray(values).view(complex)
-        out = cls(window, m)
         out._rows = np.zeros((window.count(), m), dtype=values.dtype)
         out._rows[pos] = values
         return out

@@ -3,8 +3,8 @@
 Filters are computed by spectral factorization of the half-band polynomial in
 extended precision, then rounded to doubles; the scaling function is sampled
 exactly on dyadic points (integer-grid eigenvector plus two-scale refinement).
-Analysis and synthesis run the Mallat filter-bank pyramid over one sampled
-scaling prototype and are adjoints with respect to the grid inner product.
+Analysis and synthesis run the Mallat filter-bank pyramid over prototypes
+sampled on the grid each uses; they are adjoints for the grid inner product.
 """
 
 from __future__ import annotations
@@ -170,14 +170,20 @@ def daubechies_filter(order: int) -> FilterPair:
     return fp
 
 
+# Finest cascade grid; an order-20 prototype there is 39 * 2**16 + 1 samples (20 MB).
+MAX_RESOLUTION = 16
+
+
 def cascade(fp: FilterPair, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """Sampled scaling and wavelet prototypes on the grid 2**-resolution.
 
     Returns arrays of length (L-1)*2**resolution + 1 covering [0, L-1];
-    values at dyadic points satisfy the two-scale relation exactly.
+    values at dyadic points satisfy the two-scale relation exactly, so they
+    equal the samples of any finer grid at the points both hold, bit for bit.
     """
-    if resolution < 4:
-        raise PreconditionError("cascade resolution must be at least 4")
+    if not (0 <= resolution <= MAX_RESOLUTION):
+        raise PreconditionError(f"cascade resolution must lie in [0, {MAX_RESOLUTION}], "
+                                f"got {resolution}")
     L = fp.length
     # integer values: the unit eigenvector of T[a, b] = sqrt2 h[2a - b]
     idx = 2 * np.arange(L - 1)[:, None] - np.arange(L - 1)
@@ -242,7 +248,7 @@ def find_k0(phi: np.ndarray, resolution: int) -> int:
     ints = phi[:: 1 << resolution]
     pos = int(np.argmax(np.abs(ints)))
     if abs(ints[pos]) <= 1e-6:
-        raise PreconditionError("no integer point carries scaling mass; increase resolution")
+        raise PreconditionError("the scaling function carries no mass at any integer")
     return -pos
 
 
@@ -255,7 +261,7 @@ class WaveletSystem:
         self.resolution = int(resolution)
         self.phi, self.psi = cascade(fp, resolution)
         res = refinement_residual(fp, self.phi, resolution)
-        if resolution >= 10 and res > 1e-8:
+        if res > 1e-8:
             raise PreconditionError(f"refinement residual {res:.2e} too large")
         self.k0 = find_k0(self.phi, resolution)
         self.channels = [lam for lam in itertools.product((0, 1), repeat=n)
@@ -268,15 +274,6 @@ class WaveletSystem:
     @property
     def scaling_channel(self) -> tuple[int, ...]:
         return (0,) * self.n
-
-    def axis_samples(self, bit: int, rel_resolution: int) -> np.ndarray:
-        """1D prototype samples at grid 2**-rel_resolution, by subsampling."""
-        if rel_resolution > self.resolution:
-            raise PreconditionError(
-                f"requested resolution {rel_resolution} exceeds stored {self.resolution}")
-        stride = 1 << (self.resolution - rel_resolution)
-        arr = self.phi if bit == 0 else self.psi
-        return arr[::stride]
 
     def phi_at_integer(self, bit: int, t: int) -> float:
         """Prototype value at an integer argument (zero outside the support)."""
@@ -534,7 +531,7 @@ def analyze(f: FunctionSample, sys: WaveletSystem, window: LatticeWindow,
     out = {lam: CoeffField(window, f.m)
            for lam in list(sys.channels) + ([zero] if include_scaling else [])}
     top, starts = _real_if_no_imaginary(f.values), f.start
-    taps, stride = (sys.axis_samples(0, g - J),), 1 << (g - J)
+    taps, stride = cascade(sys.fp, g - J)[:1], 1 << (g - J)
     scale = math.ldexp(2.0 ** (J / 2.0), -g)  # 2^{J/2} * h
     for j in range(J, window.j_min - 1, -1):
         parts = _split(top, taps, stride, frames[j], starts, scale)
@@ -581,8 +578,7 @@ def synthesize(coefs: dict, sys: WaveletSystem, grid_level: int,
                 parts[lam] = parts.get(lam, 0) + block
     res = grid_level - J
     out = np.zeros((m,) + tuple(shape), dtype=np.result_type(float, *parts.values()))
-    _merge(parts, (sys.axis_samples(0, res), sys.axis_samples(1, res)), 1 << res, k_lo,
-           start, out, 2.0 ** (J / 2.0))
+    _merge(parts, cascade(sys.fp, res), 1 << res, k_lo, start, out, 2.0 ** (J / 2.0))
     return FunctionSample(sys.n, m, grid_level, tuple(start), out)
 
 

@@ -82,6 +82,12 @@ def test_empirical_norm_refuses_a_matrix_that_annihilates_every_field():
         empirical_norm(zero, sp, depths=(2,))
 
 
+def test_empirical_norm_refuses_a_negative_seed():
+    sp = SpaceParams(BESOV, 0.0, 0.0, 2.0, 2.0)
+    with pytest.raises(PreconditionError, match="seed must be nonnegative, got -1"):
+        empirical_norm(ADMatrix.identity(), sp, depths=(2,), seed=-1)
+
+
 def test_empirical_norm_identity():
     sp = SpaceParams(BESOV, 0.0, 0.0, 2.0, 2.0)
     rep = empirical_norm(ADMatrix.identity(), sp, depths=(2, 3, 4))

@@ -111,6 +111,17 @@ def test_transform_roundtrip(tmp_path, capsys):
     assert FunctionSample.load(str(out)).shape[0] == 17 << 8
 
 
+def test_transform_analyzes_a_fine_grid_without_options(tmp_path, capsys):
+    # level J = 2 on a level-15 grid samples the prototypes at resolution 13
+    fs = FunctionSample.from_callable(lambda p: np.sin(3 * p[:, 0]), 1, 1, 15, (0,), (1,))
+    fs.save(str(tmp_path / "f.npz"))
+    code, rep = _run(["transform", "--mode", "analyze", "--window", "0:1:0..1",
+                      "--input", str(tmp_path / "f.npz"), "--out-prefix", str(tmp_path / "c")],
+                     capsys)
+    assert code == 0
+    assert rep["parseval"]["coefficient_energy"] > 0
+
+
 def test_transform_synthesize_at_negative_grid_levels(tmp_path, capsys):
     cfile = tmp_path / "c.csv"
     cfile.write_text("-1:0, 1.0, 0.0\n")
@@ -232,9 +243,9 @@ def test_config_is_the_parsed_options_less_out(space_file, weight_file, tmp_path
         ["params", "--space", space_file, "--n", "2"],
         ["norm", "--coeffs", "c.csv", "--space", space_file, "--weight", weight_file,
          "--window", "0:1:0..1", "--grid-extra", "1"],
-        ["transform", "--mode", "analyze", "--filter-order", "1", "--resolution", "4",
+        ["transform", "--mode", "analyze", "--filter-order", "1",
          "--window", "0:1:0..1,0..1", "--input", "f2.npz", "--out-prefix", "c2"],
-        ["trace", "--filter-order", "1", "--resolution", "4", "--source", "f2.npz",
+        ["trace", "--filter-order", "1", "--source", "f2.npz",
          "--weightW", str(w2), "--weightV", weight_file, "--space", space_file,
          "--window", "0:1:0..1,0..1", "--quad", "2:0"],
         ["adprobe", "--space", space_file, "--depths", "2", "--margin", "0.2"],
@@ -667,11 +678,18 @@ _NO_GRID = "validation grid has no points or no finite extent: "
      "p must lie in (0, inf), got inf"),
     (["weights", "--weight", "{w}", "--p", "nan", "--window", "0:1:0..1"],
      "p must lie in (0, inf), got nan"),
+    (["adprobe", "--space", "{s}", "--seed", "-1"], "seed must be nonnegative, got -1"),
+    (["norm", "--coeffs", "{c}", "--space", "{s}", "--window", "0:1:0..1", "--m", "-1"],
+     "the vector dimension m must be at least 1, got -1"),
+    (["norm", "--coeffs", "{c}", "--space", "{s}", "--window", "0:1:0..1", "--m", "0"],
+     "the vector dimension m must be at least 1, got 0"),
 ], ids=["molcheck-points", "molcheck-extent-zero", "molcheck-extent-nan", "molcheck-N-nan",
         "molcheck-r-nan", "molcheck-K-nan", "molcheck-K-inf", "weights-max-ops", "weights-p-inf",
-        "weights-p-nan"])
-def test_option_value_refused_naming_it(argv, expect, weight_file, capsys):
-    code = main([arg.format(w=weight_file) for arg in argv])
+        "weights-p-nan", "adprobe-seed", "norm-m-negative", "norm-m-zero"])
+def test_option_value_refused_naming_it(argv, expect, weight_file, space_file, tmp_path, capsys):
+    coeffs = tmp_path / "c.csv"
+    coeffs.write_text("0:0, 1.0, 0.0\n")
+    code = main([arg.format(w=weight_file, s=space_file, c=coeffs) for arg in argv])
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -688,6 +706,18 @@ BAD_INPUT_FILES = {
                          '{"family": "B", "s": "half", "tau": 0, "p": 2, "q": 2}',
                          "key 's' holds 'half', not a number"),
     "space not an object": ("params", "--space", "[1, 2]", "not a JSON object"),
+    # json reads the literals NaN and Infinity
+    "space s NaN": ("params", "--space", '{"family": "B", "s": NaN, "tau": 0, "p": 2, "q": 2}',
+                    "s must be finite, got nan"),
+    "space s -Infinity": ("params", "--space",
+                          '{"family": "B", "s": -Infinity, "tau": 0, "p": 2, "q": 2}',
+                          "s must be finite, got -inf"),
+    "space tau NaN": ("params", "--space",
+                      '{"family": "B", "s": 0.5, "tau": NaN, "p": 2, "q": 2}',
+                      "tau must lie in [0, inf), got nan"),
+    "space tau Infinity": ("params", "--space",
+                           '{"family": "B", "s": 0.5, "tau": Infinity, "p": 2, "q": 2}',
+                           "tau must lie in [0, inf), got inf"),
     "weight without n": ("weights", "--weight",
                          '{"m": 1, "kind": "constant", "matrix": [[1.0]]}', "missing key 'n'"),
     "weight non-number": ("weights", "--weight",
@@ -835,3 +865,14 @@ def test_unexpected_failure_exits_1_naming_the_exception(space_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: RuntimeError: disk on fire\n"
+
+
+def test_non_finite_report_is_an_internal_error_and_not_written(space_file, tmp_path,
+                                                                monkeypatch, capsys):
+    monkeypatch.setattr(cli, "derived_table", lambda sp, n, d: {"j_index": float("nan")})
+    out = tmp_path / "r.json"
+    assert main(["params", "--space", space_file, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ValueError: Out of range float values")
+    assert not out.exists()

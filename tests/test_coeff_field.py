@@ -33,6 +33,7 @@ from dyadica.wavelets import (
     FunctionSample,
     WaveletSystem,
     analyze,
+    cascade,
     daubechies_filter,
     parseval_report,
     synthesize,
@@ -207,10 +208,6 @@ def analyze_reference(f, sys, window, include_scaling=True, min_headroom=4):
         raise PreconditionError(
             f"sample grid level {g} too coarse for finest window level {window.j_max}"
             f" (needs headroom {min_headroom})")
-    if sys.resolution < g - window.j_min:
-        raise PreconditionError(
-            f"stored wavelet resolution {sys.resolution} cannot serve level"
-            f" {window.j_min} on a level-{g} grid")
     out = {}
     channel_list = list(sys.channels)
     if include_scaling:
@@ -225,7 +222,7 @@ def analyze_reference(f, sys, window, include_scaling=True, min_headroom=4):
             arr = f.values
             k_ranges = []
             for axis in range(f.n):
-                taps = sys.axis_samples(lam[axis], g - j)
+                taps = cascade(sys.fp, g - j)[lam[axis]]
                 scale = math.ldexp(2.0 ** (j / 2.0), -g)  # 2^{j/2} * h
                 kr = axis_k_range_reference(f.start[axis], f.shape[axis], stride,
                                             len(taps), bounds[axis])
@@ -272,7 +269,7 @@ def synthesize_reference(coefs, sys, grid_level, start, shape, m):
             for q, v in entries:
                 arr[(slice(None),) + tuple(q.k[a] - k_lo[a] for a in range(sys.n))] = v
             for axis in range(sys.n):
-                taps = sys.axis_samples(lam[axis], grid_level - j)
+                taps = cascade(sys.fp, grid_level - j)[lam[axis]]
                 moved = np.moveaxis(arr, 1 + axis, -1)
                 moved = axis_scatter_reference(moved, taps, stride, k_lo[axis], start[axis],
                                                shape[axis], 2.0 ** (j / 2.0))

@@ -432,6 +432,19 @@ def test_space_params_json_roundtrip():
         SpaceParams("B", 0, -0.1, 1, 1)
 
 
+@pytest.mark.parametrize("s, tau, message", [
+    (math.nan, 0.0, "s must be finite, got nan"),
+    (math.inf, 0.0, "s must be finite, got inf"),
+    (-math.inf, 0.0, "s must be finite, got -inf"),
+    (0.5, math.nan, r"tau must lie in \[0, inf\), got nan"),
+    (0.5, math.inf, r"tau must lie in \[0, inf\), got inf"),
+    (0.5, -0.1, r"tau must lie in \[0, inf\), got -0.1"),
+], ids=["s-nan", "s-inf", "s-minus-inf", "tau-nan", "tau-inf", "tau-negative"])
+def test_space_params_refuse_non_finite_s_or_tau(s, tau, message):
+    with pytest.raises(PreconditionError, match=message):
+        SpaceParams(BESOV, s, tau, 2.0, 2.0)
+
+
 @pytest.mark.parametrize("q", [0.0, -2.0, math.nan], ids=["zero", "negative", "nan"])
 def test_space_params_refuse_q_outside_range(q):
     with pytest.raises(PreconditionError, match=r"q must lie in \(0, inf\]"):

@@ -822,9 +822,12 @@ def _cube_and_its_right_neighbour(q):
     (lambda: seq_norm_averaged(CoeffField(_window(), 2, {DyadicCube(1, 1, (0,)): [1.0, 0.0]}),
                                ReducingFamily.identity(3, 2.0, _window()), B(0, 0, 2.0, 2.0)),
      "coefficient and weight dimensions differ"),
+    (lambda: CoeffField(_window(), 0), "the vector dimension m must be at least 1, got 0"),
+    (lambda: CoeffField.from_csv("0:0, 1.0, 0.0\n", _window(), -1),
+     "the vector dimension m must be at least 1, got -1"),
 ], ids=["write-outside", "write-all-shape", "plus-window", "plus-dimension", "coarse-stack-grid",
         "empty-ensemble", "subset-vector-field", "subset-box-leaves-cube", "weight-dimension",
-        "averaged-order", "averaged-dimension"])
+        "averaged-order", "averaged-dimension", "field-m-zero", "csv-m-negative"])
 def test_field_and_norm_refusals(call, message):
     with pytest.raises(PreconditionError, match=message):
         call()

@@ -160,6 +160,18 @@ def test_cascade_matches_index_array_oracle(order, resolution):
                 == _two_scale_reference(fp.h, phi, r).tobytes())
 
 
+@pytest.mark.parametrize("order", range(1, 21))
+def test_cascade_is_exact_across_resolutions(order):
+    # the samples on 2^-r are the resolution-14 samples at the points both
+    # hold, bit for bit, and satisfy the two-scale relation at every r
+    fp = daubechies_filter(order)
+    fine = cascade(fp, 14)
+    for r in range(14):
+        coarse = cascade(fp, r)
+        assert all(a.tobytes() == b[:: 1 << (14 - r)].tobytes() for a, b in zip(coarse, fine))
+        assert refinement_residual(fp, coarse[0], r) < 1e-12
+
+
 def test_cascade_residual_decreases():
     fp = daubechies_filter(2)
     res = []
@@ -333,15 +345,18 @@ def test_analyze_preconditions():
     f = _gauss_sample(6, (0,), (1,))
     with pytest.raises(PreconditionError):
         analyze(f, sys, win)  # headroom too small
-    # the stored resolution must serve level j_max + 1 on the sample grid
-    with pytest.raises(PreconditionError, match="requested resolution 5 exceeds stored 4"):
-        analyze(_gauss_sample(7, (0,), (1,)), WaveletSystem(1, daubechies_filter(2), 4),
-                LatticeWindow(1, 0, 1, (0,), (1,)))
-    # but not level j_min: the direct path needs resolution 12 for this window
+    # the prototypes are sampled at the grid analysis uses, so the stored
+    # resolution does not bound it: level j_max + 1 on this level-7 grid needs 5
+    f7, win7 = _gauss_sample(7, (0,), (1,)), LatticeWindow(1, 0, 1, (0,), (1,))
+    fp = daubechies_filter(2)
+    csvs = [{lam: tf.to_csv() for lam, tf in analyze(f7, WaveletSystem(1, fp, r), win7).items()}
+            for r in (4, 12)]
+    assert csvs[0] == csvs[1]
+    # nor level j_min: the direct path samples the prototypes at 12 for this window
     win2 = LatticeWindow(1, -6, 1, (-64,), (64,))
     f2 = _gauss_sample(6, (-64,), (64,))
     got = analyze(f2, sys, win2)
-    ref = analyze_reference(f2, WaveletSystem(1, daubechies_filter(2), 12), win2)
+    ref = analyze_reference(f2, sys, win2)
     expect = np.stack([tf.rows() for tf in ref.values()])
     np.testing.assert_allclose(np.stack([got[lam].rows() for lam in ref]), expect, rtol=0,
                                atol=1e-12 * np.max(np.abs(expect)))
@@ -459,12 +474,22 @@ def test_vector_valued_roundtrip():
             assert np.allclose(coefs[lam].get(q)[0], c0[lam].get(q)[0], atol=1e-12)
 
 
+def _cascade_without_allocating(resolution):
+    """cascade of a valid filter with ``np.zeros``, which allocates its sample
+    arrays, disabled."""
+    fp = daubechies_filter(2)
+    with mock.patch.object(np, "zeros", side_effect=AssertionError("cascade allocated")):
+        return cascade(fp, resolution)
+
+
 def _wavelet_refusal_sample(n=1, m=1):
     return FunctionSample(n, m, 8, (0,) * n, np.zeros((m,) + (1 << 8,) * n))
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: cascade(daubechies_filter(2), 3), "cascade resolution must be at least 4"),
+    (lambda: _cascade_without_allocating(-1), r"cascade resolution must lie in \[0, 16\], got -1"),
+    (lambda: _cascade_without_allocating(wavelets.MAX_RESOLUTION + 1),
+     r"cascade resolution must lie in \[0, 16\], got 17"),
     (lambda: cascade(wavelets.FilterPair(np.ones(3), np.array([1.0, -1.0, 1.0]), 1, 0.0), 6),
      "no unit eigenvalue"),
     (lambda: FunctionSample(1, 2, 8, (0,), np.zeros((1, 16))),
@@ -481,8 +506,9 @@ def _wavelet_refusal_sample(n=1, m=1):
                                           {DyadicCube(1, 4, (3,)): [1.0]})},
                         WaveletSystem(1, daubechies_filter(1), 8), 3, (0,), (8,), 1),
      "synthesis grid coarser than a coefficient level"),
-], ids=["cascade-resolution", "cascade-filter", "sample-channels", "sample-dimension",
-        "analyze-system", "analyze-window", "synthesize-coarse-grid"])
+], ids=["cascade-resolution-negative", "cascade-resolution-above-cap", "cascade-filter",
+        "sample-channels", "sample-dimension", "analyze-system", "analyze-window",
+        "synthesize-coarse-grid"])
 def test_wavelet_refusals(call, message):
     with pytest.raises(PreconditionError, match=message):
         call()
