@@ -145,10 +145,10 @@ def cmd_params(args) -> dict:
 def cmd_norm(args) -> dict:
     sp = _load_space(args.space)
     window = parse_window(args.window)
+    W = _load_weight(args.weight, "--weight", window.n) if args.weight else None
     with open(args.coeffs) as fh:
-        t = CoeffField.from_csv(fh.read(), window, args.m)
-    W = (_load_weight(args.weight, "--weight", window.n) if args.weight
-         else MatrixWeight.identity(args.m, window.n))
+        t = CoeffField.from_csv(fh.read(), window, W.m if W else None)
+    W = W or MatrixWeight.identity(t.m, window.n)
     res = seq_norm_weighted(t, W, sp, args.grid_extra)
     return {"space": sp.to_dict(), "norm": res.to_dict()}
 
@@ -178,10 +178,13 @@ def cmd_transform(args) -> dict:
         if lam in coefs:
             raise PreconditionError(f"--coeffs pair {pair!r} repeats channel {lam_text}")
         with open(path) as fh:
-            coefs[lam] = CoeffField.from_csv(fh.read(), window, args.m)
+            coefs[lam] = CoeffField.from_csv(fh.read(), window)
     start, shape = grid_cells(window.lo, window.hi, args.grid_level, "synthesis grid",
                               "window box")
-    out = synthesize(coefs, sysw, args.grid_level, start, shape, args.m)
+    # a file with no lines reads as m = 1, so this is the m of the files that
+    # hold lines; synthesize refuses a field of another m that holds coefficients
+    m = max((tf.m for tf in coefs.values()), default=1)
+    out = synthesize(coefs, sysw, args.grid_level, start, shape, m)
     out.save(args.output)
     return {"written": args.output}
 
@@ -304,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     sn.add_argument("--space", required=True)
     sn.add_argument("--weight")
     sn.add_argument("--window", required=True)
-    sn.add_argument("--m", type=int, default=1)
     sn.add_argument("--grid-extra", type=int, default=2)
     sn.set_defaults(fn=cmd_norm)
 
@@ -316,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--out-prefix", default="coeffs")
     st.add_argument("--coeffs", nargs="*", default=[],
                     help="channel=file pairs for synthesis, e.g. 10=c.csv")
-    st.add_argument("--m", type=int, default=1)
     st.add_argument("--grid-level", type=int, default=8)
     st.add_argument("--output", default="synthesis.npz")
     st.set_defaults(fn=cmd_transform)

@@ -224,14 +224,18 @@ class CoeffField:
         return (line * N) % tuple(row.ravel().tolist())
 
     @classmethod
-    def from_csv(cls, text: str, window: LatticeWindow, m: int) -> "CoeffField":
-        """Parse :meth:`to_csv` text.  Refuses, naming the first offending
+    def from_csv(cls, text: str, window: LatticeWindow, m: int | None = None) -> "CoeffField":
+        """Parse :meth:`to_csv` text.  The dimension m is the number of
+        (re, im) pairs of the first coefficient line, 1 for a text with no
+        lines; a given ``m`` is the dimension the caller needs, so a first
+        line of another dimension is refused and a text with no lines reads
+        as the zero field of that m.  Refuses, naming the first offending
         line or cube in file order: a malformed line, a second line for one
         cube, a cube outside the window, a non-finite value.  The field is
         real (float64 rows) when every imaginary part is +0.0, so that a
         nonzero or -0.0 imaginary part keeps its bits."""
-        n, out = window.n, cls(window, m)
-        head, values, bad_line = _parse_csv(text, n, m)
+        n, out = window.n, cls(window, 1 if m is None else m)  # refuses a given m < 1
+        head, values, bad_line, out.m = _parse_csv(text, n, m)
         # refuse the first line that repeats a cube, lies outside the window or
         # holds a non-finite value
         pos = window.positions(CubeArrays(head[:, 0], head[:, 1:]))
@@ -254,7 +258,7 @@ class CoeffField:
             values = values[:, ::2]
         else:  # complex(re, im) exactly
             values = np.ascontiguousarray(values).view(complex)
-        out._rows = np.zeros((window.count(), m), dtype=values.dtype)
+        out._rows = np.zeros((window.count(), out.m), dtype=values.dtype)
         out._rows[pos] = values
         return out
 
@@ -266,28 +270,58 @@ _NOT_SEPARATOR = bytes(b for b in range(256) if b not in b":,\n#\r\x0b\x0c\x1c\x
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
-def _parse_csv(text: str, n: int, m: int) -> tuple[np.ndarray, np.ndarray, str | None]:
+def _parse_csv(text: str, n: int, m: int | None
+               ) -> tuple[np.ndarray, np.ndarray, str | None, int]:
     """The heads and values of the coefficient lines of ``text`` that come
-    before the first line malformed on its own, and that line (None if
-    there is none).  Lines are stripped, and blank and ``#`` lines skipped;
-    ASCII text without such lines (what ``to_csv`` writes) goes to the C
-    parser as it is."""
+    before the first line malformed on its own, that line (None if there is
+    none) and the dimension read from the first line (see
+    :meth:`CoeffField.from_csv`).  Lines are stripped, and blank and ``#``
+    lines skipped; ASCII text without such lines (what ``to_csv`` writes)
+    goes to the C parser as it is."""
     body = text[:-1] if text.endswith("\n") else text
     if body.isascii():
-        try:
-            return (*_parse_text(body, body.count("\n") + 1 if body else 0, n, m), None)
-        except ValueError:  # a comment or blank line, or a bad line
-            pass
+        end = body.find("\n")
+        dim = _line_dimension(body if end < 0 else body[:end], n)
+        if dim is not None and m in (None, dim):
+            try:
+                return (*_parse_text(body, body.count("\n") + 1, n, dim), None, dim)
+            except ValueError:  # a comment or blank line, or a bad line
+                pass
     lines = [s for s in map(str.strip, text.splitlines()) if s and not s.startswith("#")]
+    dim = _line_dimension(lines[0], n) if lines else None
+    if dim is None:  # no lines, or a first line that is malformed on its own
+        dim = 1 if m is None else m
+    elif m not in (None, dim):
+        raise PreconditionError(f"coefficient line {lines[0]!r} holds vectors of dimension "
+                                f"m = {dim}, but m = {m} is needed")
     try:
-        return (*_parse_lines(lines, n, m), None)
+        return (*_parse_lines(lines, n, dim), None, dim)
     except ValueError:  # the first line that is malformed on its own
         for end, line in enumerate(lines):
             try:
-                _parse_lines([line], n, m)
+                _parse_lines([line], n, dim)
             except ValueError:
-                return (*_parse_lines(lines[:end], n, m), line)
+                return (*_parse_lines(lines[:end], n, dim), line, dim)
         raise
+
+
+def _separators(text: str) -> bytes:
+    """The separators, comment marks and line breaks of ``text``, in order."""
+    return text.encode().translate(None, _NOT_SEPARATOR)
+
+
+def _line_separators(n: int, m: int) -> bytes:
+    """The separators of a coefficient line "j:k1,...,kn, re1, im1, ...":
+    one colon and then n - 1 + 2m commas."""
+    return b":" + b"," * (n - 1 + 2 * m)
+
+
+def _line_dimension(line: str, n: int) -> int | None:
+    """The m >= 1 whose coefficient lines have the separators of ``line``
+    (None if there is none)."""
+    seps = _separators(line)
+    m = (len(seps) - n) // 2
+    return m if m >= 1 and seps == _line_separators(n, m) else None
 
 
 def _parse_lines(lines: list[str], n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -301,10 +335,7 @@ def _parse_text(text: str, count: int, n: int, m: int) -> tuple[np.ndarray, np.n
     and ``float``; ValueError unless every line is well formed."""
     if not count:
         return np.zeros((0, 1 + n), dtype=np.int64), np.zeros((0, 2 * m))
-    # "j:k1,...,kn, re1, im1, ...": the separators of every line are one
-    # colon and then n - 1 + 2m commas
-    if (text.encode().translate(None, _NOT_SEPARATOR)
-            != ((b":" + b"," * (n - 1 + 2 * m) + b"\n") * count)[:-1]):
+    if _separators(text) != ((_line_separators(n, m) + b"\n") * count)[:-1]:
         raise ValueError("misplaced separator")
     dtype = np.dtype([("head", np.int64, (1 + n,)), ("values", np.float64, (2 * m,))])
     with warnings.catch_warnings():
@@ -459,7 +490,7 @@ def la_norms(stack: LevelFunctionStack, sp: SpaceParams,
                 absorbed = len(contributing)
                 powered = (running if inf else running ** (1.0 / sp.q)) ** sp.p
             vals = (_block_sums(powered, bounds, start, r) * vol) ** (1.0 / sp.p)
-        scale = math.ldexp(1.0, j_p * n) ** sp.tau  # |P|^{-tau} = 2^{j n tau}
+        scale = _level_factor(math.ldexp(1.0, j_p * n), sp.tau, sp, "tau", j_p)  # |P|^{-tau}
         vals = (vals * scale).reshape(S, -1)
         flat = np.argmax(vals, axis=1)
         v = vals[np.arange(S), flat]
@@ -478,6 +509,20 @@ def la_norms(stack: LevelFunctionStack, sp: SpaceParams,
         cube = DyadicCube(n, j, tuple(a + int(i) for (a, _), i in zip(bounds, idx)))
         out.append(NormResult(value, cube, j == window.j_min))
     return out
+
+
+def _level_factor(base: float, exponent: float, sp: SpaceParams, key: str, j: int) -> float:
+    """``base ** exponent``, the level-j factor 2^(j s) or 2^(j n tau) of a
+    norm in ``sp``; a factor beyond the float range is refused naming the
+    space's ``key`` and the level."""
+    try:
+        factor = base ** exponent
+    except OverflowError:
+        factor = math.inf
+    if math.isinf(factor):
+        raise PreconditionError(f"{key} = {getattr(sp, key)} is too large: the level-{j} "
+                                "factor of the norm overflows")
+    return factor
 
 
 def _lq(arrays: list[np.ndarray], q: float) -> np.ndarray:
@@ -555,13 +600,19 @@ def _present_levels(window: LatticeWindow, rows: np.ndarray):
             yield j, sl, shape
 
 
+def _check_dimensions(rows: np.ndarray, m: int) -> None:
+    """Refuse fields given as rows (S, C, m') whose m' is not the weight's m."""
+    if rows.shape[2] != m:
+        raise PreconditionError(f"coefficient and weight dimensions differ: "
+                                f"m = {rows.shape[2]} and m = {m}")
+
+
 def _weighted_stacks(window: LatticeWindow, rows: np.ndarray, W: MatrixWeight,
                      sp: SpaceParams, grid_extra: int):
     """Batched :func:`weighted_stack` of the fields given as rows (S, C, m) in
     ``all_cubes`` order, one batch per sample block; W^{1/p} is evaluated
     once on the grid."""
-    if rows.shape[2] != W.m:
-        raise PreconditionError("coefficient and weight dimensions differ")
+    _check_dimensions(rows, W.m)
     grid_level = window.j_max + grid_extra
     w_root = W.power(LevelFunctionStack(window, grid_level).midpoints(), 1.0 / sp.p)
     for blk in _sample_blocks(window, rows, grid_level):
@@ -581,7 +632,8 @@ def _weighted_level(stack: LevelFunctionStack, j: int, vals: np.ndarray, index_s
     scale = math.ldexp(1.0, j * stack.window.n) ** 0.5  # |Q|^{-1/2}
     cells = _level_cells(stack, j, level * scale)
     img = np.einsum("nab,snb->sna", w_root, np.swapaxes(cells.reshape(S, m, -1), 1, 2))
-    return (2.0 ** (j * sp.s)) * np.linalg.norm(img, axis=-1).reshape((S,) + stack.grid_shape)
+    return (_level_factor(2.0, j * sp.s, sp, "s", j)
+            * np.linalg.norm(img, axis=-1).reshape((S,) + stack.grid_shape))
 
 
 def _averaged_stacks(window: LatticeWindow, rows: np.ndarray, fam: ReducingFamily,
@@ -592,8 +644,7 @@ def _averaged_stacks(window: LatticeWindow, rows: np.ndarray, fam: ReducingFamil
     if fam.p != sp.p:
         raise PreconditionError(f"reducing operators of order p = {fam.p} "
                                 f"cannot serve a space with p = {sp.p}")
-    if rows.shape[2] != fam.ops.shape[-1]:
-        raise PreconditionError("coefficient and weight dimensions differ")
+    _check_dimensions(rows, fam.ops.shape[-1])
     cols = np.flatnonzero(np.any(rows != 0, axis=(0, 2)))
     ops = fam.operators_at(CubeArrays.of_window(window).take(cols))
     grid_level = window.j_max
@@ -605,7 +656,8 @@ def _averaged_stacks(window: LatticeWindow, rows: np.ndarray, fam: ReducingFamil
         for j, sl, index_shape in _present_levels(window, part):
             level = mags[:, sl].reshape((len(part),) + index_shape)
             scale = math.ldexp(1.0, j * window.n) ** 0.5
-            stack.levels[j] = (2.0 ** (j * sp.s)) * _level_cells(stack, j, level * scale)
+            stack.levels[j] = (_level_factor(2.0, j * sp.s, sp, "s", j)
+                               * _level_cells(stack, j, level * scale))
         yield stack
 
 

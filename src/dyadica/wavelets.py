@@ -552,9 +552,14 @@ def synthesize(coefs: dict, sys: WaveletSystem, grid_level: int,
     coarsest present level up to J = min(finest present level + 1, grid_level),
     then level J scattered onto the grid.  A level spans the indices whose
     support meets the grid: any other feeds only finer ones that miss it too.
-    The sample is real when no level has a nonzero imaginary part.
+    The sample is real when no level has a nonzero imaginary part.  A field
+    that holds coefficients must have dimension m.
     """
     levels = {lam: tf.levels() for lam, tf in coefs.items()}
+    for lam, tf in coefs.items():
+        if levels[lam] and tf.m != m:
+            raise PreconditionError(f"channel {''.join(map(str, lam))} holds vectors of "
+                                    f"dimension m = {tf.m}, but the synthesis has m = {m}")
     present = sorted({j for js in levels.values() for j in js})
     if not present:
         return FunctionSample(sys.n, m, grid_level, tuple(start), np.zeros((m,) + tuple(shape)))

@@ -12,8 +12,8 @@ from dyadica import cli
 from dyadica.cli import _join_negative_values, _json_default, _load_weight, main, parse_window
 from dyadica.dyadic import DyadicCube, LatticeWindow
 from dyadica.errors import PreconditionError
-from dyadica.seq import CoeffField
-from dyadica.wavelets import FunctionSample
+from dyadica.seq import CoeffField, seq_norm_weighted
+from dyadica.wavelets import FunctionSample, WaveletSystem, analyze, daubechies_filter, synthesize
 from dyadica.weights import MatrixWeight, QuadratureSpec, ReducingFamily
 
 
@@ -68,6 +68,47 @@ def test_norm_command(space_file, weight_file, tmp_path, capsys):
     assert rep["norm"]["attaining_P"]
 
 
+# two m = 2 coefficient lines on the window 0:2:0..1, and the weight diag(2, 1)
+M2_LINES = "0:0, 1.0, 0.0, 2.0, 0.0\n1:1, 0.5, 0.0, -1.0, 0.0\n"
+M2_WEIGHT = {"m": 2, "n": 1, "kind": "constant", "matrix": [[2.0, 0.0], [0.0, 1.0]]}
+
+
+@pytest.mark.parametrize("text, weight, value", [
+    (M2_LINES, M2_WEIGHT, 3.0),
+    # the weight's m = 2 reads a file with no lines as the zero field
+    ("", M2_WEIGHT, 0.0),
+    ("# no lines\n\n", M2_WEIGHT, 0.0),
+    # without a weight, the identity of the file's m
+    (M2_LINES, None, None),
+], ids=["m2-file", "empty-file", "comment-file", "identity-of-the-file-m"])
+def test_norm_takes_m_from_the_weight_or_the_file(text, weight, value, space_file, tmp_path,
+                                                  capsys):
+    cfile, wfile = tmp_path / "c.csv", tmp_path / "w2.json"
+    cfile.write_text(text)
+    wfile.write_text(json.dumps(weight))
+    argv = ["norm", "--coeffs", str(cfile), "--space", space_file, "--window", "0:2:0..1"]
+    code, rep = _run(argv + (["--weight", str(wfile)] if weight else []), capsys)
+    assert code == 0 and "m" not in rep["config"]
+    if value is None:
+        window = parse_window("0:2:0..1")
+        sp = cli._load_space(space_file)
+        value = seq_norm_weighted(CoeffField.from_csv(text, window, 2),
+                                  MatrixWeight.identity(2, 1), sp).value
+    assert rep["norm"]["value"] == value
+
+
+def test_norm_refuses_a_file_of_another_m_than_the_weight(space_file, weight_file, tmp_path,
+                                                          capsys):
+    cfile = tmp_path / "c.csv"
+    cfile.write_text(M2_LINES)
+    code = main(["norm", "--coeffs", str(cfile), "--space", space_file, "--weight", weight_file,
+                 "--window", "0:2:0..1"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "refused: coefficient line '0:0, 1.0, 0.0, 2.0, 0.0' holds vectors of dimension m = 2, "
+        "but m = 1 is needed\n")
+
+
 def test_norm_non_finite_coefficient_refused(space_file, weight_file, tmp_path, capsys):
     cfile = tmp_path / "t.csv"
     cfile.write_text("0:0, 1.0, 0.0\n1:1, nan, 0.0\n")
@@ -109,6 +150,28 @@ def test_transform_roundtrip(tmp_path, capsys):
                         "--grid-level", "8", "--output", str(out)], capsys)
     assert code2 == 0
     assert FunctionSample.load(str(out)).shape[0] == 17 << 8
+
+
+def test_transform_synthesizes_m2_files_as_the_library_does(tmp_path, capsys):
+    # each channel file states m = 2; synthesis reads it from them
+    f = FunctionSample.from_callable(
+        lambda p: np.stack([np.exp(-8 * (p[:, 0] - 0.5) ** 2), np.sin(3 * p[:, 0])]),
+        1, 2, 7, (0,), (1,))
+    f.save(str(tmp_path / "f.npz"))
+    window = ["--filter-order", "2", "--window", "0:2:0..1"]
+    code, rep = _run(["transform", "--mode", "analyze", *window, "--input",
+                      str(tmp_path / "f.npz"), "--out-prefix", str(tmp_path / "c")], capsys)
+    assert code == 0
+    out = tmp_path / "s.npz"
+    code, _ = _run(["transform", "--mode", "synthesize", *window, "--coeffs",
+                    *(f"{lam.strip('(,)')}={path}" for lam, path in rep["files"].items()),
+                    "--grid-level", "7", "--output", str(out)], capsys)
+    assert code == 0
+    sysw = WaveletSystem(1, daubechies_filter(2))
+    want = synthesize(analyze(f, sysw, parse_window("0:2:0..1")), sysw, 7, f.start, f.shape, 2)
+    got = FunctionSample.load(str(out))
+    assert got.values.shape == (2, 1 << 7) and not np.array_equal(*got.values)
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_transform_analyzes_a_fine_grid_without_options(tmp_path, capsys):
@@ -679,13 +742,9 @@ _NO_GRID = "validation grid has no points or no finite extent: "
     (["weights", "--weight", "{w}", "--p", "nan", "--window", "0:1:0..1"],
      "p must lie in (0, inf), got nan"),
     (["adprobe", "--space", "{s}", "--seed", "-1"], "seed must be nonnegative, got -1"),
-    (["norm", "--coeffs", "{c}", "--space", "{s}", "--window", "0:1:0..1", "--m", "-1"],
-     "the vector dimension m must be at least 1, got -1"),
-    (["norm", "--coeffs", "{c}", "--space", "{s}", "--window", "0:1:0..1", "--m", "0"],
-     "the vector dimension m must be at least 1, got 0"),
 ], ids=["molcheck-points", "molcheck-extent-zero", "molcheck-extent-nan", "molcheck-N-nan",
         "molcheck-r-nan", "molcheck-K-nan", "molcheck-K-inf", "weights-max-ops", "weights-p-inf",
-        "weights-p-nan", "adprobe-seed", "norm-m-negative", "norm-m-zero"])
+        "weights-p-nan", "adprobe-seed"])
 def test_option_value_refused_naming_it(argv, expect, weight_file, space_file, tmp_path, capsys):
     coeffs = tmp_path / "c.csv"
     coeffs.write_text("0:0, 1.0, 0.0\n")

@@ -532,25 +532,31 @@ def _decorated(lines, data):
 
 
 @given(window=windows(), m=st.sampled_from((1, 3)), complex_values=st.booleans(),
-       seed=st.integers(0, 2 ** 16), data=st.data())
+       m_from_text=st.booleans(), seed=st.integers(0, 2 ** 16), data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_csv_reads_decorated_text_as_the_written_text(window, m, complex_values, seed, data):
+def test_csv_reads_decorated_text_as_the_written_text(window, m, complex_values, m_from_text,
+                                                      seed, data):
     t = CoeffField.random(window, m, np.random.default_rng(seed), 0.6, complex_values)
     text = t.to_csv()
-    back = CoeffField.from_csv(_decorated(text.splitlines(), data), window, m)
+    back = CoeffField.from_csv(_decorated(text.splitlines(), data), window,
+                               None if m_from_text else m)
     _assert_same_field(back, CoeffField.from_csv(text, window, m))
     assert back.to_csv() == text
+    # the first line gives m; a text with no lines has m = 1 unless m is given
+    assert back.m == (1 if m_from_text and not text else m)
 
 
 @given(window=windows(), m=st.sampled_from((1, 3)), complex_values=st.booleans(),
-       seed=st.integers(0, 2 ** 16), data=st.data())
+       m_from_text=st.booleans(), seed=st.integers(0, 2 ** 16), data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_csv_refusals_name_the_first_bad_line(window, m, complex_values, seed, data):
+def test_csv_refusals_name_the_first_bad_line(window, m, complex_values, m_from_text, seed,
+                                              data):
     lines = _nonempty_csv(window, m, seed, complex_values)
     n = window.n
     i = data.draw(st.integers(0, len(lines) - 1))
     cube_text = ",".join(lines[i].split(",")[:n])
-    kind = data.draw(st.sampled_from(("duplicate", "outside", "non-finite", "short", "dimension")))
+    kind = data.draw(st.sampled_from(("duplicate", "outside", "non-finite", "short", "dimension",
+                                      "width")))
     bad = list(lines)
     if kind == "duplicate":
         at = data.draw(st.integers(i + 1, len(lines)))
@@ -569,13 +575,25 @@ def test_csv_refusals_name_the_first_bad_line(window, m, complex_values, seed, d
     elif kind == "short":
         bad[i] = ",".join(lines[i].split(",")[:-1])
         expect = "bad coefficient line"
-    else:
+    elif kind == "dimension":
         bad[i] = lines[i].replace(":", ":0,", 1)  # one index too many
         expect = "bad coefficient line"
+    else:  # one (re, im) pair too many
+        bad[i] = lines[i] + ", 0.5, 0.0"
+        expect = f"bad coefficient line {bad[i]!r}"
+        if i == 0 and not m_from_text:
+            expect = (f"coefficient line {bad[0]!r} holds vectors of dimension m = {m + 1}, "
+                      f"but m = {m} is needed")
+        elif i == 0:  # the first line sets m + 1, so the next line is the one of another width
+            expect = f"bad coefficient line {lines[1]!r}" if len(lines) > 1 else None
     text = _decorated(bad, data) if data.draw(st.booleans()) else "\n".join(bad) + "\n"
+    if expect is None:
+        assert CoeffField.from_csv(text, window).m == m + 1
+        return
     with pytest.raises(PreconditionError, match=re.escape(expect)):
-        CoeffField.from_csv(text, window, m)
-    if kind != "non-finite":  # the reference field does not check finiteness
+        CoeffField.from_csv(text, window, None if m_from_text else m)
+    # the reference field does not check finiteness, and it reads with the given m
+    if kind != "non-finite" and not (kind == "width" and i == 0):
         with pytest.raises(PreconditionError, match=re.escape(expect)):
             DictField.from_csv(text, window, m)
 
@@ -595,9 +613,10 @@ def _misplaced_separators(line, kind):
 
 
 @given(window=windows(), m=st.sampled_from((1, 3)), complex_values=st.booleans(),
-       seed=st.integers(0, 2 ** 16), data=st.data())
+       m_from_text=st.booleans(), seed=st.integers(0, 2 ** 16), data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_csv_refuses_what_only_int_and_float_accept(window, m, complex_values, seed, data):
+def test_csv_refuses_what_only_int_and_float_accept(window, m, complex_values, m_from_text,
+                                                    seed, data):
     lines = _nonempty_csv(window, m, seed, complex_values)
     n = window.n
     i = data.draw(st.integers(0, len(lines) - 1))
@@ -616,7 +635,7 @@ def test_csv_refuses_what_only_int_and_float_accept(window, m, complex_values, s
     lines = lines[:i] + [bad] + lines[i:]
     text = _decorated(lines, data) if data.draw(st.booleans()) else "\n".join(lines) + "\n"
     with pytest.raises(PreconditionError) as got:
-        CoeffField.from_csv(text, window, m)
+        CoeffField.from_csv(text, window, None if m_from_text else m)
     with pytest.raises(PreconditionError) as ref:
         DictField.from_csv(text, window, m)
     assert str(got.value) == str(ref.value) == f"bad coefficient line {bad!r}"

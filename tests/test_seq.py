@@ -408,6 +408,12 @@ def test_csv_roundtrip():
     assert set(t.cubes()) == set(t2.cubes())
     for q in t.cubes():
         assert np.allclose(t.get(q), t2.get(q))
+    # the first line gives the dimension; a text with no lines has m = 1 unless m is given
+    assert CoeffField.from_csv(text, win).rows().tobytes() == t2.rows().tobytes()
+    assert CoeffField.from_csv(text.replace("\n", "\r\n"), win).m == 2
+    assert CoeffField.from_csv("# none\n\n", win).m == 1
+    empty = CoeffField.from_csv("", win, 2)
+    assert empty.m == 2 and not len(empty) and empty.rows().shape == (win.count(), 2)
 
 
 def test_csv_keeps_signed_zeros_and_refuses_misplaced_fields():
@@ -815,19 +821,33 @@ def _cube_and_its_right_neighbour(q):
      "selector box leaves the cube 1:0"),
     (lambda: seq_norm_weighted(CoeffField(_window(), 2), MatrixWeight.identity(1, 1),
                                B(0, 0, 2, 2)),
-     "coefficient and weight dimensions differ"),
+     "coefficient and weight dimensions differ: m = 2 and m = 1"),
     (lambda: seq_norm_averaged(CoeffField(_window(), 1, {DyadicCube(1, 1, (0,)): [1.0]}),
                                ReducingFamily.identity(1, 2.0, _window()), B(0, 0, 3.0, 2.0)),
      r"reducing operators of order p = 2\.0 cannot serve a space with p = 3\.0"),
     (lambda: seq_norm_averaged(CoeffField(_window(), 2, {DyadicCube(1, 1, (0,)): [1.0, 0.0]}),
                                ReducingFamily.identity(3, 2.0, _window()), B(0, 0, 2.0, 2.0)),
-     "coefficient and weight dimensions differ"),
+     "coefficient and weight dimensions differ: m = 2 and m = 3"),
+    # 2^(j s) overflows at level 1 and, through j s = inf, at level 2; 2^(j n tau) at level 1
+    (lambda: seq_norm_weighted(CoeffField(_window(), 1, {DyadicCube(1, 2, (0,)): [1.0]}),
+                               MatrixWeight.identity(1, 1), B(1e308, 0, 2, 2)),
+     r"s = 1e\+308 is too large: the level-2 factor of the norm overflows"),
+    (lambda: seq_norm_averaged(CoeffField(_window(), 1, {DyadicCube(1, 1, (0,)): [1.0]}),
+                               ReducingFamily.identity(1, 2.0, _window()), B(1e308, 0, 2, 2)),
+     r"s = 1e\+308 is too large: the level-1 factor of the norm overflows"),
+    (lambda: seq_norm_weighted(CoeffField(_window(), 1, {DyadicCube(1, 1, (0,)): [1.0]}),
+                               MatrixWeight.identity(1, 1), F(0, 1e308, 2, 2)),
+     r"tau = 1e\+308 is too large: the level-1 factor of the norm overflows"),
     (lambda: CoeffField(_window(), 0), "the vector dimension m must be at least 1, got 0"),
     (lambda: CoeffField.from_csv("0:0, 1.0, 0.0\n", _window(), -1),
      "the vector dimension m must be at least 1, got -1"),
+    (lambda: CoeffField.from_csv("# m = 2\n0:0, 1.0, 0.0, 2.0, 0.0\n", _window(), 1),
+     re.escape("coefficient line '0:0, 1.0, 0.0, 2.0, 0.0' holds vectors of dimension "
+               "m = 2, but m = 1 is needed")),
 ], ids=["write-outside", "write-all-shape", "plus-window", "plus-dimension", "coarse-stack-grid",
         "empty-ensemble", "subset-vector-field", "subset-box-leaves-cube", "weight-dimension",
-        "averaged-order", "averaged-dimension", "field-m-zero", "csv-m-negative"])
+        "averaged-order", "averaged-dimension", "weighted-s-overflow", "averaged-s-overflow",
+        "tau-overflow", "field-m-zero", "csv-m-negative", "csv-dimension"])
 def test_field_and_norm_refusals(call, message):
     with pytest.raises(PreconditionError, match=message):
         call()

@@ -337,6 +337,10 @@ def test_synthesize_zero():
     win = LatticeWindow(1, 0, 1, (0,), (1,))
     out = synthesize({(1,): CoeffField(win, 1)}, sys, 6, (0,), (64,), 1)
     assert np.all(out.values == 0)
+    # a field without coefficients has no dimension to disagree with
+    one = CoeffField(win, 1, {DyadicCube(1, 1, (1,)): [1.0]})
+    two = synthesize({(0,): CoeffField(win, 2), (1,): one}, sys, 6, (0,), (64,), 1)
+    assert two.values.tobytes() == synthesize({(1,): one}, sys, 6, (0,), (64,), 1).values.tobytes()
 
 
 def test_analyze_preconditions():
@@ -506,9 +510,19 @@ def _wavelet_refusal_sample(n=1, m=1):
                                           {DyadicCube(1, 4, (3,)): [1.0]})},
                         WaveletSystem(1, daubechies_filter(1), 8), 3, (0,), (8,), 1),
      "synthesis grid coarser than a coefficient level"),
+    # a field of another m that holds coefficients is refused, not broadcast or misshaped
+    (lambda: synthesize({(0,): CoeffField(LatticeWindow(1, 0, 1, (0,), (1,)), 2),
+                         (1,): CoeffField(LatticeWindow(1, 0, 1, (0,), (1,)), 1,
+                                          {DyadicCube(1, 1, (1,)): [1.0]})},
+                        WaveletSystem(1, daubechies_filter(1), 8), 6, (0,), (64,), 2),
+     "channel 1 holds vectors of dimension m = 1, but the synthesis has m = 2"),
+    (lambda: synthesize({(1,): CoeffField(LatticeWindow(1, 0, 1, (0,), (1,)), 2,
+                                          {DyadicCube(1, 1, (1,)): [1.0, 2.0]})},
+                        WaveletSystem(1, daubechies_filter(1), 8), 6, (0,), (64,), 1),
+     "channel 1 holds vectors of dimension m = 2, but the synthesis has m = 1"),
 ], ids=["cascade-resolution-negative", "cascade-resolution-above-cap", "cascade-filter",
         "sample-channels", "sample-dimension", "analyze-system", "analyze-window",
-        "synthesize-coarse-grid"])
+        "synthesize-coarse-grid", "synthesize-field-m1-into-m2", "synthesize-field-m2-into-m1"])
 def test_wavelet_refusals(call, message):
     with pytest.raises(PreconditionError, match=message):
         call()
