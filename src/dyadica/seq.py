@@ -4,9 +4,18 @@ Coefficient fields assign a vector to each cube of a window; the mixed norm
 takes, for every window cube P, the level-then-space (B family) or
 space-then-level (F family) aggregate of the associated level functions over
 the shadow of P, scaled by |P|^-tau, and returns the sup together with the
-attaining cube.  Level functions are realized on a uniform fine grid aligned
-with the lattice, so integrals of lattice-aligned data are exact sums;
-varying weights are resolved by extra grid subdivision.
+attaining cube.  Level functions are read on a uniform fine grid of cell
+midpoints aligned with the lattice, so integrals of lattice-aligned data are
+exact sums; varying weights are resolved by extra grid subdivision.
+
+B-family field norms are per-cube energy sums: each level j gives the
+integrals of |f_j|^p over its window cubes, and every coarser window cube
+sums those of its children.  No multi-level raster is built for them; for
+m = 1 the weight enters through its per-cube sums of |W^{1/p}|^p alone, and
+for m > 1 the per-cell product is taken one level at a time.  Level-function
+stacks (rasters of every level on the grid, built in sample blocks of about
+2^17 entries) serve the F family and :func:`la_norm` on stacks a caller
+builds.
 """
 
 from __future__ import annotations
@@ -438,60 +447,97 @@ class NormResult:
         }
 
 
+@np.errstate(over="ignore")  # overflows are refused by name
 def la_norms(stack: LevelFunctionStack, sp: SpaceParams,
              window: LatticeWindow | None = None) -> list[NormResult]:
     """:func:`la_norm` of every stack of a batch, in one pass over the window
-    levels with the samples on the leading axis.  A sample whose stack
-    vanishes has value 0 and no attaining cube."""
+    levels with the samples on the leading axis.  A B-family stack is first
+    block-summed to per-cube level energies.  A sample whose stack vanishes
+    has value 0 and no attaining cube."""
     window = window or stack.window
     S = stack.samples
     if S is None:
         raise PreconditionError("la_norms takes a batched stack; use la_norm for one stack")
     levels = sorted(stack.levels)
-    if not levels:
-        return [NormResult(0.0, None, False)] * S
     for j in levels:
         if not np.all(np.isfinite(stack.levels[j])):
             raise PreconditionError(f"level {j} of the stack holds non-finite values")
-    n = window.n
-    vol = stack.cell_volume
-    best = np.full(S, -1.0)
-    best_level = np.zeros(S, dtype=np.int64)
-    best_flat = np.zeros(S, dtype=np.intp)
-    start = stack.grid_start
+    if sp.family == BESOV:
+        # a level finer than the window enters at the finest window level
+        return _besov_norms(window, {j: _energies(stack, stack.levels[j], min(j, window.j_max),
+                                                  sp.p, window)
+                                     for j in levels if j >= window.j_min}, sp, S)
+    return _sup(window, S, _triebel_levels(stack, sp, window), sp)
 
+
+def _energies(stack: LevelFunctionStack, values: np.ndarray, j: int, p: float,
+              window: LatticeWindow) -> np.ndarray:
+    """vol * sum |values|^p over each level-j window cube, (S, *index_shape),
+    of a level (S, *grid_shape) on the grid of ``stack``."""
+    return _block_sums(np.abs(values) ** p, window.index_bounds(j), stack.grid_start,
+                       stack.grid_level - j) * stack.cell_volume
+
+
+def _besov_norms(window: LatticeWindow, energies: dict, sp: SpaceParams,
+                 S: int) -> list[NormResult]:
+    """B-family norms of S samples from their per-cube level energies:
+    ``energies[j]`` (S, *index_shape) holds vol * sum |f_j|^p over each
+    window cube of level min(j, j_max), in ascending j.  On the way down
+    from the finest window level each cube sums its 2^n children, so a
+    window cube P gets [sum_{j >= j(P)} ||f_j||_{L^p(P)}^q]^{1/q}."""
+
+    def aggregates():
+        sums = {}
+        for j_p in range(window.j_max, window.j_min - 1, -1):
+            bounds = window.index_bounds(j_p)
+            finer = [a for a, _ in window.index_bounds(j_p + 1)]
+            sums = {j: _block_sums(sums[j], bounds, finer, 1) if j in sums else e
+                    for j, e in energies.items() if j >= j_p}
+            if sums:
+                yield j_p, _lq([s ** (1.0 / sp.p) for s in sums.values()], sp.q)
+
+    return _sup(window, S, aggregates(), sp)
+
+
+def _triebel_levels(stack: LevelFunctionStack, sp: SpaceParams, window: LatticeWindow):
+    """(j, aggregate) of every window level j, finest first, of a batched
+    F-family stack: || (sum_j |f_j|^q)^{1/q} ||_{L^p(P)} of each level-j cube
+    P, summed over the levels from j on.  Each level joins a running sum of
+    |f_j|^q (max_j |f_j| for q = inf) once, on the way down from the finest."""
+    levels = sorted(stack.levels)
     arrs = {j: np.abs(stack.levels[j]) for j in levels}
-    sums = {}
-    # F family: sum_j |f_j|^q (max_j |f_j| for q = inf) over the levels
-    # absorbed so far, and the p-th power of its q-th root
+    inf = math.isinf(sp.q)
     running, powered, absorbed = None, None, 0
-    # finest level first; on a tie the coarser cube wins
     for j_p in range(window.j_max, window.j_min - 1, -1):
         contributing = [j for j in levels if j >= j_p]
         if not contributing:
             continue
-        bounds, r = window.index_bounds(j_p), stack.grid_level - j_p
-        if sp.family == BESOV:
-            # [sum_j ||f_j||_{L^p(P)}^q]^{1/q}: one block reduction of |f_j|^p
-            # per level, then each window cube sums its 2^n children
-            finer = [a for a, _ in window.index_bounds(j_p + 1)]
-            sums = {j: _block_sums(sums[j], bounds, finer, 1) if j in sums
-                    else _block_sums(arrs[j] ** sp.p, bounds, start, r) for j in contributing}
-            vals = _lq([(s * vol) ** (1.0 / sp.p) for s in sums.values()], sp.q)
-        else:
-            # || (sum_j |f_j|^q)^{1/q} ||_{L^p(P)}: each level joins the
-            # running sum once, on the way down from the finest
-            fresh = contributing[:len(contributing) - absorbed]
-            if fresh:
-                inf = math.isinf(sp.q)
-                for j in reversed(fresh):
-                    term = arrs[j] if inf else arrs[j] ** sp.q
-                    running = term if running is None else (np.maximum if inf else np.add)(running, term)
-                absorbed = len(contributing)
-                powered = (running if inf else running ** (1.0 / sp.q)) ** sp.p
-            vals = (_block_sums(powered, bounds, start, r) * vol) ** (1.0 / sp.p)
-        scale = _level_factor(math.ldexp(1.0, j_p * n), sp.tau, sp, "tau", j_p)  # |P|^{-tau}
-        vals = (vals * scale).reshape(S, -1)
+        fresh = contributing[:len(contributing) - absorbed]
+        if fresh:
+            for j in reversed(fresh):
+                term = arrs[j] if inf else arrs[j] ** sp.q
+                running = term if running is None else (np.maximum if inf else np.add)(running, term)
+            absorbed = len(contributing)
+            powered = (running if inf else running ** (1.0 / sp.q)) ** sp.p
+        r = stack.grid_level - j_p
+        sums = _block_sums(powered, window.index_bounds(j_p), stack.grid_start, r)
+        yield j_p, (sums * stack.cell_volume) ** (1.0 / sp.p)
+
+
+def _sup(window: LatticeWindow, S: int, aggregates, sp: SpaceParams) -> list[NormResult]:
+    """The sup over window cubes P of |P|^-tau times the aggregate of P, its
+    first attaining cube and the boundary flag, for S samples, from the
+    (j, aggregate (S, *index_shape)) pairs of the window levels, finest
+    first; on a tie the coarser cube wins.  The flag marks attainment at
+    the coarsest level, where the finite window may truncate the true sup."""
+    n = window.n
+    best = np.full(S, -1.0)
+    best_level = np.zeros(S, dtype=np.int64)
+    best_flat = np.zeros(S, dtype=np.intp)
+    for j_p, vals in aggregates:
+        if not np.all(np.isfinite(vals)):
+            raise PreconditionError(f"the level-{j_p} sums of the norm overflow")
+        vals = _scaled(vals, math.ldexp(1.0, j_p * n), sp.tau, sp, "tau", j_p).reshape(S, -1)
         flat = np.argmax(vals, axis=1)
         v = vals[np.arange(S), flat]
         better = v >= best
@@ -511,10 +557,12 @@ def la_norms(stack: LevelFunctionStack, sp: SpaceParams,
     return out
 
 
-def _level_factor(base: float, exponent: float, sp: SpaceParams, key: str, j: int) -> float:
-    """``base ** exponent``, the level-j factor 2^(j s) or 2^(j n tau) of a
-    norm in ``sp``; a factor beyond the float range is refused naming the
-    space's ``key`` and the level."""
+@np.errstate(over="ignore")  # overflows are refused by name
+def _scaled(values: np.ndarray, base: float, exponent: float, sp: SpaceParams, key: str,
+            j: int) -> np.ndarray:
+    """``base ** exponent * values``: level-j values of a norm in ``sp`` times
+    their factor 2^(j s) or 2^(j n tau).  A factor or a product beyond the
+    float range is refused naming the space's ``key`` and the level."""
     try:
         factor = base ** exponent
     except OverflowError:
@@ -522,7 +570,16 @@ def _level_factor(base: float, exponent: float, sp: SpaceParams, key: str, j: in
     if math.isinf(factor):
         raise PreconditionError(f"{key} = {getattr(sp, key)} is too large: the level-{j} "
                                 "factor of the norm overflows")
-    return factor
+    return _finite(factor * values, sp, key, j)
+
+
+def _finite(values: np.ndarray, sp: SpaceParams, key: str, j: int) -> np.ndarray:
+    """``values``, level-j values of a norm in ``sp``; refused when one has
+    overflowed, naming the space's ``key`` and the level."""
+    if not np.all(np.isfinite(values)):
+        raise PreconditionError(f"{key} = {getattr(sp, key)} is too large: the level-{j} "
+                                "values of the norm overflow")
+    return values
 
 
 def _lq(arrays: list[np.ndarray], q: float) -> np.ndarray:
@@ -575,7 +632,7 @@ def _level_cells(grid: LevelFunctionStack, j: int, values: np.ndarray) -> np.nda
 
 
 # Stack entries (grid cells x (levels + channels)) per sample block of the
-# batched norms: bounds their temporaries at a few MB.
+# raster paths: bounds their temporaries at a few MB.
 SAMPLE_ENTRIES = 1 << 17
 
 
@@ -607,17 +664,25 @@ def _check_dimensions(rows: np.ndarray, m: int) -> None:
                                 f"m = {rows.shape[2]} and m = {m}")
 
 
+def _weight_root(window: LatticeWindow, rows: np.ndarray, W: MatrixWeight, sp: SpaceParams,
+                 grid_extra: int) -> tuple[LevelFunctionStack, np.ndarray]:
+    """The grid ``grid_extra`` levels below the window's finest, as a stack
+    with no levels, and W^{1/p} at its cell midpoints (G, m, m), for the
+    fields given as rows (S, C, m)."""
+    _check_dimensions(rows, W.m)
+    grid = LevelFunctionStack(window, window.j_max + grid_extra)
+    return grid, W.power(grid.midpoints(), 1.0 / sp.p)
+
+
 def _weighted_stacks(window: LatticeWindow, rows: np.ndarray, W: MatrixWeight,
                      sp: SpaceParams, grid_extra: int):
     """Batched :func:`weighted_stack` of the fields given as rows (S, C, m) in
     ``all_cubes`` order, one batch per sample block; W^{1/p} is evaluated
     once on the grid."""
-    _check_dimensions(rows, W.m)
-    grid_level = window.j_max + grid_extra
-    w_root = W.power(LevelFunctionStack(window, grid_level).midpoints(), 1.0 / sp.p)
-    for blk in _sample_blocks(window, rows, grid_level):
+    grid, w_root = _weight_root(window, rows, W, sp, grid_extra)
+    for blk in _sample_blocks(window, rows, grid.grid_level):
         part = rows[blk]
-        stack = LevelFunctionStack(window, grid_level, {}, len(part))
+        stack = LevelFunctionStack(window, grid.grid_level, {}, len(part))
         for j, sl, index_shape in _present_levels(window, part):
             stack.levels[j] = _weighted_level(stack, j, part[:, sl], index_shape, w_root, sp)
         yield stack
@@ -632,33 +697,82 @@ def _weighted_level(stack: LevelFunctionStack, j: int, vals: np.ndarray, index_s
     scale = math.ldexp(1.0, j * stack.window.n) ** 0.5  # |Q|^{-1/2}
     cells = _level_cells(stack, j, level * scale)
     img = np.einsum("nab,snb->sna", w_root, np.swapaxes(cells.reshape(S, m, -1), 1, 2))
-    return (_level_factor(2.0, j * sp.s, sp, "s", j)
-            * np.linalg.norm(img, axis=-1).reshape((S,) + stack.grid_shape))
+    return _scaled(np.linalg.norm(img, axis=-1).reshape((S,) + stack.grid_shape),
+                   2.0, j * sp.s, sp, "s", j)
 
 
-def _averaged_stacks(window: LatticeWindow, rows: np.ndarray, fam: ReducingFamily,
-                     sp: SpaceParams):
-    """Batched :func:`averaged_stack` of the fields given as rows (S, C, m) in
-    ``all_cubes`` order, one batch per sample block.  The operators of the
-    cubes present in any field are gathered once."""
+@np.errstate(over="ignore")  # overflows are refused by name
+def _weighted_energies(window: LatticeWindow, rows: np.ndarray, W: MatrixWeight,
+                       sp: SpaceParams, grid_extra: int) -> dict:
+    """Per-cube level energies vol * sum_{x in Q} |f_j(x)|^p of the levels
+    f_j of :func:`weighted_stack` on the same midpoint grid, for the fields
+    given as rows (S, C, m), keyed by the present levels.  For m = 1,
+    |f_j(x)| = 2^{js} |Q|^{-1/2} |t_Q| |W^{1/p}(x)| on Q, so the weight
+    enters only through its per-cube sums of |W^{1/p}|^p, taken once for
+    every sample; for m > 1 each level's product with W^{1/p} is taken on
+    the grid, a sample block at a time, and summed over the level's cubes."""
+    grid, w_root = _weight_root(window, rows, W, sp, grid_extra)
+    present = list(_present_levels(window, rows))
+    if W.m == 1 and present:
+        # each coarser cube sums the weight sums of its 2^n children
+        weight = {window.j_max: _energies(grid, w_root[None, :, 0, 0].reshape(
+            (1,) + grid.grid_shape), window.j_max, sp.p, window)}
+        for j in range(window.j_max - 1, present[0][0] - 1, -1):
+            weight[j] = _block_sums(weight[j + 1], window.index_bounds(j),
+                                    [a for a, _ in window.index_bounds(j + 1)], 1)
+    energies = {}
+    for j, sl, shape in present:
+        if W.m == 1:
+            scale = math.ldexp(1.0, j * window.n) ** 0.5  # |Q|^{-1/2}
+            level = np.abs(rows[:, sl, 0].reshape((len(rows),) + shape) * scale)
+            e = _scaled(level, 2.0, j * sp.s, sp, "s", j) ** sp.p * weight[j]
+        else:
+            e = np.concatenate([
+                _energies(grid, _weighted_level(grid, j, rows[blk, sl], shape, w_root, sp),
+                          j, sp.p, window)
+                for blk in _sample_blocks(window, rows, grid.grid_level)])
+        energies[j] = _finite(e, sp, "s", j)
+    return energies
+
+
+def _averaged_levels(window: LatticeWindow, rows: np.ndarray, fam: ReducingFamily,
+                     sp: SpaceParams) -> dict:
+    """The levels 2^{js} |Q|^{-1/2} |A_Q t_Q| of :func:`averaged_stack` on
+    their own cubes, (S, *index_shape), of the fields given as rows
+    (S, C, m), keyed by the present levels.  The operators of the cubes
+    present in any field are gathered once."""
     if fam.p != sp.p:
         raise PreconditionError(f"reducing operators of order p = {fam.p} "
                                 f"cannot serve a space with p = {sp.p}")
     _check_dimensions(rows, fam.ops.shape[-1])
     cols = np.flatnonzero(np.any(rows != 0, axis=(0, 2)))
     ops = fam.operators_at(CubeArrays.of_window(window).take(cols))
-    grid_level = window.j_max
-    for blk in _sample_blocks(window, rows, grid_level):
-        part = rows[blk]
-        mags = np.zeros(part.shape[:2])
-        mags[:, cols] = np.linalg.norm((ops @ part[:, cols, :, None])[..., 0], axis=-1)
-        stack = LevelFunctionStack(window, grid_level, {}, len(part))
-        for j, sl, index_shape in _present_levels(window, part):
-            level = mags[:, sl].reshape((len(part),) + index_shape)
-            scale = math.ldexp(1.0, j * window.n) ** 0.5
-            stack.levels[j] = (_level_factor(2.0, j * sp.s, sp, "s", j)
-                               * _level_cells(stack, j, level * scale))
+    mags = np.zeros(rows.shape[:2])
+    mags[:, cols] = np.linalg.norm((ops @ rows[:, cols, :, None])[..., 0], axis=-1)
+    return {j: _scaled(mags[:, sl].reshape((len(rows),) + shape)
+                       * math.ldexp(1.0, j * window.n) ** 0.5, 2.0, j * sp.s, sp, "s", j)
+            for j, sl, shape in _present_levels(window, rows)}
+
+
+def _averaged_stacks(window: LatticeWindow, rows: np.ndarray, fam: ReducingFamily,
+                     sp: SpaceParams):
+    """Batched :func:`averaged_stack` of the fields given as rows (S, C, m) in
+    ``all_cubes`` order, one batch per sample block."""
+    levels = _averaged_levels(window, rows, fam, sp)
+    for blk in _sample_blocks(window, rows, window.j_max):
+        stack = LevelFunctionStack(window, window.j_max, {}, len(rows[blk]))
+        stack.levels = {j: _level_cells(stack, j, f[blk]) for j, f in levels.items()}
         yield stack
+
+
+@np.errstate(over="ignore")  # overflows are refused by name
+def _averaged_energies(window: LatticeWindow, rows: np.ndarray, fam: ReducingFamily,
+                       sp: SpaceParams) -> dict:
+    """Per-cube level energies |Q| (2^{js} |Q|^{-1/2} |A_Q t_Q|)^p, the
+    integrals over Q of |f_j|^p for the levels f_j of :func:`averaged_stack`,
+    of the fields given as rows (S, C, m), keyed by the present levels."""
+    return {j: _finite(math.ldexp(1.0, -j * window.n) * f ** sp.p, sp, "s", j)
+            for j, f in _averaged_levels(window, rows, fam, sp).items()}
 
 
 def weighted_stack(t: CoeffField, W: MatrixWeight, sp: SpaceParams) -> LevelFunctionStack:
@@ -675,7 +789,11 @@ def averaged_stack(t: CoeffField, fam: ReducingFamily, sp: SpaceParams) -> Level
 def seq_norms_weighted(window: LatticeWindow, rows: np.ndarray, W: MatrixWeight,
                        sp: SpaceParams, grid_extra: int = 2) -> list[NormResult]:
     """:func:`seq_norm_weighted` of every field given as rows (S, C, m) in
-    ``window.all_cubes()`` order."""
+    ``window.all_cubes()`` order: B-family norms from per-cube level
+    energies, F-family norms from the stacks of :func:`weighted_stack`."""
+    if sp.family == BESOV:
+        return _besov_norms(window, _weighted_energies(window, rows, W, sp, grid_extra),
+                            sp, len(rows))
     return [r for stack in _weighted_stacks(window, rows, W, sp, grid_extra)
             for r in la_norms(stack, sp, window)]
 
@@ -683,7 +801,10 @@ def seq_norms_weighted(window: LatticeWindow, rows: np.ndarray, W: MatrixWeight,
 def seq_norms_averaged(window: LatticeWindow, rows: np.ndarray, fam: ReducingFamily,
                        sp: SpaceParams) -> list[NormResult]:
     """:func:`seq_norm_averaged` of every field given as rows (S, C, m) in
-    ``window.all_cubes()`` order."""
+    ``window.all_cubes()`` order: B-family norms from per-cube level
+    energies, F-family norms from the stacks of :func:`averaged_stack`."""
+    if sp.family == BESOV:
+        return _besov_norms(window, _averaged_energies(window, rows, fam, sp), sp, len(rows))
     return [r for stack in _averaged_stacks(window, rows, fam, sp)
             for r in la_norms(stack, sp, window)]
 

@@ -188,7 +188,7 @@ def weight_compat_check(V: MatrixWeight, W: MatrixWeight, p: float,
 
 def channel_norm(fields: dict, W: MatrixWeight, sp: SpaceParams, grid_extra: int = 2) -> float:
     """Sum of the weighted norms of channel fields that share one window,
-    taken as one batch: W^{1/p} is evaluated once on the stack grid."""
+    taken as one batch: W^{1/p} is evaluated once on the norm grid."""
     rows = np.stack([tf.rows() for tf in fields.values()])
     window = next(iter(fields.values())).window
     return sum(r.value for r in seq_norms_weighted(window, rows, W, sp, grid_extra))

@@ -223,10 +223,21 @@ class MatrixWeight:
         return W
 
     def power(self, x, a: float) -> np.ndarray:
-        """W(x)**a with the small-eigenvalue clamp, from a :class:`WeightTable` of x."""
-        table = WeightTable(self)
-        (ids,) = table.sets(self._points(x)[None], inverted=a < 0)
-        return table.power(a)[ids[0]]
+        """W(x)**a with the small-eigenvalue clamp, refusing the first value
+        that a :class:`WeightTable` of x refuses.  For m > 1 it is that
+        table's power; a 1 x 1 value is its own eigenvalue, so for m = 1 the
+        values are clamped and raised as they come, with no table."""
+        x = self._points(x)
+        if self.m > 1:
+            table = WeightTable(self)
+            (ids,) = table.sets(x[None], inverted=a < 0)
+            return table.power(a)[ids[0]]
+        v = self(x)
+        eig = v[:, 0].real
+        floor, faults = _value_faults(v, eig)
+        _refuse_first(faults & (3 | 4 * (a < 0)), x)
+        with np.errstate(divide="ignore", invalid="ignore"):  # as WeightTable.power
+            return (np.maximum(eig, floor[:, None]) ** a)[:, :, None]
 
 
 def _numbers(v) -> np.ndarray:
@@ -293,6 +304,33 @@ def _match(known: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return ids[Q:], np.flatnonzero(first) - Q
 
 
+def _value_faults(v: np.ndarray, eig: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The clamp floors (V,) and the fault bits (V,) of weight values v
+    (V, m, m) with ascending eigenvalues eig (V, m), by the rules given in
+    :class:`WeightTable`."""
+    floor = EIG_CLAMP_REL * np.maximum(np.trace(v, axis1=1, axis2=2).real, 0.0)
+    # eigh reads the lower triangle only: a value whose upper triangle
+    # differs is measured against that triangle's scale, and refused
+    top = np.max(np.abs(eig), axis=1)
+    residual = np.max(np.abs(v - np.swapaxes(v, 1, 2).conj()), axis=(1, 2))
+    faults = np.zeros(len(v), dtype=np.uint8)
+    faults[residual > 1e-12 * top] |= 1
+    faults[eig[:, 0] < -1e-12 * top] |= 2
+    faults[np.maximum(eig[:, 0], floor) <= 0] |= 4
+    if np.iscomplexobj(v):
+        faults[np.max(np.abs(v.imag), axis=(1, 2)) > 1e-12] |= 8
+    return floor, faults
+
+
+def _refuse_first(fault: np.ndarray, pts: np.ndarray) -> None:
+    """Refuse the first of the points (N, n) whose fault bits (N,) are not
+    all clear, by refusal i of _REFUSED for its lowest bit i."""
+    if fault.any():
+        i = int(np.argmax(fault != 0))
+        f, node = int(fault[i]), pts[i]
+        raise SingularWeightError(f"{_REFUSED[(f & -f).bit_length() - 1]} at {node}", node=node)
+
+
 class WeightTable:
     """The weight values one command reads, each evaluated and factored once.
 
@@ -336,12 +374,8 @@ class WeightTable:
         step = max(1, PAIR_BLOCK // L) * L          # the nodes of whole sets
         for s in range(0, K * L, step):
             self._grow(pts[fresh[(fresh >= s) & (fresh < s + step)]])
-            fault = self.faults[self.value[nid[s:s + step]]] & allowed.flat[s:s + step]
-            if fault.any():
-                i = int(np.argmax(fault != 0))
-                f, node = int(fault[i]), pts[s + i]
-                code = (f & -f).bit_length() - 1        # its lowest bit
-                raise SingularWeightError(f"{_REFUSED[code]} at {node}", node=node)
+            _refuse_first(self.faults[self.value[nid[s:s + step]]] & allowed.flat[s:s + step],
+                          pts[s:s + step])
         vid = self.value[nid].reshape(K, L)
         return [vid[:, a:b] for a, b in zip(bounds, bounds[1:])]
 
@@ -358,17 +392,7 @@ class WeightTable:
             ids, fresh = _match(self.values.reshape(-1, flat), vals.reshape(-1, flat))
             v = vals[fresh]
             eig, vecs = np.linalg.eigh(v)
-        floor = EIG_CLAMP_REL * np.maximum(np.trace(v, axis1=1, axis2=2).real, 0.0)
-        # eigh reads the lower triangle only: a value whose upper triangle
-        # differs is measured against that triangle's scale, and refused
-        top = np.max(np.abs(eig), axis=1)
-        residual = np.max(np.abs(v - np.swapaxes(v, 1, 2).conj()), axis=(1, 2))
-        faults = np.zeros(len(v), dtype=np.uint8)
-        faults[residual > 1e-12 * top] |= 1
-        faults[eig[:, 0] < -1e-12 * top] |= 2
-        faults[np.maximum(eig[:, 0], floor) <= 0] |= 4
-        if np.iscomplexobj(v):
-            faults[np.max(np.abs(v.imag), axis=(1, 2)) > 1e-12] |= 8
+        floor, faults = _value_faults(v, eig)
         self.nodes = np.concatenate([self.nodes, pts])
         self.value = np.concatenate([self.value, ids])
         self.values = np.concatenate([self.values, v])

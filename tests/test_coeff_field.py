@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -17,8 +17,14 @@ from dyadica.params import BESOV, SpaceParams
 from dyadica.seq import (
     CoeffField,
     LevelFunctionStack,
+    NormResult,
     averaged_stack,
+    la_norm,
     random_rows,
+    seq_norm_averaged,
+    seq_norm_weighted,
+    seq_norms_averaged,
+    seq_norms_weighted,
     weighted_stack,
 )
 from dyadica.trace import (
@@ -803,6 +809,74 @@ def test_stacks_match_per_cube_oracle(window, m, complex_values, seed):
     assert sorted(got.levels) == sorted(expect.levels)
     for j, arr in expect.levels.items():
         np.testing.assert_allclose(got.levels[j], arr, rtol=1e-12, atol=0)
+
+
+def _smooth_weight(m, n):
+    """x -> B(x) B(x)^T + 0.1 I with B(x) = B_0 + sin(2x . c) B_1: real, positive
+    definite and distinct at every point, so each cell has its own value."""
+    rng = np.random.default_rng(m + 10 * n)
+    B0, B1, c = rng.standard_normal((m, m)), rng.standard_normal((m, m)), rng.standard_normal(n)
+
+    def f(x):
+        B = B0 + np.sin(2.0 * np.atleast_2d(x) @ c)[:, None, None] * B1
+        return B @ np.swapaxes(B, 1, 2) + 0.1 * np.eye(m)
+
+    return MatrixWeight(m, n, f)
+
+
+def _besov_candidates(stack, sp):
+    """|P|^-tau [sum_{j >= j(P)} ||f_j||_{L^p(P)}^q]^{1/q} of every window cube
+    P of a B-family stack, cube by cube from its cells."""
+    win, pts, out = stack.window, stack.midpoints(), []
+    for j_p in range(win.j_min, win.j_max + 1):
+        levels = [j for j in sorted(stack.levels) if j >= j_p]
+        for P in win.cubes(j_p) if levels else ():
+            inside = np.all((pts >= P.lower) & (pts < P.upper), axis=-1)
+            norms = np.array([(np.sum(np.abs(stack.levels[j]).ravel()[inside] ** sp.p)
+                               * stack.cell_volume) ** (1.0 / sp.p) for j in levels])
+            agg = norms.max() if math.isinf(sp.q) else np.sum(norms ** sp.q) ** (1.0 / sp.q)
+            out.append(P.volume ** -sp.tau * agg)
+    return sorted(out, reverse=True)
+
+
+def _assert_energy_norm_matches_raster(got, stack, sp):
+    """The energy norm ``got`` against :func:`la_norm` of the raster stack it
+    replaces: its value to 1e-13, its cube and flag where the top two
+    candidates differ by more than 1e-12."""
+    want = la_norm(stack, sp)
+    if want.value == 0.0:
+        assert got == NormResult(0.0, None, False)
+        return
+    assert got.value == pytest.approx(want.value, rel=1e-13, abs=0)
+    top = _besov_candidates(stack, sp)
+    if len(top) == 1 or top[0] - top[1] > 1e-12 * top[0]:
+        assert (got.attaining, got.boundary_flag) == (want.attaining, want.boundary_flag)
+
+
+@given(window=windows(dims=(1, 2)), m=st.sampled_from((1, 2, 3)),
+       p=st.sampled_from((0.7, 1.0, 2.0, 3.0)), q=st.sampled_from((0.8, 2.0, math.inf)),
+       tau=st.sampled_from((0.0, 0.3)), grid_extra=st.integers(0, 2),
+       complex_values=st.booleans(), seed=st.integers(0, 2 ** 16))
+@example(window=LatticeWindow(2, -2, -1, (-4, 0), (4, 4)), m=2, p=0.7, q=0.8, tau=0.3,
+         grid_extra=1, complex_values=True, seed=3)
+@settings(max_examples=40, deadline=None)
+def test_besov_energy_norms_match_raster_stacks(window, m, p, q, tau, grid_extra,
+                                                complex_values, seed):
+    # the B-family norms from per-cube level energies against la_norm of the
+    # raster stacks they replace, built cube by cube and by the library
+    new, ref = _pair(window, m, seed, complex_values)
+    sp = SpaceParams(BESOV, 0.3, tau, p, q)
+    W = _smooth_weight(m, window.n)
+    got = seq_norm_weighted(new, W, sp, grid_extra)
+    assert got == seq_norms_weighted(window, new.rows()[None], W, sp, grid_extra)[0]
+    _assert_energy_norm_matches_raster(got, weighted_stack_reference(ref, W, sp, grid_extra), sp)
+    if grid_extra == 2:
+        _assert_energy_norm_matches_raster(got, weighted_stack(new, W, sp), sp)
+    fam = ReducingFamily.build(W, p, window, QuadratureSpec(2, 1))
+    got = seq_norm_averaged(new, fam, sp)
+    assert got == seq_norms_averaged(window, new.rows()[None], fam, sp)[0]
+    _assert_energy_norm_matches_raster(got, averaged_stack_reference(ref, fam, sp), sp)
+    _assert_energy_norm_matches_raster(got, averaged_stack(new, fam, sp), sp)
 
 
 def test_averaged_stack_refuses_cube_without_operator():

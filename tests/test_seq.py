@@ -792,6 +792,13 @@ def test_equivalence_report_refuses_mixed_windows():
         equivalence_report(fields, W, fam, B(0, 0, 2, 2))
 
 
+# window 0:1:0..1, the m = 2 field 0:0 -> (1, 2), 1:1 -> (-1, 5.5) and the
+# constant weight diag(2, 1)
+_M2_FIELD = CoeffField(_window(j_max=1), 2, {DyadicCube(1, 0, (0,)): [1.0, 2.0],
+                                             DyadicCube(1, 1, (1,)): [-1.0, 5.5]})
+_DIAG_2_1 = MatrixWeight.constant([[2.0, 0.0], [0.0, 1.0]], 1)
+
+
 def _whole_cubes(q):
     return q.lower, q.upper
 
@@ -838,6 +845,16 @@ def _cube_and_its_right_neighbour(q):
     (lambda: seq_norm_weighted(CoeffField(_window(), 1, {DyadicCube(1, 1, (0,)): [1.0]}),
                                MatrixWeight.identity(1, 1), F(0, 1e308, 2, 2)),
      r"tau = 1e\+308 is too large: the level-1 factor of the norm overflows"),
+    # the factors fit a float, but the level-1 values of the m = 2 field times
+    # them do not: B and F alike
+    (lambda: seq_norm_weighted(_M2_FIELD, _DIAG_2_1, B(0, 1023.5, 2, 2)),
+     r"tau = 1023\.5 is too large: the level-1 values of the norm overflow"),
+    (lambda: seq_norm_weighted(_M2_FIELD, _DIAG_2_1, B(1023.5, 0, 2, 2)),
+     r"s = 1023\.5 is too large: the level-1 values of the norm overflow"),
+    (lambda: seq_norm_weighted(_M2_FIELD, _DIAG_2_1, F(0, 1023.5, 2, 2)),
+     r"tau = 1023\.5 is too large: the level-1 values of the norm overflow"),
+    (lambda: seq_norm_weighted(_M2_FIELD, _DIAG_2_1, F(1023.5, 0, 2, 2)),
+     r"s = 1023\.5 is too large: the level-1 values of the norm overflow"),
     (lambda: CoeffField(_window(), 0), "the vector dimension m must be at least 1, got 0"),
     (lambda: CoeffField.from_csv("0:0, 1.0, 0.0\n", _window(), -1),
      "the vector dimension m must be at least 1, got -1"),
@@ -847,7 +864,8 @@ def _cube_and_its_right_neighbour(q):
 ], ids=["write-outside", "write-all-shape", "plus-window", "plus-dimension", "coarse-stack-grid",
         "empty-ensemble", "subset-vector-field", "subset-box-leaves-cube", "weight-dimension",
         "averaged-order", "averaged-dimension", "weighted-s-overflow", "averaged-s-overflow",
-        "tau-overflow", "field-m-zero", "csv-m-negative", "csv-dimension"])
+        "tau-overflow", "b-tau-values-overflow", "b-s-values-overflow", "f-tau-values-overflow",
+        "f-s-values-overflow", "field-m-zero", "csv-m-negative", "csv-dimension"])
 def test_field_and_norm_refusals(call, message):
     with pytest.raises(PreconditionError, match=message):
         call()

@@ -1212,6 +1212,36 @@ def test_power_is_the_pre_table_path_bitwise(m, a):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+def _table_power(W, x, a):
+    """MatrixWeight.power through a WeightTable of x, as for m > 1."""
+    table = WeightTable(W)
+    (ids,) = table.sets(np.atleast_2d(np.asarray(x, dtype=float))[None], inverted=a < 0)
+    return table.power(a)[ids[0]]
+
+
+# 1 x 1 weights: a power of |x| with a floor, a constant, values on grid cells
+# (repeated by the points) and complex grid values within the Hermitian bound
+_SCALAR_WEIGHTS = {
+    "diag-power": MatrixWeight.diag_power([2.0], [-0.7], 1, floor=0.05),
+    "constant": MatrixWeight.constant([[3.0]], 1),
+    "grid": MatrixWeight.grid((0,), (1,), 2, np.array([1.0, 2.5, 1e-3, 7.0])[:, None, None]),
+    "complex": MatrixWeight.grid((0,), (1,), 2,
+                                 np.array([1.0, 2.5 + 1e-13j, 0.3 - 1e-14j, 7.0])[:, None, None]),
+}
+
+
+@pytest.mark.parametrize("kind", list(_SCALAR_WEIGHTS))
+@pytest.mark.parametrize("a", [1 / 1.5, -1 / 1.5, 1.0])
+def test_scalar_power_is_the_table_path_bitwise(kind, a):
+    # its refusals are those of the table, node for node:
+    # test_scalar_power_is_elementwise_and_refuses_like_the_distinct_path
+    W = _SCALAR_WEIGHTS[kind]
+    x = np.random.default_rng(3).uniform(0.0, 1.0, (500, 1))
+    x[:2] = [[0.0], [0.25]]     # the floor of |x|, a cell edge
+    got, want = W.power(x, a), _table_power(W, x, a)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # the work sized by distinct counts against the blocking it replaced: the
 # characteristic as one defining-average batch per window level, each block of
