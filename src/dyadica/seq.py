@@ -8,18 +8,20 @@ attaining cube.  Level functions are read on a uniform fine grid of cell
 midpoints aligned with the lattice, so integrals of lattice-aligned data are
 exact sums; varying weights are resolved by extra grid subdivision.
 
-B-family field norms are per-cube energy sums: each level j gives the
-integrals of |f_j|^p over its window cubes, and every coarser window cube
-sums those of its children.  No multi-level raster is built for them; for
-m = 1 the weight enters through its per-cube sums of |W^{1/p}|^p alone, and
-for m > 1 the per-cell product is taken one level at a time.  Level-function
-stacks (rasters of every level on the grid, built in sample blocks of about
-2^17 entries) serve the F family and :func:`la_norm` on stacks a caller
-builds.
+Field norms take one of two paths.  Factored (averaged norms, and weighted
+norms for m = 1): level j is 2^{js} |Q|^{-1/2} |A_Q t_Q|, or 2^{js}
+|Q|^{-1/2} |t_Q| |W^{1/p}(x)|, on each cube Q, so a norm is fixed by the cube
+magnitudes and one measure of the finest window cubes (their volume, or the
+integrals of |W^{1/p}|^p over them).  The B family sums energies up the cube
+tree; the F family rasterizes the levels on the finest cubes alone.  Raster
+(weighted norms for m > 1, and :func:`la_norm` on stacks a caller builds):
+stacks of every level on the grid, built in sample blocks of about 2^17
+entries.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import io
 import math
@@ -467,7 +469,7 @@ def la_norms(stack: LevelFunctionStack, sp: SpaceParams,
         return _besov_norms(window, {j: _energies(stack, stack.levels[j], min(j, window.j_max),
                                                   sp.p, window)
                                      for j in levels if j >= window.j_min}, sp, S)
-    return _sup(window, S, _triebel_levels(stack, sp, window), sp)
+    return _sup(window, S, _triebel_levels(stack, sp, window, stack.cell_volume), sp)
 
 
 def _energies(stack: LevelFunctionStack, values: np.ndarray, j: int, p: float,
@@ -499,11 +501,14 @@ def _besov_norms(window: LatticeWindow, energies: dict, sp: SpaceParams,
     return _sup(window, S, aggregates(), sp)
 
 
-def _triebel_levels(stack: LevelFunctionStack, sp: SpaceParams, window: LatticeWindow):
+def _triebel_levels(stack: LevelFunctionStack, sp: SpaceParams, window: LatticeWindow,
+                    measure):
     """(j, aggregate) of every window level j, finest first, of a batched
     F-family stack: || (sum_j |f_j|^q)^{1/q} ||_{L^p(P)} of each level-j cube
-    P, summed over the levels from j on.  Each level joins a running sum of
-    |f_j|^q (max_j |f_j| for q = inf) once, on the way down from the finest."""
+    P, summed over the levels from j on, under the measure of each grid cell
+    (a number, or an array that broadcasts against the levels).  Each level
+    joins a running sum of |f_j|^q (max_j |f_j| for q = inf) once, on the way
+    down from the finest."""
     levels = sorted(stack.levels)
     arrs = {j: np.abs(stack.levels[j]) for j in levels}
     inf = math.isinf(sp.q)
@@ -518,10 +523,10 @@ def _triebel_levels(stack: LevelFunctionStack, sp: SpaceParams, window: LatticeW
                 term = arrs[j] if inf else arrs[j] ** sp.q
                 running = term if running is None else (np.maximum if inf else np.add)(running, term)
             absorbed = len(contributing)
-            powered = (running if inf else running ** (1.0 / sp.q)) ** sp.p
+            powered = (running if inf else running ** (1.0 / sp.q)) ** sp.p * measure
         r = stack.grid_level - j_p
         sums = _block_sums(powered, window.index_bounds(j_p), stack.grid_start, r)
-        yield j_p, (sums * stack.cell_volume) ** (1.0 / sp.p)
+        yield j_p, sums ** (1.0 / sp.p)
 
 
 def _sup(window: LatticeWindow, S: int, aggregates, sp: SpaceParams) -> list[NormResult]:
@@ -536,7 +541,7 @@ def _sup(window: LatticeWindow, S: int, aggregates, sp: SpaceParams) -> list[Nor
     best_flat = np.zeros(S, dtype=np.intp)
     for j_p, vals in aggregates:
         if not np.all(np.isfinite(vals)):
-            raise PreconditionError(f"the level-{j_p} sums of the norm overflow")
+            raise _SumsOverflow(j_p)
         vals = _scaled(vals, math.ldexp(1.0, j_p * n), sp.tau, sp, "tau", j_p).reshape(S, -1)
         flat = np.argmax(vals, axis=1)
         v = vals[np.arange(S), flat]
@@ -570,16 +575,30 @@ def _scaled(values: np.ndarray, base: float, exponent: float, sp: SpaceParams, k
     if math.isinf(factor):
         raise PreconditionError(f"{key} = {getattr(sp, key)} is too large: the level-{j} "
                                 "factor of the norm overflows")
-    return _finite(factor * values, sp, key, j)
-
-
-def _finite(values: np.ndarray, sp: SpaceParams, key: str, j: int) -> np.ndarray:
-    """``values``, level-j values of a norm in ``sp``; refused when one has
-    overflowed, naming the space's ``key`` and the level."""
+    values = factor * values
     if not np.all(np.isfinite(values)):
         raise PreconditionError(f"{key} = {getattr(sp, key)} is too large: the level-{j} "
                                 "values of the norm overflow")
     return values
+
+
+class _SumsOverflow(PreconditionError):
+    """Level-j sums of a norm that overflow, refused unnamed by :func:`la_norm`."""
+
+    def __init__(self, j: int):
+        super().__init__(f"the level-{j} sums of the norm overflow")
+        self.j = j
+
+
+@contextlib.contextmanager
+def _naming_s(sp: SpaceParams):
+    """Around a norm whose levels carry the factors 2^(j s) of ``sp``: a
+    refusal of sums that overflow names ``s`` and the level."""
+    try:
+        yield
+    except _SumsOverflow as exc:
+        raise PreconditionError(f"s = {sp.s} is too large: the level-{exc.j} values "
+                                "of the norm overflow") from None
 
 
 def _lq(arrays: list[np.ndarray], q: float) -> np.ndarray:
@@ -640,12 +659,12 @@ def _samples_per_block(per_sample: int) -> int:
     return max(1, SAMPLE_ENTRIES // per_sample)
 
 
-def _sample_blocks(window: LatticeWindow, rows: np.ndarray, grid_level: int):
-    """Slices of consecutive samples of ``rows`` (S, C, m) per stack batch."""
-    cells = math.prod(LevelFunctionStack(window, grid_level).grid_shape)
-    levels = window.j_max - window.j_min + 1
-    step = _samples_per_block(cells * (levels + rows.shape[2]))
-    return [slice(s, s + step) for s in range(0, len(rows), step)]
+def _sample_blocks(grid: LevelFunctionStack, samples: int, channels: int):
+    """Slices of consecutive samples, one per stack batch on the grid of
+    ``grid`` whose samples each hold ``channels`` input values per cube."""
+    w = grid.window
+    step = _samples_per_block(math.prod(grid.grid_shape) * (w.j_max - w.j_min + 1 + channels))
+    return [slice(s, s + step) for s in range(0, samples, step)]
 
 
 def _present_levels(window: LatticeWindow, rows: np.ndarray):
@@ -664,23 +683,50 @@ def _check_dimensions(rows: np.ndarray, m: int) -> None:
                                 f"m = {rows.shape[2]} and m = {m}")
 
 
-def _weight_root(window: LatticeWindow, rows: np.ndarray, W: MatrixWeight, sp: SpaceParams,
-                 grid_extra: int) -> tuple[LevelFunctionStack, np.ndarray]:
-    """The grid ``grid_extra`` levels below the window's finest, as a stack
-    with no levels, and W^{1/p} at its cell midpoints (G, m, m), for the
-    fields given as rows (S, C, m)."""
-    _check_dimensions(rows, W.m)
-    grid = LevelFunctionStack(window, window.j_max + grid_extra)
-    return grid, W.power(grid.midpoints(), 1.0 / sp.p)
+def _cube_levels(window: LatticeWindow, mags: np.ndarray, sp: SpaceParams) -> dict:
+    """The levels 2^{js} |Q|^{-1/2} mags_Q (S, *index_shape) of cube magnitudes
+    ``mags`` (S, C) in ``all_cubes`` order, keyed by the nonzero levels."""
+    return {j: _scaled(mags[:, sl].reshape((len(mags),) + shape)
+                       * math.ldexp(1.0, j * window.n) ** 0.5, 2.0, j * sp.s, sp, "s", j)
+            for j, sl, shape in _present_levels(window, mags)}
+
+
+@np.errstate(over="ignore")  # overflows are refused by name
+def _factored_norms(window: LatticeWindow, mags: np.ndarray, measure: np.ndarray,
+                    sp: SpaceParams) -> list[NormResult]:
+    """Norms of S samples whose level j is 2^{js} |Q|^{-1/2} mags_Q on each
+    level-j cube Q (mags (S, C) in ``all_cubes`` order), against the measure
+    mu of the finest window cubes, ``measure`` (1, *index_shape).  B: the
+    energies |f_j|^p mu(Q), mu summed up the cube tree.  F: the levels
+    rasterized on the finest cubes alone, in sample blocks."""
+    S, levels = len(mags), _cube_levels(window, mags, sp)
+    with _naming_s(sp):
+        if sp.family == BESOV:
+            mu = {window.j_max: measure}
+            for j in range(window.j_max - 1, min(levels, default=window.j_max) - 1, -1):
+                mu[j] = _block_sums(mu[j + 1], window.index_bounds(j),
+                                    [a for a, _ in window.index_bounds(j + 1)], 1)
+            return _besov_norms(window, {j: f ** sp.p * mu[j] for j, f in levels.items()}, sp, S)
+        # a grid whose cells are the finest window cubes: the part of the box they tile
+        top = window.j_max
+        hull = [[int(math.ldexp(k, -top)) for k in ab] for ab in zip(*window.index_bounds(top))]
+        grid, out = LevelFunctionStack(LatticeWindow(window.n, window.j_min, top, *hull), top), []
+        for blk in _sample_blocks(grid, S, 1):
+            stack = LevelFunctionStack(grid.window, grid.grid_level, {}, len(mags[blk]))
+            stack.levels = {j: _level_cells(grid, j, f[blk]) for j, f in levels.items()}
+            out += _sup(window, stack.samples, _triebel_levels(stack, sp, window, measure), sp)
+        return out
 
 
 def _weighted_stacks(window: LatticeWindow, rows: np.ndarray, W: MatrixWeight,
                      sp: SpaceParams, grid_extra: int):
     """Batched :func:`weighted_stack` of the fields given as rows (S, C, m) in
     ``all_cubes`` order, one batch per sample block; W^{1/p} is evaluated
-    once on the grid."""
-    grid, w_root = _weight_root(window, rows, W, sp, grid_extra)
-    for blk in _sample_blocks(window, rows, grid.grid_level):
+    once on the grid ``grid_extra`` levels below the window's finest."""
+    _check_dimensions(rows, W.m)
+    grid = LevelFunctionStack(window, window.j_max + grid_extra)
+    w_root = W.power(grid.midpoints(), 1.0 / sp.p)
+    for blk in _sample_blocks(grid, len(rows), W.m):
         part = rows[blk]
         stack = LevelFunctionStack(window, grid.grid_level, {}, len(part))
         for j, sl, index_shape in _present_levels(window, part):
@@ -701,46 +747,10 @@ def _weighted_level(stack: LevelFunctionStack, j: int, vals: np.ndarray, index_s
                    2.0, j * sp.s, sp, "s", j)
 
 
-@np.errstate(over="ignore")  # overflows are refused by name
-def _weighted_energies(window: LatticeWindow, rows: np.ndarray, W: MatrixWeight,
-                       sp: SpaceParams, grid_extra: int) -> dict:
-    """Per-cube level energies vol * sum_{x in Q} |f_j(x)|^p of the levels
-    f_j of :func:`weighted_stack` on the same midpoint grid, for the fields
-    given as rows (S, C, m), keyed by the present levels.  For m = 1,
-    |f_j(x)| = 2^{js} |Q|^{-1/2} |t_Q| |W^{1/p}(x)| on Q, so the weight
-    enters only through its per-cube sums of |W^{1/p}|^p, taken once for
-    every sample; for m > 1 each level's product with W^{1/p} is taken on
-    the grid, a sample block at a time, and summed over the level's cubes."""
-    grid, w_root = _weight_root(window, rows, W, sp, grid_extra)
-    present = list(_present_levels(window, rows))
-    if W.m == 1 and present:
-        # each coarser cube sums the weight sums of its 2^n children
-        weight = {window.j_max: _energies(grid, w_root[None, :, 0, 0].reshape(
-            (1,) + grid.grid_shape), window.j_max, sp.p, window)}
-        for j in range(window.j_max - 1, present[0][0] - 1, -1):
-            weight[j] = _block_sums(weight[j + 1], window.index_bounds(j),
-                                    [a for a, _ in window.index_bounds(j + 1)], 1)
-    energies = {}
-    for j, sl, shape in present:
-        if W.m == 1:
-            scale = math.ldexp(1.0, j * window.n) ** 0.5  # |Q|^{-1/2}
-            level = np.abs(rows[:, sl, 0].reshape((len(rows),) + shape) * scale)
-            e = _scaled(level, 2.0, j * sp.s, sp, "s", j) ** sp.p * weight[j]
-        else:
-            e = np.concatenate([
-                _energies(grid, _weighted_level(grid, j, rows[blk, sl], shape, w_root, sp),
-                          j, sp.p, window)
-                for blk in _sample_blocks(window, rows, grid.grid_level)])
-        energies[j] = _finite(e, sp, "s", j)
-    return energies
-
-
-def _averaged_levels(window: LatticeWindow, rows: np.ndarray, fam: ReducingFamily,
-                     sp: SpaceParams) -> dict:
-    """The levels 2^{js} |Q|^{-1/2} |A_Q t_Q| of :func:`averaged_stack` on
-    their own cubes, (S, *index_shape), of the fields given as rows
-    (S, C, m), keyed by the present levels.  The operators of the cubes
-    present in any field are gathered once."""
+def _averaged_magnitudes(window: LatticeWindow, rows: np.ndarray, fam: ReducingFamily,
+                         sp: SpaceParams) -> np.ndarray:
+    """The cube magnitudes |A_Q t_Q| (S, C) of the fields given as rows
+    (S, C, m); the operators of the cubes present in any field are gathered once."""
     if fam.p != sp.p:
         raise PreconditionError(f"reducing operators of order p = {fam.p} "
                                 f"cannot serve a space with p = {sp.p}")
@@ -749,30 +759,7 @@ def _averaged_levels(window: LatticeWindow, rows: np.ndarray, fam: ReducingFamil
     ops = fam.operators_at(CubeArrays.of_window(window).take(cols))
     mags = np.zeros(rows.shape[:2])
     mags[:, cols] = np.linalg.norm((ops @ rows[:, cols, :, None])[..., 0], axis=-1)
-    return {j: _scaled(mags[:, sl].reshape((len(rows),) + shape)
-                       * math.ldexp(1.0, j * window.n) ** 0.5, 2.0, j * sp.s, sp, "s", j)
-            for j, sl, shape in _present_levels(window, rows)}
-
-
-def _averaged_stacks(window: LatticeWindow, rows: np.ndarray, fam: ReducingFamily,
-                     sp: SpaceParams):
-    """Batched :func:`averaged_stack` of the fields given as rows (S, C, m) in
-    ``all_cubes`` order, one batch per sample block."""
-    levels = _averaged_levels(window, rows, fam, sp)
-    for blk in _sample_blocks(window, rows, window.j_max):
-        stack = LevelFunctionStack(window, window.j_max, {}, len(rows[blk]))
-        stack.levels = {j: _level_cells(stack, j, f[blk]) for j, f in levels.items()}
-        yield stack
-
-
-@np.errstate(over="ignore")  # overflows are refused by name
-def _averaged_energies(window: LatticeWindow, rows: np.ndarray, fam: ReducingFamily,
-                       sp: SpaceParams) -> dict:
-    """Per-cube level energies |Q| (2^{js} |Q|^{-1/2} |A_Q t_Q|)^p, the
-    integrals over Q of |f_j|^p for the levels f_j of :func:`averaged_stack`,
-    of the fields given as rows (S, C, m), keyed by the present levels."""
-    return {j: _finite(math.ldexp(1.0, -j * window.n) * f ** sp.p, sp, "s", j)
-            for j, f in _averaged_levels(window, rows, fam, sp).items()}
+    return mags
 
 
 def weighted_stack(t: CoeffField, W: MatrixWeight, sp: SpaceParams) -> LevelFunctionStack:
@@ -783,30 +770,39 @@ def weighted_stack(t: CoeffField, W: MatrixWeight, sp: SpaceParams) -> LevelFunc
 
 def averaged_stack(t: CoeffField, fam: ReducingFamily, sp: SpaceParams) -> LevelFunctionStack:
     """Levels g_j = 2^{js} sum_Q |A_Q t_Q| |Q|^{-1/2} 1_Q on the window's finest grid."""
-    return next(_averaged_stacks(t.window, t.rows()[None], fam, sp)).sample(0)
+    stack = LevelFunctionStack(t.window, t.window.j_max)
+    mags = _averaged_magnitudes(t.window, t.rows()[None], fam, sp)
+    stack.levels = {j: _level_cells(stack, j, f[0])
+                    for j, f in _cube_levels(t.window, mags, sp).items()}
+    return stack
 
 
 def seq_norms_weighted(window: LatticeWindow, rows: np.ndarray, W: MatrixWeight,
                        sp: SpaceParams, grid_extra: int = 2) -> list[NormResult]:
     """:func:`seq_norm_weighted` of every field given as rows (S, C, m) in
-    ``window.all_cubes()`` order: B-family norms from per-cube level
-    energies, F-family norms from the stacks of :func:`weighted_stack`."""
-    if sp.family == BESOV:
-        return _besov_norms(window, _weighted_energies(window, rows, W, sp, grid_extra),
-                            sp, len(rows))
-    return [r for stack in _weighted_stacks(window, rows, W, sp, grid_extra)
-            for r in la_norms(stack, sp, window)]
+    ``window.all_cubes()`` order.  For m = 1, |f_j(x)| = 2^{js} |Q|^{-1/2}
+    |t_Q| |W^{1/p}(x)| on Q, so the weight enters only through the measure
+    vol * sum_{x in L} |W^{1/p}(x)|^p of each finest window cube L on the
+    grid ``grid_extra`` levels below it; for m > 1 the norms are those of
+    the stacks of :func:`weighted_stack`."""
+    if W.m > 1:
+        with _naming_s(sp):
+            return [r for stack in _weighted_stacks(window, rows, W, sp, grid_extra)
+                    for r in la_norms(stack, sp, window)]
+    _check_dimensions(rows, 1)
+    grid = LevelFunctionStack(window, window.j_max + grid_extra)
+    w_root = W.power(grid.midpoints(), 1.0 / sp.p)[:, 0, 0].reshape((1,) + grid.grid_shape)
+    return _factored_norms(window, np.abs(rows[:, :, 0]),
+                           _energies(grid, w_root, window.j_max, sp.p, window), sp)
 
 
 def seq_norms_averaged(window: LatticeWindow, rows: np.ndarray, fam: ReducingFamily,
                        sp: SpaceParams) -> list[NormResult]:
     """:func:`seq_norm_averaged` of every field given as rows (S, C, m) in
-    ``window.all_cubes()`` order: B-family norms from per-cube level
-    energies, F-family norms from the stacks of :func:`averaged_stack`."""
-    if sp.family == BESOV:
-        return _besov_norms(window, _averaged_energies(window, rows, fam, sp), sp, len(rows))
-    return [r for stack in _averaged_stacks(window, rows, fam, sp)
-            for r in la_norms(stack, sp, window)]
+    ``window.all_cubes()`` order: factored norms whose measure is the volume."""
+    j = window.j_max
+    volume = np.full((1,) + window.level_rows(j)[1], math.ldexp(1.0, -j * window.n))
+    return _factored_norms(window, _averaged_magnitudes(window, rows, fam, sp), volume, sp)
 
 
 def seq_norm_weighted(t: CoeffField, W: MatrixWeight, sp: SpaceParams,

@@ -146,7 +146,7 @@ CALLERS = {
     "weights.MatrixWeight.from_dict": "cli._load_weight",
     "weights.MatrixWeight.grid": "weights.MatrixWeight.from_dict",
     "weights.MatrixWeight.identity": "cli.cmd_norm",
-    "weights.MatrixWeight.power": "seq._weight_root",
+    "weights.MatrixWeight.power": "seq.seq_norms_weighted",
     "weights.QuadratureSpec.cells_per_axis": "weights.QuadratureSpec.nodes",
     "weights.QuadratureSpec.nodes": "weights._box_nodes",
     "weights.ReducingFamily.identity": "ad.empirical_norm",

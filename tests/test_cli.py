@@ -97,19 +97,21 @@ def test_norm_takes_m_from_the_weight_or_the_file(text, weight, value, space_fil
     assert rep["norm"]["value"] == value
 
 
-@pytest.mark.parametrize("key", ["s", "tau"])
-def test_norm_refuses_level_values_that_overflow(key, tmp_path, capsys):
+@pytest.mark.parametrize("family, key, value", [("B", "s", 1023.5), ("B", "tau", 1023.5),
+                                                ("F", "s", 600)])
+def test_norm_refuses_level_values_that_overflow(family, key, value, tmp_path, capsys):
     # 2^(1023.5) fits a float, but the level-1 values of this m = 2 file times
-    # it do not (for both families: test_field_and_norm_refusals)
+    # it do not; times 2^(600) they do, but their squares do not (for both
+    # families and m = 1: test_field_and_norm_refusals)
     cfile, wfile, sfile = tmp_path / "c.csv", tmp_path / "w2.json", tmp_path / "sp.json"
     cfile.write_text("0:0, 1.0, 0.0, 2.0, 0.0\n1:1, -1.0, 0.0, 5.5, 0.0\n")
     wfile.write_text(json.dumps(M2_WEIGHT))
-    sfile.write_text(json.dumps({"family": "B", "s": 0, "tau": 0, "p": 2, "q": 2, key: 1023.5}))
+    sfile.write_text(json.dumps({"family": family, "s": 0, "tau": 0, "p": 2, "q": 2, key: value}))
     code = main(["norm", "--coeffs", str(cfile), "--space", str(sfile), "--weight", str(wfile),
                  "--window", "0:1:0..1"])
     assert code == 2
     assert capsys.readouterr().err == (
-        f"refused: {key} = 1023.5 is too large: the level-1 values of the norm overflow\n")
+        f"refused: {key} = {float(value)} is too large: the level-1 values of the norm overflow\n")
 
 
 def test_norm_refuses_a_file_of_another_m_than_the_weight(space_file, weight_file, tmp_path,

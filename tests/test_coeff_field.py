@@ -13,7 +13,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from dyadica.dyadic import CubeArrays, DyadicCube, LatticeWindow, format_cube, parse_cube
 from dyadica.errors import PreconditionError
-from dyadica.params import BESOV, SpaceParams
+from dyadica.params import BESOV, TRIEBEL_LIZORKIN, SpaceParams
 from dyadica.seq import (
     CoeffField,
     LevelFunctionStack,
@@ -824,59 +824,69 @@ def _smooth_weight(m, n):
     return MatrixWeight(m, n, f)
 
 
-def _besov_candidates(stack, sp):
-    """|P|^-tau [sum_{j >= j(P)} ||f_j||_{L^p(P)}^q]^{1/q} of every window cube
-    P of a B-family stack, cube by cube from its cells."""
+def _lq(values, q, axis=0):
+    return values.max(axis=axis) if math.isinf(q) else np.sum(values ** q, axis=axis) ** (1.0 / q)
+
+
+def _candidates(stack, sp):
+    """|P|^-tau times the aggregate of every window cube P of a stack, cube by
+    cube from its cells: [sum_{j >= j(P)} ||f_j||_{L^p(P)}^q]^{1/q} (B) or
+    ||(sum_{j >= j(P)} |f_j|^q)^{1/q}||_{L^p(P)} (F)."""
     win, pts, out = stack.window, stack.midpoints(), []
     for j_p in range(win.j_min, win.j_max + 1):
         levels = [j for j in sorted(stack.levels) if j >= j_p]
         for P in win.cubes(j_p) if levels else ():
             inside = np.all((pts >= P.lower) & (pts < P.upper), axis=-1)
-            norms = np.array([(np.sum(np.abs(stack.levels[j]).ravel()[inside] ** sp.p)
-                               * stack.cell_volume) ** (1.0 / sp.p) for j in levels])
-            agg = norms.max() if math.isinf(sp.q) else np.sum(norms ** sp.q) ** (1.0 / sp.q)
+            cells = np.array([np.abs(stack.levels[j]).ravel()[inside] for j in levels])
+            if sp.family == BESOV:
+                agg = _lq((np.sum(cells ** sp.p, axis=1) * stack.cell_volume) ** (1.0 / sp.p),
+                          sp.q)
+            else:
+                agg = (np.sum(_lq(cells, sp.q) ** sp.p) * stack.cell_volume) ** (1.0 / sp.p)
             out.append(P.volume ** -sp.tau * agg)
     return sorted(out, reverse=True)
 
 
-def _assert_energy_norm_matches_raster(got, stack, sp):
-    """The energy norm ``got`` against :func:`la_norm` of the raster stack it
-    replaces: its value to 1e-13, its cube and flag where the top two
+def _assert_norm_matches_raster(got, stack, sp):
+    """The field norm ``got`` against :func:`la_norm` of a raster stack of
+    its levels: its value to 1e-13, its cube and flag where the top two
     candidates differ by more than 1e-12."""
     want = la_norm(stack, sp)
     if want.value == 0.0:
         assert got == NormResult(0.0, None, False)
         return
     assert got.value == pytest.approx(want.value, rel=1e-13, abs=0)
-    top = _besov_candidates(stack, sp)
+    top = _candidates(stack, sp)
     if len(top) == 1 or top[0] - top[1] > 1e-12 * top[0]:
         assert (got.attaining, got.boundary_flag) == (want.attaining, want.boundary_flag)
 
 
 @given(window=windows(dims=(1, 2)), m=st.sampled_from((1, 2, 3)),
+       family=st.sampled_from((BESOV, TRIEBEL_LIZORKIN)),
        p=st.sampled_from((0.7, 1.0, 2.0, 3.0)), q=st.sampled_from((0.8, 2.0, math.inf)),
        tau=st.sampled_from((0.0, 0.3)), grid_extra=st.integers(0, 2),
        complex_values=st.booleans(), seed=st.integers(0, 2 ** 16))
-@example(window=LatticeWindow(2, -2, -1, (-4, 0), (4, 4)), m=2, p=0.7, q=0.8, tau=0.3,
-         grid_extra=1, complex_values=True, seed=3)
+@example(window=LatticeWindow(2, -2, -1, (-4, 0), (4, 4)), m=2, family=BESOV, p=0.7, q=0.8,
+         tau=0.3, grid_extra=1, complex_values=True, seed=3)
 @settings(max_examples=40, deadline=None)
-def test_besov_energy_norms_match_raster_stacks(window, m, p, q, tau, grid_extra,
-                                                complex_values, seed):
-    # the B-family norms from per-cube level energies against la_norm of the
-    # raster stacks they replace, built cube by cube and by the library
+def test_field_norms_match_raster_stacks(window, m, family, p, q, tau, grid_extra,
+                                         complex_values, seed):
+    # the field norms of both families (factored for averaged norms and m = 1
+    # weights, raster for m > 1 weights) against la_norm of the raster stacks
+    # of their levels, built cube by cube and by the library
     new, ref = _pair(window, m, seed, complex_values)
-    sp = SpaceParams(BESOV, 0.3, tau, p, q)
+    sp = SpaceParams(family, 0.3, tau, p, q)
     W = _smooth_weight(m, window.n)
     got = seq_norm_weighted(new, W, sp, grid_extra)
     assert got == seq_norms_weighted(window, new.rows()[None], W, sp, grid_extra)[0]
-    _assert_energy_norm_matches_raster(got, weighted_stack_reference(ref, W, sp, grid_extra), sp)
+    _assert_norm_matches_raster(got, weighted_stack_reference(ref, W, sp, grid_extra), sp)
     if grid_extra == 2:
-        _assert_energy_norm_matches_raster(got, weighted_stack(new, W, sp), sp)
+        _assert_norm_matches_raster(got, weighted_stack(new, W, sp), sp)
     fam = ReducingFamily.build(W, p, window, QuadratureSpec(2, 1))
     got = seq_norm_averaged(new, fam, sp)
     assert got == seq_norms_averaged(window, new.rows()[None], fam, sp)[0]
-    _assert_energy_norm_matches_raster(got, averaged_stack_reference(ref, fam, sp), sp)
-    _assert_energy_norm_matches_raster(got, averaged_stack(new, fam, sp), sp)
+    _assert_norm_matches_raster(got, averaged_stack_reference(ref, fam, sp), sp)
+    _assert_norm_matches_raster(got, averaged_stack(new, fam, sp), sp)
 
 
 def test_averaged_stack_refuses_cube_without_operator():

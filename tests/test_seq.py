@@ -736,14 +736,17 @@ def test_la_norms_refuses_single_stack():
 
 
 @given(window=_aligned_windows(), m=st.sampled_from((1, 2)), samples=st.integers(1, 7),
-       block=st.sampled_from((1, 3, None)), seed=st.integers(0, 2 ** 16))
+       family=st.sampled_from((BESOV, TRIEBEL_LIZORKIN)), block=st.sampled_from((1, 3, None)),
+       seed=st.integers(0, 2 ** 16))
 @settings(max_examples=30, deadline=None)
-def test_batched_field_norms_match_per_field_calls(window, m, samples, block, seed):
+def test_batched_field_norms_match_per_field_calls(window, m, samples, family, block, seed):
+    # the sample blocks of the raster (m = 2 weighted) and of the factored F
+    # path give the per-field norms exactly
     rng = np.random.default_rng(seed)
     fields = [CoeffField.random(window, m, rng, density=0.4, complex_values=True)
               for _ in range(samples)]
     rows = np.stack([t.rows() for t in fields])
-    sp = SpaceParams(BESOV, 0.2, 0.1, 1.5, 2.0)
+    sp = SpaceParams(family, 0.2, 0.1, 1.5, 2.0)
     W = MatrixWeight.diag_power(np.arange(1.0, m + 1), np.linspace(0.2, -0.3, m), window.n,
                                 floor=0.1)
     fam = ReducingFamily.build(W, sp.p, window, QuadratureSpec(2, 1))
@@ -751,6 +754,7 @@ def test_batched_field_norms_match_per_field_calls(window, m, samples, block, se
           if block else contextlib.nullcontext()):
         weighted = seq_norms_weighted(window, rows, W, sp, 1)
         averaged = seq_norms_averaged(window, rows, fam, sp)
+    assert len(weighted) == len(averaged) == samples
     for t, a, b in zip(fields, weighted, averaged):
         assert a == seq_norm_weighted(t, W, sp, 1)
         assert b == seq_norm_averaged(t, fam, sp)
@@ -797,6 +801,9 @@ def test_equivalence_report_refuses_mixed_windows():
 _M2_FIELD = CoeffField(_window(j_max=1), 2, {DyadicCube(1, 0, (0,)): [1.0, 2.0],
                                              DyadicCube(1, 1, (1,)): [-1.0, 5.5]})
 _DIAG_2_1 = MatrixWeight.constant([[2.0, 0.0], [0.0, 1.0]], 1)
+# its m = 1 analogue, 0:0 -> 1, 1:1 -> 5.5
+_M1_FIELD = CoeffField(_window(j_max=1), 1, {DyadicCube(1, 0, (0,)): [1.0],
+                                             DyadicCube(1, 1, (1,)): [5.5]})
 
 
 def _whole_cubes(q):
@@ -855,6 +862,16 @@ def _cube_and_its_right_neighbour(q):
      r"tau = 1023\.5 is too large: the level-1 values of the norm overflow"),
     (lambda: seq_norm_weighted(_M2_FIELD, _DIAG_2_1, F(1023.5, 0, 2, 2)),
      r"s = 1023\.5 is too large: the level-1 values of the norm overflow"),
+    # the level-1 values times 2^(600) fit a float, but their squares do not:
+    # the factored (m = 1) and the raster (m = 2) F paths alike; a stack a
+    # caller builds is refused without a name
+    (lambda: seq_norm_weighted(_M1_FIELD, MatrixWeight.constant([[2.0]], 1), F(600, 0, 2, 2)),
+     r"s = 600 is too large: the level-1 values of the norm overflow"),
+    (lambda: seq_norm_weighted(_M2_FIELD, _DIAG_2_1, F(600, 0, 2, 2)),
+     r"s = 600 is too large: the level-1 values of the norm overflow"),
+    (lambda: la_norm(LevelFunctionStack(_window(j_max=1), 1, {1: np.full(2, 1e200)}),
+                     F(0, 0, 2, 2)),
+     r"^the level-1 sums of the norm overflow$"),
     (lambda: CoeffField(_window(), 0), "the vector dimension m must be at least 1, got 0"),
     (lambda: CoeffField.from_csv("0:0, 1.0, 0.0\n", _window(), -1),
      "the vector dimension m must be at least 1, got -1"),
@@ -865,7 +882,8 @@ def _cube_and_its_right_neighbour(q):
         "empty-ensemble", "subset-vector-field", "subset-box-leaves-cube", "weight-dimension",
         "averaged-order", "averaged-dimension", "weighted-s-overflow", "averaged-s-overflow",
         "tau-overflow", "b-tau-values-overflow", "b-s-values-overflow", "f-tau-values-overflow",
-        "f-s-values-overflow", "field-m-zero", "csv-m-negative", "csv-dimension"])
+        "f-s-values-overflow", "f-s-power-overflow-m1", "f-s-power-overflow-m2",
+        "stack-sums-overflow", "field-m-zero", "csv-m-negative", "csv-dimension"])
 def test_field_and_norm_refusals(call, message):
     with pytest.raises(PreconditionError, match=message):
         call()
