@@ -1,6 +1,7 @@
 """Cube-pair matrices with distance/scale decay: the model matrix, its
 application to coefficient fields, empirical boundedness probes, and
-pairing matrices of localized families.
+pairing matrices of a wavelet family with a localized family, whose columns
+are runs of the analysis pyramid on sampled members.
 
 Finite-window operator-norm estimates are lower bounds obtained from
 randomized search plus structured adversarial fields; the growth trend
@@ -19,7 +20,8 @@ from .errors import PreconditionError
 from .molecules import MoleculeFamily, mgh_bound
 from .params import SpaceParams
 from .seq import CoeffField, random_rows, seq_norms_averaged, seq_norms_weighted
-from .weights import MatrixWeight, QuadratureSpec, ReducingFamily
+from .wavelets import FunctionSample, analyze
+from .weights import MatrixWeight, ReducingFamily
 
 
 # Matrix entries per row block of apply: bounds its temporaries on large windows.
@@ -185,70 +187,51 @@ def empirical_norm(B: ADMatrix, sp: SpaceParams, depths,
 
 def gram_matrix(analysis: MoleculeFamily, synthesis: MoleculeFamily,
                 window: LatticeWindow, n: int, quad_points: int = 512) -> dict:
-    """Pairing matrix of two localized families over the window.
+    """Pairing matrix <psi_Q, m_R> = int psi_Q conj(m_R) of a wavelet_family psi
+    with a compactly supported family m over the window, and the constant
+    that fits it under the model bound of the two families' parameters.
 
-    Entries are quadrature inner products on the union of supports, checked
-    by one refinement step; the fitted constant compares every entry against
-    the model bound with the two families' decay parameters.
+    Column R is the analysis pyramid run on m_R, sampled over its support
+    rounded out to whole units on the grids g = j_min + ceil(log2 quad_points)
+    (quad_points samples per side of a coarsest window cube) and g + 2, but no
+    finer than a grid-sampled member's own (``aligned_grid``).  Entries are
+    read at g + 2; one is under-resolved when the grids differ by more than 1%
+    of it and by more than 1e-4 of the largest entry.
     """
-    cubes = list(window.all_cubes())
+    system, lam = analysis.wavelet or (None, None)
+    if system is None or lam not in system.channels:
+        raise PreconditionError(f"pairing analyzes with a wavelet channel of a system, and the "
+                                f"analysis family {analysis.label} records none")
+    if quad_points < 1:
+        raise PreconditionError(f"quad_points must be positive, got {quad_points}")
     M, G, H = mgh_bound(analysis.params, synthesis.params, n, alpha=0.1)
-    pairs = [(a, b) for a in range(len(cubes)) for b in range(len(cubes))]
-    arrays = CubeArrays.of(cubes)
-    bounds = bdef_block(arrays, arrays, M, G, H)
-    entries = {}
-    deltas = {}
-    worst_ratio = 0.0
-    worst_pair = None
-    members_a = {}
-    members_s = {}
-    for a, b in pairs:
-        q, p = cubes[a], cubes[b]
-        fa = members_a.setdefault(q, analysis(q))
-        fs = members_s.setdefault(p, synthesis(p))
-        val, delta = _pair_inner_product(fa, fs, quad_points)
-        entries[(q, p)] = val
-        deltas[(q, p)] = delta
-        ratio = abs(val) / float(bounds[a, b])
-        if ratio > worst_ratio:
-            worst_ratio = ratio
-            worst_pair = (q, p)
-    # an entry is under-resolved when refinement moves it by more than 1%
-    # and the movement is visible at the scale of the matrix
-    scale = max((abs(v) for v in entries.values()), default=0.0)
-    flagged = [(str(q), str(p), deltas[(q, p)])
-               for (q, p) in entries
-               if deltas[(q, p)] > 0.01 * abs(entries[(q, p)])
-               and deltas[(q, p)] > 1e-4 * scale]
-    return {
-        "entries": entries,
-        "bound_params": (M, G, H),
-        "fitted_C": worst_ratio,
-        "worst_pair": worst_pair,
-        "underresolved": flagged,
-        "n_pairs": len(pairs),
-    }
-
-
-def _pair_inner_product(fa, fs, quad_points: int) -> tuple[complex, float]:
-    """Inner product of two candidates over the intersection of supports,
-    midpoint rule with one refinement for the convergence check."""
-    n = fa.cube.n
-    lo = np.full(n, -np.inf)
-    hi = np.full(n, np.inf)
-    for f in (fa, fs):
-        if f.support_radius == math.inf:
+    g = window.j_min + math.ceil(math.log2(quad_points))
+    cubes = list(window.all_cubes())
+    C = len(cubes)
+    coarse, fine = np.empty((C, C), dtype=complex), np.empty((C, C), dtype=complex)
+    for col, r in enumerate(cubes):
+        member = synthesis(r)
+        if member.support_radius == math.inf:
             raise PreconditionError("pairing requires compactly supported candidates")
-        c = np.array(f.cube.center)
-        lo = np.maximum(lo, c - f.support_radius * f.cube.side)
-        hi = np.minimum(hi, c + f.support_radius * f.cube.side)
-    if np.any(lo >= hi):
-        return 0.0, 0.0
-
-    def midpoint(cells: int) -> complex:
-        pts, vol = QuadratureSpec(cells, 0).nodes(lo, hi)
-        return complex(np.sum(fa(pts) * np.conj(fs(pts))) * vol)
-
-    coarse = midpoint(quad_points // 2 if n == 1 else 48)
-    fine = midpoint(quad_points if n == 1 else 96)
-    return fine, abs(fine - coarse)
+        # finer samples of grid-sampled data would only repeat its values
+        finest = math.inf if member.aligned_grid is None else -math.log2(member.aligned_grid[0])
+        center, reach = np.array(r.center), member.support_radius * r.side
+        lo, hi = np.floor(center - reach), np.ceil(center + reach)
+        for out, level in ((coarse, g), (fine, g + 2)):
+            level = math.floor(min(level, finest))
+            sample = FunctionSample.from_callable(member, n, 1, level, lo, hi)
+            coefs = analyze(sample, system, window, include_scaling=False)
+            out[:, col] = np.conj(coefs[lam].rows()[:, 0])
+    arrays = CubeArrays.of_window(window)
+    ratio = np.abs(fine) / bdef_block(arrays, arrays, M, G, H)
+    worst = np.unravel_index(np.argmax(ratio), ratio.shape)
+    delta = np.abs(fine - coarse)
+    flagged = np.argwhere((delta > 0.01 * np.abs(fine)) & (delta > 1e-4 * np.abs(fine).max()))
+    return {
+        "entries": {(q, p): v for q, row in zip(cubes, fine.tolist()) for p, v in zip(cubes, row)},
+        "bound_params": (M, G, H),
+        "fitted_C": float(ratio[worst]),
+        "worst_pair": (cubes[worst[0]], cubes[worst[1]]) if ratio[worst] > 0 else None,
+        "underresolved": [(str(cubes[a]), str(cubes[b]), float(delta[a, b])) for a, b in flagged],
+        "n_pairs": C * C,
+    }

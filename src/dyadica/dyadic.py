@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,11 +194,34 @@ def _index_bounds(lo, hi, j: int) -> list[tuple[int, int]]:
     return [(-(-a // step), b // step) for a, b in zip(lo, hi)]
 
 
+def whole_number(v) -> int:
+    """``v`` as an int, refused unless it is a whole number (not a bool)."""
+    if isinstance(v, float) and v.is_integer():
+        v = int(v)
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise ValueError(f"{v!r} is not a whole number")
+    return int(v)
+
+
+def _box_corners(lo, hi, box: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The corners of the box [lo, hi) as ints; refuses, naming the box, a
+    corner that is not a whole number and a box that is empty."""
+    lo, hi = tuple(lo), tuple(hi)
+    try:
+        lo, hi = tuple(map(whole_number, lo)), tuple(map(whole_number, hi))
+    except ValueError as exc:
+        raise PreconditionError(f"{box} {lo}..{hi}: corner {exc}") from None
+    if any(a >= b for a, b in zip(lo, hi)):
+        raise PreconditionError(f"{box} {lo}..{hi} is empty")
+    return lo, hi
+
+
 def grid_cells(lo, hi, j: int, grid: str, box: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Index of the first level-j cell and cell counts per axis of the grid
-    that tiles the box [lo, hi); refuses a box whose edges are not multiples
-    of the cell side, naming the grid and the box."""
-    lo, hi = tuple(int(v) for v in lo), tuple(int(v) for v in hi)
+    that tiles the box [lo, hi); refuses, naming the grid and the box, a
+    corner that is not a whole number, an empty box and a box whose edges are
+    not multiples of the cell side."""
+    lo, hi = _box_corners(lo, hi, f"{grid} {box}")
     side = 1 << max(0, -j)
     if any(a % side or b % side for a, b in zip(lo, hi)):
         raise PreconditionError(
@@ -223,12 +247,9 @@ class LatticeWindow:
         self.n = int(n)
         self.j_min = int(j_min)
         self.j_max = int(j_max)
-        self.lo = tuple(int(v) for v in lo)
-        self.hi = tuple(int(v) for v in hi)
+        self.lo, self.hi = _box_corners(lo, hi, "window box")
         if len(self.lo) != n or len(self.hi) != n:
             raise PreconditionError("box bounds must match dimension")
-        if any(a >= b for a, b in zip(self.lo, self.hi)):
-            raise PreconditionError("box must be nonempty")
         # the row layout of every window level: first indices, index shape
         # and rows in all_cubes() order
         self._layout: dict[int, tuple[tuple[int, ...], tuple[int, ...], slice]] = {}

@@ -520,6 +520,8 @@ class MoleculeFamily:
     params: MoleculeParams
     member: object     # cube -> MoleculeCandidate
     label: str = "family"
+    # (system, channel) that pairings analyze with; only wavelet_family sets it
+    wavelet: tuple | None = field(default=None, init=False)
 
     def __call__(self, q: DyadicCube) -> MoleculeCandidate:
         return self.member(q)
@@ -542,4 +544,6 @@ def wavelet_family(sys, lam: tuple[int, ...], params: MoleculeParams) -> Molecul
             label=f"wavelet{lam}",
         )
 
-    return MoleculeFamily(params, member, f"wavelet-channel-{lam}")
+    family = MoleculeFamily(params, member, f"wavelet-channel-{lam}")
+    family.wavelet = (sys, lam)
+    return family

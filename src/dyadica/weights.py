@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import CubeArrays, DyadicCube, LatticeWindow, grid_cells, tensor_points
+from .dyadic import CubeArrays, DyadicCube, LatticeWindow, grid_cells, tensor_points, whole_number
 from .errors import PreconditionError, SingularWeightError
 from .params import check_order, json_field
 
@@ -136,7 +135,7 @@ class MatrixWeight:
         """
         try:
             lo_t, hi_t = tuple(_whole_list(lo)), tuple(_whole_list(hi))
-            level = _whole(level)
+            level = whole_number(level)
         except ValueError as exc:
             raise PreconditionError(f"grid weight corners and level must be whole: {exc}") from exc
         n = len(lo_t)
@@ -175,7 +174,7 @@ class MatrixWeight:
         disagrees with ``lo``, is refused."""
         kind = d.get("kind")
         numbers = functools.partial(json_field, d, convert=_numbers)
-        whole = functools.partial(json_field, d, convert=_whole, expected="a whole number")
+        whole = functools.partial(json_field, d, convert=whole_number, expected="a whole number")
         n = whole("n")
         if n < 1:
             raise PreconditionError(f"key 'n' holds {n}, but a weight's points need n >= 1")
@@ -248,20 +247,11 @@ def _numbers(v) -> np.ndarray:
     return a
 
 
-def _whole(v) -> int:
-    """``v`` as an int, refused unless it is a whole number (not a bool)."""
-    if isinstance(v, float) and v.is_integer():
-        v = int(v)
-    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-        raise ValueError(f"{v!r} is not a whole number")
-    return int(v)
-
-
 def _whole_list(v) -> list[int]:
     """``v`` as a list of ints, refused unless it is a list of whole numbers."""
     if not isinstance(v, (list, tuple, np.ndarray)):
         raise ValueError(f"{v!r} is not a list")
-    return [_whole(x) for x in v]
+    return [whole_number(x) for x in v]
 
 
 def _refuse_non_finite(values: np.ndarray, what: str) -> None:

@@ -1,4 +1,6 @@
 import contextlib
+import dataclasses
+import math
 from unittest import mock
 
 import numpy as np
@@ -21,11 +23,11 @@ from dyadica.ad import (
 )
 from dyadica.dyadic import CubeArrays, DyadicCube, LatticeWindow
 from dyadica.errors import PreconditionError
-from dyadica.molecules import MoleculeParams, wavelet_family
+from dyadica.molecules import MoleculeFamily, MoleculeParams, make_atom, wavelet_family
 from dyadica.params import BESOV, INF, TRIEBEL_LIZORKIN, SpaceParams, ad_region, derived_indices
 from dyadica.seq import CoeffField
 from dyadica.wavelets import WaveletSystem, daubechies_filter
-from dyadica.weights import MatrixWeight, ReducingFamily
+from dyadica.weights import MatrixWeight, QuadratureSpec, ReducingFamily
 
 
 def test_bdef_values():
@@ -130,12 +132,90 @@ def _orthonormal_gram_setup(order=4, j_max=2):
     return sys, win, fam
 
 
+def _pair_inner_product(fa, fs, quad_points: int) -> tuple[complex, float]:
+    """Inner product of two candidates over the intersection of supports,
+    midpoint rule with one refinement for the convergence check: the oracle
+    of gram_matrix."""
+    n = fa.cube.n
+    lo = np.full(n, -np.inf)
+    hi = np.full(n, np.inf)
+    for f in (fa, fs):
+        c = np.array(f.cube.center)
+        lo = np.maximum(lo, c - f.support_radius * f.cube.side)
+        hi = np.minimum(hi, c + f.support_radius * f.cube.side)
+    if np.any(lo >= hi):
+        return 0.0, 0.0
+
+    def midpoint(cells: int) -> complex:
+        pts, vol = QuadratureSpec(cells, 0).nodes(lo, hi)
+        return complex(np.sum(fa(pts) * np.conj(fs(pts))) * vol)
+
+    coarse = midpoint(quad_points // 2 if n == 1 else 48)
+    fine = midpoint(quad_points if n == 1 else 96)
+    return fine, abs(fine - coarse)
+
+
+def _scaled_family(fam, factor, **changes):
+    """fam's members times ``factor``, with the candidate fields ``changes``."""
+    def member(q):
+        m = fam(q)
+        return dataclasses.replace(m, func=lambda pts: factor * m.func(pts), **changes)
+
+    return MoleculeFamily(fam.params, member, "scaled")
+
+
 def test_gram_orthonormal_family_is_identity():
     _, win, fam = _orthonormal_gram_setup()
     rep = gram_matrix(fam, fam, win, n=1, quad_points=4096)
     for (q, p), v in rep["entries"].items():
         target = 1.0 if q == p else 0.0
-        assert abs(v - target) < 1e-6, (q, p, v)
+        assert abs(v - target) < 1e-8, (q, p, v)
+
+
+def test_gram_matches_per_pair_quadrature_oracle():
+    # db4 against db5 on the acceptance window: every entry against the
+    # per-pair midpoint rule at 8192 points, whose own error is about 1e-7
+    sys4, win, fam4 = _orthonormal_gram_setup(j_max=4)
+    fam5 = wavelet_family(WaveletSystem(1, daubechies_filter(5), resolution=12), (1,),
+                          MoleculeParams(3.0, 4.0, 3.0, 1.5))
+    rep = gram_matrix(fam4, fam5, win, n=1, quad_points=2048)
+    members = {r: fam5(r) for r in win.all_cubes()}
+    for q in win.all_cubes():
+        fa = fam4(q)
+        for r, fs in members.items():
+            oracle, _ = _pair_inner_product(fa, fs, 8192)
+            assert abs(rep["entries"][(q, r)] - oracle) < 2e-7, (q, r)
+    assert rep["fitted_C"] == pytest.approx(68.6875, rel=1e-4)
+    assert rep["underresolved"] == [] and rep["n_pairs"] == 62 ** 2
+
+
+def test_gram_conjugates_the_synthesis_family():
+    # <psi_Q, i psi_R> = -i <psi_Q, psi_R>, relative to the largest entry:
+    # complex products sum in another order than real ones
+    _, win, fam = _orthonormal_gram_setup()
+    real = gram_matrix(fam, fam, win, n=1, quad_points=1024)["entries"]
+    imag = gram_matrix(fam, _scaled_family(fam, 1j), win, n=1, quad_points=1024)["entries"]
+    scale = max(map(abs, real.values()))
+    for key, v in real.items():
+        assert abs(imag[key] + 1j * v) <= 1e-14 * scale, key
+
+
+@pytest.mark.parametrize("analysis, synthesis, quad_points, message", [
+    ("atoms", "wavelet", 1024, "the analysis family atoms records none"),
+    ("wavelet", "unbounded", 1024, "pairing requires compactly supported candidates"),
+    ("wavelet", "wavelet", 16, "sample grid level 4 too coarse for finest window level 2"),
+    ("wavelet", "wavelet", 0, "quad_points must be positive, got 0"),
+], ids=["analysis-without-system", "synthesis-without-support", "grid-without-headroom",
+        "no-quad-points"])
+def test_gram_refusals(analysis, synthesis, quad_points, message):
+    _, win, fam = _orthonormal_gram_setup()
+    families = {
+        "wavelet": fam,
+        "atoms": MoleculeFamily(fam.params, lambda q: make_atom(q, 2.0, 3.0, 1.0), "atoms"),
+        "unbounded": _scaled_family(fam, 1.0, support_radius=math.inf),
+    }
+    with pytest.raises(PreconditionError, match=message):
+        gram_matrix(families[analysis], families[synthesis], win, n=1, quad_points=quad_points)
 
 
 def test_gram_bound_holds_with_single_constant():

@@ -20,10 +20,10 @@ package's source:
   that only tests take, as ``CoeffField.set`` behind ``CoeffField(data=)``.
   The scan checks that the named function's body accesses the name; without
   such an entry the method counts as uncalled.
-- A ``CALLERS`` entry whose caller only ``ALLOWED`` names reach, directly or
-  through functions that only they reach, is marked in ``THROUGH_ALLOWED``
-  with the allowed name; the method then runs outside tests only if that
-  name does.
+- A public function, method or constructor that only ``ALLOWED`` names
+  reach, directly or through functions that only they reach (for a
+  ``CALLERS`` entry, through its caller), is marked in ``THROUGH_ALLOWED``
+  with the allowed name; it then runs outside tests only if that name does.
 
 Every defaulted parameter of a public function, public method or public
 class's ``__init__`` must be set by some call in the package, its tests or
@@ -94,7 +94,6 @@ ALLOWED = {
     "trace.ext_wavelet": ITEM_9,
     "trace.trace_norm_report": ITEM_9,
     "trace.trace_wavelet": ITEM_9,
-    "wavelets.FunctionSample.from_callable": ACCEPTANCE,
     "wavelets.filter_moments": ACCEPTANCE,
     "wavelets.wavelet_norm": ACCEPTANCE,
     "weights.john_direction_report": ITEM_1,
@@ -153,13 +152,26 @@ CALLERS = {
     "weights.WeightTable.power": "weights.MatrixWeight.power",
 }
 
-# CALLERS entries whose caller only ALLOWED names reach -> the allowed name
-# that reaches it; such a method runs outside tests only if that name does
+# public names that only ALLOWED names reach -> an allowed name that reaches
+# it; such a name runs outside tests only if that name does
 THROUGH_ALLOWED = {
+    "czo.SymbolS11u.__init__": "czo.apply_pdo",
     "dyadic.DyadicCube.upper": "seq.subset_norm",
+    "dyadic.LatticeWindow.contains": "seq.CoeffField.set",
+    "dyadic.base_of": "trace.trace_wavelet",
+    "dyadic.stack_cube": "trace.ext_wavelet",
+    "molecules.mgh_bound": "ad.gram_matrix",
+    "params.ConstraintSet.failing": "molecules.families_ad_check",
     "params.JsMoleculeSpec.check": "params.JsMoleculeSpec.admits",
     "seq.CoeffField.items": "seq.subset_norm",
     "seq.CoeffField.random": "trace.trace_norm_report",
+    "seq.CoeffField.write_all": "ad.apply",
+    "seq.LevelFunctionStack.sample": "seq.weighted_stack",
+    "seq.la_norm": "seq.subset_norm",
+    "trace.stacked_window": "trace.trace_norm_report",
+    "wavelets.FunctionSample.axis_points": "czo.apply_pdo",
+    "wavelets.FunctionSample.from_callable": "ad.gram_matrix",
+    "wavelets.WaveletSystem.evaluate": "molecules.wavelet_family",
 }
 
 
@@ -204,7 +216,7 @@ def _accesses(node: ast.AST, name: str) -> bool:
 class Scan:
     uncalled: set[str]   # public names with no caller the scan can see
     needless: set[str]   # CALLERS entries for a name that is gone or needs none
-    # CALLERS entries whose caller only allowed names reach -> those allowed names
+    # public names that only allowed names reach -> those allowed names
     behind_allowed: dict[str, set[str]]
 
 
@@ -257,7 +269,7 @@ def scan(package: Path, callers: dict[str, str], allowed=()) -> Scan:
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 own = isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")
                 attrs[node.attr].append((module, node.lineno, own))
-    uncalled, needy = set(), set()
+    uncalled, needy, public = set(), set(), set()
     refs = {}   # name -> the functions that reach it (None: module-level code)
     for qualname, node in functions.items():
         module, *cls, name = qualname.split(".")
@@ -270,7 +282,10 @@ def scan(package: Path, callers: dict[str, str], allowed=()) -> Scan:
             sites = [(m, line) for m, line, _ in attrs[name]]
         refs[qualname] = {_enclosing(functions, m, line) for m, line in sites
                           if not (m == module and line in own)}
-        if name.startswith("_") or (cls and cls[0].startswith("_")):
+        if (name.startswith("_") and name != "__init__") or (cls and cls[0].startswith("_")):
+            continue
+        public.add(qualname)   # a public class's constructor is public too
+        if name == "__init__":
             continue
         if not cls:
             if all(m == module and line in own for m, line in names[(module, name)]):
@@ -292,7 +307,7 @@ def scan(package: Path, callers: dict[str, str], allowed=()) -> Scan:
         elif not outside:
             uncalled.add(qualname)
     roots = _behind(refs, allowed)
-    behind = {name: roots[name] for name in callers if name in roots and name not in allowed}
+    behind = {name: roots[name] for name in public if name in roots and name not in allowed}
     return Scan(uncalled, set(callers) - needy, behind)
 
 
@@ -421,15 +436,15 @@ def test_every_caller_entry_names_a_shared_method():
     assert not needless, f"CALLERS entries for methods that are gone or need none: {needless}"
 
 
-def test_every_caller_entry_names_a_caller_outside_tests_or_says_so():
+def test_every_name_behind_allowed_names_says_so():
     behind = scan(PACKAGE, CALLERS, ALLOWED).behind_allowed
     unmarked = {name: sorted(roots) for name, roots in behind.items()
                 if THROUGH_ALLOWED.get(name) not in roots}
-    assert not unmarked, (f"CALLERS entries whose caller only allowed names reach: {unmarked}; "
-                          "name a caller that a report reaches, or mark the entry in "
-                          "THROUGH_ALLOWED with the allowed name")
+    assert not unmarked, (f"public names that only allowed names reach: {unmarked}; give each "
+                          "a caller that a report reaches, or mark it in THROUGH_ALLOWED with "
+                          "the allowed name")
     stale = sorted(set(THROUGH_ALLOWED) - set(behind))
-    assert not stale, f"THROUGH_ALLOWED entries whose caller runs outside tests: {stale}"
+    assert not stale, f"THROUGH_ALLOWED entries that run outside tests: {stale}"
 
 
 PLANTED = {
@@ -523,6 +538,9 @@ class Box:
     def keys(self):
         return []
 
+    def tally(self):
+        return 0
+
 
 def report(b):
     return b.get()
@@ -537,7 +555,7 @@ def _inner(b):
 
 
 def audit(b):
-    return _inner(b)
+    return _inner(b) + b.tally()
 '''
 
 
@@ -546,11 +564,14 @@ def test_scan_follows_callers_behind_allowed_names(tmp_path):
     callers = {"chain.Box.get": "chain.report", "chain.Box.keys": "chain.helper"}
     allowed = {"chain.report", "chain.audit"}
     assert scan(tmp_path, callers, allowed).uncalled == allowed
-    # keys: through helper, which only _inner reaches, which only audit reaches
+    # keys: through helper, which only _inner reaches, which only audit
+    # reaches; helper and tally, which need no CALLERS entry, are behind audit too
     assert scan(tmp_path, callers, allowed).behind_allowed == {
-        "chain.Box.get": {"chain.report"}, "chain.Box.keys": {"chain.audit"}}
+        "chain.Box.get": {"chain.report"}, "chain.Box.keys": {"chain.audit"},
+        "chain.helper": {"chain.audit"}, "chain.Box.tally": {"chain.audit"}}
     (tmp_path / "chain.py").write_text(CHAIN + "\nhelper(Box())\n")
-    assert scan(tmp_path, callers, allowed).behind_allowed == {"chain.Box.get": {"chain.report"}}
+    assert scan(tmp_path, callers, allowed).behind_allowed == {
+        "chain.Box.get": {"chain.report"}, "chain.Box.tally": {"chain.audit"}}
 
 
 def test_every_option_is_set_by_some_call():

@@ -16,6 +16,7 @@ from dyadica.dyadic import (
     children,
     distance_term,
     format_cube,
+    grid_cells,
     parse_cube,
     stack_cube,
     tensor_points,
@@ -268,8 +269,19 @@ def test_no_module_imports_a_private_name_of_another():
     (lambda: base_of(DyadicCube(1, 0, (0,))), "base of a 1-dimensional cube"),
     (lambda: LatticeWindow(2, 0, 1, (0,), (1, 1)), "box bounds must match dimension"),
     (lambda: LatticeWindow(1, 0, 1, (0,), (1,)).level_rows(2), "level 2 outside the window"),
+    # int() would build the window on [0, 2) with 14 cubes
+    (lambda: LatticeWindow(1, 0, 2, (0.5,), (2.7,)),
+     r"^window box \(0\.5,\)\.\.\(2\.7,\): corner 0\.5 is not a whole number$"),
+    (lambda: LatticeWindow(1, 0, 2, (0,), (np.float64(2.7),)), "corner np.float64.2.7. is not a"),
+    (lambda: LatticeWindow(1, 0, 1, (0, True), (1, 1)), "corner True is not a whole number"),
+    (lambda: LatticeWindow(1, 0, 1, (1,), (0,)), r"^window box \(1,\)\.\.\(0,\) is empty$"),
+    (lambda: grid_cells((2,), (1,), 3, "stack grid", "box"),
+     r"^stack grid box \(2,\)\.\.\(1,\) is empty$"),
+    (lambda: grid_cells((0, 0), (1, 1.5), 0, "stack grid", "box"),
+     r"^stack grid box \(0, 0\)\.\.\(1, 1\.5\): corner 1\.5 is not a whole number$"),
 ], ids=["zero-dimension", "index-length", "negative-ancestor", "base-of-1d",
-        "box-dimension", "level-rows-outside"])
+        "box-dimension", "level-rows-outside", "window-corner-half", "window-corner-numpy-float",
+        "window-corner-bool", "window-empty", "grid-empty", "grid-corner-half"])
 def test_cube_and_window_refusals(make, message):
     with pytest.raises(PreconditionError, match=message):
         make()
@@ -277,6 +289,10 @@ def test_cube_and_window_refusals(make, message):
 
 def test_window_levels_outside_are_empty_and_windows_compare_by_value():
     w = LatticeWindow(2, -1, 1, (-2, 0), (0, 2))
+    # whole floats and numpy integers are whole numbers
+    whole = LatticeWindow(2, -1, 1, (-2.0, np.int64(0)), np.array([0.0, 2.0]))
+    assert whole == w and whole.lo == (-2, 0) and type(whole.lo[1]) is int
+    assert grid_cells((np.int64(-2), 0.0), (0, 2.0), 1, "grid", "box") == ((-4, 0), (4, 4))
     assert list(w.cubes(-2)) == [] and list(w.cubes(2)) == []
     assert w.count(-2) == 0 and w.count(2) == 0
     assert not w.contains(DyadicCube(1, 0, (0,)))

@@ -520,9 +520,17 @@ def _wavelet_refusal_sample(n=1, m=1):
                                           {DyadicCube(1, 1, (1,)): [1.0, 2.0]})},
                         WaveletSystem(1, daubechies_filter(1), 8), 6, (0,), (64,), 1),
      "channel 1 holds vectors of dimension m = 2, but the synthesis has m = 1"),
+    # int() would sample [0, 2) without notice, and the two below failed in numpy
+    (lambda: FunctionSample.from_callable(lambda p: p[:, 0], 1, 1, 4, (0.5,), (2,)),
+     r"^sample grid box \(0\.5,\)\.\.\(2,\): corner 0\.5 is not a whole number$"),
+    (lambda: FunctionSample.from_callable(lambda p: p[:, 0], 1, 1, 4, (0.25,), (0.5,)),
+     r"^sample grid box \(0\.25,\)\.\.\(0\.5,\): corner 0\.25 is not a whole number$"),
+    (lambda: FunctionSample.from_callable(lambda p: p[:, 0], 1, 1, 4, (2,), (1,)),
+     r"^sample grid box \(2,\)\.\.\(1,\) is empty$"),
 ], ids=["cascade-resolution-negative", "cascade-resolution-above-cap", "cascade-filter",
         "sample-channels", "sample-dimension", "analyze-system", "analyze-window",
-        "synthesize-coarse-grid", "synthesize-field-m1-into-m2", "synthesize-field-m2-into-m1"])
+        "synthesize-coarse-grid", "synthesize-field-m1-into-m2", "synthesize-field-m2-into-m1",
+        "sample-box-half-corner", "sample-box-inside-a-unit", "sample-box-empty"])
 def test_wavelet_refusals(call, message):
     with pytest.raises(PreconditionError, match=message):
         call()
